@@ -11,13 +11,13 @@ Levels of comparison, mirroring how the stack is wired:
   LRU+Belady sweep (the sec6 table's batchable columns riding *one*
   trace replay), and for a non-matmul trace kernel (TRSM), so a
   batching bypass in any of the three regresses the build loudly.
-* **kernel-only** — the per-access dict loop replayed K times against
-  one :func:`simulate_lru_sweep` call on a pre-built trace, and the
-  Belady heap loop replayed K times against one
-  :func:`simulate_opt_sweep` pass.
-* **single capacity** — the honest footnote: one stack-distance pass
-  costs more than one tuned dict replay, which is why ``CacheSim`` keeps
-  the per-access loop for K=1 and the batched kernel pays from K>=2.
+* **kernel-only** — each policy's oracle replayed K times against one
+  :func:`~repro.machine.fastsim.sweep` call on a pre-built trace: the
+  per-access LRU policy loop for LRU, the reference heap for Belady.
+* **single capacity** — K=1: the per-access loop against both sweep
+  stages (event sweep and super-symbol fold).  Both win even there,
+  which is why ``CacheSim`` replays every empty fully-associative LRU
+  cache through the sweep.
 
 Full-size runs refresh ``BENCH_fastsim.json`` at the repo root (the
 committed perf snapshot).  ``REPRO_BENCH_QUICK=1`` shrinks the geometry
@@ -37,13 +37,9 @@ from repro.lab.registry import MachineSpec
 from repro.lab.scenarios import ScenarioPoint
 from repro.lab.tracestore import set_active_store
 from repro.machine.cache import CacheSim
-from repro.machine.fastsim import (
-    fold_lru_symbols,
-    simulate_lru,
-    simulate_lru_sweep,
-    simulate_opt_sweep,
-    symbolize,
-)
+from repro.machine.fastsim import sweep, symbolize
+from repro.machine.fastsim.belady import belady_reference
+from repro.machine.trace import Trace
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 N, MIDDLE = (32, 64) if QUICK else (64, 128)
@@ -65,16 +61,25 @@ def sweep_points(policies=("lru",)):
             for policy in policies]
 
 
-def built_trace():
-    buf = matmul_trace(N, MIDDLE, N, scheme="wa2", b3=B3, b2=B2, base=BASE,
-                       line_size=LINE)
-    return buf.finalize()
-
-
 def built_trace_tiled():
     buf = matmul_trace(N, MIDDLE, N, scheme="wa2", b3=B3, b2=B2, base=BASE,
                        line_size=LINE)
     return buf.finalize_trace()
+
+
+def built_trace():
+    """The same events without their tile structure (event sweep)."""
+    trace = built_trace_tiled()
+    return Trace(trace.lines, trace.writes, None)
+
+
+def lru_loop(lines, writes, cap):
+    """The LRU oracle: CacheSim's per-access policy loop, plus flush."""
+    sim = CacheSim(cap, line_size=1, policy="lru")
+    for line, w in zip(lines.tolist(), writes.tolist()):
+        sim.access(line, w)
+    sim.flush()
+    return sim.stats
 
 
 def capacities_lines():
@@ -184,27 +189,23 @@ def test_trsm_sweep_end_to_end(benchmark):
 
 
 def test_kernel_only_opt_sweep(benchmark):
-    """Belady heap loop x K capacities vs one simulate_opt_sweep pass,
-    trace generation excluded on both sides."""
-    lines, writes = built_trace()
+    """Reference Belady heap x K capacities vs one sweep pass, trace
+    generation excluded on both sides."""
+    trace = built_trace()
+    lines, writes = trace.pair()
     caps = capacities_lines()
 
     t0 = time.perf_counter()
-    loop_stats = []
-    for cap in caps:
-        sim = CacheSim(cap, line_size=1, policy="belady")
-        sim.run_lines(lines, writes)
-        sim.flush()
-        loop_stats.append(sim.stats)
+    loop_stats = [belady_reference(lines, writes, cap) for cap in caps]
     heap_loop_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sweep = benchmark.pedantic(
-        lambda: simulate_opt_sweep(lines, writes, caps),
+    res = benchmark.pedantic(
+        lambda: sweep(trace, {"belady": caps})["belady"],
         rounds=1, iterations=1)
     sweep_s = time.perf_counter() - t0
     for cap, st in zip(caps, loop_stats):
-        assert sweep.stats(cap) == st
+        assert res.stats(cap) == st
     speedup = heap_loop_s / sweep_s
     print(f"\n[bench_fastsim] kernel-only OPT ({len(lines)} events, "
           f"{len(caps)} capacities): heap loop {heap_loop_s:.3f}s, "
@@ -219,34 +220,30 @@ def test_kernel_only_opt_sweep(benchmark):
 
 
 def test_kernel_only_sweep(benchmark):
-    """Dict loop x K capacities vs one stack-distance pass, trace
-    generation excluded on both sides."""
-    lines, writes = built_trace()
+    """Per-access LRU loop x K capacities vs one stack-distance pass,
+    trace generation excluded on both sides."""
+    trace = built_trace()
+    lines, writes = trace.pair()
     caps = capacities_lines()
 
     t0 = time.perf_counter()
-    loop_stats = []
-    for cap in caps:
-        sim = CacheSim(cap, line_size=1, policy="lru")
-        sim.run_lines(lines, writes)
-        sim.flush()
-        loop_stats.append(sim.stats)
-    dict_loop_s = time.perf_counter() - t0
+    loop_stats = [lru_loop(lines, writes, cap) for cap in caps]
+    loop_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sweep = benchmark.pedantic(
-        lambda: simulate_lru_sweep(lines, writes, caps),
+    res = benchmark.pedantic(
+        lambda: sweep(trace, {"lru": caps})["lru"],
         rounds=1, iterations=1)
     sweep_s = time.perf_counter() - t0
     for cap, st in zip(caps, loop_stats):
-        assert sweep.stats(cap) == st
-    speedup = dict_loop_s / sweep_s
+        assert res.stats(cap) == st
+    speedup = loop_s / sweep_s
     print(f"\n[bench_fastsim] kernel-only ({len(lines)} events, "
-          f"{len(caps)} capacities): dict loop {dict_loop_s:.3f}s, "
+          f"{len(caps)} capacities): per-access loop {loop_s:.3f}s, "
           f"fastsim sweep {sweep_s:.3f}s -> {speedup:.1f}x")
     record_snapshot(kernel_only={
         "trace_events": int(len(lines)),
-        "dict_loop_s": round(dict_loop_s, 4),
+        "per_access_loop_s": round(loop_s, 4),
         "fastsim_sweep_s": round(sweep_s, 4),
         "speedup": round(speedup, 2),
     })
@@ -277,17 +274,18 @@ def test_supersymbol_kernel_only(benchmark):
     floor: >= 3x over the pre-PR committed ``fastsim_sweep_s``."""
     trace = built_trace_tiled()
     caps = capacities_lines()
+    flat = Trace(trace.lines, trace.writes, None)
+    st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
+    assert st is not None
 
-    ref, event_s = _best_of(
-        lambda: simulate_lru_sweep(trace.lines, trace.writes, caps))
+    ref, event_s = _best_of(lambda: sweep(flat, {"lru": caps})["lru"])
 
     def run():
-        st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
-        return st, fold_lru_symbols(st, caps)
+        return sweep(trace, {"lru": caps})["lru"]
 
-    (st, res), sym_s = _best_of(run)
+    res, sym_s = _best_of(run)
     benchmark.pedantic(run, rounds=1, iterations=1)
-    assert st is not None
+    assert res.n_symbols == st.n_symbols
     for name in ("accesses", "hits", "misses", "fills", "victims_m",
                  "victims_e", "flush_writebacks", "flush_victims_e",
                  "stack_lines", "stack_has_write", "stack_m"):
@@ -321,30 +319,26 @@ def test_supersymbol_kernel_only(benchmark):
 
 
 def test_single_capacity_footnote(benchmark):
-    """K=1: the tuned per-access loop vs the event-granular kernel vs
-    the super-symbol path.  The event pass still loses at K=1 (why
-    ``run_lines`` keeps the loop); the super-symbol fold wins even
-    there, which is why ``fastsim_min_events='auto'`` routes large
-    tiled traces through ``run_trace``'s fold."""
+    """K=1: the per-access LRU loop vs the event sweep vs the
+    super-symbol fold.  Both sweep stages beat the loop even at one
+    capacity, which is why ``CacheSim`` replays every empty
+    fully-associative LRU cache through :func:`sweep`."""
     trace = built_trace_tiled()
     lines, writes = trace.pair()
+    flat = Trace(lines, writes, None)
     cap = capacities_lines()[1]  # 3 blocks
 
     t0 = time.perf_counter()
-    sim = CacheSim(cap, line_size=1, policy="lru",
-                   fastsim_min_events=None)
-    sim.run_lines(lines, writes)
-    sim.flush()
-    dict_loop_s = time.perf_counter() - t0
+    ref = lru_loop(lines, writes, cap)
+    loop_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    res = simulate_lru(lines, writes, cap)
+    res = sweep(flat, {"lru": [cap]})["lru"]
     event_single_s = time.perf_counter() - t0
-    assert res.stats(cap) == sim.stats
+    assert res.stats(cap) == ref
 
     def run():
-        fold = CacheSim(cap, line_size=1, policy="lru",
-                        fastsim_min_events=0)
+        fold = CacheSim(cap, line_size=1, policy="lru")
         fold.run_trace(trace)
         fold.flush()
         return fold
@@ -352,20 +346,20 @@ def test_single_capacity_footnote(benchmark):
     t0 = time.perf_counter()
     fold = benchmark.pedantic(run, rounds=1, iterations=1)
     sym_s = time.perf_counter() - t0
-    assert fold.stats == sim.stats
-    print(f"\n[bench_fastsim] single capacity: dict loop "
-          f"{dict_loop_s:.3f}s, event fastsim {event_single_s:.3f}s "
-          f"(ratio {event_single_s / dict_loop_s:.2f}), super-symbol "
-          f"{sym_s:.3f}s (ratio {sym_s / dict_loop_s:.2f})")
+    assert fold.stats == ref
+    print(f"\n[bench_fastsim] single capacity: per-access loop "
+          f"{loop_s:.3f}s, event fastsim {event_single_s:.3f}s "
+          f"(ratio {event_single_s / loop_s:.2f}), super-symbol "
+          f"{sym_s:.3f}s (ratio {sym_s / loop_s:.2f})")
     record_snapshot(single_capacity={
         "trace_events": int(len(lines)),
-        "dict_loop_s": round(dict_loop_s, 4),
+        "per_access_loop_s": round(loop_s, 4),
         "event_single_s": round(event_single_s, 4),
-        "event_over_loop_ratio": round(event_single_s / dict_loop_s, 2),
+        "event_over_loop_ratio": round(event_single_s / loop_s, 2),
         "fastsim_single_s": round(sym_s, 4),
-        "fastsim_over_loop_ratio": round(sym_s / dict_loop_s, 2),
+        "fastsim_over_loop_ratio": round(sym_s / loop_s, 2),
     })
-    # Acceptance: the super-symbol path beats the dict loop at K=1 on
-    # the full-size geometry (no floor on quick CI runners).
+    # Acceptance: the super-symbol path beats the per-access loop at K=1
+    # on the full-size geometry (no floor on quick CI runners).
     if not QUICK:
-        assert sym_s / dict_loop_s < 1.0
+        assert sym_s / loop_s < 1.0

@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.traces import matmul_trace
 from repro.machine.cache import CacheSim, CacheStats
+from repro.machine.fastsim import sweep
 from repro.util import format_table
 
 __all__ = ["run_sec6", "format_sec6"]
@@ -32,33 +33,25 @@ def run_sec6(
     blocks_axis = (3, 4, 5)
     rows: List[Dict] = []
     for scheme in schemes:
-        buf = matmul_trace(n, middle, n, scheme=scheme, b3=b3, b2=b2,
-                           base=base, line_size=line)
-        lines, writes = buf.finalize()
+        trace = matmul_trace(n, middle, n, scheme=scheme, b3=b3, b2=b2,
+                             base=base, line_size=line).finalize_trace()
         # The LRU and Belady columns are pure capacity sweeps over one
-        # trace — both policies are stack algorithms, so the fastsim
-        # multi-capacity kernels compute each column in one pass
-        # (bit-identical to the per-capacity CacheSim replays below).
+        # trace — both policies are stack algorithms, so one fastsim
+        # pass computes every capacity of both columns.
         caps = [blocks * b3 * b3 + line for blocks in blocks_axis]
-        lru_sweep = opt_sweep = None
-        if all(c % line == 0 for c in caps):
-            caps_lines = [c // line for c in caps]
-            if "lru" in policies:
-                from repro.machine.fastsim import simulate_lru_sweep
-                lru_sweep = simulate_lru_sweep(lines, writes, caps_lines)
-            if "belady" in policies:
-                from repro.machine.fastsim import simulate_opt_sweep
-                opt_sweep = simulate_opt_sweep(lines, writes, caps_lines)
+        if any(c % line for c in caps):
+            raise ValueError(f"cache capacities {caps} must be multiples "
+                             f"of line_size={line}")
+        sweeps = sweep(trace, {p: [c // line for c in caps]
+                               for p in policies if p in ("lru", "belady")})
         for blocks, cap in zip(blocks_axis, caps):
             for policy in policies:
                 st: CacheStats
-                if policy == "lru" and lru_sweep is not None:
-                    st = lru_sweep.stats(cap // line)
-                elif policy == "belady" and opt_sweep is not None:
-                    st = opt_sweep.stats(cap // line)
+                if policy in sweeps:
+                    st = sweeps[policy].stats(cap // line)
                 else:
                     sim = CacheSim(cap, line_size=line, policy=policy)
-                    sim.run_lines(lines, writes)
+                    sim.run_trace(trace)
                     sim.flush()
                     st = sim.stats
                 rows.append({

@@ -313,11 +313,6 @@ def _batch_key(point: ScenarioPoint, *, multi_capacity: bool,
     return key
 
 
-def _capacity_group_key(point: ScenarioPoint) -> Optional[str]:
-    """Back-compat alias: the trace-capacity view of :func:`_batch_key`."""
-    return _batch_key(point, multi_capacity=True, batch=False)
-
-
 def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
           multi_capacity: bool, batch: bool = True
           ) -> List[Tuple[List[int], Optional[str]]]:
@@ -341,14 +336,6 @@ def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
             groups[key] = group
             tasks.append((group, BATCH_KERNELS[points[i].kernel].toggle))
     return tasks
-
-
-def _plan_tasks(points: Sequence[ScenarioPoint], pending: Sequence[int],
-                multi_capacity: bool, batch: bool = True
-                ) -> List[List[int]]:
-    """Back-compat view of :func:`_plan`: just the index partition."""
-    return [task for task, _ in _plan(points, pending, multi_capacity,
-                                      batch)]
 
 
 def _run_points(pts: Sequence[ScenarioPoint]) -> List[Dict[str, Any]]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import asdict, dataclass, field, replace
-from typing import (Any, Callable, Dict, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.traces import (
     cholesky_trace,
@@ -66,6 +66,7 @@ from repro.lab.telemetry import active_trace
 from repro.lab.tracestore import active_store, is_staged
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.energy import EnergyModel
+from repro.machine.fastsim import sweep
 from repro.machine.fastsim.profile import phase as fs_phase
 from repro.machine.multicache import CacheHierarchySim
 from repro.machine.policies import POLICIES
@@ -97,7 +98,6 @@ __all__ = [
     "capacity_group_payload",
     "run_batch",
     "run_capacity_batch",
-    "run_matmul_capacity_batch",
 ]
 
 
@@ -325,8 +325,9 @@ class TraceKernel:
       zero-copy handoff (:func:`repro.lab.tracestore.staged_keys`);
     * the executor groups points that differ only in the capacity (and
       batchable-policy) axes and replays each group through the
-      single-pass fastsim sweeps (:func:`run_capacity_batch`), which
-      fold at super-symbol granularity when ``tiles`` holds.
+      single-pass :func:`repro.machine.fastsim.sweep`
+      (:func:`run_capacity_batch`), which folds at super-symbol
+      granularity when the trace's tile chunks symbolize.
     """
 
     name: str
@@ -343,11 +344,6 @@ class TraceKernel:
     capacity_words: Callable[[MachineSpec, Mapping[str, Any]], int]
     #: (machine, params) -> the paper's write lower bound, in lines.
     write_lb: Callable[[MachineSpec, Mapping[str, Any]], int]
-    #: whether ``build`` emits tile-granular chunks (each chunk one
-    #: base-tile visit), making the kernel eligible for the super-symbol
-    #: fold; kernels without tile structure set ``False`` and always
-    #: replay event-granular.
-    tiles: bool = True
 
     def trace(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Trace:
@@ -619,24 +615,12 @@ def run_capacity_batch(
     (``TRACE_KERNELS[kernel].payload``) and describe a fully-associative
     LRU or Belady cache; they may differ only in capacity and in which of
     those two policies they use.  The trace is generated (or mapped from
-    the trace store) once; when the kernel is tile-granular and its
-    chunks symbolize, the stack passes run at super-symbol granularity
-    (:func:`~repro.machine.fastsim.fold_lru_symbols`,
-    :func:`~repro.machine.fastsim.fold_opt_symbols`), otherwise the
-    event-granular sweeps (:func:`~repro.machine.fastsim
-    .simulate_lru_sweep`, :func:`~repro.machine.fastsim
-    .simulate_opt_sweep`) take over.  Either way each point gets exact
-    per-capacity counters — the same record the per-point kernel would
-    have computed, bit-identical, enforced by the equivalence tests.
+    the trace store) once and replayed by one
+    :func:`repro.machine.fastsim.sweep` call covering both policies, so
+    each point gets exact per-capacity counters — the same record the
+    per-point kernel would have computed, bit-identical, enforced by the
+    equivalence tests.
     """
-    from repro.machine.fastsim import (
-        fold_lru_symbols,
-        fold_opt_symbols,
-        simulate_lru_sweep,
-        simulate_opt_sweep,
-        symbolize,
-    )
-
     try:
         tk = TRACE_KERNELS[kernel]
     except KeyError:
@@ -648,6 +632,7 @@ def run_capacity_batch(
     _require_params(params0, tk.required, tk.name)
     spec0 = tk.payload(machine0, params0)
     caps_lines = []
+    caps_by_policy: Dict[str, List[int]] = {}
     for machine, params in group:
         require(machine.policy in BATCHABLE_POLICIES
                 and machine.levels is None
@@ -661,39 +646,20 @@ def run_capacity_batch(
                 f"capacity_words={cap_words} must be a multiple of "
                 f"line_size={machine.line_size}")
         caps_lines.append(cap_words // machine.line_size)
+        caps_by_policy.setdefault(machine.policy, []).append(caps_lines[-1])
     trace = tk.trace(machine0, params0)
-    sym = None
-    if tk.tiles and trace.chunk_lens is not None:
-        sym = symbolize(trace.lines, trace.writes, trace.chunk_lens)
+    sweeps = sweep(trace, caps_by_policy)
     tel = active_trace()
     if tel is not None:
         tel.counter("trace.events", trace.n_events, kernel=tk.name)
-        if sym is not None:
-            tel.counter("trace.symbols", sym.n_symbols, kernel=tk.name)
-    folds = {
-        "lru": (fold_lru_symbols, simulate_lru_sweep),
-        "belady": (fold_opt_symbols, simulate_opt_sweep),
-    }
-    sweeps = {}
-    for policy, (fold_fn, sweep_fn) in folds.items():
-        caps = sorted({cap for (m, _), cap in zip(group, caps_lines)
-                       if m.policy == policy})
-        if caps:
-            sweeps[policy] = (fold_fn(sym, caps) if sym is not None
-                              else sweep_fn(trace.lines, trace.writes, caps))
+        n_symbols = next(iter(sweeps.values())).n_symbols
+        if n_symbols is not None:
+            tel.counter("trace.symbols", n_symbols, kernel=tk.name)
     return [
         tk.record(machine, params,
                   sweeps[machine.policy].stats(cap, include_flush=True))
         for (machine, params), cap in zip(group, caps_lines)
     ]
-
-
-def run_matmul_capacity_batch(
-    group: Sequence[Tuple[MachineSpec, Mapping[str, Any]]],
-) -> List[Dict[str, Any]]:
-    """Back-compat alias: ``matmul-cache`` through
-    :func:`run_capacity_batch`."""
-    return run_capacity_batch("matmul-cache", group)
 
 
 def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:

@@ -32,7 +32,6 @@ PHASES: FrozenSet[str] = frozenset({
     "radix_partition",
     "distance_pass",
     "capacity_fold",
-    "stream_window",
     "next_use",
     "opt_replay",
 })

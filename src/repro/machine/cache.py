@@ -18,9 +18,8 @@ relevant (Section 6.1).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
@@ -33,12 +32,7 @@ from repro.machine.policies import (
 from repro.machine.trace import Trace
 from repro.util import check_positive_int
 
-__all__ = ["CacheSim", "CacheStats", "AUTO_TILED_MIN_EVENTS"]
-
-#: events past which ``fastsim_min_events="auto"`` routes a tile-chunked
-#: trace through the super-symbol fold (below it the tuned per-access
-#: loops win on constant factors).
-AUTO_TILED_MIN_EVENTS = 1 << 15
+__all__ = ["CacheSim", "CacheStats"]
 
 
 @dataclass
@@ -95,19 +89,6 @@ class CacheSim:
         Seed for the random policy's generator, so randomized sweeps are
         reproducible point-by-point.  ``None`` keeps the historical
         behaviour (every set gets its own generator seeded 0).
-    fastsim_min_events:
-        Controls when replays route through the batched
-        :mod:`repro.machine.fastsim` kernels (bit-identical counters and
-        end state, no change to the per-access semantics).  The default
-        ``"auto"`` keeps the tuned per-access loops for flat
-        ``run_lines`` traces but sends :meth:`run_trace` calls with
-        tile-chunk structure and at least :data:`AUTO_TILED_MIN_EVENTS`
-        events through the super-symbol fold
-        (:mod:`repro.machine.fastsim.symbols`), which beats the dict
-        loop even at a single capacity.  An integer is an explicit
-        event threshold for both entry points (including event-granular
-        ``run_lines`` batching); ``None`` opts out of batching
-        entirely.
 
     Notes
     -----
@@ -115,6 +96,15 @@ class CacheSim:
     ``run(addrs, writes)`` replays a whole trace; ``access(addr, write)``
     is the single-step form.  Traces may also be supplied pre-translated to
     line ids via ``run_lines``.
+
+    Whole-trace replays of the two stack policies go through
+    :func:`repro.machine.fastsim.sweep`: every Belady run, and every
+    fully-associative LRU run that starts from an empty cache (the
+    resumable LRU order and dirty bits are rebuilt from the sweep's
+    end-of-trace stack).  Everything else — set-associative caches,
+    the other policies, an LRU cache that already holds lines — takes
+    the per-access policy loop, which is also the LRU oracle the test
+    suite holds the sweep to.
     """
 
     def __init__(
@@ -126,7 +116,6 @@ class CacheSim:
         associativity: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
-        fastsim_min_events: Union[int, None, str] = "auto",
     ):
         check_positive_int(capacity_words, "capacity_words")
         check_positive_int(line_size, "line_size")
@@ -157,7 +146,6 @@ class CacheSim:
             for _ in range(self.num_sets)
         ]
         self._dirty: dict[int, bool] = {}
-        self.fastsim_min_events = fastsim_min_events
         self.stats = CacheStats()
         self._offline = isinstance(self._sets[0], BeladyPolicy)
         #: line id evicted by the most recent access (None if no eviction);
@@ -212,22 +200,12 @@ class CacheSim:
         writes = np.asarray(writes, dtype=bool)
         if lines.shape != writes.shape:
             raise ValueError("lines and writes must have matching shapes")
-        thr = self.fastsim_min_events
-        batch = isinstance(thr, int) and len(lines) >= thr
-        if self._offline:
-            if batch:
-                self._run_belady_batched(lines, writes)
-            else:
-                self._run_belady(lines, writes)
-        elif isinstance(self._sets[0], LRUPolicy) and self.num_sets == 1:
-            if batch and not self._dirty:
-                self._run_lru_batched(lines, writes)
-            else:
-                self._run_lru_fast(lines, writes)
-        else:
-            acc = self._access_line
-            for line, w in zip(lines.tolist(), writes.tolist()):
-                acc(line, w)
+        policy = self._sweep_policy()
+        if policy is not None:
+            return self._run_sweep(policy, Trace(lines, writes, None))
+        acc = self._access_line
+        for line, w in zip(lines.tolist(), writes.tolist()):
+            acc(line, w)
         return self.stats
 
     def run(self, addrs: np.ndarray, writes: np.ndarray) -> CacheStats:
@@ -239,45 +217,12 @@ class CacheSim:
         """Replay a finalized :class:`~repro.machine.trace.Trace`.
 
         Identical counters to ``run_lines(trace.lines, trace.writes)``;
-        the difference is speed: when the trace carries tile-chunk
-        structure and ``fastsim_min_events`` allows it (see the
-        constructor), an empty fully-associative LRU cache — or any
-        offline Belady run — folds the trace at super-symbol granularity
-        instead of looping per event, then reconstructs the same end
-        state.  Traces whose chunks don't symbolize (overlapping
-        footprints, mixed read/write chunks) silently take the event
-        path.
+        the difference is speed: a sweep replay (see the class notes)
+        folds a tile-chunked trace at super-symbol granularity.
         """
-        thr = self.fastsim_min_events
-        if thr == "auto":
-            min_events: Optional[int] = AUTO_TILED_MIN_EVENTS
-        elif isinstance(thr, int):
-            min_events = thr
-        else:
-            min_events = None
-        eligible = (min_events is not None
-                    and trace.chunk_lens is not None
-                    and trace.n_events >= min_events)
-        if eligible:
-            if self._offline:
-                from repro.machine.fastsim.symbols import (fold_opt_symbols,
-                                                           symbolize)
-
-                st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
-                if st is not None:
-                    self._fold_belady_result(
-                        fold_opt_symbols(st, [self.capacity_lines]))
-                    return self.stats
-            elif (isinstance(self._sets[0], LRUPolicy)
-                    and self.num_sets == 1 and not self._dirty):
-                from repro.machine.fastsim.symbols import (fold_lru_symbols,
-                                                           symbolize)
-
-                st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
-                if st is not None:
-                    self._fold_lru_result(
-                        fold_lru_symbols(st, [self.capacity_lines]))
-                    return self.stats
+        policy = self._sweep_policy()
+        if policy is not None:
+            return self._run_sweep(policy, trace)
         return self.run_lines(trace.lines, trace.writes)
 
     def flush(self) -> CacheStats:
@@ -305,97 +250,30 @@ class CacheSim:
         return len(self._dirty)
 
     # ------------------------------------------------------------------ #
-    # fast path: fully-associative LRU (the default for big sweeps)
+    # sweep path: the stack policies through fastsim
     # ------------------------------------------------------------------ #
-    def _run_lru_fast(self, lines: np.ndarray, writes: np.ndarray) -> None:
-        """Hand-inlined fully-associative LRU loop.
+    def _sweep_policy(self) -> Optional[str]:
+        """The :func:`~repro.machine.fastsim.sweep` policy a whole-trace
+        replay of this cache goes through, or ``None`` for the
+        per-access loop."""
+        if self._offline:
+            return "belady"
+        if (self.num_sets == 1 and isinstance(self._sets[0], LRUPolicy)
+                and not self._dirty):
+            return "lru"
+        return None
 
-        Identical semantics to the generic path; exists because Figure-2/5
-        sweeps replay millions of line events and the per-access overhead of
-        the policy-object indirection dominates otherwise.
-        """
+    def _run_sweep(self, policy: str, trace: Trace) -> CacheStats:
+        """Replay *trace* through :func:`repro.machine.fastsim.sweep` at
+        this capacity under *policy*.  Offline runs fold their end-of-trace flush in;
+        LRU runs rebuild the resumable LRU order and dirty bits, so
+        ``flush()`` and further accesses behave exactly as if the
+        per-access loop had run."""
+        from repro.machine.fastsim import sweep
+
         cap = self.capacity_lines
-        dirty = self._dirty
-        pol = self._sets[0]
-        order = pol._order  # type: ignore[attr-defined]
-        hits = misses = fills = vm = ve = 0
-        for line, w in zip(lines.tolist(), writes.tolist()):
-            if line in dirty:
-                hits += 1
-                if w:
-                    dirty[line] = True
-                del order[line]
-                order[line] = None
-            else:
-                misses += 1
-                fills += 1
-                if len(order) >= cap:
-                    victim = next(iter(order))
-                    del order[victim]
-                    if dirty.pop(victim):
-                        vm += 1
-                    else:
-                        ve += 1
-                order[line] = None
-                dirty[line] = w
-        st = self.stats
-        st.accesses += len(lines)
-        st.hits += hits
-        st.misses += misses
-        st.fills += fills
-        st.victims_m += vm
-        st.victims_e += ve
-
-    # ------------------------------------------------------------------ #
-    # batched path: fastsim stack-distance kernel (opt-in, exact)
-    # ------------------------------------------------------------------ #
-    def _run_lru_batched(self, lines: np.ndarray, writes: np.ndarray) -> None:
-        """Replay via :func:`repro.machine.fastsim.simulate_lru`.
-
-        Counters come from the vectorized stack-distance kernel; the LRU
-        order and dirty bits are then reconstructed so this simulator
-        stays resumable (``flush()`` and further accesses behave exactly
-        as if the per-access loop had run).
-        """
-        from repro.machine.fastsim import simulate_lru
-
-        self._fold_lru_result(simulate_lru(lines, writes,
-                                           self.capacity_lines))
-
-    def _fold_lru_result(self, res) -> None:
-        """Fold an ``LRUSweepResult`` into the stats and rebuild the
-        resumable LRU order / dirty bits from its end-of-trace stack."""
-        st = res.stats(self.capacity_lines, include_flush=False)
-        mine = self.stats
-        mine.accesses += st.accesses
-        mine.hits += st.hits
-        mine.misses += st.misses
-        mine.fills += st.fills
-        mine.victims_m += st.victims_m
-        mine.victims_e += st.victims_e
-        resident, dirty = res.end_state(self.capacity_lines)
-        order = self._sets[0]._order  # type: ignore[attr-defined]
-        for line in resident.tolist():
-            order[line] = None
-        self._dirty = dict(zip(resident.tolist(), dirty.tolist()))
-
-    def _run_belady_batched(self, lines: np.ndarray,
-                            writes: np.ndarray) -> None:
-        """Replay via :func:`repro.machine.fastsim.simulate_opt`.
-
-        Counters come from the single-pass multi-capacity Belady kernel
-        with its end-of-trace flush folded in, exactly as
-        :meth:`_run_belady` folds its own — offline runs hold no
-        resumable state, so the fold is the whole contract.
-        """
-        from repro.machine.fastsim import simulate_opt
-
-        self._fold_belady_result(simulate_opt(lines, writes,
-                                              self.capacity_lines))
-
-    def _fold_belady_result(self, res) -> None:
-        """Fold an ``OPTSweepResult`` (flush included) into the stats."""
-        st = res.stats(self.capacity_lines, include_flush=True)
+        res = sweep(trace, {policy: [cap]})[policy]
+        st = res.stats(cap, include_flush=self._offline)
         mine = self.stats
         mine.accesses += st.accesses
         mine.hits += st.hits
@@ -404,67 +282,10 @@ class CacheSim:
         mine.victims_m += st.victims_m
         mine.victims_e += st.victims_e
         mine.flush_writebacks += st.flush_writebacks
-
-    # ------------------------------------------------------------------ #
-    # offline path: Belady / ideal cache
-    # ------------------------------------------------------------------ #
-    def _run_belady(self, lines: np.ndarray, writes: np.ndarray) -> None:
-        """Farthest-next-use (MIN) replacement with dirty-bit tracking.
-
-        Two-pass algorithm: next-use indices come from the vectorized
-        fastsim preprocessor (one stable argsort instead of a Python
-        reverse scan), then a lazy max-heap keyed by next use simulates
-        the evictions.  Set associativity is ignored (the ideal-cache
-        model of [24] is fully associative), matching how the paper uses
-        it as a bound.
-        """
-        from repro.machine.fastsim import belady_next_use
-
-        n = len(lines)
-        next_use = belady_next_use(lines)
-        lines_list = lines.tolist()
-        cap = self.capacity_lines
-        resident: dict[int, bool] = {}  # line -> dirty
-        cur_next: dict[int, int] = {}
-        heap: list[Tuple[int, int]] = []  # (-next_use, line), lazy entries
-        st = self.stats
-        nu_list = next_use.tolist()
-        w_list = np.asarray(writes, dtype=bool).tolist()
-        hits = misses = fills = vm = ve = 0
-        for i in range(n):
-            ln = lines_list[i]
-            nu = nu_list[i]
-            w = w_list[i]
-            if ln in resident:
-                hits += 1
-                if w:
-                    resident[ln] = True
-            else:
-                misses += 1
-                fills += 1
-                if len(resident) >= cap:
-                    # Evict the line with the farthest *current* next use.
-                    while True:
-                        negnu, cand = heapq.heappop(heap)
-                        if cand in resident and cur_next.get(cand) == -negnu:
-                            break
-                    if resident.pop(cand):
-                        vm += 1
-                    else:
-                        ve += 1
-                    del cur_next[cand]
-                resident[ln] = w
-            cur_next[ln] = nu
-            heapq.heappush(heap, (-nu, ln))
-        # End-of-trace flush.
-        for ln, d in resident.items():
-            if d:
-                st.flush_writebacks += 1
-            else:
-                ve += 1
-        st.accesses += n
-        st.hits += hits
-        st.misses += misses
-        st.fills += fills
-        st.victims_m += vm
-        st.victims_e += ve
+        if not self._offline:
+            resident, dirty = res.end_state(cap)
+            order = self._sets[0]._order  # type: ignore[attr-defined]
+            for line in resident.tolist():
+                order[line] = None
+            self._dirty = dict(zip(resident.tolist(), dirty.tolist()))
+        return mine

@@ -1,95 +1,58 @@
 """Vectorized trace-simulation kernels (single-pass, multi-capacity).
 
-The per-access loops in :mod:`repro.machine.cache` replay a trace once
+The per-access loop in :mod:`repro.machine.cache` replays a trace once
 per cache capacity; every figure and table in the paper, however, is a
 *grid* over capacities and policies.  This package computes exact
-fully-associative LRU counters for **all capacities in one pass** from
-the trace's Mattson stack-distance profile — including the write-aware
-bookkeeping (`LLC_VICTIMS.M`, flush write-backs) the paper's Section-6
-measurements revolve around — plus the vectorized next-use preprocessor
-for the offline Belady simulation.
+fully-associative LRU and Belady counters for **all capacities in one
+pass** — including the write-aware bookkeeping (`LLC_VICTIMS.M`, flush
+write-backs) the paper's Section-6 measurements revolve around.
 
 Entry points:
 
-* :func:`simulate_lru_sweep` — counters for a whole capacity grid from
-  one replay (the engine behind the lab's multi-capacity sweep axis);
-* :func:`simulate_lru` — the same kernel for a single capacity;
-* :func:`simulate_opt_sweep` / :func:`simulate_opt` — the offline
-  Belady/MIN analogue: one replay, exact counters for every capacity
-  (OPT is a stack algorithm too — see :mod:`repro.machine.fastsim.opt`);
-* :func:`symbolize` / :func:`fold_lru_symbols` / :func:`fold_opt_symbols`
-  and the trace-level dispatchers :func:`simulate_lru_sweep_trace` /
-  :func:`simulate_opt_sweep_trace` — the super-symbol pipeline: tile
-  visits compress to one symbol each and both stack passes run at visit
-  granularity (:mod:`repro.machine.fastsim.symbols`);
-* :func:`stream_lru_sweep` / :func:`stream_lru_sweep_trace` — the
-  windowed LRU pass for traces too large to materialize
-  (:mod:`repro.machine.fastsim.streaming`);
+* :func:`sweep` — the one simulation path for both stack policies:
+  ``sweep(trace, {"lru": caps, "belady": caps})`` returns one
+  :class:`SweepResult` per policy.  It folds tile-chunked traces at
+  super-symbol granularity (:mod:`repro.machine.fastsim.symbols`) and
+  sweeps every other trace event by event
+  (:mod:`repro.machine.fastsim.lru`, :mod:`repro.machine.fastsim.opt`);
+  :mod:`repro.machine.fastsim.dispatch` explains the choice;
+* :func:`symbolize` / :class:`SymbolTrace` — the super-symbol
+  compression on its own;
 * :func:`stack_distances` / :func:`count_earlier_greater` — the exact
   reuse-distance machinery, reusable for other policies built on it;
-* :func:`belady_next_use` — vectorized Belady preprocessing;
 * :func:`set_phase_hook` / :func:`phase` — the profiling-hook protocol
   (:mod:`repro.machine.fastsim.profile`): the lab's run tracer installs
   a hook to capture per-phase timings (``trace_build`` /
   ``supersymbol_fold`` / ``distance_pass`` / ``radix_partition`` /
-  ``capacity_fold`` / ``stream_window`` / ``next_use`` /
-  ``opt_replay``); without one every phase site is a shared no-op.
+  ``capacity_fold`` / ``next_use`` / ``opt_replay``); without one every
+  phase site is a shared no-op.
 
-Everything here is exact: parity with :class:`CacheSim` is enforced
-bit-for-bit by the test suite (``tests/test_fastsim.py``).
+Everything here is exact.  The test suite holds :func:`sweep` to one
+independent oracle per policy, bit for bit: the per-access policy loop
+of :class:`~repro.machine.cache.CacheSim` for LRU and the reference
+heap of :mod:`repro.machine.fastsim.belady` for Belady.
 """
 
-from repro.machine.fastsim.belady import belady_next_use
 from repro.machine.fastsim.distances import (
     count_earlier_greater,
     next_occurrences,
     prev_occurrences,
     stack_distances,
 )
-from repro.machine.fastsim.lru import (
-    LRUSweepResult,
-    simulate_lru,
-    simulate_lru_sweep,
-)
-from repro.machine.fastsim.opt import (
-    OPTSweepResult,
-    simulate_opt,
-    simulate_opt_sweep,
-)
+from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.profile import phase, phase_hook, set_phase_hook
-from repro.machine.fastsim.streaming import (
-    stream_lru_sweep,
-    stream_lru_sweep_trace,
-)
-from repro.machine.fastsim.symbols import (
-    SymbolTrace,
-    fold_lru_symbols,
-    fold_opt_symbols,
-    simulate_lru_sweep_trace,
-    simulate_opt_sweep_trace,
-    symbolize,
-)
+from repro.machine.fastsim.symbols import SymbolTrace, symbolize
+from repro.machine.fastsim.dispatch import sweep
 
 __all__ = [
-    "belady_next_use",
     "count_earlier_greater",
     "next_occurrences",
     "prev_occurrences",
     "stack_distances",
-    "LRUSweepResult",
-    "simulate_lru",
-    "simulate_lru_sweep",
-    "OPTSweepResult",
-    "simulate_opt",
-    "simulate_opt_sweep",
+    "SweepResult",
     "SymbolTrace",
     "symbolize",
-    "fold_lru_symbols",
-    "fold_opt_symbols",
-    "simulate_lru_sweep_trace",
-    "simulate_opt_sweep_trace",
-    "stream_lru_sweep",
-    "stream_lru_sweep_trace",
+    "sweep",
     "phase",
     "phase_hook",
     "set_phase_hook",

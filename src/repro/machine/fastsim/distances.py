@@ -397,8 +397,8 @@ def warm_distances(t: np.ndarray, prev: np.ndarray,
     """Stack distances of the warm accesses at positions ``t`` (sorted
     ascending) with previous occurrences ``prev`` (``prev[k] < t[k]``).
 
-    This is the run-compressed core shared by :func:`reuse_profile`, the
-    super-symbol fold and the streaming window pass: maximal blocks of
+    This is the run-compressed core shared by :func:`reuse_profile` and
+    the super-symbol fold: maximal blocks of
     *adjacent* accesses with *consecutive* prev values share one stack
     distance (the intra-run proof is in the module docstring), and the
     prev ranges of distinct runs are disjoint intervals, so the per-run

@@ -37,7 +37,7 @@ no approximation anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,14 +45,20 @@ from repro.machine.cache import CacheStats
 from repro.machine.fastsim.distances import reuse_profile
 from repro.machine.fastsim.profile import phase
 
-__all__ = ["LRUSweepResult", "simulate_lru_sweep", "simulate_lru"]
+__all__ = ["SweepResult", "lru_event_sweep"]
 
 
 @dataclass
-class LRUSweepResult:
-    """Per-capacity counters of one trace replay (all arrays indexed by
-    the position of the capacity in ``capacities``, which is sorted
-    ascending and in units of cache lines)."""
+class SweepResult:
+    """Per-capacity counters of one trace replay under one policy (all
+    arrays indexed by the position of the capacity in ``capacities``,
+    which is sorted ascending and in units of cache lines).
+
+    Every stage of :func:`repro.machine.fastsim.sweep` returns this
+    type.  LRU results also carry the end-of-trace stack that
+    :class:`CacheSim` rebuilds its resumable state from; Belady runs
+    hold no resumable state, so theirs stay ``None``.
+    """
 
     accesses: int
     capacities: np.ndarray
@@ -66,9 +72,11 @@ class LRUSweepResult:
     #: end-of-trace LRU stack, least- to most-recently used: line ids,
     #: whether the line was ever written, and its max post-write fill
     #: distance (the dirty threshold M above).
-    stack_lines: np.ndarray
-    stack_has_write: np.ndarray
-    stack_m: np.ndarray
+    stack_lines: Optional[np.ndarray] = None
+    stack_has_write: Optional[np.ndarray] = None
+    stack_m: Optional[np.ndarray] = None
+    #: super-symbols the fold ran over; ``None`` for the event path.
+    n_symbols: Optional[int] = None
 
     @property
     def writebacks(self) -> np.ndarray:
@@ -86,10 +94,11 @@ class LRUSweepResult:
               include_flush: bool = True) -> CacheStats:
         """Counters at one capacity, as a :class:`CacheStats`.
 
-        With ``include_flush`` the numbers equal ``run_lines`` *plus*
-        ``flush()`` (clean flushes folded into ``victims_e``, exactly as
-        :meth:`CacheSim.flush` counts them); without it they equal
-        ``run_lines`` alone.
+        With ``include_flush`` the numbers equal a ``CacheSim`` replay
+        *plus* ``flush()`` (clean flushes folded into ``victims_e``,
+        exactly as :meth:`CacheSim.flush` counts them; an offline Belady
+        run always flushes this way); without it they cover the
+        evictions alone.
         """
         k = self.index_of(capacity_lines)
         victims_e = int(self.victims_e[k])
@@ -112,44 +121,31 @@ class LRUSweepResult:
         """Resident lines in LRU→MRU order and their dirty bits, as the
         cache of this capacity would hold them after the trace (used by
         :class:`CacheSim` to stay a resumable online simulator after a
-        batched replay)."""
+        batched replay).  LRU results only."""
         c = int(capacity_lines)
         self.index_of(c)  # validate membership
+        if (self.stack_lines is None or self.stack_has_write is None
+                or self.stack_m is None):
+            raise ValueError("this sweep carries no end-of-trace stack")
         resident = self.stack_lines[-c:] if c else self.stack_lines[:0]
         hw = self.stack_has_write[len(self.stack_lines) - len(resident):]
         m = self.stack_m[len(self.stack_lines) - len(resident):]
         return resident, hw & (m < c)
 
 
-def _as_trace(lines: np.ndarray, writes: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
-    if lines.shape != writes.shape or lines.ndim != 1:
-        raise ValueError("lines and writes must be matching 1-d arrays")
-    return lines, writes
-
-
-def simulate_lru_sweep(
-    lines: np.ndarray,
-    writes: np.ndarray,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> LRUSweepResult:
-    """Exact fully-associative LRU counters for every capacity at once."""
-    lines, writes = _as_trace(lines, writes)
-    caps = np.unique(np.asarray(capacities, dtype=np.int64))
-    if len(caps) == 0:
-        raise ValueError("need at least one capacity")
-    if caps[0] < 1:
-        raise ValueError(f"capacities must be >= 1 line, got {caps[0]}")
+def lru_event_sweep(lines: np.ndarray, writes: np.ndarray,
+                    caps: np.ndarray) -> SweepResult:
+    """Exact fully-associative LRU counters for every capacity at once,
+    at event granularity.  A stage of :func:`repro.machine.fastsim.sweep`,
+    which validates the arrays and the sorted, unique ``caps``."""
     K = len(caps)
     n = len(lines)
     zeros = lambda: np.zeros(K, dtype=np.int64)  # noqa: E731
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return LRUSweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
-                              zeros(), zeros(), zeros(), empty,
-                              np.empty(0, dtype=bool), empty)
+        return SweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
+                           zeros(), zeros(), zeros(), empty,
+                           np.empty(0, dtype=bool), empty)
 
     # ---------------- reuse profile (grouped by line) ----------------- #
     order, sorted_lines, first, prev, dist = reuse_profile(lines)
@@ -239,7 +235,7 @@ def simulate_lru_sweep(
         add_ranges("flush_victims_e", ub_e, clean_flush_hi)
 
         by_recency = np.argsort(t_last)  # LRU -> MRU
-    return LRUSweepResult(
+    return SweepResult(
         accesses=n,
         capacities=caps,
         hits=hits,
@@ -254,8 +250,3 @@ def simulate_lru_sweep(
         stack_m=m_l[by_recency],
     )
 
-
-def simulate_lru(lines: np.ndarray, writes: np.ndarray,
-                 capacity_lines: int) -> LRUSweepResult:
-    """The batched kernel for a single capacity (a one-column sweep)."""
-    return simulate_lru_sweep(lines, writes, [capacity_lines])

@@ -3,12 +3,12 @@
 One trace replay produces the exact offline-optimal counters — hits,
 misses, fills, ``LLC_VICTIMS.M``, ``LLC_VICTIMS.E`` and flush
 write-backs — for an arbitrary grid of fully-associative capacities
-simultaneously, bit-identical to replaying the trace through
-:meth:`repro.machine.cache.CacheSim._run_belady` once per capacity
+simultaneously, bit-identical to replaying the trace through the
+reference heap of :mod:`repro.machine.fastsim.belady` once per capacity
 (whose end-of-trace flush is folded into the run, exactly as there).
 
 Why one pass suffices: MIN with a *fixed total-order* tie-break is a
-stack algorithm (Mattson et al. 1970).  ``_run_belady`` evicts the
+stack algorithm (Mattson et al. 1970).  The reference heap evicts the
 resident line with the farthest next use, ties broken toward the
 smallest line id — a strict total order on ``(next_use, -line)`` — so
 the resident sets of two capacities ``C < C'`` stay nested at every
@@ -35,7 +35,7 @@ The sweep maintains exactly that:
   refills it clean), so each eviction/flush splits the capacity axis at
   ``max(level, M)`` with ``M`` = the max level since the last write.
 
-The replay is one Python loop like ``_run_belady``'s — the per-access
+The replay is one Python loop like the reference heap's — the per-access
 heap work is inherently sequential — but hits cost O(1), and the whole
 capacity grid shares the single pass, the vectorized next-use
 preprocessing and the trace itself.
@@ -44,100 +44,29 @@ preprocessing and the trace itself.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List
 
 import numpy as np
 
-from repro.machine.cache import CacheStats
 from repro.machine.fastsim.distances import next_occurrences
+from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.profile import phase
 
-__all__ = ["OPTSweepResult", "simulate_opt_sweep", "simulate_opt"]
+__all__ = ["opt_event_sweep"]
 
 
-@dataclass
-class OPTSweepResult:
-    """Per-capacity Belady counters of one trace replay (arrays indexed
-    by the position of the capacity in ``capacities``, sorted ascending,
-    in units of cache lines)."""
-
-    accesses: int
-    capacities: np.ndarray
-    hits: np.ndarray
-    misses: np.ndarray
-    fills: np.ndarray
-    victims_m: np.ndarray
-    victims_e: np.ndarray
-    flush_writebacks: np.ndarray
-    flush_victims_e: np.ndarray
-
-    @property
-    def writebacks(self) -> np.ndarray:
-        """Dirty lines written below, evictions + flush (paper metric)."""
-        return self.victims_m + self.flush_writebacks
-
-    def index_of(self, capacity_lines: int) -> int:
-        i = int(np.searchsorted(self.capacities, capacity_lines))
-        if i >= len(self.capacities) or self.capacities[i] != capacity_lines:
-            raise KeyError(f"capacity {capacity_lines} not in sweep "
-                           f"{self.capacities.tolist()}")
-        return i
-
-    def stats(self, capacity_lines: int,
-              include_flush: bool = True) -> CacheStats:
-        """Counters at one capacity, as a :class:`CacheStats`.
-
-        With ``include_flush`` (the default — ``_run_belady`` always
-        flushes internally at the end of a run) clean flushes fold into
-        ``victims_e`` and dirty ones report as ``flush_writebacks``,
-        exactly as ``CacheSim`` counts an offline run; without it the
-        numbers cover the evictions alone.
-        """
-        k = self.index_of(capacity_lines)
-        victims_e = int(self.victims_e[k])
-        flush_wb = 0
-        if include_flush:
-            victims_e += int(self.flush_victims_e[k])
-            flush_wb = int(self.flush_writebacks[k])
-        return CacheStats(
-            accesses=self.accesses,
-            hits=int(self.hits[k]),
-            misses=int(self.misses[k]),
-            fills=int(self.fills[k]),
-            victims_m=int(self.victims_m[k]),
-            victims_e=victims_e,
-            flush_writebacks=flush_wb,
-        )
-
-
-def _as_trace(lines: np.ndarray, writes: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
-    if lines.shape != writes.shape or lines.ndim != 1:
-        raise ValueError("lines and writes must be matching 1-d arrays")
-    return lines, writes
-
-
-def simulate_opt_sweep(
-    lines: np.ndarray,
-    writes: np.ndarray,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> OPTSweepResult:
-    """Exact fully-associative Belady counters for every capacity at once."""
-    lines, writes = _as_trace(lines, writes)
-    caps = np.unique(np.asarray(capacities, dtype=np.int64))
-    if len(caps) == 0:
-        raise ValueError("need at least one capacity")
-    if caps[0] < 1:
-        raise ValueError(f"capacities must be >= 1 line, got {caps[0]}")
+def opt_event_sweep(lines: np.ndarray, writes: np.ndarray,
+                    caps: np.ndarray) -> SweepResult:
+    """Exact fully-associative Belady counters for every capacity at
+    once, at event granularity.  A stage of
+    :func:`repro.machine.fastsim.sweep`, which validates the arrays and
+    the sorted, unique ``caps``."""
     K = len(caps)
     n = len(lines)
     zeros = lambda: np.zeros(K, dtype=np.int64)  # noqa: E731
     if n == 0:
-        return OPTSweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
-                              zeros(), zeros(), zeros())
+        return SweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
+                           zeros(), zeros(), zeros())
 
     caps_l: List[int] = caps.tolist()
     lines_l = lines.tolist()
@@ -228,7 +157,7 @@ def simulate_opt_sweep(
             mlev[x] = j      # refilled clean at capacities < j
     replay.__exit__(None, None, None)
 
-    # ----- end-of-trace flush (folded into the run, as _run_belady) ----- #
+    # ----- end-of-trace flush (folded into the run, as the reference) - #
     wb_diff = [0] * (K + 1)
     ve_diff = [0] * (K + 1)
     for x, lv in level.items():
@@ -246,7 +175,7 @@ def simulate_opt_sweep(
     # missed every capacity.
     hits = np.cumsum(np.asarray(hist[:K], dtype=np.int64))
     misses = n - hits
-    return OPTSweepResult(
+    return SweepResult(
         accesses=n,
         capacities=caps,
         hits=hits,
@@ -260,9 +189,3 @@ def simulate_opt_sweep(
             np.asarray(ve_diff[:K], dtype=np.int64)),
     )
 
-
-def simulate_opt(lines: np.ndarray, writes: np.ndarray,
-                 capacity_lines: int) -> OPTSweepResult:
-    """The batched Belady kernel for a single capacity (a one-column
-    sweep)."""
-    return simulate_opt_sweep(lines, writes, [capacity_lines])

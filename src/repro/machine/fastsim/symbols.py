@@ -24,7 +24,7 @@ and expand back to exact per-capacity event counters:
   later than the current visit's previous start — visit event ranges
   are chunks, which never straddle a chunk boundary), and the
   capacity fold of :func:`~repro.machine.fastsim.lru.
-  simulate_lru_sweep` is replayed verbatim with visit weights: the
+  lru_event_sweep` is replayed verbatim with visit weights: the
   write flag is uniform per chunk, so the per-line has-write / dirty
   threshold recurrences are per-symbol recurrences, identical for
   every line of the footprint.
@@ -49,23 +49,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.machine.fastsim.distances import warm_distances
-from repro.machine.fastsim.lru import LRUSweepResult, simulate_lru_sweep
-from repro.machine.fastsim.opt import OPTSweepResult, simulate_opt_sweep
+from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.profile import phase
-from repro.machine.trace import Trace
 
 __all__ = [
     "SymbolTrace",
     "symbolize",
     "fold_lru_symbols",
     "fold_opt_symbols",
-    "simulate_lru_sweep_trace",
-    "simulate_opt_sweep_trace",
 ]
 
 
@@ -119,7 +115,8 @@ class SymbolTrace:
 
 def symbolize(lines: np.ndarray, writes: np.ndarray,
               chunk_lens: np.ndarray) -> Optional[SymbolTrace]:
-    """Compress a chunked trace into a :class:`SymbolTrace`.
+    """Compress a chunked trace (``int64`` lines, ``bool`` writes) into a
+    :class:`SymbolTrace`.
 
     Returns ``None`` when the chunk structure does not support an exact
     visit-granular fold: empty traces, chunks mixing reads and writes,
@@ -129,8 +126,6 @@ def symbolize(lines: np.ndarray, writes: np.ndarray,
     Raises ``ValueError`` if ``chunk_lens`` does not partition the
     event arrays — that is a malformed trace, not a fallback case.
     """
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
     chunk_lens = np.asarray(chunk_lens, dtype=np.int64)
     n = len(lines)
     V = len(chunk_lens)
@@ -194,15 +189,6 @@ def symbolize(lines: np.ndarray, writes: np.ndarray,
     )
 
 
-def _check_caps(capacities: Union[Sequence[int], np.ndarray]) -> np.ndarray:
-    caps = np.unique(np.asarray(capacities, dtype=np.int64))
-    if len(caps) == 0:
-        raise ValueError("need at least one capacity")
-    if caps[0] < 1:
-        raise ValueError(f"capacities must be >= 1 line, got {caps[0]}")
-    return caps
-
-
 def _visit_reuse(st: SymbolTrace
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grouped visit order, first-visit mask (grouped) and previous
@@ -218,21 +204,19 @@ def _visit_reuse(st: SymbolTrace
     return order_v, first_g, prev_v
 
 
-def fold_lru_symbols(
-    st: SymbolTrace,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> LRUSweepResult:
+def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     """Exact multi-capacity LRU counters from the super-symbol stream.
 
-    This is :func:`repro.machine.fastsim.lru.simulate_lru_sweep`'s fold
+    This is :func:`repro.machine.fastsim.lru.lru_event_sweep`'s fold
     executed at visit granularity: every event-level quantity is uniform
     across a visit's events (distance by run-uniformity, write state by
     chunk-uniform flags), so event bincounts become visit bincounts
     weighted by the symbol size, and only the end-of-trace stack is
     expanded back to per-line granularity (one entry per distinct line,
-    not per event).  Bit-identical to the event-granular sweep.
+    not per event).  Bit-identical to the event-granular sweep.  A
+    stage of :func:`repro.machine.fastsim.sweep`, which passes sorted,
+    unique ``caps``.
     """
-    caps = _check_caps(capacities)
     K = len(caps)
     n = st.n_events
     V = st.n_visits
@@ -341,7 +325,7 @@ def fold_lru_symbols(
         blk_a = np.repeat(np.cumsum(za) - za, za)
         idx = (np.repeat(st.sym_offsets[ord_asc], za)
                + np.arange(L, dtype=np.int64) - blk_a)
-    return LRUSweepResult(
+    return SweepResult(
         accesses=n,
         capacities=caps,
         hits=hits,
@@ -356,16 +340,14 @@ def fold_lru_symbols(
         stack_lines=st.sym_lines[idx],
         stack_has_write=np.repeat(hw_s[ord_asc], za),
         stack_m=np.repeat(m_s[ord_asc], za),
+        n_symbols=st.n_symbols,
     )
 
 
-def fold_opt_symbols(
-    st: SymbolTrace,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> OPTSweepResult:
+def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     """Exact multi-capacity Belady counters from the super-symbol stream.
 
-    The replay of :func:`repro.machine.fastsim.opt.simulate_opt_sweep`
+    The replay of :func:`repro.machine.fastsim.opt.opt_event_sweep`
     at visit granularity.  Next uses are visit-granular (position ``p``
     is next used at ``start(next visit) + p``; disjoint footprints make
     that exact) and strictly increasing within a visit, so one heap
@@ -378,9 +360,9 @@ def fold_opt_symbols(
     lazy heap.  A visit whose footprint is fully resident at level 0
     (the common case on tiled traces) costs O(1): one histogram bump,
     one sequence bump, one heap push.  Bit-identical to the
-    event-granular sweep.
+    event-granular sweep.  A stage of :func:`repro.machine.fastsim.sweep`,
+    which passes sorted, unique ``caps``.
     """
-    caps = _check_caps(capacities)
     K = len(caps)
     n = st.n_events
     V = st.n_visits
@@ -561,7 +543,7 @@ def fold_opt_symbols(
 
     hits = np.cumsum(np.asarray(hist[:K], dtype=np.int64))
     misses = n - hits
-    return OPTSweepResult(
+    return SweepResult(
         accesses=n,
         capacities=caps,
         hits=hits,
@@ -573,34 +555,6 @@ def fold_opt_symbols(
             np.asarray(wb_diff[:K], dtype=np.int64)),
         flush_victims_e=np.cumsum(
             np.asarray(ve_diff[:K], dtype=np.int64)),
+        n_symbols=st.n_symbols,
     )
 
-
-def simulate_lru_sweep_trace(
-    trace: Trace,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> LRUSweepResult:
-    """LRU sweep of a :class:`~repro.machine.trace.Trace`, using the
-    super-symbol fold when the chunk structure supports it and falling
-    back to the event-granular pass otherwise.  Identical results
-    either way."""
-    st = None
-    if trace.chunk_lens is not None:
-        st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
-    if st is None:
-        return simulate_lru_sweep(trace.lines, trace.writes, capacities)
-    return fold_lru_symbols(st, capacities)
-
-
-def simulate_opt_sweep_trace(
-    trace: Trace,
-    capacities: Union[Sequence[int], np.ndarray],
-) -> OPTSweepResult:
-    """Belady sweep of a :class:`~repro.machine.trace.Trace` — symbol
-    path when possible, event path otherwise, identical results."""
-    st = None
-    if trace.chunk_lens is not None:
-        st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
-    if st is None:
-        return simulate_opt_sweep(trace.lines, trace.writes, capacities)
-    return fold_opt_symbols(st, capacities)

@@ -12,16 +12,16 @@ hpc-parallel guidance: no per-element Python appends in hot paths).
 
 Chunk boundaries are meaningful, not incidental: trace builders emit one
 chunk per base-tile visit, and :class:`Trace` keeps the per-chunk lengths
-alongside the flat arrays so the fastsim super-symbol pass
-(:mod:`repro.machine.fastsim.symbols`) can fold repeated tile visits
-without rediscovering them.
+alongside the flat arrays so :func:`repro.machine.fastsim.sweep` can
+fold repeated tile visits at super-symbol granularity
+(:mod:`repro.machine.fastsim.symbols`) without rediscovering them.
 
 Very large traces never need to live in RAM: past
 ``$REPRO_TRACE_SPILL_EVENTS`` events (default ``2**26``),
 :meth:`TraceBuffer.finalize` spills the concatenated arrays to anonymous
 ``.npy`` files and returns read-only memory maps, which downstream
-consumers (the streaming distance pass, the content-addressed trace
-store) treat exactly like in-memory arrays.
+consumers (:func:`repro.machine.fastsim.sweep`, the content-addressed
+trace store) treat exactly like in-memory arrays.
 """
 
 from __future__ import annotations

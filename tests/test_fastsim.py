@@ -1,8 +1,9 @@
 """Parity and property tests for the vectorized fastsim kernels.
 
-The acceptance bar is *bit-identity*: every counter fastsim produces must
-equal what :class:`CacheSim` computes with its per-access loops, for
-every capacity, on paper-shaped and adversarial traces alike.
+The acceptance bar is *bit-identity*: every counter :func:`sweep`
+produces, on flat and on chunked traces alike, must equal its policy's
+oracle — CacheSim's per-access loop for LRU, the reference heap for
+Belady — for every capacity, on paper-shaped and adversarial traces.
 """
 
 import numpy as np
@@ -11,23 +12,22 @@ import pytest
 from repro.core.traces import matmul_trace
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.fastsim import (
-    belady_next_use,
     count_earlier_greater,
     next_occurrences,
     prev_occurrences,
-    simulate_lru,
-    simulate_lru_sweep,
-    simulate_opt,
-    simulate_opt_sweep,
     stack_distances,
+    sweep,
 )
-from repro.machine.trace import TraceBuffer
+from repro.machine.fastsim.belady import belady_reference
+from repro.machine.trace import Trace, TraceBuffer
 
 
-def reference_counters(lines, writes, capacity_lines):
-    """CacheSim ground truth: run + flush, with the flush split out."""
+def lru_reference(lines, writes, capacity_lines):
+    """The LRU oracle: CacheSim's per-access policy loop, then flush,
+    with the flush split out."""
     sim = CacheSim(capacity_lines, line_size=1, policy="lru")
-    sim.run_lines(lines, writes)
+    for ln, w in zip(np.asarray(lines).tolist(), np.asarray(writes).tolist()):
+        sim.access(ln, w)
     pre_flush_victims_e = sim.stats.victims_e
     sim.flush()
     st = sim.stats
@@ -40,6 +40,15 @@ def reference_counters(lines, writes, capacity_lines):
         "flush_writebacks": st.flush_writebacks,
         "flush_victims_e": st.victims_e - pre_flush_victims_e,
     }
+
+
+def shapes(lines, writes):
+    """The same events as a flat trace (event sweep) and as one chunk
+    per event (always symbolizes: the super-symbol fold)."""
+    lines = np.asarray(lines, dtype=np.int64)
+    writes = np.asarray(writes, dtype=bool)
+    return (Trace(lines, writes, None),
+            Trace(lines, writes, np.ones(len(lines), dtype=np.int64)))
 
 
 def random_trace(rng, n_events=None, n_lines=None):
@@ -93,16 +102,17 @@ class TestDistances:
 
 
 # --------------------------------------------------------------------- #
-# multi-capacity sweep == CacheSim replayed per capacity
+# LRU sweep == the per-access loop replayed per capacity
 # --------------------------------------------------------------------- #
 class TestSweepEquivalence:
     def check(self, lines, writes, capacities):
-        sweep = simulate_lru_sweep(lines, writes, capacities)
-        for cap in capacities:
-            want = reference_counters(lines, writes, cap)
-            k = sweep.index_of(cap)
-            for name, value in want.items():
-                assert int(getattr(sweep, name)[k]) == value, (cap, name)
+        for trace in shapes(lines, writes):
+            res = sweep(trace, {"lru": capacities})["lru"]
+            for cap in capacities:
+                want = lru_reference(lines, writes, cap)
+                k = res.index_of(cap)
+                for name, value in want.items():
+                    assert int(getattr(res, name)[k]) == value, (cap, name)
 
     def test_adversarial_random_traces(self):
         rng = np.random.default_rng(2)
@@ -145,22 +155,30 @@ class TestSweepEquivalence:
         self.check(lines, writes, [49])  # 3 * 8^2 / 4 + 1
 
     def test_empty_trace(self):
-        sweep = simulate_lru_sweep(np.empty(0, np.int64),
-                                   np.empty(0, bool), [4, 8])
-        assert sweep.accesses == 0
-        assert sweep.stats(4) == CacheStats()
+        for trace in shapes([], []):
+            res = sweep(trace, {"lru": [4, 8], "belady": [4, 8]})
+            for r in res.values():
+                assert r.accesses == 0
+                assert r.stats(4) == CacheStats()
 
     def test_capacity_validation(self):
+        trace = Trace(np.array([1]), np.array([True]), None)
         with pytest.raises(ValueError):
-            simulate_lru_sweep(np.array([1]), np.array([True]), [])
+            sweep(trace, {"lru": []})
         with pytest.raises(ValueError):
-            simulate_lru_sweep(np.array([1]), np.array([True]), [0])
+            sweep(trace, {"belady": [0]})
+        with pytest.raises(ValueError):
+            sweep(trace, {"clock": [4]})
+        with pytest.raises(ValueError):
+            sweep(Trace(np.array([1, 2]), np.array([True]), None),
+                  {"lru": [4]})
         with pytest.raises(KeyError):
-            simulate_lru(np.array([1]), np.array([True]), 4).stats(5)
+            sweep(trace, {"lru": [4]})["lru"].stats(5)
+        assert sweep(trace, {}) == {}
 
 
 # --------------------------------------------------------------------- #
-# satellite: generic per-access path vs _run_lru_fast vs fastsim
+# CacheSim's LRU replays: per-access loop vs event sweep vs symbol fold
 # --------------------------------------------------------------------- #
 class TestThreeWayLRUParity:
     def as_tuple(self, st):
@@ -171,47 +189,48 @@ class TestThreeWayLRUParity:
         rng = np.random.default_rng(4)
         for _ in range(25):
             lines, writes = random_trace(rng)
+            flat, chunked = shapes(lines, writes)
             for cap in sorted({1, 3, int(rng.integers(1, 60)),
                                int(lines.max()) + 2}):
                 # generic per-access path (the policy-object loop)
                 generic = CacheSim(cap, line_size=1, policy="lru")
                 assert generic.num_sets == 1
                 for ln, w in zip(lines.tolist(), writes.tolist()):
-                    generic._access_line(ln, w)
-                # hand-inlined dict loop
-                fast = CacheSim(cap, line_size=1, policy="lru")
-                fast.run_lines(lines, writes)
-                # batched fastsim kernel
-                batched = CacheSim(cap, line_size=1, policy="lru",
-                                   fastsim_min_events=0)
-                batched.run_lines(lines, writes)
+                    generic.access(ln, w)
+                # event sweep
+                events = CacheSim(cap, line_size=1, policy="lru")
+                events.run_trace(flat)
+                # super-symbol fold
+                folded = CacheSim(cap, line_size=1, policy="lru")
+                folded.run_trace(chunked)
                 assert (self.as_tuple(generic.stats)
-                        == self.as_tuple(fast.stats)
-                        == self.as_tuple(batched.stats))
+                        == self.as_tuple(events.stats)
+                        == self.as_tuple(folded.stats))
                 # identical LRU order and dirty bits too
-                assert (list(fast._sets[0]._order)
-                        == list(batched._sets[0]._order)
-                        == list(generic._sets[0]._order))
-                assert fast._dirty == batched._dirty == generic._dirty
+                assert (list(generic._sets[0]._order)
+                        == list(events._sets[0]._order)
+                        == list(folded._sets[0]._order))
+                assert generic._dirty == events._dirty == folded._dirty
 
     def test_batched_cache_stays_resumable(self):
-        """After a batched replay, flush() and further accesses behave
+        """After a sweep replay, flush() and further accesses behave
         exactly like the per-access simulator."""
         rng = np.random.default_rng(5)
         lines, writes = random_trace(rng, n_events=300, n_lines=30)
         more_lines, more_writes = random_trace(rng, n_events=100, n_lines=30)
         for cap in (2, 7, 19, 40):
-            a = CacheSim(cap, line_size=1, policy="lru")
-            b = CacheSim(cap, line_size=1, policy="lru",
-                         fastsim_min_events=0)
-            for sim in (a, b):
-                sim.run_lines(lines, writes)
-                sim.run_lines(more_lines, more_writes)  # b falls back: warm
+            loop = CacheSim(cap, line_size=1, policy="lru")
+            for ln, w in zip(lines.tolist(), writes.tolist()):
+                loop.access(ln, w)
+            swept = CacheSim(cap, line_size=1, policy="lru")
+            swept.run_lines(lines, writes)
+            for sim in (loop, swept):
+                sim.run_lines(more_lines, more_writes)  # warm: the loop
                 sim.flush()
-            assert self.as_tuple(a.stats) == self.as_tuple(b.stats)
+            assert self.as_tuple(loop.stats) == self.as_tuple(swept.stats)
 
     def test_dispatch_requires_empty_cache(self):
-        sim = CacheSim(4, line_size=1, policy="lru", fastsim_min_events=0)
+        sim = CacheSim(4, line_size=1, policy="lru")
         sim.access(1, write=True)
         # warm cache: run_lines must keep exact state, so it falls back
         sim.run_lines(np.array([1, 2, 3]), np.array([False] * 3))
@@ -220,22 +239,15 @@ class TestThreeWayLRUParity:
 
 
 # --------------------------------------------------------------------- #
-# multi-capacity Belady sweep == CacheSim belady replayed per capacity
+# Belady sweep == the reference heap replayed per capacity
 # --------------------------------------------------------------------- #
-def reference_belady(lines, writes, capacity_lines):
-    """CacheSim ground truth: an offline run folds its flush internally."""
-    sim = CacheSim(capacity_lines, line_size=1, policy="belady")
-    sim.run_lines(lines, writes)
-    sim.flush()  # no-op for offline policies, kept for shape parity
-    return sim.stats
-
-
 class TestOPTSweepEquivalence:
     def check(self, lines, writes, capacities):
-        sweep = simulate_opt_sweep(lines, writes, capacities)
-        for cap in capacities:
-            assert sweep.stats(cap) == reference_belady(lines, writes,
-                                                        cap), cap
+        for trace in shapes(lines, writes):
+            res = sweep(trace, {"belady": capacities})["belady"]
+            for cap in capacities:
+                assert res.stats(cap) == belady_reference(lines, writes,
+                                                          cap), cap
 
     def test_adversarial_random_traces(self):
         rng = np.random.default_rng(7)
@@ -278,44 +290,36 @@ class TestOPTSweepEquivalence:
     def test_exclude_flush_isolates_evictions(self):
         rng = np.random.default_rng(9)
         lines, writes = random_trace(rng, n_events=200, n_lines=20)
-        sweep = simulate_opt_sweep(lines, writes, [8])
-        with_flush = sweep.stats(8, include_flush=True)
-        bare = sweep.stats(8, include_flush=False)
+        res = sweep(Trace(lines, writes, None), {"belady": [8]})["belady"]
+        with_flush = res.stats(8, include_flush=True)
+        bare = res.stats(8, include_flush=False)
         assert bare.flush_writebacks == 0
         assert bare.victims_e <= with_flush.victims_e
         assert (with_flush.victims_e - bare.victims_e
                 + with_flush.flush_writebacks
-                == int(sweep.flush_victims_e[0]
-                       + sweep.flush_writebacks[0]))
+                == int(res.flush_victims_e[0] + res.flush_writebacks[0]))
 
     def test_empty_trace_and_validation(self):
-        sweep = simulate_opt_sweep(np.empty(0, np.int64),
-                                   np.empty(0, bool), [4, 8])
-        assert sweep.accesses == 0
-        assert sweep.stats(4) == CacheStats()
+        assert belady_reference(np.empty(0, np.int64), np.empty(0, bool),
+                                4) == CacheStats()
+        res = sweep(Trace(np.empty(0, np.int64), np.empty(0, bool), None),
+                    {"belady": [4, 8]})["belady"]
+        assert res.stats(4) == CacheStats()
+        assert res.stack_lines is None  # Belady holds no resumable stack
         with pytest.raises(ValueError):
-            simulate_opt_sweep(np.array([1]), np.array([True]), [])
-        with pytest.raises(ValueError):
-            simulate_opt_sweep(np.array([1]), np.array([True]), [0])
-        with pytest.raises(KeyError):
-            simulate_opt(np.array([1]), np.array([True]), 4).stats(5)
+            res.end_state(4)
 
     def test_cachesim_batched_belady_dispatch(self):
-        """fastsim_min_events routes offline runs through simulate_opt
-        with identical counters (the heap loop stays the small-trace
-        default)."""
+        """CacheSim routes every offline run through the sweep, with the
+        reference heap's counters."""
         rng = np.random.default_rng(10)
         for _ in range(10):
             lines, writes = random_trace(rng)
             for cap in sorted({1, 5, int(lines.max()) + 2}):
-                loop = CacheSim(cap, line_size=1, policy="belady")
-                loop.run_lines(lines, writes)
-                loop.flush()
-                batched = CacheSim(cap, line_size=1, policy="belady",
-                                   fastsim_min_events=0)
-                batched.run_lines(lines, writes)
-                batched.flush()
-                assert loop.stats == batched.stats
+                sim = CacheSim(cap, line_size=1, policy="belady")
+                sim.run_lines(lines, writes)
+                sim.flush()  # no-op for offline policies
+                assert sim.stats == belady_reference(lines, writes, cap)
 
 
 # --------------------------------------------------------------------- #
@@ -332,7 +336,7 @@ class TestBeladyPreprocessor:
             for i in range(n - 1, -1, -1):
                 want[i] = last.get(int(lines[i]), n + 1)
                 last[int(lines[i])] = i
-            assert (belady_next_use(lines) == want).all()
+            assert (next_occurrences(lines) == want).all()
 
     def test_belady_not_worse_than_lru_on_fills(self):
         buf = matmul_trace(16, 32, 16, scheme="wa2", b3=8, b2=4, base=4,
@@ -348,7 +352,7 @@ class TestBeladyPreprocessor:
 
 
 # --------------------------------------------------------------------- #
-# satellite: TraceBuffer.finalize memoization
+# TraceBuffer.finalize memoization
 # --------------------------------------------------------------------- #
 class TestFinalizeMemo:
     def test_repeat_finalize_reuses_arrays(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.lab.cache import ResultCache, point_key
 from repro.lab.cli import main
-from repro.lab.executor import _batch_key, _capacity_group_key, execute
+from repro.lab.executor import _batch_key, execute
 from repro.lab.registry import (
     BATCH_KERNELS,
     KERNELS,
@@ -120,7 +120,7 @@ class TestCostGridBatching:
                for b in (3, 4, 5)]
         assert execute(pts, cache=None, batch=False).batches == 1
         pt = pts[0]
-        assert _capacity_group_key(pt) is not None
+        assert _batch_key(pt, multi_capacity=True, batch=False) is not None
         assert _batch_key(pt, multi_capacity=False, batch=True) is None
 
     def test_short_batch_result_fails_loudly(self):
@@ -236,7 +236,8 @@ class TestNumpyGridCanonicalization:
         plain = ScenarioPoint("matmul-cache",
                               MACHINES["sim-l3"].override(write_slow=8.0),
                               pt.params)
-        assert _capacity_group_key(pt) == _capacity_group_key(plain)
+        assert (_batch_key(pt, multi_capacity=True, batch=False)
+                == _batch_key(plain, multi_capacity=True, batch=False))
         assert point_key(pt.cache_payload(), "v1") == \
             point_key(plain.cache_payload(), "v1")
 

@@ -6,12 +6,12 @@ import pytest
 
 from repro.lab.cache import ResultCache
 from repro.lab.cli import main
-from repro.lab.executor import _capacity_group_key, _plan_tasks, execute
+from repro.lab.executor import _batch_key, _plan, execute
 from repro.lab.registry import (
     MachineSpec,
     kernel_matmul_cache,
     matmul_trace_payload,
-    run_matmul_capacity_batch,
+    run_capacity_batch,
 )
 from repro.lab.scenarios import ScenarioPoint
 from repro.lab.tracestore import TraceStore, set_active_store, store_from_env
@@ -25,6 +25,11 @@ def no_ambient_stores(monkeypatch, tmp_path):
     previous = set_active_store(None)
     yield
     set_active_store(previous)
+
+
+def _capacity_key(point):
+    """The trace-capacity view of the executor's batch key."""
+    return _batch_key(point, multi_capacity=True, batch=False)
 
 
 def sweep_points(schemes=("wa2",), blocks=(3, 4, 5), policies=("lru",)):
@@ -46,7 +51,7 @@ def sweep_points(schemes=("wa2",), blocks=(3, 4, 5), policies=("lru",)):
 class TestGrouping:
     def test_capacity_sweep_points_share_a_key(self):
         pts = sweep_points(blocks=(3, 4, 5))
-        keys = {_capacity_group_key(p) for p in pts}
+        keys = {_capacity_key(p) for p in pts}
         assert len(keys) == 1 and None not in keys
 
     def test_non_lru_and_other_kernels_stay_single(self):
@@ -54,24 +59,26 @@ class TestGrouping:
         clock = ScenarioPoint("matmul-cache", machine,
                               {"n": 16, "middle": 32, "scheme": "wa2",
                                "b3": 8, "cache_blocks": 3})
-        assert _capacity_group_key(clock) is None
-        assert _capacity_group_key(
+        assert _capacity_key(clock) is None
+        assert _capacity_key(
             ScenarioPoint("experiment", MachineSpec(), {"name": "sec4"})
         ) is None
         set_assoc = ScenarioPoint(
             "matmul-cache",
             MachineSpec(name="t", line_size=4, associativity=8),
             {"n": 16, "middle": 32, "scheme": "wa2", "b3": 8})
-        assert _capacity_group_key(set_assoc) is None
+        assert _capacity_key(set_assoc) is None
 
     def test_different_traces_group_separately(self):
         pts = sweep_points(schemes=("wa2", "co"), blocks=(3, 4))
-        tasks = _plan_tasks(pts, range(len(pts)), multi_capacity=True)
+        tasks = [t for t, _ in _plan(pts, range(len(pts)),
+                                     multi_capacity=True)]
         assert sorted(len(t) for t in tasks) == [2, 2]
 
     def test_grouping_disabled_gives_singletons(self):
         pts = sweep_points(blocks=(3, 4, 5))
-        tasks = _plan_tasks(pts, range(len(pts)), multi_capacity=False)
+        tasks = [t for t, _ in _plan(pts, range(len(pts)),
+                                     multi_capacity=False)]
         assert [len(t) for t in tasks] == [1, 1, 1]
 
 
@@ -108,10 +115,10 @@ class TestMultiCapacityExecution:
         pts = sweep_points(blocks=(3,))
         clock = pts[0].machine.override(policy="clock")
         with pytest.raises(ValueError):
-            run_matmul_capacity_batch([(clock, pts[0].params)])
+            run_capacity_batch("matmul-cache", [(clock, pts[0].params)])
         other = dict(pts[0].params, middle=64)
         with pytest.raises(ValueError):
-            run_matmul_capacity_batch([
+            run_capacity_batch("matmul-cache", [
                 (pts[0].machine, pts[0].params),
                 (pts[0].machine, other),
             ])
@@ -152,7 +159,7 @@ class TestProtocolBatching:
 
     def test_opt_sweep_records_equal_per_point_records(self):
         """The sec6 belady column: a pure Belady capacity sweep batches
-        into one simulate_opt_sweep replay, bit-identical to CacheSim."""
+        into one fastsim.sweep replay, bit-identical to CacheSim."""
         pts = sweep_points(policies=("belady",))
         looped = execute(pts, cache=None, multi_capacity=False)
         batched = execute(pts, cache=None, multi_capacity=True)
@@ -205,7 +212,7 @@ class TestProtocolBatching:
         pt = ScenarioPoint("matmul-cache", machine,
                            {"n": 16, "middle": 32, "scheme": "wa2",
                             "b3": 8, "cache_blocks": True})
-        assert _capacity_group_key(pt) is None
+        assert _capacity_key(pt) is None
 
     def test_mixed_policy_batch_runner_validates(self):
         from repro.lab.registry import run_capacity_batch

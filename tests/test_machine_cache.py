@@ -86,7 +86,8 @@ class TestLRUSemantics:
         assert sim.stats.misses == 4
 
     def test_fast_path_matches_generic(self):
-        """The hand-inlined fully-associative LRU must equal a per-access run."""
+        """The sweep replay of a fully-associative LRU must equal a
+        per-access run."""
         rng = np.random.default_rng(42)
         lines = rng.integers(0, 50, size=3000)
         writes = rng.random(3000) < 0.3

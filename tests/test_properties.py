@@ -3,10 +3,10 @@
 Two equivalence claims the engine's batching rests on, attacked with
 random inputs instead of hand-picked geometries:
 
-* **fastsim == CacheSim**: for random small line traces and random
-  capacity grids, the single-pass multi-capacity LRU and Belady sweeps
-  report exactly the counters of a per-capacity ``CacheSim`` replay
-  plus ``flush()``.
+* **sweep == oracle**: for random small line traces (flat and chunked)
+  and random capacity grids, ``fastsim.sweep`` reports exactly the
+  counters of each policy's per-capacity oracle — CacheSim's per-access
+  LRU loop plus ``flush()``, and the reference Belady heap.
 * **vectorized == scalar**: for random ``HwParams`` machines and random
   (including infeasible) grid points, every ``cost-*`` family's
   vectorized batch evaluator emits records bit-identical — compared as
@@ -44,11 +44,13 @@ from repro.lab.modelkernels import (  # noqa: E402
 )
 from repro.lab.registry import MachineSpec  # noqa: E402
 from repro.machine.cache import CacheSim  # noqa: E402
-from repro.machine.fastsim import simulate_lru_sweep, simulate_opt_sweep  # noqa: E402
+from repro.machine.fastsim import sweep  # noqa: E402
+from repro.machine.fastsim.belady import belady_reference  # noqa: E402
+from repro.machine.trace import Trace  # noqa: E402
 
 
 # --------------------------------------------------------------------- #
-# fastsim sweeps vs CacheSim + flush
+# fastsim.sweep vs each policy's oracle, flat and chunked
 # --------------------------------------------------------------------- #
 traces = st.lists(
     st.tuples(st.integers(0, 12), st.booleans()),
@@ -58,29 +60,38 @@ capacity_grids = st.lists(st.integers(1, 16), min_size=1, max_size=4,
                           unique=True)
 
 
-def _replay(lines, writes, cap, policy):
-    sim = CacheSim(cap, line_size=1, policy=policy)
-    sim.run_lines(lines, writes)
+def _shapes(events):
+    """The events as a flat trace (event sweep) and as one chunk per
+    event (super-symbol fold)."""
+    lines = np.array([line for line, _ in events], dtype=np.int64)
+    writes = np.array([w for _, w in events], dtype=bool)
+    return (Trace(lines, writes, None),
+            Trace(lines, writes, np.ones(len(lines), dtype=np.int64)))
+
+
+def _lru_loop(trace, cap):
+    sim = CacheSim(cap, line_size=1, policy="lru")
+    for line, w in zip(trace.lines.tolist(), trace.writes.tolist()):
+        sim.access(line, w)
     sim.flush()
     return sim.stats
 
 
 @given(events=traces, caps=capacity_grids)
 def test_lru_sweep_counters_equal_cachesim(events, caps):
-    lines = np.array([line for line, _ in events], dtype=np.int64)
-    writes = np.array([w for _, w in events], dtype=bool)
-    sweep = simulate_lru_sweep(lines, writes, caps)
-    for cap in caps:
-        assert sweep.stats(cap) == _replay(lines, writes, cap, "lru")
+    for trace in _shapes(events):
+        res = sweep(trace, {"lru": caps})["lru"]
+        for cap in caps:
+            assert res.stats(cap) == _lru_loop(trace, cap)
 
 
 @given(events=traces, caps=capacity_grids)
 def test_opt_sweep_counters_equal_cachesim(events, caps):
-    lines = np.array([line for line, _ in events], dtype=np.int64)
-    writes = np.array([w for _, w in events], dtype=bool)
-    sweep = simulate_opt_sweep(lines, writes, caps)
-    for cap in caps:
-        assert sweep.stats(cap) == _replay(lines, writes, cap, "belady")
+    for trace in _shapes(events):
+        res = sweep(trace, {"belady": caps})["belady"]
+        for cap in caps:
+            assert res.stats(cap) == belady_reference(trace.lines,
+                                                      trace.writes, cap)
 
 
 # --------------------------------------------------------------------- #

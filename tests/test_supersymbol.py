@@ -1,20 +1,15 @@
 """Parity tests for the tile super-symbol pipeline.
 
-Three contracts, all bit-identity:
+Two contracts, both bit-identity:
 
-* the super-symbol folds (:func:`fold_lru_symbols` /
-  :func:`fold_opt_symbols`) equal the event-granular sweeps — and
-  :class:`CacheSim` + flush — on random tile-structured traces;
-* the streaming LRU pass equals the in-memory sweep for *every* window
-  size, including windows that split a tile visit across the boundary;
+* :func:`sweep` on a tile-structured trace (the super-symbol fold)
+  equals the same events swept flat (the event stage) — and each
+  policy's oracle — on random and paper-kernel traces;
 * the executor's zero-copy handoff ships content-addressed keys, never
   arrays, and workers resolve them from the store without rebuilding.
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
 import types
 
 import numpy as np
@@ -26,17 +21,9 @@ from repro.core.traces import (
     nbody_trace,
     trsm_trace,
 )
-from repro.machine.cache import AUTO_TILED_MIN_EVENTS, CacheSim
-from repro.machine.fastsim import (
-    fold_lru_symbols,
-    fold_opt_symbols,
-    simulate_lru_sweep,
-    simulate_lru_sweep_trace,
-    simulate_opt_sweep,
-    simulate_opt_sweep_trace,
-    stream_lru_sweep_trace,
-    symbolize,
-)
+from repro.machine.cache import CacheSim
+from repro.machine.fastsim import sweep, symbolize
+from repro.machine.fastsim.belady import belady_reference
 from repro.machine.fastsim.profile import set_phase_hook
 from repro.machine.trace import Trace
 
@@ -51,9 +38,12 @@ CAPS = [1, 2, 3, 5, 8, 13, 64]
 
 
 def assert_sweeps_equal(a, b):
-    """Every field of two sweep results, bit for bit."""
+    """Every result field of two sweeps, bit for bit (``n_symbols`` only
+    records which stage ran)."""
     assert type(a) is type(b)
     for f in dataclasses.fields(a):
+        if f.name == "n_symbols":
+            continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
         assert np.array_equal(np.asarray(va), np.asarray(vb)), f.name
 
@@ -83,11 +73,24 @@ def random_tile_trace(rng):
     return tile_trace(sizes, visits, vwrites, rng)
 
 
+def flat(trace):
+    """The same events without their chunk structure."""
+    return Trace(trace.lines, trace.writes, None)
+
+
+def both(trace, caps):
+    """Both policies of one sweep."""
+    return sweep(trace, {"lru": caps, "belady": caps})
+
+
 def loop_counters(trace, capacity_lines, policy="lru"):
-    """Ground truth: the per-access CacheSim loop, plus flush."""
-    sim = CacheSim(capacity_lines, line_size=1, policy=policy,
-                   fastsim_min_events=None)
-    sim.run_lines(trace.lines, trace.writes)
+    """Ground truth: the policy's oracle, flush included — CacheSim's
+    per-access loop for LRU, the reference heap for Belady."""
+    if policy == "belady":
+        return belady_reference(trace.lines, trace.writes, capacity_lines)
+    sim = CacheSim(capacity_lines, line_size=1, policy=policy)
+    for ln, w in zip(trace.lines.tolist(), trace.writes.tolist()):
+        sim.access(ln, w)
     sim.flush()
     return sim.stats
 
@@ -100,21 +103,18 @@ class TestSymbolFoldParity:
         rng = np.random.default_rng(7)
         for _ in range(60):
             tr = random_tile_trace(rng)
-            st = symbolize(tr.lines, tr.writes, tr.chunk_lens)
-            assert st is not None
-            assert_sweeps_equal(fold_lru_symbols(st, CAPS),
-                                simulate_lru_sweep(tr.lines, tr.writes,
-                                                   CAPS))
+            fold = sweep(tr, {"lru": CAPS})["lru"]
+            assert fold.n_symbols is not None
+            assert_sweeps_equal(fold, sweep(flat(tr), {"lru": CAPS})["lru"])
 
     def test_opt_fold_matches_event_sweep_random_tiles(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             tr = random_tile_trace(rng)
-            st = symbolize(tr.lines, tr.writes, tr.chunk_lens)
-            assert st is not None
-            assert_sweeps_equal(fold_opt_symbols(st, CAPS),
-                                simulate_opt_sweep(tr.lines, tr.writes,
-                                                   CAPS))
+            fold = sweep(tr, {"belady": CAPS})["belady"]
+            assert fold.n_symbols is not None
+            assert_sweeps_equal(fold,
+                                sweep(flat(tr), {"belady": CAPS})["belady"])
 
     @pytest.mark.parametrize("policy,cap", [("lru", 4), ("lru", 9),
                                             ("belady", 4), ("belady", 9)])
@@ -122,10 +122,8 @@ class TestSymbolFoldParity:
         rng = np.random.default_rng(13)
         for _ in range(20):
             tr = random_tile_trace(rng)
-            st = symbolize(tr.lines, tr.writes, tr.chunk_lens)
-            fold = (fold_lru_symbols if policy == "lru"
-                    else fold_opt_symbols)(st, [cap])
-            got = fold.stats(cap, include_flush=True)
+            got = sweep(tr, {policy: [cap]})[policy].stats(
+                cap, include_flush=True)
             ref = loop_counters(tr, cap, policy)
             for name in ("accesses", "hits", "misses", "fills",
                          "victims_m", "victims_e", "flush_writebacks"):
@@ -146,23 +144,23 @@ class TestSymbolFoldParity:
         assert st is not None
         assert st.n_symbols < st.n_visits  # tiles actually revisit
         caps = [4, 16, 64, 256]
-        assert_sweeps_equal(fold_lru_symbols(st, caps),
-                            simulate_lru_sweep(tr.lines, tr.writes, caps))
-        assert_sweeps_equal(fold_opt_symbols(st, caps),
-                            simulate_opt_sweep(tr.lines, tr.writes, caps))
+        folds, events = both(tr, caps), both(flat(tr), caps)
+        for policy in folds:
+            assert folds[policy].n_symbols == st.n_symbols
+            assert_sweeps_equal(folds[policy], events[policy])
 
     def test_overlapping_footprints_fall_back(self):
         """c_touch_hint interleaves C lines into other tiles' chunks:
-        footprints overlap, symbolize declines, and the trace-level
-        dispatchers still produce exact counters via the event path."""
+        footprints overlap, symbolize declines, and the dispatcher
+        still produces exact counters via the event path."""
         tr = matmul_trace(16, 16, 16, scheme="wa2", b3=8, b2=4, base=2,
                           line_size=4, c_touch_hint=True).finalize_trace()
         assert symbolize(tr.lines, tr.writes, tr.chunk_lens) is None
         caps = [4, 16, 64]
-        assert_sweeps_equal(simulate_lru_sweep_trace(tr, caps),
-                            simulate_lru_sweep(tr.lines, tr.writes, caps))
-        assert_sweeps_equal(simulate_opt_sweep_trace(tr, caps),
-                            simulate_opt_sweep(tr.lines, tr.writes, caps))
+        chunked, events = both(tr, caps), both(flat(tr), caps)
+        for policy in chunked:
+            assert chunked[policy].n_symbols is None
+            assert_sweeps_equal(chunked[policy], events[policy])
 
     def test_symbolize_rejects_mixed_write_chunks(self):
         lines = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -186,44 +184,7 @@ class TestSymbolFoldParity:
 
 
 # --------------------------------------------------------------------- #
-# streaming pass vs in-memory sweep
-# --------------------------------------------------------------------- #
-class TestStreamingParity:
-    def test_every_window_size_matches(self):
-        rng = np.random.default_rng(29)
-        tr = random_tile_trace(rng)
-        ref = simulate_lru_sweep(tr.lines, tr.writes, CAPS)
-        n = tr.n_events
-        for w in {1, 2, 3, 5, 7, n // 2 or 1, n, n + 9}:
-            assert_sweeps_equal(
-                stream_lru_sweep_trace(tr, CAPS, window_events=w), ref)
-
-    def test_windows_splitting_a_symbol(self):
-        # Symbol size 5 with window 3: every window boundary lands
-        # mid-visit.
-        tr = tile_trace([5, 5, 5], [0, 1, 2, 0, 2, 1, 0],
-                        [True, False, True, False, True, False, True])
-        ref = simulate_lru_sweep(tr.lines, tr.writes, CAPS)
-        for w in (1, 2, 3, 4, 6, 7):
-            assert_sweeps_equal(
-                stream_lru_sweep_trace(tr, CAPS, window_events=w), ref)
-
-    def test_non_tiled_traces_stream_too(self):
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            n = int(rng.integers(1, 300))
-            lines = rng.integers(0, int(rng.integers(1, 40)),
-                                 n).astype(np.int64)
-            writes = rng.random(n) < 0.4
-            tr = Trace(lines, writes, None)
-            ref = simulate_lru_sweep(lines, writes, CAPS)
-            w = int(rng.integers(1, n + 2))
-            assert_sweeps_equal(
-                stream_lru_sweep_trace(tr, CAPS, window_events=w), ref)
-
-
-# --------------------------------------------------------------------- #
-# hypothesis property tests (satellite c)
+# hypothesis property tests
 # --------------------------------------------------------------------- #
 if HAVE_HYPOTHESIS:
     @hst.composite
@@ -241,10 +202,9 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=25)
         @given(tile_traces(), hst.integers(1, 30))
         def test_symbol_lru_equals_cachesim(self, tr, cap):
-            st = symbolize(tr.lines, tr.writes, tr.chunk_lens)
-            assert st is not None
-            got = fold_lru_symbols(st, [cap]).stats(cap,
-                                                    include_flush=True)
+            fold = sweep(tr, {"lru": [cap]})["lru"]
+            assert fold.n_symbols is not None
+            got = fold.stats(cap, include_flush=True)
             ref = loop_counters(tr, cap, "lru")
             assert (got.hits, got.misses, got.victims_m, got.victims_e,
                     got.flush_writebacks) == (ref.hits, ref.misses,
@@ -255,10 +215,9 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=25)
         @given(tile_traces(), hst.integers(1, 30))
         def test_symbol_opt_equals_cachesim(self, tr, cap):
-            st = symbolize(tr.lines, tr.writes, tr.chunk_lens)
-            assert st is not None
-            got = fold_opt_symbols(st, [cap]).stats(cap,
-                                                    include_flush=True)
+            fold = sweep(tr, {"belady": [cap]})["belady"]
+            assert fold.n_symbols is not None
+            got = fold.stats(cap, include_flush=True)
             ref = loop_counters(tr, cap, "belady")
             assert (got.hits, got.misses, got.victims_m, got.victims_e,
                     got.flush_writebacks) == (ref.hits, ref.misses,
@@ -266,16 +225,9 @@ if HAVE_HYPOTHESIS:
                                               ref.victims_e,
                                               ref.flush_writebacks)
 
-        @settings(max_examples=25)
-        @given(tile_traces(), hst.integers(1, 250))
-        def test_streaming_equals_in_memory(self, tr, window):
-            assert_sweeps_equal(
-                stream_lru_sweep_trace(tr, CAPS, window_events=window),
-                simulate_lru_sweep(tr.lines, tr.writes, CAPS))
-
 
 # --------------------------------------------------------------------- #
-# CacheSim.run_trace dispatch (satellite b)
+# CacheSim.run_trace dispatch
 # --------------------------------------------------------------------- #
 class TestRunTraceDispatch:
     def _phases_of(self, sim, trace):
@@ -288,32 +240,17 @@ class TestRunTraceDispatch:
             set_phase_hook(prev)
         return seen
 
-    def test_auto_threshold_constant(self):
-        assert AUTO_TILED_MIN_EVENTS == 1 << 15
-        assert CacheSim(64, line_size=1).fastsim_min_events == "auto"
-
     def test_auto_folds_large_tiled_traces(self):
         tr = tile_trace([4] * 8, list(range(8)) * 6, [False] * 48)
-        sim = CacheSim(8, line_size=1, fastsim_min_events=0)
+        sim = CacheSim(8, line_size=1)
         assert "supersymbol_fold" in self._phases_of(sim, tr)
-
-    def test_auto_keeps_loop_below_threshold(self):
-        tr = tile_trace([4] * 8, list(range(8)) * 6, [False] * 48)
-        sim = CacheSim(8, line_size=1)  # auto: 192 events << 1<<15
-        assert "supersymbol_fold" not in self._phases_of(sim, tr)
-
-    def test_none_opts_out_entirely(self):
-        tr = tile_trace([4] * 8, list(range(8)) * 6, [True] * 48)
-        sim = CacheSim(8, line_size=1, fastsim_min_events=None)
-        assert "supersymbol_fold" not in self._phases_of(sim, tr)
 
     @pytest.mark.parametrize("policy", ["lru", "belady"])
     def test_run_trace_counters_match_loop(self, policy):
         rng = np.random.default_rng(41)
         for _ in range(15):
             tr = random_tile_trace(rng)
-            sim = CacheSim(6, line_size=1, policy=policy,
-                           fastsim_min_events=0)
+            sim = CacheSim(6, line_size=1, policy=policy)
             sim.run_trace(tr)
             sim.flush()
             ref = loop_counters(tr, 6, policy)
@@ -327,10 +264,11 @@ class TestRunTraceDispatch:
         tail_lines = rng.integers(0, int(tr.lines.max()) + 1,
                                   50).astype(np.int64)
         tail_writes = rng.random(50) < 0.5
-        fold = CacheSim(6, line_size=1, fastsim_min_events=0)
+        fold = CacheSim(6, line_size=1)
         fold.run_trace(tr)
-        loop = CacheSim(6, line_size=1, fastsim_min_events=None)
-        loop.run_trace(tr)
+        loop = CacheSim(6, line_size=1)
+        for ln, w in zip(tr.lines.tolist(), tr.writes.tolist()):
+            loop.access(ln, w)
         for sim in (fold, loop):
             sim.run_lines(tail_lines, tail_writes)
             sim.flush()
@@ -338,7 +276,7 @@ class TestRunTraceDispatch:
 
 
 # --------------------------------------------------------------------- #
-# zero-copy worker handoff (tentpole layer 3)
+# zero-copy worker handoff
 # --------------------------------------------------------------------- #
 class TestZeroCopyHandoff:
     def _points(self):
@@ -392,49 +330,3 @@ class TestZeroCopyHandoff:
         expect = run_capacity_batch(
             "matmul-cache", [(pt.machine, pt.params) for pt in pts])
         assert out["records"] == expect
-
-
-# --------------------------------------------------------------------- #
-# bounded-memory soak (slow, env-gated)
-# --------------------------------------------------------------------- #
-_SOAK = r"""
-import resource, sys
-import numpy as np
-from numpy.lib.format import open_memmap
-from repro.machine.trace import Trace
-from repro.machine.fastsim import stream_lru_sweep_trace
-
-n, n_lines, window = 100_000_000, 4096, 1 << 20
-lines = open_memmap(sys.argv[1] + "/lines.npy", mode="w+",
-                    dtype=np.int64, shape=(n,))
-writes = open_memmap(sys.argv[1] + "/writes.npy", mode="w+",
-                     dtype=bool, shape=(n,))
-slab = 1 << 22
-for i in range(0, n, slab):
-    j = min(n, i + slab)
-    lines[i:j] = np.arange(i, j, dtype=np.int64) % n_lines
-    writes[i:j] = False
-lines.flush(); writes.flush()
-res = stream_lru_sweep_trace(Trace(lines, writes, None), [64, 1024],
-                             window_events=window)
-# cyclic thrash: every access misses at both capacities
-assert res.misses.tolist() == [n, n], res.misses
-assert res.hits.tolist() == [0, 0]
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print("rss_mb", rss_mb)
-assert rss_mb < 2048, f"RSS {rss_mb:.0f} MiB not bounded by window"
-"""
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(not os.environ.get("REPRO_SLOW_TESTS"),
-                    reason="10^8-event soak; set REPRO_SLOW_TESTS=1")
-def test_streaming_soak_rss_bounded(tmp_path):
-    """A 10^8-event trace completes a 2-capacity LRU sweep with peak RSS
-    bounded by the streaming window, never by the trace length."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", _SOAK, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=3600)
-    assert out.returncode == 0, out.stderr
-    assert "rss_mb" in out.stdout
