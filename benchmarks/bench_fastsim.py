@@ -14,6 +14,9 @@ Levels of comparison, mirroring how the stack is wired:
 * **kernel-only** — each policy's oracle replayed K times against one
   :func:`~repro.machine.fastsim.sweep` call on a pre-built trace: the
   per-access LRU policy loop for LRU, the reference heap for Belady.
+  Clock and segmented LRU have no multi-capacity pass: their row is the
+  policy's whole-trace replay (``CacheSim.run_lines``) against the
+  per-access ``access()`` loop, K capacities each.
 * **single capacity** — K=1: the per-access loop against both sweep
   stages (event sweep and super-symbol fold).  Both win even there,
   which is why ``CacheSim`` replays every empty fully-associative LRU
@@ -30,6 +33,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.traces import matmul_trace
 from repro.lab.executor import execute
@@ -73,9 +77,9 @@ def built_trace():
     return Trace(trace.lines, trace.writes, None)
 
 
-def lru_loop(lines, writes, cap):
-    """The LRU oracle: CacheSim's per-access policy loop, plus flush."""
-    sim = CacheSim(cap, line_size=1, policy="lru")
+def access_loop(policy, lines, writes, cap):
+    """A policy's oracle: CacheSim's per-access policy loop, plus flush."""
+    sim = CacheSim(cap, line_size=1, policy=policy)
     for line, w in zip(lines.tolist(), writes.tolist()):
         sim.access(line, w)
     sim.flush()
@@ -227,7 +231,7 @@ def test_kernel_only_sweep(benchmark):
     caps = capacities_lines()
 
     t0 = time.perf_counter()
-    loop_stats = [lru_loop(lines, writes, cap) for cap in caps]
+    loop_stats = [access_loop("lru", lines, writes, cap) for cap in caps]
     loop_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -329,7 +333,7 @@ def test_single_capacity_footnote(benchmark):
     cap = capacities_lines()[1]  # 3 blocks
 
     t0 = time.perf_counter()
-    ref = lru_loop(lines, writes, cap)
+    ref = access_loop("lru", lines, writes, cap)
     loop_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -363,3 +367,42 @@ def test_single_capacity_footnote(benchmark):
     # on the full-size geometry (no floor on quick CI runners).
     if not QUICK:
         assert sym_s / loop_s < 1.0
+
+
+@pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
+def test_kernel_only_scalar_replay(benchmark, policy):
+    """Per-access loop x K capacities vs the policy's whole-trace replay
+    x K capacities, trace generation excluded on both sides."""
+    trace = built_trace()
+    lines, writes = trace.pair()
+    caps = capacities_lines()
+
+    t0 = time.perf_counter()
+    loop_stats = [access_loop(policy, lines, writes, cap) for cap in caps]
+    loop_s = time.perf_counter() - t0
+
+    def run():
+        out = []
+        for cap in caps:
+            sim = CacheSim(cap, line_size=1, policy=policy)
+            sim.run_lines(lines, writes)
+            sim.flush()
+            out.append(sim.stats)
+        return out
+
+    replay_stats, replay_s = _best_of(run)
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    assert replay_stats == loop_stats  # bit-identical
+    speedup = loop_s / replay_s
+    print(f"\n[bench_fastsim] kernel-only {policy} ({len(lines)} events, "
+          f"{len(caps)} capacities): per-access loop {loop_s:.3f}s, "
+          f"whole-trace replay {replay_s:.3f}s -> {speedup:.1f}x")
+    record_snapshot(**{f"kernel_only_{policy.replace('-', '_')}": {
+        "trace_events": int(len(lines)),
+        "per_access_loop_s": round(loop_s, 4),
+        "replay_s": round(replay_s, 4),
+        "speedup": round(speedup, 2),
+    }})
+    # Full size measures >= 2.5x (segmented LRU) and ~10x (clock); keep
+    # slack for noisy CI runners.
+    assert speedup >= 1.5

@@ -41,7 +41,8 @@ class Fig2Config:
     base: int = 4
     #: "lru" by default (the policy Propositions 6.1/6.2 analyze, and the
     #: simulator's fast path).  Use "clock" for the Nehalem 3-bit
-    #: approximation — same shapes, ~100× slower victim search.
+    #: approximation — same shapes, and a fully-associative clock cache
+    #: also replays each trace in one whole-trace pass.
     policy: str = "lru"
     cache_words: Optional[int] = None  # default: 3 * b3_max²
 

@@ -62,6 +62,7 @@ import hashlib
 import itertools
 import json
 import queue
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -428,6 +429,9 @@ class JobManager:
 class _ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default listen backlog of 5 overflows under a burst
+    # of concurrent clients; the kernel caps this at net.core.somaxconn.
+    request_queue_size = socket.SOMAXCONN
     repro_daemon: "ServeDaemon"
 
 

@@ -101,10 +101,13 @@ class CacheSim:
     :func:`repro.machine.fastsim.sweep`: every Belady run, and every
     fully-associative LRU run that starts from an empty cache (the
     resumable LRU order and dirty bits are rebuilt from the sweep's
-    end-of-trace stack).  Everything else — set-associative caches,
-    the other policies, an LRU cache that already holds lines — takes
-    the per-access policy loop, which is also the LRU oracle the test
-    suite holds the sweep to.
+    end-of-trace stack).  A fully-associative clock or segmented-LRU
+    cache replays the whole trace in one loop of the policy's own
+    (:meth:`~repro.machine.policies.ReplacementPolicy.replay`), from
+    any state.  Everything else — set-associative caches, FIFO and
+    random, an LRU cache that already holds lines — takes the
+    per-access policy loop, which is also the oracle the test suite
+    holds the sweep and the replays to.
     """
 
     def __init__(
@@ -203,8 +206,23 @@ class CacheSim:
         policy = self._sweep_policy()
         if policy is not None:
             return self._run_sweep(policy, Trace(lines, writes, None))
+        line_list, write_list = lines.tolist(), writes.tolist()
+        if self.num_sets == 1 and line_list:
+            counts = self._sets[0].replay(line_list, write_list, self._dirty)
+            if counts is not None:
+                st = self.stats
+                misses = len(line_list) - counts.hits
+                st.accesses += len(line_list)
+                st.hits += counts.hits
+                st.misses += misses
+                st.fills += misses
+                st.victims_m += counts.victims_m
+                st.victims_e += counts.victims_e
+                self._last_victim = counts.last_victim
+                self._last_victim_dirty = counts.last_victim_dirty
+                return st
         acc = self._access_line
-        for line, w in zip(lines.tolist(), writes.tolist()):
+        for line, w in zip(line_list, write_list):
             acc(line, w)
         return self.stats
 

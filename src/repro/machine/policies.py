@@ -11,6 +11,10 @@ The contract is:
 * ``remove(tag)`` — line was evicted or flushed;
 * ``tags`` — iterable of resident tags.
 
+A policy may also offer ``replay(lines, writes, dirty)``: the same
+per-access semantics folded into one loop over a whole trace of a
+fully-associative cache (see :meth:`ReplacementPolicy.replay`).
+
 Policies implemented:
 
 * :class:`LRUPolicy` — least recently used; the policy Propositions 6.1/6.2
@@ -22,14 +26,15 @@ Policies implemented:
 * :class:`SegmentedLRUPolicy` — the read-half/write-half reservation LRU of
   Blelloch et al. [12, Lemma 2.1], included for comparison in the Section 6
   experiments.
-* :class:`BeladyPolicy` — marker class; the offline optimal (ideal-cache)
-  simulation lives in :meth:`repro.machine.cache.CacheSim.run` which detects
-  it and runs the farthest-next-use algorithm.
+* :class:`BeladyPolicy` — marker class;
+  :class:`~repro.machine.cache.CacheSim` detects it and runs the offline
+  optimal (ideal-cache) simulation through
+  :func:`repro.machine.fastsim.sweep`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from repro.util import check_positive_int
 
 __all__ = [
     "ReplacementPolicy",
+    "ReplayCounts",
     "LRUPolicy",
     "FIFOPolicy",
     "RandomPolicy",
@@ -46,6 +52,18 @@ __all__ = [
     "POLICIES",
     "make_policy",
 ]
+
+
+class ReplayCounts(NamedTuple):
+    """What a whole-trace :meth:`ReplacementPolicy.replay` reports: the
+    counters it added and the eviction made by the trace's last access
+    (``None``/``False`` when that access did not evict)."""
+
+    hits: int
+    victims_m: int
+    victims_e: int
+    last_victim: Optional[int]
+    last_victim_dirty: bool
 
 
 class ReplacementPolicy:
@@ -79,6 +97,19 @@ class ReplacementPolicy:
     @property
     def full(self) -> bool:
         return len(self) >= self.capacity
+
+    def replay(self, lines: list[int], writes: list[bool],
+               dirty: dict[int, bool]) -> Optional[ReplayCounts]:
+        """Replay a whole trace through this policy as the only set of
+        a cache whose per-line dirty bits are *dirty*.
+
+        Afterwards the policy state and *dirty* are exactly what the
+        per-access ``touch``/``add``/``choose_victim``/``remove`` calls
+        of :meth:`repro.machine.cache.CacheSim.access` leave behind,
+        from whatever state the policy was in.  Policies without a
+        whole-trace replay return ``None`` and change nothing.
+        """
+        return None
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -231,6 +262,91 @@ class ClockPolicy(ReplacementPolicy):
         self._slots[i] = None
         self._marks[i] = 0
 
+    def replay(self, lines: list[int], writes: list[bool],
+               dirty: dict[int, bool]) -> ReplayCounts:
+        """Whole-trace clock, without the O(capacity) scans per miss.
+
+        * A fill takes the first empty slot from the hand.
+        * An eviction happens only in a full set, where every mark is
+          at least the minimum mark ``m``: ``choose_victim``'s ``m``
+          decrement sweeps lower every mark by exactly ``m`` and then
+          stop at the first slot from the hand that held ``m``.
+
+        So marks are kept as ``rel[i] - off`` with a running offset
+        ``off`` (one addition replaces a sweep) plus a count of
+        residents per mark level (the minimum is at most ``2**bits``
+        lookups away), and the victim slot comes from ``list.index``.
+        Holes hold ``rel == -1``, which no target ``off >= 0`` matches.
+        """
+        cap = self.capacity
+        top = self._max
+        slots = self._slots
+        where = self._where
+        rel = [-1 if t is None else m for t, m in zip(slots, self._marks)]
+        level = [0] * (top + 1)
+        for r in rel:
+            if r >= 0:
+                level[r] += 1
+        off = 0
+        hand = self._hand
+        resident = len(where)
+        hits = victims_m = victims_e = 0
+        victim: Optional[int] = None
+        victim_dirty = False
+        hits_at_victim = -1
+        for line, w in zip(lines, writes):
+            i = where.get(line)
+            if i is not None:
+                hits += 1
+                if w:
+                    dirty[line] = True
+                m = rel[i] - off
+                if m < top:
+                    rel[i] += 1
+                    level[m] -= 1
+                    level[m + 1] += 1
+                continue
+            if resident < cap:
+                try:
+                    i = slots.index(None, hand)
+                except ValueError:
+                    i = slots.index(None)
+                resident += 1
+            else:
+                m = 0
+                while not level[m]:
+                    m += 1
+                if m:
+                    off += m
+                    level = level[m:] + [0] * m
+                try:
+                    i = rel.index(off, hand)
+                except ValueError:
+                    i = rel.index(off)
+                level[0] -= 1
+                victim = slots[i]
+                del where[victim]
+                victim_dirty = dirty.pop(victim)
+                if victim_dirty:
+                    victims_m += 1
+                else:
+                    victims_e += 1
+                hits_at_victim = hits
+                hand = i + 1 if i + 1 < cap else 0
+            slots[i] = line
+            rel[i] = off + 1
+            level[1] += 1
+            where[line] = i
+            dirty[line] = w
+        self._marks[:] = [0 if r < 0 else r - off for r in rel]
+        self._hand = hand
+        if hits != hits_at_victim:
+            # Once a replay evicts, the set stays full and every later
+            # miss evicts too; a hit since then means the last access
+            # evicted nothing.
+            victim, victim_dirty = None, False
+        return ReplayCounts(hits, victims_m, victims_e, victim, victim_dirty)
+
     @property
     def tags(self) -> Iterable[int]:
         return list(self._where.keys())
@@ -292,6 +408,62 @@ class SegmentedLRUPolicy(ReplacementPolicy):
             del self._read[tag]
         else:
             del self._write[tag]
+
+    def replay(self, lines: list[int], writes: list[bool],
+               dirty: dict[int, bool]) -> ReplayCounts:
+        """Whole-trace segmented LRU.  A line enters the write half
+        exactly when it turns dirty and never leaves it while resident,
+        so a write-half hit needs no dirty-bit update; *dirty* changes
+        only on misses and on promotions."""
+        cap = self.capacity
+        read_cap, write_cap = self._read_cap, self._write_cap
+        read, write = self._read, self._write
+        resident = len(read) + len(write)
+        hits = victims_m = victims_e = 0
+        victim: Optional[int] = None
+        victim_dirty = False
+        hits_at_victim = -1
+        for line, w in zip(lines, writes):
+            if line in write:
+                hits += 1
+                del write[line]
+                write[line] = None
+                continue
+            if line in read:
+                hits += 1
+                del read[line]
+                if w:
+                    write[line] = None
+                    dirty[line] = True
+                else:
+                    read[line] = None
+                continue
+            if resident < cap:
+                resident += 1
+            else:
+                # choose_victim's rule for a full set.
+                if not read or (len(read) <= read_cap
+                                and len(write) > write_cap):
+                    victim = next(iter(write))
+                    del write[victim]
+                else:
+                    victim = next(iter(read))
+                    del read[victim]
+                victim_dirty = dirty.pop(victim)
+                if victim_dirty:
+                    victims_m += 1
+                else:
+                    victims_e += 1
+                hits_at_victim = hits
+            if w:
+                write[line] = None
+            else:
+                read[line] = None
+            dirty[line] = w
+        if hits != hits_at_victim:
+            # See ClockPolicy.replay: the last access evicted nothing.
+            victim, victim_dirty = None, False
+        return ReplayCounts(hits, victims_m, victims_e, victim, victim_dirty)
 
     @property
     def tags(self) -> Iterable[int]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CacheSim
+from repro.machine.cache import CacheStats
 from repro.machine.policies import POLICIES, make_policy
 
 
@@ -154,6 +155,99 @@ class TestPolicies:
         sim = CacheSim(4, line_size=1, policy="belady")
         with pytest.raises(RuntimeError):
             sim.access(0)
+
+
+def _feed(sim, via, events):
+    """Run *events* through *sim* one ``access()`` at a time or as one
+    ``run_lines`` trace."""
+    if via == "access":
+        for line, w in events:
+            sim.access(line, w)
+    else:
+        sim.run_lines(np.array([line for line, _ in events]),
+                      np.array([w for _, w in events], dtype=bool))
+    return sim
+
+
+def _replay_via(via, policy, capacity, events):
+    return _feed(CacheSim(capacity, line_size=1, policy=policy), via, events)
+
+
+@pytest.mark.parametrize("via", ["access", "run_lines"])
+class TestKnownAnswers:
+    """Hand-derived end states, held by the per-access loop and by the
+    whole-trace replay alike."""
+
+    def test_clock_saturation_sweeps_and_hand(self, via):
+        events = (
+            [(0, True), (1, False), (2, False)]  # fill slots 0..2, marks 1
+            + [(0, False)] * 8  # slot 0 saturates at 7, not 9
+            + [(1, True),   # slot 1 mark 2, line 1 dirty
+               (3, False),  # min mark 1: one decrement sweep -> [6, 1, 0];
+                            # victim slot 2 (line 2, clean), hand 0
+               (4, False),  # min 1 at slots 1 and 2; from hand 0 -> slot 1
+                            # (line 1, dirty); marks [5, 0, 0]; hand 2
+               (3, True),   # slot 2 mark 0 -> 1, line 3 dirty
+               (5, False)]  # min 1 at slots 1 and 2 again; from hand 2 ->
+                            # slot 2 (line 3, dirty); marks [4, 0, 0]
+        )
+        sim = _replay_via(via, "clock", 3, events)
+        pol = sim._sets[0]
+        assert pol._slots == [0, 4, 5]
+        assert pol._marks == [4, 0, 1]
+        assert pol._hand == 0
+        assert sim._dirty == {0: True, 4: False, 5: False}
+        assert (sim._last_victim, sim._last_victim_dirty) == (3, True)
+        assert sim.stats == CacheStats(accesses=16, hits=10, misses=6,
+                                       fills=6, victims_m=2, victims_e=1)
+        sim.flush()
+        assert sim.stats.flush_writebacks == 1
+        assert sim.stats.victims_e == 3
+
+    def test_clock_fills_from_the_hand_after_flush(self, via):
+        reads = [(0, False), (1, False),
+                 (2, False)]  # marks [1, 1] -> [0, 0]: evict slot 0, hand 1
+        sim = _replay_via(via, "clock", 2, reads)
+        sim.flush()  # empties both slots; the hand stays at 1
+        _feed(sim, via, [(3, False),   # first hole from the hand: slot 1
+                         (4, False),   # wraps around to slot 0
+                         (5, False)])  # tie at mark 1: from hand 1 -> line 3
+        pol = sim._sets[0]
+        assert pol._slots == [4, 5]
+        assert pol._hand == 0
+        assert (sim._last_victim, sim._last_victim_dirty) == (3, False)
+        assert sim.stats == CacheStats(accesses=6, misses=6, fills=6,
+                                       victims_e=4)
+
+    def test_segmented_lru_tie_evicts_the_read_half(self, via):
+        # Capacity 2: both halves at their reservation of 1 when line 2
+        # misses, so the clean read-half line goes, not the dirty one.
+        sim = _replay_via(via, "segmented-lru", 2,
+                          [(0, False), (1, True), (2, False)])
+        assert (sim._last_victim, sim._last_victim_dirty) == (0, False)
+        assert sim._dirty == {1: True, 2: False}
+        assert sim.stats == CacheStats(accesses=3, misses=3, fills=3,
+                                       victims_e=1)
+
+    def test_segmented_lru_capacity_one(self, via):
+        # read_cap == write_cap == 1: a miss evicts whichever half holds
+        # the one resident line.
+        events = [(0, False),  # fill the read half
+                  (0, True),   # promote to the write half
+                  (1, False),  # evict 0 from the write half (dirty)
+                  (1, False),  # read hit
+                  (2, True),   # evict 1 from the read half (clean)
+                  (3, True)]   # evict 2 from the write half (dirty)
+        sim = _replay_via(via, "segmented-lru", 1, events)
+        pol = sim._sets[0]
+        assert (pol._read_cap, pol._write_cap) == (1, 1)
+        assert (list(pol._read), list(pol._write)) == ([], [3])
+        assert sim._dirty == {3: True}
+        assert (sim._last_victim, sim._last_victim_dirty) == (2, True)
+        assert sim.stats == CacheStats(accesses=6, hits=2, misses=4,
+                                       fills=4, victims_m=2, victims_e=1)
+        sim.flush()
+        assert sim.stats.writebacks == 3
 
 
 class TestBelady:

@@ -1,12 +1,17 @@
 """Property-based parity layer (hypothesis).
 
-Two equivalence claims the engine's batching rests on, attacked with
+Three equivalence claims the engine's fast paths rest on, attacked with
 random inputs instead of hand-picked geometries:
 
 * **sweep == oracle**: for random small line traces (flat and chunked)
   and random capacity grids, ``fastsim.sweep`` reports exactly the
   counters of each policy's per-capacity oracle — CacheSim's per-access
   LRU loop plus ``flush()``, and the reference Belady heap.
+* **replay == access loop**: ``CacheSim.run_lines`` on a
+  fully-associative clock or segmented-LRU cache (the policy's
+  whole-trace replay) leaves the counters, dirty bits and last victim
+  of the per-access loop, from an empty, partly filled or flushed
+  cache.
 * **vectorized == scalar**: for random ``HwParams`` machines and random
   (including infeasible) grid points, every ``cost-*`` family's
   vectorized batch evaluator emits records bit-identical — compared as
@@ -60,11 +65,15 @@ capacity_grids = st.lists(st.integers(1, 16), min_size=1, max_size=4,
                           unique=True)
 
 
+def _arrays(events):
+    return (np.array([line for line, _ in events], dtype=np.int64),
+            np.array([w for _, w in events], dtype=bool))
+
+
 def _shapes(events):
     """The events as a flat trace (event sweep) and as one chunk per
     event (super-symbol fold)."""
-    lines = np.array([line for line, _ in events], dtype=np.int64)
-    writes = np.array([w for _, w in events], dtype=bool)
+    lines, writes = _arrays(events)
     return (Trace(lines, writes, None),
             Trace(lines, writes, np.ones(len(lines), dtype=np.int64)))
 
@@ -92,6 +101,43 @@ def test_opt_sweep_counters_equal_cachesim(events, caps):
         for cap in caps:
             assert res.stats(cap) == belady_reference(trace.lines,
                                                       trace.writes, cap)
+
+
+# --------------------------------------------------------------------- #
+# whole-trace clock / segmented-LRU replay vs the per-access loop
+# --------------------------------------------------------------------- #
+def _accesses(sim, events):
+    for line, w in events:
+        sim.access(line, w)
+
+
+@pytest.mark.parametrize("start", ["empty", "partial", "flushed"])
+@given(policy=st.sampled_from(["clock", "segmented-lru"]),
+       cap=st.integers(1, 16), prefix=traces, events=traces, tail=traces)
+def test_scalar_replay_equals_access_loop(start, policy, cap, prefix,
+                                          events, tail):
+    """``run_lines`` resumes from any state the per-access loop could be
+    in — empty, partly filled, or emptied by ``flush()`` with the clock
+    hand left mid-set — and leaves one the loop can carry on from."""
+    replayed = CacheSim(cap, line_size=1, policy=policy)
+    looped = CacheSim(cap, line_size=1, policy=policy)
+    if start != "empty":
+        replayed.run_lines(*_arrays(prefix))
+        _accesses(looped, prefix)
+        if start == "flushed":
+            replayed.flush()
+            looped.flush()
+    replayed.run_lines(*_arrays(events))
+    _accesses(looped, events)
+    assert replayed.stats == looped.stats
+    assert replayed._dirty == looped._dirty
+    assert ((replayed._last_victim, replayed._last_victim_dirty)
+            == (looped._last_victim, looped._last_victim_dirty))
+    _accesses(replayed, tail)
+    _accesses(looped, tail)
+    replayed.flush()
+    looped.flush()
+    assert replayed.stats == looped.stats
 
 
 # --------------------------------------------------------------------- #
