@@ -2,7 +2,7 @@
 
 Runs through the ``repro.lab`` sweep engine (one scenario point per
 variant x middle-dimension, cache disabled so the timing is honest) and
-reassembles the engine's records into the serial harness's row structure.
+reassembles the engine's records into the panels ``format_fig2`` prints.
 Shape assertions encode the paper's panel-by-panel story:
 2a (CO) and 2b (MKL) victims.M grow with the middle dimension; 2c–2f
 (two-level WA) stay near the write floor, degrading gracefully as the

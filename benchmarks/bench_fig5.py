@@ -3,10 +3,14 @@
 The paper's two columns: the fully-WA instruction order needs ~5 blocks
 resident and melts down at the largest blocking (left column, top plot);
 the slab/AB order stays at the write floor across all blockings (right
-column).
+column).  Runs through the ``repro.lab`` sweep engine (one scenario point
+per column x blocking x middle dimension, cache disabled so the timing
+is honest).
 """
 
-from repro.experiments import Fig2Config, format_fig5, run_fig5
+from repro.experiments import Fig2Config, format_fig5
+from repro.lab.executor import execute
+from repro.lab.scenarios import fig5_rows, fig5_scenario
 
 
 def cfg():
@@ -20,9 +24,16 @@ def cfg():
     )
 
 
+def run_via_lab(cfg):
+    scenario = fig5_scenario(cfg=cfg)
+    report = execute(scenario.points(), jobs=1, cache=None)
+    return fig5_rows(scenario, report.results)
+
+
 def test_fig5(benchmark):
     c = cfg()
-    results = benchmark.pedantic(run_fig5, args=(c,), rounds=1, iterations=1)
+    results = benchmark.pedantic(run_via_lab, args=(c,), rounds=1,
+                                 iterations=1)
     print("\n" + format_fig5(results))
 
     floor = c.n_outer**2 // c.line_size

@@ -1,15 +1,17 @@
-"""Regenerates the Section-3 negative results (Theorem 2, Corollaries 2/3)."""
+"""Regenerates the Section-3 negative results (Theorem 2, Corollaries 2/3).
 
-from repro.experiments import format_sec3, run_sec3
+Runs the ``sec3`` preset through the ``repro.lab`` sweep engine (one
+``cdag-pebble`` point per CDAG, cache disabled so the timing is honest).
+"""
 
 
-def test_sec3(benchmark):
-    rows = benchmark.pedantic(run_sec3, rounds=1, iterations=1)
-    print("\n" + format_sec3(rows))
+def test_sec3(benchmark, preset):
+    text, rows = preset(benchmark, "sec3")
+    print("\n" + text)
 
-    fft = [r for r in rows if r["algorithm"].startswith("Cooley")]
-    strassen = [r for r in rows if r["algorithm"] == "Strassen"]
-    matmul = [r for r in rows if "matmul" in r["algorithm"]]
+    fft = [r for r in rows if r["algorithm"] == "fft"]
+    strassen = [r for r in rows if r["algorithm"] == "strassen"]
+    matmul = [r for r in rows if r["algorithm"] == "matmul"]
 
     # FFT/Strassen: stores are a constant fraction of traffic and respect
     # the Theorem-2 bound; stores far exceed the output size.

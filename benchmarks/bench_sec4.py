@@ -1,33 +1,34 @@
-"""Regenerates the Section-4 kernel traffic table (Algorithms 1–4)."""
+"""Regenerates the Section-4 kernel traffic table (Algorithms 1–4).
 
-from repro.experiments import format_sec4, run_sec4
+Runs the ``sec4`` preset (n=32, b=4) through the ``repro.lab`` sweep
+engine, one ``twolevel-counts`` point per kernel variant.
+"""
 
 
-def test_sec4(benchmark):
-    rows = benchmark.pedantic(run_sec4, kwargs=dict(n=32, b=4),
-                              rounds=1, iterations=1)
-    print("\n" + format_sec4(rows))
+def test_sec4(benchmark, preset):
+    text, rows = preset(benchmark, "sec4")
+    print("\n" + text)
 
-    by_variant = {(r["kernel"], r["variant"]): r for r in rows}
+    by_variant = {(r["algorithm"], r["variant"]): r for r in rows}
 
     # k-innermost matmul orders are WA (writes == output); others are not.
     for order in ("ijk", "jik"):
-        r = by_variant[("matmul (Alg.1)", f"loop order {order} [k inner]")]
+        r = by_variant[("matmul", order)]
         assert r["writes_to_slow"] == r["output_size"]
     for order in ("ikj", "kij", "jki", "kji"):
-        r = by_variant[("matmul (Alg.1)", f"loop order {order}")]
+        r = by_variant[("matmul", order)]
         assert r["writes_to_slow"] > 2 * r["output_size"]
 
     # Left-looking TRSM/Cholesky WA; right-looking not.
-    assert by_variant[("TRSM (Alg.2)", "left-looking")]["wa"]
-    assert not by_variant[("TRSM (Alg.2)", "right-looking")]["wa"]
-    assert by_variant[("Cholesky (Alg.3)", "left-looking")]["wa"]
-    assert not by_variant[("Cholesky (Alg.3)", "right-looking")]["wa"]
+    assert by_variant[("trsm", "left-looking")]["wa"]
+    assert not by_variant[("trsm", "right-looking")]["wa"]
+    assert by_variant[("cholesky", "left-looking")]["wa"]
+    assert not by_variant[("cholesky", "right-looking")]["wa"]
 
     # N-body: blocked WA; force-symmetry not; (N,3)-body WA.
-    assert by_variant[("(N,2)-body (Alg.4)", "blocked")]["wa"]
-    assert not by_variant[("(N,2)-body (Alg.4)", "force symmetry")]["wa"]
-    assert by_variant[("(N,3)-body", "blocked")]["wa"]
+    assert by_variant[("nbody2", "blocked")]["wa"]
+    assert not by_variant[("nbody2", "symmetry")]["wa"]
+    assert by_variant[("nbody3", "blocked")]["wa"]
 
     # Theorem 1 holds for every single row.
     assert all(r["theorem1"] for r in rows)

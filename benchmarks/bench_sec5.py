@@ -1,12 +1,13 @@
-"""Regenerates the Section-5 result: CO matmul cannot be write-avoiding."""
+"""Regenerates the Section-5 result: CO matmul cannot be write-avoiding.
 
-from repro.experiments import format_sec5, run_sec5
+Runs the ``sec5`` preset (n=32) through the ``repro.lab`` sweep engine,
+one ``co-vs-wa`` point per fast-memory size.
+"""
 
 
-def test_sec5(benchmark):
-    rows = benchmark.pedantic(run_sec5, kwargs=dict(n=32),
-                              rounds=1, iterations=1)
-    print("\n" + format_sec5(rows))
+def test_sec5(benchmark, preset):
+    text, rows = preset(benchmark, "sec5")
+    print("\n" + text)
 
     # CO stores shrink with M but stay well above the output at small M;
     # the WA comparator sits at the output size for every M.

@@ -1,8 +1,8 @@
 """Regenerates the Section-6 policy study (Propositions 6.1 / 6.2).
 
 Runs as a ``repro.lab`` scheme x capacity x policy grid (cache disabled so
-the timing is honest); the engine's records are reassembled into the same
-rows the serial ``run_sec6`` harness returns.
+the timing is honest); the engine's records are reassembled into the rows
+``format_sec6`` prints.
 """
 
 from repro.experiments import format_sec6

@@ -1,16 +1,14 @@
-"""Regenerates the Section-8 KSM study: streaming CA-CG writes ~ Θ(1/s)."""
+"""Regenerates the Section-8 KSM study: streaming CA-CG writes ~ Θ(1/s).
 
-from repro.experiments import format_sec8, run_sec8
+Runs the ``sec8`` preset (mesh=256, block=64, s in 2/4/8) through the
+``repro.lab`` sweep engine, one Krylov point per method and s.
+"""
 
 
-def test_sec8(benchmark):
-    result = benchmark.pedantic(
-        run_sec8, kwargs=dict(mesh=256, s_values=(2, 4, 8), block=64),
-        rounds=1, iterations=1,
-    )
-    print("\n" + format_sec8(result))
+def test_sec8(benchmark, preset):
+    text, rows = preset(benchmark, "sec8")
+    print("\n" + text)
 
-    rows = result["rows"]
     cg_row = rows[0]
     stream = {r["s"]: r for r in rows if r["method"] == "CA-CG streaming"}
     plain = {r["s"]: r for r in rows if r["method"] == "CA-CG"}

@@ -23,11 +23,14 @@ Subpackages
     CG, s-step CA-CG, and the blocked/streaming matrix-powers kernels with
     write counting.
 ``repro.experiments``
-    One harness per table/figure of the paper.
+    The paper's table layouts and table-specific kernels;
+    ``python -m repro.experiments NAME`` regenerates a table under its
+    legacy name.
 ``repro.lab``
     The scenario-sweep engine: string-keyed registries of kernels, machine
     models (including NVM-style asymmetric read/write costs) and policies;
-    declarative parameter grids with named presets per paper figure; a
+    declarative parameter grids with a named preset per paper table and
+    figure; a
     ``multiprocessing`` executor; and a content-addressed on-disk result
     cache keyed by scenario point + code fingerprint, so repeated sweeps
     skip already-simulated points.  CLI: ``python -m repro.lab``.

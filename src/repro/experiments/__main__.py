@@ -1,22 +1,15 @@
-"""Command-line regeneration of any paper table or figure.
+"""``python -m repro.experiments NAME`` — the paper's tables under their
+legacy names, as an alias of ``repro-lab run``.
 
 Usage::
 
     python -m repro.experiments list
     python -m repro.experiments fig2 [--quick]
-    python -m repro.experiments table1
-    python -m repro.experiments all --quick --jobs 4
+    python -m repro.experiments all --quick --jobs 4 [--no-cache]
 
-``--quick`` shrinks every harness's geometry (Figure-2/5 blocking, the
-table1/table2/sec7/lu simulated validation runs, the sec6/sec8 problem
-sizes) so everything finishes in seconds — the structure is identical;
-only scale changes.
-
-Since the ``repro.lab`` subsystem landed, this front-end is a thin client
-of the sweep engine: experiments fan out over ``--jobs`` worker processes
-and completed harnesses are served from the persistent result cache
-(disable with ``--no-cache``).  The printed tables are unchanged; the
-cache accounting line goes to stderr.
+Each name runs the ``repro-lab`` preset of the same name (``sec7`` and
+``lu`` run ``sec7-nvm`` and ``lu-tradeoff``), with the same cache and
+output, under a ``==== NAME`` header.
 """
 
 from __future__ import annotations
@@ -24,43 +17,38 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.lab.cache import ResultCache
-from repro.lab.executor import execute
-from repro.lab.registry import EXPERIMENTS
-from repro.lab.scenarios import experiments_scenario
+from repro.lab.cli import main as lab_main
+
+#: legacy name -> the ``repro-lab`` preset it runs.
+PRESETS = {"fig2": "fig2", "fig5": "fig5", "lu": "lu-tradeoff",
+           "sec3": "sec3", "sec4": "sec4", "sec5": "sec5", "sec6": "sec6",
+           "sec7": "sec7-nvm", "sec8": "sec8", "table1": "table1",
+           "table2": "table2"}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate tables/figures of 'Write-Avoiding "
-                    "Algorithms' (Carson et al., IPDPS 2016).",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "list"],
-        help="which experiment to run ('list' to enumerate)",
-    )
+                    "Algorithms' (Carson et al., IPDPS 2016).")
+    parser.add_argument("name", choices=[*PRESETS, "all", "list"])
     parser.add_argument("--quick", action="store_true",
                         help="smaller geometry, seconds instead of minutes")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run experiments in N worker processes")
+                        help="worker processes for uncached points")
     parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the repro.lab result "
-                             "cache")
+                        help="do not read or write the result cache")
     args = parser.parse_args(argv)
-
-    if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
+    if args.name == "list":
+        print("\n".join(PRESETS))
         return 0
-    names = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    scenario = experiments_scenario(quick=args.quick, names=names)
-    cache = None if args.no_cache else ResultCache()
-    report = execute(scenario.points(), jobs=args.jobs, cache=cache)
-    print(scenario.render(report.results))
-    print(report.cache_line(cache), file=sys.stderr)
+    flags = ["--jobs", str(args.jobs)] + ["--quick"] * args.quick \
+        + ["--no-cache"] * args.no_cache
+    for name in PRESETS if args.name == "all" else [args.name]:
+        print(f"==== {name} " + "=" * max(0, 64 - len(name)))
+        rc = lab_main(["run", PRESETS[name], *flags])
+        if rc:
+            return rc
     return 0
 
 

@@ -2,11 +2,12 @@
 
 The paper fixes the outer dimensions at 4000, sweeps the middle dimension
 from 128 to 32K, and reads three Xeon-7560 uncore counters for six
-variants (CO, MKL, and two-level WA with four L3 blocking sizes).  We run
-the same experiment at a scaled-down geometry through the cache simulator
-(DESIGN.md documents why the shape is scale-invariant) and report the same
-rows: ``L3_VICTIMS.M``, ``L3_VICTIMS.E``, ``LLC_S_FILLS.E`` and the write
-lower bound (output lines).
+variants (CO, MKL, and two-level WA with four L3 blocking sizes).  The
+``fig2`` preset of :mod:`repro.lab.scenarios` runs the same experiment at a
+scaled-down geometry through the cache simulator, one ``matmul-cache``
+point per (panel, middle), and reports the same rows: ``L3_VICTIMS.M``,
+``L3_VICTIMS.E``, ``LLC_S_FILLS.E`` and the write lower bound (output
+lines).  This module holds the geometry and the table layout.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cache_oblivious import ideal_cache_misses
-from repro.core.traces import matmul_trace
-from repro.machine.cache import CacheSim
 from repro.util import format_table
 
-__all__ = ["Fig2Config", "run_fig2", "format_fig2", "fig2_variants",
+__all__ = ["Fig2Config", "format_fig2", "fig2_variants",
            "fig2_ideal_misses"]
 
 
@@ -70,32 +69,9 @@ class Fig2Config:
         return 3 * b * b + self.line_size
 
 
-def _variant_rows(cfg: Fig2Config, scheme: str, b3: int) -> Dict:
-    rows = {"scheme": scheme, "b3": b3, "middles": list(cfg.middles),
-            "VICTIMS.M": [], "VICTIMS.E": [], "FILLS.E": [],
-            "write_lb": []}
-    n = cfg.n_outer
-    for m in cfg.middles:
-        buf = matmul_trace(n, m, n, scheme=scheme, b3=b3, b2=cfg.b2,
-                           base=cfg.base, line_size=cfg.line_size)
-        sim = CacheSim(cfg.cache(), line_size=cfg.line_size,
-                       policy=cfg.policy)
-        lines, writes = buf.finalize()
-        sim.run_lines(lines, writes)
-        sim.flush()
-        st = sim.stats
-        rows["VICTIMS.M"].append(st.writebacks)
-        rows["VICTIMS.E"].append(st.victims_e)
-        rows["FILLS.E"].append(st.fills)
-        rows["write_lb"].append(n * n // cfg.line_size)
-    return rows
-
-
 def fig2_variants(cfg: Fig2Config) -> List[tuple]:
     """The six panels as ``(scheme, b3)`` pairs, in the paper's order:
-    CO (2a), MKL-like (2b), then two-level WA per blocking size (2c–2f).
-    Shared with the ``repro.lab`` fig2 scenario so the decomposed sweep
-    stays in lock-step with this serial harness."""
+    CO (2a), MKL-like (2b), then two-level WA per blocking size (2c–2f)."""
     b3s = cfg.b3_sizes()
     return [("co", b3s[-1]), ("mkl-like", b3s[-1])] \
         + [("wa2", b3) for b3 in b3s]
@@ -109,16 +85,6 @@ def fig2_ideal_misses(cfg: Fig2Config) -> List[float]:
                            cfg.cache() * wb, cfg.line_size * wb)
         for m in cfg.middles
     ]
-
-
-def run_fig2(cfg: Optional[Fig2Config] = None) -> List[Dict]:
-    """All six Figure-2 panels: CO (2a), MKL-like (2b), and two-level WA
-    at the four blocking sizes (2c–2f)."""
-    cfg = cfg or Fig2Config()
-    out = [_variant_rows(cfg, scheme, b3)
-           for scheme, b3 in fig2_variants(cfg)]
-    out[0]["ideal_misses"] = fig2_ideal_misses(cfg)
-    return out
 
 
 def format_fig2(results: List[Dict]) -> str:

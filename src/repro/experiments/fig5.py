@@ -6,50 +6,17 @@ large L3 blockings (needs 5 blocks resident — Proposition 6.1); the right
 column blocks for L3 write-backs only (slab order below the top), which
 stays at the write floor even when just under 3 blocks fit — the
 Section-6.2 trade-off between exclusive-state misses and write-backs.
+The ``fig5`` preset of :mod:`repro.lab.scenarios` computes the counters;
+this module lays them out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.traces import matmul_trace
-from repro.experiments.fig2 import Fig2Config
-from repro.machine.cache import CacheSim
 from repro.util import format_table
 
-__all__ = ["run_fig5", "format_fig5"]
-
-
-def _run(cfg: Fig2Config, scheme: str, b3: int) -> Dict:
-    rows = {"scheme": scheme, "b3": b3, "middles": list(cfg.middles),
-            "VICTIMS.M": [], "VICTIMS.E": [], "FILLS.E": [],
-            "write_lb": []}
-    n = cfg.n_outer
-    for m in cfg.middles:
-        buf = matmul_trace(n, m, n, scheme=scheme, b3=b3, b2=cfg.b2,
-                           base=cfg.base, line_size=cfg.line_size)
-        sim = CacheSim(cfg.cache(), line_size=cfg.line_size,
-                       policy=cfg.policy)
-        lines, writes = buf.finalize()
-        sim.run_lines(lines, writes)
-        sim.flush()
-        st = sim.stats
-        rows["VICTIMS.M"].append(st.writebacks)
-        rows["VICTIMS.E"].append(st.victims_e)
-        rows["FILLS.E"].append(st.fills)
-        rows["write_lb"].append(n * n // cfg.line_size)
-    return rows
-
-
-def run_fig5(cfg: Optional[Fig2Config] = None) -> Dict[str, List[Dict]]:
-    """Left column: 'wa-multilevel'; right column: 'ab-multilevel';
-    one row pair per L3 blocking size (largest = just-under-3-blocks)."""
-    cfg = cfg or Fig2Config()
-    out: Dict[str, List[Dict]] = {"multilevel-wa": [], "two-level-ab": []}
-    for b3 in cfg.b3_sizes():
-        out["multilevel-wa"].append(_run(cfg, "wa-multilevel", b3))
-        out["two-level-ab"].append(_run(cfg, "ab-multilevel", b3))
-    return out
+__all__ = ["format_fig5"]
 
 
 def format_fig5(results: Dict[str, List[Dict]]) -> str:

@@ -4,22 +4,27 @@ Pebbles the FFT and Strassen CDAGs with an offline-optimal replacement and
 reports measured stores against Theorem 2's lower bound — plus classical
 matmul as the contrast case (out-degree-1 multiply vertices ⇒ no
 obstruction, stores = output exactly).
+
+:func:`kernel_cdag_pebble` is the ``cdag-pebble`` point kernel (one
+pebbled CDAG per point), the ``sec3`` preset of :mod:`repro.lab.scenarios`
+sweeps it, and :func:`format_sec3` lays the rows out.  The kernel imports
+:mod:`repro.cdag` (and with it networkx) only when it runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Mapping
 
-from repro.cdag import (
-    fft_cdag,
-    matmul_cdag,
-    pebble,
-    strassen_cdag,
-    theorem2_write_lower_bound,
-)
-from repro.util import format_table
+from repro.util import canonical_int, format_table, require
 
-__all__ = ["run_sec3", "format_sec3"]
+__all__ = ["kernel_cdag_pebble", "format_sec3"]
+
+#: display name of each ``algorithm`` parameter value.
+_LABELS = {
+    "fft": "Cooley-Tukey FFT",
+    "strassen": "Strassen",
+    "matmul": "classical matmul (WA schedule)",
+}
 
 
 def _matmul_schedule(n: int) -> list:
@@ -33,58 +38,52 @@ def _matmul_schedule(n: int) -> list:
     return sched
 
 
-def run_sec3(
-    fft_sizes: Sequence[int] = (64, 256, 1024),
-    strassen_sizes: Sequence[int] = (4, 8),
-    matmul_sizes: Sequence[int] = (4, 6, 8),
-    M: int = 16,
-) -> List[Dict]:
-    rows: List[Dict] = []
-    for n in fft_sizes:
-        dag = fft_cdag(n)
-        st = pebble(dag, M=M)
-        lb = theorem2_write_lower_bound(st.loads, n, d=2)
-        rows.append({
-            "algorithm": "Cooley-Tukey FFT", "n": n, "d": 2, "M": M,
-            "loads": st.loads, "stores": st.stores,
-            "theorem2_lb": lb,
-            "store_fraction": st.store_fraction,
-            "output_size": n,
-        })
-    for n in strassen_sizes:
+def kernel_cdag_pebble(machine: Any, params: Mapping[str, Any]
+                       ) -> Dict[str, Any]:
+    """One CDAG red-blue pebbled with M fast-memory slots (Theorem 2).
+    Params: algorithm (fft, strassen or matmul), n, M."""
+    from repro.cdag import (
+        fft_cdag,
+        matmul_cdag,
+        pebble,
+        strassen_cdag,
+        theorem2_write_lower_bound,
+    )
+
+    algorithm = params["algorithm"]
+    require(algorithm in _LABELS,
+            f"algorithm must be one of {sorted(_LABELS)}, got {algorithm!r}")
+    n = canonical_int(params["n"], "n")
+    M = canonical_int(params["M"], "M")
+    if algorithm == "fft":
+        st = pebble(fft_cdag(n), M=M)
+        d, lb, output = 2, theorem2_write_lower_bound(st.loads, n, d=2), n
+    elif algorithm == "strassen":
         dag = strassen_cdag(n)
-        st = pebble(dag, M=max(M, 12))
+        st = pebble(dag, M=M)
         prods = [v for v in dag.g.nodes
                  if isinstance(v, tuple) and v[0] == "p"]
         dec_c = dag.induced_subgraph(dag.descendants_of(prods))
         d = dec_c.max_out_degree(exclude_inputs=False)
-        rows.append({
-            "algorithm": "Strassen", "n": n, "d": d, "M": max(M, 12),
-            "loads": st.loads, "stores": st.stores,
-            "theorem2_lb": theorem2_write_lower_bound(st.loads, 0, d=max(d, 1)),
-            "store_fraction": st.store_fraction,
-            "output_size": n * n,
-        })
-    for n in matmul_sizes:
-        dag = matmul_cdag(n)
-        st = pebble(dag, M=3 * n, schedule=_matmul_schedule(n))
-        rows.append({
-            "algorithm": "classical matmul (WA schedule)", "n": n,
-            "d": "1 (DecC)", "M": 3 * n,
-            "loads": st.loads, "stores": st.stores,
-            "theorem2_lb": 0,
-            "store_fraction": st.store_fraction,
-            "output_size": n * n,
-        })
-    return rows
+        lb = theorem2_write_lower_bound(st.loads, 0, d=max(d, 1))
+        output = n * n
+    else:
+        # Out-degree 1 within DecC: no Theorem-2 obstruction.
+        st = pebble(matmul_cdag(n), M=M, schedule=_matmul_schedule(n))
+        d, lb, output = 1, 0, n * n
+    return {"d": d, "loads": st.loads, "stores": st.stores,
+            "theorem2_lb": lb, "store_fraction": st.store_fraction,
+            "output_size": output}
 
 
 def format_sec3(rows: List[Dict]) -> str:
     headers = ["algorithm", "n", "d", "M", "loads", "stores",
                "Thm2 LB", "stores/traffic", "output"]
     body = [
-        [r["algorithm"], r["n"], r["d"], r["M"], r["loads"], r["stores"],
-         r["theorem2_lb"], round(r["store_fraction"], 3), r["output_size"]]
+        [_LABELS[r["algorithm"]], r["n"],
+         "1 (DecC)" if r["algorithm"] == "matmul" else r["d"], r["M"],
+         r["loads"], r["stores"], r["theorem2_lb"],
+         round(r["store_fraction"], 3), r["output_size"]]
         for r in rows
     ]
     return format_table(

@@ -3,11 +3,16 @@
 One table, one row per (kernel, variant): measured writes to slow memory,
 the lower bound (output size), measured writes to fast memory, and the
 Theorem-1 check — the quantitative content of Algorithms 1–4.
+
+:func:`kernel_twolevel_counts` is the ``twolevel-counts`` point kernel
+(one instrumented kernel run per point), the ``sec4`` preset of
+:mod:`repro.lab.scenarios` sweeps it, and :func:`format_sec4` lays the
+rows out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -20,76 +25,96 @@ from repro.core import (
     nbody_k,
 )
 from repro.machine import TwoLevel
-from repro.util import format_table
+from repro.util import canonical_int, format_table, require
 
-__all__ = ["run_sec4", "format_sec4"]
+__all__ = ["kernel_twolevel_counts", "format_sec4"]
 
-
-def _entry(name, variant, hier, output_size) -> Dict:
-    return {
-        "kernel": name,
-        "variant": variant,
-        "writes_to_slow": hier.writes_to_slow,
-        "output_size": output_size,
-        "wa": hier.writes_to_slow <= 2 * output_size,
-        "writes_to_fast": hier.writes_to_fast,
-        "loads+stores": hier.loads_plus_stores,
-        "theorem1": theorem1_holds(hier),
-    }
+#: display name of each ``algorithm`` parameter value.
+_LABELS = {
+    "matmul": "matmul (Alg.1)",
+    "trsm": "TRSM (Alg.2)",
+    "cholesky": "Cholesky (Alg.3)",
+    "nbody2": "(N,2)-body (Alg.4)",
+    "nbody3": "(N,3)-body",
+}
 
 
-def run_sec4(n: int = 32, b: int = 4, seed: int = 0) -> List[Dict]:
+def _inputs(n: int, seed: int) -> Tuple[np.ndarray, ...]:
+    """Every input of the section, drawn from one generator in a fixed
+    order, so a point sees the same data whichever other points run."""
     rng = np.random.default_rng(seed)
-    rows: List[Dict] = []
-
-    # -- matmul: all six loop orders -------------------------------------- #
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
-    for order in ("ijk", "jik", "ikj", "kij", "jki", "kji"):
-        h = TwoLevel(3 * b * b)
-        blocked_matmul(A, B, b=b, hier=h, loop_order=order)
-        rows.append(_entry("matmul (Alg.1)", f"loop order {order}"
-                           + (" [k inner]" if order[2] == "k" else ""),
-                           h, n * n))
-
-    # -- TRSM -------------------------------------------------------------- #
     T = np.triu(rng.standard_normal((n, n)))
     T[np.diag_indices(n)] = n + rng.random(n)
     rhs = rng.standard_normal((n, n))
-    for variant in ("left-looking", "right-looking"):
-        h = TwoLevel(3 * b * b)
-        blocked_trsm(T, rhs.copy(), b=b, hier=h, variant=variant)
-        rows.append(_entry("TRSM (Alg.2)", variant, h, n * n))
-
-    # -- Cholesky ---------------------------------------------------------- #
     G = rng.standard_normal((n, n))
-    SPD = G @ G.T + n * np.eye(n)
-    for variant in ("left-looking", "right-looking"):
-        h = TwoLevel(3 * b * b)
-        blocked_cholesky(SPD.copy(), b=b, hier=h, variant=variant)
-        rows.append(_entry("Cholesky (Alg.3)", variant, h,
-                           n * (n + b) // 2))
-
-    # -- N-body ------------------------------------------------------------ #
     P = rng.standard_normal((n, 3))
-    h = TwoLevel(3 * b)
-    nbody2(P, b=b, hier=h)
-    rows.append(_entry("(N,2)-body (Alg.4)", "blocked", h, n))
-    h = TwoLevel(4 * b)
-    nbody2(P, b=b, hier=h, use_symmetry=True)
-    rows.append(_entry("(N,2)-body (Alg.4)", "force symmetry", h, n))
-    h = TwoLevel(4 * b)
-    nbody_k(P[: n // 2, :2], b=b, k=3, hier=h)
-    rows.append(_entry("(N,3)-body", "blocked", h, n // 2))
+    return A, B, T, rhs, G @ G.T + n * np.eye(n), P
 
-    return rows
+
+def kernel_twolevel_counts(machine: Any, params: Mapping[str, Any]
+                           ) -> Dict[str, Any]:
+    """One Section-4 kernel on an instrumented two-level memory.
+    Params: algorithm (matmul, trsm, cholesky, nbody2, nbody3), variant
+    (a loop order for matmul; left-/right-looking for trsm and
+    cholesky; blocked or symmetry for the N-body kernels), n, b, seed."""
+    algorithm = params["algorithm"]
+    require(algorithm in _LABELS,
+            f"algorithm must be one of {sorted(_LABELS)}, got {algorithm!r}")
+    variant = str(params["variant"])
+    n = canonical_int(params["n"], "n")
+    b = canonical_int(params["b"], "b")
+    A, B, T, rhs, SPD, P = _inputs(n, canonical_int(params["seed"], "seed"))
+    if algorithm == "matmul":
+        h = TwoLevel(3 * b * b)
+        blocked_matmul(A, B, b=b, hier=h, loop_order=variant)
+        output = n * n
+    elif algorithm == "trsm":
+        h = TwoLevel(3 * b * b)
+        blocked_trsm(T, rhs, b=b, hier=h, variant=variant)
+        output = n * n
+    elif algorithm == "cholesky":
+        h = TwoLevel(3 * b * b)
+        blocked_cholesky(SPD, b=b, hier=h, variant=variant)
+        output = n * (n + b) // 2
+    elif algorithm == "nbody2":
+        require(variant in ("blocked", "symmetry"),
+                f"variant must be 'blocked' or 'symmetry', got {variant!r}")
+        symmetry = variant == "symmetry"
+        h = TwoLevel(4 * b if symmetry else 3 * b)
+        nbody2(P, b=b, hier=h, use_symmetry=symmetry)
+        output = n
+    else:
+        require(variant == "blocked",
+                f"variant must be 'blocked', got {variant!r}")
+        h = TwoLevel(4 * b)
+        nbody_k(P[: n // 2, :2], b=b, k=3, hier=h)
+        output = n // 2
+    return {
+        "writes_to_slow": h.writes_to_slow,
+        "output_size": output,
+        "wa": h.writes_to_slow <= 2 * output,
+        "writes_to_fast": h.writes_to_fast,
+        "loads+stores": h.loads_plus_stores,
+        "theorem1": theorem1_holds(h),
+    }
+
+
+def _variant_label(algorithm: str, variant: str) -> str:
+    if algorithm == "matmul":
+        return f"loop order {variant}" + (" [k inner]"
+                                          if variant[2] == "k" else "")
+    return "force symmetry" if variant == "symmetry" else variant
 
 
 def format_sec4(rows: List[Dict]) -> str:
     headers = ["kernel", "variant", "writes→slow", "output (LB)", "WA?",
                "writes→fast", "loads+stores", "Thm1"]
     body = [
-        [r["kernel"], r["variant"], r["writes_to_slow"], r["output_size"],
+        [_LABELS[r["algorithm"]], _variant_label(r["algorithm"],
+                                                 r["variant"]),
+         r["writes_to_slow"], r["output_size"],
          "yes" if r["wa"] else "NO", r["writes_to_fast"],
          r["loads+stores"], "ok" if r["theorem1"] else "VIOLATED"]
         for r in rows

@@ -3,51 +3,17 @@
 One table over s: CG's writes per iteration, plain CA-CG's and streaming
 CA-CG's writes per CG-equivalent step, plus the read/flop premium — the
 paper's "reduce writes by Θ(s) at the cost of ≤2× reads and arithmetic".
+The ``sec8`` preset of :mod:`repro.lab.scenarios` computes the rows with
+the ``krylov-cg`` and ``krylov-cacg`` kernels; this module lays them out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.krylov import cacg, cg, spd_stencil_system
 from repro.util import format_table
 
-__all__ = ["run_sec8", "format_sec8"]
-
-
-def run_sec8(
-    mesh: int = 256,
-    d: int = 1,
-    b: int = 1,
-    s_values: Sequence[int] = (2, 4, 8),
-    tol: float = 1e-8,
-    block: int = 64,
-) -> Dict:
-    A, rhs = spd_stencil_system(mesh, d=d, b=b)
-    ref = cg(A, rhs, tol=tol)
-    rows: List[Dict] = [{
-        "method": "CG",
-        "s": 1,
-        "steps": ref.iterations,
-        "writes_per_step": ref.writes_per_iteration,
-        "reads": ref.traffic.reads,
-        "flops": ref.traffic.flops,
-        "converged": ref.converged,
-    }]
-    for s in s_values:
-        for streaming in (False, True):
-            res = cacg(A, rhs, s=s, tol=tol, streaming=streaming,
-                       block=block)
-            rows.append({
-                "method": "CA-CG" + (" streaming" if streaming else ""),
-                "s": s,
-                "steps": res.inner_steps,
-                "writes_per_step": res.writes_per_step,
-                "reads": res.traffic.reads,
-                "flops": res.traffic.flops,
-                "converged": res.converged,
-            })
-    return {"n": A.shape[0], "d": d, "b": b, "cg_ref": ref, "rows": rows}
+__all__ = ["format_sec8"]
 
 
 def format_sec8(result: Dict) -> str:

@@ -6,7 +6,7 @@ subpackage turns those grids into first-class objects:
 
 * :mod:`repro.lab.registry` — every kernel, machine model and replacement
   policy under a string key (:data:`KERNELS`, :data:`MACHINES`,
-  :data:`POLICIES`, :data:`EXPERIMENTS`), including NVM-style machines
+  :data:`POLICIES`), including NVM-style machines
   with asymmetric read/write costs and ``hw-*`` analytic cost-model
   presets (:class:`MachineSpec.hw_params`);
 * :mod:`repro.lab.modelkernels` — point-level kernels for the Section-7
@@ -14,10 +14,12 @@ subpackage turns those grids into first-class objects:
   (``summa-2d``, ``mm-25d``, ``lu-*-nonpivot``) and the Section-8
   Krylov methods (``krylov-*``);
 * :mod:`repro.lab.scenarios` — declarative :class:`Scenario` grids with
-  cartesian expansion and presets for the paper's figures and tables
-  (``fig2``, ``fig5``, ``sec6``, ``table1``, ``table2``, ``sec7-nvm``,
-  ``lu-tradeoff``) plus new sweeps (``nvm-matmul``, ``prop62``,
-  ``distributed``, ``krylov``);
+  cartesian expansion and presets for every figure and table of the
+  paper (``fig2``, ``fig5``, ``table1``, ``table2``, ``sec3``–``sec6``,
+  ``sec7-nvm``, ``sec8``, ``lu-tradeoff``) plus new sweeps
+  (``nvm-matmul``, ``prop62``, ``distributed``, ``krylov``,
+  ``cost-map``), and :func:`build_scenario`, the one request parser of
+  the CLI and the serve daemon;
 * :mod:`repro.lab.executor` — :func:`execute` fans points out over
   ``multiprocessing`` workers;
 * :mod:`repro.lab.cache` — :class:`ResultCache`, a content-addressed
@@ -39,7 +41,7 @@ Quickstart::
 
     scenario = get_scenario("fig2", quick=True)
     report = execute(scenario.points(), jobs=4, cache=ResultCache())
-    print(scenario.render(report.results))   # == the serial harness output
+    print(scenario.render(report.results))   # Figure 2's tables
     print(report.cache_line(None))
 """
 
@@ -52,7 +54,6 @@ from repro.lab.executor import (
     execute,
 )
 from repro.lab.registry import (
-    EXPERIMENTS,
     KERNELS,
     MACHINES,
     POLICIES,
@@ -78,7 +79,6 @@ __all__ = [
     "PointResult",
     "SweepReport",
     "execute",
-    "EXPERIMENTS",
     "KERNELS",
     "MACHINES",
     "POLICIES",

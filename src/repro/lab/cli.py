@@ -52,9 +52,9 @@ from repro.lab.cache import ResultCache, default_cache_root
 from repro.lab.executor import (MissingResultsError, PointExecutionError,
                                 execute)
 from repro.lab.faults import FAULTS_ENV, FaultPlan, plan_from_env
-from repro.lab.registry import KERNELS, MACHINES, POLICIES, resolve_machine
+from repro.lab.registry import KERNELS, MACHINES, POLICIES
 from repro.lab.results import ResultSet
-from repro.lab.scenarios import SCENARIOS, Scenario, get_scenario
+from repro.lab.scenarios import SCENARIOS, Scenario, build_scenario
 from repro.lab.telemetry import RunTrace
 from repro.lab.tracestore import (
     _OFF_VALUES,
@@ -68,30 +68,28 @@ from repro.util import format_table
 __all__ = ["main"]
 
 
-def _parse_value(text: str) -> Any:
-    """CLI literal -> python value: int, float, bool, or str."""
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_kv(items: Optional[Sequence[str]], *, grid: bool) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
+def _parse_kv(items: Optional[Sequence[str]]) -> Dict[str, str]:
+    """Repeated ``KEY=VALUE`` arguments as a dict of raw strings (the
+    values are literals :func:`build_scenario` parses)."""
+    out: Dict[str, str] = {}
     for item in items or ():
         if "=" not in item:
             raise SystemExit(f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        if grid:
-            out[key] = [_parse_value(v) for v in raw.split(",")]
-        else:
-            out[key] = _parse_value(raw)
+        out[key] = raw
     return out
+
+
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario a ``run``/``sweep``/``report`` invocation names."""
+    return build_scenario(
+        getattr(args, "scenario", None) or getattr(args, "preset", None),
+        quick=args.quick, kernel=getattr(args, "kernel", None),
+        machine=getattr(args, "machine", "sim-l3"),
+        sets=_parse_kv(args.set), hw=_parse_kv(args.hw),
+        grid=_parse_kv(getattr(args, "grid", None)),
+        note=lambda msg: print(f"[repro.lab] note: {msg}",
+                               file=sys.stderr))
 
 
 def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
@@ -216,22 +214,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_unknown_sets(scenario: Scenario, sets: Dict[str, Any]) -> None:
-    """A typo'd --set key is otherwise silently inert (it still changes
-    every cache key); flag it but keep going — optional kernel params a
-    preset doesn't spell out are legitimate.  Rebuild-backed presets
-    hard-reject unknown keys in with_overrides, so no warning there."""
-    if scenario.meta.get("rebuild") is not None:
-        return
-    known = scenario.known_param_keys()
-    unknown = sorted(k for k in sets
-                     if not k.startswith("machine.") and k not in known)
-    if unknown:
-        print(f"[repro.lab] note: --set key(s) {unknown} are not "
-              f"parameters of any {scenario.name!r} point; applying "
-              f"anyway", file=sys.stderr)
-
-
 def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """``--fault-plan SPEC`` wins; otherwise honour ``$REPRO_LAB_FAULTS``
     (how CI's chaos job injects without touching the preset commands)."""
@@ -249,45 +231,7 @@ def _engine_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario, quick=args.quick)
-    sets = _parse_kv(args.set, grid=False)
-    _warn_unknown_sets(scenario, sets)
-    scenario = scenario.with_overrides(sets,
-                                       hw=_parse_kv(args.hw, grid=False))
-    cache = _make_cache(args)
-    _setup_trace_store(args)
-    trace = _make_run_trace(args, scenario.name)
-    report = execute(scenario.points(), jobs=args.jobs, cache=cache,
-                     multi_capacity=not args.no_multi_capacity,
-                     batch=not args.no_batch, trace=trace,
-                     **_engine_kwargs(args))
-    return _finish(scenario, report, cache, args, trace=trace)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.preset:
-        if args.grid:
-            raise SystemExit("repro-lab sweep: --grid cannot be combined "
-                             "with --preset (the preset defines the grid; "
-                             "pin axes with --set)")
-        scenario = get_scenario(args.preset, quick=args.quick)
-        sets = _parse_kv(args.set, grid=False)
-        _warn_unknown_sets(scenario, sets)
-        scenario = scenario.with_overrides(
-            sets, hw=_parse_kv(args.hw, grid=False))
-    else:
-        machine = resolve_machine(args.machine)
-        hw = _parse_kv(args.hw, grid=False)
-        if hw:
-            machine = machine.with_hw(**hw)
-        scenario = Scenario(
-            name="adhoc",
-            kernel=args.kernel,
-            machine=machine,
-            description="ad-hoc CLI sweep",
-            fixed=_parse_kv(args.set, grid=False),
-            grid=_parse_kv(args.grid, grid=True),
-        )
+    scenario = _scenario(args)
     cache = _make_cache(args)
     _setup_trace_store(args)
     trace = _make_run_trace(args, scenario.name)
@@ -350,11 +294,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario, quick=args.quick)
-    sets = _parse_kv(args.set, grid=False)
-    _warn_unknown_sets(scenario, sets)
-    scenario = scenario.with_overrides(sets,
-                                       hw=_parse_kv(args.hw, grid=False))
+    scenario = _scenario(args)
     cache = ResultCache(args.cache_dir)
     try:
         report = execute(scenario.points(), cache=cache, require_cached=True)
@@ -561,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_sweep)
     _add_engine_args(p_sweep)
     _add_export_args(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_run)
 
     p_serve = sub.add_parser(
         "serve", help="HTTP sweep daemon over the hot cache: POST "

@@ -1,4 +1,4 @@
-"""String-keyed registries: kernels, machine models, policies, experiments.
+"""String-keyed registries: kernels, machine models, policies.
 
 Everything the sweep engine can run is resolvable by name here, so a
 scenario file (or a CLI invocation) is pure data:
@@ -9,10 +9,7 @@ scenario file (or a CLI invocation) is pure data:
 * :data:`KERNELS` — functions ``f(machine, params) -> record`` producing
   one flat, JSON-serializable record per scenario point;
 * :data:`POLICIES` — re-exported replacement-policy classes
-  (:mod:`repro.machine.policies`);
-* :data:`EXPERIMENTS` — the legacy per-table/figure harnesses of
-  :mod:`repro.experiments`, each wrapped as ``f(quick) -> formatted str``
-  so whole experiments can also be fanned out and cached as single points.
+  (:mod:`repro.machine.policies`).
 """
 
 from __future__ import annotations
@@ -29,31 +26,9 @@ from repro.core.traces import (
     trsm_trace,
 )
 from repro.distributed.costmodel import HwParams, hw_param_key
-from repro.experiments import (
-    Fig2Config,
-    format_fig2,
-    format_fig5,
-    format_lu,
-    format_sec3,
-    format_sec4,
-    format_sec5,
-    format_sec6,
-    format_sec7_model1,
-    format_sec8,
-    format_table1,
-    format_table2,
-    run_fig2,
-    run_fig5,
-    run_lu,
-    run_sec3,
-    run_sec4,
-    run_sec5,
-    run_sec6,
-    run_sec7_model1,
-    run_sec8,
-    run_table1,
-    run_table2,
-)
+from repro.experiments.sec3_negative import kernel_cdag_pebble
+from repro.experiments.sec4_counts import kernel_twolevel_counts
+from repro.experiments.sec5_co import kernel_co_vs_wa
 from repro.lab.modelkernels import (
     COST_BATCH_EVALUATORS,
     COST_KERNELS,
@@ -78,7 +53,6 @@ __all__ = [
     "MACHINES",
     "KERNELS",
     "POLICIES",
-    "EXPERIMENTS",
     "HwParams",
     "hw_overrides",
     "TraceKernel",
@@ -90,7 +64,6 @@ __all__ = [
     "METRIC_FIELDS",
     "machine_fields",
     "project_machine",
-    "fig2_config",
     "resolve_machine",
     "matmul_trace_payload",
     "matmul_lines",
@@ -698,26 +671,16 @@ def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> 
     return rec
 
 
-def kernel_experiment(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """A whole legacy table/figure harness as a single scenario point."""
-    name = params["name"]
-    quick = bool(params.get("quick", False))
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return {"name": name, "quick": quick, "formatted": fn(quick)}
-
-
 KERNELS: Dict[str, Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]] = {
     "matmul-cache": kernel_matmul_cache,
     "trsm-cache": kernel_trsm_cache,
     "cholesky-cache": kernel_cholesky_cache,
     "nbody-cache": kernel_nbody_cache,
     "matmul-hierarchy": kernel_matmul_hierarchy,
-    "experiment": kernel_experiment,
+    # The Section 3-5 table kernels (repro.experiments).
+    "cdag-pebble": kernel_cdag_pebble,
+    "twolevel-counts": kernel_twolevel_counts,
+    "co-vs-wa": kernel_co_vs_wa,
 }
 # Point-level cost-model, distributed-execution and Krylov kernels
 # (repro.lab.modelkernels) register alongside the trace kernels.
@@ -755,8 +718,11 @@ MACHINE_FIELDS: Dict[str, Tuple[str, ...]] = {
     "matmul-hierarchy": ("associativity", "cache_words", "levels",
                          "line_size", "policy", "read_slow", "seed",
                          "write_slow"),
-    # The legacy harness wrapper ignores its machine entirely.
-    "experiment": (),
+    # The Section 3-5 kernels model their own memory (a pebbled CDAG,
+    # an instrumented two-level hierarchy) and read no spec field.
+    "cdag-pebble": (),
+    "twolevel-counts": (),
+    "co-vs-wa": (),
     # Analytic cost kernels read only the HwParams override set.
     **{name: ("hw",) for name in COST_KERNELS},
     # Executed distributed / krylov kernels simulate their own machine
@@ -801,9 +767,10 @@ METRIC_FIELDS: Dict[str, Tuple[str, ...]] = {
     "cholesky-cache": _TRACE_METRIC_FIELDS,
     "nbody-cache": _TRACE_METRIC_FIELDS,
     "matmul-hierarchy": _TRACE_METRIC_FIELDS,
-    # The legacy harness wrapper's record is one formatted string — no
-    # metric-worthy numbers to fold.
-    "experiment": (),
+    # Section 3-5: the store and traffic counts the tables compare.
+    "cdag-pebble": ("loads", "stores"),
+    "twolevel-counts": ("writes_to_slow", "writes_to_fast"),
+    "co-vs-wa": ("co_stores", "wa_stores"),
     # Analytic cost models: the modeled runtime.
     **{name: ("total_seconds",) for name in COST_KERNELS},
     # Executed distributed algorithms: the per-level traffic maxima.
@@ -950,32 +917,3 @@ def run_batch(kernel: str,
             f"available: {sorted(BATCH_KERNELS)}"
         ) from None
     return bk.run(group)
-
-
-# --------------------------------------------------------------------- #
-# legacy experiment harnesses (one formatted table/figure per key)
-# --------------------------------------------------------------------- #
-def fig2_config(quick: bool) -> Fig2Config:
-    """The geometry ``python -m repro.experiments`` has always used."""
-    if quick:
-        return Fig2Config(n_outer=48, middles=(4, 16, 64), line_size=4,
-                          b2=8, base=4)
-    return Fig2Config(n_outer=96, middles=(8, 32, 128, 256), line_size=4,
-                      b2=8, base=4)
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
-    "fig2": lambda q: format_fig2(run_fig2(fig2_config(q))),
-    "fig5": lambda q: format_fig5(run_fig5(fig2_config(q))),
-    "table1": lambda q: format_table1(run_table1(quick=q)),
-    "table2": lambda q: format_table2(run_table2(quick=q)),
-    "sec3": lambda q: format_sec3(run_sec3()),
-    "sec4": lambda q: format_sec4(run_sec4()),
-    "sec5": lambda q: format_sec5(run_sec5()),
-    "sec6": lambda q: format_sec6(
-        run_sec6(n=32 if q else 64, middle=32 if q else 128)),
-    "sec7": lambda q: format_sec7_model1(run_sec7_model1(quick=q)),
-    "sec8": lambda q: format_sec8(
-        run_sec8(mesh=128 if q else 256, block=32 if q else 64)),
-    "lu": lambda q: format_lu(run_lu(quick=q)),
-}

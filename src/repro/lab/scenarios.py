@@ -3,15 +3,15 @@
 A :class:`Scenario` is a parameter grid over a kernel and a machine; its
 :meth:`~Scenario.points` expand to concrete :class:`ScenarioPoint`\\ s, the
 unit the executor runs and the result cache keys.  Presets in
-:data:`SCENARIOS` reproduce each decomposable paper figure point-by-point
-(so sweeps parallelize and cache at the finest grain) and add new
-NVM-style machine sweeps that the serial harnesses never covered.
+:data:`SCENARIOS` reproduce every table and figure of the paper point by
+point (so sweeps parallelize and cache at the finest grain) and add
+NVM-style machine sweeps the paper never ran.
 
 Report helpers (:func:`fig2_rows`, :func:`fig5_rows`, :func:`sec6_rows`)
-reassemble point records into exactly the row structures the serial
-harnesses in :mod:`repro.experiments` return, so the formatted output of
-``python -m repro.lab run fig2`` is byte-identical to
-``python -m repro.experiments fig2``.
+reassemble point records into the row structures the ``format_*``
+layouts of :mod:`repro.experiments` print; ``tests/golden/`` pins each
+rendered table byte for byte.  :func:`build_scenario` turns a request
+(CLI arguments or a ``POST /sweep`` body) into a :class:`Scenario`.
 """
 
 from __future__ import annotations
@@ -22,20 +22,28 @@ from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Set)
 
-from repro.experiments import Fig2Config, format_fig2, format_fig5, format_sec6
+from repro.experiments import (
+    Fig2Config,
+    format_fig2,
+    format_fig5,
+    format_sec3,
+    format_sec4,
+    format_sec5,
+    format_sec6,
+    format_sec8,
+)
 from repro.experiments.fig2 import fig2_ideal_misses, fig2_variants
 from repro.experiments.lu_tradeoff import lu_scenario
 from repro.experiments.sec7_model1 import sec7_scenario
 from repro.experiments.table1 import table1_scenario
 from repro.experiments.table2 import table2_scenario
 from repro.lab.registry import (
-    EXPERIMENTS,
     KERNELS,
     MACHINES,
     MachineSpec,
-    fig2_config,
     machine_fields,
     project_machine,
+    resolve_machine,
 )
 from repro.util import format_table, require
 
@@ -44,6 +52,8 @@ __all__ = [
     "ScenarioPoint",
     "SCENARIOS",
     "get_scenario",
+    "build_scenario",
+    "fig2_config",
     "fig2_scenario",
     "fig5_scenario",
     "sec6_scenario",
@@ -52,7 +62,10 @@ __all__ = [
     "distributed_scenario",
     "krylov_scenario",
     "costmap_scenario",
-    "experiments_scenario",
+    "sec3_scenario",
+    "sec4_scenario",
+    "sec5_scenario",
+    "sec8_scenario",
     "fig2_rows",
     "fig5_rows",
     "sec6_rows",
@@ -185,8 +198,9 @@ class Scenario:
 
     def known_param_keys(self) -> Set[str]:
         """Every kernel-parameter name this scenario's points carry —
-        the CLI warns when a ``--set`` key matches none of them (a typo
-        is silently inert otherwise, while still changing cache keys).
+        :func:`build_scenario` notes a ``set`` key that matches none of
+        them (a typo is silently inert otherwise, while still changing
+        cache keys).
         Rebuild-backed presets don't consult this: their ``--set`` keys
         are validated against the factory signature in
         :meth:`with_overrides` instead."""
@@ -288,7 +302,7 @@ def _default_report(scenario: Scenario, results: List[Any]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# report assemblers (records -> legacy harness row structures)
+# report assemblers (records -> the row structures format_* print)
 # --------------------------------------------------------------------- #
 def _counter_rows(chunk: List[Any], middles: Sequence[int]
                   ) -> Dict[str, Any]:
@@ -311,7 +325,8 @@ def _chunks(items: List[Any], size: int) -> List[List[Any]]:
 
 def fig2_rows(scenario: Scenario, results: List[Any]
               ) -> List[Dict[str, Any]]:
-    """Reassemble point records into ``run_fig2``'s output structure."""
+    """Reassemble point records into the panels :func:`format_fig2`
+    prints."""
     cfg: Fig2Config = scenario.meta["cfg"]
     rows = [_counter_rows(c, cfg.middles)
             for c in _chunks(results, len(cfg.middles))]
@@ -321,7 +336,8 @@ def fig2_rows(scenario: Scenario, results: List[Any]
 
 def fig5_rows(scenario: Scenario, results: List[Any]
               ) -> Dict[str, List[Dict[str, Any]]]:
-    """Reassemble point records into ``run_fig5``'s output structure."""
+    """Reassemble point records into the columns :func:`format_fig5`
+    prints."""
     cfg: Fig2Config = scenario.meta["cfg"]
     out: Dict[str, List[Dict[str, Any]]] = {"multilevel-wa": [],
                                             "two-level-ab": []}
@@ -334,7 +350,8 @@ def fig5_rows(scenario: Scenario, results: List[Any]
 
 def sec6_rows(scenario: Scenario, results: List[Any]
               ) -> List[Dict[str, Any]]:
-    """Reassemble point records into ``run_sec6``'s output structure."""
+    """Reassemble point records into the rows :func:`format_sec6`
+    prints."""
     floor = scenario.meta["floor"]
     rows = []
     for res in results:
@@ -350,9 +367,23 @@ def sec6_rows(scenario: Scenario, results: List[Any]
     return rows
 
 
+def _flat_rows(results: List[Any]) -> List[Dict[str, Any]]:
+    """Each point's params and record as one row."""
+    return [{**res.point.params, **res.record} for res in results]
+
+
 # --------------------------------------------------------------------- #
 # presets
 # --------------------------------------------------------------------- #
+def fig2_config(quick: bool) -> Fig2Config:
+    """The scaled-down Figure-2/5 geometry of the fig2 and fig5 presets."""
+    if quick:
+        return Fig2Config(n_outer=48, middles=(4, 16, 64), line_size=4,
+                          b2=8, base=4)
+    return Fig2Config(n_outer=96, middles=(8, 32, 128, 256), line_size=4,
+                      b2=8, base=4)
+
+
 def fig2_scenario(quick: bool = False,
                   cfg: Optional[Fig2Config] = None) -> Scenario:
     """Figure 2 decomposed into one point per (variant, middle)."""
@@ -685,47 +716,114 @@ def costmap_scenario(quick: bool = False) -> Scenario:
     )
 
 
-def experiments_scenario(quick: bool = False,
-                         names: Optional[Sequence[str]] = None) -> Scenario:
-    """Every legacy table/figure harness as one cacheable point each."""
-    names = list(names) if names is not None else sorted(EXPERIMENTS)
-    for name in names:
-        require(name in EXPERIMENTS, f"unknown experiment {name!r}")
-    machine = MachineSpec(name="paper")
-    points = [
-        ScenarioPoint("experiment", machine, {"name": name, "quick": quick})
-        for name in names
+def sec3_scenario(quick: bool = False) -> Scenario:
+    """Section 3: one ``cdag-pebble`` point per (algorithm, n).  The
+    CDAGs are small, so the quick geometry is the full one."""
+    machine = MachineSpec(name="pebble")
+    cases = ([("fft", n, 16) for n in (64, 256, 1024)]
+             + [("strassen", n, 16) for n in (4, 8)]
+             + [("matmul", n, 3 * n) for n in (4, 6, 8)])
+    return Scenario(
+        name="sec3",
+        kernel="cdag-pebble",
+        machine=machine,
+        description="Section 3: pebbled FFT/Strassen/matmul stores vs "
+                    "the Theorem-2 bound",
+        explicit=[ScenarioPoint("cdag-pebble", machine,
+                                {"algorithm": alg, "n": n, "M": M})
+                  for alg, n, M in cases],
+        report=lambda sc, res: format_sec3(_flat_rows(res)),
+    )
+
+
+def sec4_scenario(quick: bool = False) -> Scenario:
+    """Section 4: one ``twolevel-counts`` point per (algorithm, variant)
+    at n=32, b=4 (quick is the full geometry)."""
+    machine = MachineSpec(name="two-level")
+    cases = ([("matmul", order)
+              for order in ("ijk", "jik", "ikj", "kij", "jki", "kji")]
+             + [(alg, variant) for alg in ("trsm", "cholesky")
+                for variant in ("left-looking", "right-looking")]
+             + [("nbody2", "blocked"), ("nbody2", "symmetry"),
+                ("nbody3", "blocked")])
+    return Scenario(
+        name="sec4",
+        kernel="twolevel-counts",
+        machine=machine,
+        description="Section 4: writes of the WA kernels and their "
+                    "non-WA variants on a two-level memory",
+        explicit=[ScenarioPoint("twolevel-counts", machine,
+                                {"algorithm": alg, "variant": variant,
+                                 "n": 32, "b": 4, "seed": 0})
+                  for alg, variant in cases],
+        report=lambda sc, res: format_sec4(_flat_rows(res)),
+    )
+
+
+def sec5_scenario(quick: bool = False) -> Scenario:
+    """Section 5: CO vs WA matmul stores over the fast-memory size M
+    (quick is the full geometry)."""
+    return Scenario(
+        name="sec5",
+        kernel="co-vs-wa",
+        machine=MachineSpec(name="two-level"),
+        description="Section 5: cache-oblivious matmul stores vs WA's "
+                    "n² as fast memory grows",
+        fixed={"n": 32, "seed": 0},
+        grid={"M": [3 * 4, 3 * 16, 3 * 64]},
+        report=lambda sc, res: format_sec5(_flat_rows(res)),
+    )
+
+
+def sec8_scenario(quick: bool = False) -> Scenario:
+    """Section 8: CG against plain and streaming CA-CG over s, on a 1-D
+    stencil of ``mesh`` points."""
+    machine = MachineSpec(name="krylov-sim")
+    mesh = 128 if quick else 256
+    block = 32 if quick else 64
+    points = [ScenarioPoint("krylov-cg", machine, {"mesh": mesh})]
+    points += [
+        ScenarioPoint("krylov-cacg", machine,
+                      {"mesh": mesh, "block": block, "s": s,
+                       "streaming": streaming})
+        for s in (2, 4, 8)
+        for streaming in (False, True)
     ]
     return Scenario(
-        name="experiments",
-        kernel="experiment",
+        name="sec8",
+        kernel="krylov-cacg",
         machine=machine,
-        description="All paper tables/figures, one point per harness",
+        description="Section 8: CG vs (streaming) CA-CG writes per step",
         explicit=points,
-        report=lambda sc, res: "\n".join(
-            f"==== {r.record['name']} "
-            + "=" * max(0, 64 - len(r.record["name"]))
-            + f"\n{r.record['formatted']}\n"
-            for r in res
-        ),
+        report=_sec8_report,
     )
+
+
+def _sec8_report(scenario: Scenario, results: List[Any]) -> str:
+    p0 = results[0].point.params
+    d = p0.get("d", 1)
+    return format_sec8({"n": p0["mesh"] ** d, "d": d,
+                        "rows": [{"s": 1, **r.record} for r in results]})
 
 
 #: Named presets: factory(quick) -> Scenario.
 SCENARIOS: Dict[str, Callable[[bool], Scenario]] = {
     "fig2": fig2_scenario,
     "fig5": fig5_scenario,
+    "sec3": sec3_scenario,
+    "sec4": sec4_scenario,
+    "sec5": sec5_scenario,
     "sec6": sec6_scenario,
     "nvm-matmul": nvm_matmul_scenario,
     "prop62": prop62_scenario,
     "table1": table1_scenario,
     "table2": table2_scenario,
     "sec7-nvm": sec7_scenario,
+    "sec8": sec8_scenario,
     "lu-tradeoff": lu_scenario,
     "distributed": distributed_scenario,
     "krylov": krylov_scenario,
     "cost-map": costmap_scenario,
-    "experiments": experiments_scenario,
 }
 
 
@@ -737,3 +835,97 @@ def get_scenario(name: str, quick: bool = False) -> Scenario:
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
         ) from None
     return factory(quick)
+
+
+# --------------------------------------------------------------------- #
+# requests (CLI arguments or a POST /sweep body) -> scenarios
+# --------------------------------------------------------------------- #
+def parse_literal(value: Any) -> Any:
+    """A CLI or JSON literal as a python value: a string spelling a
+    bool, int or float becomes one (so ``"30"`` and ``30`` key the
+    same); anything else passes through."""
+    if not isinstance(value, str):
+        return value
+    low = value.lower()
+    if low in ("true", "false"):
+        return low == "true"
+    for cast in (int, float):
+        try:
+            return cast(value)
+        except ValueError:
+            continue
+    return value
+
+
+def _literal_map(obj: Any, what: str) -> Dict[str, Any]:
+    if obj is None:
+        return {}
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what!r} must be an object of key -> value")
+    return {str(k): parse_literal(v) for k, v in obj.items()}
+
+
+def _literal_axis(values: Any) -> List[Any]:
+    """A grid axis: a list, one scalar (a pinned axis) or the CLI's
+    comma-separated string (``"2,30"``)."""
+    if isinstance(values, str):
+        values = values.split(",")
+    elif not isinstance(values, Sequence):
+        values = [values]
+    return [parse_literal(v) for v in values]
+
+
+def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
+                   kernel: Optional[str] = None, machine: Any = "sim-l3",
+                   sets: Any = None, hw: Any = None, grid: Any = None,
+                   note: Optional[Callable[[str], None]] = None
+                   ) -> Scenario:
+    """The scenario a request names — the one parser behind ``repro-lab
+    run``/``sweep``/``report`` and ``POST /sweep``.
+
+    A *preset* is a :data:`SCENARIOS` name: *quick* picks its geometry,
+    *sets*/*hw* apply through :meth:`Scenario.with_overrides`, and a
+    *grid* is rejected (the preset defines it).  Otherwise *kernel* on
+    the *machine* preset sweeps the cartesian *grid* with *sets* fixed
+    and *hw* merged into the machine.  Every value may be a string
+    literal (:func:`parse_literal`), and a grid axis a comma-separated
+    string.  *note* is told about ``set`` keys that are no parameter of
+    any preset point (a typo there would be silently inert).  Raises
+    ``ValueError`` on anything malformed.
+    """
+    sets = _literal_map(sets, "set")
+    hw = _literal_map(hw, "hw")
+    if grid is not None and not isinstance(grid, Mapping):
+        raise ValueError("'grid' must be an object of key -> values")
+    if preset:
+        if grid:
+            raise ValueError("a grid cannot be combined with a preset "
+                             "(the preset defines the grid; pin axes "
+                             "with set)")
+        scenario = get_scenario(str(preset), quick=bool(parse_literal(quick)))
+        if note is not None and scenario.meta.get("rebuild") is None:
+            # Rebuild-backed presets reject unknown keys outright.
+            known = scenario.known_param_keys()
+            unknown = sorted(k for k in sets
+                             if not k.startswith("machine.")
+                             and k not in known)
+            if unknown:
+                note(f"set key(s) {unknown} are not parameters of any "
+                     f"{scenario.name!r} point; applying anyway")
+        return scenario.with_overrides(sets, hw=hw)
+    if kernel is None:
+        raise ValueError("request must name a preset scenario or a kernel")
+    if str(kernel) not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; "
+                         f"available: {sorted(KERNELS)}")
+    spec = resolve_machine(str(machine))
+    if hw:
+        spec = spec.with_hw(**hw)
+    return Scenario(
+        name="adhoc",
+        kernel=str(kernel),
+        machine=spec,
+        description="ad-hoc sweep",
+        fixed=sets,
+        grid={str(k): _literal_axis(v) for k, v in (grid or {}).items()},
+    )

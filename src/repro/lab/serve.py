@@ -73,9 +73,8 @@ from repro.lab import telemetry
 from repro.lab.cache import ResultCache, point_key
 from repro.lab.executor import (MissingResultsError, SweepCancelled,
                                 execute)
-from repro.lab.registry import resolve_machine
 from repro.lab.results import ResultSet
-from repro.lab.scenarios import Scenario, ScenarioPoint, get_scenario
+from repro.lab.scenarios import ScenarioPoint, build_scenario
 from repro.lab.telemetry import MetricsRegistry, RunTrace
 
 __all__ = ["Job", "JobManager", "ServeDaemon"]
@@ -87,85 +86,23 @@ _TERMINAL = frozenset({"done", "failed", "cancelled"})
 # --------------------------------------------------------------------- #
 # request -> points
 # --------------------------------------------------------------------- #
-def _coerce(value: Any) -> Any:
-    """JSON bodies may carry CLI-style string literals ("true", "30");
-    coerce them exactly like the CLI's key=value parser so a curl user
-    quoting everything gets the same cache keys as a typed client."""
-    if isinstance(value, str):
-        low = value.lower()
-        if low in ("true", "false"):
-            return low == "true"
-        for cast in (int, float):
-            try:
-                return cast(value)
-            except ValueError:
-                continue
-    return value
-
-
-def _coerce_map(obj: Any, what: str) -> Dict[str, Any]:
-    if obj is None:
-        return {}
-    if not isinstance(obj, Mapping):
-        raise ValueError(f"{what!r} must be an object of key -> value")
-    return {str(k): _coerce(v) for k, v in obj.items()}
-
-
-def _coerce_grid(obj: Any) -> Dict[str, List[Any]]:
-    """Grid axes accept a JSON list, a single scalar (a pinned axis),
-    or the CLI's comma-string spelling ("2,30")."""
-    if obj is None:
-        return {}
-    if not isinstance(obj, Mapping):
-        raise ValueError("'grid' must be an object of key -> values")
-    out: Dict[str, List[Any]] = {}
-    for k, v in obj.items():
-        if isinstance(v, str):
-            out[str(k)] = [_coerce(part) for part in v.split(",")]
-        elif isinstance(v, Sequence):
-            out[str(k)] = [_coerce(part) for part in v]
-        else:
-            out[str(k)] = [_coerce(v)]
-    return out
-
-
 def points_from_request(body: Any
                         ) -> Tuple[str, List[ScenarioPoint]]:
     """Resolve a ``POST /sweep`` body to ``(label, points)``.
 
-    Mirrors ``repro-lab sweep``: a ``scenario`` key selects a preset
-    (``quick``/``set``/``hw`` as overrides; ``grid`` is rejected — the
-    preset defines the grid), otherwise ``kernel``/``machine``/``set``/
-    ``grid``/``hw`` describe an ad-hoc cartesian sweep.  Raises
-    ``ValueError`` (-> HTTP 400) on anything malformed.
+    The body spells ``repro-lab sweep``'s arguments as JSON and goes
+    through the CLI's own parser, :func:`build_scenario`: a
+    ``scenario`` key selects a preset (``quick``/``set``/``hw``),
+    otherwise ``kernel``/``machine``/``set``/``grid``/``hw`` describe
+    an ad-hoc cartesian sweep.  Raises ``ValueError`` (-> HTTP 400) on
+    anything malformed.
     """
     if not isinstance(body, Mapping):
         raise ValueError("request body must be a JSON object")
-    sets = _coerce_map(body.get("set"), "set")
-    hw = _coerce_map(body.get("hw"), "hw")
-    if body.get("scenario"):
-        if body.get("grid"):
-            raise ValueError("'grid' cannot be combined with 'scenario' "
-                             "(the preset defines the grid; pin axes "
-                             "with 'set')")
-        scenario = get_scenario(str(body["scenario"]),
-                                quick=bool(body.get("quick")))
-        scenario = scenario.with_overrides(sets, hw=hw)
-    elif body.get("kernel"):
-        machine = resolve_machine(str(body.get("machine", "sim-l3")))
-        if hw:
-            machine = machine.with_hw(**hw)
-        scenario = Scenario(
-            name="adhoc",
-            kernel=str(body["kernel"]),
-            machine=machine,
-            description="ad-hoc HTTP sweep",
-            fixed=sets,
-            grid=_coerce_grid(body.get("grid")),
-        )
-    else:
-        raise ValueError("request must name a 'scenario' preset or an "
-                         "inline 'kernel' grid")
+    scenario = build_scenario(
+        body.get("scenario"), quick=body.get("quick", False),
+        kernel=body.get("kernel"), machine=body.get("machine", "sim-l3"),
+        sets=body.get("set"), hw=body.get("hw"), grid=body.get("grid"))
     points = scenario.points()
     if not points:
         raise ValueError("request resolves to zero points")

@@ -1,13 +1,10 @@
-"""Integration tests over the experiment harnesses (small configs).
+"""Integration tests over the paper's table presets (small configs).
 
 The benchmarks assert the paper's shapes at benchmark scale; these tests
-check the harnesses' structure, determinism, and formatting at the
+check each table's structure, determinism, and formatting at the
 smallest viable scale so the whole table/figure pipeline is exercised in
 the unit suite too.
 """
-
-import numpy as np
-import pytest
 
 from repro.experiments import (
     Fig2Config,
@@ -18,25 +15,41 @@ from repro.experiments import (
     format_sec4,
     format_sec5,
     format_sec6,
-    format_sec8,
     format_table1,
     format_table2,
-    run_fig2,
-    run_fig5,
     run_lu,
-    run_sec3,
-    run_sec4,
-    run_sec5,
-    run_sec6,
-    run_sec8,
     run_table1,
     run_table2,
+)
+from repro.lab.executor import execute
+from repro.lab.registry import MachineSpec
+from repro.lab.scenarios import (
+    ScenarioPoint,
+    fig2_rows,
+    fig2_scenario,
+    fig5_rows,
+    fig5_scenario,
+    get_scenario,
+    sec6_rows,
+    sec6_scenario,
 )
 
 
 def tiny_cfg():
     return Fig2Config(n_outer=32, middles=(4, 16, 64), line_size=4,
                       b2=8, base=4)
+
+
+def run_fig2(cfg):
+    sc = fig2_scenario(cfg=cfg)
+    return fig2_rows(sc, execute(sc.points()).results)
+
+
+def flat_rows(scenario):
+    """Each point's params and record as one row, as the sec3-5 reports
+    read them."""
+    return [{**r.point.params, **r.record}
+            for r in execute(scenario.points()).results]
 
 
 class TestFig2:
@@ -75,7 +88,8 @@ class TestFig2:
 
 class TestFig5:
     def test_columns(self):
-        res = run_fig5(tiny_cfg())
+        sc = fig5_scenario(cfg=tiny_cfg())
+        res = fig5_rows(sc, execute(sc.points()).results)
         assert set(res) == {"multilevel-wa", "two-level-ab"}
         s = format_fig5(res)
         assert "multilevel-wa" in s and "two-level-ab" in s
@@ -104,38 +118,50 @@ class TestTables:
 
 class TestSectionHarnesses:
     def test_sec3_rows(self):
-        rows = run_sec3(fft_sizes=(64,), strassen_sizes=(4,),
-                        matmul_sizes=(4,))
+        machine = MachineSpec(name="pebble")
+        sc = get_scenario("sec3")
+        sc.explicit = [ScenarioPoint("cdag-pebble", machine,
+                                     {"algorithm": alg, "n": n, "M": M})
+                       for alg, n, M in (("fft", 64, 16),
+                                         ("strassen", 4, 16),
+                                         ("matmul", 4, 12))]
+        rows = flat_rows(sc)
         assert len(rows) == 3
+        assert rows[2]["stores"] == rows[2]["output_size"]
         assert "FFT" in format_sec3(rows)
 
     def test_sec4_complete_and_consistent(self):
-        rows = run_sec4(n=16, b=4)
-        kernels = {r["kernel"] for r in rows}
-        assert kernels == {"matmul (Alg.1)", "TRSM (Alg.2)",
-                           "Cholesky (Alg.3)", "(N,2)-body (Alg.4)",
-                           "(N,3)-body"}
+        rows = flat_rows(get_scenario("sec4").with_overrides({"n": 16}))
+        assert {r["algorithm"] for r in rows} == {
+            "matmul", "trsm", "cholesky", "nbody2", "nbody3"}
         assert all(r["theorem1"] for r in rows)
-        assert "VIOLATED" not in format_sec4(rows)
+        s = format_sec4(rows)
+        assert "VIOLATED" not in s
+        for label in ("matmul (Alg.1)", "TRSM (Alg.2)", "Cholesky (Alg.3)",
+                      "(N,2)-body (Alg.4)", "(N,3)-body"):
+            assert label in s
 
     def test_sec5_monotone_in_m(self):
-        rows = run_sec5(n=16, memories=(12, 48))
-        assert rows[0]["co_stores"] > rows[1]["co_stores"]
+        rows = flat_rows(get_scenario("sec5").with_overrides({"n": 16}))
+        co = [r["co_stores"] for r in rows]
+        assert co == sorted(co, reverse=True) and co[0] > co[-1]
         assert "CO matmul" in format_sec5(rows)
 
     def test_sec6_rows(self):
-        rows = run_sec6(n=32, middle=32, b3=8, b2=4, base=4,
-                        policies=("lru",), schemes=("wa2",))
+        sc = sec6_scenario(quick=True, b3=8, b2=4, base=4,
+                           policies=("lru",), schemes=("wa2",))
+        rows = sec6_rows(sc, execute(sc.points()).results)
         assert len(rows) == 3  # three capacities
         assert all(r["policy"] == "lru" for r in rows)
         format_sec6(rows)
 
     def test_sec8_rows(self):
-        res = run_sec8(mesh=64, s_values=(2,), block=16)
-        methods = [r["method"] for r in res["rows"]]
-        assert methods == ["CG", "CA-CG", "CA-CG streaming"]
-        assert all(r["converged"] for r in res["rows"])
-        assert "Θ(s)" in format_sec8(res)
+        sc = get_scenario("sec8").with_overrides({"mesh": 64, "block": 16})
+        report = execute(sc.points())
+        methods = [r.record["method"] for r in report.results]
+        assert methods == ["CG"] + ["CA-CG", "CA-CG streaming"] * 3
+        assert all(r.record["converged"] for r in report.results)
+        assert "Θ(s)" in sc.render(report.results)
 
     def test_lu_harness(self):
         res = run_lu(n=16, b=4, P=4)

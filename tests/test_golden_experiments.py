@@ -1,11 +1,12 @@
-"""Golden-output pins for the engine-backed experiment harnesses.
+"""Golden-output pins for the paper's tables and figures.
 
-The table1/table2/sec7/lu harnesses were refactored from monolithic
-serial functions into thin clients of the ``repro.lab`` engine (one
-point per table cell / executed algorithm).  These tests pin their
-formatted output **byte-identical** to the seed harnesses (captured in
-``tests/golden/`` before the refactor), and check the new engine
-plumbing: quick geometries, ``jobs`` fan-out, and point-level caching.
+Every table is a ``repro.lab`` preset; ``tests/golden/`` holds each
+rendered table as the original serial harnesses printed it, and the
+presets must reproduce it **byte for byte** (fig2/fig5/sec6 at their
+quick geometry, ``<name>-quick.txt``; the rest at full size).  The
+table1/table2/sec7/lu library clients are pinned to the same files,
+and their engine plumbing is checked: quick geometries, ``jobs``
+fan-out, and point-level caching.
 """
 
 from pathlib import Path
@@ -23,6 +24,8 @@ from repro.experiments import (
     run_table2,
 )
 from repro.lab.cache import ResultCache
+from repro.lab.executor import execute
+from repro.lab.scenarios import get_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +49,30 @@ class TestGoldenOutput:
 
     def test_lu(self):
         assert format_lu(run_lu()) + "\n" == golden("lu")
+
+
+#: (preset, quick, golden file) for every table the presets render.
+PRESET_GOLDENS = [
+    ("fig2", True, "fig2-quick"),
+    ("fig5", True, "fig5-quick"),
+    ("sec6", True, "sec6-quick"),
+    ("sec3", False, "sec3"),
+    ("sec4", False, "sec4"),
+    ("sec5", False, "sec5"),
+    ("sec8", False, "sec8"),
+    ("table1", False, "table1"),
+    ("table2", False, "table2"),
+    ("sec7-nvm", False, "sec7"),
+    ("lu-tradeoff", False, "lu"),
+]
+
+
+@pytest.mark.parametrize("name,quick,golden_name", PRESET_GOLDENS,
+                         ids=[g[0] for g in PRESET_GOLDENS])
+def test_preset_renders_golden(name, quick, golden_name):
+    scenario = get_scenario(name, quick)
+    report = execute(scenario.points())
+    assert scenario.render(report.results) + "\n" == golden(golden_name)
 
 
 class TestQuickGeometry:

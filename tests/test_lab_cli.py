@@ -1,49 +1,22 @@
-"""CLI tests for ``python -m repro.lab`` and the rewired experiments CLI.
+"""CLI tests for ``python -m repro.lab`` and the ``repro.experiments``
+alias.
 
 Includes the subsystem's acceptance criterion: the engine's ``run fig2``
-reproduces the serial harness's counters exactly, and a second invocation
-is served (entirely) from the persistent result cache.
+prints the pinned Figure-2 tables exactly, and a second invocation is
+served (entirely) from the persistent result cache.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.experiments import (
-    format_fig2,
-    run_fig2,
-    run_fig5,
-    run_sec6,
-)
+from repro.experiments.__main__ import PRESETS
 from repro.experiments.__main__ import main as experiments_main
 from repro.lab.cache import ResultCache
 from repro.lab.cli import main as lab_main
-from repro.lab.executor import execute
-from repro.lab.registry import fig2_config
-from repro.lab.scenarios import (
-    fig2_rows,
-    fig5_rows,
-    get_scenario,
-    sec6_rows,
-)
 
-
-class TestSerialParity:
-    """Every decomposed scenario reassembles to exactly what the serial
-    harness returns — structure, ordering, and counters."""
-
-    def test_fig2(self):
-        sc = get_scenario("fig2", quick=True)
-        report = execute(sc.points(), jobs=2)
-        assert fig2_rows(sc, report.results) == run_fig2(fig2_config(True))
-
-    def test_fig5(self):
-        sc = get_scenario("fig5", quick=True)
-        report = execute(sc.points())
-        assert fig5_rows(sc, report.results) == run_fig5(fig2_config(True))
-
-    def test_sec6(self):
-        sc = get_scenario("sec6", quick=True)
-        report = execute(sc.points())
-        assert sec6_rows(sc, report.results) == run_sec6(n=32, middle=32)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestLabList:
@@ -59,12 +32,12 @@ class TestLabList:
 
 class TestLabRun:
     def test_fig2_matches_serial_harness_and_caches(self, capsys, tmp_path):
-        """Acceptance: same counters as the serial path; 2nd run >=90% cached."""
+        """Acceptance: the pinned Figure-2 tables; 2nd run >=90% cached."""
         argv = ["run", "fig2", "--quick", "--jobs", "2",
                 "--cache-dir", str(tmp_path)]
         assert lab_main(argv) == 0
         first = capsys.readouterr().out
-        expected = format_fig2(run_fig2(fig2_config(True)))
+        expected = GOLDEN.joinpath("fig2-quick.txt").read_text()
         assert expected in first
         assert "0/18" in first  # cold cache
 
@@ -107,39 +80,69 @@ class TestLabRun:
 
 
 class TestExperimentsCLIRewired:
+    """``python -m repro.experiments NAME`` is ``repro-lab run PRESET``."""
+
     def test_single_experiment_output_unchanged(self, capsys, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
         assert experiments_main(["sec5"]) == 0
-        cap = capsys.readouterr()
-        assert "Theorem 3" in cap.out
-        assert "[repro.lab]" in cap.err  # accounting goes to stderr
+        out = capsys.readouterr().out
+        assert GOLDEN.joinpath("sec5.txt").read_text() in out
+        assert "[repro.lab]" in out  # the run's cache accounting line
 
     def test_second_invocation_served_from_cache(self, capsys, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
         assert experiments_main(["sec5"]) == 0
-        first = capsys.readouterr()
+        first = capsys.readouterr().out
         assert experiments_main(["sec5"]) == 0
-        second = capsys.readouterr()
-        assert second.out == first.out
-        assert "1/1 points (100%)" in second.err
+        second = capsys.readouterr().out
+        table = first.split("[repro.lab]")[0]
+        assert second.startswith(table)
+        assert "3/3 points (100%)" in second
 
     def test_no_cache_flag(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
         assert experiments_main(["sec5", "--no-cache"]) == 0
         assert experiments_main(["sec5", "--no-cache"]) == 0
-        assert "cache disabled" in capsys.readouterr().err
+        assert "cache disabled" in capsys.readouterr().out
 
     def test_jobs_flag_parallelizes_all(self, capsys, tmp_path,
                                         monkeypatch):
         monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
         assert experiments_main(["list"]) == 0
         names = capsys.readouterr().out.split()
-        # Run two harnesses in two workers; output is printed in order.
+        # The points run in two workers; output is printed in order.
         assert experiments_main(["sec5", "--jobs", "2"]) == 0
-        assert "sec5" in capsys.readouterr().out
+        assert "==== sec5 " in capsys.readouterr().out
         assert len(names) == 11
+
+    def test_legacy_names_are_presets(self, capsys):
+        """Every legacy name maps to a preset ``repro-lab list`` shows."""
+        assert set(PRESETS) == {"fig2", "fig5", "table1", "table2", "sec3",
+                                "sec4", "sec5", "sec6", "sec7", "sec8", "lu"}
+        assert PRESETS["sec7"] == "sec7-nvm"
+        assert PRESETS["lu"] == "lu-tradeoff"
+        assert lab_main(["list"]) == 0
+        listed = {line.split()[0] for line in
+                  capsys.readouterr().out.split("\nkernels:")[0]
+                  .splitlines()[1:]}
+        assert set(PRESETS.values()) <= listed
+
+
+class TestStartup:
+    def test_cli_import_skips_the_pebbling_stack(self):
+        """networkx and repro.cdag load only when a cdag-pebble point
+        runs, never on CLI start-up."""
+        code = ("import sys, repro.lab.cli; "
+                "print(sorted(m for m in ('networkx', 'repro.cdag') "
+                "if m in sys.modules))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=env).stdout
+        assert out.strip() == "[]"
 
 
 class TestRobustnessCLI:

@@ -147,7 +147,7 @@ class TestCostGridBatching:
     def test_run_batch_rejects_unregistered_kernels(self):
         machine = MACHINES["sim-l3"]
         with pytest.raises(ValueError, match="no batch evaluator"):
-            run_batch("experiment", [(machine, {"name": "sec4"})])
+            run_batch("krylov-cg", [(machine, {"mesh": 16})])
 
     def test_mixed_hw_batch_rejected(self):
         a = MACHINES["hw-2015"]

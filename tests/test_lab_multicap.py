@@ -61,7 +61,7 @@ class TestGrouping:
                                "b3": 8, "cache_blocks": 3})
         assert _capacity_key(clock) is None
         assert _capacity_key(
-            ScenarioPoint("experiment", MachineSpec(), {"name": "sec4"})
+            ScenarioPoint("krylov-cg", MachineSpec(), {"mesh": 16})
         ) is None
         set_assoc = ScenarioPoint(
             "matmul-cache",
@@ -223,7 +223,7 @@ class TestProtocolBatching:
             run_capacity_batch("matmul-cache",
                                [(clock, pts[0].params)])
         with pytest.raises(ValueError):
-            run_capacity_batch("experiment",
+            run_capacity_batch("krylov-cg",
                                [(pts[0].machine, pts[0].params)])
 
 

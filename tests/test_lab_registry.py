@@ -2,14 +2,13 @@
 
 Everything the engine claims to expose must be resolvable by string key
 and actually runnable; scenario grids must expand to exactly the points
-the serial harnesses iterate over.
+the paper's tables iterate over.
 """
 
 import numpy as np
 import pytest
 
 from repro.lab.registry import (
-    EXPERIMENTS,
     KERNELS,
     MACHINES,
     POLICIES,
@@ -97,11 +96,6 @@ class TestKernels:
         with pytest.raises(ValueError, match="unknown kernel"):
             pt.run()
 
-    def test_experiment_kernel_keys_match_legacy_cli(self):
-        assert set(EXPERIMENTS) == {
-            "fig2", "fig5", "table1", "table2", "sec3", "sec4", "sec5",
-            "sec6", "sec7", "sec8", "lu",
-        }
 
 
 class TestScenarioExpansion:

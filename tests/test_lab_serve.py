@@ -75,13 +75,30 @@ class TestRequestParsing:
         assert len(points) == 4
         assert {p.params["c3"] for p in points} == {1, 2}
 
-    def test_cli_style_string_literals_coerce(self):
-        _, typed = points_from_request(GRID_BODY)
-        _, stringy = points_from_request(
-            {"kernel": "cost-25d-mm-l3",
-             "grid": {"c3": "1,2", "P": "64,256"}})
-        assert [p.cache_payload() for p in typed] == \
-            [p.cache_payload() for p in stringy]
+    def test_request_codec_matches_cli(self, tmp_path):
+        """A JSON body -- typed or CLI-style string literals, "false"
+        included -- resolves to exactly the points the CLI builds from
+        the same arguments."""
+        from repro.lab.cli import _scenario, build_parser
+
+        def cli_payloads(*argv):
+            args = build_parser().parse_args(["sweep", *argv])
+            return [p.cache_payload() for p in _scenario(args).points()]
+
+        def http_payloads(body):
+            return [p.cache_payload() for p in points_from_request(body)[1]]
+
+        adhoc = cli_payloads("--kernel", "cost-25d-mm-l3", "--grid",
+                             "c3=1,2", "--grid", "P=64,256")
+        assert http_payloads(GRID_BODY) == adhoc
+        assert http_payloads({"kernel": "cost-25d-mm-l3",
+                              "grid": {"c3": "1,2", "P": "64,256"}}) == adhoc
+        full = cli_payloads("--preset", "sec6", "--set", "middle=64")
+        quick = cli_payloads("--preset", "sec6", "--quick")
+        for falsy in (False, "false", "False"):
+            assert http_payloads({"scenario": "sec6", "quick": falsy,
+                                  "set": {"middle": "64"}}) == full
+        assert http_payloads({"scenario": "sec6", "quick": "true"}) == quick
 
     def test_scenario_preset(self):
         label, points = points_from_request(
@@ -101,6 +118,10 @@ class TestRequestParsing:
     def test_empty_body(self):
         with pytest.raises(ValueError, match="must name"):
             points_from_request({})
+
+    def test_unknown_kernel(self):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            points_from_request({"kernel": "nope"})
 
 
 class TestSweepLifecycle:
@@ -233,6 +254,13 @@ class TestSweepLifecycle:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(daemon.url, "/sweep", {"scenario": "nope"})
         assert excinfo.value.code == 400
+
+    def test_unknown_kernel_is_a_400_not_a_dropped_connection(self,
+                                                              daemon):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", {"kernel": "nope"})
+        assert excinfo.value.code == 400
+        assert "unknown kernel" in json.loads(excinfo.value.read())["error"]
 
     def test_healthz(self, daemon):
         status, body = _get(daemon.url, "/healthz")
