@@ -22,6 +22,9 @@ as one numpy pass per family instead.  Cases:
 * **fan-out footnote** — the pointwise grid at ``jobs=4``: per-point
   multiprocessing fan-out is *slower* than in-process evaluation for
   ~50µs kernels, which is exactly the overhead batching removes.
+* **export** — turning the grid's report into output: the columnar
+  ``ResultSet.from_report``, the rendered table and ``to_json``, with
+  the JSON asserted byte-identical to ``json.dumps`` of the row dicts.
 
 Full-size runs refresh ``BENCH_costgrid.json`` at the repo root (the
 committed perf snapshot).  ``REPRO_BENCH_QUICK=1`` shrinks the geometry
@@ -30,10 +33,12 @@ for CI and leaves the snapshot untouched.
 
 import json
 import os
+import time
 from pathlib import Path
 
 from repro.lab.executor import execute
 from repro.lab.registry import MACHINES
+from repro.lab.results import ResultSet
 from repro.lab.scenarios import Scenario
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -49,14 +54,18 @@ else:
     C3_AXIS = list(range(1, 11))                            # 10 -> 10000
 
 
-def grid_points(c3_axis=None):
+def grid_scenario(c3_axis=None):
     return Scenario(
         name="bench-costgrid",
         kernel="cost-25d-mm-l3-ool2",
         machine=MACHINES["hw-2015"],
         grid={"n": N_AXIS, "P": P_AXIS,
               "c3": list(c3_axis or C3_AXIS)},
-    ).points()
+    )
+
+
+def grid_points(c3_axis=None):
+    return grid_scenario(c3_axis).points()
 
 
 def table_points():
@@ -206,3 +215,42 @@ def test_fanout_footnote(benchmark):
         "speedup": round(speedup, 2),
     })
     assert speedup >= 4.0
+
+
+def _best_of(fn, rounds=3):
+    """``(fastest wall seconds, last result)`` of *rounds* calls."""
+    best, out = None, None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn()
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, out
+
+
+def test_export(benchmark):
+    """Record export at grid scale — what ``repro-lab sweep --json``
+    does after the kernel: flatten the report into a ResultSet, render
+    the table, write the JSON."""
+    scenario = grid_scenario()
+    report = execute(scenario.points(), cache=None)
+    flatten_s, rs = _best_of(lambda: ResultSet.from_report(report))
+    render_s, _ = _best_of(lambda: scenario.render(report.results))
+    json_s, text = _best_of(rs.to_json)
+    benchmark.pedantic(
+        lambda: (ResultSet.from_report(report).to_json(),
+                 scenario.render(report.results)),
+        rounds=1, iterations=1)
+    assert text == json.dumps(rs.rows, indent=2, default=str)
+    total = flatten_s + render_s + json_s
+    print(f"\n[bench_costgrid] {len(rs)}-row export: from_report "
+          f"{flatten_s * 1e3:.1f} ms, render {render_s * 1e3:.1f} ms, "
+          f"to_json {json_s * 1e3:.1f} ms ({len(text) / 1e6:.1f} MB)")
+    record_snapshot(export={
+        "points": len(rs),
+        "from_report_s": round(flatten_s, 4),
+        "render_s": round(render_s, 4),
+        "to_json_s": round(json_s, 4),
+        "total_s": round(total, 4),
+        "json_bytes": len(text),
+    })

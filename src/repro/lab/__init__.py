@@ -25,8 +25,9 @@ subpackage turns those grids into first-class objects:
 * :mod:`repro.lab.cache` — :class:`ResultCache`, a content-addressed
   on-disk store keyed by point payload + code fingerprint, so repeated
   sweeps skip already-simulated points across processes and sessions;
-* :mod:`repro.lab.results` — :class:`ResultSet` flat records with
-  CSV/JSON export, aggregation and sweep-vs-sweep comparison;
+* :mod:`repro.lab.results` — :class:`ResultSet` flat records, stored
+  by column, with CSV/JSON export, aggregation and sweep-vs-sweep
+  comparison;
 * :mod:`repro.lab.telemetry` — :class:`RunTrace` structured run traces
   (spans, per-point path tags, cache/trace-store counters, fastsim
   phase timings) streaming to JSONL, aggregated by

@@ -164,14 +164,13 @@ def _render_failures(report) -> str:
 
 def _finish(scenario: Scenario, report, cache, args,
             trace: Optional[RunTrace] = None) -> int:
-    rs = ResultSet.from_report(report)
     if report.failed:
         # Scenario renderers assume complete kernel records; a degraded
         # sweep shows the flat rows that exist plus a failure table
         # (the error-record internals stay in the exports).
         display = ResultSet([{k: v for k, v in row.items()
                               if k not in ("remote_traceback", "point")}
-                             for row in rs.rows])
+                             for row in ResultSet.from_report(report)])
         print(display.format(title=f"{scenario.name} — partial results "
                                    f"({report.failed} of {report.total} "
                                    f"point(s) failed)"))
@@ -180,12 +179,16 @@ def _finish(scenario: Scenario, report, cache, args,
               f"the failures (completed points are cached)")
     else:
         print(scenario.render(report.results))
-    if getattr(args, "csv", None):
-        rs.to_csv(args.csv)
-        print(f"[repro.lab] wrote {len(rs)} rows to {args.csv}")
-    if getattr(args, "json", None):
-        rs.to_json(args.json)
-        print(f"[repro.lab] wrote {len(rs)} rows to {args.json}")
+    csv_path = getattr(args, "csv", None)
+    json_path = getattr(args, "json", None)
+    if csv_path or json_path:
+        rs = ResultSet.from_report(report)
+        if csv_path:
+            rs.to_csv(csv_path)
+            print(f"[repro.lab] wrote {len(rs)} rows to {csv_path}")
+        if json_path:
+            rs.to_json(json_path)
+            print(f"[repro.lab] wrote {len(rs)} rows to {json_path}")
     print(report.cache_line(cache))
     if trace is not None:
         trace.finish(hits=report.hits, misses=report.misses,

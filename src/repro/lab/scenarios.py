@@ -45,6 +45,7 @@ from repro.lab.registry import (
     project_machine,
     resolve_machine,
 )
+from repro.lab.results import ResultSet, distinct
 from repro.util import format_table, require
 
 __all__ = [
@@ -285,20 +286,17 @@ def _default_report(scenario: Scenario, results: List[Any]) -> str:
     """Flat table over the union of param and record columns, plus any
     machine fields that vary across the sweep (swept ``machine.<field>``
     axes must stay visible in the output)."""
-    specs = [res.point.machine.as_dict() for res in results]
+    machines, which = distinct([res.point.machine for res in results])
+    specs = [spec.as_dict() for spec in machines]
     varying = [k for k in (specs[0] if specs else {})
                if any(s[k] != specs[0][k] for s in specs)]
-    cols: List[str] = []
-    rows = []
-    for res, spec in zip(results, specs):
-        flat = {**{f"machine.{k}": spec[k] for k in varying},
-                **res.point.params, **res.record}
-        for k in flat:
-            if k not in cols:
-                cols.append(k)
-        rows.append(flat)
-    body = [[row.get(c, "") for c in cols] for row in rows]
-    return format_table(cols, body, title=f"scenario {scenario.name}")
+    shown = [{f"machine.{k}": s[k] for k in varying} for s in specs]
+    rows = ResultSet.from_segments([
+        list(map(shown.__getitem__, which)),
+        [res.point.params for res in results],
+        [res.record for res in results],
+    ])
+    return rows.format(title=f"scenario {scenario.name}")
 
 
 # --------------------------------------------------------------------- #

@@ -6,10 +6,11 @@ them without import cycles.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import operator
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, cast
 
 __all__ = [
     "require",
@@ -23,6 +24,7 @@ __all__ = [
     "canonical_int",
     "json_number_default",
     "format_table",
+    "format_columns",
     "format_si",
     "pairwise_ratios",
 ]
@@ -47,7 +49,7 @@ def check_positive_int(value: int, name: str) -> int:
     return value
 
 
-def canonical_int(value, name: str) -> int:
+def canonical_int(value: Any, name: str) -> int:
     """Canonicalize *value* to a plain python int.
 
     Sweep-grid parameters frequently arrive as ``np.int64``
@@ -128,17 +130,96 @@ def block_count(n: int, b: int) -> int:
     return ceil_div(n, b)
 
 
+#: :func:`format_si` by magnitude range (``bisect_right`` over
+#: :data:`_SI_BOUNDS`): (divisor, format).
+_SI_BOUNDS = (1.0, 1e3, 1e6, 1e9)
+_SI_FORMATS = ((1.0, "%.3g"), (1.0, "%.4g"), (1e3, "%.3gK"),
+               (1e6, "%.3gM"), (1e9, "%.3gG"))
+
+
+def _si_text(x: float, r: int) -> str:
+    """*x* (finite, nonzero) formatted for magnitude range *r*; a K or M
+    value whose rounding reaches 1000 takes the next suffix up."""
+    scale, fmt = _SI_FORMATS[r]
+    text = fmt % (x / scale)
+    if "e" in text and r in (2, 3):
+        return _si_text(x, r + 1)
+    return text
+
+
 def format_si(x: float) -> str:
-    """Compact human format: 2.0M, 3.4K, 512, 0.25."""
+    """Compact human format: 2.0M, 3.4K, 512, 0.25.
+
+    Scaled values show 3 significant figures, and the suffix is chosen
+    after that rounding: 999_950 prints as ``1M``, not ``1e+03K``.
+    Non-finite values print as ``inf``/``-inf``/``nan``.
+    """
     if x == 0:
         return "0"
-    ax = abs(x)
-    for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "K")):
-        if ax >= scale:
-            return f"{x / scale:.3g}{suffix}"
-    if ax >= 1:
-        return f"{x:.4g}"
-    return f"{x:.3g}"
+    if not math.isfinite(x):
+        return f"{x:g}"
+    return _si_text(x, bisect.bisect_right(_SI_BOUNDS, abs(x)))
+
+
+def _format_si_column(values: Sequence[float]) -> list[str]:
+    """:func:`format_si` of each float in *values*: once per distinct
+    value when values repeat, and in one C-level pass when the column
+    stays within one SI range (the common case)."""
+    uniq = set(values)
+    if 0 < len(uniq) * 2 <= len(values):
+        distinct = list(uniq)
+        memo = dict(zip(distinct, _format_si_column(distinct)))
+        return list(map(memo.__getitem__, values))
+    if not values or 0.0 in uniq or not all(map(math.isfinite, values)):
+        return list(map(format_si, values))
+    mags = list(map(abs, values))
+    low = bisect.bisect_right(_SI_BOUNDS, min(mags))
+    if low != bisect.bisect_right(_SI_BOUNDS, max(mags)):
+        return [_si_text(v, bisect.bisect_right(_SI_BOUNDS, m))
+                for v, m in zip(values, mags)]
+    scale, fmt = _SI_FORMATS[low]
+    texts = list(map(fmt.__mod__, map(scale.__rtruediv__, values)))
+    if low in (2, 3):  # values that rounded up to 1000 move up a suffix
+        for i in [i for i, text in enumerate(texts) if "e" in text]:
+            texts[i] = _si_text(values[i], low)
+    return texts
+
+
+def _format_cells(values: Sequence[object]) -> list[str]:
+    """One table column as text: floats via :func:`format_si`,
+    everything else via ``str``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _format_si_column(cast("Sequence[float]", values))
+    if not any(issubclass(kind, float) for kind in kinds):
+        return list(map(str, values))
+    return [format_si(v) if isinstance(v, float) else str(v)
+            for v in values]
+
+
+def format_columns(
+    headers: Sequence[str],
+    columns: Sequence[Sequence[object]],
+    title: str | None = None,
+) -> str:
+    """Render a plain-text table given column by column.
+
+    Floats are formatted with :func:`format_si`; everything else via
+    ``str``.  Every cell is left-justified to its column's width, and
+    columns are separated by two spaces.
+    """
+    require(len(columns) == len(headers),
+            f"format_columns: {len(columns)} columns for "
+            f"{len(headers)} headers")
+    cells = [_format_cells(col) for col in columns]
+    widths = [max(len(h), max(map(len, col), default=0))
+              for h, col in zip(headers, cells)]
+    line = "  ".join(f"%-{w}s" for w in widths)
+    lines = [title] if title else []
+    lines.append(line % tuple(headers))
+    lines.append("  ".join("-" * w for w in widths))
+    lines.extend(line % row for row in zip(*cells))
+    return "\n".join(lines)
 
 
 def format_table(
@@ -146,30 +227,17 @@ def format_table(
     rows: Iterable[Sequence[object]],
     title: str | None = None,
 ) -> str:
-    """Render a plain-text table (used by experiment harnesses).
-
-    Floats are formatted with :func:`format_si`; everything else via ``str``.
-    """
-    def cell(v: object) -> str:
-        if isinstance(v, bool):
-            return str(v)
-        if isinstance(v, float):
-            return format_si(v)
-        return str(v)
-
-    str_rows = [[cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, s in enumerate(row):
-            widths[i] = max(widths[i], len(s))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(s.ljust(w) for s, w in zip(row, widths)))
-    return "\n".join(lines)
+    """Render a plain-text table (used by experiment harnesses) given
+    row by row; see :func:`format_columns`.  Every row must have one
+    cell per header (``ValueError`` naming the row otherwise)."""
+    table = list(rows)
+    for i, row in enumerate(table):
+        require(len(row) == len(headers),
+                f"format_table: row {i} has {len(row)} cells for "
+                f"{len(headers)} headers")
+    columns: Sequence[Sequence[object]] = (
+        list(zip(*table)) if table else [()] * len(headers))
+    return format_columns(headers, columns, title=title)
 
 
 def pairwise_ratios(xs: Sequence[float]) -> list[float]:

@@ -1,5 +1,7 @@
 """Unit tests for shared helpers."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.util import (
     ceil_div,
     check_multiple,
     check_positive_int,
+    format_columns,
     format_si,
     format_table,
     is_power_of_two,
@@ -80,6 +83,55 @@ class TestFormatting:
         assert format_si(12) == "12"
         assert format_si(0.25) == "0.25"
         assert format_si(2.5e9) == "2.5G"
+
+    def test_format_si_picks_suffix_after_rounding(self):
+        # 3-significant-figure rounding that reaches 1000 moves up a
+        # suffix instead of printing exponent notation.
+        assert format_si(999_950.0) == "1M"
+        assert format_si(-999_950.0) == "-1M"
+        assert format_si(9.9995e8) == "1G"
+        assert format_si(999_949.0) == "1M"
+        assert format_si(999_499.0) == "999K"
+        assert format_si(999.95) == "1000"  # unscaled: 4 figures, no suffix
+        assert format_si(1.5e13) == "1.5e+04G"  # nothing above G
+
+    def test_format_si_non_finite(self):
+        assert format_si(float("inf")) == "inf"
+        assert format_si(float("-inf")) == "-inf"
+        assert format_si(float("nan")) == "nan"
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 1.0, 999.5, 999.95, 1e3, 999_500.0,
+                         999_949.99, 999_950.0, 9.995e8, 9.9995e8, 1e9,
+                         1e12, -999_950.0]).flatmap(
+            lambda x: st.sampled_from([x, math.nextafter(x, 0.0),
+                                       math.nextafter(x, math.inf)]))),
+        max_size=40))
+    def test_float_columns_format_like_format_si(self, xs):
+        lines = format_columns(["x"], [xs]).splitlines()[2:]
+        assert [line.rstrip() for line in lines] == [format_si(x)
+                                                     for x in xs]
+
+    def test_format_table_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match=r"row 1 has 1 cells for 2"):
+            format_table(["a", "b"], [[1, 2], [4]])
+        with pytest.raises(ValueError, match=r"row 0 has 3 cells for 2"):
+            format_table(["a", "b"], [[1, 2, 3]])
+
+    def test_format_table_matches_columns(self):
+        rows = [[1, 2.5, "x", True, None], [333, 1_500_000.0, "yy", False,
+                                            float("nan")]]
+        headers = ["a", "b", "c", "d", "e"]
+        assert format_table(headers, rows, title="T") == format_columns(
+            headers, list(zip(*rows)), title="T")
+        assert format_table(headers, rows).splitlines() == [
+            "a    b     c   d      e   ",
+            "---  ----  --  -----  ----",
+            "1    2.5   x   True   None",
+            "333  1.5M  yy  False  nan ",
+        ]
+        assert format_table(["a"], []) == "a\n-"
 
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 2], [333, 4]], title="T")
