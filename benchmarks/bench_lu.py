@@ -1,6 +1,11 @@
 """Regenerates the Section-7.2 LU trade-off (LL-LUNP vs RL-LUNP)."""
 
-from repro.experiments import format_lu, run_lu
+from repro.experiments.lu_tradeoff import _assemble_lu, format_lu, lu_scenario
+from repro.lab.executor import execute
+
+
+def run_lu(**sizes):
+    return _assemble_lu(execute(lu_scenario(**sizes).points()).results)
 
 
 def test_lu(benchmark):

@@ -1,6 +1,16 @@
 """Regenerates the Section-7 Model-1 study: CA between ranks + WA locally."""
 
-from repro.experiments import format_sec7_model1, run_sec7_model1
+from repro.experiments.sec7_model1 import (
+    _assemble_sec7,
+    format_sec7_model1,
+    sec7_scenario,
+)
+from repro.lab.executor import execute
+
+
+def run_sec7_model1(**sizes):
+    points = sec7_scenario(**sizes).points()
+    return _assemble_sec7(execute(points).results)
 
 
 def test_sec7_model1(benchmark):

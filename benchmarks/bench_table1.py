@@ -8,7 +8,17 @@ penalty.
 
 from repro.distributed import HwParams
 from repro.distributed.costmodel import dom_beta_cost_model21
-from repro.experiments import format_table1, run_table1
+from repro.experiments.table1 import (
+    _assemble_table1,
+    format_table1,
+    table1_scenario,
+)
+from repro.lab.executor import execute
+
+
+def run_table1(**sizes):
+    points = table1_scenario(**sizes).points()
+    return _assemble_table1(execute(points).results)
 
 
 def test_table1(benchmark):

@@ -19,13 +19,28 @@ hardware parameter, common factor, per-algorithm cost) rows, numerically
 evaluated — and per-algorithm totals are produced by the ``cost_*``
 functions.  Dominant-β-cost comparators implement the paper's closed-form
 ratio tests for choosing between algorithms.
+
+Each public function checks its machine and sizes (``n, P >= 1`` and
+the algorithm's replication range; a violation raises ``ValueError``)
+and then calls its formula body.  A body is written once and runs
+unchanged on python ints/floats and on float64 numpy columns:
+:mod:`repro.lab.modelkernels` evaluates whole cost grids through the
+same text.  Square roots go through :func:`_sqrt` and the
+transcendentals through :func:`_each`, which applies the exact scalar
+function per unique column value.  The two paths give identical doubles
+because ``+ - * /`` and ``sqrt`` are correctly rounded and, inside the
+batch domain (``n, c <= 2**16``, ``P <= 2**32``), every integer
+subexpression (``n**3``, ``4*n**2*c3``, ``P*c2``, ...) stays below 2**53,
+where float64 is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
+
+import numpy as np
 
 from repro.util import require
 
@@ -110,12 +125,57 @@ def _total(terms: List[Term], hw: HwParams) -> float:
 
 
 # ===================================================================== #
+# Scalar-or-column helpers and the shared checks
+# ===================================================================== #
+# The formula bodies below (``_cost_*``, ``_dom_*``, ``_*_lunp``) run
+# on python ints/floats and on float64 numpy columns alike; only square
+# roots, the transcendentals and the dominance verdicts need a helper.
+def _sqrt(x):
+    """``math.sqrt`` on a scalar, ``np.sqrt`` on a float64 column."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _each(fn: Callable[[Any], float], x):
+    """``fn(x)`` on a scalar; on a float64 column, *fn* mapped over the
+    column's unique values.  For the operations that are not correctly
+    rounded (``log2``, ``**`` on floats) this is the exact scalar result
+    per point at per-axis cost."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    vals, inv = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in vals.tolist()], dtype=np.float64)[inv]
+
+
+def _pick(cond, a, b):
+    """``a if cond else b``, per point on a boolean column."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _replication_cap(P) -> float:
+    """The largest replication factor P processors admit, P^(1/3)
+    (plus slack for the rounding of the cube root)."""
+    return P ** (1 / 3) + 1e-9
+
+
+def _check(hw: HwParams, n: int, P: int) -> None:
+    hw.validate()
+    require(n >= 1, f"n must be >= 1, got {n}")
+    require(P >= 1, f"P must be >= 1, got {P}")
+
+
+# ===================================================================== #
 # Model 2.1 (Table 1): data fits in L2
 # ===================================================================== #
 def cost_2dmml2(n: int, P: int, hw: HwParams) -> Dict:
     """2D matmul (c=1, L2 only): formulas (8) + (10) with c2 = 1."""
-    hw.validate()
-    s = math.sqrt(P)
+    _check(hw, n, P)
+    return _cost_2dmml2(n, P, hw)
+
+
+def _cost_2dmml2(n, P, hw: HwParams) -> Dict:
+    s = _sqrt(P)
     terms = [
         Term("L2->L1", "alpha_21", (n**3 / P) / hw.M1**1.5),
         Term("L2->L1", "beta_21", (n**3 / P) / math.sqrt(hw.M1)),
@@ -129,9 +189,13 @@ def cost_2dmml2(n: int, P: int, hw: HwParams) -> Dict:
 
 def cost_25dmml2(n: int, P: int, c2: int, hw: HwParams) -> Dict:
     """2.5DMML2: formulas (4)·2 + (6) + (8) + (10)."""
-    hw.validate()
-    require(1 <= c2 <= P ** (1 / 3) + 1e-9, f"c2={c2} out of range")
-    lg = math.log2(c2) if c2 > 1 else 0.0
+    _check(hw, n, P)
+    require(1 <= c2 <= _replication_cap(P), f"c2={c2} out of range")
+    return _cost_25dmml2(n, P, c2, hw)
+
+
+def _cost_25dmml2(n, P, c2, hw: HwParams) -> Dict:
+    lg = _each(lambda c: math.log2(c) if c > 1 else 0.0, c2)
     terms = [
         # (4) twice: gathers of A and B into the 2.5D layout.
         Term("Interprocessor", "alpha_nw", 2 * c2),
@@ -140,23 +204,27 @@ def cost_25dmml2(n: int, P: int, c2: int, hw: HwParams) -> Dict:
         Term("Interprocessor", "alpha_nw", 2 * lg),
         Term("Interprocessor", "beta_nw", 2 * lg * 2 * n**2 * c2 / P),
         # (8): Cannon steps on each layer.
-        Term("Interprocessor", "alpha_nw", 2 * math.sqrt(P / c2**3)),
-        Term("Interprocessor", "beta_nw", 2 * n**2 / math.sqrt(P * c2)),
+        Term("Interprocessor", "alpha_nw", 2 * _sqrt(P / c2**3)),
+        Term("Interprocessor", "beta_nw", 2 * n**2 / _sqrt(P * c2)),
         # (10): local (vertical) traffic.
         Term("L2->L1", "alpha_21", (n**3 / P) / hw.M1**1.5),
         Term("L2->L1", "beta_21", (n**3 / P) / math.sqrt(hw.M1)),
-        Term("L1->L2", "alpha_12", (n**2 / math.sqrt(P * c2)) / hw.M1),
-        Term("L1->L2", "beta_12", n**2 / math.sqrt(P * c2)),
+        Term("L1->L2", "alpha_12", (n**2 / _sqrt(P * c2)) / hw.M1),
+        Term("L1->L2", "beta_12", n**2 / _sqrt(P * c2)),
     ]
     return {"name": "2.5DMML2", "terms": terms, "total": _total(terms, hw)}
 
 
 def cost_25dmml3(n: int, P: int, c2: int, c3: int, hw: HwParams) -> Dict:
     """2.5DMML3 (Model 2.1 with NVM): formulas (5)·2 + (7) + (9) + (11)."""
-    hw.validate()
+    _check(hw, n, P)
     require(c3 > c2 >= 1, f"need c3 > c2 >= 1, got c2={c2}, c3={c3}")
-    require(c3 <= P ** (1 / 3) + 1e-9, f"c3={c3} exceeds P^(1/3)")
-    lg3 = math.log2(c3) if c3 > 1 else 0.0
+    require(c3 <= _replication_cap(P), f"c3={c3} exceeds P^(1/3)")
+    return _cost_25dmml3(n, P, c2, c3, hw)
+
+
+def _cost_25dmml3(n, P, c2, c3, hw: HwParams) -> Dict:
+    lg3 = _each(lambda c: math.log2(c) if c > 1 else 0.0, c3)
     terms = [
         # (5) twice: gathers, staged via NVM.
         Term("Interprocessor", "alpha_nw", 2 * c3),
@@ -171,12 +239,12 @@ def cost_25dmml3(n: int, P: int, c2: int, c3: int, hw: HwParams) -> Dict:
         Term("Interprocessor", "beta_nw", 2 * lg3 * 2 * n**2 * c3 / P),
         Term("L2->L3", "beta_23", 2 * lg3 * 2 * n**2 * c3 / P),
         # (9): Cannon steps, NVM-staged.
-        Term("L3->L2", "alpha_32", 2 * math.sqrt(P / (c3 * c2**2))),
-        Term("Interprocessor", "alpha_nw", 2 * math.sqrt(P / (c3 * c2**2))),
-        Term("L2->L3", "alpha_23", 2 * math.sqrt(P / (c3 * c2**2))),
-        Term("L3->L2", "beta_32", 2 * n**2 / math.sqrt(P * c3)),
-        Term("Interprocessor", "beta_nw", 2 * n**2 / math.sqrt(P * c3)),
-        Term("L2->L3", "beta_23", 2 * n**2 / math.sqrt(P * c3)),
+        Term("L3->L2", "alpha_32", 2 * _sqrt(P / (c3 * c2**2))),
+        Term("Interprocessor", "alpha_nw", 2 * _sqrt(P / (c3 * c2**2))),
+        Term("L2->L3", "alpha_23", 2 * _sqrt(P / (c3 * c2**2))),
+        Term("L3->L2", "beta_32", 2 * n**2 / _sqrt(P * c3)),
+        Term("Interprocessor", "beta_nw", 2 * n**2 / _sqrt(P * c3)),
+        Term("L2->L3", "beta_23", 2 * n**2 / _sqrt(P * c3)),
         # (11): local traffic including the L3 round trips.
         Term("L2->L1", "alpha_21", (n**3 / P) / hw.M1**1.5),
         Term("L2->L1", "beta_21", (n**3 / P) / math.sqrt(hw.M1)),
@@ -184,8 +252,8 @@ def cost_25dmml3(n: int, P: int, c2: int, c3: int, hw: HwParams) -> Dict:
         Term("L1->L2", "beta_12", (n**3 / P) / math.sqrt(hw.M2)),
         Term("L3->L2", "alpha_32", (n**3 / P) / hw.M2**1.5),
         Term("L3->L2", "beta_32", (n**3 / P) / math.sqrt(hw.M2)),
-        Term("L2->L3", "alpha_23", (n**2 / math.sqrt(P * c3)) / hw.M2),
-        Term("L2->L3", "beta_23", n**2 / math.sqrt(P * c3)),
+        Term("L2->L3", "alpha_23", (n**2 / _sqrt(P * c3)) / hw.M2),
+        Term("L2->L3", "beta_23", n**2 / _sqrt(P * c3)),
     ]
     return {"name": "2.5DMML3", "terms": terms, "total": _total(terms, hw)}
 
@@ -199,16 +267,22 @@ def dom_beta_cost_model21(n: int, P: int, c2: int, c3: int,
 
     Returns both, their ratio, and which is predicted faster.
     """
-    hw.validate()
-    d2 = 2 * n**2 / math.sqrt(P * c2) * hw.beta_nw
-    d3 = (2 * n**2 / math.sqrt(P * c3)
+    _check(hw, n, P)
+    require(c2 >= 1, f"c2 must be >= 1, got {c2}")
+    require(c3 >= 1, f"c3 must be >= 1, got {c3}")
+    return _dom_model21(n, P, c2, c3, hw)
+
+
+def _dom_model21(n, P, c2, c3, hw: HwParams) -> Dict:
+    d2 = 2 * n**2 / _sqrt(P * c2) * hw.beta_nw
+    d3 = (2 * n**2 / _sqrt(P * c3)
           * (hw.beta_nw + 1.5 * hw.beta_23 + hw.beta_32))
     ratio = d2 / d3
     return {
         "dom_2.5DMML2": d2,
         "dom_2.5DMML3": d3,
         "ratio": ratio,
-        "winner": "2.5DMML3" if ratio > 1 else "2.5DMML2",
+        "winner": _pick(ratio > 1, "2.5DMML3", "2.5DMML2"),
     }
 
 
@@ -227,9 +301,13 @@ def replication_break_even(hw: HwParams, c2: int) -> float:
 # ===================================================================== #
 def cost_25dmml3_ool2(n: int, P: int, c3: int, hw: HwParams) -> Dict:
     """2.5DMML3ooL2: formulas (12) + (13)·2 + (14) + (15)."""
-    hw.validate()
-    require(1 <= c3 <= P ** (1 / 3) + 1e-9, f"c3={c3} out of range")
-    lg3 = math.log2(c3) if c3 > 1 else 0.0
+    _check(hw, n, P)
+    require(1 <= c3 <= _replication_cap(P), f"c3={c3} out of range")
+    return _cost_25dmml3_ool2(n, P, c3, hw)
+
+
+def _cost_25dmml3_ool2(n, P, c3, hw: HwParams) -> Dict:
+    lg3 = _each(lambda c: math.log2(c) if c > 1 else 0.0, c3)
     M2 = hw.M2
 
     def staged(words: float) -> List[Term]:
@@ -246,7 +324,7 @@ def cost_25dmml3_ool2(n: int, P: int, c3: int, hw: HwParams) -> Dict:
     terms: List[Term] = []
     terms += staged(2 * n**2 * c3 / P)                      # (12) gather
     terms += staged(2 * 2 * n**2 * c3 * lg3 / P)            # (13) x2 bcast+reduce
-    terms += staged(2 * n**2 / math.sqrt(P * c3))           # (14) horizontal
+    terms += staged(2 * n**2 / _sqrt(P * c3))               # (14) horizontal
     terms += [                                              # (15) vertical
         Term("L2->L1", "alpha_21", (n**3 / P) / hw.M1**1.5),
         Term("L2->L1", "beta_21", (n**3 / P) / math.sqrt(hw.M1)),
@@ -254,8 +332,8 @@ def cost_25dmml3_ool2(n: int, P: int, c3: int, hw: HwParams) -> Dict:
         Term("L1->L2", "beta_12", (n**3 / P) / math.sqrt(M2)),
         Term("L3->L2", "alpha_32", (n**3 / P) / M2**1.5),
         Term("L3->L2", "beta_32", (n**3 / P) / math.sqrt(M2)),
-        Term("L2->L3", "alpha_23", (n**2 / math.sqrt(P * c3)) / M2),
-        Term("L2->L3", "beta_23", n**2 / math.sqrt(P * c3)),
+        Term("L2->L3", "alpha_23", (n**2 / _sqrt(P * c3)) / M2),
+        Term("L2->L3", "beta_23", n**2 / _sqrt(P * c3)),
     ]
     return {"name": "2.5DMML3ooL2", "terms": terms,
             "total": _total(terms, hw)}
@@ -263,14 +341,18 @@ def cost_25dmml3_ool2(n: int, P: int, c3: int, hw: HwParams) -> Dict:
 
 def cost_summal3_ool2(n: int, P: int, hw: HwParams) -> Dict:
     """SUMMAL3ooL2: formula (17)."""
-    hw.validate()
+    _check(hw, n, P)
+    return _cost_summal3_ool2(n, P, hw)
+
+
+def _cost_summal3_ool2(n, P, hw: HwParams) -> Dict:
     M2 = hw.M2
     f = n**3 / P * 3**1.5 / math.sqrt(M2)
     terms = [
         Term("L3->L2", "beta_32", f),
         Term("Interprocessor", "beta_nw", f),
         Term("L3->L2", "alpha_32", f / M2),
-        Term("Interprocessor", "alpha_nw", f * math.log2(P) / M2),
+        Term("Interprocessor", "alpha_nw", f * _each(math.log2, P) / M2),
         Term("L2->L1", "beta_21", (n**3 / P) / math.sqrt(hw.M1)),
         Term("L2->L1", "alpha_21", (n**3 / P) / hw.M1**1.5),
         Term("L1->L2", "beta_12", (n**3 / P) / math.sqrt(M2 / 3)),
@@ -283,10 +365,15 @@ def cost_summal3_ool2(n: int, P: int, hw: HwParams) -> Dict:
 
 def dom_beta_cost_model22(n: int, P: int, c3: int, hw: HwParams) -> Dict:
     """The paper's equations (2) and (3): dominant β-costs in Model 2.2."""
-    hw.validate()
+    _check(hw, n, P)
+    require(c3 >= 1, f"c3 must be >= 1, got {c3}")
+    return _dom_model22(n, P, c3, hw)
+
+
+def _dom_model22(n, P, c3, hw: HwParams) -> Dict:
     M2 = hw.M2
-    d25 = (hw.beta_nw * n**2 / math.sqrt(P * c3)
-           + hw.beta_23 * n**2 / math.sqrt(P * c3)
+    d25 = (hw.beta_nw * n**2 / _sqrt(P * c3)
+           + hw.beta_23 * n**2 / _sqrt(P * c3)
            + hw.beta_32 * n**3 / (P * math.sqrt(M2)))
     dsu = (hw.beta_nw * n**3 / (P * math.sqrt(M2))
            + hw.beta_23 * n**2 / P
@@ -295,7 +382,7 @@ def dom_beta_cost_model22(n: int, P: int, c3: int, hw: HwParams) -> Dict:
         "dom_2.5DMML3ooL2": d25,
         "dom_SUMMAL3ooL2": dsu,
         "ratio": d25 / dsu,
-        "winner": "SUMMAL3ooL2" if d25 > dsu else "2.5DMML3ooL2",
+        "winner": _pick(d25 > dsu, "SUMMAL3ooL2", "2.5DMML3ooL2"),
     }
 
 
@@ -304,8 +391,12 @@ def dom_beta_cost_model22(n: int, P: int, c3: int, hw: HwParams) -> Dict:
 # ===================================================================== #
 def ll_lunp_beta_cost(n: int, P: int, hw: HwParams) -> Dict:
     """LL-LUNP dominant β-costs (paper's domβcost formula, from (23)/(24))."""
-    hw.validate()
-    lg2 = math.log2(P) ** 2 if P > 1 else 1.0
+    _check(hw, n, P)
+    return _ll_lunp(n, P, hw)
+
+
+def _ll_lunp(n, P, hw: HwParams) -> Dict:
+    lg2 = _each(lambda p: math.log2(p) ** 2 if p > 1 else 1.0, P)
     nw = n**3 / (P * math.sqrt(hw.M2)) * lg2
     return {
         "name": "LL-LUNP",
@@ -319,15 +410,20 @@ def ll_lunp_beta_cost(n: int, P: int, hw: HwParams) -> Dict:
 
 def rl_lunp_beta_cost(n: int, P: int, hw: HwParams) -> Dict:
     """RL-LUNP dominant β-costs (from (25)/(26))."""
-    hw.validate()
-    lg = math.log2(P) if P > 1 else 1.0
+    _check(hw, n, P)
+    return _rl_lunp(n, P, hw)
+
+
+def _rl_lunp(n, P, hw: HwParams) -> Dict:
+    lg = _each(lambda p: math.log2(p) if p > 1 else 1.0, P)
+    lg_sq = _each(lambda v: v**2, lg)  # python's pow; numpy would multiply
     return {
         "name": "RL-LUNP",
-        "beta_nw_words": n**2 / math.sqrt(P) * lg,
-        "beta_23_words": n**2 / math.sqrt(P) * lg**2,
+        "beta_nw_words": n**2 / _sqrt(P) * lg,
+        "beta_23_words": n**2 / _sqrt(P) * lg_sq,
         "beta_32_words": n**3 / (P * math.sqrt(hw.M2)),
-        "total": (hw.beta_nw * n**2 / math.sqrt(P) * lg
-                  + hw.beta_23 * n**2 / math.sqrt(P) * lg**2
+        "total": (hw.beta_nw * n**2 / _sqrt(P) * lg
+                  + hw.beta_23 * n**2 / _sqrt(P) * lg_sq
                   + hw.beta_32 * n**3 / (P * math.sqrt(hw.M2))),
     }
 
@@ -351,7 +447,7 @@ def table1_rows(n: int, P: int, c2: int, c3: int, hw: HwParams) -> List[Dict]:
     counts) for 2DMML2, 2.5DMML2 and 2.5DMML3 — ``None`` where the paper
     prints "NA".
     """
-    hw.validate()
+    _check(hw, n, P)
     require(c3 > c2 >= 1, "need c3 > c2 >= 1")
     sp = math.sqrt(P)
     lgc2 = math.log2(c2) if c2 > 1 else 0.0
@@ -406,7 +502,8 @@ def table1_rows(n: int, P: int, c2: int, c3: int, hw: HwParams) -> List[Dict]:
 
 def table2_rows(n: int, P: int, c3: int, hw: HwParams) -> List[Dict]:
     """Numerically evaluated rows of the paper's Table 2."""
-    hw.validate()
+    _check(hw, n, P)
+    require(c3 >= 1, f"c3 must be >= 1, got {c3}")
     sp = math.sqrt(P)
     lgc3 = math.log2(c3) if c3 > 1 else 0.0
     n3P = n**3 / P

@@ -1,33 +1,30 @@
 """Section 7.2: LL-LUNP vs RL-LUNP — measured counters and cost formulas.
 
-Engine-backed: the two parallel LU algorithms execute as
-``lu-ll-nonpivot`` / ``lu-rl-nonpivot`` points (verified factorizations,
-per-rank counters) and the paper's β-cost formulas (23)–(26) evaluate as
-``cost-lu-ll`` / ``cost-lu-rl`` points at model scale, all fanned out and
-cached per point.  :func:`lu_scenario` exposes the same decomposition as
-the ``repro-lab run lu-tradeoff`` preset.
+:func:`lu_scenario` is the ``repro-lab run lu-tradeoff`` preset: the
+two parallel LU algorithms execute as ``lu-ll-nonpivot`` /
+``lu-rl-nonpivot`` points (verified factorizations, per-rank counters)
+and the paper's β-cost formulas (23)–(26) evaluate as ``cost-lu-ll`` /
+``cost-lu-rl`` points at model scale.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.distributed import HwParams
 from repro.util import format_table
 
-__all__ = ["run_lu", "format_lu", "lu_scenario"]
+__all__ = ["format_lu", "lu_scenario"]
 
 _COST_KERNELS = {"LL-LUNP": "cost-lu-ll", "RL-LUNP": "cost-lu-rl"}
 _EXEC_KERNELS = {"LL-LUNP": "lu-ll-nonpivot", "RL-LUNP": "lu-rl-nonpivot"}
 
 
-def _lu_points(n: int, b: int, P: int, seed: int,
-               hw: Optional[HwParams], model_n: int,
+def _lu_points(n: int, b: int, P: int, seed: int, model_n: int,
                model_P: int) -> List[Any]:
-    from repro.lab.registry import MachineSpec, hw_overrides
+    from repro.lab.registry import MachineSpec
     from repro.lab.scenarios import ScenarioPoint
 
-    machine = MachineSpec(name="lu-hw", hw=hw_overrides(hw))
+    machine = MachineSpec(name="lu-hw")
     points = [
         ScenarioPoint(kernel, machine,
                       {"n": n, "b": b, "P": P, "seed": seed})
@@ -69,29 +66,6 @@ def _assemble_lu(results: Sequence[Any]) -> Dict:
     }
 
 
-def run_lu(
-    n: Optional[int] = None,
-    b: int = 4,
-    P: int = 4,
-    seed: int = 0,
-    hw: Optional[HwParams] = None,
-    model_n: int = 1 << 14,
-    model_P: int = 256,
-    *,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Any = None,
-) -> Dict:
-    """Execute both LU algorithms and evaluate formulas (23)–(26)
-    through the engine.  ``quick`` shrinks the executed geometry."""
-    from repro.lab.executor import execute
-
-    n = n if n is not None else (16 if quick else 32)
-    points = _lu_points(n, b, P, seed, hw, model_n, model_P)
-    report = execute(points, jobs=jobs, cache=cache)
-    return _assemble_lu(report.results)
-
-
 def lu_scenario(quick: bool = False, *, n: Optional[int] = None,
                 b: int = 4, P: int = 4, seed: int = 0,
                 model_n: int = 1 << 14, model_P: int = 256) -> Any:
@@ -102,7 +76,7 @@ def lu_scenario(quick: bool = False, *, n: Optional[int] = None,
     from repro.lab.scenarios import Scenario
 
     n = n if n is not None else (16 if quick else 32)
-    points = _lu_points(n, b, P, seed, None, model_n, model_P)
+    points = _lu_points(n, b, P, seed, model_n, model_P)
     return Scenario(
         name="lu-tradeoff",
         kernel="lu-ll-nonpivot",

@@ -3,11 +3,10 @@
 The paper's first parallel scenario: the network attaches to each rank's
 lowest level (L2), so interprocessor CA + local WA caps local writes at
 the network volume Θ(n²/√P) — not the n²/P lower bound — unless L2 is
-over-provisioned by √P (the "hoard" variant).  Engine-backed: both SUMMA
-flavours run as ``summa-2d`` points (fanned out over ``jobs`` workers,
-cached per point) and the W1/W2/W3 bounds are tabulated against the
-measured counters.  :func:`sec7_scenario` is the same decomposition as
-the ``repro-lab run sec7-nvm`` preset.
+over-provisioned by √P (the "hoard" variant).  :func:`sec7_scenario` is
+the ``repro-lab run sec7-nvm`` preset: both SUMMA flavours run as
+``summa-2d`` points and its report tabulates the W1/W2/W3 bounds
+against the measured counters.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.bounds import parallel_mm_bounds
 from repro.util import format_table
 
-__all__ = ["run_sec7_model1", "format_sec7_model1", "sec7_scenario"]
+__all__ = ["format_sec7_model1", "sec7_scenario"]
 
 
 def _sec7_points(n: int, P: int, M1: float) -> List[Any]:
@@ -59,25 +58,6 @@ def _assemble_sec7(results: Sequence[Any]) -> Dict:
             "extra_l2_words": 2 * n * n // q,  # the √P memory premium
         },
     }
-
-
-def run_sec7_model1(
-    n: Optional[int] = None,
-    P: Optional[int] = None,
-    M1: float = 3 * 16,
-    *,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Any = None,
-) -> Dict:
-    """Run both SUMMA flavours through the engine and tabulate the
-    W1/W2/W3 bounds.  ``quick`` shrinks the default geometry."""
-    from repro.lab.executor import execute
-
-    n = n if n is not None else (16 if quick else 32)
-    P = P if P is not None else (4 if quick else 16)
-    report = execute(_sec7_points(n, P, M1), jobs=jobs, cache=cache)
-    return _assemble_sec7(report.results)
 
 
 def sec7_scenario(quick: bool = False, *, n: Optional[int] = None,

@@ -1,41 +1,36 @@
 """Table 1: communication costs of parallel matmul when data fits in L2.
 
-A thin client of the ``repro.lab`` engine: :func:`run_table1` expands
-into point-level kernels — one ``cost-table1`` point per (row,
-algorithm) cell, one ``cost-dominance`` point, and one *executed*
-``mm-25d`` cross-check — executes them through
-:func:`repro.lab.executor.execute` (``jobs`` workers, optional result
-cache), and reassembles the exact result structure the serial harness
-always returned (the table cells pivot back into rows via
-:meth:`repro.lab.results.ResultSet.pivot`).  :func:`table1_scenario` is
-the same decomposition as a ``repro-lab run table1`` preset.
+:func:`table1_scenario` is the ``repro-lab run table1`` preset: one
+``cost-table1`` point per (row, algorithm) cell, one ``cost-dominance``
+point, and one *executed* ``mm-25d`` cross-check.  Its report
+reassembles the point records into the table (the cells pivot back into
+rows via :meth:`repro.lab.results.ResultSet.pivot`) and
+:func:`format_table1` prints it.
 
 The lab imports happen lazily inside the functions: ``repro.lab``
-imports this module (for :func:`format_table1`), so top-level imports
-the other way would cycle.
+imports this module (for the preset), so top-level imports the other
+way would cycle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.distributed import HwParams
 from repro.distributed.costmodel import TABLE1_ROW_COUNT
 from repro.util import canonical_int, format_table, require
 
-__all__ = ["run_table1", "format_table1", "table1_scenario"]
+__all__ = ["format_table1", "table1_scenario"]
 
 _ALGORITHMS = ("2DMML2", "2.5DMML2", "2.5DMML3")
 
 
 def _table1_points(n: int, P: int, c2: int, c3: int,
-                   hw: Optional[HwParams], validate_sim: bool,
                    quick: bool) -> List[Any]:
-    from repro.lab.registry import MachineSpec, hw_overrides
+    from repro.lab.registry import MachineSpec
     from repro.lab.scenarios import ScenarioPoint
 
-    machine = MachineSpec(name="table1-hw", hw=hw_overrides(hw))
+    machine = MachineSpec(name="table1-hw")
     # Fail fast on a broken size override: the per-cell kernels would
     # only emit feasible:False records the table assembler cannot
     # pivot, so enforce the table's own rules here, up front.
@@ -43,6 +38,7 @@ def _table1_points(n: int, P: int, c2: int, c3: int,
              for name, value in (("n", n), ("P", P), ("c2", c2),
                                  ("c3", c3))}
     require(fixed["c3"] > fixed["c2"] >= 1, "need c3 > c2 >= 1")
+    require(fixed["n"] > 0, "n must be positive")
     require(fixed["P"] > 0, "P must be positive")
     points = [
         ScenarioPoint("cost-table1", machine,
@@ -52,12 +48,11 @@ def _table1_points(n: int, P: int, c2: int, c3: int,
     ]
     points.append(ScenarioPoint("cost-dominance", machine,
                                 {**fixed, "model": "2.1"}))
-    if validate_sim:
-        # Small executable configuration (the analytic n, P are far
-        # beyond simulation scale): P=8, c=2 (q=2).
-        nv = 8 if quick else 16
-        points.append(ScenarioPoint("mm-25d", machine,
-                                    {"n": nv, "P": 8, "c": 2, "seed": 0}))
+    # Small executable configuration (the analytic n, P are far beyond
+    # simulation scale): P=8, c=2 (q=2).
+    nv = 8 if quick else 16
+    points.append(ScenarioPoint("mm-25d", machine,
+                                {"n": nv, "P": 8, "c": 2, "seed": 0}))
     return points
 
 
@@ -94,32 +89,6 @@ def _assemble_table1(results: Sequence[Any]) -> Dict:
     return out
 
 
-def run_table1(
-    n: int = 1 << 14,
-    P: int = 1 << 20,
-    c2: int = 4,
-    c3: int = 16,
-    hw: Optional[HwParams] = None,
-    *,
-    validate_sim: bool = True,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Any = None,
-) -> Dict:
-    """Evaluate Table 1 and optionally cross-check against a simulated run.
-
-    Runs through the ``repro.lab`` engine: ``jobs`` fans the points out
-    over worker processes and *cache* (a
-    :class:`~repro.lab.cache.ResultCache`) serves repeats from disk.
-    ``quick`` shrinks the validation run's geometry.
-    """
-    from repro.lab.executor import execute
-
-    points = _table1_points(n, P, c2, c3, hw, validate_sim, quick)
-    report = execute(points, jobs=jobs, cache=cache)
-    return _assemble_table1(report.results)
-
-
 def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
                     P: int = 1 << 20, c2: int = 4, c3: int = 16) -> Any:
     """Table 1 as a ``repro-lab`` preset: one point per table cell, plus
@@ -133,7 +102,7 @@ def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
 
     from repro.lab.scenarios import Scenario
 
-    points = _table1_points(n, P, c2, c3, None, True, quick)
+    points = _table1_points(n, P, c2, c3, quick)
     return Scenario(
         name="table1",
         kernel="cost-table1",
@@ -163,8 +132,7 @@ def format_table1(result: Dict) -> str:
     d = result["dom_comparison"]
     s += (f"\n\ndomβcost(2.5DMML2)/domβcost(2.5DMML3) = {d['ratio']:.3f}"
           f"  →  predicted winner: {d['winner']}")
-    if "validation" in result:
-        v = result["validation"]
-        s += (f"\nsimulation check: correct={v['numerically_correct']}, "
-              f"measured/model network words = {v['within_factor']:.2f}x")
+    v = result["validation"]
+    s += (f"\nsimulation check: correct={v['numerically_correct']}, "
+          f"measured/model network words = {v['within_factor']:.2f}x")
     return s

@@ -1,23 +1,22 @@
 """Table 2: parallel matmul when data does not fit in L2 (Model 2.2).
 
-Engine-backed like :mod:`repro.experiments.table1`: one ``cost-table2``
-point per table cell, a Model-2.2 ``cost-dominance`` point, and two
-*executed* validation points exhibiting the Theorem-4 trade-off — the
-simulated SUMMAL3ooL2 attains the NVM-write floor W1 = n²/P exactly
-while paying extra network; the simulated 2.5DMML3ooL2 does the
-opposite.  :func:`table2_scenario` exposes the same decomposition as a
-``repro-lab run table2`` preset.
+:func:`table2_scenario` is the ``repro-lab run table2`` preset, built
+like :mod:`repro.experiments.table1`'s: one ``cost-table2`` point per
+table cell, a Model-2.2 ``cost-dominance`` point, and two *executed*
+validation points exhibiting the Theorem-4 trade-off — the simulated
+SUMMAL3ooL2 attains the NVM-write floor W1 = n²/P exactly while paying
+extra network; the simulated 2.5DMML3ooL2 does the opposite.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.distributed import HwParams
 from repro.distributed.costmodel import TABLE2_ROW_COUNT
 from repro.util import canonical_int, format_table, require
 
-__all__ = ["run_table2", "format_table2", "table2_scenario"]
+__all__ = ["format_table2", "table2_scenario"]
 
 _ALGORITHMS = ("2.5DMML3ooL2", "SUMMAL3ooL2")
 
@@ -27,18 +26,17 @@ def _default_hw() -> HwParams:
     return HwParams(M1=2**8, M2=2**14)
 
 
-def _table2_points(n: int, P: int, c3: int, hw: Optional[HwParams],
-                   validate_sim: bool, quick: bool) -> List[Any]:
+def _table2_points(n: int, P: int, c3: int, quick: bool) -> List[Any]:
     from repro.lab.registry import MachineSpec, hw_overrides
     from repro.lab.scenarios import ScenarioPoint
 
-    hw = hw or _default_hw()
-    machine = MachineSpec(name="table2-hw", hw=hw_overrides(hw))
+    machine = MachineSpec(name="table2-hw", hw=hw_overrides(_default_hw()))
     # Fail fast on a broken size override: the per-cell kernels would
     # only emit feasible:False records the table assembler cannot
     # pivot, so enforce the table's own rules here, up front.
     fixed = {name: canonical_int(value, name)
              for name, value in (("n", n), ("P", P), ("c3", c3))}
+    require(fixed["n"] > 0, "n must be positive")
     require(fixed["P"] > 0, "P must be positive")
     require(fixed["c3"] >= 1, "c3 must be >= 1")
     points = [
@@ -49,17 +47,16 @@ def _table2_points(n: int, P: int, c3: int, hw: Optional[HwParams],
     ]
     points.append(ScenarioPoint("cost-dominance", machine,
                                 {**fixed, "model": "2.2"}))
-    if validate_sim:
-        # Model-2.2 regime at simulation scale: n²/P ≫ M2 so the SUMMA
-        # variant's n³/(P√M2) network term genuinely dominates W2.
-        nv, Pv, M2v = (16, 4, 3 * 2 * 2) if quick else (32, 16, 3 * 4 * 4)
-        points.append(ScenarioPoint(
-            "summa-l3-ool2", machine,
-            {"n": nv, "P": Pv, "M2": M2v, "seed": 1}))
-        points.append(ScenarioPoint(
-            "mm-25d", machine,
-            {"n": nv, "P": Pv, "c": 1, "storage": "L3-ooL2", "M2": M2v,
-             "seed": 1}))
+    # Model-2.2 regime at simulation scale: n²/P ≫ M2 so the SUMMA
+    # variant's n³/(P√M2) network term genuinely dominates W2.
+    nv, Pv, M2v = (16, 4, 3 * 2 * 2) if quick else (32, 16, 3 * 4 * 4)
+    points.append(ScenarioPoint(
+        "summa-l3-ool2", machine,
+        {"n": nv, "P": Pv, "M2": M2v, "seed": 1}))
+    points.append(ScenarioPoint(
+        "mm-25d", machine,
+        {"n": nv, "P": Pv, "c": 1, "storage": "L3-ooL2", "M2": M2v,
+         "seed": 1}))
     return points
 
 
@@ -81,38 +78,16 @@ def _assemble_table2(results: Sequence[Any]) -> Dict:
             summa = res.record
         elif res.point.kernel == "mm-25d":
             mm25d = res.record
-    if summa is not None and mm25d is not None:
-        out["validation"] = {
-            "summa_correct": summa["correct"],
-            "mm25d_correct": mm25d["correct"],
-            "summa_nvm_writes_per_rank": summa["l2_to_l3_max"],
-            "w1_floor": summa["w1_floor"],
-            "summa_nw_recv": summa["nw_recv_max"],
-            "mm25d_nvm_writes_per_rank": mm25d["l2_to_l3_max"],
-            "mm25d_nw_recv": mm25d["nw_recv_max"],
-        }
+    out["validation"] = {
+        "summa_correct": summa["correct"],
+        "mm25d_correct": mm25d["correct"],
+        "summa_nvm_writes_per_rank": summa["l2_to_l3_max"],
+        "w1_floor": summa["w1_floor"],
+        "summa_nw_recv": summa["nw_recv_max"],
+        "mm25d_nvm_writes_per_rank": mm25d["l2_to_l3_max"],
+        "mm25d_nw_recv": mm25d["nw_recv_max"],
+    }
     return out
-
-
-def run_table2(
-    n: int = 1 << 15,
-    P: int = 512,
-    c3: int = 4,
-    hw: Optional[HwParams] = None,
-    *,
-    validate_sim: bool = True,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Any = None,
-) -> Dict:
-    """Evaluate Table 2 through the sweep engine and (optionally)
-    measure the Theorem-4 trade-off on the simulator.  ``quick``
-    shrinks the validation geometry."""
-    from repro.lab.executor import execute
-
-    points = _table2_points(n, P, c3, hw, validate_sim, quick)
-    report = execute(points, jobs=jobs, cache=cache)
-    return _assemble_table2(report.results)
 
 
 def table2_scenario(quick: bool = False, *, n: int = 1 << 15,
@@ -124,7 +99,7 @@ def table2_scenario(quick: bool = False, *, n: int = 1 << 15,
 
     from repro.lab.scenarios import Scenario
 
-    points = _table2_points(n, P, c3, None, True, quick)
+    points = _table2_points(n, P, c3, quick)
     return Scenario(
         name="table2",
         kernel="cost-table2",
@@ -154,14 +129,13 @@ def format_table2(result: Dict) -> str:
     d = result["dom_comparison"]
     s += (f"\n\ndomβcost ratio (2.5D/SUMMA) = {d['ratio']:.3f}"
           f"  →  predicted winner: {d['winner']}")
-    if "validation" in result:
-        v = result["validation"]
-        s += ("\nTheorem-4 trade-off, measured on the simulator:"
-              f"\n  SUMMAL3ooL2: NVM writes/rank = "
-              f"{v['summa_nvm_writes_per_rank']} "
-              f"(floor W1 = {v['w1_floor']}), "
-              f"network recv = {v['summa_nw_recv']}"
-              f"\n  2.5DMML3ooL2: NVM writes/rank = "
-              f"{v['mm25d_nvm_writes_per_rank']}, "
-              f"network recv = {v['mm25d_nw_recv']}")
+    v = result["validation"]
+    s += ("\nTheorem-4 trade-off, measured on the simulator:"
+          f"\n  SUMMAL3ooL2: NVM writes/rank = "
+          f"{v['summa_nvm_writes_per_rank']} "
+          f"(floor W1 = {v['w1_floor']}), "
+          f"network recv = {v['summa_nw_recv']}"
+          f"\n  2.5DMML3ooL2: NVM writes/rank = "
+          f"{v['mm25d_nvm_writes_per_rank']}, "
+          f"network recv = {v['mm25d_nw_recv']}")
     return s

@@ -16,6 +16,14 @@ registry can import it without a cycle):
   ``feasible: False`` instead of failing the sweep — provisioning
   questions are exactly about walking past those edges.
 
+  Each formula family is one :class:`CostFamily` row.  Its point
+  kernel calls the checked ``costmodel`` function; its batch evaluator
+  runs the same formula body once over float64 columns of the grid and
+  sends the points its mask rejects (infeasible, or outside the exact
+  float64 domain) to the point kernel, so both paths emit identical
+  records.  The Table 1/2 cells memoize the scalar row lists per size
+  tuple instead.
+
 * ``summa-2d`` / ``summa-l3-ool2`` / ``mm-25d`` / ``lu-ll-nonpivot`` /
   ``lu-rl-nonpivot`` — the *executed* distributed algorithms
   (:mod:`repro.distributed`) on the simulated Section-7 machine: inputs
@@ -32,8 +40,9 @@ so points cache and fan out like any other registry kernel.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +56,17 @@ from repro.distributed import (
 )
 from repro.distributed.costmodel import (
     HwParams,
+    _cost_25dmml2,
+    _cost_25dmml3,
+    _cost_25dmml3_ool2,
+    _cost_2dmml2,
+    _cost_summal3_ool2,
+    _dom_model21,
+    _dom_model22,
+    _each,
+    _ll_lunp,
+    _replication_cap,
+    _rl_lunp,
     cost_25dmml2,
     cost_25dmml3,
     cost_25dmml3_ool2,
@@ -132,81 +152,164 @@ def _cost_record(cost: Dict) -> Dict:
     return rec
 
 
+def _flat_record(cost: Dict) -> Dict:
+    """An LU β-cost result as it stands, ``name`` as ``algorithm``."""
+    rest = dict(cost)
+    return {"algorithm": rest.pop("name"), "feasible": True, **rest}
+
+
 def _infeasible(name: str, exc: Exception) -> Dict:
     return {"algorithm": name, "feasible": False, "reason": str(exc),
             "total_seconds": None}
 
 
-def kernel_cost_2d_mm(machine, params: Mapping) -> Dict:
-    """Analytic cost of 2DMML2 (Table 1, c=1).  Params: n, P."""
+#: Largest axis values the batch path evaluates on float64 columns:
+#: below them every integer subexpression of a formula is exact (see the
+#: :mod:`repro.distributed.costmodel` docstring).  Larger values take
+#: the scalar kernel per point.
+_VEC_SIZE_BOUND = float(1 << 16)
+_VEC_PROC_BOUND = float(1 << 32)
+
+
+def _c_in_range(c, P):
+    """``1 <= c <= P^(1/3)``: the replication range of a 2.5D layout."""
+    return (1 <= c) & (c <= _each(_replication_cap, P))
+
+
+@dataclass(frozen=True)
+class CostFamily:
+    """One Section-7 formula as a point kernel and a batch evaluator.
+
+    *cost* is the checked :mod:`~repro.distributed.costmodel` function;
+    *body* is its formula, called on float64 columns.  *mask* restates
+    the ``require``s of *cost* beyond ``n, P >= 1`` on columns; points
+    outside it (or outside the exact float64 domain) take the scalar
+    kernel, so their ``feasible: False`` reasons and crashes match.
+    """
+
+    name: str                              # ``algorithm`` of its records
+    doc: str                               # the kernel's docstring
+    params: Tuple[Tuple[str, int], ...]    # (name, default), call order
+    cost: Callable[..., Dict]
+    body: Callable[..., Dict]
+    record: Callable[[Dict], Dict]         # cost result -> record
+    mask: Optional[Callable[..., np.ndarray]] = None
+
+
+def _family_point(family: CostFamily, machine, params: Mapping) -> Dict:
+    """One point of *family*, evaluated by its checked scalar function."""
     hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
+    args = [_geti(params, name, default) for name, default in family.params]
     try:
-        return _cost_record(cost_2dmml2(n, P, hw))
+        return family.record(family.cost(*args, hw))
     except ValueError as exc:
-        return _infeasible("2DMML2", exc)
+        return _infeasible(family.name, exc)
 
 
-def kernel_cost_25d_mm_l2(machine, params: Mapping) -> Dict:
-    """Analytic cost of 2.5DMML2 (Table 1).  Params: n, P, c2."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    c2 = _geti(params, "c2", 1)
-    try:
-        return _cost_record(cost_25dmml2(n, P, c2, hw))
-    except ValueError as exc:
-        return _infeasible("2.5DMML2", exc)
+def _family_batch(family: CostFamily, hw: HwParams, group) -> list:
+    """A group of *family* points: the formula body once over float64
+    columns, the scalar kernel for points outside the mask."""
+    cols = np.array([[_geti(p, name, default) for _, p in group]
+                     for name, default in family.params], dtype=np.float64)
+    n, P, cs = cols[0], cols[1], cols[2:]
+    idx = np.flatnonzero((n >= 1) & (P >= 1) & (n <= _VEC_SIZE_BOUND)
+                         & (P <= _VEC_PROC_BOUND)
+                         & (cs <= _VEC_SIZE_BOUND).all(axis=0))
+    if family.mask is not None:
+        idx = idx[family.mask(*cols[:, idx])]
+    ok = np.zeros(len(group), dtype=bool)
+    ok[idx] = True
+    recs = [None if good else _family_point(family, machine, params)
+            for (machine, params), good in zip(group, ok.tolist())]
+    if idx.size:
+        fields = family.record(family.body(*cols[:, idx], hw))
+        values = [v.tolist() if isinstance(v, np.ndarray)
+                  else [v] * idx.size for v in fields.values()]
+        for i, row in zip(idx.tolist(), zip(*values)):
+            recs[i] = dict(zip(fields, row))
+    return recs
 
 
-def kernel_cost_25d_mm_l3(machine, params: Mapping) -> Dict:
-    """Analytic cost of 2.5DMML3 (Table 1, NVM-staged replicas).
-    Params: n, P, c2, c3."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    c2, c3 = _geti(params, "c2", 1), _geti(params, "c3", 4)
-    try:
-        return _cost_record(cost_25dmml3(n, P, c2, c3, hw))
-    except ValueError as exc:
-        return _infeasible("2.5DMML3", exc)
+_N, _P = ("n", 1 << 14), ("P", 256)
+_C2, _C3 = ("c2", 1), ("c3", 4)
+
+#: The formula families, by kernel name.
+_FAMILIES: Dict[str, CostFamily] = {
+    "cost-2d-mm": CostFamily(
+        "2DMML2",
+        "Analytic cost of 2DMML2 (Table 1, c=1).  Params: n, P.",
+        (_N, _P), cost_2dmml2, _cost_2dmml2, _cost_record),
+    "cost-25d-mm-l2": CostFamily(
+        "2.5DMML2",
+        "Analytic cost of 2.5DMML2 (Table 1).  Params: n, P, c2.",
+        (_N, _P, _C2), cost_25dmml2, _cost_25dmml2, _cost_record,
+        lambda n, P, c2: _c_in_range(c2, P)),
+    "cost-25d-mm-l3": CostFamily(
+        "2.5DMML3",
+        "Analytic cost of 2.5DMML3 (Table 1, NVM-staged replicas).\n"
+        "    Params: n, P, c2, c3.",
+        (_N, _P, _C2, _C3), cost_25dmml3, _cost_25dmml3, _cost_record,
+        lambda n, P, c2, c3: (c3 > c2) & (c2 >= 1) & _c_in_range(c3, P)),
+    "cost-25d-mm-l3-ool2": CostFamily(
+        "2.5DMML3ooL2",
+        "Analytic cost of 2.5DMML3ooL2 (Table 2, Model 2.2).\n"
+        "    Params: n, P, c3.",
+        (_N, _P, _C3), cost_25dmml3_ool2, _cost_25dmml3_ool2, _cost_record,
+        lambda n, P, c3: _c_in_range(c3, P)),
+    "cost-summa-l3-ool2": CostFamily(
+        "SUMMAL3ooL2",
+        "Analytic cost of SUMMAL3ooL2 (Table 2, attains the W1 write\n"
+        "    floor).  Params: n, P.",
+        (_N, _P), cost_summal3_ool2, _cost_summal3_ool2, _cost_record),
+    "cost-lu-ll": CostFamily(
+        "LL-LUNP",
+        "LL-LUNP dominant β-costs (formulas (23)/(24)).  Params: n, P.",
+        (_N, _P), ll_lunp_beta_cost, _ll_lunp, _flat_record),
+    "cost-lu-rl": CostFamily(
+        "RL-LUNP",
+        "RL-LUNP dominant β-costs (formulas (25)/(26)).  Params: n, P.",
+        (_N, _P), rl_lunp_beta_cost, _rl_lunp, _flat_record),
+}
+
+#: The dominant-β-cost comparisons behind ``cost-dominance``, by model.
+_DOMINANCE: Dict[str, CostFamily] = {
+    "2.1": CostFamily(
+        "2.5DMML2 vs 2.5DMML3", "", (_N, _P, _C2, _C3),
+        dom_beta_cost_model21, _dom_model21, dict,
+        lambda n, P, c2, c3: (c2 >= 1) & (c3 >= 1)),
+    "2.2": CostFamily(
+        "2.5DMML3ooL2 vs SUMMAL3ooL2", "", (_N, _P, _C3),
+        dom_beta_cost_model22, _dom_model22, dict,
+        lambda n, P, c3: c3 >= 1),
+}
 
 
-def kernel_cost_25d_mm_l3_ool2(machine, params: Mapping) -> Dict:
-    """Analytic cost of 2.5DMML3ooL2 (Table 2, Model 2.2).
-    Params: n, P, c3."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    c3 = _geti(params, "c3", 4)
-    try:
-        return _cost_record(cost_25dmml3_ool2(n, P, c3, hw))
-    except ValueError as exc:
-        return _infeasible("2.5DMML3ooL2", exc)
+def _dominance_model(params: Mapping) -> str:
+    model = str(params.get("model", "2.1"))
+    require(model in _DOMINANCE,
+            f"model must be '2.1' or '2.2', got {model!r}")
+    return model
 
 
-def kernel_cost_summa_l3_ool2(machine, params: Mapping) -> Dict:
-    """Analytic cost of SUMMAL3ooL2 (Table 2, attains the W1 write
-    floor).  Params: n, P."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    try:
-        return _cost_record(cost_summal3_ool2(n, P, hw))
-    except ValueError as exc:
-        return _infeasible("SUMMAL3ooL2", exc)
+def kernel_cost_dominance(machine, params: Mapping) -> Dict:
+    """Dominant-β-cost comparison: which algorithm the paper predicts
+    wins.  Params: model ("2.1" or "2.2"), n, P, c2 (2.1 only), c3."""
+    model = _dominance_model(params)
+    return {"model": model,
+            **_family_point(_DOMINANCE[model], machine, params)}
 
 
-def kernel_cost_lu_ll(machine, params: Mapping) -> Dict:
-    """LL-LUNP dominant β-costs (formulas (23)/(24)).  Params: n, P."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    cost = ll_lunp_beta_cost(n, P, hw)
-    return {"algorithm": cost.pop("name"), "feasible": True, **cost}
-
-
-def kernel_cost_lu_rl(machine, params: Mapping) -> Dict:
-    """RL-LUNP dominant β-costs (formulas (25)/(26)).  Params: n, P."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    cost = rl_lunp_beta_cost(n, P, hw)
-    return {"algorithm": cost.pop("name"), "feasible": True, **cost}
+def _dominance_batch(hw: HwParams, group) -> list:
+    """``cost-dominance`` points batched per model."""
+    models = [_dominance_model(params) for _, params in group]
+    recs: list = [None] * len(group)
+    for model, family in _DOMINANCE.items():
+        idx = [i for i, m in enumerate(models) if m == model]
+        if idx:
+            sub = _family_batch(family, hw, [group[i] for i in idx])
+            for i, rec in zip(idx, sub):
+                recs[i] = {"model": model, **rec}
+    return recs
 
 
 def kernel_cost_break_even(machine, params: Mapping) -> Dict:
@@ -222,19 +325,10 @@ def kernel_cost_break_even(machine, params: Mapping) -> Dict:
     }
 
 
-def kernel_cost_dominance(machine, params: Mapping) -> Dict:
-    """Dominant-β-cost comparison: which algorithm the paper predicts
-    wins.  Params: model ("2.1" or "2.2"), n, P, c2 (2.1 only), c3."""
-    hw = _hw(machine)
-    model = str(params.get("model", "2.1"))
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 256)
-    c3 = _geti(params, "c3", 4)
-    if model == "2.1":
-        c2 = _geti(params, "c2", 1)
-        return {"model": model,
-                **dom_beta_cost_model21(n, P, c2, c3, hw)}
-    require(model == "2.2", f"model must be '2.1' or '2.2', got {model!r}")
-    return {"model": model, **dom_beta_cost_model22(n, P, c3, hw)}
+def _break_even_batch(hw: HwParams, group) -> list:
+    """One break-even record, copied to every point of the group."""
+    rec = kernel_cost_break_even(*group[0])
+    return [dict(rec) for _ in group]
 
 
 def _table_cell(params: Mapping, rows: list, table: str) -> Dict:
@@ -281,19 +375,94 @@ def kernel_cost_table2(machine, params: Mapping) -> Dict:
     return _table_cell(params, rows, "Table-2")
 
 
+def _table_batch(rows_fn: Callable, sizes: Tuple[str, ...],
+                 defaults: Tuple[int, ...], table: str) -> Callable:
+    """A table-cell evaluator memoizing the scalar row list per unique
+    size tuple (row/algorithm axes make uniques sparse; reusing the
+    scalar row code is the bit-identity argument for the tables)."""
+
+    def evaluate(hw: HwParams, group) -> list:
+        rows_cache: Dict[Tuple[int, ...], Any] = {}
+        recs = []
+        for _, params in group:
+            key = tuple(_geti(params, name, default)
+                        for name, default in zip(sizes, defaults))
+            try:
+                rows = rows_cache[key]
+            except KeyError:
+                try:
+                    rows = rows_fn(*key, hw)
+                except ValueError as exc:
+                    rows = exc
+                rows_cache[key] = rows
+            if isinstance(rows, ValueError):
+                recs.append(_infeasible(
+                    str(params.get("algorithm", table)), rows))
+            else:
+                recs.append(_table_cell(params, rows, table))
+        return recs
+
+    return evaluate
+
+
+def _family_kernel(family: CostFamily) -> Callable:
+    def kernel(machine, params: Mapping) -> Dict:
+        return _family_point(family, machine, params)
+
+    kernel.__doc__ = family.doc
+    return kernel
+
+
 COST_KERNELS: Dict[str, Callable] = {
-    "cost-2d-mm": kernel_cost_2d_mm,
-    "cost-25d-mm-l2": kernel_cost_25d_mm_l2,
-    "cost-25d-mm-l3": kernel_cost_25d_mm_l3,
-    "cost-25d-mm-l3-ool2": kernel_cost_25d_mm_l3_ool2,
-    "cost-summa-l3-ool2": kernel_cost_summa_l3_ool2,
-    "cost-lu-ll": kernel_cost_lu_ll,
-    "cost-lu-rl": kernel_cost_lu_rl,
+    **{name: _family_kernel(family)
+       for name, family in _FAMILIES.items()},
     "cost-break-even": kernel_cost_break_even,
     "cost-dominance": kernel_cost_dominance,
     "cost-table1": kernel_cost_table1,
     "cost-table2": kernel_cost_table2,
 }
+
+#: kernel name -> ``(hw, group) -> records`` batch evaluator.
+COST_BATCH_EVALUATORS: Dict[str, Callable] = {
+    **{name: partial(_family_batch, family)
+       for name, family in _FAMILIES.items()},
+    "cost-break-even": _break_even_batch,
+    "cost-dominance": _dominance_batch,
+    "cost-table1": _table_batch(
+        table1_rows, ("n", "P", "c2", "c3"),
+        (1 << 14, 1 << 20, 4, 16), "Table-1"),
+    "cost-table2": _table_batch(
+        table2_rows, ("n", "P", "c3"),
+        (1 << 15, 512, 4), "Table-2"),
+}
+
+
+def run_cost_batch(kernel: str, group) -> list:
+    """A whole grid of one ``cost-*`` family in one vectorized pass.
+
+    Every ``(machine, params)`` pair must resolve to the same
+    :class:`HwParams` (the executor groups on the projected machine, so
+    this holds by construction); records are bit-identical to running
+    the scalar kernel per point, including the ``feasible: False``
+    payloads of out-of-regime grid points.
+    """
+    try:
+        evaluate = COST_BATCH_EVALUATORS[kernel]
+    except KeyError:
+        raise ValueError(
+            f"kernel {kernel!r} is not a batched cost kernel; "
+            f"available: {sorted(COST_BATCH_EVALUATORS)}"
+        ) from None
+    machine0 = group[0][0]
+    hw = _hw(machine0)
+    checked = {id(machine0)}
+    for machine, _ in group:
+        if id(machine) in checked:  # grids share one spec object
+            continue
+        require(machine.hw_params() == hw,
+                "cost batch mixes different hw parameter sets")
+        checked.add(id(machine))
+    return evaluate(hw, group)
 
 
 # --------------------------------------------------------------------- #
@@ -522,508 +691,6 @@ KRYLOV_KERNELS: Dict[str, Callable] = {
     "krylov-matrix-powers": kernel_krylov_matrix_powers,
     "krylov-tsqr": kernel_krylov_tsqr,
 }
-
-
-# --------------------------------------------------------------------- #
-# vectorized cost-grid evaluators
-# --------------------------------------------------------------------- #
-# One grid of cost points is pure closed-form arithmetic; evaluating it
-# point by point pays mostly process fan-out and record plumbing.  Each
-# family below evaluates a whole batch of (machine, params) points with
-# numpy — **bit-identical** to the scalar kernels (enforced by the
-# hypothesis parity suite in tests/test_properties.py):
-#
-# * every expression is transcribed token-for-token from the scalar
-#   formula, with python ints replaced by float64 columns.  ``+ - * /``
-#   and ``sqrt`` are correctly rounded in both worlds, so identical
-#   operand sequences give identical doubles;
-# * transcendentals that are *not* correctly rounded (``log2``,
-#   fractional ``**``) are evaluated per *unique* axis value with the
-#   exact scalar function (:func:`_per_unique`) — grid axes have few
-#   distinct values, so this costs O(axis), not O(grid);
-# * points outside a family's feasible/defined regime (the scalar
-#   ``require`` conditions, re-stated verbatim per point) fall back to
-#   the scalar kernel, so ``feasible: False`` records carry the same
-#   ``reason`` strings and fatal errors stay fatal.
-#
-# Exactness domain: with |n|, c2, c3 <= 2**16 and P <= 2**32 every
-# integer subexpression a formula builds (n**3, 4*n**2*c3, P*c2,
-# c2**3, ...) stays exactly representable in float64, which is what
-# makes the transcription argument airtight; the paper's grids
-# (n <= 2**15, P <= 2**20 appearing only linearly) sit well inside it.
-# Axes beyond the domain take the scalar fallback per point (enforced
-# by :func:`_vec_domain` in every mask), so bit-identity holds
-# *unconditionally*, just without the speedup for such points.  The
-# table families reuse the scalar row evaluators memoized per unique
-# (n, P, c...) tuple instead — their row/algorithm grid axes make
-# uniques sparse, and reusing the scalar code *is* the parity proof.
-
-def _per_unique(values: np.ndarray, fn: Callable[[float], float]
-                ) -> np.ndarray:
-    """Map an exact scalar function over an array by unique value —
-    bit-identical to calling it per point, at per-axis cost."""
-    vals, inv = np.unique(values, return_inverse=True)
-    out = np.array([fn(v) for v in vals], dtype=np.float64)
-    return out[inv]
-
-
-def _float_cols(cols, idx, width: int):
-    """The selected rows of per-point parameter tuples, as float64
-    columns (int -> float conversion is exact below 2**53)."""
-    sel = [cols[i] for i in idx]
-    arrays = tuple(np.array(col, dtype=np.float64)
-                   for col in zip(*sel))
-    if not sel:
-        arrays = tuple(np.empty(0) for _ in range(width))
-    return arrays
-
-
-def _grid_cols(cols):
-    """Per-point parameter tuples as float64 column arrays (exact
-    below 2**53), for vectorized mask + term evaluation."""
-    return np.array(cols, dtype=np.float64).T
-
-
-#: Largest axis magnitudes the vectorized paths accept (see the
-#: exactness-domain note above); larger values fall back to the scalar
-#: kernel per point.
-_VEC_SIZE_BOUND = float(1 << 16)
-_VEC_PROC_BOUND = float(1 << 32)
-
-
-def _vec_domain(nf: np.ndarray, Pf: np.ndarray, *cs: np.ndarray
-                ) -> np.ndarray:
-    """Points whose axes sit inside the float64 exactness domain."""
-    ok = (np.abs(nf) <= _VEC_SIZE_BOUND) & (Pf <= _VEC_PROC_BOUND)
-    for c in cs:
-        ok = ok & (np.abs(c) <= _VEC_SIZE_BOUND)
-    return ok
-
-
-def _cbrt_bound(values: np.ndarray) -> np.ndarray:
-    """``P ** (1 / 3) + 1e-9`` per unique value with python's own pow,
-    so the vectorized feasibility mask agrees with the scalar
-    ``require`` even exactly on the boundary.  Non-positive values map
-    to ``-inf`` (python pow would go complex): the mask's ``P > 0``
-    conjunct already routes those points to the scalar fallback, the
-    bound just must not blow up computing them."""
-    return _per_unique(
-        values,
-        lambda v: float(v) ** (1 / 3) + 1e-9 if v > 0 else float("-inf"))
-
-
-def _scalar_rest(kernel: Callable, group, ok) -> list:
-    """Records for the non-vectorizable points via the scalar kernel
-    (identical infeasible reasons and identical fatal errors); ``None``
-    placeholders where the vectorized path will fill in."""
-    return [None if good else kernel(machine, params)
-            for (machine, params), good in zip(group, ok)]
-
-
-def _fill_cost_records(name: str, terms, hw: HwParams, recs: list,
-                       idx) -> None:
-    """Assemble ``_cost_record``-shaped dicts from vectorized terms.
-
-    *terms* is ``[(hw_attr, count_array), ...]`` in the scalar term
-    order; per-rate aggregation and the running total accumulate in
-    that order, mirroring ``_cost_record`` / ``_total`` add for add.
-    """
-    agg: Dict[str, Any] = {key: 0.0 for key in _COST_COLUMNS}
-    total: Any = 0
-    for param, count in terms:
-        agg[param] = agg[param] + count
-        total = total + count * getattr(hw, param)
-    lists = {k: (v.tolist() if isinstance(v, np.ndarray)
-                 else [v] * len(idx))
-             for k, v in agg.items()}
-    totals = np.asarray(total).tolist()
-    rows = zip(*(lists[k] for k in _COST_COLUMNS))
-    for i, row, tot in zip(idx, rows, totals):
-        rec: Dict[str, Any] = {"algorithm": name, "feasible": True}
-        rec.update(zip(_COST_COLUMNS, row))
-        rec["total_seconds"] = tot
-        recs[i] = rec
-
-
-def _lg_or_zero(v: float) -> float:
-    return math.log2(v) if v > 1 else 0.0
-
-
-def _vec_cost_2d_mm(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256))
-            for _, p in group]
-    nf, Pf = _grid_cols(cols)
-    ok = (Pf > 0) & _vec_domain(nf, Pf)
-    recs = _scalar_rest(kernel_cost_2d_mm, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf = nf[idx], Pf[idx]
-    s = np.sqrt(Pf)
-    n2 = nf * nf
-    n3P = n2 * nf / Pf
-    terms = [
-        ("alpha_21", n3P / hw.M1**1.5),
-        ("beta_21", n3P / math.sqrt(hw.M1)),
-        ("alpha_12", (n2 / s) / hw.M1),
-        ("beta_12", n2 / s),
-        ("alpha_nw", 2 * s),
-        ("beta_nw", 2 * n2 / s),
-    ]
-    _fill_cost_records("2DMML2", terms, hw, recs, idx)
-    return recs
-
-
-def _vec_cost_25d_mm_l2(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256),
-             _geti(p, "c2", 1)) for _, p in group]
-    nf, Pf, c2f = _grid_cols(cols)
-    ok = ((Pf > 0) & (1 <= c2f) & (c2f <= _cbrt_bound(Pf))
-          & _vec_domain(nf, Pf, c2f))
-    recs = _scalar_rest(kernel_cost_25d_mm_l2, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf, c2f = nf[idx], Pf[idx], c2f[idx]
-    lg = _per_unique(c2f, _lg_or_zero)
-    n2 = nf * nf
-    n3P = n2 * nf / Pf
-    sq_pc2 = np.sqrt(Pf * c2f)
-    terms = [
-        ("alpha_nw", 2 * c2f),
-        ("beta_nw", 2 * 2 * n2 * c2f / Pf),
-        ("alpha_nw", 2 * lg),
-        ("beta_nw", 2 * lg * 2 * n2 * c2f / Pf),
-        ("alpha_nw", 2 * np.sqrt(Pf / (c2f * c2f * c2f))),
-        ("beta_nw", 2 * n2 / sq_pc2),
-        ("alpha_21", n3P / hw.M1**1.5),
-        ("beta_21", n3P / math.sqrt(hw.M1)),
-        ("alpha_12", (n2 / sq_pc2) / hw.M1),
-        ("beta_12", n2 / sq_pc2),
-    ]
-    _fill_cost_records("2.5DMML2", terms, hw, recs, idx)
-    return recs
-
-
-def _vec_cost_25d_mm_l3(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256),
-             _geti(p, "c2", 1), _geti(p, "c3", 4)) for _, p in group]
-    nf, Pf, c2f, c3f = _grid_cols(cols)
-    ok = ((Pf > 0) & (c3f > c2f) & (c2f >= 1)
-          & (c3f <= _cbrt_bound(Pf)) & _vec_domain(nf, Pf, c2f, c3f))
-    recs = _scalar_rest(kernel_cost_25d_mm_l3, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf, c2f, c3f = nf[idx], Pf[idx], c2f[idx], c3f[idx]
-    lg3 = _per_unique(c3f, _lg_or_zero)
-    n2 = nf * nf
-    n3P = n2 * nf / Pf
-    sq_pc3 = np.sqrt(Pf * c3f)
-    bcast_msgs = 2 * (c3f / c2f) * lg3
-    bcast_words = 2 * lg3 * 2 * n2 * c3f / Pf
-    cannon_msgs = 2 * np.sqrt(Pf / (c3f * c2f * c2f))
-    cannon_words = 2 * n2 / sq_pc3
-    terms = [
-        ("alpha_nw", 2 * c3f),
-        ("alpha_23", 2 * c3f),
-        ("beta_nw", 2 * 2 * n2 * c3f / Pf),
-        ("beta_23", 2 * 2 * n2 * c3f / Pf),
-        ("alpha_32", bcast_msgs),
-        ("alpha_nw", bcast_msgs),
-        ("alpha_23", bcast_msgs),
-        ("beta_32", bcast_words),
-        ("beta_nw", bcast_words),
-        ("beta_23", bcast_words),
-        ("alpha_32", cannon_msgs),
-        ("alpha_nw", cannon_msgs),
-        ("alpha_23", cannon_msgs),
-        ("beta_32", cannon_words),
-        ("beta_nw", cannon_words),
-        ("beta_23", cannon_words),
-        ("alpha_21", n3P / hw.M1**1.5),
-        ("beta_21", n3P / math.sqrt(hw.M1)),
-        ("alpha_12", n3P / (math.sqrt(hw.M2) * hw.M1)),
-        ("beta_12", n3P / math.sqrt(hw.M2)),
-        ("alpha_32", n3P / hw.M2**1.5),
-        ("beta_32", n3P / math.sqrt(hw.M2)),
-        ("alpha_23", (n2 / sq_pc3) / hw.M2),
-        ("beta_23", n2 / sq_pc3),
-    ]
-    _fill_cost_records("2.5DMML3", terms, hw, recs, idx)
-    return recs
-
-
-def _vec_cost_25d_mm_l3_ool2(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256),
-             _geti(p, "c3", 4)) for _, p in group]
-    nf, Pf, c3f = _grid_cols(cols)
-    ok = ((Pf > 0) & (1 <= c3f) & (c3f <= _cbrt_bound(Pf))
-          & _vec_domain(nf, Pf, c3f))
-    recs = _scalar_rest(kernel_cost_25d_mm_l3_ool2, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf, c3f = nf[idx], Pf[idx], c3f[idx]
-    lg3 = _per_unique(c3f, _lg_or_zero)
-    M2 = hw.M2
-    n2 = nf * nf
-    n3P = n2 * nf / Pf
-    sq_pc3 = np.sqrt(Pf * c3f)
-
-    def staged(words):
-        return [
-            ("beta_32", words),
-            ("beta_nw", words),
-            ("beta_23", words),
-            ("alpha_32", words / M2),
-            ("alpha_nw", words / M2),
-            ("alpha_23", words / M2),
-        ]
-
-    terms = []
-    terms += staged(2 * n2 * c3f / Pf)
-    terms += staged(2 * 2 * n2 * c3f * lg3 / Pf)
-    terms += staged(2 * n2 / sq_pc3)
-    terms += [
-        ("alpha_21", n3P / hw.M1**1.5),
-        ("beta_21", n3P / math.sqrt(hw.M1)),
-        ("alpha_12", n3P / (math.sqrt(M2) * hw.M1)),
-        ("beta_12", n3P / math.sqrt(M2)),
-        ("alpha_32", n3P / M2**1.5),
-        ("beta_32", n3P / math.sqrt(M2)),
-        ("alpha_23", (n2 / sq_pc3) / M2),
-        ("beta_23", n2 / sq_pc3),
-    ]
-    _fill_cost_records("2.5DMML3ooL2", terms, hw, recs, idx)
-    return recs
-
-
-def _vec_cost_summa_l3_ool2(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256))
-            for _, p in group]
-    nf, Pf = _grid_cols(cols)
-    ok = (Pf > 0) & _vec_domain(nf, Pf)
-    recs = _scalar_rest(kernel_cost_summa_l3_ool2, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf = nf[idx], Pf[idx]
-    M2 = hw.M2
-    n2 = nf * nf
-    n3P = n2 * nf / Pf
-    f = n3P * 3**1.5 / math.sqrt(M2)
-    lgP = _per_unique(Pf, math.log2)
-    terms = [
-        ("beta_32", f),
-        ("beta_nw", f),
-        ("alpha_32", f / M2),
-        ("alpha_nw", f * lgP / M2),
-        ("beta_21", n3P / math.sqrt(hw.M1)),
-        ("alpha_21", n3P / hw.M1**1.5),
-        ("beta_12", n3P / math.sqrt(M2 / 3)),
-        ("alpha_12", n3P / (math.sqrt(M2 / 3) * hw.M1)),
-        ("beta_23", n2 / Pf),
-        ("alpha_23", (n2 / Pf) / M2),
-    ]
-    _fill_cost_records("SUMMAL3ooL2", terms, hw, recs, idx)
-    return recs
-
-
-def _vec_cost_lu_ll(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256))
-            for _, p in group]
-    nf, Pf = _grid_cols(cols)
-    ok = (Pf > 0) & _vec_domain(nf, Pf)
-    recs = _scalar_rest(kernel_cost_lu_ll, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf = nf[idx], Pf[idx]
-    n2 = nf * nf
-    n3 = n2 * nf
-    lg2 = _per_unique(
-        Pf, lambda v: math.log2(v) ** 2 if v > 1 else 1.0)
-    nw = n3 / (Pf * math.sqrt(hw.M2)) * lg2
-    b23 = (2 * n2 / Pf).tolist()
-    total = (hw.beta_nw * nw + hw.beta_23 * 2 * n2 / Pf
-             + hw.beta_32 * nw).tolist()
-    nw = nw.tolist()
-    for j, i in enumerate(idx):
-        recs[i] = {"algorithm": "LL-LUNP", "feasible": True,
-                   "beta_nw_words": nw[j], "beta_23_words": b23[j],
-                   "beta_32_words": nw[j], "total": total[j]}
-    return recs
-
-
-def _vec_cost_lu_rl(hw: HwParams, group) -> list:
-    cols = [(_geti(p, "n", 1 << 14), _geti(p, "P", 256))
-            for _, p in group]
-    nf, Pf = _grid_cols(cols)
-    ok = (Pf > 0) & _vec_domain(nf, Pf)
-    recs = _scalar_rest(kernel_cost_lu_rl, group, ok.tolist())
-    idx = np.flatnonzero(ok)
-    if not idx.size:
-        return recs
-    nf, Pf = nf[idx], Pf[idx]
-    n2 = nf * nf
-    n3 = n2 * nf
-    sqP = np.sqrt(Pf)
-    lg = _per_unique(Pf, lambda v: math.log2(v) if v > 1 else 1.0)
-    lgsq = _per_unique(
-        Pf, lambda v: (math.log2(v) if v > 1 else 1.0) ** 2)
-    nw = (n2 / sqP * lg).tolist()
-    b23 = (n2 / sqP * lgsq).tolist()
-    b32 = (n3 / (Pf * math.sqrt(hw.M2))).tolist()
-    total = (hw.beta_nw * n2 / sqP * lg
-             + hw.beta_23 * n2 / sqP * lgsq
-             + hw.beta_32 * n3 / (Pf * math.sqrt(hw.M2))).tolist()
-    for j, i in enumerate(idx):
-        recs[i] = {"algorithm": "RL-LUNP", "feasible": True,
-                   "beta_nw_words": nw[j], "beta_23_words": b23[j],
-                   "beta_32_words": b32[j], "total": total[j]}
-    return recs
-
-
-def _vec_cost_break_even(hw: HwParams, group) -> list:
-    machine0 = group[0][0]
-    rec = kernel_cost_break_even(machine0, group[0][1])
-    return [dict(rec) for _ in group]
-
-
-def _vec_cost_dominance(hw: HwParams, group) -> list:
-    info = []
-    for _, p in group:
-        model = str(p.get("model", "2.1"))
-        n, P = _geti(p, "n", 1 << 14), _geti(p, "P", 256)
-        c3 = _geti(p, "c3", 4)
-        c2 = _geti(p, "c2", 1) if model == "2.1" else 1
-        info.append((model, n, P, c2, c3))
-    bound, pbound = int(_VEC_SIZE_BOUND), int(_VEC_PROC_BOUND)
-    ok = [P > 0 and c2 > 0 and c3 > 0 and model in ("2.1", "2.2")
-          and abs(n) <= bound and P <= pbound
-          and c2 <= bound and c3 <= bound
-          for model, n, P, c2, c3 in info]
-    recs = _scalar_rest(kernel_cost_dominance, group, ok)
-    for model in ("2.1", "2.2"):
-        idx = [i for i, good in enumerate(ok)
-               if good and info[i][0] == model]
-        if not idx:
-            continue
-        nf, Pf, c2f, c3f = _float_cols(
-            [row[1:] for row in info], idx, 4)
-        n2 = nf * nf
-        n3 = n2 * nf
-        if model == "2.1":
-            d2 = (2 * n2 / np.sqrt(Pf * c2f) * hw.beta_nw).tolist()
-            d3 = (2 * n2 / np.sqrt(Pf * c3f)
-                  * (hw.beta_nw + 1.5 * hw.beta_23
-                     + hw.beta_32)).tolist()
-            for j, i in enumerate(idx):
-                ratio = d2[j] / d3[j]
-                recs[i] = {
-                    "model": model,
-                    "dom_2.5DMML2": d2[j],
-                    "dom_2.5DMML3": d3[j],
-                    "ratio": ratio,
-                    "winner": "2.5DMML3" if ratio > 1 else "2.5DMML2",
-                }
-        else:
-            M2 = hw.M2
-            d25 = (hw.beta_nw * n2 / np.sqrt(Pf * c3f)
-                   + hw.beta_23 * n2 / np.sqrt(Pf * c3f)
-                   + hw.beta_32 * n3 / (Pf * math.sqrt(M2))).tolist()
-            dsu = (hw.beta_nw * n3 / (Pf * math.sqrt(M2))
-                   + hw.beta_23 * n2 / Pf
-                   + hw.beta_32 * n3 / (Pf * math.sqrt(M2))).tolist()
-            for j, i in enumerate(idx):
-                recs[i] = {
-                    "model": model,
-                    "dom_2.5DMML3ooL2": d25[j],
-                    "dom_SUMMAL3ooL2": dsu[j],
-                    "ratio": d25[j] / dsu[j],
-                    "winner": ("SUMMAL3ooL2" if d25[j] > dsu[j]
-                               else "2.5DMML3ooL2"),
-                }
-    return recs
-
-
-def _vec_table_family(rows_fn: Callable, sizes: Tuple[str, ...],
-                      defaults: Tuple[int, ...], table: str) -> Callable:
-    """A table-cell evaluator memoizing the scalar row list per unique
-    size tuple (row/algorithm axes make uniques sparse; reusing the
-    scalar row code is the bit-identity argument for the tables)."""
-
-    def evaluate(hw: HwParams, group) -> list:
-        rows_cache: Dict[Tuple[int, ...], Any] = {}
-        recs = []
-        for _, params in group:
-            key = tuple(_geti(params, name, default)
-                        for name, default in zip(sizes, defaults))
-            try:
-                rows = rows_cache[key]
-            except KeyError:
-                try:
-                    rows = rows_fn(*key, hw)
-                except ValueError as exc:
-                    rows = exc
-                rows_cache[key] = rows
-            if isinstance(rows, ValueError):
-                recs.append(_infeasible(
-                    str(params.get("algorithm", table)), rows))
-            else:
-                recs.append(_table_cell(params, rows, table))
-        return recs
-
-    return evaluate
-
-
-#: kernel name -> ``(hw, group) -> records`` vectorized batch evaluator.
-COST_BATCH_EVALUATORS: Dict[str, Callable] = {
-    "cost-2d-mm": _vec_cost_2d_mm,
-    "cost-25d-mm-l2": _vec_cost_25d_mm_l2,
-    "cost-25d-mm-l3": _vec_cost_25d_mm_l3,
-    "cost-25d-mm-l3-ool2": _vec_cost_25d_mm_l3_ool2,
-    "cost-summa-l3-ool2": _vec_cost_summa_l3_ool2,
-    "cost-lu-ll": _vec_cost_lu_ll,
-    "cost-lu-rl": _vec_cost_lu_rl,
-    "cost-break-even": _vec_cost_break_even,
-    "cost-dominance": _vec_cost_dominance,
-    "cost-table1": _vec_table_family(
-        table1_rows, ("n", "P", "c2", "c3"),
-        (1 << 14, 1 << 20, 4, 16), "Table-1"),
-    "cost-table2": _vec_table_family(
-        table2_rows, ("n", "P", "c3"),
-        (1 << 15, 512, 4), "Table-2"),
-}
-
-
-def run_cost_batch(kernel: str, group) -> list:
-    """A whole grid of one ``cost-*`` family in one vectorized pass.
-
-    Every ``(machine, params)`` pair must resolve to the same
-    :class:`HwParams` (the executor groups on the projected machine, so
-    this holds by construction); records are bit-identical to running
-    the scalar kernel per point, including the ``feasible: False``
-    payloads of out-of-regime grid points.
-    """
-    try:
-        evaluate = COST_BATCH_EVALUATORS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"kernel {kernel!r} is not a batched cost kernel; "
-            f"available: {sorted(COST_BATCH_EVALUATORS)}"
-        ) from None
-    machine0 = group[0][0]
-    hw = _hw(machine0)
-    checked = {id(machine0)}
-    for machine, _ in group:
-        if id(machine) in checked:  # grids share one spec object
-            continue
-        require(machine.hw_params() == hw,
-                "cost batch mixes different hw parameter sets")
-        checked.add(id(machine))
-    return evaluate(hw, group)
 
 
 #: everything this module registers, by registry name.

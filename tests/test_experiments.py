@@ -17,10 +17,10 @@ from repro.experiments import (
     format_sec6,
     format_table1,
     format_table2,
-    run_lu,
-    run_table1,
-    run_table2,
 )
+from repro.experiments.lu_tradeoff import _assemble_lu, lu_scenario
+from repro.experiments.table1 import _assemble_table1, table1_scenario
+from repro.experiments.table2 import _assemble_table2, table2_scenario
 from repro.lab.executor import execute
 from repro.lab.registry import MachineSpec
 from repro.lab.scenarios import (
@@ -97,18 +97,14 @@ class TestFig5:
 
 class TestTables:
     def test_table1_validation_block(self):
-        r = run_table1(n=1 << 12, P=1 << 12, c2=2, c3=4)
+        sc = table1_scenario(n=1 << 12, P=1 << 12, c2=2, c3=4)
+        r = _assemble_table1(execute(sc.points()).results)
         assert r["validation"]["numerically_correct"]
         s = format_table1(r)
         assert "2.5DMML3" in s and "NA" in s
 
-    def test_table1_no_validation(self):
-        r = run_table1(n=1 << 12, P=1 << 12, c2=2, c3=4,
-                       validate_sim=False)
-        assert "validation" not in r
-
     def test_table2_validation_block(self):
-        r = run_table2()
+        r = _assemble_table2(execute(table2_scenario().points()).results)
         v = r["validation"]
         assert v["summa_correct"] and v["mm25d_correct"]
         assert v["summa_nvm_writes_per_rank"] == v["w1_floor"]
@@ -164,7 +160,8 @@ class TestSectionHarnesses:
         assert "Θ(s)" in sc.render(report.results)
 
     def test_lu_harness(self):
-        res = run_lu(n=16, b=4, P=4)
+        sc = lu_scenario(n=16, b=4, P=4)
+        res = _assemble_lu(execute(sc.points()).results)
         assert res["ll_correct"] and res["rl_correct"]
         s = format_lu(res)
         assert "LL-LUNP" in s and "RL-LUNP" in s

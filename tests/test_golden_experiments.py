@@ -4,9 +4,9 @@ Every table is a ``repro.lab`` preset; ``tests/golden/`` holds each
 rendered table as the original serial harnesses printed it, and the
 presets must reproduce it **byte for byte** (fig2/fig5/sec6 at their
 quick geometry, ``<name>-quick.txt``; the rest at full size).  The
-table1/table2/sec7/lu library clients are pinned to the same files,
-and their engine plumbing is checked: quick geometries, ``jobs``
-fan-out, and point-level caching.
+structured results the table1/table2/sec7/lu presets assemble are
+checked too: quick geometries, ``jobs`` fan-out, and point-level
+caching.
 """
 
 from pathlib import Path
@@ -18,11 +18,11 @@ from repro.experiments import (
     format_sec7_model1,
     format_table1,
     format_table2,
-    run_lu,
-    run_sec7_model1,
-    run_table1,
-    run_table2,
 )
+from repro.experiments.lu_tradeoff import _assemble_lu, lu_scenario
+from repro.experiments.sec7_model1 import _assemble_sec7, sec7_scenario
+from repro.experiments.table1 import _assemble_table1, table1_scenario
+from repro.experiments.table2 import _assemble_table2, table2_scenario
 from repro.lab.cache import ResultCache
 from repro.lab.executor import execute
 from repro.lab.scenarios import get_scenario
@@ -34,21 +34,25 @@ def golden(name: str) -> str:
     return GOLDEN.joinpath(f"{name}.txt").read_text()
 
 
-class TestGoldenOutput:
-    """Byte-identity with the seed harness output."""
+def assembled(scenario, assemble, **engine):
+    """Execute a preset's points and assemble its structured result."""
+    return assemble(execute(scenario.points(), **engine).results)
 
-    def test_table1(self):
-        assert format_table1(run_table1()) + "\n" == golden("table1")
 
-    def test_table2(self):
-        assert format_table2(run_table2()) + "\n" == golden("table2")
+def quick_table1(**kw):
+    return assembled(table1_scenario(True), _assemble_table1, **kw)
 
-    def test_sec7(self):
-        assert (format_sec7_model1(run_sec7_model1()) + "\n"
-                == golden("sec7"))
 
-    def test_lu(self):
-        assert format_lu(run_lu()) + "\n" == golden("lu")
+def quick_table2(**kw):
+    return assembled(table2_scenario(True), _assemble_table2, **kw)
+
+
+def quick_sec7(**kw):
+    return assembled(sec7_scenario(True), _assemble_sec7, **kw)
+
+
+def quick_lu(**kw):
+    return assembled(lu_scenario(True), _assemble_lu, **kw)
 
 
 #: (preset, quick, golden file) for every table the presets render.
@@ -79,47 +83,42 @@ class TestQuickGeometry:
     """--quick shrinks each harness instead of being ignored."""
 
     def test_table1_quick_shrinks_validation(self):
-        full = run_table1()["validation"]["measured_max_nw_recv"]
-        quick = run_table1(quick=True)["validation"]["measured_max_nw_recv"]
-        assert quick < full
-        assert run_table1(quick=True)["validation"]["numerically_correct"]
+        full = assembled(table1_scenario(), _assemble_table1)
+        quick = quick_table1()["validation"]
+        assert (quick["measured_max_nw_recv"]
+                < full["validation"]["measured_max_nw_recv"])
+        assert quick["numerically_correct"]
 
     def test_table2_quick_still_attains_w1(self):
-        v = run_table2(quick=True)["validation"]
+        v = quick_table2()["validation"]
         assert v["summa_correct"] and v["mm25d_correct"]
         assert v["summa_nvm_writes_per_rank"] == v["w1_floor"]
 
     def test_sec7_quick(self):
-        res = run_sec7_model1(quick=True)
+        res = quick_sec7()
         assert res["n"] == 16 and res["P"] == 4
         assert res["correct"]
 
     def test_lu_quick(self):
-        res = run_lu(quick=True)
+        res = quick_lu()
         assert res["n"] == 16
         assert res["ll_correct"] and res["rl_correct"]
 
     def test_quick_formats(self):
         # The formatted quick variants render without error.
-        format_table1(run_table1(quick=True))
-        format_table2(run_table2(quick=True))
-        format_sec7_model1(run_sec7_model1(quick=True))
-        format_lu(run_lu(quick=True))
+        format_table1(quick_table1())
+        format_table2(quick_table2())
+        format_sec7_model1(quick_sec7())
+        format_lu(quick_lu())
 
 
 class TestEngineBacking:
     def test_table1_jobs_matches_serial(self):
-        assert run_table1(quick=True, jobs=2) == run_table1(quick=True)
+        assert quick_table1(jobs=2) == quick_table1()
 
     def test_run_lu_point_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_lu(quick=True, cache=cache)
+        first = quick_lu(cache=cache)
         assert len(cache) == 4  # 2 executed + 2 cost points
-        second = run_lu(quick=True, cache=cache)
+        second = quick_lu(cache=cache)
         assert second == first
-
-    def test_table1_no_validation(self):
-        r = run_table1(n=1 << 12, P=1 << 12, c2=2, c3=4,
-                       validate_sim=False)
-        assert "validation" not in r
-        assert len(r["rows"]) == 15

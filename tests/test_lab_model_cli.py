@@ -9,8 +9,10 @@ cost parameters.
 
 import pytest
 
-from repro.experiments import format_table1, run_table1
+from repro.experiments import format_table1
+from repro.experiments.table1 import _assemble_table1, table1_scenario
 from repro.lab.cli import main as lab_main
+from repro.lab.executor import execute
 
 
 class TestTable1Preset:
@@ -19,7 +21,9 @@ class TestTable1Preset:
                 str(tmp_path)]
         assert lab_main(argv) == 0
         first = capsys.readouterr().out
-        assert format_table1(run_table1()) in first
+        points = table1_scenario().points()
+        assert format_table1(_assemble_table1(execute(points).results)) \
+            in first
         assert "0/47" in first  # cold cache
 
         assert lab_main(argv) == 0
@@ -168,6 +172,9 @@ class TestRunSetOverrides:
             get_scenario("table2", quick=True).with_overrides({"P": -4})
         with pytest.raises(ValueError, match="c3 must be >= 1"):
             get_scenario("table2", quick=True).with_overrides({"c3": -1})
+        for name in ("table1", "table2"):
+            with pytest.raises(ValueError, match="n must be positive"):
+                get_scenario(name, quick=True).with_overrides({"n": 0})
 
     def test_report_accepts_run_overrides(self, capsys, tmp_path):
         argv = ["table1", "--quick", "--hw", "beta_23=30",

@@ -22,10 +22,10 @@ Runs under the slim ``ci`` hypothesis profile by default (see
 widens the search locally.
 
 Grid integers are drawn well past the vectorized evaluators' float64
-exactness domain (``|n|, c <= 2**16``, ``P <= 2**32``): points inside
-it vectorize, points beyond it must hit the enforced scalar fallback —
-bit-identity is unconditional either way, and these tests prove it on
-both sides of the boundary.
+exactness domain (``n, c <= 2**16``, ``P <= 2**32``) and below it
+(``n, P <= 0``): points inside it vectorize, points beyond it must hit
+the enforced scalar fallback — bit-identity is unconditional either
+way, and these tests prove it on both sides of the boundary.
 """
 
 import json
@@ -146,11 +146,14 @@ def test_scalar_replay_equals_access_loop(start, policy, cap, prefix,
 _rate = st.floats(min_value=1e-3, max_value=1e4,
                   allow_nan=False, allow_infinity=False)
 # Mostly in-domain values, sometimes far beyond the vectorized
-# exactness bounds (2**16 / 2**32) to exercise the scalar fallback.
+# exactness bounds (2**16 / 2**32) to exercise the scalar fallback, and
+# sometimes zero or negative (infeasible on both paths).
 _size = st.one_of(st.integers(1, 1 << 16),
-                  st.integers(1, 1 << 40))
+                  st.integers(1, 1 << 40),
+                  st.integers(-(1 << 16), 0))
 _replication = st.one_of(st.integers(1, 40),
-                         st.integers(1, 1 << 20))
+                         st.integers(1, 1 << 20),
+                         st.integers(-4, 0))
 
 
 @st.composite
@@ -244,26 +247,20 @@ def test_vectorized_cost_rows_equal_scalar(kernel, data):
 
 @given(data=st.data())
 def test_vectorized_cost_rows_survive_mixed_feasibility(data):
-    """Grids straddling the c3 <= P^(1/3) edge — including non-positive
-    P and c3 = 0, where python pow goes complex and the scalar chained
-    require may either short-circuit (infeasible record) or crash
-    (TypeError): the batch matches the scalar outcome point for point,
-    records and crashes alike."""
+    """Grids straddling the c3 <= P^(1/3) edge, including non-positive
+    P (where python pow goes complex) and c3 = 0: every point yields a
+    record, identical on both paths, and P <= 0 is infeasible."""
     machine = data.draw(hw_machines())
     P = data.draw(st.integers(-4096, 4096))
     c3s = data.draw(st.lists(st.integers(0, 64), min_size=2, max_size=6))
     group = [(machine, {"n": 4096, "P": P, "c3": c3}) for c3 in c3s]
-    try:
-        scalar = [COST_KERNELS["cost-25d-mm-l3-ool2"](machine, p)
-                  for _, p in group]
-    except (TypeError, ZeroDivisionError) as exc:
-        # Crash parity: whatever kills the pointwise sweep must kill
-        # the batched one identically.
-        with pytest.raises(type(exc)):
-            run_cost_batch("cost-25d-mm-l3-ool2", group)
-        return
+    scalar = [COST_KERNELS["cost-25d-mm-l3-ool2"](machine, p)
+              for _, p in group]
     batched = run_cost_batch("cost-25d-mm-l3-ool2", group)
     assert _canon(batched) == _canon(scalar)
-    if P > 0:
-        for rec, c3 in zip(batched, c3s):
+    for rec, c3 in zip(batched, c3s):
+        if P <= 0:
+            assert rec["feasible"] is False
+            assert rec["reason"] == f"P must be >= 1, got {P}"
+        else:
             assert rec["feasible"] == (1 <= c3 <= P ** (1 / 3) + 1e-9)
