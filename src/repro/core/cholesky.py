@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.blockio import BlockSlot
 from repro.machine.hierarchy import MemoryHierarchy
@@ -68,6 +67,8 @@ def blocked_cholesky(
     full b×b diagonal blocks (simpler addressing); this changes counts only
     by the lower-order term n·b/2.
     """
+    import scipy.linalg
+
     require(variant in ("left-looking", "right-looking"),
             f"unknown variant {variant!r}")
     A = np.asarray(A)

@@ -20,7 +20,6 @@ Provided:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.blockio import BlockSlot
 from repro.machine.hierarchy import MemoryHierarchy
@@ -66,6 +65,8 @@ def blocked_lu(
     The caller must supply a matrix with nonsingular leading principal
     minors (e.g. diagonally dominant).
     """
+    import scipy.linalg
+
     require(variant in ("left-looking", "right-looking"),
             f"unknown variant {variant!r}")
     A = np.asarray(A)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.blockio import BlockSlot
 from repro.machine.hierarchy import MemoryHierarchy
@@ -115,6 +114,8 @@ class _Engine:
 
     def trsm_left_upper(self, d, T, B, tn, bn, t0, bi, bj, span_n, span_m):
         """Solve T[t0:,t0:]·X = B[bi:,bj:] in place (T upper triangular)."""
+        import scipy.linalg
+
         b = self.bs[d]
         st, sx, sb = self.slots[d]
         bb = b * b
@@ -151,6 +152,8 @@ class _Engine:
         Column blocks of X depend left-to-right; the update for column k
         uses already-solved columns j < k: X(:,k) -= X(:,j)·L(k,j)ᵀ.
         """
+        import scipy.linalg
+
         b = self.bs[d]
         sl, sx, sb = self.slots[d]
         bb = b * b
@@ -182,6 +185,8 @@ class _Engine:
 
     def cholesky(self, d, A, an, a0, span):
         """Factor A[a0:a0+span, a0:a0+span] = L·Lᵀ in place (lower)."""
+        import scipy.linalg
+
         b = self.bs[d]
         sl, sr, so = self.slots[d]
         bb = b * b

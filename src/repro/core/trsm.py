@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.blockio import BlockSlot
 from repro.machine.hierarchy import MemoryHierarchy
@@ -71,6 +70,8 @@ def blocked_trsm(
 
     Returns B (= X).
     """
+    import scipy.linalg
+
     require(variant in ("left-looking", "right-looking"),
             f"unknown variant {variant!r}")
     T = np.asarray(T)

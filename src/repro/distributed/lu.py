@@ -23,7 +23,6 @@ L·U ≈ A in tests.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.distributed.grid import square_grid_side
 from repro.distributed.machine import DistMachine
@@ -92,6 +91,8 @@ def lu_ll_nonpivot(
     O(n²/P): every finished L/U block is written once, plus one write of
     the updated block before panel factorization.
     """
+    import scipy.linalg
+
     A, n, q, nb, owner = _setup(A, machine, b)
 
     for J in range(nb):
@@ -160,6 +161,8 @@ def lu_rl_nonpivot(
     broadcast them, and update every trailing block — each trailing block
     is read from NVM and written back (the Θ(n²·log²P/√P) β23 term).
     """
+    import scipy.linalg
+
     A, n, q, nb, owner = _setup(A, machine, b)
 
     for K in range(nb):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util import check_positive_int, require
 

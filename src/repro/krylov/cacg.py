@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.krylov.basis import MonomialBasis, PolynomialBasis
 from repro.krylov.cg import KSMTraffic
@@ -99,6 +98,8 @@ def cacg(
     streaming:
         Use the write-avoiding streaming matrix-powers execution.
     """
+    import scipy.sparse as sp
+
     check_positive_int(s, "s")
     b = np.asarray(b, dtype=float)
     n = len(b)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util import require
 
@@ -59,6 +58,8 @@ def cg(
     (nnz values + column indices) and the vector; the vector updates write
     x, r, p and the SpMV writes w — 4n words to slow memory per iteration.
     """
+    import scipy.sparse as sp
+
     b = np.asarray(b, dtype=float)
     n = len(b)
     require(A.shape == (n, n), f"A must be ({n},{n}), got {A.shape}")

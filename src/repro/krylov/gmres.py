@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.krylov.basis import MonomialBasis, PolynomialBasis
 from repro.krylov.cg import KSMTraffic
@@ -71,6 +70,8 @@ def gmres(
     slow memory (it is re-read by every later step): restart·n writes per
     cycle plus the solution update.
     """
+    import scipy.sparse as sp
+
     check_positive_int(restart, "restart")
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -147,6 +148,8 @@ def ca_gmres(
     Per cycle: basis K_{s+1}(A, r₀); R factor of K; small least squares
     ``min_y ‖R(e₁ − H y)‖``; recovery ``x += K_s y``.
     """
+    import scipy.sparse as sp
+
     check_positive_int(s, "s")
     b = np.asarray(b, dtype=float)
     n = len(b)

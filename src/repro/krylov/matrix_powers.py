@@ -22,14 +22,16 @@ mesh setting).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.krylov.basis import MonomialBasis, PolynomialBasis
 from repro.krylov.cg import KSMTraffic
 from repro.util import check_positive_int, require
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "matrix_bandwidth",
@@ -48,6 +50,8 @@ def matrix_bandwidth(A: sp.spmatrix) -> int:
 
 
 def _as_csr(A) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     require(sp.issparse(A), "matrix-powers kernels expect a sparse matrix")
     return A.tocsr()
 

@@ -10,12 +10,14 @@ Chebyshev (ℓ∞) distance *b*.
 from __future__ import annotations
 
 import itertools
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util import check_positive_int, require
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["stencil_matrix", "spd_stencil_system", "stencil_bandwidth"]
 
@@ -29,6 +31,8 @@ def stencil_matrix(
     rows are the flattened mesh in row-major order.  ``periodic`` wraps
     the mesh into a torus (keeps row counts uniform).
     """
+    import scipy.sparse as sp
+
     check_positive_int(mesh, "mesh")
     check_positive_int(d, "d")
     check_positive_int(b, "b")
@@ -74,6 +78,8 @@ def spd_stencil_system(
     A = (degmax + 1)·I − stencil: symmetric, strictly diagonally dominant,
     hence SPD; rhs is a fixed random vector.
     """
+    import scipy.sparse as sp
+
     S = stencil_matrix(mesh, d, b, periodic=periodic)
     n = S.shape[0]
     degmax = int(S.sum(axis=1).max())

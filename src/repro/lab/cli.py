@@ -175,8 +175,12 @@ def _finish(scenario: Scenario, report, cache, args,
                                    f"({report.failed} of {report.total} "
                                    f"point(s) failed)"))
         print(_render_failures(report))
-        print(f"[repro.lab] re-running the same command retries only "
-              f"the failures (completed points are cached)")
+        if cache is None or cache.disabled:
+            print("[repro.lab] nothing was kept (caching is off); "
+                  "re-running the same command recomputes every point")
+        else:
+            print("[repro.lab] re-running the same command retries only "
+                  "the failures (completed points are cached)")
     else:
         print(scenario.render(report.results))
     csv_path = getattr(args, "csv", None)
@@ -587,6 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    no_cache = getattr(args, "no_cache", False)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -596,21 +601,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except PointExecutionError as exc:
         # A task failed terminally and the run was not --keep-going;
-        # everything that completed before the failure is cached.
+        # everything that completed before the failure is cached, unless
+        # --no-cache kept nothing.
         print(f"repro-lab: sweep aborted: {exc}", file=sys.stderr)
-        print("repro-lab: completed points are cached; re-run (or add "
-              "--keep-going / --retries) to continue", file=sys.stderr)
+        if no_cache:
+            print("repro-lab: nothing was kept (--no-cache); re-run (or "
+                  "add --keep-going / --retries) to recompute every point",
+                  file=sys.stderr)
+        else:
+            print("repro-lab: completed points are cached; re-run (or add "
+                  "--keep-going / --retries) to continue", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         # Terminating the pool is the executor's job (its finally
         # block); here we sweep up half-written cache temporaries and
         # exit with the conventional SIGINT status instead of a
         # traceback.  Completed points were cached as they finished.
-        if not getattr(args, "no_cache", False):
-            try:
-                ResultCache(getattr(args, "cache_dir", None)).cleanup_tmp()
-            except Exception:
-                pass
+        if no_cache:
+            print("\n[repro.lab] interrupted; nothing was kept "
+                  "(--no-cache)", file=sys.stderr)
+            return 130
+        try:
+            ResultCache(getattr(args, "cache_dir", None)).cleanup_tmp()
+        except Exception:
+            pass
         print("\n[repro.lab] interrupted; completed points are cached — "
               "re-run the same command to resume", file=sys.stderr)
         return 130

@@ -168,7 +168,9 @@ class MachineSpec:
         """A copy with *changes* merged into the ``hw`` override set.
 
         Keys accept either ``HwParams`` attribute names (``beta_23``) or
-        the paper's table labels (``β23``)."""
+        the paper's table labels (``β23``).  The merged parameter set
+        must pass :meth:`HwParams.validate` (positive rates and sizes,
+        ``M1 < M2 < M3``), so a bad value fails here, not in a kernel."""
         merged = dict(self.hw or ())
         valid = set(HwParams.__dataclass_fields__)
         for key, value in changes.items():
@@ -177,6 +179,7 @@ class MachineSpec:
                     f"unknown hw parameter {key!r}; available: "
                     f"{sorted(valid)}")
             merged[attr] = float(value)
+        HwParams(**merged).validate()
         return replace(self, hw=tuple(sorted(merged.items())))
 
     def energy_model(self) -> EnergyModel:

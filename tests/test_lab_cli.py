@@ -6,6 +6,7 @@ prints the pinned Figure-2 tables exactly, and a second invocation is
 served (entirely) from the persistent result cache.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -130,19 +131,56 @@ class TestExperimentsCLIRewired:
         assert set(PRESETS.values()) <= listed
 
 
+def _fresh_modules(code: str, *prefixes: str) -> list:
+    """Run *code* in a fresh interpreter and return the loaded modules
+    named by *prefixes* (a module or any of its submodules)."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+             f"m for m in sys.modules if any(m == p or m.startswith(p + '.')"
+             f" for p in {prefixes!r}))))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _cli(*argv: str) -> str:
+    """Code that runs ``repro-lab *argv`` and requires exit status 0."""
+    return ("from repro.lab.cli import main\n"
+            f"assert main({list(argv)!r}) == 0")
+
+
 class TestStartup:
     def test_cli_import_skips_the_pebbling_stack(self):
         """networkx and repro.cdag load only when a cdag-pebble point
         runs, never on CLI start-up."""
-        code = ("import sys, repro.lab.cli; "
-                "print(sorted(m for m in ('networkx', 'repro.cdag') "
-                "if m in sys.modules))")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env=env).stdout
-        assert out.strip() == "[]"
+        assert _fresh_modules("import repro.lab.cli",
+                              "networkx", "repro.cdag") == []
+
+    def test_cli_import_skips_scipy(self):
+        """scipy loads only inside the numeric LU/TRSM/Cholesky and
+        Krylov kernels, never on CLI start-up."""
+        assert _fresh_modules("import repro.lab.cli", "scipy") == []
+
+    def test_cost_grid_sweep_runs_without_scipy(self):
+        code = _cli("sweep", "--kernel", "cost-25d-mm-l3-ool2",
+                    "--machine", "hw-2015", "--grid", "n=256,512",
+                    "--grid", "P=1024,2048", "--grid", "c3=1,2",
+                    "--no-cache")
+        assert _fresh_modules(code, "scipy") == []
+
+    def test_sec6_sweep_runs_without_scipy(self, tmp_path):
+        code = _cli("sweep", "--preset", "sec6", "--quick",
+                    "--cache-dir", str(tmp_path))
+        assert _fresh_modules(code, "scipy") == []
+
+    def test_numeric_kernels_load_scipy_on_demand(self):
+        lu = _cli("sweep", "--kernel", "lu-ll-nonpivot", "--set", "n=16",
+                  "--set", "b=4", "--set", "P=4", "--no-cache")
+        assert "scipy.linalg" in _fresh_modules(lu, "scipy")
+        cg = _cli("sweep", "--kernel", "krylov-cg", "--set", "mesh=16",
+                  "--no-cache")
+        assert "scipy.sparse" in _fresh_modules(cg, "scipy")
 
 
 class TestRobustnessCLI:
@@ -204,6 +242,35 @@ class TestRobustnessCLI:
         assert not stale.exists()
         assert "re-run the same command to resume" in \
             capsys.readouterr().err
+
+    def test_no_cache_partial_results_promise_no_cache(self, capsys):
+        rc = lab_main(self.ARGV + ["--no-cache", "--fault-plan",
+                                   "rate=1.0", "--keep-going"])
+        assert rc == 3
+        out = capsys.readouterr().out
+        assert "nothing was kept (caching is off)" in out
+        assert "points are cached" not in out
+
+    def test_no_cache_abort_hint_promises_no_cache(self, capsys):
+        rc = lab_main(self.ARGV + ["--no-cache", "--fault-plan",
+                                   "rate=1.0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "nothing was kept (--no-cache)" in err
+        assert "cached" not in err
+
+    def test_no_cache_interrupt_hint_promises_no_cache(self, capsys,
+                                                       monkeypatch):
+        import repro.lab.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "execute", boom)
+        assert lab_main(self.ARGV + ["--no-cache"]) == 130
+        err = capsys.readouterr().err
+        assert "nothing was kept (--no-cache)" in err
+        assert "cached" not in err
 
     def test_cache_gc_reports_quarantined(self, capsys, tmp_path):
         assert lab_main(self.ARGV + ["--cache-dir", str(tmp_path)]) == 0

@@ -66,6 +66,20 @@ class TestCostSweeps:
                          "--no-cache", "--hw", "beta_99=1"]) == 2
         assert "unknown hw parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hw, message", [
+        ("beta_23=-1", "beta_23 must be positive"),
+        ("beta_23=nan", "beta_23 must be positive"),
+        ("M1=1e12", "level sizes must satisfy M1 < M2 < M3"),
+    ])
+    def test_bad_hw_value_is_a_cli_error(self, capsys, hw, message):
+        # Rejected while the scenario is built, not by the kernel
+        # mid-sweep (which exited 1 with a remote traceback).
+        assert lab_main(["sweep", "--kernel", "cost-2d-mm", "--grid",
+                         "n=64", "--set", "P=16", "--hw", hw,
+                         "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro-lab: error: {message}"
+
     def test_hw_machine_preset(self, capsys):
         assert lab_main(["sweep", "--kernel", "cost-dominance",
                          "--machine", "hw-sym", "--no-cache",

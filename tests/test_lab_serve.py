@@ -262,6 +262,16 @@ class TestSweepLifecycle:
         assert excinfo.value.code == 400
         assert "unknown kernel" in json.loads(excinfo.value.read())["error"]
 
+    def test_bad_hw_value_is_a_400(self, daemon):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", {"kernel": "cost-2d-mm",
+                                         "grid": {"n": [64]},
+                                         "set": {"P": 16},
+                                         "hw": {"M1": 1e12}})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == \
+            "level sizes must satisfy M1 < M2 < M3"
+
     def test_healthz(self, daemon):
         status, body = _get(daemon.url, "/healthz")
         assert status == 200 and body["ok"]
