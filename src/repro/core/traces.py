@@ -14,15 +14,29 @@ variants share one code path:
 ``spec = [("blocked", b, "ijk"), ("co", base)]`` means: block the problem
 into b×b×b bricks visited in loop order i→j→k (k innermost), and execute
 each brick cache-obliviously down to *base*-sized tiles.
+
+Every builder lays its kernel out as a **visit table** once (which array,
+which tile or segment, read or write) and emits it in a single batch:
+each traced array translates all of its visits with numpy index
+arithmetic, and the buffer records one chunk per non-empty visit, which
+is the tile structure :mod:`repro.machine.fastsim.symbols` folds.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple, Union
 
-from repro.machine.arrays import matrix_trio
+import numpy as np
+
+from repro.machine.arrays import (
+    AddressSpace,
+    TracedMatrix,
+    TracedVector,
+    matrix_trio,
+    ragged_arange,
+)
 from repro.machine.trace import TraceBuffer
-from repro.util import check_multiple, require
+from repro.util import check_multiple, check_positive_int, require
 
 __all__ = [
     "hierarchical_task_order",
@@ -35,6 +49,7 @@ __all__ = [
 
 Task = Tuple[int, int, int, int, int, int]
 LevelSpec = Union[Tuple[str, int, str], Tuple[str, int]]
+Traced = Union[TracedMatrix, TracedVector]
 
 
 def _co_tasks(i0, i1, j0, j1, k0, k1, base) -> Iterator[Task]:
@@ -143,6 +158,40 @@ def _scheme_spec(
     raise ValueError(f"unknown scheme {scheme!r}; one of {MATMUL_SCHEMES}")
 
 
+def _emit(buf: TraceBuffer, arrays: Sequence[Traced], which: np.ndarray,
+          bounds: np.ndarray, writes: np.ndarray) -> TraceBuffer:
+    """Append a whole visit table to *buf* in one batch.
+
+    Visit ``v`` touches ``arrays[which[v]]`` over ``bounds[v]`` (a tile's
+    ``(i0, i1, j0, j1)`` or a segment's ``(lo, hi)``), as a write iff
+    ``writes[v]``.  Each array translates all of its visits at once; the
+    per-array line runs are then scattered into visit order.
+    """
+    lens = np.empty(len(which), dtype=np.int64)
+    parts = []
+    for a, arr in enumerate(arrays):
+        sel = np.flatnonzero(which == a)
+        lines, lens[sel] = arr.batch_lines(*bounds[sel].T)
+        parts.append((sel, lines))
+    starts = np.cumsum(lens) - lens
+    out = np.empty(int(lens.sum()), dtype=np.int64)
+    for sel, lines in parts:
+        out[ragged_arange(starts[sel], lens[sel])] = lines
+    buf.touch_visits(out, lens, writes)
+    return buf
+
+
+def _emit_blocks(buf: TraceBuffer, arrays: Sequence[Traced],
+                 visits: List[Tuple[int, int, int, bool]], b: int
+                 ) -> TraceBuffer:
+    """:func:`_emit` for a table of ``(array, block row, block col,
+    write)`` visits to b×b matrix blocks."""
+    table = np.array(visits, dtype=np.int64).reshape(-1, 4)
+    rows, cols = table[:, 1] * b, table[:, 2] * b
+    bounds = np.stack([rows, rows + b, cols, cols + b], axis=1)
+    return _emit(buf, arrays, table[:, 0], bounds, table[:, 3] != 0)
+
+
 def matmul_trace(
     m: int,
     n: int,
@@ -166,27 +215,39 @@ def matmul_trace(
     the *whole* resident b3-level C block to bump its LRU priority —
     rescuing the multi-level WA order when fewer than five blocks fit.
 
+    The task order is collected once into an int array; the A, B and C
+    visits (and the hint's C-block visits) are interleaved from it as
+    one visit table and emitted in one batch.
+
     Returns a :class:`~repro.machine.trace.TraceBuffer`; feed it to
     :class:`~repro.machine.cache.CacheSim` via ``finalize()``.
     """
+    check_positive_int(b3, "b3")
+    check_positive_int(b2, "b2")
+    check_positive_int(base, "base")
     C, A, B, _space = matrix_trio(None, m, n, l, line_size)
-    buf = TraceBuffer(line_size)
     spec = _scheme_spec(scheme, b3, b2, base)
-    last_b2 = None
-    for (i0, i1, j0, j1, k0, k1) in hierarchical_task_order(m, n, l, spec):
-        if c_touch_hint:
-            cur_b2 = (i0 // b2, j0 // b2, k0 // b2)
-            if cur_b2 != last_b2 and last_b2 is not None:
-                ci, cj = (i0 // b3) * b3, (j0 // b3) * b3
-                buf.touch_lines(
-                    C.tile_lines(ci, min(ci + b3, m), cj, min(cj + b3, l)),
-                    write=False,
-                )
-            last_b2 = cur_b2
-        buf.touch_lines(A.tile_lines(i0, i1, k0, k1), write=False)
-        buf.touch_lines(B.tile_lines(k0, k1, j0, j1), write=False)
-        buf.touch_lines(C.tile_lines(i0, i1, j0, j1), write=True)
-    return buf
+    tasks = np.array(list(hierarchical_task_order(m, n, l, spec)),
+                     dtype=np.int64)
+    i0, i1, j0, j1, k0, k1 = tasks.T
+    # The hint re-touches the C block of b3-block (ci, cj) before the
+    # first task of every b2-level block but the first.
+    hint = np.zeros(len(tasks), dtype=bool)
+    if c_touch_hint:
+        b2_block = tasks[:, [0, 2, 4]] // b2
+        hint[1:] = (b2_block[1:] != b2_block[:-1]).any(axis=1)
+    ci, cj = (i0 // b3) * b3, (j0 // b3) * b3
+    # Four visit slots per task: hint C block, A tile, B tile, C tile.
+    bounds = np.stack([ci, np.minimum(ci + b3, m), cj, np.minimum(cj + b3, l),
+                       i0, i1, k0, k1,
+                       k0, k1, j0, j1,
+                       i0, i1, j0, j1], axis=1).reshape(-1, 4, 4)
+    keep = np.ones((len(tasks), 4), dtype=bool)
+    keep[:, 0] = hint
+    slots = np.nonzero(keep)[1]
+    _C, _A, _B = 0, 1, 2
+    return _emit(TraceBuffer(line_size), (C, A, B),
+                 np.array([_C, _A, _B, _C])[slots], bounds[keep], slots == 3)
 
 
 # --------------------------------------------------------------------- #
@@ -204,26 +265,19 @@ def trsm_trace(
     """
     check_multiple(n, b, "n")
     check_multiple(m, b, "m")
-    from repro.machine.arrays import AddressSpace, TracedMatrix
-
     space = AddressSpace(line_size)
     B = TracedMatrix(space, "B", n, m)
     T = TracedMatrix(space, "T", n, n)
-    buf = TraceBuffer(line_size)
     nb, mb = n // b, m // b
-
-    def tile(M_, i, j):
-        return M_.tile_lines(i * b, (i + 1) * b, j * b, (j + 1) * b)
-
+    _B, _T = 0, 1
+    visits: List[Tuple[int, int, int, bool]] = []
     for j in range(mb):
         for i in range(nb - 1, -1, -1):
             for k in range(i + 1, nb):
-                buf.touch_lines(tile(T, i, k), write=False)
-                buf.touch_lines(tile(B, k, j), write=False)
-                buf.touch_lines(tile(B, i, j), write=True)
-            buf.touch_lines(tile(T, i, i), write=False)
-            buf.touch_lines(tile(B, i, j), write=True)
-    return buf
+                visits += [(_T, i, k, False), (_B, k, j, False),
+                           (_B, i, j, True)]
+            visits += [(_T, i, i, False), (_B, i, j, True)]
+    return _emit_blocks(TraceBuffer(line_size), (B, T), visits, b)
 
 
 def cholesky_trace(n: int, *, b: int, line_size: int = 8) -> TraceBuffer:
@@ -233,29 +287,20 @@ def cholesky_trace(n: int, *, b: int, line_size: int = 8) -> TraceBuffer:
     (≈ n²/2 words) when five blocks fit.
     """
     check_multiple(n, b, "n")
-    from repro.machine.arrays import AddressSpace, TracedMatrix
-
-    space = AddressSpace(line_size)
-    A = TracedMatrix(space, "A", n, n)
-    buf = TraceBuffer(line_size)
+    A = TracedMatrix(AddressSpace(line_size), "A", n, n)
     nb = n // b
-
-    def tile(i, j):
-        return A.tile_lines(i * b, (i + 1) * b, j * b, (j + 1) * b)
-
+    visits: List[Tuple[int, int, int, bool]] = []
     for i in range(nb):
         for k in range(i):
-            buf.touch_lines(tile(i, k), write=False)
-            buf.touch_lines(tile(i, i), write=True)
-        buf.touch_lines(tile(i, i), write=True)  # in-place factorization
+            visits += [(0, i, k, False), (0, i, i, True)]
+        visits.append((0, i, i, True))  # in-place factorization
         for j in range(i + 1, nb):
             for k in range(i):
-                buf.touch_lines(tile(i, k), write=False)
-                buf.touch_lines(tile(j, k), write=False)
-                buf.touch_lines(tile(j, i), write=True)
-            buf.touch_lines(tile(i, i), write=False)
-            buf.touch_lines(tile(j, i), write=True)  # TRSM result
-    return buf
+                visits += [(0, i, k, False), (0, j, k, False),
+                           (0, j, i, True)]
+            visits += [(0, i, i, False),
+                       (0, j, i, True)]  # TRSM result
+    return _emit_blocks(TraceBuffer(line_size), (A,), visits, b)
 
 
 def nbody_trace(N: int, *, b: int, line_size: int = 8) -> TraceBuffer:
@@ -265,16 +310,16 @@ def nbody_trace(N: int, *, b: int, line_size: int = 8) -> TraceBuffer:
     write floor is the N force words.
     """
     check_multiple(N, b, "N")
-    from repro.machine.arrays import AddressSpace, TracedVector
-
     space = AddressSpace(line_size)
     P = TracedVector(space, "P", N)
     F = TracedVector(space, "F", N)
-    buf = TraceBuffer(line_size)
+    _P, _F = 0, 1
+    visits: List[Tuple[int, int, bool]] = []
     for i in range(0, N, b):
-        buf.touch_lines(P.segment_lines(i, i + b), write=False)
-        buf.touch_lines(F.segment_lines(i, i + b), write=True)
+        visits += [(_P, i, False), (_F, i, True)]
         for j in range(0, N, b):
-            buf.touch_lines(P.segment_lines(j, j + b), write=False)
-            buf.touch_lines(F.segment_lines(i, i + b), write=True)
-    return buf
+            visits += [(_P, j, False), (_F, i, True)]
+    table = np.array(visits, dtype=np.int64)
+    lo = table[:, 1]
+    return _emit(TraceBuffer(line_size), (P, F), table[:, 0],
+                 np.stack([lo, lo + b], axis=1), table[:, 2] != 0)

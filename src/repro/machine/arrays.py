@@ -4,19 +4,38 @@ The Section-6 experiments need word addresses for matrix tiles so that the
 cache simulator sees the same line-sharing effects a real row-major layout
 produces (e.g. adjacent tile rows falling in one line).  An
 :class:`AddressSpace` hands out line-aligned base addresses;
-:class:`TracedMatrix` and :class:`TracedVector` translate tile/segment
-touches into line-id arrays for a :class:`~repro.machine.trace.TraceBuffer`.
+:class:`TracedMatrix` and :class:`TracedVector` translate whole arrays of
+tile/segment bounds into concatenated line ids plus per-visit counts, the
+batch a :class:`~repro.machine.trace.TraceBuffer` appends in one call.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.util import check_positive_int, round_up
 
-__all__ = ["AddressSpace", "TracedMatrix", "TracedVector"]
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+__all__ = ["AddressSpace", "TracedMatrix", "TracedVector", "ragged_arange"]
+
+
+def ragged_arange(starts: ArrayLike, counts: ArrayLike) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each ``(s, c)`` pair.
+
+    One ``repeat`` and one ``arange`` instead of one ``arange`` per pair:
+    each output position is its pair's start plus its offset within the
+    pair's run.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return (np.repeat(starts - (ends - counts), counts)
+            + np.arange(total, dtype=np.int64))
 
 
 class AddressSpace:
@@ -74,34 +93,42 @@ class TracedMatrix:
         return self.base + i * self.ncols + j
 
     def tile_lines(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        """Line ids covering the tile ``[i0:i1, j0:j1]``, row by row.
+        """Line ids covering the tile ``[i0:i1, j0:j1]``, row by row: the
+        one-tile case of :meth:`batch_lines`."""
+        return self.batch_lines([i0], [i1], [j0], [j1])[0]
 
-        Rows are emitted in order; within a row the covering lines are
-        emitted in ascending order.  Duplicates across rows are preserved —
-        they are genuine repeated touches of a shared line.
+    def batch_lines(self, i0: ArrayLike, i1: ArrayLike, j0: ArrayLike,
+                    j1: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+        """Line ids of many tiles ``[i0[t]:i1[t], j0[t]:j1[t]]`` at once.
+
+        Returns the concatenated line ids and the per-tile counts.  Within
+        a tile, rows are emitted in order and each row's covering lines in
+        ascending order.  Duplicates across rows are preserved: they are
+        genuine repeated touches of a shared line.  An empty tile
+        contributes no lines and a count of 0.
         """
-        if not (0 <= i0 <= i1 <= self.nrows and 0 <= j0 <= j1 <= self.ncols):
+        i0, i1, j0, j1 = (np.asarray(x, dtype=np.int64).ravel()
+                          for x in (i0, i1, j0, j1))
+        bad = ~((0 <= i0) & (i0 <= i1) & (i1 <= self.nrows)
+                & (0 <= j0) & (j0 <= j1) & (j1 <= self.ncols))
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
             raise IndexError(
-                f"tile [{i0}:{i1},{j0}:{j1}] out of bounds for "
+                f"tile [{i0[t]}:{i1[t]},{j0[t]}:{j1[t]}] out of bounds for "
                 f"{self.name} ({self.nrows}x{self.ncols})"
             )
-        if i0 == i1 or j0 == j1:
-            return np.empty(0, dtype=np.int64)
         L = self.line_size
-        nc = self.ncols
-        row_starts = self.base + np.arange(i0, i1, dtype=np.int64) * nc
-        firsts = (row_starts + j0) // L
-        lasts = (row_starts + j1 - 1) // L
+        rows_per_tile = np.where(j0 < j1, i1 - i0, 0)
+        row_starts = self.base + ragged_arange(i0, rows_per_tile) * self.ncols
+        firsts = (row_starts + np.repeat(j0, rows_per_tile)) // L
+        lasts = (row_starts + np.repeat(j1, rows_per_tile) - 1) // L
         counts = lasts - firsts + 1
-        total = int(counts.sum())
-        out = np.empty(total, dtype=np.int64)
-        pos = 0
-        # Per-row arange; the row count of a tile is small (≤ block size)
-        # so this loop is not a hot path compared to the cache replay.
-        for f, c in zip(firsts.tolist(), counts.tolist()):
-            out[pos : pos + c] = np.arange(f, f + c, dtype=np.int64)
-            pos += c
-        return out
+        # lines per tile: the prefix sum of row counts after the tile's
+        # last row minus the one before its first row
+        done = np.concatenate(([0], np.cumsum(counts)))
+        row_ends = np.cumsum(rows_per_tile)
+        return (ragged_arange(firsts, counts),
+                done[row_ends] - done[row_ends - rows_per_tile])
 
     def whole_lines(self) -> np.ndarray:
         return self.tile_lines(0, self.nrows, 0, self.ncols)
@@ -126,15 +153,24 @@ class TracedVector:
         self.line_size = space.line_size
 
     def segment_lines(self, lo: int, hi: int) -> np.ndarray:
-        """Line ids covering elements ``[lo, hi)``."""
-        if not (0 <= lo <= hi <= self.n):
-            raise IndexError(f"segment [{lo}:{hi}) out of bounds for {self.name}")
-        if lo == hi:
-            return np.empty(0, dtype=np.int64)
+        """Line ids covering elements ``[lo, hi)``: the one-segment case
+        of :meth:`batch_lines`."""
+        return self.batch_lines([lo], [hi])[0]
+
+    def batch_lines(self, lo: ArrayLike, hi: ArrayLike
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Line ids of many segments ``[lo[s], hi[s])`` at once: the
+        concatenated ascending line runs and the per-segment counts."""
+        lo, hi = (np.asarray(x, dtype=np.int64).ravel() for x in (lo, hi))
+        bad = ~((0 <= lo) & (lo <= hi) & (hi <= self.n))
+        if bad.any():
+            s = int(np.flatnonzero(bad)[0])
+            raise IndexError(
+                f"segment [{lo[s]}:{hi[s]}) out of bounds for {self.name}")
         L = self.line_size
-        first = (self.base + lo) // L
-        last = (self.base + hi - 1) // L
-        return np.arange(first, last + 1, dtype=np.int64)
+        firsts = (self.base + lo) // L
+        counts = np.where(lo < hi, (self.base + hi - 1) // L - firsts + 1, 0)
+        return ragged_arange(firsts, counts), counts
 
     def whole_lines(self) -> np.ndarray:
         return self.segment_lines(0, self.n)

@@ -1,20 +1,24 @@
 """Address-trace collection.
 
-Kernels running in "trace mode" append word-address ranges (or explicit
-line-id arrays) to a :class:`TraceBuffer`; the buffer concatenates them
-lazily into the ``(lines, writes)`` pair that
+Kernels running in "trace mode" append line ids to a
+:class:`TraceBuffer`; the buffer concatenates them lazily into the
+``(lines, writes)`` pair that
 :meth:`repro.machine.cache.CacheSim.run_lines` consumes.
 
 Traces are stored at **line** granularity because every Section-6 quantity
-is measured in cache lines.  Chunks are numpy arrays so that multi-million
-event traces stay compact and concatenation is vectorized (per the
-hpc-parallel guidance: no per-element Python appends in hot paths).
+is measured in cache lines.  Appends are numpy arrays so that
+multi-million event traces stay compact and concatenation is vectorized:
+no per-element Python appends in hot paths.
 
-Chunk boundaries are meaningful, not incidental: trace builders emit one
-chunk per base-tile visit, and :class:`Trace` keeps the per-chunk lengths
-alongside the flat arrays so :func:`repro.machine.fastsim.sweep` can
-fold repeated tile visits at super-symbol granularity
-(:mod:`repro.machine.fastsim.symbols`) without rediscovering them.
+A trace is a sequence of **visits** (chunks): the lines of one base tile
+or segment, all read or all written.  Tile builders append a whole visit
+table at once (:meth:`TraceBuffer.touch_visits`: the concatenated lines,
+one length and one write flag per visit); :meth:`TraceBuffer.touch_lines`
+appends a single visit.  The chunk boundaries are meaningful, not
+incidental: :class:`Trace` keeps the per-visit lengths alongside the flat
+arrays so :func:`repro.machine.fastsim.sweep` can fold repeated tile
+visits at super-symbol granularity (:mod:`repro.machine.fastsim.symbols`)
+without rediscovering them.
 
 Very large traces never need to live in RAM: past
 ``$REPRO_TRACE_SPILL_EVENTS`` events (default ``2**26``),
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +55,7 @@ class Trace(NamedTuple):
     """A finalized trace: flat event arrays plus tile-chunk structure.
 
     ``chunk_lens`` partitions ``lines``/``writes`` into the builder's
-    append chunks (one per base-tile visit for tile-granular kernels);
+    visits (one per base-tile or segment visit, none empty);
     ``None`` when the structure is unknown (e.g. a store round-trip from
     before chunk sidecars existed).  Within a chunk the write flag is
     uniform by construction.
@@ -99,13 +103,15 @@ def _reopen_readonly(mm: np.ndarray, path: str) -> np.ndarray:
 
 
 class TraceBuffer:
-    """An append-only sequence of (line id, is-write) events."""
+    """An append-only sequence of (line id, is-write) events, grouped into
+    visits (chunks) that are each all reads or all writes."""
 
     def __init__(self, line_size: int = 8):
         if line_size <= 0:
             raise ValueError(f"line_size must be positive, got {line_size}")
         self.line_size = line_size
-        self._chunks: list[Tuple[np.ndarray, bool]] = []
+        # batches of (lines, per-visit lengths, per-visit write flags)
+        self._batches: list[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._n = 0
         self._finalized: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -115,16 +121,34 @@ class TraceBuffer:
     # ------------------------------------------------------------------ #
     # appending
     # ------------------------------------------------------------------ #
-    def touch_lines(self, lines: np.ndarray, write: bool = False) -> None:
-        """Append an array of line ids, all reads or all writes."""
-        lines = np.asarray(lines, dtype=np.int64)
-        if lines.ndim != 1:
-            lines = lines.ravel()
+    def touch_visits(self, lines: np.ndarray, lens: np.ndarray,
+                     writes: np.ndarray) -> None:
+        """Append a batch of visits: ``lines`` concatenates the visits'
+        line ids, ``lens[v]`` is visit *v*'s length and ``writes[v]`` its
+        write flag.  Empty visits are dropped, so every chunk is
+        non-empty."""
+        lines = np.asarray(lines, dtype=np.int64).ravel()
+        lens = np.asarray(lens, dtype=np.int64).ravel()
+        writes = np.asarray(writes, dtype=bool).ravel()
+        if len(writes) != len(lens):
+            raise ValueError(
+                f"{len(lens)} visit lengths but {len(writes)} write flags")
+        if (lens < 0).any() or int(lens.sum()) != len(lines):
+            raise ValueError(
+                f"visit lengths must be non-negative and sum to the "
+                f"{len(lines)} lines given")
         if len(lines) == 0:
             return
-        self._chunks.append((lines, bool(write)))
+        keep = lens > 0
+        self._batches.append((lines, lens[keep], writes[keep]))
         self._n += len(lines)
         self._finalized = None
+
+    def touch_lines(self, lines: np.ndarray, write: bool = False) -> None:
+        """Append one visit: an array of line ids, all reads or all
+        writes."""
+        lines = np.asarray(lines, dtype=np.int64).ravel()
+        self.touch_visits(lines, [len(lines)], [write])
 
     def touch_words(self, start: int, nwords: int, write: bool = False) -> None:
         """Append the lines covering words ``[start, start+nwords)``."""
@@ -137,7 +161,7 @@ class TraceBuffer:
     def extend(self, other: "TraceBuffer") -> None:
         if other.line_size != self.line_size:
             raise ValueError("cannot mix traces with different line sizes")
-        self._chunks.extend(other._chunks)
+        self._batches.extend(other._batches)
         self._n += other._n
         self._finalized = None
 
@@ -147,11 +171,11 @@ class TraceBuffer:
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenate into read-only ``(lines, writes)`` arrays.
 
-        Both outputs are preallocated once and filled chunk by chunk (no
-        per-chunk temporaries), then frozen with ``setflags(write=False)``.
-        The concatenation is memoized — harnesses finalize the same
-        buffer once per capacity/policy point — and the memo is dropped
-        whenever new events arrive (``touch_*``/``extend``).
+        Both outputs are preallocated once and filled batch by batch,
+        then frozen with ``setflags(write=False)``.  The concatenation is
+        memoized — harnesses finalize the same buffer once per
+        capacity/policy point — and the memo is dropped whenever new
+        events arrive (``touch_*``/``extend``).
 
         Past :func:`spill_threshold` events the arrays are spilled to
         anonymous ``.npy`` files and come back as read-only memory maps,
@@ -159,7 +183,7 @@ class TraceBuffer:
         """
         if self._finalized is not None:
             return self._finalized
-        if not self._chunks:
+        if not self._batches:
             empty = np.empty(0, dtype=np.int64)
             empty_w = np.empty(0, dtype=bool)
             empty.setflags(write=False)
@@ -173,10 +197,10 @@ class TraceBuffer:
             lines = np.empty(self._n, dtype=np.int64)
             writes = np.empty(self._n, dtype=bool)
         pos = 0
-        for chunk, w in self._chunks:
-            end = pos + len(chunk)
-            lines[pos:end] = chunk
-            writes[pos:end] = w
+        for batch, lens, w in self._batches:
+            end = pos + len(batch)
+            lines[pos:end] = batch
+            writes[pos:end] = np.repeat(w, lens)
             pos = end
         if spill:
             lines = _reopen_readonly(lines, lpath)
@@ -188,9 +212,10 @@ class TraceBuffer:
         return self._finalized
 
     def chunk_lengths(self) -> np.ndarray:
-        """Per-chunk event counts, in append order (read-only int64)."""
-        out = np.fromiter((len(c) for c, _ in self._chunks),
-                          dtype=np.int64, count=len(self._chunks))
+        """Per-chunk (per-visit) event counts, in append order (read-only
+        int64, no zeros)."""
+        out = np.concatenate([lens for _, lens, _ in self._batches]
+                             or [np.empty(0, dtype=np.int64)])
         out.setflags(write=False)
         return out
 
@@ -198,9 +223,6 @@ class TraceBuffer:
         """Finalize, keeping the tile-chunk structure alongside."""
         lines, writes = self.finalize()
         return Trace(lines, writes, self.chunk_lengths())
-
-    def iter_chunks(self) -> Iterator[Tuple[np.ndarray, bool]]:
-        return iter(self._chunks)
 
     @property
     def n_unique_lines(self) -> int:
@@ -210,8 +232,8 @@ class TraceBuffer:
 
     @property
     def n_write_events(self) -> int:
-        return sum(len(c) for c, w in self._chunks if w)
+        return sum(int(lens[w].sum()) for _, lens, w in self._batches)
 
     @property
     def n_read_events(self) -> int:
-        return sum(len(c) for c, w in self._chunks if not w)
+        return self._n - self.n_write_events

@@ -46,6 +46,16 @@ class TestTaskOrders:
         with pytest.raises(ValueError):
             matmul_trace(8, 8, 8, scheme="nope")
 
+    @pytest.mark.parametrize("knob", ["b3", "b2", "base"])
+    @pytest.mark.parametrize("value", [0, -16])
+    def test_nonpositive_blocks_rejected(self, knob, value):
+        """A negative b3 or b2 used to build an empty trace (0 accesses
+        against a positive write floor); base <= 0 recursed until
+        RecursionError."""
+        sizes = {"b3": 16, "b2": 8, "base": 4, knob: value}
+        with pytest.raises(ValueError, match=f"{knob} must be positive"):
+            matmul_trace(16, 16, 16, scheme="wa2", line_size=4, **sizes)
+
     def test_bad_order_string(self):
         with pytest.raises(ValueError):
             list(hierarchical_task_order(8, 8, 8, [("blocked", 4, "iij")]))

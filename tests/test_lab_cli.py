@@ -219,6 +219,17 @@ class TestRobustnessCLI:
         assert rc == 0
         assert "partial results" not in capsys.readouterr().out
 
+    def test_nonpositive_base_aborts_with_its_name(self, capsys):
+        """``--set base=0`` used to recurse until RecursionError."""
+        rc = lab_main(["sweep", "--kernel", "matmul-cache", "--machine",
+                       "sim-l3", "--set", "n=16", "--set", "middle=16",
+                       "--set", "b3=8", "--set", "b2=4", "--set", "base=0",
+                       "--set", "scheme=co", "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError: base must be positive, got 0" in err
+        assert "RecursionError" not in err
+
     def test_bad_fault_plan_spec_exits_2(self, capsys):
         assert lab_main(self.ARGV + ["--no-cache", "--fault-plan",
                                      "bogus=1"]) == 2

@@ -1,0 +1,260 @@
+"""Emission parity: every tile-trace builder against a per-element oracle.
+
+The builders in :mod:`repro.core.traces` emit whole visit tables with
+numpy index arithmetic.  The oracle here re-derives each trace one
+element at a time from the algorithms' loop nests, using only
+:meth:`TracedMatrix.addr` and a vector's base address: a tile visit
+touches, row by row, the distinct lines its elements fall in, in
+ascending order; a segment visit touches its distinct lines in
+ascending order.  ``lines``, ``writes`` and ``chunk_lens`` must agree
+exactly, on shapes that are not multiples of the blocks and line sizes
+that do not divide the rows.
+
+The draws follow the active hypothesis profile (``HYPOTHESIS_PROFILE``);
+CI runs this module once more under ``thorough``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import traces
+from repro.core.traces import (
+    MATMUL_SCHEMES,
+    cholesky_trace,
+    hierarchical_task_order,
+    matmul_trace,
+    nbody_trace,
+    trsm_trace,
+)
+from repro.machine.arrays import AddressSpace, TracedMatrix, TracedVector
+from repro.machine.trace import SPILL_ENV, TraceBuffer
+
+
+# --------------------------------------------------------------------- #
+# the oracle
+# --------------------------------------------------------------------- #
+class Oracle:
+    """Collects visits element by element into the three trace arrays."""
+
+    def __init__(self):
+        self.lines, self.writes, self.chunk_lens = [], [], []
+
+    def _visit(self, lines, write):
+        if lines:
+            self.lines += lines
+            self.writes += [write] * len(lines)
+            self.chunk_lens.append(len(lines))
+
+    def tile(self, M, i0, i1, j0, j1, write):
+        L = M.line_size
+        out = []
+        for i in range(i0, i1):
+            out += sorted({M.addr(i, j) // L for j in range(j0, j1)})
+        self._visit(out, write)
+
+    def segment(self, v, lo, hi, write):
+        self._visit(sorted({(v.base + e) // v.line_size
+                            for e in range(lo, hi)}), write)
+
+
+def assert_trace_equals(trace, oracle):
+    assert trace.lines.tolist() == oracle.lines
+    assert trace.writes.tolist() == oracle.writes
+    assert trace.chunk_lens.tolist() == oracle.chunk_lens
+    assert trace.lines.dtype == np.int64
+    assert trace.writes.dtype == bool
+    assert trace.chunk_lens.dtype == np.int64
+
+
+def oracle_matmul(m, n, l, scheme, b3, b2, base, line_size, c_touch_hint):
+    space = AddressSpace(line_size)
+    C = TracedMatrix(space, "C", m, l)
+    A = TracedMatrix(space, "A", m, n)
+    B = TracedMatrix(space, "B", n, l)
+    out = Oracle()
+    last_b2 = None
+    spec = traces._scheme_spec(scheme, b3, b2, base)
+    for (i0, i1, j0, j1, k0, k1) in hierarchical_task_order(m, n, l, spec):
+        if c_touch_hint:
+            cur_b2 = (i0 // b2, j0 // b2, k0 // b2)
+            if last_b2 is not None and cur_b2 != last_b2:
+                ci, cj = (i0 // b3) * b3, (j0 // b3) * b3
+                out.tile(C, ci, min(ci + b3, m), cj, min(cj + b3, l), False)
+            last_b2 = cur_b2
+        out.tile(A, i0, i1, k0, k1, False)
+        out.tile(B, k0, k1, j0, j1, False)
+        out.tile(C, i0, i1, j0, j1, True)
+    return out
+
+
+def oracle_trsm(n, m, b, line_size):
+    space = AddressSpace(line_size)
+    B = TracedMatrix(space, "B", n, m)
+    T = TracedMatrix(space, "T", n, n)
+    out = Oracle()
+
+    def tile(M, i, j, write):
+        out.tile(M, i * b, (i + 1) * b, j * b, (j + 1) * b, write)
+
+    for j in range(m // b):
+        for i in range(n // b - 1, -1, -1):
+            for k in range(i + 1, n // b):
+                tile(T, i, k, False)
+                tile(B, k, j, False)
+                tile(B, i, j, True)
+            tile(T, i, i, False)
+            tile(B, i, j, True)
+    return out
+
+
+def oracle_cholesky(n, b, line_size):
+    A = TracedMatrix(AddressSpace(line_size), "A", n, n)
+    out = Oracle()
+
+    def tile(i, j, write):
+        out.tile(A, i * b, (i + 1) * b, j * b, (j + 1) * b, write)
+
+    nb = n // b
+    for i in range(nb):
+        for k in range(i):
+            tile(i, k, False)
+            tile(i, i, True)
+        tile(i, i, True)
+        for j in range(i + 1, nb):
+            for k in range(i):
+                tile(i, k, False)
+                tile(j, k, False)
+                tile(j, i, True)
+            tile(i, i, False)
+            tile(j, i, True)
+    return out
+
+
+def oracle_nbody(N, b, line_size):
+    space = AddressSpace(line_size)
+    P = TracedVector(space, "P", N)
+    F = TracedVector(space, "F", N)
+    out = Oracle()
+    for i in range(0, N, b):
+        out.segment(P, i, i + b, False)
+        out.segment(F, i, i + b, True)
+        for j in range(0, N, b):
+            out.segment(P, j, j + b, False)
+            out.segment(F, i, i + b, True)
+    return out
+
+
+# --------------------------------------------------------------------- #
+# parity
+# --------------------------------------------------------------------- #
+dims = st.integers(min_value=1, max_value=20)
+blocks = st.integers(min_value=1, max_value=12)
+line_sizes = st.integers(min_value=1, max_value=9)
+
+
+@given(scheme=st.sampled_from(MATMUL_SCHEMES), hint=st.booleans(),
+       m=dims, n=dims, l=dims, b3=blocks, b2=blocks,
+       base=st.integers(min_value=1, max_value=6), line_size=line_sizes)
+def test_matmul_matches_oracle(scheme, hint, m, n, l, b3, b2, base,
+                               line_size):
+    trace = matmul_trace(m, n, l, scheme=scheme, b3=b3, b2=b2, base=base,
+                         line_size=line_size,
+                         c_touch_hint=hint).finalize_trace()
+    assert_trace_equals(trace, oracle_matmul(m, n, l, scheme, b3, b2, base,
+                                             line_size, hint))
+
+
+@given(nb=st.integers(min_value=1, max_value=5),
+       mb=st.integers(min_value=1, max_value=4),
+       b=st.integers(min_value=1, max_value=6), line_size=line_sizes)
+def test_trsm_matches_oracle(nb, mb, b, line_size):
+    trace = trsm_trace(nb * b, mb * b, b=b,
+                       line_size=line_size).finalize_trace()
+    assert_trace_equals(trace, oracle_trsm(nb * b, mb * b, b, line_size))
+
+
+@given(nb=st.integers(min_value=1, max_value=6),
+       b=st.integers(min_value=1, max_value=6), line_size=line_sizes)
+def test_cholesky_matches_oracle(nb, b, line_size):
+    trace = cholesky_trace(nb * b, b=b, line_size=line_size).finalize_trace()
+    assert_trace_equals(trace, oracle_cholesky(nb * b, b, line_size))
+
+
+@given(nb=st.integers(min_value=1, max_value=10),
+       b=st.integers(min_value=1, max_value=12), line_size=line_sizes)
+def test_nbody_matches_oracle(nb, b, line_size):
+    trace = nbody_trace(nb * b, b=b, line_size=line_size).finalize_trace()
+    assert_trace_equals(trace, oracle_nbody(nb * b, b, line_size))
+
+
+@pytest.mark.parametrize("scheme", MATMUL_SCHEMES)
+@pytest.mark.parametrize("hint", [False, True])
+def test_matmul_ragged_shape_matches_oracle(scheme, hint):
+    """A fixed case no profile can skip: no dimension is a multiple of
+    any block and the line size divides no row."""
+    trace = matmul_trace(19, 13, 11, scheme=scheme, b3=8, b2=4, base=3,
+                         line_size=5, c_touch_hint=hint).finalize_trace()
+    assert_trace_equals(trace, oracle_matmul(19, 13, 11, scheme, 8, 4, 3, 5,
+                                             hint))
+
+
+# --------------------------------------------------------------------- #
+# chunk structure and spill
+# --------------------------------------------------------------------- #
+BUILDERS = {
+    "matmul-wa2": lambda: matmul_trace(19, 24, 17, scheme="wa2", b3=8,
+                                       b2=4, base=3, line_size=3),
+    "matmul-hint": lambda: matmul_trace(16, 16, 16, scheme="wa-multilevel",
+                                        b3=8, b2=4, base=2, line_size=4,
+                                        c_touch_hint=True),
+    "trsm": lambda: trsm_trace(24, 12, b=4, line_size=5),
+    "cholesky": lambda: cholesky_trace(24, b=4, line_size=3),
+    "nbody": lambda: nbody_trace(48, b=8, line_size=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_chunk_lens_partition_the_events(name):
+    """No empty chunk and nothing left over: otherwise ``TraceStore.put``
+    drops the sidecar and sweeps fall back to event-granular folds."""
+    trace = BUILDERS[name]().finalize_trace()
+    assert len(trace.chunk_lens) > 0
+    assert int(trace.chunk_lens.min()) > 0
+    assert int(trace.chunk_lens.sum()) == trace.n_events
+    assert not trace.chunk_lens.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_spilled_finalize_equals_in_ram(name, monkeypatch):
+    in_ram = BUILDERS[name]().finalize_trace()
+    monkeypatch.setenv(SPILL_ENV, str(in_ram.n_events // 2))
+    spilled = BUILDERS[name]().finalize_trace()
+    for arr in (spilled.lines, spilled.writes):
+        assert isinstance(arr, np.memmap)
+        assert not arr.flags.writeable
+    assert np.array_equal(spilled.lines, in_ram.lines)
+    assert np.array_equal(spilled.writes, in_ram.writes)
+    assert np.array_equal(spilled.chunk_lens, in_ram.chunk_lens)
+
+
+def test_spill_of_mixed_appends_equals_in_ram(monkeypatch):
+    """Single visits and batched visits interleave in one buffer."""
+    def build():
+        buf = TraceBuffer(line_size=4)
+        buf.touch_words(0, 9, write=True)
+        buf.touch_visits(np.arange(7, dtype=np.int64),
+                         np.array([3, 0, 4]), np.array([False, True, True]))
+        buf.touch_lines(np.array([5, 6]), write=False)
+        return buf.finalize_trace()
+
+    in_ram = build()
+    monkeypatch.setenv(SPILL_ENV, "4")
+    spilled = build()
+    assert isinstance(spilled.lines, np.memmap)
+    assert spilled.lines.tolist() == in_ram.lines.tolist() == [
+        0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 5, 6]
+    assert spilled.writes.tolist() == in_ram.writes.tolist() == (
+        [True] * 3 + [False] * 3 + [True] * 4 + [False] * 2)
+    assert in_ram.chunk_lens.tolist() == [3, 3, 4, 2]
