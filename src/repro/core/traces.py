@@ -40,6 +40,8 @@ from repro.util import check_multiple, check_positive_int, require
 
 __all__ = [
     "hierarchical_task_order",
+    "matmul_order",
+    "matmul_order_trace",
     "matmul_trace",
     "trsm_trace",
     "cholesky_trace",
@@ -123,9 +125,18 @@ def hierarchical_task_order(
 MATMUL_SCHEMES = ("co", "mkl-like", "wa2", "wa-multilevel", "ab-multilevel")
 
 
-def _scheme_spec(
-    scheme: str, b3: int, b2: int, base: int
-) -> List[LevelSpec]:
+def matmul_order(scheme: str, b3: int, b2: int, base: int
+                 ) -> List[LevelSpec]:
+    """The scheduler spec of the named instruction order *scheme*
+    (one of :data:`MATMUL_SCHEMES`) under blocking sizes *b3*, *b2* and
+    base tile *base*, which must be positive.
+
+    Two names may resolve to the same spec (``wa2`` and
+    ``ab-multilevel`` do), and then they build the same trace: the
+    spec, not the name, is what :func:`matmul_order_trace` lowers."""
+    check_positive_int(b3, "b3")
+    check_positive_int(b2, "b2")
+    check_positive_int(base, "base")
     if scheme == "co":
         # Figure 2a: pure cache-oblivious order, no level-aware blocking.
         return [("co", base)]
@@ -192,19 +203,19 @@ def _emit_blocks(buf: TraceBuffer, arrays: Sequence[Traced],
     return _emit(buf, arrays, table[:, 0], bounds, table[:, 3] != 0)
 
 
-def matmul_trace(
+def matmul_order_trace(
     m: int,
     n: int,
     l: int,
+    order: Sequence[LevelSpec],
     *,
-    scheme: str,
-    b3: int = 64,
-    b2: int = 16,
-    base: int = 8,
+    b3: int,
+    b2: int,
     line_size: int = 8,
     c_touch_hint: bool = False,
 ) -> TraceBuffer:
-    """Build the line-level trace of one matmul instruction order.
+    """Build the line-level trace of the matmul task order *order* (a
+    scheduler spec, e.g. from :func:`matmul_order`).
 
     Layout: C, A, B allocated contiguously in one address space (C first).
     Every base task touches A-tile lines and B-tile lines as reads and
@@ -214,20 +225,16 @@ def matmul_trace(
     suggestion: between successive b2-level block multiplications, re-touch
     the *whole* resident b3-level C block to bump its LRU priority —
     rescuing the multi-level WA order when fewer than five blocks fit.
+    *b3* and *b2* size those blocks; without the hint they are unused.
 
     The task order is collected once into an int array; the A, B and C
     visits (and the hint's C-block visits) are interleaved from it as
     one visit table and emitted in one batch.
-
-    Returns a :class:`~repro.machine.trace.TraceBuffer`; feed it to
-    :class:`~repro.machine.cache.CacheSim` via ``finalize()``.
     """
     check_positive_int(b3, "b3")
     check_positive_int(b2, "b2")
-    check_positive_int(base, "base")
     C, A, B, _space = matrix_trio(None, m, n, l, line_size)
-    spec = _scheme_spec(scheme, b3, b2, base)
-    tasks = np.array(list(hierarchical_task_order(m, n, l, spec)),
+    tasks = np.array(list(hierarchical_task_order(m, n, l, order)),
                      dtype=np.int64)
     i0, i1, j0, j1, k0, k1 = tasks.T
     # The hint re-touches the C block of b3-block (ci, cj) before the
@@ -248,6 +255,29 @@ def matmul_trace(
     _C, _A, _B = 0, 1, 2
     return _emit(TraceBuffer(line_size), (C, A, B),
                  np.array([_C, _A, _B, _C])[slots], bounds[keep], slots == 3)
+
+
+def matmul_trace(
+    m: int,
+    n: int,
+    l: int,
+    *,
+    scheme: str,
+    b3: int = 64,
+    b2: int = 16,
+    base: int = 8,
+    line_size: int = 8,
+    c_touch_hint: bool = False,
+) -> TraceBuffer:
+    """Build the line-level trace of one named matmul instruction order:
+    :func:`matmul_order_trace` of ``matmul_order(scheme, b3, b2, base)``.
+
+    Returns a :class:`~repro.machine.trace.TraceBuffer`; feed it to
+    :class:`~repro.machine.cache.CacheSim` via ``finalize()``.
+    """
+    return matmul_order_trace(
+        m, n, l, matmul_order(scheme, b3, b2, base), b3=b3, b2=b2,
+        line_size=line_size, c_touch_hint=c_touch_hint)
 
 
 # --------------------------------------------------------------------- #

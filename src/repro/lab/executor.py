@@ -18,11 +18,16 @@ back out into the result cache under each point's own key.  Batching is
 purely an execution strategy: reports, caching and record contents stay
 bit-identical to the per-point path.  Two batch families exist today:
 
-* **multi-capacity trace batches** — points of one line-trace kernel
-  (:data:`repro.lab.registry.TRACE_KERNELS`) differing only in cache
-  capacity and batchable policy replay the trace once through the
-  single-pass fastsim sweeps (``multi_capacity=False`` /
-  ``--no-multi-capacity`` opts out);
+* **simulation batches** — points of one line-trace kernel
+  (:data:`repro.lab.registry.TRACE_KERNELS`) that run the same
+  simulation share one task: fully-associative LRU/Belady points of one
+  trace replay it once through the single-pass fastsim sweeps whatever
+  their capacities, and any other points that share trace, policy,
+  capacity, associativity and seed replay it once through ``CacheSim``.
+  Energy-only variants and schemes that resolve to one task order
+  (``wa2``/``ab-multilevel``) ride along
+  (:func:`~repro.lab.registry.capacity_group_payload`;
+  ``multi_capacity=False`` / ``--no-multi-capacity`` opts out);
 * **cost-grid batches** — points of one analytic ``cost-*`` family
   under the same ``HwParams`` evaluate as a single numpy-vectorized
   grid, infeasible points masked to ``feasible: False`` records
@@ -93,7 +98,8 @@ from repro.lab.faults import FaultPlan, deterministic_unit, fault_key
 from repro.lab.registry import (BATCH_KERNELS, METRIC_FIELDS, TRACE_KERNELS,
                                 run_batch)
 from repro.lab.scenarios import ScenarioPoint
-from repro.lab.tracestore import active_store, staged_keys
+from repro.lab.tracestore import (active_store, payload_key, run_memo,
+                                  staged_keys)
 from repro.machine.fastsim import profile as fs_profile
 from repro.util import json_number_default
 
@@ -318,9 +324,10 @@ def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
           ) -> List[Tuple[List[int], Optional[str]]]:
     """Partition pending point indices into ``(indices, kind)`` tasks,
     preserving first-appearance order.  *kind* is the batch family's
-    toggle name (``"multi_capacity"`` / ``"batch"``) for points that
-    matched a batch group, else ``None`` — which is also the telemetry
-    notion of "batchable": a ``None``-kind point had no batch path."""
+    toggle name (``"multi_capacity"`` / ``"batch"``) for groups of two
+    or more points, else ``None`` — which is also the telemetry notion
+    of "batchable": a ``None``-kind point had no batch path (a group no
+    other point joined runs as the scalar point it is)."""
     groups: Dict[str, List[int]] = {}
     tasks: List[Tuple[List[int], Optional[str]]] = []
     memo: Dict[Any, Optional[str]] = {}
@@ -335,7 +342,30 @@ def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
             group = [i]
             groups[key] = group
             tasks.append((group, BATCH_KERNELS[points[i].kernel].toggle))
-    return tasks
+    return [(group, kind if len(group) > 1 else None)
+            for group, kind in tasks]
+
+
+def _trace_uses(points: Sequence[ScenarioPoint],
+                plan: Sequence[Tuple[List[int], Optional[str]]]
+                ) -> Dict[str, int]:
+    """How many tasks of *plan* fetch each trace, by
+    :func:`~repro.lab.tracestore.payload_key`: what the in-run memo
+    (:func:`~repro.lab.tracestore.run_memo`) keeps a trace for.  The
+    points of a task share one trace; a point whose trace identity
+    cannot be formed is left out (its task reports the error)."""
+    uses: Dict[str, int] = {}
+    for task, _kind in plan:
+        pt = points[task[0]]
+        tk = TRACE_KERNELS.get(pt.kernel)
+        if tk is None:
+            continue
+        try:
+            key = payload_key(tk.payload(pt.machine, pt.params))
+        except (KeyError, TypeError, ValueError):
+            continue
+        uses[key] = uses.get(key, 0) + 1
+    return uses
 
 
 def _run_points(pts: Sequence[ScenarioPoint]) -> List[Dict[str, Any]]:
@@ -749,7 +779,7 @@ class _Supervisor:
         return the content-addressed keys to ship in the payload.
 
         Batch tasks share one trace identity by construction, so this
-        is one key per capacity batch.  Returns ``()`` — ship nothing —
+        is one key per simulation batch.  Returns ``()`` — ship nothing —
         for scalar tasks (their builds stay in the workers, parallel as
         ever), when no store is active, or when the points are not
         trace kernels; a point whose payload cannot even be formed is
@@ -1009,10 +1039,16 @@ def execute(
         Report-only mode: raise :class:`MissingResultsError` instead of
         computing anything.
     multi_capacity:
-        Collapse same-trace LRU/Belady capacity sweeps into
+        Collapse trace-kernel points that run the same simulation into
         single-replay batches (see the module docstring).  Purely an
         execution strategy: records and cache contents are identical
-        either way.
+        either way.  The active trace store serves repeated traces;
+        without one, an in-process run keeps a built trace in memory
+        while a later task still fetches it
+        (:func:`~repro.lab.tracestore.run_memo`), so each distinct
+        trace is built once.  ``False`` runs every point on its own
+        (without a store each builds its own trace): the per-point
+        reference path.
     batch:
         Collapse same-machine analytic grids (the ``cost-*`` families)
         into vectorized batch evaluations — the grid analogue of
@@ -1117,7 +1153,9 @@ def _execute(
             if jobs > 1 and len(plan) > 1:
                 supervisor.run_pool(tasks, jobs)
             else:
-                supervisor.run_inline(tasks)
+                shared = multi_capacity and active_store() is None
+                with run_memo(_trace_uses(points, plan) if shared else {}):
+                    supervisor.run_inline(tasks)
 
         if trace is not None:
             sweep_span.tag(hits=len(points) - len(pending),

@@ -21,7 +21,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.core.traces import (
     cholesky_trace,
-    matmul_trace,
+    matmul_order,
+    matmul_order_trace,
     nbody_trace,
     trsm_trace,
 )
@@ -38,11 +39,10 @@ from repro.lab.modelkernels import (
     run_cost_batch,
 )
 from repro.lab.telemetry import active_trace
-from repro.lab.tracestore import active_store, is_staged
+from repro.lab.tracestore import active_store, is_staged, memo_trace
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.energy import EnergyModel
 from repro.machine.fastsim import sweep
-from repro.machine.fastsim.profile import phase as fs_phase
 from repro.machine.multicache import CacheHierarchySim
 from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
@@ -69,6 +69,7 @@ __all__ = [
     "matmul_lines",
     "matmul_capacity_words",
     "capacity_group_payload",
+    "check_capacity",
     "run_batch",
     "run_capacity_batch",
 ]
@@ -151,13 +152,26 @@ class MachineSpec:
                 "model parameters with --hw KEY=VALUE "
                 "(MachineSpec.with_hw)")
         try:
-            return replace(self, **changes)
+            spec = replace(self, **changes)
         except TypeError:
             fields = sorted(self.as_dict())
             bad = sorted(set(changes) - set(fields))
             raise ValueError(
                 f"unknown machine field(s) {bad}; available: {fields}"
             ) from None
+        # The simulated geometry is validated where a request's
+        # machine.<field> value enters, not first inside a kernel.
+        for name in ("line_size", "cache_words", "associativity"):
+            value = changes.get(name, 1)
+            require((name == "associativity" and value is None)
+                    or (isinstance(value, numbers.Integral)
+                        and not isinstance(value, bool) and value > 0),
+                    f"machine.{name} must be a positive integer, "
+                    f"got {value!r}")
+        require("policy" not in changes or changes["policy"] in POLICIES,
+                f"unknown machine.policy {changes.get('policy')!r}; "
+                f"available: {sorted(POLICIES)}")
+        return spec
 
     def hw_params(self) -> HwParams:
         """The analytic :class:`HwParams` this spec describes: the 2015
@@ -264,9 +278,13 @@ def resolve_machine(machine: Union[str, MachineSpec, Mapping[str, Any]],
 # --------------------------------------------------------------------- #
 # trace-kernel protocol
 # --------------------------------------------------------------------- #
-#: policies a capacity batch can replay in one pass: the stack algorithms
-#: with a single-pass multi-capacity fastsim kernel (LRU by Mattson
-#: inclusion, Belady/MIN because OPT is a stack algorithm too).
+#: policies whose fully-associative points of one trace ride one
+#: multi-capacity replay whatever their capacities: the stack algorithms
+#: with a single-pass fastsim kernel (LRU by Mattson inclusion,
+#: Belady/MIN because OPT is a stack algorithm too).  Points under any
+#: other policy, or set-associative ones, group only with points that
+#: share their whole simulation (policy, capacity, associativity, seed)
+#: and ride one :class:`~repro.machine.cache.CacheSim` replay.
 BATCHABLE_POLICIES = ("lru", "belady")
 
 
@@ -298,20 +316,23 @@ class TraceKernel:
       active trace store (tile-chunk sidecar included), so
       capacity/policy sweeps generate each trace once across points,
       workers and runs — and honors keys the executor staged for
-      zero-copy handoff (:func:`repro.lab.tracestore.staged_keys`);
-    * the executor groups points that differ only in the capacity (and
-      batchable-policy) axes and replays each group through the
-      single-pass :func:`repro.machine.fastsim.sweep`
-      (:func:`run_capacity_batch`), which folds at super-symbol
-      granularity when the trace's tile chunks symbolize.
+      zero-copy handoff (:func:`repro.lab.tracestore.staged_keys`).
+      Without a store it serves from the run's in-memory memo
+      (:func:`repro.lab.tracestore.memo_trace`), which keeps a trace
+      while a later task of an in-process run still fetches it;
+    * the executor groups points by simulation
+      (:func:`capacity_group_payload`): fully-associative LRU/Belady
+      points of one trace replay through one single-pass
+      :func:`repro.machine.fastsim.sweep`, which folds at super-symbol
+      granularity when the trace's tile chunks symbolize; other points
+      sharing trace, policy, capacity, associativity and seed replay
+      once.  Energy fields and other non-trace params never split a
+      group: :meth:`record` costs the counters per point.
     """
 
     name: str
     #: parameters every point must carry.
     required: Tuple[str, ...]
-    #: parameters that size the simulated cache; excluded from the trace
-    #: identity and from the executor's capacity-group key.
-    capacity_params: Tuple[str, ...]
     #: (machine, params) -> canonical JSON-able trace identity.
     payload: Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]
     #: trace identity -> finalized :class:`~repro.machine.trace.Trace`.
@@ -324,7 +345,8 @@ class TraceKernel:
     def trace(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Trace:
         """Finalized :class:`~repro.machine.trace.Trace`, served from the
-        active trace store when one is installed.
+        active trace store when one is installed, else from the run's
+        in-memory memo.
 
         When the executor staged this trace's key for the current task
         (zero-copy handoff), the arrays arrive as read-only mmaps via
@@ -333,8 +355,7 @@ class TraceKernel:
         spec = self.payload(machine, params)
         store = active_store()
         if store is None:
-            with fs_phase("trace_build"):
-                return self.build(spec)
+            return memo_trace(spec, lambda: self.build(spec))
         key = store.key_for(spec)
         if is_staged(key):
             staged = store.get_by_key(key)
@@ -386,43 +407,57 @@ def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dic
     """The trace-identity of a matmul-cache point: every parameter that
     shapes the generated access sequence — and nothing capacity-related,
     so all points of a capacity sweep share one entry in the trace
-    store."""
+    store.  The scheme enters as the task ``order`` it resolves to
+    (:func:`repro.core.traces.matmul_order`), not as its name, so two
+    schemes with one order (``wa2``, ``ab-multilevel``) share a trace."""
     n = _as_int(params["n"], "n")
+    b3 = _as_int(params.get("b3", 64), "b3")
+    b2 = _as_int(params.get("b2", 16), "b2")
+    base = _as_int(params.get("base", 8), "base")
     return {
         "family": "matmul",
         "n": n,
         "middle": _as_int(params["middle"], "middle"),
         "l": _as_int(params.get("l", n), "l"),
-        "scheme": str(params["scheme"]),
-        "b3": _as_int(params.get("b3", 64), "b3"),
-        "b2": _as_int(params.get("b2", 16), "b2"),
-        "base": _as_int(params.get("base", 8), "base"),
+        "order": [list(level) for level in
+                  matmul_order(str(params["scheme"]), b3, b2, base)],
+        "b3": b3,
+        "b2": b2,
+        "base": base,
         "line_size": machine.line_size,
         "c_touch_hint": bool(params.get("c_touch_hint", False)),
     }
 
 
 def _build_matmul(spec: Mapping) -> Trace:
-    buf = matmul_trace(
-        spec["n"], spec["middle"], spec["l"],
-        scheme=spec["scheme"],
+    buf = matmul_order_trace(
+        spec["n"], spec["middle"], spec["l"], spec["order"],
         b3=spec["b3"],
         b2=spec["b2"],
-        base=spec["base"],
         line_size=spec["line_size"],
         c_touch_hint=spec["c_touch_hint"],
     )
     return buf.finalize_trace()
 
 
+def _cache_blocks(params: Mapping[str, Any]) -> Optional[int]:
+    """The point's ``cache_blocks`` (``None``: the machine's
+    ``cache_words`` sizes the cache), which must be positive."""
+    if params.get("cache_blocks") is None:
+        return None
+    blocks = _as_int(params["cache_blocks"], "cache_blocks")
+    require(blocks > 0, f"cache_blocks must be positive, got {blocks}")
+    return blocks
+
+
 def matmul_capacity_words(machine: MachineSpec, params: Mapping[str, Any]) -> int:
     """Simulated capacity of a matmul-cache point, in words
     (``cache_blocks`` counts b3-blocks, as Section 6 sizes caches)."""
-    if params.get("cache_blocks") is not None:
-        b3 = _as_int(params.get("b3", 64), "b3")
-        return (_as_int(params["cache_blocks"], "cache_blocks") * b3 * b3
-                + machine.line_size)
-    return machine.cache_words
+    blocks = _cache_blocks(params)
+    if blocks is None:
+        return machine.cache_words
+    b3 = _as_int(params.get("b3", 64), "b3")
+    return blocks * b3 * b3 + machine.line_size
 
 
 def _matmul_write_lb(machine: MachineSpec, params: Mapping[str, Any]) -> int:
@@ -462,19 +497,19 @@ def nbody_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict
 
 def _block_squared_capacity(machine: MachineSpec, params: Mapping[str, Any]) -> int:
     """``cache_blocks`` b×b matrix blocks plus the paper's spare line."""
-    if params.get("cache_blocks") is not None:
-        b = _as_int(params["b"], "b")
-        return (_as_int(params["cache_blocks"], "cache_blocks") * b * b
-                + machine.line_size)
-    return machine.cache_words
+    blocks = _cache_blocks(params)
+    if blocks is None:
+        return machine.cache_words
+    b = _as_int(params["b"], "b")
+    return blocks * b * b + machine.line_size
 
 
 def _block_vector_capacity(machine: MachineSpec, params: Mapping[str, Any]) -> int:
     """``cache_blocks`` b-particle vector blocks plus the spare line."""
-    if params.get("cache_blocks") is not None:
-        return (_as_int(params["cache_blocks"], "cache_blocks")
-                * _as_int(params["b"], "b") + machine.line_size)
-    return machine.cache_words
+    blocks = _cache_blocks(params)
+    if blocks is None:
+        return machine.cache_words
+    return blocks * _as_int(params["b"], "b") + machine.line_size
 
 
 #: Every line-trace kernel the engine can batch, by registry name.
@@ -482,7 +517,6 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="matmul-cache",
         required=("n", "middle", "scheme"),
-        capacity_params=("cache_blocks",),
         payload=matmul_trace_payload,
         build=_build_matmul,
         capacity_words=matmul_capacity_words,
@@ -491,7 +525,6 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="trsm-cache",
         required=("n", "m", "b"),
-        capacity_params=("cache_blocks",),
         payload=trsm_trace_payload,
         build=lambda spec: trsm_trace(
             spec["n"], spec["m"], b=spec["b"],
@@ -505,7 +538,6 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="cholesky-cache",
         required=("n", "b"),
-        capacity_params=("cache_blocks",),
         payload=cholesky_trace_payload,
         build=lambda spec: cholesky_trace(
             spec["n"], b=spec["b"],
@@ -520,7 +552,6 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="nbody-cache",
         required=("n", "b"),
-        capacity_params=("cache_blocks",),
         payload=nbody_trace_payload,
         build=lambda spec: nbody_trace(
             spec["n"], b=spec["b"],
@@ -580,22 +611,30 @@ def kernel_nbody_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[
     return TRACE_KERNELS["nbody-cache"].run(machine, params)
 
 
+def _is_stack_point(machine: MachineSpec) -> bool:
+    """Whether *machine* simulates a fully-associative stack-policy
+    cache, which a multi-capacity sweep replays at any capacity."""
+    return (machine.policy in BATCHABLE_POLICIES
+            and machine.associativity is None)
+
+
 def run_capacity_batch(
     kernel: str,
     group: Sequence[Tuple[MachineSpec, Mapping[str, Any]]],
 ) -> List[Dict[str, Any]]:
-    """All capacities (and batchable policies) of one trace-kernel sweep
-    from a *single* replay.
+    """Every point of one simulation group from a *single* replay.
 
     Every ``(machine, params)`` pair must share the trace identity
-    (``TRACE_KERNELS[kernel].payload``) and describe a fully-associative
-    LRU or Belady cache; they may differ only in capacity and in which of
-    those two policies they use.  The trace is generated (or mapped from
-    the trace store) once and replayed by one
-    :func:`repro.machine.fastsim.sweep` call covering both policies, so
-    each point gets exact per-capacity counters — the same record the
-    per-point kernel would have computed, bit-identical, enforced by the
-    equivalence tests.
+    (``TRACE_KERNELS[kernel].payload``) and simulate one cache level.
+    Either every point is a fully-associative LRU or Belady point —
+    capacities and those two policies may then differ, and one
+    :func:`repro.machine.fastsim.sweep` call covers them all — or every
+    point shares policy, capacity, associativity and seed, and one
+    :class:`~repro.machine.cache.CacheSim` replay plus flush serves
+    them.  Each point then gets its record from its own machine and
+    params (energy, write floor): the same record the per-point kernel
+    would have computed, bit-identical, enforced by the equivalence
+    tests.
     """
     try:
         tk = TRACE_KERNELS[kernel]
@@ -607,34 +646,48 @@ def run_capacity_batch(
     machine0, params0 = group[0]
     _require_params(params0, tk.required, tk.name)
     spec0 = tk.payload(machine0, params0)
-    caps_lines = []
-    caps_by_policy: Dict[str, List[int]] = {}
+    caps_words = []
     for machine, params in group:
-        require(machine.policy in BATCHABLE_POLICIES
-                and machine.levels is None
-                and machine.associativity is None,
-                "capacity batching needs fully-associative LRU or "
-                "Belady points")
+        require(machine.levels is None,
+                "capacity batching needs single-level points")
         require(tk.payload(machine, params) == spec0,
                 "capacity batch mixes different trace configurations")
         cap_words = int(tk.capacity_words(machine, params))
         require(cap_words % machine.line_size == 0,
                 f"capacity_words={cap_words} must be a multiple of "
                 f"line_size={machine.line_size}")
-        caps_lines.append(cap_words // machine.line_size)
-        caps_by_policy.setdefault(machine.policy, []).append(caps_lines[-1])
+        caps_words.append(cap_words)
+    stack = all(_is_stack_point(machine) for machine, _ in group)
+    if not stack:
+        sim_id = (machine0.policy, caps_words[0], machine0.associativity,
+                  machine0.seed)
+        require(all((m.policy, cap, m.associativity, m.seed) == sim_id
+                    for (m, _), cap in zip(group, caps_words)),
+                "a replay batch must share policy, capacity, "
+                "associativity and seed (only fully-associative LRU or "
+                "Belady points may mix capacities)")
     trace = tk.trace(machine0, params0)
-    sweeps = sweep(trace, caps_by_policy)
     tel = active_trace()
     if tel is not None:
         tel.counter("trace.events", trace.n_events, kernel=tk.name)
+    if not stack:
+        sim = machine0.override(cache_words=caps_words[0]).make()
+        sim.run_trace(trace)
+        st = sim.flush()
+        return [tk.record(machine, params, st) for machine, params in group]
+    caps_by_policy: Dict[str, List[int]] = {}
+    for (machine, _), cap in zip(group, caps_words):
+        caps_by_policy.setdefault(machine.policy, []).append(
+            cap // machine.line_size)
+    sweeps = sweep(trace, caps_by_policy)
+    if tel is not None:
         n_symbols = next(iter(sweeps.values())).n_symbols
         if n_symbols is not None:
             tel.counter("trace.symbols", n_symbols, kernel=tk.name)
     return [
-        tk.record(machine, params,
-                  sweeps[machine.policy].stats(cap, include_flush=True))
-        for (machine, params), cap in zip(group, caps_lines)
+        tk.record(machine, params, sweeps[machine.policy].stats(
+            cap // machine.line_size, include_flush=True))
+        for (machine, params), cap in zip(group, caps_words)
     ]
 
 
@@ -819,15 +872,16 @@ class BatchKernel:
     execution strategy (records and cache contents are bit-identical to
     the per-point path).
 
-    Two families register today: every trace kernel's capacity sweep
-    (one fastsim replay per group, gated by the executor's
+    Two families register today: every trace kernel's simulation
+    groups (one replay per distinct simulation —
+    :func:`capacity_group_payload` — gated by the executor's
     ``multi_capacity`` flag) and every analytic ``cost-*`` family (one
     numpy-vectorized grid evaluation, gated by ``batch``).
     """
 
     name: str
     #: which executor flag gates this entry: ``"multi_capacity"`` for
-    #: the trace-kernel capacity batches, ``"batch"`` for grid batches.
+    #: the trace-kernel simulation batches, ``"batch"`` for grid batches.
     toggle: str
     #: ``(machine, params) -> identity dict`` — ``None`` means the
     #: point cannot batch and must run on its own.
@@ -847,12 +901,19 @@ def capacity_group_payload(tk: TraceKernel, machine: MachineSpec,
                            params: Mapping[str, Any]
                            ) -> Optional[Dict[str, Any]]:
     """The identity shared by trace-kernel points that may ride one
-    replay: the projected machine minus the capacity and policy axes,
-    the non-capacity params, and the trace identity (``None`` marks a
-    point the capacity batcher cannot take)."""
-    if (machine.policy not in BATCHABLE_POLICIES
-            or machine.levels is not None
-            or machine.associativity is not None):
+    replay — the simulation they run (``None`` marks a point the
+    batcher cannot take).
+
+    It is the trace identity plus the projected machine without the
+    four energy fields, which :meth:`TraceKernel.record` applies per
+    point afterwards; non-trace params never enter it.  A
+    fully-associative LRU/Belady point also drops ``cache_words`` and
+    ``policy``, so its whole capacity/policy sweep rides one
+    :func:`repro.machine.fastsim.sweep`.  Any other single-level point
+    keeps policy, associativity and seed and adds its effective
+    capacity (``capacity_words``), so a group is exactly one
+    :class:`~repro.machine.cache.CacheSim` replay."""
+    if machine.levels is not None:
         return None
     if not all(name in params for name in tk.required):
         return None
@@ -867,14 +928,15 @@ def capacity_group_payload(tk: TraceKernel, machine: MachineSpec,
             or isinstance(cap_words, bool) or cap_words <= 0
             or cap_words % machine.line_size != 0):
         return None
-    # Identity = the projected machine minus the capacity and policy
-    # axes (the group's free dimensions).
     machine_d = project_machine(machine, tk.name)
-    machine_d.pop("cache_words")
-    machine_d.pop("policy")
-    params_d = {k: v for k, v in params.items()
-                if k not in tk.capacity_params}
-    return {"machine": machine_d, "params": params_d, "trace": trace_id}
+    for name in ("read_fast", "write_fast", "read_slow", "write_slow",
+                 "cache_words"):
+        machine_d.pop(name)
+    if _is_stack_point(machine):
+        machine_d.pop("policy")
+    else:
+        machine_d["capacity_words"] = int(cap_words)
+    return {"machine": machine_d, "trace": trace_id}
 
 
 def _trace_batch_entry(tk: TraceKernel) -> BatchKernel:
@@ -906,6 +968,21 @@ BATCH_KERNELS: Dict[str, BatchKernel] = {
     **{name: _trace_batch_entry(tk) for name, tk in TRACE_KERNELS.items()},
     **{name: _cost_batch_entry(name) for name in COST_BATCH_EVALUATORS},
 }
+
+
+def check_capacity(kernel: str, machine: MachineSpec,
+                   params: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` naming the field when a trace-kernel point
+    sizes its cache with a bad ``cache_blocks`` — at request time, not
+    first inside the run.  Other kernels, and points missing a
+    parameter (the run reports those), pass."""
+    tk = TRACE_KERNELS.get(kernel)
+    if tk is None:
+        return
+    try:
+        tk.capacity_words(machine, params)
+    except (KeyError, TypeError):
+        pass
 
 
 def run_batch(kernel: str,

@@ -41,6 +41,7 @@ from repro.lab.registry import (
     KERNELS,
     MACHINES,
     MachineSpec,
+    check_capacity,
     machine_fields,
     project_machine,
     resolve_machine,
@@ -148,6 +149,15 @@ class Scenario:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def points(self) -> List[ScenarioPoint]:
+        """The concrete points; a trace-kernel point whose cache is
+        sized by a bad ``cache_blocks`` raises ``ValueError`` here
+        (:func:`~repro.lab.registry.check_capacity`)."""
+        pts = self._expand()
+        for pt in pts:
+            check_capacity(pt.kernel, pt.machine, pt.params)
+        return pts
+
+    def _expand(self) -> List[ScenarioPoint]:
         if self.explicit is not None:
             return list(self.explicit)
         self._check_machine_axes()
@@ -881,11 +891,13 @@ def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
     """The scenario a request names — the one parser behind ``repro-lab
     run``/``sweep``/``report`` and ``POST /sweep``.
 
-    A *preset* is a :data:`SCENARIOS` name: *quick* picks its geometry,
-    *sets*/*hw* apply through :meth:`Scenario.with_overrides`, and a
-    *grid* is rejected (the preset defines it).  Otherwise *kernel* on
-    the *machine* preset sweeps the cartesian *grid* with *sets* fixed
-    and *hw* merged into the machine.  Every value may be a string
+    A *preset* is a :data:`SCENARIOS` name: *quick* picks its geometry
+    and a *grid* is rejected (the preset defines it).  Otherwise
+    *kernel* on the *machine* preset sweeps the cartesian *grid*.
+    Either way *sets*/*hw* apply through :meth:`Scenario.with_overrides`:
+    a ``machine.<field>`` set overrides that machine field, any other
+    set is a fixed parameter (pinning a grid axis of that name), and
+    *hw* merges into the machine.  Every value may be a string
     literal (:func:`parse_literal`), and a grid axis a comma-separated
     string.  *note* is told about ``set`` keys that are no parameter of
     any preset point (a typo there would be silently inert).  Raises
@@ -916,14 +928,10 @@ def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
     if str(kernel) not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; "
                          f"available: {sorted(KERNELS)}")
-    spec = resolve_machine(str(machine))
-    if hw:
-        spec = spec.with_hw(**hw)
     return Scenario(
         name="adhoc",
         kernel=str(kernel),
-        machine=spec,
+        machine=resolve_machine(str(machine)),
         description="ad-hoc sweep",
-        fixed=sets,
         grid={str(k): _literal_axis(v) for k, v in (grid or {}).items()},
-    )
+    ).with_overrides(sets, hw=hw)

@@ -22,6 +22,12 @@ content-addressed *keys* in the task payload; workers resolve them with
 :func:`TraceStore.get_by_key` inside a :func:`staged_keys` context and
 mmap the shared files read-only instead of unpickling event arrays.
 
+Without a store (``--no-cache``, ``--no-trace-store``) an in-process
+run still builds each trace once: :func:`~repro.lab.executor.execute`
+scopes an in-memory memo (:func:`run_memo`) with the number of tasks
+that fetch each trace, and :func:`memo_trace` keeps a built trace only
+while another of those fetches is due (within :data:`MEMO_BUDGET_BYTES`).
+
 The store is **opt-in**: :func:`active_store` returns one only when
 ``$REPRO_LAB_TRACES`` names a directory or the CLI/executor installed one
 via :func:`set_active_store` (``repro-lab run/sweep`` do so by default;
@@ -35,9 +41,10 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, Optional, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -48,7 +55,8 @@ from repro.machine.trace import Trace
 
 __all__ = ["TraceStore", "active_store", "set_active_store",
            "default_trace_root", "store_from_env",
-           "staged_keys", "is_staged"]
+           "staged_keys", "is_staged", "run_memo", "memo_trace",
+           "payload_key", "MEMO_BUDGET_BYTES"]
 
 #: env var: a directory enables the store there; "off"/"0"/"none" keeps it
 #: disabled even when the CLI would install the default one.
@@ -405,3 +413,78 @@ def set_active_store(store: Optional[TraceStore]) -> Optional[TraceStore]:
     else:
         os.environ[_ACTIVE_ENV] = str(store.root)
     return previous  # type: ignore[return-value]
+
+
+# --------------------------------------------------------------------- #
+# in-run memo: the store's in-memory stand-in when none is installed
+# --------------------------------------------------------------------- #
+#: bytes of finalized traces one run keeps in memory when no store is
+#: installed; a trace that would overflow it is built and not kept.
+MEMO_BUDGET_BYTES = 128 << 20
+
+
+def payload_key(payload: Dict) -> str:
+    """The in-run memo's key for the trace identity *payload*."""
+    return json.dumps(payload, sort_keys=True)
+
+
+class _Memo:
+    __slots__ = ("uses", "traces", "nbytes")
+
+    def __init__(self, uses: Mapping[str, int]) -> None:
+        self.uses = dict(uses)
+        self.traces: Dict[str, Trace] = {}
+        self.nbytes = 0
+
+
+# A context variable, not a module global: the serve daemon runs sweeps
+# on its own thread, and each run must see only the memo it scoped.
+_memo: ContextVar[Optional[_Memo]] = ContextVar("repro_trace_memo",
+                                                default=None)
+
+
+def _nbytes(trace: Trace) -> int:
+    return sum(arr.nbytes for arr in trace if arr is not None)
+
+
+@contextmanager
+def run_memo(uses: Mapping[str, int]) -> Iterator[None]:
+    """Scope an in-run trace memo for the ``with`` body.  *uses* counts
+    the fetches the run will make of each trace (by
+    :func:`payload_key`); a built trace is kept only while another
+    fetch of it is due, and whatever is left is dropped on exit."""
+    token = _memo.set(_Memo(uses))
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memo_trace(payload: Dict, builder: Callable[[], Trace]) -> Trace:
+    """The trace *payload* names: from the active :func:`run_memo`, or
+    built (and kept while a later fetch is due and the byte budget
+    allows).  Outside a memo scope every call builds."""
+    memo = _memo.get()
+    if memo is None:
+        with fs_phase("trace_build"):
+            return builder()
+    key = payload_key(payload)
+    left = memo.uses.get(key, 1) - 1
+    memo.uses[key] = left
+    built = memo.traces.get(key)
+    if built is not None:
+        if left <= 0:
+            del memo.traces[key]
+            memo.nbytes -= _nbytes(built)
+        return built
+    with fs_phase("trace_build"):
+        built = builder()
+    size = _nbytes(built)
+    if left > 0 and memo.nbytes + size <= MEMO_BUDGET_BYTES:
+        # Shared from now on, so read-only like a store-mapped trace.
+        for arr in built:
+            if arr is not None:
+                arr.flags.writeable = False
+        memo.traces[key] = built
+        memo.nbytes += size
+    return built

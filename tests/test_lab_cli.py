@@ -230,6 +230,50 @@ class TestRobustnessCLI:
         assert "ValueError: base must be positive, got 0" in err
         assert "RecursionError" not in err
 
+    MATMUL = ["sweep", "--kernel", "matmul-cache", "--machine", "sim-l3",
+              "--set", "n=16", "--set", "middle=16", "--set", "b3=8",
+              "--set", "b2=4", "--set", "base=4", "--set", "scheme=co",
+              "--no-cache"]
+
+    def test_nonpositive_cache_blocks_exits_2_with_its_name(self, capsys):
+        """``--set cache_blocks=0`` used to simulate a one-line cache
+        and exit 0 with a 0-hit record."""
+        for blocks in ("0", "-2"):
+            assert lab_main(self.MATMUL + ["--set",
+                                           f"cache_blocks={blocks}"]) == 2
+            err = capsys.readouterr().err
+            assert f"cache_blocks must be positive, got {blocks}" in err
+        assert lab_main(["run", "prop62", "--quick", "--no-cache",
+                         "--set", "cache_blocks=0"]) == 2
+        assert "cache_blocks" in capsys.readouterr().err
+
+    def test_adhoc_machine_set_overrides_the_machine(self, tmp_path,
+                                                     capsys):
+        """Ad-hoc ``--set machine.policy=clock`` used to run LRU and
+        carry ``machine.policy`` as an inert kernel parameter."""
+        out = tmp_path / "rows.json"
+        assert lab_main(self.MATMUL + ["--set", "cache_blocks=3",
+                                       "--set", "machine.policy=clock",
+                                       "--json", str(out)]) == 0
+        capsys.readouterr()
+        [row] = json.loads(out.read_text())
+        assert row["policy"] == "clock"
+        assert "machine.policy" not in row
+        from repro.lab.registry import MACHINES, kernel_matmul_cache
+        clock = MACHINES["sim-l3"].override(policy="clock")
+        params = {"n": 16, "middle": 16, "b3": 8, "b2": 4, "base": 4,
+                  "scheme": "co", "cache_blocks": 3}
+        want = kernel_matmul_cache(clock, params)
+        assert want != kernel_matmul_cache(MACHINES["sim-l3"], params)
+        assert {k: row[k] for k in want} == want
+
+    def test_adhoc_bad_machine_set_exits_2_with_its_name(self, capsys):
+        for key, value in (("line_size", "0"), ("cache_words", "-8"),
+                           ("associativity", "0"), ("policy", "bogus")):
+            assert lab_main(self.MATMUL + [
+                "--set", f"machine.{key}={value}"]) == 2
+            assert f"machine.{key}" in capsys.readouterr().err
+
     def test_bad_fault_plan_spec_exits_2(self, capsys):
         assert lab_main(self.ARGV + ["--no-cache", "--fault-plan",
                                      "bogus=1"]) == 2

@@ -54,20 +54,36 @@ class TestGrouping:
         keys = {_capacity_key(p) for p in pts}
         assert len(keys) == 1 and None not in keys
 
-    def test_non_lru_and_other_kernels_stay_single(self):
+    def test_non_stack_points_group_per_simulation(self):
+        """Clock and set-associative points group only with points
+        running the same replay: same policy, capacity, associativity
+        and seed.  Energy fields never split a group; hierarchies and
+        other kernels stay single."""
         machine = MachineSpec(name="t", line_size=4, policy="clock")
-        clock = ScenarioPoint("matmul-cache", machine,
-                              {"n": 16, "middle": 32, "scheme": "wa2",
-                               "b3": 8, "cache_blocks": 3})
-        assert _capacity_key(clock) is None
+        params = {"n": 16, "middle": 32, "scheme": "wa2", "b3": 8,
+                  "cache_blocks": 3}
+
+        def key(spec, **changes):
+            return _capacity_key(ScenarioPoint(
+                "matmul-cache", spec, dict(params, **changes)))
+
+        clock = key(machine)
+        assert clock is not None
+        assert key(machine.override(write_slow=30.0, read_fast=0.5)) \
+            == clock
+        assert key(machine, scheme="ab-multilevel") == clock
+        for other in (key(machine, cache_blocks=4),
+                      key(machine.override(seed=1)),
+                      key(machine.override(policy="segmented-lru")),
+                      key(machine.override(associativity=7)),
+                      key(machine, scheme="wa-multilevel")):
+            assert other is not None and other != clock
+        set_assoc = key(machine.override(policy="lru", associativity=7))
+        assert set_assoc not in (None, key(machine.override(policy="lru")))
+        assert key(machine.override(levels=(64, 256))) is None
         assert _capacity_key(
             ScenarioPoint("krylov-cg", MachineSpec(), {"mesh": 16})
         ) is None
-        set_assoc = ScenarioPoint(
-            "matmul-cache",
-            MachineSpec(name="t", line_size=4, associativity=8),
-            {"n": 16, "middle": 32, "scheme": "wa2", "b3": 8})
-        assert _capacity_key(set_assoc) is None
 
     def test_different_traces_group_separately(self):
         pts = sweep_points(schemes=("wa2", "co"), blocks=(3, 4))
@@ -91,7 +107,9 @@ class TestMultiCapacityExecution:
                            policies=("lru", "clock"))
         looped = execute(pts, cache=None, multi_capacity=False)
         batched = execute(pts, cache=None, multi_capacity=True)
-        assert batched.batches == 2 and batched.batched_points == 6
+        # wa2 and ab-multilevel share one task order: one LRU sweep of
+        # all six points, and one clock replay per capacity for both.
+        assert batched.batches == 4 and batched.batched_points == 12
         for a, b in zip(looped.results, batched.results):
             assert a.record == b.record
 
@@ -112,10 +130,15 @@ class TestMultiCapacityExecution:
         assert serial.records() == parallel.records()
 
     def test_batch_runner_validates_group(self):
-        pts = sweep_points(blocks=(3,))
+        pts = sweep_points(blocks=(3, 4))
         clock = pts[0].machine.override(policy="clock")
         with pytest.raises(ValueError):
-            run_capacity_batch("matmul-cache", [(clock, pts[0].params)])
+            run_capacity_batch("matmul-cache", [(pts[0].machine,
+                                                 pts[0].params),
+                                                (clock, pts[0].params)])
+        with pytest.raises(ValueError):
+            run_capacity_batch("matmul-cache", [(clock, pts[0].params),
+                                                (clock, pts[1].params)])
         other = dict(pts[0].params, middle=64)
         with pytest.raises(ValueError):
             run_capacity_batch("matmul-cache", [
@@ -221,7 +244,9 @@ class TestProtocolBatching:
         clock = pts[0].machine.override(policy="clock")
         with pytest.raises(ValueError):
             run_capacity_batch("matmul-cache",
-                               [(clock, pts[0].params)])
+                               [(clock, pts[0].params),
+                                (clock.override(policy="segmented-lru"),
+                                 pts[0].params)])
         with pytest.raises(ValueError):
             run_capacity_batch("krylov-cg",
                                [(pts[0].machine, pts[0].params)])

@@ -272,6 +272,29 @@ class TestSweepLifecycle:
         assert json.loads(excinfo.value.read())["error"] == \
             "level sizes must satisfy M1 < M2 < M3"
 
+    def test_nonpositive_cache_blocks_is_a_400(self, daemon):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", {
+                "kernel": "matmul-cache",
+                "set": {"n": 16, "middle": 16, "b3": 8, "scheme": "co"},
+                "grid": {"cache_blocks": [3, 0]}})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == \
+            "cache_blocks must be positive, got 0"
+
+    def test_adhoc_machine_set_overrides_the_machine(self):
+        """``"set": {"machine.policy": "clock"}`` used to run LRU with
+        ``machine.policy`` riding along as a kernel parameter."""
+        _, [point] = points_from_request({
+            "kernel": "matmul-cache", "machine": "sim-l3",
+            "set": {"n": 16, "middle": 16, "b3": 8, "scheme": "co",
+                    "cache_blocks": 3, "machine.policy": "clock"}})
+        assert point.machine.policy == "clock"
+        assert "machine.policy" not in point.params
+        with pytest.raises(ValueError, match="machine.line_size"):
+            points_from_request({"kernel": "matmul-cache",
+                                 "set": {"machine.line_size": 0}})
+
     def test_healthz(self, daemon):
         status, body = _get(daemon.url, "/healthz")
         assert status == 200 and body["ok"]

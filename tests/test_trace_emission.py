@@ -75,7 +75,7 @@ def oracle_matmul(m, n, l, scheme, b3, b2, base, line_size, c_touch_hint):
     B = TracedMatrix(space, "B", n, l)
     out = Oracle()
     last_b2 = None
-    spec = traces._scheme_spec(scheme, b3, b2, base)
+    spec = traces.matmul_order(scheme, b3, b2, base)
     for (i0, i1, j0, j1, k0, k1) in hierarchical_task_order(m, n, l, spec):
         if c_touch_hint:
             cur_b2 = (i0 // b2, j0 // b2, k0 // b2)
