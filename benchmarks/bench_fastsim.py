@@ -42,7 +42,6 @@ from repro.core.traces import matmul_trace
 from repro.lab.executor import execute
 from repro.lab.registry import MachineSpec
 from repro.lab.scenarios import ScenarioPoint
-from repro.lab.tracestore import set_active_store
 from repro.machine.cache import CacheSim
 from repro.machine.fastsim import sweep, symbolize
 from repro.machine.fastsim.belady import belady_reference
@@ -113,8 +112,7 @@ def record_snapshot(**numbers):
 
 def test_multi_capacity_sweep_end_to_end(benchmark):
     """The acceptance number: K-capacity sweep, replay-per-point vs one
-    batched pass, both cold (no result cache, no trace store)."""
-    set_active_store(None)
+    batched pass, both cold (no result cache)."""
     points = sweep_points()
     per_capacity = execute(points, cache=None, multi_capacity=False)
     multi = benchmark.pedantic(
@@ -142,7 +140,6 @@ def test_sec6_belady_sweep_end_to_end(benchmark):
     trace collapse into a single batch (one trace generation, one
     fastsim sweep per policy) — per-capacity replay regenerates the
     trace and replays it once per point."""
-    set_active_store(None)
     points = sweep_points(policies=("lru", "belady"))
     per_capacity = execute(points, cache=None, multi_capacity=False)
     multi = benchmark.pedantic(
@@ -171,7 +168,6 @@ def test_trsm_sweep_end_to_end(benchmark):
     """A non-matmul trace kernel through the generic capacity batcher —
     regresses loudly if protocol-driven grouping silently degrades to
     per-point replay."""
-    set_active_store(None)
     n, m, b = (32, 16, 8) if QUICK else (64, 32, 8)
     machine = MachineSpec(name="bench-l3", line_size=LINE, policy="lru")
     points = [ScenarioPoint("trsm-cache", machine,

@@ -8,10 +8,11 @@ Usage (from the repository root)::
 
 Each preset runs as ``repro-lab sweep --preset P --no-cache --jobs 1``
 in a fresh process of the checkout at ``--root`` (default: this one),
-so neither the result cache nor the trace store carries work between
-runs.  With ``--against`` a second checkout (e.g. the parent commit,
-made with ``git clone``) is measured in the same run, launch for
-launch in alternation, so the two entries see the same machine load.
+so the result cache carries no work between runs (nor, in older
+checkouts, their on-disk trace store).  With ``--against`` a second
+checkout (e.g. the parent commit, made with ``git clone``) is measured
+in the same run, launch for launch in alternation, so the two entries
+see the same machine load.
 Per preset and checkout the entry records:
 
 * ``wall_s`` — the median of ``--repeat`` untraced launches (process
@@ -55,6 +56,7 @@ def _env(root: Path, cache: Path) -> Dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     env["REPRO_LAB_CACHE"] = str(cache)
+    # REPRO_LAB_TRACES is read only by older checkouts (--against).
     for var in ("REPRO_LAB_TRACES", "REPRO_LAB_FAULTS"):
         env.pop(var, None)
     return env

@@ -96,11 +96,6 @@ def digest_section(path: Path, s: Dict[str, Any]) -> List[str]:
                      f"{int(c['writes'])} write(s)"
                      + (f"; miss reasons — {reasons}." if reasons else "."))
         lines.append("")
-    ts = s["tracestore"]
-    if ts["reuses"] or ts["misses"]:
-        lines.append(f"Trace store: {int(ts['reuses'])} mmap reuse(s), "
-                     f"{int(ts['misses'])} build(s).")
-        lines.append("")
     f = s["faults"]
     if f["retries"] or f["timeouts"] or f["respawns"] or f["failed_points"]:
         reasons = ", ".join(f"{k}: {int(v)}" for k, v in

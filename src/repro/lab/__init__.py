@@ -29,7 +29,7 @@ subpackage turns those grids into first-class objects:
   by column, with CSV/JSON export, aggregation and sweep-vs-sweep
   comparison;
 * :mod:`repro.lab.telemetry` — :class:`RunTrace` structured run traces
-  (spans, per-point path tags, cache/trace-store counters, fastsim
+  (spans, per-point path tags, cache counters, fastsim
   phase timings) streaming to JSONL, aggregated by
   :class:`MetricsRegistry` and rendered by ``repro-lab ... --trace`` /
   ``repro-lab trace {show,diff}``;

@@ -263,8 +263,9 @@ class ResultCache:
     def cleanup_tmp(self) -> int:
         """Delete stale ``*.tmp`` spill files (write temporaries left
         behind by an interrupted sweep — ``os.replace`` never ran).
-        Recursive, so it also reclaims trace-store ``.npy.tmp``
-        temporaries nested under ``traces/<shard>/``, not just the
+        Recursive, so it also reclaims temporaries nested deeper than
+        the record shards (such as ``.npy.tmp`` files under the
+        ``traces/<shard>/`` tree older versions wrote), not just the
         record shards one level down.  Returns how many were removed.
         Safe against concurrent writers: an in-flight temporary that
         vanishes under a writer just fails that single ``put`` as it

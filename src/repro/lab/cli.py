@@ -17,7 +17,7 @@ Subcommands::
     repro-lab trace show RUN.jsonl     # attribution table of a saved trace
     repro-lab trace diff A.jsonl B.jsonl
     repro-lab serve --port 8737 --jobs 4   # HTTP sweep daemon (hot cache)
-    repro-lab cache stats              # result-cache + trace-store inventory
+    repro-lab cache stats              # result-cache inventory
     repro-lab cache gc                 # prune superseded code versions
     repro-lab check                    # static contract analyzer (R1-R5)
     repro-lab check --format json --output findings.json
@@ -27,9 +27,8 @@ points were served from the persistent result cache.  Capacity sweeps
 over fully-associative LRU machines are collapsed into single-replay
 fastsim batches unless ``--no-multi-capacity`` is given, analytic
 ``cost-*`` grids are collapsed into vectorized batch evaluations unless
-``--no-batch`` is given, and generated traces are memoized in an
-on-disk trace store (``--no-trace-store`` or ``REPRO_LAB_TRACES=off``
-opts out).
+``--no-batch`` is given, and an in-process run builds each distinct
+trace once.
 
 With ``--trace`` (``run``/``sweep``) the engine records a structured run
 trace (:mod:`repro.lab.telemetry`): a JSONL event stream written beside
@@ -42,6 +41,7 @@ timings.  Tracing never changes records or cache contents.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,13 +56,6 @@ from repro.lab.registry import KERNELS, MACHINES, POLICIES
 from repro.lab.results import ResultSet
 from repro.lab.scenarios import SCENARIOS, Scenario, build_scenario
 from repro.lab.telemetry import RunTrace
-from repro.lab.tracestore import (
-    _OFF_VALUES,
-    TRACES_ENV,
-    TraceStore,
-    set_active_store,
-    store_from_env,
-)
 from repro.util import format_table
 
 __all__ = ["main"]
@@ -92,40 +85,27 @@ def _scenario(args: argparse.Namespace) -> Scenario:
                                file=sys.stderr))
 
 
+def _jobs(raw: str) -> int:
+    """``--jobs``: a worker count of at least 1."""
+    jobs = int(raw)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
+def _timeout(raw: str) -> float:
+    """``--timeout``: a positive, finite number of seconds."""
+    seconds = float(raw)
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {raw}")
+    return seconds
+
+
 def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     if args.no_cache:
         return None
     return ResultCache(args.cache_dir)
-
-
-def _default_trace_root(args: argparse.Namespace) -> Optional[str]:
-    """A ``--cache-dir`` scopes the trace store too (``<dir>/traces``),
-    so scoped runs and scoped ``cache stats/gc`` see the same traces;
-    ``None`` falls back to the global default root."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        return str(Path(cache_dir) / "traces")
-    return None
-
-
-def _setup_trace_store(args: argparse.Namespace) -> None:
-    """Install the trace store for this run (and its workers), honouring
-    ``--no-trace-store``, an explicit ``$REPRO_LAB_TRACES``, and
-    ``--cache-dir`` scoping."""
-    if getattr(args, "no_trace_store", False):
-        set_active_store(None)
-        return
-    if os.environ.get(TRACES_ENV, "").strip():
-        # Resolve whatever the env dictates (a path, or an off-value).
-        set_active_store(store_from_env())
-        return
-    if getattr(args, "no_cache", False):
-        # "read/write no cache" means no disk at all: skip the default
-        # trace store too (an explicit $REPRO_LAB_TRACES above still wins).
-        set_active_store(None)
-        return
-    store = TraceStore(_default_trace_root(args))
-    set_active_store(None if store.disabled else store)
 
 
 def _make_run_trace(args: argparse.Namespace,
@@ -240,7 +220,6 @@ def _engine_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     cache = _make_cache(args)
-    _setup_trace_store(args)
     trace = _make_run_trace(args, scenario.name)
     report = execute(scenario.points(), jobs=args.jobs, cache=cache,
                      multi_capacity=not args.no_multi_capacity,
@@ -255,7 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.lab.serve import ServeDaemon
 
     cache = _make_cache(args)
-    _setup_trace_store(args)
     daemon = ServeDaemon(host=args.host, port=args.port, jobs=args.jobs,
                          cache=cache)
     print(f"[repro.lab] serving on {daemon.url} (jobs={args.jobs}, "
@@ -311,25 +289,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return _finish(scenario, report, cache, args)
 
 
-def _maintenance_store(args: argparse.Namespace) -> Optional[TraceStore]:
-    """The trace store ``cache stats/gc`` should inspect — the same
-    resolution ``run``/``sweep`` use: --trace-dir, else
-    $REPRO_LAB_TRACES (a path, or an off-value meaning *no* store), else
-    <--cache-dir>/traces, else the default root."""
-    if getattr(args, "trace_dir", None):
-        return TraceStore(args.trace_dir)
-    env = os.environ.get(TRACES_ENV, "").strip()
-    if env:
-        if env.lower() in _OFF_VALUES:
-            return None  # disabled for runs => nothing to inspect/prune
-        return TraceStore(env)
-    return TraceStore(_default_trace_root(args))
-
-
-_STORE_OFF_NOTE = (f"trace store disabled (${TRACES_ENV}); "
-                   f"pass --trace-dir to inspect one anyway")
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     print(f"[repro.lab] {cache.describe()}")
@@ -338,16 +297,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         marker = " (current)" if version == cache.code_version else ""
         print(f"  {versions[version]:>6} record(s) from code version "
               f"{version}{marker}")
-    store = _maintenance_store(args)
-    if store is None:
-        print(f"[repro.lab] {_STORE_OFF_NOTE}")
-        return 0
-    print(f"[repro.lab] {store.describe()}")
-    stale = sum(1 for doc in store.entries()
-                if doc.get("code_version") != store.code_version)
-    if stale:
-        print(f"  {stale} trace(s) from superseded code versions "
-              f"(repro-lab cache gc reclaims them)")
     return 0
 
 
@@ -358,13 +307,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
             if cache.quarantined else "")
     print(f"[repro.lab] removed {removed} result record(s){note}; "
           f"{len(cache)} kept at {cache.root}")
-    store = _maintenance_store(args)
-    if store is None:
-        print(f"[repro.lab] {_STORE_OFF_NOTE}")
-        return 0
-    removed = store.gc(keep_version="" if args.all else None)
-    print(f"[repro.lab] removed {removed} trace(s); "
-          f"{len(store)} kept at {store.root}")
     return 0
 
 
@@ -375,8 +317,7 @@ def _add_cache_args(p: argparse.ArgumentParser, *,
                         "or ~/.cache/repro-lab)")
     if allow_disable:
         p.add_argument("--no-cache", action="store_true",
-                       help="compute everything, read/write no cache "
-                            "(skips the default trace store too)")
+                       help="compute everything, read/write no cache")
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
@@ -386,9 +327,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-batch", action="store_true",
                    help="evaluate analytic cost-* grids point by point "
                         "instead of as vectorized batches")
-    p.add_argument("--no-trace-store", action="store_true",
-                   help="regenerate traces instead of memoizing them "
-                        "on disk")
     p.add_argument("--trace", action="store_true",
                    help="record a structured run trace (JSONL under "
                         "<cache root>/runs) and print the attribution "
@@ -399,7 +337,7 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="per-task retry budget beyond the first attempt "
                         "(capped exponential backoff; a failed batch "
                         "falls back to per-point execution first)")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_timeout, default=None,
                    metavar="SECONDS",
                    help="per-task wall-clock limit; an overdue worker "
                         "is killed and the task retried (--jobs > 1 "
@@ -467,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", choices=sorted(SCENARIOS))
     p_run.add_argument("--quick", action="store_true",
                        help="smaller geometry, seconds instead of minutes")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_run.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                        help="worker processes for uncached points")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a preset parameter on every point; "
@@ -504,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override an HwParams cost parameter of the "
                               "machine (e.g. beta_23=30, M2=16384) for the "
                               "cost-* kernels (repeatable)")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_sweep.add_argument("--jobs", type=_jobs, default=1, metavar="N")
     _add_cache_args(p_sweep)
     _add_engine_args(p_sweep)
     _add_export_args(p_sweep)
@@ -517,12 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default: 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8737,
                          help="bind port (default: 8737; 0 = ephemeral)")
-    p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_serve.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                          help="worker budget shared across all jobs")
     _add_cache_args(p_serve)
-    p_serve.add_argument("--no-trace-store", action="store_true",
-                         help="regenerate traces instead of memoizing "
-                              "them on disk")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_rep = sub.add_parser("report", help="re-render a scenario purely from "
@@ -555,19 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tdiff.set_defaults(func=_cmd_trace_diff)
 
     p_cache = sub.add_parser("cache", help="inspect or prune the result "
-                                           "cache and trace store")
+                                           "cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_stats = cache_sub.add_parser(
-        "stats", help="record/trace counts, sizes and code versions")
+        "stats", help="record counts, sizes and code versions")
     p_gc = cache_sub.add_parser(
-        "gc", help="drop records and traces from superseded code versions")
+        "gc", help="drop records from superseded code versions")
     p_gc.add_argument("--all", action="store_true",
                       help="drop everything, current code version included")
     for p in (p_stats, p_gc):
         _add_cache_args(p, allow_disable=False)
-        p.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="trace-store directory (default: "
-                            "$REPRO_LAB_TRACES or <cache dir>/traces)")
     p_stats.set_defaults(func=_cmd_cache_stats)
     p_gc.set_defaults(func=_cmd_cache_gc)
 

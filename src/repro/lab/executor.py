@@ -5,10 +5,10 @@ the remaining points out over a supervised pool of worker processes — so a
 warm sweep costs one JSON read per point regardless of ``jobs``, and a
 cold sweep scales with cores.  All *result-cache* I/O happens in the
 parent process; workers are deterministic functions from point payloads to
-records, though with a trace store installed
-(:mod:`repro.lab.tracestore`) they do share memoized traces through it
-(memory-mapped reads, atomic writes — safe under concurrency, and purely
-an accelerator: records are unaffected).
+records, each building the traces its own tasks need.  An in-process run
+builds each distinct trace once: it keeps a built trace in memory while a
+later task of its plan still fetches it
+(:func:`~repro.lab.registry.run_memo`).
 
 **Batching** (on by default): uncached points whose kernel registers a
 :class:`~repro.lab.registry.BatchKernel` entry and that share the
@@ -70,11 +70,10 @@ queue-vs-compute seconds), one ``point`` event per point tagged with
 its execution path (``cache``/``batch``/``multi_capacity``/``scalar``/
 ``failed``), and ``task.retry`` / ``task.timeout`` /
 ``worker.respawn`` / ``point.failed`` counters for every recovery
-action.  Pool workers capture their own events (fastsim phases,
-trace-store counters) into an in-memory subtrace that the parent
-splices back in; kernels listed in
-:data:`~repro.lab.registry.METRIC_FIELDS` additionally fold the named
-record fields into trace metrics.  Tracing never changes records —
+action.  Pool workers capture their own events (fastsim phases)
+into an in-memory subtrace that the parent splices back in; kernels
+listed in :data:`~repro.lab.registry.METRIC_FIELDS` additionally fold
+the named record fields into trace metrics.  Tracing never changes records —
 the untraced path pays one ``None`` check per site.
 """
 
@@ -82,6 +81,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import multiprocessing
 import time
 import traceback as tb
@@ -96,10 +96,8 @@ from repro.lab import telemetry
 from repro.lab.cache import ResultCache
 from repro.lab.faults import FaultPlan, deterministic_unit, fault_key
 from repro.lab.registry import (BATCH_KERNELS, METRIC_FIELDS, TRACE_KERNELS,
-                                run_batch)
+                                payload_key, run_batch, run_memo)
 from repro.lab.scenarios import ScenarioPoint
-from repro.lab.tracestore import (active_store, payload_key, run_memo,
-                                  staged_keys)
 from repro.machine.fastsim import profile as fs_profile
 from repro.util import json_number_default
 
@@ -191,8 +189,9 @@ class RetryPolicy:
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive, finite number "
+                             f"of seconds, got {self.timeout}")
 
     def backoff(self, attempts: int, key: str) -> float:
         """Delay before re-dispatching a task that has made *attempts*
@@ -350,8 +349,8 @@ def _trace_uses(points: Sequence[ScenarioPoint],
                 plan: Sequence[Tuple[List[int], Optional[str]]]
                 ) -> Dict[str, int]:
     """How many tasks of *plan* fetch each trace, by
-    :func:`~repro.lab.tracestore.payload_key`: what the in-run memo
-    (:func:`~repro.lab.tracestore.run_memo`) keeps a trace for.  The
+    :func:`~repro.lab.registry.payload_key`: what the in-run memo
+    (:func:`~repro.lab.registry.run_memo`) keeps a trace for.  The
     points of a task share one trace; a point whose trace identity
     cannot be formed is left out (its task reports the error)."""
     uses: Dict[str, int] = {}
@@ -424,13 +423,7 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     ``"events"``/``"epoch"`` — or, on failure, a structured ``"error"``
     record carrying the worker-side traceback.  A fault plan riding the
     payload (``task["faults"]``) fires at this boundary, *before* any
-    kernel runs.
-
-    ``task["trace_keys"]`` — content-addressed trace-store keys the
-    parent staged at dispatch — are installed for the task body, so
-    trace kernels resolve their traces as read-only mmaps of the
-    shared store files (zero-copy: the pipe carries only the keys,
-    never event arrays)."""
+    kernel runs."""
     pts = [ScenarioPoint.from_payload(p) for p in task["points"]]
     out: Dict[str, Any] = {
         "worker": multiprocessing.current_process().name,
@@ -442,8 +435,7 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
         if plan is not None:
             plan.maybe_fire(task.get("fault_keys") or (),
                             task.get("attempt", 1), in_worker=True)
-        with telemetry.tracing(subtrace), _phase_capture(subtrace), \
-                staged_keys(task.get("trace_keys") or ()):
+        with telemetry.tracing(subtrace), _phase_capture(subtrace):
             out["records"] = _run_points(pts)
     except Exception as exc:  # shipped home; parent decides retry/fail
         out["error"] = {
@@ -772,39 +764,6 @@ class _Supervisor:
                     f"completed points are cached")
         workers[slot] = self._spawn()
 
-    def _stage_traces(self, task: _Task) -> Tuple[str, ...]:
-        """Zero-copy handoff, parent half: make sure every trace the
-        task's points need exists in the active store (building each at
-        most once, here, instead of concurrently in N workers) and
-        return the content-addressed keys to ship in the payload.
-
-        Batch tasks share one trace identity by construction, so this
-        is one key per simulation batch.  Returns ``()`` — ship nothing —
-        for scalar tasks (their builds stay in the workers, parallel as
-        ever), when no store is active, or when the points are not
-        trace kernels; a point whose payload cannot even be formed is
-        skipped so the worker reports the real parameter error."""
-        store = active_store()
-        if task.kind != "multi_capacity" or store is None or store.disabled:
-            return ()
-        keys: List[str] = []
-        for i in task.indices:
-            pt = self.points[i]
-            tk = TRACE_KERNELS.get(pt.kernel)
-            if tk is None:
-                continue
-            try:
-                spec = tk.payload(pt.machine, pt.params)
-            except (KeyError, TypeError, ValueError):
-                continue
-            key = store.key_for(spec)
-            if key in keys:
-                continue
-            store.get_or_build_trace(
-                spec, lambda _tk=tk, _spec=spec: _tk.build(_spec))
-            keys.append(key)
-        return tuple(keys)
-
     def _dispatch(self, worker: _Worker, task: _Task,
                   tracing: bool) -> bool:
         """Send *task* to *worker*; False if the pipe is already dead
@@ -816,9 +775,6 @@ class _Supervisor:
             "attempt": task.attempts + 1,
             **self._fault_payload(task),
         }
-        trace_keys = self._stage_traces(task)
-        if trace_keys:
-            payload["trace_keys"] = trace_keys
         try:
             worker.conn.send(payload)
         except OSError as exc:
@@ -1042,13 +998,12 @@ def execute(
         Collapse trace-kernel points that run the same simulation into
         single-replay batches (see the module docstring).  Purely an
         execution strategy: records and cache contents are identical
-        either way.  The active trace store serves repeated traces;
-        without one, an in-process run keeps a built trace in memory
+        either way.  An in-process run keeps a built trace in memory
         while a later task still fetches it
-        (:func:`~repro.lab.tracestore.run_memo`), so each distinct
-        trace is built once.  ``False`` runs every point on its own
-        (without a store each builds its own trace): the per-point
-        reference path.
+        (:func:`~repro.lab.registry.run_memo`), so each distinct
+        trace is built once; pool workers build the traces their own
+        tasks need.  ``False`` runs every point on its own, each
+        building its own trace: the per-point reference path.
     batch:
         Collapse same-machine analytic grids (the ``cost-*`` families)
         into vectorized batch evaluations — the grid analogue of
@@ -1085,6 +1040,8 @@ def execute(
         cancellation are already in *cache*, so a cancelled sweep can
         be resumed later at the cost of one in-flight task.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if trace is None:
         trace = telemetry.active_trace()
     if retry_policy is None:
@@ -1153,8 +1110,8 @@ def _execute(
             if jobs > 1 and len(plan) > 1:
                 supervisor.run_pool(tasks, jobs)
             else:
-                shared = multi_capacity and active_store() is None
-                with run_memo(_trace_uses(points, plan) if shared else {}):
+                with run_memo(_trace_uses(points, plan)
+                              if multi_capacity else {}):
                     supervisor.run_inline(tasks)
 
         if trace is not None:

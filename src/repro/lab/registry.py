@@ -14,10 +14,13 @@ scenario file (or a CLI invocation) is pure data:
 
 from __future__ import annotations
 
+import json
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.traces import (
     cholesky_trace,
@@ -39,10 +42,10 @@ from repro.lab.modelkernels import (
     run_cost_batch,
 )
 from repro.lab.telemetry import active_trace
-from repro.lab.tracestore import active_store, is_staged, memo_trace
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.energy import EnergyModel
 from repro.machine.fastsim import sweep
+from repro.machine.fastsim.profile import phase as fs_phase
 from repro.machine.multicache import CacheHierarchySim
 from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
@@ -69,9 +72,13 @@ __all__ = [
     "matmul_lines",
     "matmul_capacity_words",
     "capacity_group_payload",
-    "check_capacity",
+    "check_point",
     "run_batch",
     "run_capacity_batch",
+    "run_memo",
+    "memo_trace",
+    "payload_key",
+    "MEMO_BUDGET_BYTES",
 ]
 
 
@@ -301,6 +308,82 @@ def _require_params(params: Mapping[str, Any], names: Tuple[str, ...],
 _as_int = canonical_int
 
 
+# --------------------------------------------------------------------- #
+# in-run trace memo
+# --------------------------------------------------------------------- #
+#: bytes of finalized traces one run keeps in memory; a trace that would
+#: overflow it is built and not kept.
+MEMO_BUDGET_BYTES = 128 << 20
+
+
+def payload_key(payload: Mapping[str, Any]) -> str:
+    """The in-run memo's key for the trace identity *payload*."""
+    return json.dumps(payload, sort_keys=True)
+
+
+class _Memo:
+    __slots__ = ("uses", "traces", "nbytes")
+
+    def __init__(self, uses: Mapping[str, int]) -> None:
+        self.uses = dict(uses)
+        self.traces: Dict[str, Trace] = {}
+        self.nbytes = 0
+
+
+# A context variable, not a module global: the serve daemon runs sweeps
+# on its own thread, and each run must see only the memo it scoped.
+_memo: ContextVar[Optional[_Memo]] = ContextVar("repro_trace_memo",
+                                                default=None)
+
+
+def _nbytes(trace: Trace) -> int:
+    return sum(arr.nbytes for arr in trace if arr is not None)
+
+
+@contextmanager
+def run_memo(uses: Mapping[str, int]) -> Iterator[None]:
+    """Scope an in-run trace memo for the ``with`` body.  *uses* counts
+    the fetches the run will make of each trace (by
+    :func:`payload_key`); a built trace is kept only while another
+    fetch of it is due, and whatever is left is dropped on exit."""
+    token = _memo.set(_Memo(uses))
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memo_trace(payload: Mapping[str, Any],
+               builder: Callable[[], Trace]) -> Trace:
+    """The trace *payload* names: from the active :func:`run_memo`, or
+    built (and kept while a later fetch is due and the byte budget
+    allows).  Outside a memo scope every call builds."""
+    memo = _memo.get()
+    if memo is None:
+        with fs_phase("trace_build"):
+            return builder()
+    key = payload_key(payload)
+    left = memo.uses.get(key, 1) - 1
+    memo.uses[key] = left
+    built = memo.traces.get(key)
+    if built is not None:
+        if left <= 0:
+            del memo.traces[key]
+            memo.nbytes -= _nbytes(built)
+        return built
+    with fs_phase("trace_build"):
+        built = builder()
+    size = _nbytes(built)
+    if left > 0 and memo.nbytes + size <= MEMO_BUDGET_BYTES:
+        # Shared from now on, so read-only.
+        for arr in built:
+            if arr is not None:
+                arr.flags.writeable = False
+        memo.traces[key] = built
+        memo.nbytes += size
+    return built
+
+
 @dataclass(frozen=True)
 class TraceKernel:
     """Declarative protocol entry for a line-trace kernel.
@@ -312,14 +395,10 @@ class TraceKernel:
     identity, trace builder, capacity, write floor — instead of
     hard-coding them per kernel lets the engine share work mechanically:
 
-    * :meth:`trace` memoizes ``payload`` → ``build`` results in the
-      active trace store (tile-chunk sidecar included), so
-      capacity/policy sweeps generate each trace once across points,
-      workers and runs — and honors keys the executor staged for
-      zero-copy handoff (:func:`repro.lab.tracestore.staged_keys`).
-      Without a store it serves from the run's in-memory memo
-      (:func:`repro.lab.tracestore.memo_trace`), which keeps a trace
-      while a later task of an in-process run still fetches it;
+    * :meth:`trace` serves ``payload`` → ``build`` results from the
+      run's in-memory memo (:func:`memo_trace`), which keeps a trace
+      while a later task of an in-process run still fetches it, so
+      each distinct trace is built once per run;
     * the executor groups points by simulation
       (:func:`capacity_group_payload`): fully-associative LRU/Belady
       points of one trace replay through one single-pass
@@ -345,28 +424,13 @@ class TraceKernel:
     def trace(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Trace:
         """Finalized :class:`~repro.machine.trace.Trace`, served from the
-        active trace store when one is installed, else from the run's
-        in-memory memo.
-
-        When the executor staged this trace's key for the current task
-        (zero-copy handoff), the arrays arrive as read-only mmaps via
-        :meth:`~repro.lab.tracestore.TraceStore.get_by_key` and the
-        build closure is never entered."""
+        run's in-memory memo (:func:`memo_trace`)."""
         spec = self.payload(machine, params)
-        store = active_store()
-        if store is None:
-            return memo_trace(spec, lambda: self.build(spec))
-        key = store.key_for(spec)
-        if is_staged(key):
-            staged = store.get_by_key(key)
-            if staged is not None:
-                return staged
-        return store.get_or_build_trace(spec, lambda: self.build(spec))
+        return memo_trace(spec, lambda: self.build(spec))
 
     def lines(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Tuple[Any, Any]:
-        """Finalized ``(lines, writes)``, served from the active trace
-        store when one is installed."""
+        """Finalized ``(lines, writes)`` of :meth:`trace`."""
         return self.trace(machine, params).pair()
 
     def record(self, machine: MachineSpec, params: Mapping[str, Any],
@@ -406,8 +470,7 @@ class TraceKernel:
 def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
     """The trace-identity of a matmul-cache point: every parameter that
     shapes the generated access sequence — and nothing capacity-related,
-    so all points of a capacity sweep share one entry in the trace
-    store.  The scheme enters as the task ``order`` it resolves to
+    so all points of a capacity sweep share one trace.  The scheme enters as the task ``order`` it resolves to
     (:func:`repro.core.traces.matmul_order`), not as its name, so two
     schemes with one order (``wa2``, ``ab-multilevel``) share a trace."""
     n = _as_int(params["n"], "n")
@@ -566,8 +629,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
 
 def matmul_lines(machine: MachineSpec, params: Mapping[str, Any]
                  ) -> Tuple[Any, Any]:
-    """Finalized ``(lines, writes)`` for a matmul-cache point, served from
-    the active trace store when one is installed."""
+    """Finalized ``(lines, writes)`` for a matmul-cache point."""
     return TRACE_KERNELS["matmul-cache"].lines(machine, params)
 
 
@@ -970,15 +1032,16 @@ BATCH_KERNELS: Dict[str, BatchKernel] = {
 }
 
 
-def check_capacity(kernel: str, machine: MachineSpec,
-                   params: Mapping[str, Any]) -> None:
+def check_point(kernel: str, machine: MachineSpec,
+                params: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` naming the field when a trace-kernel point
-    sizes its cache with a bad ``cache_blocks`` — at request time, not
-    first inside the run.  Other kernels, and points missing a
-    parameter (the run reports those), pass."""
+    misses a required parameter or sizes its cache with a bad
+    ``cache_blocks`` — at request time, not first inside the run.
+    Other kernels pass."""
     tk = TRACE_KERNELS.get(kernel)
     if tk is None:
         return
+    _require_params(params, tk.required, tk.name)
     try:
         tk.capacity_words(machine, params)
     except (KeyError, TypeError):

@@ -41,7 +41,7 @@ from repro.lab.registry import (
     KERNELS,
     MACHINES,
     MachineSpec,
-    check_capacity,
+    check_point,
     machine_fields,
     project_machine,
     resolve_machine,
@@ -149,12 +149,13 @@ class Scenario:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def points(self) -> List[ScenarioPoint]:
-        """The concrete points; a trace-kernel point whose cache is
-        sized by a bad ``cache_blocks`` raises ``ValueError`` here
-        (:func:`~repro.lab.registry.check_capacity`)."""
+        """The concrete points; a trace-kernel point that misses a
+        required parameter or whose cache is sized by a bad
+        ``cache_blocks`` raises ``ValueError`` here
+        (:func:`~repro.lab.registry.check_point`)."""
         pts = self._expand()
         for pt in pts:
-            check_capacity(pt.kernel, pt.machine, pt.params)
+            check_point(pt.kernel, pt.machine, pt.params)
         return pts
 
     def _expand(self) -> List[ScenarioPoint]:

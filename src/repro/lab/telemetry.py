@@ -11,7 +11,7 @@ flight recorder:
   task) with monotonic timings, per-point *path tags*
   (``cache``/``batch``/``multi_capacity``/``scalar`` plus the venue,
   ``in_process`` or ``pool-worker-N``), *counters* (cache hits/misses
-  with the miss reason, trace-store builds vs mmap reuse), *phases*
+  with the miss reason, retries, respawns), *phases*
   (fastsim's trace build, radix partition, distance pass, per-capacity
   fold) and *metrics* (record fields kernels declare in
   :data:`repro.lab.registry.METRIC_FIELDS`);
@@ -435,7 +435,7 @@ def summarize(trace: RunTrace) -> Dict[str, Any]:
 
     Returns a plain dict: total points and elapsed, per-path and
     per-kernel point counts, batch efficiency, batch-path coverage of
-    batchable points, cache/trace-store counters with miss reasons,
+    batchable points, cache counters with miss reasons,
     fastsim phase totals, and queue-vs-compute seconds.
     """
     paths: Dict[str, int] = {}
@@ -515,10 +515,6 @@ def summarize(trace: RunTrace) -> Dict[str, Any]:
             "hit_rate": hits / (hits + misses) if hits + misses else None,
             "miss_reasons": reasons.get("cache.miss", {}),
         },
-        "tracestore": {
-            "reuses": counters.get("tracestore.hit", 0),
-            "misses": counters.get("tracestore.miss", 0),
-        },
         "phases": phases,
         "queue_s": queue_s,
         "compute_s": compute_s,
@@ -577,10 +573,6 @@ def render_attribution(trace: RunTrace) -> str:
         out.append(f"result cache: {int(c['hits'])} hit(s) / "
                    f"{int(c['misses'])} miss(es) ({rate} hit rate), "
                    f"{int(c['writes'])} write(s); miss reasons: {reasons}")
-    ts = s["tracestore"]
-    if ts["reuses"] or ts["misses"]:
-        out.append(f"trace store: {int(ts['reuses'])} mmap reuse(s), "
-                   f"{int(ts['misses'])} miss(es) (built fresh)")
     f = s["faults"]
     if f["retries"] or f["timeouts"] or f["respawns"] or f["failed_points"]:
         reasons = ", ".join(f"{k}={int(v)}" for k, v in

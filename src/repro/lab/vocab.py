@@ -41,8 +41,6 @@ COUNTERS: FrozenSet[str] = frozenset({
     "cache.hit",
     "cache.miss",
     "cache.write",
-    "tracestore.hit",
-    "tracestore.miss",
     "trace.events",
     "trace.symbols",
     "task.retry",

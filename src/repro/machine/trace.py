@@ -24,8 +24,8 @@ Very large traces never need to live in RAM: past
 ``$REPRO_TRACE_SPILL_EVENTS`` events (default ``2**26``),
 :meth:`TraceBuffer.finalize` spills the concatenated arrays to anonymous
 ``.npy`` files and returns read-only memory maps, which downstream
-consumers (:func:`repro.machine.fastsim.sweep`, the content-addressed
-trace store) treat exactly like in-memory arrays.
+consumers (:func:`repro.machine.fastsim.sweep`, ``CacheSim``) treat
+exactly like in-memory arrays.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ class Trace(NamedTuple):
 
     ``chunk_lens`` partitions ``lines``/``writes`` into the builder's
     visits (one per base-tile or segment visit, none empty);
-    ``None`` when the structure is unknown (e.g. a store round-trip from
-    before chunk sidecars existed).  Within a chunk the write flag is
-    uniform by construction.
+    ``None`` when the structure is unknown.  Within a chunk the write
+    flag is uniform by construction.
     """
 
     lines: np.ndarray

@@ -1,9 +1,9 @@
 """Shared fixtures: keep the suite off the user's real cache directories.
 
-CLI and executor tests exercise the persistent result cache and trace
-store; without isolation a test that omits ``--cache-dir`` would write
-into ``~/.cache/repro-lab``.  Every test gets a fresh cache root and a
-clean trace-store state instead.
+CLI and executor tests exercise the persistent result cache; without
+isolation a test that omits ``--cache-dir`` would write into
+``~/.cache/repro-lab``.  Every test gets a fresh cache root and starts
+outside any in-run trace memo instead.
 
 Hypothesis runs under a slim ``ci`` profile by default so ``pytest -q``
 stays inside the tier-1 runtime budget; set ``HYPOTHESIS_PROFILE=dev``
@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-import repro.lab.tracestore as tracestore
+from repro.lab import registry
 
 try:
     from hypothesis import HealthCheck, settings
@@ -40,6 +40,6 @@ except ImportError:  # property tests skip themselves without hypothesis
 def isolated_cache_roots(monkeypatch, tmp_path_factory):
     root = tmp_path_factory.mktemp("lab-cache")
     monkeypatch.setenv("REPRO_LAB_CACHE", str(root))
-    monkeypatch.delenv(tracestore.TRACES_ENV, raising=False)
-    monkeypatch.delenv(tracestore._ACTIVE_ENV, raising=False)
-    monkeypatch.setattr(tracestore, "_active", "unset")
+    token = registry._memo.set(None)
+    yield
+    registry._memo.reset(token)

@@ -167,10 +167,10 @@ class TestTmpCleanup:
         assert cache.cleanup_tmp() == 0
 
     def test_cleanup_tmp_is_recursive(self, tmp_path, point):
-        # The real on-disk layout nests deeper than one shard level:
-        # the trace store leaves `.npy.tmp` temporaries under
-        # `traces/<shard>/`.  An interrupted sweep must get them all
-        # back, not just the record-shard level.
+        # A cache root can nest deeper than one shard level (older
+        # versions kept `.npy` traces under `traces/<shard>/`).  An
+        # interrupted sweep must get every temporary back, not just the
+        # record-shard level.
         cache = ResultCache(tmp_path)
         cache.put(point.payload(), {"x": 1})
         shard = cache._path(cache.key_for(point.payload())).parent

@@ -7,15 +7,20 @@ served (entirely) from the persistent result cache.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.__main__ import PRESETS
 from repro.experiments.__main__ import main as experiments_main
 from repro.lab.cache import ResultCache
+from repro.lab.cli import build_parser
 from repro.lab.cli import main as lab_main
+from repro.lab.executor import RetryPolicy, execute
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -336,3 +341,45 @@ class TestRobustnessCLI:
         assert lab_main(["cache", "gc", "--cache-dir",
                          str(tmp_path)]) == 0
         assert "1 quarantined as corrupt" in capsys.readouterr().out
+
+    def test_nonfinite_timeout_exits_2_naming_it(self, capsys):
+        """``--timeout nan`` passed the ``timeout <= 0`` check, and the
+        pool then killed every task as overdue."""
+        for value in ("nan", "inf", "0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                lab_main(["sweep", "--preset", "sec6", "--quick",
+                          "--no-cache", "--jobs", "2",
+                          "--timeout", value])
+            assert excinfo.value.code == 2
+            assert "argument --timeout" in capsys.readouterr().err
+        for seconds in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="timeout"):
+                RetryPolicy(timeout=seconds)
+
+    def test_nonpositive_jobs_exits_2_naming_it(self, capsys):
+        """``--jobs 0``/``--jobs -3`` ran in-process and printed
+        ``jobs=0``/``jobs=-3``; ``serve`` took them too."""
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as excinfo:
+                lab_main(["sweep", "--preset", "sec6", "--quick",
+                          "--no-cache", "--jobs", value])
+            assert excinfo.value.code == 2
+            assert "argument --jobs" in capsys.readouterr().err
+            for argv in (["run", "sec6"], ["serve"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args([*argv, "--jobs", value])
+                assert excinfo.value.code == 2
+                assert "argument --jobs" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            execute([], jobs=0)
+
+    def test_missing_trace_params_exit_2_naming_them(self, capsys):
+        """A trace-kernel sweep without its required parameters used to
+        fail inside the run, with a remote traceback."""
+        rc = lab_main(["sweep", "--kernel", "matmul-cache", "--machine",
+                       "sim-l3", "--no-cache"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "missing required parameter(s) ['middle', 'n', 'scheme']" \
+            in err
+        assert "Traceback" not in err

@@ -115,6 +115,7 @@ class TestScenarioExpansion:
     def test_machine_dot_keys_override_spec(self):
         sc = Scenario(
             name="t", kernel="matmul-cache", machine=MachineSpec(),
+            fixed={"n": 8, "middle": 8, "scheme": "co"},
             grid={"machine.policy": ["lru", "clock"]},
         )
         pts = sc.points()

@@ -282,6 +282,15 @@ class TestSweepLifecycle:
         assert json.loads(excinfo.value.read())["error"] == \
             "cache_blocks must be positive, got 0"
 
+    def test_missing_trace_params_is_a_400(self, daemon):
+        """The job used to be accepted and then fail inside the run."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", {"kernel": "matmul-cache",
+                                         "set": {"n": 16}})
+        assert excinfo.value.code == 400
+        assert "missing required parameter(s) ['middle', 'scheme']" in \
+            json.loads(excinfo.value.read())["error"]
+
     def test_adhoc_machine_set_overrides_the_machine(self):
         """``"set": {"machine.policy": "clock"}`` used to run LRU with
         ``machine.policy`` riding along as a kernel parameter."""

@@ -5,36 +5,24 @@ machine energy: fully-associative LRU/Belady points of one trace share
 one multi-capacity sweep, any other point shares a replay with the
 points that have its trace, policy, capacity, associativity and seed.
 Two scheme names with one task order (``wa2``, ``ab-multilevel``) are
-one trace.  Records stay bit-identical to the per-point path, and
-without a trace store each distinct trace is still built once per run.
+one trace.  Records stay bit-identical to the per-point path, and the
+in-run memo builds each distinct trace once per run.
 """
 
 import hashlib
 import itertools
 import json
 
-import pytest
-
 from repro.core.traces import MATMUL_SCHEMES, matmul_trace
-from repro.lab import tracestore
+from repro.lab import registry
 from repro.lab.executor import _plan, execute
 from repro.lab.registry import MachineSpec, matmul_trace_payload
 from repro.lab.scenarios import ScenarioPoint, sec6_scenario
 from repro.lab.telemetry import RunTrace, summarize
-from repro.lab.tracestore import set_active_store
 from repro.machine.fastsim import profile as fs_profile
 
 PARAMS = {"n": 16, "middle": 32, "b3": 8, "b2": 4, "base": 4}
 LINE = 4
-
-
-@pytest.fixture(autouse=True)
-def no_trace_store(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path / "results"))
-    monkeypatch.setenv("REPRO_LAB_TRACES", "off")
-    previous = set_active_store(None)
-    yield
-    set_active_store(previous)
 
 
 def mixed_grid():
@@ -184,7 +172,7 @@ class TestRunMemo:
     def test_each_trace_is_built_once_per_run(self):
         points = sec6_scenario(quick=True).points()
         assert self.build_count(lambda: execute(points, cache=None)) == 2
-        assert tracestore._memo.get() is None  # dropped with the run
+        assert registry._memo.get() is None  # dropped with the run
 
     def test_per_point_path_builds_per_point(self):
         # multi_capacity=False is the per-point reference: every point
@@ -194,7 +182,7 @@ class TestRunMemo:
             points, cache=None, multi_capacity=False)) == len(points)
 
     def test_budget_bounds_the_memo(self, monkeypatch):
-        monkeypatch.setattr(tracestore, "MEMO_BUDGET_BYTES", 0)
+        monkeypatch.setattr(registry, "MEMO_BUDGET_BYTES", 0)
         points = sec6_scenario(quick=True).points()
         report = execute(points, cache=None)
         assert self.build_count(lambda: execute(points, cache=None)) \
@@ -209,13 +197,13 @@ class TestRunMemo:
             return built[-1]
 
         once, twice = {"family": "once"}, {"family": "twice"}
-        with tracestore.run_memo({tracestore.payload_key(twice): 2}):
-            memo = tracestore._memo.get()
-            tracestore.memo_trace(once, build)
+        with registry.run_memo({registry.payload_key(twice): 2}):
+            memo = registry._memo.get()
+            registry.memo_trace(once, build)
             assert memo.traces == {} and memo.nbytes == 0
-            tr = tracestore.memo_trace(twice, build)
+            tr = registry.memo_trace(twice, build)
             assert not tr.lines.flags.writeable  # shared: read-only
             assert memo.nbytes > 0
-            assert tracestore.memo_trace(twice, build) is tr
+            assert registry.memo_trace(twice, build) is tr
             assert memo.traces == {} and memo.nbytes == 0
         assert len(built) == 2

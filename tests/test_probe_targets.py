@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from repro.lab.registry import MachineSpec, run_capacity_batch
-from repro.lab.tracestore import set_active_store
 from repro.machine.fastsim import profile
 
 PROBE = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
@@ -58,13 +57,11 @@ def test_sec6_batch_emits_probe_phases():
     group = [(machine.override(policy=policy), dict(params, cache_blocks=b))
              for policy in ("lru", "belady") for b in (3, 4, 5)]
     seen = []
-    previous_store = set_active_store(None)
     previous_hook = profile.set_phase_hook(
         lambda name, seconds: seen.append(name))
     try:
         run_capacity_batch("matmul-cache", group)
     finally:
         profile.set_phase_hook(previous_hook)
-        set_active_store(previous_store)
     assert {"trace_build", "opt_replay"} <= set(seen)
     assert set(probe.PHASE_LAYERS) <= set(seen)

@@ -1,16 +1,11 @@
 """Parity tests for the tile super-symbol pipeline.
 
-Two contracts, both bit-identity:
-
-* :func:`sweep` on a tile-structured trace (the super-symbol fold)
-  equals the same events swept flat (the event stage) — and each
-  policy's oracle — on random and paper-kernel traces;
-* the executor's zero-copy handoff ships content-addressed keys, never
-  arrays, and workers resolve them from the store without rebuilding.
+The contract is bit-identity: :func:`sweep` on a tile-structured trace
+(the super-symbol fold) equals the same events swept flat (the event
+stage) — and each policy's oracle — on random and paper-kernel traces.
 """
 
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -274,59 +269,3 @@ class TestRunTraceDispatch:
             sim.flush()
         assert fold.stats == loop.stats
 
-
-# --------------------------------------------------------------------- #
-# zero-copy worker handoff
-# --------------------------------------------------------------------- #
-class TestZeroCopyHandoff:
-    def _points(self):
-        from repro.lab.registry import MACHINES
-        from repro.lab.scenarios import Scenario
-        sc = Scenario(
-            name="t", kernel="matmul-cache", machine=MACHINES["sim-l3"],
-            description="", fixed={"n": 16, "middle": 16, "scheme": "wa2",
-                                   "b3": 8, "b2": 4, "base": 2},
-            grid={"cache_blocks": [2, 3, 4]})
-        return sc.points()
-
-    def test_parent_stages_one_key_per_batch(self, tmp_path):
-        from repro.lab import executor
-        from repro.lab.tracestore import TraceStore, set_active_store
-        store = TraceStore(tmp_path / "ts")
-        set_active_store(store)
-        pts = self._points()
-        sup = types.SimpleNamespace(points=pts)
-        task = executor._Task(tid=0, indices=list(range(len(pts))),
-                              kind="multi_capacity")
-        keys = executor._Supervisor._stage_traces(sup, task)
-        assert len(keys) == 1  # one shared trace identity for the batch
-        assert store.get_by_key(keys[0]) is not None  # built in parent
-        # scalar tasks ship nothing (builds stay in the workers)
-        scalar = executor._Task(tid=1, indices=[0], kind=None)
-        assert executor._Supervisor._stage_traces(sup, scalar) == ()
-
-    def test_worker_resolves_key_without_rebuilding(self, tmp_path):
-        from repro.lab import executor
-        from repro.lab.tracestore import TraceStore, set_active_store
-        store = TraceStore(tmp_path / "ts")
-        set_active_store(store)
-        pts = self._points()
-        sup = types.SimpleNamespace(points=pts)
-        task = executor._Task(tid=0, indices=list(range(len(pts))),
-                              kind="multi_capacity")
-        keys = executor._Supervisor._stage_traces(sup, task)
-        payload = {"id": 0, "points": [pt.payload() for pt in pts],
-                   "telemetry": True, "attempt": 1, "trace_keys": keys}
-        # the payload carries keys only — no ndarray crosses the pipe
-        assert not any(isinstance(v, np.ndarray)
-                       for v in payload.values())
-        out = executor._run_task(payload)
-        assert "error" not in out
-        names = [(e.get("type"), e.get("name")) for e in out["events"]]
-        assert ("counter", "tracestore.hit") in names  # mmap reuse
-        assert ("phase", "trace_build") not in names   # never rebuilt
-        # records identical to the in-process batch path
-        from repro.lab.registry import run_capacity_batch
-        expect = run_capacity_batch(
-            "matmul-cache", [(pt.machine, pt.params) for pt in pts])
-        assert out["records"] == expect

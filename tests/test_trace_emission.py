@@ -217,8 +217,8 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_chunk_lens_partition_the_events(name):
-    """No empty chunk and nothing left over: otherwise ``TraceStore.put``
-    drops the sidecar and sweeps fall back to event-granular folds."""
+    """No empty chunk and nothing left over: otherwise ``symbolize``
+    rejects the chunk lengths and the tile fold cannot run."""
     trace = BUILDERS[name]().finalize_trace()
     assert len(trace.chunk_lens) > 0
     assert int(trace.chunk_lens.min()) > 0
