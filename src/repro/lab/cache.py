@@ -261,15 +261,11 @@ class ResultCache:
         return sum(p.stat().st_size for p in self.root.glob("*/*.json"))
 
     def cleanup_tmp(self) -> int:
-        """Delete stale ``*.tmp`` spill files (write temporaries left
-        behind by an interrupted sweep — ``os.replace`` never ran).
-        Recursive, so it also reclaims temporaries nested deeper than
-        the record shards (such as ``.npy.tmp`` files under the
-        ``traces/<shard>/`` tree older versions wrote), not just the
-        record shards one level down.  Returns how many were removed.
-        Safe against concurrent writers: an in-flight temporary that
-        vanishes under a writer just fails that single ``put`` as it
-        already could."""
+        """Delete stale ``*.tmp`` write temporaries (left behind by an
+        interrupted sweep — ``os.replace`` never ran) anywhere under the
+        cache root.  Returns how many were removed.  Safe against
+        concurrent writers: an in-flight temporary that vanishes under a
+        writer just fails that single ``put`` as it already could."""
         removed = 0
         if self.disabled or not self.root.exists():
             return removed

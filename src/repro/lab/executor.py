@@ -164,13 +164,22 @@ class SweepCancelled(RuntimeError):
     cancelled job costs only its in-flight task."""
 
 
+#: retry backoff: the first delay and the cap of its doubling, seconds.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_CAP_S = 2.0
+#: how long the supervisor waits on busy workers' pipes per loop pass.
+_POLL_S = 0.05
+#: how long a terminated worker gets to exit before it is killed.
+_KILL_GRACE_S = 5.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Fault-tolerance knobs for one :func:`execute` call.
 
     ``retries`` is the per-task retry budget *beyond* the first attempt;
     backoff before attempt *k* is
-    ``min(backoff_cap, backoff_base * 2**(k-1))`` scaled by a
+    ``min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2**(k-1))`` scaled by a
     deterministic jitter factor in ``[0.5, 1.5)``.  ``timeout`` is the
     per-task wall-clock limit (pool execution only — an in-process task
     cannot be preempted).  ``max_respawns`` caps *unexpected* worker
@@ -180,11 +189,7 @@ class RetryPolicy:
 
     retries: int = 0
     timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     max_respawns: int = 8
-    poll_s: float = 0.05
-    kill_grace_s: float = 5.0
 
     def __post_init__(self):
         if self.retries < 0:
@@ -197,8 +202,8 @@ class RetryPolicy:
         """Delay before re-dispatching a task that has made *attempts*
         attempts; jitter is a pure function of *key* so schedules are
         reproducible."""
-        base = min(self.backoff_cap,
-                   self.backoff_base * (2 ** max(0, attempts - 1)))
+        base = min(_BACKOFF_CAP_S,
+                   _BACKOFF_BASE_S * (2 ** max(0, attempts - 1)))
         return base * (0.5 + deterministic_unit(f"backoff:{key}:{attempts}"))
 
 
@@ -739,11 +744,11 @@ class _Supervisor:
     def _kill(self, worker: _Worker) -> None:
         proc = worker.proc
         proc.terminate()
-        proc.join(self.policy.kill_grace_s)
+        proc.join(_KILL_GRACE_S)
         if proc.is_alive():
             kill = getattr(proc, "kill", proc.terminate)
             kill()
-            proc.join(self.policy.kill_grace_s)
+            proc.join(_KILL_GRACE_S)
         try:
             worker.conn.close()
         except (OSError, ValueError):
@@ -869,7 +874,7 @@ class _Supervisor:
                 if busy:
                     ready_conns = mp_connection.wait(
                         [w.conn for w in busy],
-                        timeout=self.policy.poll_s)
+                        timeout=_POLL_S)
                     for conn in ready_conns:
                         worker = next(w for w in busy if w.conn is conn)
                         try:
@@ -880,7 +885,7 @@ class _Supervisor:
                         worker.deadline = None
                         harvest(worker, tid, out)
                 else:
-                    time.sleep(self.policy.poll_s)  # backoff gap
+                    time.sleep(_POLL_S)  # backoff gap
                 # 3. enforce per-task deadlines
                 now = time.monotonic()
                 for slot, worker in enumerate(workers):
@@ -945,7 +950,7 @@ class _Supervisor:
                 if worker.proc.is_alive():
                     worker.proc.terminate()
             for worker in workers:
-                worker.proc.join(self.policy.kill_grace_s)
+                worker.proc.join(_KILL_GRACE_S)
                 if worker.proc.is_alive():
                     kill = getattr(worker.proc, "kill",
                                    worker.proc.terminate)
@@ -1031,9 +1036,9 @@ def execute(
         injecting deterministic raise/hang/die faults at the worker
         boundary — the chaos-test harness.
     retry_policy:
-        Full :class:`RetryPolicy` override (backoff shape, respawn cap,
-        poll interval); when given, *retries*/*timeout* are read from
-        it and the bare arguments are ignored.
+        Full :class:`RetryPolicy` override (adds the worker respawn
+        cap); when given, *retries*/*timeout* are read from it and the
+        bare arguments are ignored.
     cancel:
         Zero-argument callable polled between tasks; returning ``True``
         raises :class:`SweepCancelled`.  Points completed before the

@@ -308,6 +308,17 @@ def _require_params(params: Mapping[str, Any], names: Tuple[str, ...],
 _as_int = canonical_int
 
 
+def _size(value: Any, name: str, b: int = 1) -> int:
+    """*value* as a plain positive int, a multiple of block size *b*: a
+    trace payload's sizes, checked when the payload is formed so a bad
+    one fails at request time."""
+    size = _as_int(value, name)
+    require(size > 0, f"{name} must be positive, got {size}")
+    require(size % b == 0,
+            f"{name}={size} must be a multiple of block size b={b}")
+    return size
+
+
 # --------------------------------------------------------------------- #
 # in-run trace memo
 # --------------------------------------------------------------------- #
@@ -450,14 +461,30 @@ class TraceKernel:
                 st, machine.line_size),
         }
 
-    def run(self, machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The per-point path: replay the trace through ``machine``."""
+    def check(self, machine: MachineSpec, params: Mapping[str, Any]) -> int:
+        """Raise ``ValueError`` naming the field unless the point can
+        run: its required parameters are present, its trace payload
+        forms, its machine has one level and its capacity fills whole
+        lines and sets.  Returns the capacity in words."""
         _require_params(params, self.required, self.name)
         require(machine.levels is None,
                 f"{self.name} simulates a single cache level; "
                 f"machines with `levels` need a hierarchy kernel")
-        machine = machine.override(
-            cache_words=int(self.capacity_words(machine, params)))
+        self.payload(machine, params)
+        cap_words = int(self.capacity_words(machine, params))
+        require(cap_words % machine.line_size == 0,
+                f"capacity_words={cap_words} must be a multiple of "
+                f"line_size={machine.line_size}")
+        cap_lines = cap_words // machine.line_size
+        require(machine.associativity is None
+                or cap_lines % machine.associativity == 0,
+                f"capacity ({cap_lines} lines) must be a multiple of "
+                f"associativity ({machine.associativity})")
+        return cap_words
+
+    def run(self, machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """The per-point path: replay the trace through ``machine``."""
+        machine = machine.override(cache_words=self.check(machine, params))
         trace = self.trace(machine, params)
         sim = machine.make()
         assert isinstance(sim, CacheSim)
@@ -473,15 +500,15 @@ def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dic
     so all points of a capacity sweep share one trace.  The scheme enters as the task ``order`` it resolves to
     (:func:`repro.core.traces.matmul_order`), not as its name, so two
     schemes with one order (``wa2``, ``ab-multilevel``) share a trace."""
-    n = _as_int(params["n"], "n")
+    n = _size(params["n"], "n")
     b3 = _as_int(params.get("b3", 64), "b3")
     b2 = _as_int(params.get("b2", 16), "b2")
     base = _as_int(params.get("base", 8), "base")
     return {
         "family": "matmul",
         "n": n,
-        "middle": _as_int(params["middle"], "middle"),
-        "l": _as_int(params.get("l", n), "l"),
+        "middle": _size(params["middle"], "middle"),
+        "l": _size(params.get("l", n), "l"),
         "order": [list(level) for level in
                   matmul_order(str(params["scheme"]), b3, b2, base)],
         "b3": b3,
@@ -531,29 +558,32 @@ def _matmul_write_lb(machine: MachineSpec, params: Mapping[str, Any]) -> int:
 
 # ------------------------ TRSM / Cholesky / N-body --------------------- #
 def trsm_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
+    b = _size(params["b"], "b")
     return {
         "family": "trsm",
-        "n": _as_int(params["n"], "n"),
-        "m": _as_int(params["m"], "m"),
-        "b": _as_int(params["b"], "b"),
+        "n": _size(params["n"], "n", b),
+        "m": _size(params["m"], "m", b),
+        "b": b,
         "line_size": machine.line_size,
     }
 
 
 def cholesky_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
+    b = _size(params["b"], "b")
     return {
         "family": "cholesky",
-        "n": _as_int(params["n"], "n"),
-        "b": _as_int(params["b"], "b"),
+        "n": _size(params["n"], "n", b),
+        "b": b,
         "line_size": machine.line_size,
     }
 
 
 def nbody_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
+    b = _size(params["b"], "b")
     return {
         "family": "nbody",
-        "n": _as_int(params["n"], "n"),
-        "b": _as_int(params["b"], "b"),
+        "n": _size(params["n"], "n", b),
+        "b": b,
         "line_size": machine.line_size,
     }
 
@@ -706,19 +736,11 @@ def run_capacity_batch(
             f"available: {sorted(TRACE_KERNELS)}"
         ) from None
     machine0, params0 = group[0]
-    _require_params(params0, tk.required, tk.name)
+    caps_words = [tk.check(machine, params) for machine, params in group]
     spec0 = tk.payload(machine0, params0)
-    caps_words = []
-    for machine, params in group:
-        require(machine.levels is None,
-                "capacity batching needs single-level points")
-        require(tk.payload(machine, params) == spec0,
-                "capacity batch mixes different trace configurations")
-        cap_words = int(tk.capacity_words(machine, params))
-        require(cap_words % machine.line_size == 0,
-                f"capacity_words={cap_words} must be a multiple of "
-                f"line_size={machine.line_size}")
-        caps_words.append(cap_words)
+    require(all(tk.payload(machine, params) == spec0
+                for machine, params in group[1:]),
+            "capacity batch mixes different trace configurations")
     stack = all(_is_stack_point(machine) for machine, _ in group)
     if not stack:
         sim_id = (machine0.policy, caps_words[0], machine0.associativity,
@@ -753,23 +775,32 @@ def run_capacity_batch(
     ]
 
 
-def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One matmul order through a multi-level cache hierarchy.
-
-    Reports per-boundary fills/write-backs and the backing-store traffic,
-    costed with the machine's (possibly asymmetric) slow-side energies.
-    """
+def _hierarchy_params(machine: MachineSpec, params: Mapping[str, Any]
+                      ) -> Dict[str, Any]:
+    """A matmul-hierarchy point's params with its blocking defaults
+    pinned, once its machine and trace payload are checked."""
     require(machine.levels is not None,
             "matmul-hierarchy needs a machine with `levels`")
     _require_params(params, ("n", "middle", "scheme"), "matmul-hierarchy")
-    n = params["n"]
-    l = params.get("l", n)
     # This kernel's blocking defaults differ from matmul-cache's, so pin
     # them before the shared trace helper applies its own.
     filled = dict(params)
     filled.setdefault("b3", 16)
     filled.setdefault("b2", 8)
     filled.setdefault("base", 4)
+    matmul_trace_payload(machine, filled)
+    return filled
+
+
+def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
+    """One matmul order through a multi-level cache hierarchy.
+
+    Reports per-boundary fills/write-backs and the backing-store traffic,
+    costed with the machine's (possibly asymmetric) slow-side energies.
+    """
+    filled = _hierarchy_params(machine, params)
+    n = params["n"]
+    l = params.get("l", n)
     lines, writes = matmul_lines(machine, filled)
     hier = machine.make()
     hier.run_lines(lines, writes)
@@ -1034,18 +1065,14 @@ BATCH_KERNELS: Dict[str, BatchKernel] = {
 
 def check_point(kernel: str, machine: MachineSpec,
                 params: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` naming the field when a trace-kernel point
-    misses a required parameter or sizes its cache with a bad
-    ``cache_blocks`` — at request time, not first inside the run.
-    Other kernels pass."""
+    """Raise ``ValueError`` naming the field when a trace-kernel or
+    ``matmul-hierarchy`` point cannot run (:meth:`TraceKernel.check`) —
+    at request time, not first inside the run.  Other kernels pass."""
     tk = TRACE_KERNELS.get(kernel)
-    if tk is None:
-        return
-    _require_params(params, tk.required, tk.name)
-    try:
-        tk.capacity_words(machine, params)
-    except (KeyError, TypeError):
-        pass
+    if tk is not None:
+        tk.check(machine, params)
+    elif kernel == "matmul-hierarchy":
+        _hierarchy_params(machine, params)
 
 
 def run_batch(kernel: str,

@@ -22,7 +22,7 @@ the ``prev`` array.  That we compute with a most-significant-bit radix
 partition: ``bit_length(n)`` rounds of cumulative sums and one packed
 scatter each — O(n log n) total work, all inside numpy.
 
-Two structural accelerations sit on top of the identity:
+One structural acceleration sits on top of the identity:
 
 * **super-symbol run compression** — tile-granular traces revisit whole
   blocks of lines in a fixed order, so the ``prev`` array is made of
@@ -37,20 +37,11 @@ Two structural accelerations sit on top of the identity:
   tile shapes) before the radix partition, then broadcasts each run's
   distance back — exact for *any* trace, with no structural
   precondition: an incompressible trace simply yields length-1 runs.
-* **chunk-parallel radix partition** — each round's element-wise work
-  (bit extraction, segment cumulative sums, the packed scatter) splits
-  across array chunks; cumulative sums are fixed up with per-chunk
-  offsets and the scatter targets form a permutation, so chunks never
-  collide.  numpy releases the GIL on large array ops, so plain threads
-  scale it.  Gated behind ``$REPRO_FASTSIM_THREADS`` and a size floor:
-  small partitions stay on the sequential path.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,11 +54,6 @@ __all__ = [
     "stack_distances",
     "reuse_profile",
 ]
-
-#: env knob: worker threads for the radix partition (0/1/unset = off).
-THREADS_ENV = "REPRO_FASTSIM_THREADS"
-#: below this many packed elements the sequential path always wins.
-_PARALLEL_MIN_N = 1 << 20
 
 
 def _grouped_by_line(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,14 +91,6 @@ def next_occurrences(lines: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def radix_threads() -> int:
-    """Worker threads the radix partition may use (1 = sequential)."""
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def count_earlier_greater(values: np.ndarray,
                           weights: Optional[np.ndarray] = None
                           ) -> np.ndarray:
@@ -146,108 +124,6 @@ def count_earlier_greater(values: np.ndarray,
             raise ValueError("weights must match values in shape")
     with phase("radix_partition"):
         return _radix_inversions(values, counts, weights)
-
-
-def _chunk_bounds(n: int, threads: int) -> List[Tuple[int, int]]:
-    step = -(-n // threads)
-    return [(s, min(s + step, n)) for s in range(0, n, step)]
-
-
-def _parallel_cumsum_excl(pool: ThreadPoolExecutor,
-                          bounds: List[Tuple[int, int]],
-                          src: np.ndarray, out: np.ndarray) -> None:
-    """``out = exclusive cumsum(src)``, chunked: per-chunk local sums in
-    parallel, then a tiny sequential offset pass, then parallel fixup."""
-    def local(span: Tuple[int, int]) -> np.int64:
-        s, e = span
-        np.cumsum(src[s:e], out=out[s:e])
-        return out[e - 1]
-    totals = list(pool.map(local, bounds))
-    offsets = np.concatenate(([0], np.cumsum(totals)[:-1])).astype(np.int64)
-
-    def fixup(args: Tuple[Tuple[int, int], np.int64]) -> None:
-        (s, e), off = args
-        # inclusive -> exclusive, with the preceding chunks' total added.
-        out[s:e] -= src[s:e]
-        if off:
-            out[s:e] += off
-    list(pool.map(fixup, zip(bounds, offsets)))
-
-
-def _radix_round_parallel(
-    pool: ThreadPoolExecutor, bounds: List[Tuple[int, int]],
-    packed: np.ndarray, slot_counts: np.ndarray,
-    slot_weights: Optional[np.ndarray], b: int, idx: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """One partition round split across chunks (see the sequential body
-    for the algebra).  Returns the permuted arrays, or ``None`` when
-    every group is already a singleton."""
-    n = len(packed)
-    bit = np.empty(n, dtype=np.int64)
-    boundary = np.empty(n, dtype=bool)
-    wsrc = slot_weights if slot_weights is not None else None
-
-    def pass_a(span: Tuple[int, int]) -> None:
-        s, e = span
-        np.bitwise_and(packed[s:e] >> np.int64(31 + b), np.int64(1),
-                       out=bit[s:e])
-        prefix = packed[s:e] >> np.int64(31 + b + 1)
-        if s == 0:
-            boundary[0] = True
-            np.not_equal(prefix[1:], prefix[:-1], out=boundary[s + 1:e])
-        else:
-            left = packed[s - 1] >> np.int64(31 + b + 1)
-            boundary[s] = prefix[0] != left
-            np.not_equal(prefix[1:], prefix[:-1], out=boundary[s + 1:e])
-    list(pool.map(pass_a, bounds))
-
-    starts = np.flatnonzero(boundary)
-    if len(starts) == n:
-        return None
-    gid = np.empty(n, dtype=np.int64)
-    ones_excl = np.empty(n, dtype=np.int64)
-    _parallel_cumsum_excl(pool, bounds, boundary.astype(np.int64), gid)
-    # _parallel_cumsum_excl leaves the *exclusive* sum; group ids are the
-    # inclusive cumsum minus one, which equals the exclusive sum here
-    # because every group start carries a 1.
-    np.add(gid, boundary, out=gid)
-    gid -= 1
-    _parallel_cumsum_excl(pool, bounds, bit, ones_excl)
-    wones_excl = None
-    if wsrc is not None:
-        wbit = bit * wsrc
-        wones_excl = np.empty(n, dtype=np.int64)
-        _parallel_cumsum_excl(pool, bounds, wbit, wones_excl)
-    group_sizes = np.diff(np.append(starts, n))
-    group_ones = np.add.reduceat(bit, starts)
-    group_zeros = group_sizes - group_ones
-
-    next_packed = np.empty_like(packed)
-    next_counts = np.empty_like(slot_counts)
-    next_weights = (np.empty_like(slot_weights)
-                    if slot_weights is not None else None)
-
-    def pass_b(span: Tuple[int, int]) -> None:
-        s, e = span
-        g = gid[s:e]
-        gstart = starts[g]
-        ones_before = ones_excl[s:e] - ones_excl[gstart]
-        is_zero = bit[s:e] == 0
-        if wones_excl is not None:
-            gain = wones_excl[s:e] - wones_excl[gstart]
-        else:
-            gain = ones_before
-        np.add(slot_counts[s:e], gain, out=slot_counts[s:e],
-               where=is_zero)
-        zeros_before = (idx[s:e] - gstart) - ones_before
-        new_pos = np.where(is_zero, gstart + zeros_before,
-                           gstart + group_zeros[g] + ones_before)
-        next_packed[new_pos] = packed[s:e]
-        next_counts[new_pos] = slot_counts[s:e]
-        if next_weights is not None:
-            next_weights[new_pos] = slot_weights[s:e]  # type: ignore[index]
-    list(pool.map(pass_b, bounds))
-    return next_packed, next_counts, next_weights
 
 
 def _radix_inversions_packed(values: np.ndarray, counts: np.ndarray,
@@ -328,22 +204,8 @@ def _radix_inversions(values: np.ndarray, counts: np.ndarray,
         return counts
     packed = (values.astype(np.int64) << 31) | np.arange(n, dtype=np.int64)
     slot_counts = np.zeros(n, dtype=np.int64)  # rides the permutation
-    slot_weights = (np.ascontiguousarray(weights, dtype=np.int64).copy()
-                    if weights is not None else None)
+    slot_weights = weights  # permuted into fresh arrays, never written
     idx = np.arange(n, dtype=np.int64)
-    threads = radix_threads()
-    if threads > 1 and n >= _PARALLEL_MIN_N:
-        bounds = _chunk_bounds(n, threads)
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            for b in range(nbits - 1, -1, -1):
-                nxt = _radix_round_parallel(pool, bounds, packed,
-                                            slot_counts, slot_weights, b,
-                                            idx)
-                if nxt is None:
-                    break  # every group is a singleton already
-                packed, slot_counts, slot_weights = nxt
-        counts[packed & np.int64((1 << 31) - 1)] = slot_counts
-        return counts
     one = np.int64(1)
     boundary = np.empty(n, dtype=bool)
     for b in range(nbits - 1, -1, -1):

@@ -19,36 +19,15 @@ incidental: :class:`Trace` keeps the per-visit lengths alongside the flat
 arrays so :func:`repro.machine.fastsim.sweep` can fold repeated tile
 visits at super-symbol granularity (:mod:`repro.machine.fastsim.symbols`)
 without rediscovering them.
-
-Very large traces never need to live in RAM: past
-``$REPRO_TRACE_SPILL_EVENTS`` events (default ``2**26``),
-:meth:`TraceBuffer.finalize` spills the concatenated arrays to anonymous
-``.npy`` files and returns read-only memory maps, which downstream
-consumers (:func:`repro.machine.fastsim.sweep`, ``CacheSim``) treat
-exactly like in-memory arrays.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Trace", "TraceBuffer", "SPILL_ENV", "spill_threshold"]
-
-#: env knob: event count past which finalize() spills to mmap'd files.
-SPILL_ENV = "REPRO_TRACE_SPILL_EVENTS"
-_DEFAULT_SPILL_EVENTS = 1 << 26
-
-
-def spill_threshold() -> int:
-    """Events past which :meth:`TraceBuffer.finalize` spills to disk."""
-    try:
-        return int(os.environ.get(SPILL_ENV, _DEFAULT_SPILL_EVENTS))
-    except ValueError:
-        return _DEFAULT_SPILL_EVENTS
+__all__ = ["Trace", "TraceBuffer"]
 
 
 class Trace(NamedTuple):
@@ -71,34 +50,6 @@ class Trace(NamedTuple):
     def pair(self) -> Tuple[np.ndarray, np.ndarray]:
         """The legacy ``(lines, writes)`` view."""
         return self.lines, self.writes
-
-
-def _spill_memmap(n: int, dtype: np.dtype) -> Tuple[np.ndarray, str]:
-    """A writable ``.npy``-backed memmap of *n* elements in a temp file.
-
-    The caller fills it chunk by chunk (so the full array never exists
-    in RAM) and hands it to :func:`_reopen_readonly`.
-    """
-    fd, path = tempfile.mkstemp(suffix=".npy", prefix="repro-trace-")
-    os.close(fd)
-    out = np.lib.format.open_memmap(path, mode="w+", dtype=dtype,
-                                    shape=(n,))
-    return out, path
-
-
-def _reopen_readonly(mm: np.ndarray, path: str) -> np.ndarray:
-    """Flush a writable spill memmap and reopen it read-only, unlinking
-    the backing file.  POSIX keeps the mapping alive after the unlink,
-    so the file needs no lifecycle management and its space is reclaimed
-    with the last array reference."""
-    mm.flush()  # type: ignore[attr-defined]
-    del mm
-    out = np.load(path, mmap_mode="r")
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-    return out
 
 
 class TraceBuffer:
@@ -175,10 +126,6 @@ class TraceBuffer:
         memoized — harnesses finalize the same buffer once per
         capacity/policy point — and the memo is dropped whenever new
         events arrive (``touch_*``/``extend``).
-
-        Past :func:`spill_threshold` events the arrays are spilled to
-        anonymous ``.npy`` files and come back as read-only memory maps,
-        so finalizing a 10^8-event trace costs address space, not RAM.
         """
         if self._finalized is not None:
             return self._finalized
@@ -188,25 +135,16 @@ class TraceBuffer:
             empty.setflags(write=False)
             empty_w.setflags(write=False)
             return empty, empty_w
-        spill = self._n >= spill_threshold()
-        if spill:
-            lines, lpath = _spill_memmap(self._n, np.dtype(np.int64))
-            writes, wpath = _spill_memmap(self._n, np.dtype(bool))
-        else:
-            lines = np.empty(self._n, dtype=np.int64)
-            writes = np.empty(self._n, dtype=bool)
+        lines = np.empty(self._n, dtype=np.int64)
+        writes = np.empty(self._n, dtype=bool)
         pos = 0
         for batch, lens, w in self._batches:
             end = pos + len(batch)
             lines[pos:end] = batch
             writes[pos:end] = np.repeat(w, lens)
             pos = end
-        if spill:
-            lines = _reopen_readonly(lines, lpath)
-            writes = _reopen_readonly(writes, wpath)
-        else:
-            lines.setflags(write=False)
-            writes.setflags(write=False)
+        lines.setflags(write=False)
+        writes.setflags(write=False)
         self._finalized = (lines, writes)
         return self._finalized
 

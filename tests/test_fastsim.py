@@ -71,6 +71,26 @@ class TestDistances:
             got = count_earlier_greater(v)
             want = [int(np.sum(v[:i] > v[i])) for i in range(n)]
             assert got.tolist() == want
+            # Non-uniform weights take the weighted (unpacked) partition.
+            w = rng.integers(1, 50, n)
+            if n > 1:
+                w[0] = w[1] + 1
+            got = count_earlier_greater(v, weights=w)
+            want = [int(w[:i][v[:i] > v[i]].sum()) for i in range(n)]
+            assert got.tolist() == want
+            # Uniform weights take the packed partition, then scale.
+            got = count_earlier_greater(v, weights=np.full(n, 3))
+            assert got.tolist() == [
+                3 * int(np.sum(v[:i] > v[i])) for i in range(n)]
+        # Values too wide to pack beside two index fields (31 + 2 * 17
+        # bits > 62) take the unpacked partition; counts depend only on
+        # order, so the dense ranks (packed path) must give the same.
+        v = rng.integers(0, (1 << 31) - 1, 70_000)
+        v[:50] = (1 << 31) - 1
+        v[50:100] = v[100:150]
+        ranks = np.unique(v, return_inverse=True)[1]
+        assert count_earlier_greater(v).tolist() == (
+            count_earlier_greater(ranks).tolist())
 
     def test_count_earlier_greater_rejects_bad_domain(self):
         with pytest.raises(ValueError):

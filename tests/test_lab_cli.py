@@ -167,6 +167,12 @@ class TestStartup:
         Krylov kernels, never on CLI start-up."""
         assert _fresh_modules("import repro.lab.cli", "scipy") == []
 
+    def test_cli_import_skips_thread_pools(self):
+        """The stack-distance pass is single-threaded, so no thread
+        pool module loads on CLI start-up."""
+        assert _fresh_modules("import repro.lab.cli",
+                              "concurrent.futures") == []
+
     def test_cost_grid_sweep_runs_without_scipy(self):
         code = _cli("sweep", "--kernel", "cost-25d-mm-l3-ool2",
                     "--machine", "hw-2015", "--grid", "n=256,512",
@@ -225,15 +231,16 @@ class TestRobustnessCLI:
         assert "partial results" not in capsys.readouterr().out
 
     def test_nonpositive_base_aborts_with_its_name(self, capsys):
-        """``--set base=0`` used to recurse until RecursionError."""
+        """``--set base=0`` used to recurse until RecursionError, then
+        failed inside the run; it is now rejected at request time."""
         rc = lab_main(["sweep", "--kernel", "matmul-cache", "--machine",
                        "sim-l3", "--set", "n=16", "--set", "middle=16",
                        "--set", "b3=8", "--set", "b2=4", "--set", "base=0",
                        "--set", "scheme=co", "--no-cache"])
-        assert rc == 1
+        assert rc == 2
         err = capsys.readouterr().err
-        assert "ValueError: base must be positive, got 0" in err
-        assert "RecursionError" not in err
+        assert "base must be positive, got 0" in err
+        assert "Traceback" not in err and "RecursionError" not in err
 
     MATMUL = ["sweep", "--kernel", "matmul-cache", "--machine", "sim-l3",
               "--set", "n=16", "--set", "middle=16", "--set", "b3=8",
@@ -372,6 +379,42 @@ class TestRobustnessCLI:
                 assert "argument --jobs" in capsys.readouterr().err
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             execute([], jobs=0)
+
+    MATMUL_CO = ["sweep", "--kernel", "matmul-cache", "--no-cache",
+                 "--set", "n=16", "--set", "middle=16", "--set", "scheme=co"]
+    HIERARCHY = ["sweep", "--kernel", "matmul-hierarchy", "--no-cache",
+                 "--set", "n=16", "--set", "middle=16", "--set", "scheme=co"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (MATMUL_CO + ["--set", "b3=0"], "b3 must be positive, got 0"),
+        (MATMUL_CO + ["--set", "middle=0"], "middle must be positive"),
+        (MATMUL_CO + ["--set", "l=0"], "l must be positive, got 0"),
+        (MATMUL_CO + ["--set", "n=-4"], "n must be positive, got -4"),
+        (MATMUL_CO + ["--machine", "three-level"], "`levels`"),
+        (MATMUL_CO + ["--grid", "machine.associativity=3"],
+         "capacity (433 lines) must be a multiple of associativity (3)"),
+        (["sweep", "--kernel", "trsm-cache", "--no-cache", "--set", "n=0",
+          "--set", "m=8", "--set", "b=4"], "n must be positive, got 0"),
+        (["sweep", "--kernel", "trsm-cache", "--no-cache", "--set", "n=30",
+          "--set", "m=8", "--set", "b=4"],
+         "n=30 must be a multiple of block size b=4"),
+        (["sweep", "--kernel", "nbody-cache", "--no-cache", "--set", "n=32",
+          "--set", "b=0"], "b must be positive, got 0"),
+        (HIERARCHY + ["--machine", "sim-l3"],
+         "matmul-hierarchy needs a machine with `levels`"),
+        (HIERARCHY + ["--machine", "three-level", "--set", "middle=0"],
+         "middle must be positive, got 0"),
+    ], ids=["b3=0", "middle=0", "l=0", "n=-4", "three-level",
+            "associativity=3", "trsm-n=0", "trsm-n=30", "nbody-b=0",
+            "hierarchy-sim-l3", "hierarchy-middle=0"])
+    def test_unrunnable_trace_point_exits_2_naming_the_field(
+            self, argv, named, capsys):
+        """Each of these points used to be accepted and then fail inside
+        the run, with a remote traceback."""
+        assert lab_main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
 
     def test_missing_trace_params_exit_2_naming_them(self, capsys):
         """A trace-kernel sweep without its required parameters used to

@@ -291,6 +291,30 @@ class TestSweepLifecycle:
         assert "missing required parameter(s) ['middle', 'scheme']" in \
             json.loads(excinfo.value.read())["error"]
 
+    MATMUL_CO = {"n": 16, "middle": 16, "scheme": "co"}
+
+    @pytest.mark.parametrize("body, error", [
+        ({"kernel": "matmul-cache", "set": {**MATMUL_CO, "b3": 0}},
+         "b3 must be positive, got 0"),
+        ({"kernel": "matmul-cache", "set": MATMUL_CO,
+          "machine": "three-level"}, "`levels`"),
+        ({"kernel": "matmul-cache", "set": MATMUL_CO,
+          "grid": {"machine.associativity": [3]}},
+         "capacity (433 lines) must be a multiple of associativity (3)"),
+        ({"kernel": "trsm-cache", "set": {"n": 0, "m": 8, "b": 4}},
+         "n must be positive, got 0"),
+        ({"kernel": "matmul-hierarchy", "set": MATMUL_CO,
+          "machine": "sim-l3"},
+         "matmul-hierarchy needs a machine with `levels`"),
+    ], ids=["b3=0", "three-level", "associativity=3", "trsm-n=0",
+            "hierarchy-sim-l3"])
+    def test_unrunnable_trace_point_is_a_400(self, daemon, body, error):
+        """These jobs used to be accepted and then fail inside the run."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", body)
+        assert excinfo.value.code == 400
+        assert error in json.loads(excinfo.value.read())["error"]
+
     def test_adhoc_machine_set_overrides_the_machine(self):
         """``"set": {"machine.policy": "clock"}`` used to run LRU with
         ``machine.policy`` riding along as a kernel parameter."""

@@ -29,7 +29,7 @@ from repro.core.traces import (
     trsm_trace,
 )
 from repro.machine.arrays import AddressSpace, TracedMatrix, TracedVector
-from repro.machine.trace import SPILL_ENV, TraceBuffer
+from repro.machine.trace import TraceBuffer
 
 
 # --------------------------------------------------------------------- #
@@ -201,7 +201,7 @@ def test_matmul_ragged_shape_matches_oracle(scheme, hint):
 
 
 # --------------------------------------------------------------------- #
-# chunk structure and spill
+# chunk structure
 # --------------------------------------------------------------------- #
 BUILDERS = {
     "matmul-wa2": lambda: matmul_trace(19, 24, 17, scheme="wa2", b3=8,
@@ -223,38 +223,19 @@ def test_chunk_lens_partition_the_events(name):
     assert len(trace.chunk_lens) > 0
     assert int(trace.chunk_lens.min()) > 0
     assert int(trace.chunk_lens.sum()) == trace.n_events
-    assert not trace.chunk_lens.flags.writeable
-
-
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_spilled_finalize_equals_in_ram(name, monkeypatch):
-    in_ram = BUILDERS[name]().finalize_trace()
-    monkeypatch.setenv(SPILL_ENV, str(in_ram.n_events // 2))
-    spilled = BUILDERS[name]().finalize_trace()
-    for arr in (spilled.lines, spilled.writes):
-        assert isinstance(arr, np.memmap)
+    for arr in (trace.lines, trace.writes, trace.chunk_lens):
         assert not arr.flags.writeable
-    assert np.array_equal(spilled.lines, in_ram.lines)
-    assert np.array_equal(spilled.writes, in_ram.writes)
-    assert np.array_equal(spilled.chunk_lens, in_ram.chunk_lens)
 
 
-def test_spill_of_mixed_appends_equals_in_ram(monkeypatch):
+def test_mixed_appends_finalize():
     """Single visits and batched visits interleave in one buffer."""
-    def build():
-        buf = TraceBuffer(line_size=4)
-        buf.touch_words(0, 9, write=True)
-        buf.touch_visits(np.arange(7, dtype=np.int64),
-                         np.array([3, 0, 4]), np.array([False, True, True]))
-        buf.touch_lines(np.array([5, 6]), write=False)
-        return buf.finalize_trace()
-
-    in_ram = build()
-    monkeypatch.setenv(SPILL_ENV, "4")
-    spilled = build()
-    assert isinstance(spilled.lines, np.memmap)
-    assert spilled.lines.tolist() == in_ram.lines.tolist() == [
-        0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 5, 6]
-    assert spilled.writes.tolist() == in_ram.writes.tolist() == (
+    buf = TraceBuffer(line_size=4)
+    buf.touch_words(0, 9, write=True)
+    buf.touch_visits(np.arange(7, dtype=np.int64),
+                     np.array([3, 0, 4]), np.array([False, True, True]))
+    buf.touch_lines(np.array([5, 6]), write=False)
+    trace = buf.finalize_trace()
+    assert trace.lines.tolist() == [0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 5, 6]
+    assert trace.writes.tolist() == (
         [True] * 3 + [False] * 3 + [True] * 4 + [False] * 2)
-    assert in_ram.chunk_lens.tolist() == [3, 3, 4, 2]
+    assert trace.chunk_lens.tolist() == [3, 3, 4, 2]
