@@ -20,8 +20,9 @@ Levels of comparison, mirroring how the stack is wired:
 * **trace build** — ``matmul_trace(...).finalize_trace()`` for each
   Section-6 scheme at the bench geometry, against the per-visit emission
   it replaced (a fixed committed number, not a slow path in the tree).
-* **single capacity** — K=1: the per-access loop against both sweep
-  stages (event sweep and super-symbol fold).  Both win even there,
+* **single capacity** — K=1: the per-access loop against the sweep of
+  the trace without and with its tile chunks (the fold of one-line
+  visits and the super-symbol fold).  Both win even there,
   which is why ``CacheSim`` replays every empty fully-associative LRU
   cache through the sweep.
 
@@ -74,7 +75,8 @@ def built_trace_tiled():
 
 
 def built_trace():
-    """The same events without their tile structure (event sweep)."""
+    """The same events without their tile structure (folded as one-line
+    visits)."""
     trace = built_trace_tiled()
     return Trace(trace.lines, trace.writes, None)
 
@@ -281,8 +283,9 @@ def _best_of(fn, rounds=3):
 
 def test_supersymbol_kernel_only(benchmark):
     """The tile super-symbol pipeline (symbolize + visit-granular LRU
-    fold) against the event-granular stack pass on the same sec6-shaped
-    trace and capacity grid — counters bit-identical, and the acceptance
+    fold) against the fold of the same events as one-line visits, on the
+    same sec6-shaped trace and capacity grid — counters bit-identical,
+    and the acceptance
     floor: >= 3x over the pre-PR committed ``fastsim_sweep_s``."""
     trace = built_trace_tiled()
     caps = capacities_lines()
@@ -290,7 +293,7 @@ def test_supersymbol_kernel_only(benchmark):
     st = symbolize(trace.lines, trace.writes, trace.chunk_lens)
     assert st is not None
 
-    ref, event_s = _best_of(lambda: sweep(flat, {"lru": caps})["lru"])
+    ref, line_s = _best_of(lambda: sweep(flat, {"lru": caps})["lru"])
 
     def run():
         return sweep(trace, {"lru": caps})["lru"]
@@ -303,11 +306,11 @@ def test_supersymbol_kernel_only(benchmark):
                  "stack_lines", "stack_has_write", "stack_m"):
         assert np.array_equal(np.asarray(getattr(res, name)),
                               np.asarray(getattr(ref, name))), name
-    speedup = event_s / sym_s
+    speedup = line_s / sym_s
     speedup_vs_baseline = PRE_SUPERSYMBOL_SWEEP_S / sym_s
     print(f"\n[bench_fastsim] super-symbol ({trace.n_events} events -> "
           f"{st.n_visits} visits, {st.n_symbols} symbols, "
-          f"{len(caps)} capacities): event sweep {event_s:.4f}s, "
+          f"{len(caps)} capacities): one-line fold {line_s:.4f}s, "
           f"symbolize+fold {sym_s:.4f}s -> {speedup:.1f}x same-run, "
           f"{speedup_vs_baseline:.1f}x vs pre-PR "
           f"{PRE_SUPERSYMBOL_SWEEP_S:.4f}s")
@@ -316,16 +319,16 @@ def test_supersymbol_kernel_only(benchmark):
         "visits": int(st.n_visits),
         "symbols": int(st.n_symbols),
         "compression_events_per_visit": round(st.compression, 2),
-        "event_sweep_s": round(event_s, 4),
+        "line_fold_s": round(line_s, 4),
         "supersymbol_sweep_s": round(sym_s, 4),
-        "speedup_vs_event_sweep": round(speedup, 2),
+        "speedup_vs_line_fold": round(speedup, 2),
         "baseline_event_sweep_s": PRE_SUPERSYMBOL_SWEEP_S,
         "speedup": round(speedup_vs_baseline, 2),
     })
-    # The fold must beat the (also-newly-optimized) event sweep on any
-    # geometry; the 3x acceptance floor is against the committed pre-PR
-    # baseline and only meaningful on the full-size shape.
-    assert sym_s < event_s
+    # The super-symbol fold must beat the one-line fold on any geometry;
+    # the 3x acceptance floor is against the committed pre-PR baseline
+    # and only meaningful on the full-size shape.
+    assert sym_s < line_s
     if not QUICK:
         assert speedup_vs_baseline >= 3.0
 
@@ -361,8 +364,8 @@ def test_trace_build(benchmark):
 
 
 def test_single_capacity_footnote(benchmark):
-    """K=1: the per-access LRU loop vs the event sweep vs the
-    super-symbol fold.  Both sweep stages beat the loop even at one
+    """K=1: the per-access LRU loop vs the one-line fold vs the
+    super-symbol fold.  Both folds beat the loop even at one
     capacity, which is why ``CacheSim`` replays every empty
     fully-associative LRU cache through :func:`sweep`."""
     trace = built_trace_tiled()
@@ -376,7 +379,7 @@ def test_single_capacity_footnote(benchmark):
 
     t0 = time.perf_counter()
     res = sweep(flat, {"lru": [cap]})["lru"]
-    event_single_s = time.perf_counter() - t0
+    line_single_s = time.perf_counter() - t0
     assert res.stats(cap) == ref
 
     def run():
@@ -390,14 +393,14 @@ def test_single_capacity_footnote(benchmark):
     sym_s = time.perf_counter() - t0
     assert fold.stats == ref
     print(f"\n[bench_fastsim] single capacity: per-access loop "
-          f"{loop_s:.3f}s, event fastsim {event_single_s:.3f}s "
-          f"(ratio {event_single_s / loop_s:.2f}), super-symbol "
+          f"{loop_s:.3f}s, one-line fold {line_single_s:.3f}s "
+          f"(ratio {line_single_s / loop_s:.2f}), super-symbol "
           f"{sym_s:.3f}s (ratio {sym_s / loop_s:.2f})")
     record_snapshot(single_capacity={
         "trace_events": int(len(lines)),
         "per_access_loop_s": round(loop_s, 4),
-        "event_single_s": round(event_single_s, 4),
-        "event_over_loop_ratio": round(event_single_s / loop_s, 2),
+        "line_single_s": round(line_single_s, 4),
+        "line_over_loop_ratio": round(line_single_s / loop_s, 2),
         "fastsim_single_s": round(sym_s, 4),
         "fastsim_over_loop_ratio": round(sym_s / loop_s, 2),
     })

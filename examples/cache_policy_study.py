@@ -27,14 +27,16 @@ rows = []
 for scheme in ("wa2", "wa-multilevel", "co"):
     trace = matmul_trace(N, MID, N, scheme=scheme, b3=B3, b2=B2,
                          base=BASE, line_size=LINE)
-    lines, writes = trace.finalize()
+    # The finalized trace keeps its tile chunks, so the LRU and Belady
+    # replays fold repeated tile visits at super-symbol granularity.
+    trace = trace.finalize_trace()
     for policy in ("lru", "clock", "belady"):
         row = [scheme, policy]
         reached = None
         for blocks in (3, 4, 5, 6):
             sim = CacheSim(blocks * B3 * B3 + LINE, line_size=LINE,
                            policy=policy)
-            sim.run_lines(lines, writes)
+            sim.run_trace(trace)
             sim.flush()
             wb = sim.stats.writebacks
             row.append(f"{wb / FLOOR:.2f}x")

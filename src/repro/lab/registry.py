@@ -423,6 +423,10 @@ class TraceKernel:
     name: str
     #: parameters every point must carry.
     required: Tuple[str, ...]
+    #: parameters the payload and capacity rules may read; :meth:`check`
+    #: refuses any other key, which would enter the record and the cache
+    #: key without shaping the simulation.
+    optional: Tuple[str, ...]
     #: (machine, params) -> canonical JSON-able trace identity.
     payload: Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]
     #: trace identity -> finalized :class:`~repro.machine.trace.Trace`.
@@ -467,6 +471,14 @@ class TraceKernel:
         forms, its machine has one level and its capacity fills whole
         lines and sets.  Returns the capacity in words."""
         _require_params(params, self.required, self.name)
+        unknown = sorted(set(params) - set(self.required)
+                         - set(self.optional))
+        hint = (" (set the line size with machine.line_size)"
+                if "line_size" in unknown else "")
+        require(not unknown,
+                f"kernel {self.name!r} does not take parameter(s) "
+                f"{unknown}; it reads "
+                f"{sorted(self.required + self.optional)}{hint}")
         require(machine.levels is None,
                 f"{self.name} simulates a single cache level; "
                 f"machines with `levels` need a hierarchy kernel")
@@ -610,6 +622,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="matmul-cache",
         required=("n", "middle", "scheme"),
+        optional=("l", "b3", "b2", "base", "c_touch_hint", "cache_blocks"),
         payload=matmul_trace_payload,
         build=_build_matmul,
         capacity_words=matmul_capacity_words,
@@ -618,6 +631,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="trsm-cache",
         required=("n", "m", "b"),
+        optional=("cache_blocks",),
         payload=trsm_trace_payload,
         build=lambda spec: trsm_trace(
             spec["n"], spec["m"], b=spec["b"],
@@ -631,6 +645,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="cholesky-cache",
         required=("n", "b"),
+        optional=("cache_blocks",),
         payload=cholesky_trace_payload,
         build=lambda spec: cholesky_trace(
             spec["n"], b=spec["b"],
@@ -645,6 +660,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="nbody-cache",
         required=("n", "b"),
+        optional=("cache_blocks",),
         payload=nbody_trace_payload,
         build=lambda spec: nbody_trace(
             spec["n"], b=spec["b"],
@@ -1063,16 +1079,32 @@ BATCH_KERNELS: Dict[str, BatchKernel] = {
 }
 
 
+#: The Section 3-5 table kernels' required parameters, and the sizes
+#: among them that must be positive.
+_TABLE_PARAMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "cdag-pebble": (("algorithm", "n", "M"), ("n", "M")),
+    "twolevel-counts": (("algorithm", "variant", "n", "b", "seed"),
+                        ("n", "b")),
+    "co-vs-wa": (("n", "M", "seed"), ("n", "M")),
+}
+
+
 def check_point(kernel: str, machine: MachineSpec,
                 params: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` naming the field when a trace-kernel or
-    ``matmul-hierarchy`` point cannot run (:meth:`TraceKernel.check`) —
-    at request time, not first inside the run.  Other kernels pass."""
+    """Raise ``ValueError`` naming the field when a trace-kernel,
+    ``matmul-hierarchy`` or Section 3-5 table point cannot run
+    (:meth:`TraceKernel.check`) — at request time, not first inside the
+    run.  Other kernels pass."""
     tk = TRACE_KERNELS.get(kernel)
     if tk is not None:
         tk.check(machine, params)
     elif kernel == "matmul-hierarchy":
         _hierarchy_params(machine, params)
+    elif kernel in _TABLE_PARAMS:
+        required, sizes = _TABLE_PARAMS[kernel]
+        _require_params(params, required, kernel)
+        for name in sizes:
+            _size(params[name], name)
 
 
 def run_batch(kernel: str,

@@ -101,7 +101,9 @@ class CacheSim:
     :func:`repro.machine.fastsim.sweep`: every Belady run, and every
     fully-associative LRU run that starts from an empty cache (the
     resumable LRU order and dirty bits are rebuilt from the sweep's
-    end-of-trace stack).  A fully-associative clock or segmented-LRU
+    end-of-trace stack).  The sweep folds a tile-chunked trace
+    (``run_trace``) at super-symbol granularity and any other trace as
+    one-line visits.  A fully-associative clock or segmented-LRU
     cache replays the whole trace in one loop of the policy's own
     (:meth:`~repro.machine.policies.ReplacementPolicy.replay`), from
     any state.  Everything else — set-associative caches, FIFO and

@@ -11,15 +11,16 @@ Entry points:
 
 * :func:`sweep` — the one simulation path for both stack policies:
   ``sweep(trace, {"lru": caps, "belady": caps})`` returns one
-  :class:`SweepResult` per policy.  It folds tile-chunked traces at
-  super-symbol granularity (:mod:`repro.machine.fastsim.symbols`) and
-  sweeps every other trace event by event
-  (:mod:`repro.machine.fastsim.lru`, :mod:`repro.machine.fastsim.opt`);
-  :mod:`repro.machine.fastsim.dispatch` explains the choice;
+  :class:`SweepResult` per policy.  Each policy has one fold over a
+  visit stream (:mod:`repro.machine.fastsim.symbols`): tile-chunked
+  traces fold at super-symbol granularity, every other trace as
+  one-line visits; :mod:`repro.machine.fastsim.dispatch` explains the
+  choice;
 * :func:`symbolize` / :class:`SymbolTrace` — the super-symbol
   compression on its own;
-* :func:`stack_distances` / :func:`count_earlier_greater` — the exact
-  reuse-distance machinery, reusable for other policies built on it;
+* :func:`count_earlier_greater` / :func:`next_occurrences` — the exact
+  reuse-distance and next-use machinery, reusable for other policies
+  built on it;
 * :func:`set_phase_hook` / :func:`phase` — the profiling-hook protocol
   (:mod:`repro.machine.fastsim.profile`): the lab's run tracer installs
   a hook to capture per-phase timings (``trace_build`` /
@@ -37,7 +38,6 @@ from repro.machine.fastsim.distances import (
     count_earlier_greater,
     next_occurrences,
     prev_occurrences,
-    stack_distances,
 )
 from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.profile import phase, phase_hook, set_phase_hook
@@ -48,7 +48,6 @@ __all__ = [
     "count_earlier_greater",
     "next_occurrences",
     "prev_occurrences",
-    "stack_distances",
     "SweepResult",
     "SymbolTrace",
     "symbolize",

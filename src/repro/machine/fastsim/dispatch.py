@@ -6,18 +6,15 @@ are stack algorithms (Mattson et al. 1970): the cache of capacity ``C``
 holds a subset of what the cache of capacity ``C' > C`` holds at every
 step, so one replay serves a single capacity and a grid alike.
 
-The stage is chosen from the trace's own shape:
-
-* a trace whose tile chunks symbolize (``trace.chunk_lens`` present and
-  :func:`~repro.machine.fastsim.symbols.symbolize` accepts it) folds at
-  super-symbol granularity (:func:`~repro.machine.fastsim.symbols.
-  fold_lru_symbols` / :func:`~repro.machine.fastsim.symbols.
-  fold_opt_symbols`);
-* any other trace takes the event-granular sweep
-  (:func:`~repro.machine.fastsim.lru.lru_event_sweep` /
-  :func:`~repro.machine.fastsim.opt.opt_event_sweep`).
-
-Both stages give bit-identical results, so the choice is speed only.
+Each policy has one fold, run over a visit stream
+(:mod:`repro.machine.fastsim.symbols`): :func:`~repro.machine.fastsim.
+symbols.fold_lru_symbols` and :func:`~repro.machine.fastsim.symbols.
+fold_opt_symbols`.  A trace whose tile chunks symbolize
+(``trace.chunk_lens`` present and :func:`~repro.machine.fastsim.
+symbols.symbolize` accepts it) folds at super-symbol granularity; any
+other trace folds as one-line visits (:func:`~repro.machine.fastsim.
+symbols.line_symbols`).  Both streams give bit-identical counters, so
+the choice is speed only.
 """
 
 from __future__ import annotations
@@ -26,23 +23,20 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.machine.fastsim.lru import SweepResult, lru_event_sweep
-from repro.machine.fastsim.opt import opt_event_sweep
+from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.symbols import (
     SymbolTrace,
     fold_lru_symbols,
     fold_opt_symbols,
+    line_symbols,
     symbolize,
 )
 from repro.machine.trace import Trace
 
 __all__ = ["sweep"]
 
-#: policy -> (event-granular stage, super-symbol stage).
-_STAGES = {
-    "lru": (lru_event_sweep, fold_lru_symbols),
-    "belady": (opt_event_sweep, fold_opt_symbols),
-}
+#: policy -> its visit-granular fold.
+_FOLDS = {"lru": fold_lru_symbols, "belady": fold_opt_symbols}
 
 
 def _check_caps(capacities: Union[Sequence[int], np.ndarray]
@@ -55,6 +49,21 @@ def _check_caps(capacities: Union[Sequence[int], np.ndarray]
     return caps
 
 
+def _empty(policy: str, caps: np.ndarray) -> SweepResult:
+    """Zero counters of the empty trace (an LRU result keeps an empty
+    end-of-trace stack, so the cache stays resumable)."""
+    def zeros() -> np.ndarray:
+        return np.zeros(len(caps), dtype=np.int64)
+
+    res = SweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
+                      zeros(), zeros(), zeros())
+    if policy == "lru":
+        res.stack_lines = np.empty(0, dtype=np.int64)
+        res.stack_has_write = np.empty(0, dtype=bool)
+        res.stack_m = np.empty(0, dtype=np.int64)
+    return res
+
+
 def sweep(trace: Trace,
           capacities: Mapping[str, Union[Sequence[int], np.ndarray]]
           ) -> Dict[str, SweepResult]:
@@ -63,14 +72,15 @@ def sweep(trace: Trace,
     policy.
 
     The trace is symbolized at most once, however many policies are
-    asked for; each result's ``n_symbols`` says whether the super-symbol
-    fold ran.  Raises ``ValueError`` for an unknown policy, an empty or
-    non-positive capacity list, or mismatched event arrays.
+    asked for; each result's ``n_symbols`` counts the tile super-symbols
+    the fold ran over, or is ``None`` for one-line visits.  Raises
+    ``ValueError`` for an unknown policy, an empty or non-positive
+    capacity list, or mismatched event arrays.
     """
     caps: Dict[str, np.ndarray] = {}
     for policy, cs in capacities.items():
-        if policy not in _STAGES:
-            raise ValueError(f"sweep simulates {sorted(_STAGES)}, "
+        if policy not in _FOLDS:
+            raise ValueError(f"sweep simulates {sorted(_FOLDS)}, "
                              f"not {policy!r}")
         caps[policy] = _check_caps(cs)
     if not caps:
@@ -79,12 +89,11 @@ def sweep(trace: Trace,
     writes = np.ascontiguousarray(trace.writes, dtype=bool)
     if lines.shape != writes.shape or lines.ndim != 1:
         raise ValueError("lines and writes must be matching 1-d arrays")
+    if len(lines) == 0:
+        return {policy: _empty(policy, c) for policy, c in caps.items()}
     st: Optional[SymbolTrace] = None
     if trace.chunk_lens is not None:
         st = symbolize(lines, writes, trace.chunk_lens)
-    out: Dict[str, SweepResult] = {}
-    for policy, policy_caps in caps.items():
-        events, fold = _STAGES[policy]
-        out[policy] = (fold(st, policy_caps) if st is not None
-                       else events(lines, writes, policy_caps))
-    return out
+    if st is None:
+        st = line_symbols(lines, writes)
+    return {policy: _FOLDS[policy](st, c) for policy, c in caps.items()}

@@ -51,8 +51,6 @@ __all__ = [
     "prev_occurrences",
     "next_occurrences",
     "count_earlier_greater",
-    "stack_distances",
-    "reuse_profile",
 ]
 
 
@@ -259,8 +257,7 @@ def warm_distances(t: np.ndarray, prev: np.ndarray,
     """Stack distances of the warm accesses at positions ``t`` (sorted
     ascending) with previous occurrences ``prev`` (``prev[k] < t[k]``).
 
-    This is the run-compressed core shared by :func:`reuse_profile` and
-    the super-symbol fold: maximal blocks of
+    This is the run-compressed core of the LRU fold: maximal blocks of
     *adjacent* accesses with *consecutive* prev values share one stack
     distance (the intra-run proof is in the module docstring), and the
     prev ranges of distinct runs are disjoint intervals, so the per-run
@@ -293,51 +290,3 @@ def warm_distances(t: np.ndarray, prev: np.ndarray,
     repeats = count_earlier_greater(rprev, weights=weights)
     run_dist = t[rstart] - rprev - 1 - repeats
     return np.repeat(run_dist, rlen)
-
-
-def reuse_profile(
-    lines: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The full reuse profile of a trace from one stable sort.
-
-    Returns ``(order, sorted_lines, first, prev, distances)``:
-
-    * ``order``/``sorted_lines`` — the stable line-grouping permutation
-      and the lines in grouped (line, time) order;
-    * ``first`` — True at each line's first access, in grouped order;
-    * ``prev`` — previous-occurrence index per access (-1 when cold);
-    * ``distances`` — exact LRU stack distance per access (the number of
-      distinct *other* lines touched since the previous access, so a hit
-      at capacity ``C`` is ``distances[t] < C``); cold accesses carry
-      the sentinel ``n + 1`` and must be treated as misses at every
-      capacity, however large — clamp against your capacity grid before
-      comparing.
-    """
-    with phase("distance_pass"):
-        lines = np.ascontiguousarray(lines)
-        n = len(lines)
-        order = np.argsort(lines, kind="stable")
-        sorted_lines = lines[order]
-        first = np.empty(n, dtype=bool)
-        prev = np.full(n, -1, dtype=np.int64)
-        if n:
-            first[0] = True
-            np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=first[1:])
-            repeat = ~first[1:]
-            prev[order[1:][repeat]] = order[:-1][repeat]
-        distances = np.full(n, n + 1, dtype=np.int64)
-        warm = prev >= 0
-        if warm.any():
-            # Cold entries can never satisfy prev[s] > prev[t] >= 0, so
-            # they are dropped from the inversion count entirely.
-            t = np.flatnonzero(warm)
-            distances[warm] = warm_distances(t, prev[warm])
-        return order, sorted_lines, first, prev, distances
-
-
-def stack_distances(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact LRU stack distance of every access, in one vectorized pass
-    (see :func:`reuse_profile` for the distance/sentinel conventions).
-    Returns ``(distances, prev)``."""
-    _, _, _, prev, distances = reuse_profile(lines)
-    return distances, prev

@@ -14,12 +14,14 @@ Phases emitted by the simulators:
     materializing a kernel's line trace (``repro.lab.registry.memo_trace``)
 ``radix_partition``
     the MSB radix partition passes inside ``count_earlier_greater``
+``supersymbol_fold``
+    building the visit stream (``symbolize`` / ``line_symbols``)
 ``distance_pass``
-    the full reuse-distance profile (``reuse_profile``)
+    the LRU fold's per-visit stack distances
 ``capacity_fold``
     folding stack distances into per-capacity hit/miss counts
 ``next_use``
-    Belady next-occurrence preprocessing (``next_occurrences``)
+    the Belady fold's next-visit preprocessing
 ``opt_replay``
     the OPT stack-inclusion replay loop
 """

@@ -1,4 +1,4 @@
-"""Tile super-symbols: fold repeated tile visits before the stack passes.
+"""Tile super-symbols: the visit-granular folds of both stack policies.
 
 Tile-granular trace builders emit one :class:`~repro.machine.trace.
 TraceBuffer` chunk per base-tile visit, so a trace is really a short
@@ -7,10 +7,12 @@ sequence of *visits* drawn from a small alphabet of distinct chunks.
 chunk line-sequence becomes one **super-symbol** with a per-symbol line
 footprint, and the trace becomes a stream of ``(symbol, write)`` visits
 — for the Section-6 matmul shape that is a 4x shorter stream (the base
-tile size).
+tile size).  A trace without usable tile structure becomes a stream of
+**one-line visits** (:func:`line_symbols`): every distinct line is a
+size-1 symbol and every event a visit.
 
-The payoff is that both stack passes then run at *visit* granularity
-and expand back to exact per-capacity event counters:
+Both stack passes run at *visit* granularity and expand back to exact
+per-capacity event counters:
 
 * **LRU** (:func:`fold_lru_symbols`) — when symbol footprints are
   disjoint line sets with distinct lines (checked by ``symbolize``; it
@@ -23,11 +25,10 @@ and expand back to exact per-capacity event counters:
   earlier visit contributes its full event count iff its start is
   later than the current visit's previous start — visit event ranges
   are chunks, which never straddle a chunk boundary), and the
-  capacity fold of :func:`~repro.machine.fastsim.lru.
-  lru_event_sweep` is replayed verbatim with visit weights: the
-  write flag is uniform per chunk, so the per-line has-write / dirty
-  threshold recurrences are per-symbol recurrences, identical for
-  every line of the footprint.
+  capacity fold of :mod:`repro.machine.fastsim.lru` runs with visit
+  weights: the write flag is uniform per chunk, so the per-line
+  has-write / dirty threshold recurrences are per-symbol recurrences,
+  identical for every line of the footprint.
 * **OPT** (:func:`fold_opt_symbols`) — next uses are visit-granular
   too (position ``p`` of a visit is next used at position ``p`` of the
   symbol's next visit), and within a visit they are strictly
@@ -37,12 +38,15 @@ and expand back to exact per-capacity event counters:
   the remainder.  Hit visits with the whole footprint at level 0 cost
   O(1) heap work instead of O(tile).
 
-Both folds are bit-identical to their event-granular counterparts (and
-hence to :class:`repro.machine.cache.CacheSim` + flush) — parity- and
-hypothesis-tested, never approximated.  Traces whose chunks violate the
+One-line visits meet every footprint precondition trivially, so the
+folds are the only simulation path of either policy.  They are exact —
+held bit for bit to :class:`repro.machine.cache.CacheSim`'s per-access
+loop + flush and to :mod:`repro.machine.fastsim.belady`'s reference
+heap by the parity and hypothesis suites, never approximated.
+:func:`symbolize` returns ``None`` for traces whose chunks violate the
 footprint preconditions (overlapping tiles, duplicate lines inside a
-chunk, mixed read/write chunks) make :func:`symbolize` return ``None``
-and callers fall back to the event-granular path.
+chunk, mixed read/write chunks); :func:`repro.machine.fastsim.sweep`
+then folds their one-line visits.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from repro.machine.fastsim.profile import phase
 __all__ = [
     "SymbolTrace",
     "symbolize",
+    "line_symbols",
     "fold_lru_symbols",
     "fold_opt_symbols",
 ]
@@ -67,13 +72,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolTrace:
-    """A tile-granular trace compressed to a super-symbol visit stream.
+    """A trace compressed to a super-symbol visit stream.
 
-    Symbols are the distinct chunk line-sequences (the write flag is
-    *not* part of the identity — it lives on the visit).  Footprints
-    are concatenated in ``sym_lines`` and are guaranteed pairwise
-    disjoint with internally distinct lines, which is exactly the
-    precondition under which the visit-granular folds are exact.
+    Symbols are the distinct chunk line-sequences of a tile trace, or
+    the distinct lines of any other trace (the write flag is *not* part
+    of the identity — it lives on the visit).  Footprints are
+    concatenated in ``sym_lines`` and are guaranteed pairwise disjoint
+    with internally distinct lines, which is exactly the precondition
+    under which the visit-granular folds are exact.
     """
 
     #: symbol id per visit, in trace order.
@@ -90,6 +96,12 @@ class SymbolTrace:
     sym_lines: np.ndarray
     #: total event count of the underlying trace.
     n_events: int
+    #: whether symbols are tile chunks (:func:`symbolize`) rather than
+    #: single lines (:func:`line_symbols`).
+    tiles: bool = True
+    #: the stable permutation grouping visits by symbol, when the
+    #: builder already sorted for it.
+    visit_order: Optional[np.ndarray] = None
 
     @property
     def n_visits(self) -> int:
@@ -121,7 +133,8 @@ def symbolize(lines: np.ndarray, writes: np.ndarray,
     Returns ``None`` when the chunk structure does not support an exact
     visit-granular fold: empty traces, chunks mixing reads and writes,
     or footprints that overlap across symbols / repeat a line within a
-    chunk.  Callers treat ``None`` as "use the event-granular path".
+    chunk.  Callers fold such a trace as one-line visits
+    (:func:`line_symbols`).
 
     Raises ``ValueError`` if ``chunk_lens`` does not partition the
     event arrays — that is a malformed trace, not a fallback case.
@@ -189,11 +202,41 @@ def symbolize(lines: np.ndarray, writes: np.ndarray,
     )
 
 
+def line_symbols(lines: np.ndarray, writes: np.ndarray) -> SymbolTrace:
+    """One-line visits of a non-empty trace (``int64`` lines, ``bool``
+    writes): every distinct line is a size-1 symbol, numbered in line
+    order, and every event is a visit.  One stable sort of the lines
+    yields both the symbols and the visit grouping the folds reuse."""
+    n = len(lines)
+    with phase("supersymbol_fold"):
+        order = np.argsort(lines, kind="stable")
+        sorted_lines = lines[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=first[1:])
+        visits = np.empty(n, dtype=np.int64)
+        visits[order] = np.cumsum(first) - 1
+        sym_lines = sorted_lines[first]
+        S = len(sym_lines)
+    return SymbolTrace(
+        visits=visits,
+        visit_writes=writes,
+        visit_starts=np.arange(n, dtype=np.int64),
+        sym_sizes=np.ones(S, dtype=np.int64),
+        sym_offsets=np.arange(S, dtype=np.int64),
+        sym_lines=sym_lines,
+        n_events=n,
+        tiles=False,
+        visit_order=order,
+    )
+
+
 def _visit_reuse(st: SymbolTrace
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grouped visit order, first-visit mask (grouped) and previous
     visit per visit (time order, ``-1`` for a symbol's first visit)."""
-    order_v = np.argsort(st.visits, kind="stable")
+    order_v = (st.visit_order if st.visit_order is not None
+               else np.argsort(st.visits, kind="stable"))
     sv = st.visits[order_v]
     first_g = np.empty(len(sv), dtype=bool)
     first_g[:1] = True
@@ -207,21 +250,22 @@ def _visit_reuse(st: SymbolTrace
 def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     """Exact multi-capacity LRU counters from the super-symbol stream.
 
-    This is :func:`repro.machine.fastsim.lru.lru_event_sweep`'s fold
-    executed at visit granularity: every event-level quantity is uniform
-    across a visit's events (distance by run-uniformity, write state by
+    The capacity fold of :mod:`repro.machine.fastsim.lru` executed at
+    visit granularity: every event-level quantity is uniform across a
+    visit's events (distance by run-uniformity, write state by
     chunk-uniform flags), so event bincounts become visit bincounts
     weighted by the symbol size, and only the end-of-trace stack is
     expanded back to per-line granularity (one entry per distinct line,
-    not per event).  Bit-identical to the event-granular sweep.  A
-    stage of :func:`repro.machine.fastsim.sweep`, which passes sorted,
-    unique ``caps``.
+    not per event).  The fold of :func:`repro.machine.fastsim.sweep`,
+    which passes a non-empty trace and sorted, unique ``caps``.
     """
     K = len(caps)
     n = st.n_events
     V = st.n_visits
     starts_v = st.visit_starts
-    z_v = st.sym_sizes[st.visits]
+    # Per-visit event counts; a one-line visit is one event, so those
+    # folds carry no weights (and no weight arrays).
+    z_v = st.sym_sizes[st.visits] if st.tiles else None
 
     order_v, first_g, prev_v = _visit_reuse(st)
     with phase("distance_pass"):
@@ -229,8 +273,9 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
         dist = np.full(V, -1, dtype=np.int64)
         wi = np.flatnonzero(warm_v)
         if len(wi):
-            dist[wi] = warm_distances(starts_v[wi], starts_v[prev_v[wi]],
-                                      sizes=z_v[wi])
+            dist[wi] = warm_distances(
+                starts_v[wi], starts_v[prev_v[wi]],
+                sizes=None if z_v is None else z_v[wi])
 
     with phase("capacity_fold"):
         big = np.int64(max(int(caps[-1]), n) + 1)
@@ -241,7 +286,7 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
 
         # ---------------- hits / misses / fills ----------------------- #
         # Every event of a visit shares its distance: weight by size.
-        zf = z_v.astype(np.float64)
+        zf = None if z_v is None else z_v.astype(np.float64)
         diff = -np.bincount(ub(dist_c), weights=zf, minlength=K + 1)
         diff[0] += n
         misses = np.cumsum(diff)[:K].astype(np.int64)
@@ -249,11 +294,11 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
         fills = misses.copy()
 
         # ---------------- per-symbol write state ---------------------- #
-        # The grouped recurrences of the event fold, one step per visit;
-        # chunk-uniform write flags make them per-line exact.
+        # The per-line recurrences (lru module notes), one step per
+        # visit; chunk-uniform write flags make them per-line exact.
         dist_g = dist_c[order_v]
         w_g = st.visit_writes[order_v]
-        z_g = z_v[order_v]
+        z_g = None if z_v is None else z_v[order_v]
         w_int = w_g.astype(np.int64)
         g_starts = np.flatnonzero(first_g)
         gid = np.cumsum(first_g) - 1
@@ -278,7 +323,7 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
         # ---------------- in-trace evictions (reuse gaps) ------------- #
         gaps = np.flatnonzero(~first_g)
         if len(gaps):
-            zg = z_g[gaps].astype(np.float64)
+            zg = None if z_g is None else z_g[gaps].astype(np.float64)
             ub_d = ub(dist_g[gaps])
             hw_p = has_write[gaps - 1]
             m_p = m_state[gaps - 1]
@@ -340,28 +385,45 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
         stack_lines=st.sym_lines[idx],
         stack_has_write=np.repeat(hw_s[ord_asc], za),
         stack_m=np.repeat(m_s[ord_asc], za),
-        n_symbols=st.n_symbols,
+        n_symbols=st.n_symbols if st.tiles else None,
     )
 
 
 def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     """Exact multi-capacity Belady counters from the super-symbol stream.
 
-    The replay of :func:`repro.machine.fastsim.opt.opt_event_sweep`
-    at visit granularity.  Next uses are visit-granular (position ``p``
-    is next used at ``start(next visit) + p``; disjoint footprints make
-    that exact) and strictly increasing within a visit, so one heap
-    entry ``(-(nu_base + hi - 1), line, symbol, lo, hi, seq, nu_base)``
-    stands for the whole run of positions ``[lo, hi)`` of a visit: only
-    the last position can be the global Belady victim, and evicting it
-    peels the run down to ``[lo, hi - 1)``.  Validity is a per-position
-    sequence number (any access / eviction / level move bumps it), so
-    stale entries lazily shrink or vanish exactly like the event-level
-    lazy heap.  A visit whose footprint is fully resident at level 0
-    (the common case on tiled traces) costs O(1): one histogram bump,
-    one sequence bump, one heap push.  Bit-identical to the
-    event-granular sweep.  A stage of :func:`repro.machine.fastsim.sweep`,
-    which passes sorted, unique ``caps``.
+    Why one pass suffices: MIN with a *fixed total-order* tie-break is
+    a stack algorithm (Mattson et al. 1970).  The reference heap of
+    :mod:`repro.machine.fastsim.belady` evicts the resident line with
+    the farthest next use, ties toward the smallest line id — a strict
+    total order on ``(next_use, -line)`` — so the resident sets of two
+    capacities ``C < C'`` stay nested at every step.  Residency across
+    the grid is one *inclusion level* per line: the index of the
+    smallest swept capacity that holds it.  An access at level ``j``
+    hits capacities ``j..K-1`` and misses (and fills) ``0..j-1``; the
+    victim at capacity ``i`` is the worst entry of the lazy max-heaps
+    of levels ``0..i`` and moves down to level ``i + 1``.  A line is
+    dirty at capacity ``i`` iff it was written and every access since
+    the write hit at a level ``<= i`` (a miss refills it clean), so
+    each eviction or flush splits the capacity axis at ``max(level,
+    M)`` with ``M`` the largest level since the last write.
+
+    Next uses are visit-granular (position ``p`` is next used at
+    ``start(next visit) + p``; disjoint footprints make that exact;
+    a symbol's last visit uses the never-again sentinel ``n + 1``) and
+    strictly increasing within a visit.  Per-line state is indexed by
+    the line's position in ``sym_lines``, so one heap entry
+    ``(-(base + hi - 1), line, symbol, lo, hi, seq, base)`` stands for
+    the run of positions ``[lo, hi)`` of a visit whose position ``g`` is
+    next used at ``base + g``: only the last position can be the global
+    Belady victim, and evicting it peels the run down to ``[lo, hi -
+    1)``.  Validity is a per-position sequence number (any access /
+    eviction / level move bumps it), so stale entries lazily shrink or
+    vanish.  A visit whose footprint is fully resident at level 0 (the
+    common case on tiled traces) costs O(1): one histogram bump, one
+    sequence bump, one heap push.  The fold of
+    :func:`repro.machine.fastsim.sweep`, which passes a non-empty trace
+    and sorted, unique ``caps``.
     """
     K = len(caps)
     n = st.n_events
@@ -382,17 +444,16 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     nb_l = nu_base.tolist()
     sizes_l = st.sym_sizes.tolist()
     offs_l = st.sym_offsets.tolist()
-    lines_flat = st.sym_lines.tolist()
-    sym_lines_l: List[List[int]] = [
-        lines_flat[offs_l[s]:offs_l[s] + sizes_l[s]] for s in range(S)]
+    lines_l = st.sym_lines.tolist()
+    L = len(lines_l)
 
     caps_l: List[int] = caps.tolist()
-    # Per-symbol per-position state (footprints are disjoint, so a
-    # (symbol, position) pair is a line).
-    lev = [[K] * z for z in sizes_l]
-    mlev = [[0] * z for z in sizes_l]
-    hws = [[False] * z for z in sizes_l]
-    pseq = [[0] * z for z in sizes_l]
+    # Per-position state, indexed by a line's place in ``sym_lines``
+    # (footprints are disjoint, so a position is a line).
+    lev = [K] * L
+    mlev = [0] * L
+    hws = [False] * L
+    pseq = [0] * L
     uniform0 = [False] * S   # whole footprint resident at level 0
     heaps: List[list] = [[] for _ in range(K)]
     cnt = [0] * K
@@ -405,38 +466,36 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
 
     replay = phase("opt_replay")
     replay.__enter__()
-    for v in range(V):
-        loc = visits_l[v]
-        w = w_l[v]
-        nb = nb_l[v]
+    for loc, w, nb in zip(visits_l, w_l, nb_l):
+        off = offs_l[loc]
         z = sizes_l[loc]
-        s_lines = sym_lines_l[loc]
-        s_pseq = pseq[loc]
+        end = off + z
+        base = nb - off  # position g is next used at base + g (nb >= 0)
         if uniform0[loc]:
             # Whole footprint hits at level 0; no eviction anywhere.
             hist[0] += z
             seq += 1
-            for p in range(z):
-                s_pseq[p] = seq
-            if nb >= 0:
-                heappush(heaps[0],
-                         (-(nb + z - 1), s_lines[z - 1], loc, 0, z, seq,
-                          nb))
+            if z == 1:  # a one-line visit needs no slice copies
+                pseq[off] = seq
+                if w:
+                    hws[off] = True
+                    mlev[off] = 0
             else:
-                for p in range(z):
-                    heappush(heaps[0],
-                             (-sentinel, s_lines[p], loc, p, p + 1, seq,
-                              sentinel - p))
-            if w:
-                hws[loc] = [True] * z
-                mlev[loc] = [0] * z
+                pseq[off:end] = [seq] * z
+                if w:
+                    hws[off:end] = [True] * z
+                    mlev[off:end] = [0] * z
+            if nb >= 0:
+                heappush(heaps[0], (-(base + end - 1), lines_l[end - 1],
+                                    loc, off, end, seq, base))
+            else:
+                for g in range(off, end):
+                    heappush(heaps[0], (-sentinel, lines_l[g], loc, g,
+                                        g + 1, seq, sentinel - g))
             continue
 
-        s_lev = lev[loc]
-        s_mlev = mlev[loc]
-        s_hw = hws[loc]
-        for p in range(z):
-            j = s_lev[p]
+        for g in range(off, end):
+            j = lev[g]
             hist[j] += 1
             if j:
                 sizes = []
@@ -454,92 +513,81 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
                         h = heaps[lv]
                         while h:
                             e = h[0]
-                            est = pseq[e[2]]
-                            if est[e[4] - 1] == e[5]:
+                            if pseq[e[4] - 1] == e[5]:
                                 break
                             heappop(h)
                             # Shrink: the deepest position still owned
                             # by this push heads the remainder run.
                             pp = e[4] - 2
                             lo = e[3]
-                            while pp >= lo and est[pp] != e[5]:
+                            while pp >= lo and pseq[pp] != e[5]:
                                 pp -= 1
                             if pp >= lo:
-                                heappush(h, (-(e[6] + pp),
-                                             sym_lines_l[e[2]][pp],
-                                             e[2], lo, pp + 1, e[5],
-                                             e[6]))
+                                heappush(h, (-(e[6] + pp), lines_l[pp],
+                                             e[2], lo, pp + 1, e[5], e[6]))
                         if h and (best is None or h[0] < best):
                             best = h[0]
                             best_lv = lv
                     e = heappop(heaps[best_lv])
-                    vloc = e[2]
                     vp = e[4] - 1
                     if vp > e[3]:
                         heappush(heaps[best_lv],
-                                 (-(e[6] + vp - 1),
-                                  sym_lines_l[vloc][vp - 1],
-                                  vloc, e[3], vp, e[5], e[6]))
+                                 (-(e[6] + vp - 1), lines_l[vp - 1],
+                                  e[2], e[3], vp, e[5], e[6]))
                     cnt[best_lv] -= 1
-                    if hws[vloc][vp] and mlev[vloc][vp] <= i:
+                    if hws[vp] and mlev[vp] <= i:
                         victims_m[i] += 1
                     else:
                         victims_e[i] += 1
                     seq += 1
-                    pseq[vloc][vp] = seq
-                    uniform0[vloc] = False
+                    pseq[vp] = seq
+                    uniform0[e[2]] = False
                     if i + 1 < K:
-                        lev[vloc][vp] = i + 1
+                        lev[vp] = i + 1
                         cnt[i + 1] += 1
                         heappush(heaps[i + 1],
-                                 (e[0], e[1], vloc, vp, vp + 1, seq,
-                                  e[6]))
+                                 (e[0], e[1], e[2], vp, vp + 1, seq, e[6]))
                     else:
-                        lev[vloc][vp] = K
+                        lev[vp] = K
             if j < K:
                 cnt[j] -= 1
             cnt[0] += 1
-            s_lev[p] = 0
+            lev[g] = 0
             seq += 1
-            s_pseq[p] = seq
+            pseq[g] = seq
             if nb >= 0:
-                heappush(heaps[0],
-                         (-(nb + p), s_lines[p], loc, p, p + 1, seq, nb))
+                heappush(heaps[0], (-(base + g), lines_l[g], loc, g, g + 1,
+                                    seq, base))
             else:
-                heappush(heaps[0],
-                         (-sentinel, s_lines[p], loc, p, p + 1, seq,
-                          sentinel - p))
+                heappush(heaps[0], (-sentinel, lines_l[g], loc, g, g + 1,
+                                    seq, sentinel - g))
             if w:
-                s_hw[p] = True
-                s_mlev[p] = 0
+                hws[g] = True
+                mlev[g] = 0
             elif j == K:
-                s_hw[p] = False
-                s_mlev[p] = 0
-            elif s_hw[p] and j > s_mlev[p]:
-                s_mlev[p] = j
-        uniform0[loc] = not any(s_lev)
+                hws[g] = False
+                mlev[g] = 0
+            elif hws[g] and j > mlev[g]:
+                mlev[g] = j
+        uniform0[loc] = not (lev[off] if z == 1 else any(lev[off:end]))
     replay.__exit__(None, None, None)
 
-    # ----- end-of-trace flush (folded into the run, as the event path) - #
+    # ----- end-of-trace flush (folded into the run, as the reference) -- #
     wb_diff = [0] * (K + 1)
     ve_diff = [0] * (K + 1)
-    for sidx in range(S):
-        s_lev = lev[sidx]
-        s_hw = hws[sidx]
-        s_mlev = mlev[sidx]
-        for p in range(sizes_l[sidx]):
-            lvp = s_lev[p]
-            if lvp >= K:
-                continue
-            if s_hw[p]:
-                dirty_lo = s_mlev[p]
-                if dirty_lo < lvp:
-                    dirty_lo = lvp
-                wb_diff[dirty_lo] += 1
-                ve_diff[lvp] += 1
-                ve_diff[dirty_lo] -= 1
-            else:
-                ve_diff[lvp] += 1
+    for g in range(L):
+        lvp = lev[g]
+        if lvp >= K:
+            continue
+        if hws[g]:
+            dirty_lo = mlev[g]
+            if dirty_lo < lvp:
+                dirty_lo = lvp
+            wb_diff[dirty_lo] += 1
+            ve_diff[lvp] += 1
+            ve_diff[dirty_lo] -= 1
+        else:
+            ve_diff[lvp] += 1
 
     hits = np.cumsum(np.asarray(hist[:K], dtype=np.int64))
     misses = n - hits
@@ -555,6 +603,6 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             np.asarray(wb_diff[:K], dtype=np.int64)),
         flush_victims_e=np.cumsum(
             np.asarray(ve_diff[:K], dtype=np.int64)),
-        n_symbols=st.n_symbols,
+        n_symbols=st.n_symbols if st.tiles else None,
     )
 

@@ -15,10 +15,10 @@ from repro.machine.fastsim import (
     count_earlier_greater,
     next_occurrences,
     prev_occurrences,
-    stack_distances,
     sweep,
 )
 from repro.machine.fastsim.belady import belady_reference
+from repro.machine.fastsim.distances import warm_distances
 from repro.machine.trace import Trace, TraceBuffer
 
 
@@ -43,8 +43,9 @@ def lru_reference(lines, writes, capacity_lines):
 
 
 def shapes(lines, writes):
-    """The same events as a flat trace (event sweep) and as one chunk
-    per event (always symbolizes: the super-symbol fold)."""
+    """The same events as a flat trace and as one chunk per event (which
+    always symbolizes): the fold of one-line visits built by a sort of
+    the lines, and the same visits built by ``symbolize``."""
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
     return (Trace(lines, writes, None),
@@ -104,21 +105,23 @@ class TestDistances:
                                                     n + 1]
 
     def test_stack_distances_match_lru_stack(self):
+        """The warm accesses' distances (the LRU fold's distance pass)
+        against a brute-force LRU stack."""
         rng = np.random.default_rng(1)
         for _ in range(30):
             lines, _ = random_trace(rng)
-            dist, prev = stack_distances(lines)
+            prev = prev_occurrences(lines)
+            warm = np.flatnonzero(prev >= 0)
+            dist = dict(zip(warm.tolist(),
+                            warm_distances(warm, prev[warm]).tolist()))
             stack = []  # MRU first
-            n = len(lines)
             for t, ln in enumerate(lines.tolist()):
                 if ln in stack:
-                    want = stack.index(ln)
+                    assert dist[t] == stack.index(ln)
                     stack.remove(ln)
                 else:
-                    want = n + 1  # cold sentinel
-                    assert prev[t] == -1
+                    assert t not in dist  # cold
                 stack.insert(0, ln)
-                assert dist[t] == want
 
 
 # --------------------------------------------------------------------- #
@@ -180,6 +183,12 @@ class TestSweepEquivalence:
             for r in res.values():
                 assert r.accesses == 0
                 assert r.stats(4) == CacheStats()
+            assert res["lru"].end_state(8)[0].tolist() == []
+            for policy in ("lru", "belady"):
+                sim = CacheSim(4, line_size=1, policy=policy)
+                sim.run_trace(trace)
+                sim.flush()
+                assert sim.stats == CacheStats()
 
     def test_capacity_validation(self):
         trace = Trace(np.array([1]), np.array([True]), None)
@@ -198,7 +207,7 @@ class TestSweepEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# CacheSim's LRU replays: per-access loop vs event sweep vs symbol fold
+# CacheSim's LRU replays: per-access loop vs one-line vs symbol fold
 # --------------------------------------------------------------------- #
 class TestThreeWayLRUParity:
     def as_tuple(self, st):
@@ -217,20 +226,20 @@ class TestThreeWayLRUParity:
                 assert generic.num_sets == 1
                 for ln, w in zip(lines.tolist(), writes.tolist()):
                     generic.access(ln, w)
-                # event sweep
-                events = CacheSim(cap, line_size=1, policy="lru")
-                events.run_trace(flat)
-                # super-symbol fold
+                # one-line visits from a sort of the lines
+                lines_fold = CacheSim(cap, line_size=1, policy="lru")
+                lines_fold.run_trace(flat)
+                # the same visits through symbolize
                 folded = CacheSim(cap, line_size=1, policy="lru")
                 folded.run_trace(chunked)
                 assert (self.as_tuple(generic.stats)
-                        == self.as_tuple(events.stats)
+                        == self.as_tuple(lines_fold.stats)
                         == self.as_tuple(folded.stats))
                 # identical LRU order and dirty bits too
                 assert (list(generic._sets[0]._order)
-                        == list(events._sets[0]._order)
+                        == list(lines_fold._sets[0]._order)
                         == list(folded._sets[0]._order))
-                assert generic._dirty == events._dirty == folded._dirty
+                assert generic._dirty == lines_fold._dirty == folded._dirty
 
     def test_batched_cache_stays_resumable(self):
         """After a sweep replay, flush() and further accesses behave

@@ -416,6 +416,46 @@ class TestRobustnessCLI:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (MATMUL_CO + ["--set", "bogus=7"],
+         "does not take parameter(s) ['bogus']"),
+        (MATMUL_CO + ["--set", "line_size=0"],
+         "set the line size with machine.line_size"),
+        (["sweep", "--kernel", "trsm-cache", "--no-cache", "--set", "n=16",
+          "--set", "m=8", "--set", "b=4", "--set", "b3=4"],
+         "does not take parameter(s) ['b3']"),
+    ], ids=["bogus", "line_size", "trsm-b3"])
+    def test_unknown_trace_param_exits_2_naming_it(self, argv, named,
+                                                   capsys):
+        """An unknown key used to run anyway: it entered the record and
+        the cache key while the simulation ignored it."""
+        assert lab_main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--kernel", "twolevel-counts", "--no-cache"],
+         "missing required parameter(s) ['algorithm', 'b', 'n', 'seed', "
+         "'variant']"),
+        (["sweep", "--kernel", "co-vs-wa", "--no-cache", "--set", "n=0",
+          "--set", "M=0"], "missing required parameter(s) ['seed']"),
+        (["sweep", "--kernel", "co-vs-wa", "--no-cache", "--set", "n=8",
+          "--set", "M=0", "--set", "seed=0"], "M must be positive, got 0"),
+        (["sweep", "--kernel", "cdag-pebble", "--no-cache", "--set",
+          "algorithm=fft", "--set", "n=0", "--set", "M=4"],
+         "n must be positive, got 0"),
+    ], ids=["twolevel-bare", "co-vs-wa-seed", "co-vs-wa-M=0",
+            "cdag-n=0"])
+    def test_unrunnable_table_point_exits_2_naming_the_field(
+            self, argv, named, capsys):
+        """Each of these Section 3-5 points used to be accepted and then
+        fail inside the run, with a remote traceback."""
+        assert lab_main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
     def test_missing_trace_params_exit_2_naming_them(self, capsys):
         """A trace-kernel sweep without its required parameters used to
         fail inside the run, with a remote traceback."""

@@ -146,10 +146,16 @@ class TestRunSetOverrides:
         assert "does not accept override" in capsys.readouterr().err
 
     def test_typo_set_key_warns_on_stderr(self, capsys):
-        assert lab_main(["run", "sec6", "--quick", "--no-cache",
+        assert lab_main(["run", "sec5", "--quick", "--no-cache",
                          "--set", "midle=64"]) == 0
         cap = capsys.readouterr()
-        assert "not parameters of any 'sec6' point" in cap.err
+        assert "not parameters of any 'sec5' point" in cap.err
+        # A trace kernel declares every parameter it reads, so there the
+        # typo is refused instead of riding into records and cache keys.
+        assert lab_main(["run", "sec6", "--quick", "--no-cache",
+                         "--set", "midle=64"]) == 2
+        assert "does not take parameter(s) ['midle']" in \
+            capsys.readouterr().err
 
     def test_rebuild_knob_applies_without_spurious_warning(self, capsys):
         # model_n is a documented lu-tradeoff knob (factory kwarg), not

@@ -315,6 +315,26 @@ class TestSweepLifecycle:
         assert excinfo.value.code == 400
         assert error in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("body, error", [
+        ({"kernel": "matmul-cache", "set": {**MATMUL_CO, "bogus": 7}},
+         "does not take parameter(s) ['bogus']"),
+        ({"kernel": "twolevel-counts", "set": {}},
+         "missing required parameter(s) ['algorithm', 'b', 'n', 'seed', "
+         "'variant']"),
+        ({"kernel": "co-vs-wa", "set": {"n": 0, "M": 0}},
+         "missing required parameter(s) ['seed']"),
+        ({"kernel": "cdag-pebble",
+          "set": {"algorithm": "fft", "n": 0, "M": 4}},
+         "n must be positive, got 0"),
+    ], ids=["matmul-bogus", "twolevel-bare", "co-vs-wa-seed", "cdag-n=0"])
+    def test_unknown_or_missing_param_is_a_400(self, daemon, body, error):
+        """An unknown trace-kernel key used to run and enter the record;
+        these table jobs used to be accepted and then fail in the run."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", body)
+        assert excinfo.value.code == 400
+        assert error in json.loads(excinfo.value.read())["error"]
+
     def test_adhoc_machine_set_overrides_the_machine(self):
         """``"set": {"machine.policy": "clock"}`` used to run LRU with
         ``machine.policy`` riding along as a kernel parameter."""

@@ -71,8 +71,8 @@ def _arrays(events):
 
 
 def _shapes(events):
-    """The events as a flat trace (event sweep) and as one chunk per
-    event (super-symbol fold)."""
+    """The events as a flat trace and as one chunk per event: one-line
+    visits built by a sort of the lines and by ``symbolize``."""
     lines, writes = _arrays(events)
     return (Trace(lines, writes, None),
             Trace(lines, writes, np.ones(len(lines), dtype=np.int64)))

@@ -1,8 +1,10 @@
 """Parity tests for the tile super-symbol pipeline.
 
 The contract is bit-identity: :func:`sweep` on a tile-structured trace
-(the super-symbol fold) equals the same events swept flat (the event
-stage) — and each policy's oracle — on random and paper-kernel traces.
+(the super-symbol fold) equals the same events swept flat (the fold of
+one-line visits) and each policy's oracle — CacheSim's per-access loop
+for LRU, the reference heap for Belady — on random and paper-kernel
+traces.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from repro.machine.cache import CacheSim
 from repro.machine.fastsim import sweep, symbolize
 from repro.machine.fastsim.belady import belady_reference
 from repro.machine.fastsim.profile import set_phase_hook
+from repro.machine.fastsim.symbols import line_symbols
 from repro.machine.trace import Trace
 
 try:
@@ -34,7 +37,7 @@ CAPS = [1, 2, 3, 5, 8, 13, 64]
 
 def assert_sweeps_equal(a, b):
     """Every result field of two sweeps, bit for bit (``n_symbols`` only
-    records which stage ran)."""
+    records which visit stream the fold ran over)."""
     assert type(a) is type(b)
     for f in dataclasses.fields(a):
         if f.name == "n_symbols":
@@ -90,26 +93,37 @@ def loop_counters(trace, capacity_lines, policy="lru"):
     return sim.stats
 
 
+def assert_matches_oracle(res, trace, policy):
+    """Every capacity of one sweep result against the policy's oracle."""
+    for cap in res.capacities.tolist():
+        assert res.stats(cap) == loop_counters(trace, cap, policy), cap
+
+
 # --------------------------------------------------------------------- #
-# super-symbol folds vs event-granular sweeps
+# super-symbol folds vs one-line folds and the oracles
 # --------------------------------------------------------------------- #
 class TestSymbolFoldParity:
-    def test_lru_fold_matches_event_sweep_random_tiles(self):
+    def test_lru_fold_matches_line_fold_random_tiles(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
             tr = random_tile_trace(rng)
             fold = sweep(tr, {"lru": CAPS})["lru"]
             assert fold.n_symbols is not None
-            assert_sweeps_equal(fold, sweep(flat(tr), {"lru": CAPS})["lru"])
+            line = sweep(flat(tr), {"lru": CAPS})["lru"]
+            assert line.n_symbols is None
+            assert_sweeps_equal(fold, line)
+            assert_matches_oracle(fold, tr, "lru")
 
-    def test_opt_fold_matches_event_sweep_random_tiles(self):
+    def test_opt_fold_matches_line_fold_random_tiles(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             tr = random_tile_trace(rng)
             fold = sweep(tr, {"belady": CAPS})["belady"]
             assert fold.n_symbols is not None
-            assert_sweeps_equal(fold,
-                                sweep(flat(tr), {"belady": CAPS})["belady"])
+            line = sweep(flat(tr), {"belady": CAPS})["belady"]
+            assert line.n_symbols is None
+            assert_sweeps_equal(fold, line)
+            assert_matches_oracle(fold, tr, "belady")
 
     @pytest.mark.parametrize("policy,cap", [("lru", 4), ("lru", 9),
                                             ("belady", 4), ("belady", 9)])
@@ -139,23 +153,25 @@ class TestSymbolFoldParity:
         assert st is not None
         assert st.n_symbols < st.n_visits  # tiles actually revisit
         caps = [4, 16, 64, 256]
-        folds, events = both(tr, caps), both(flat(tr), caps)
+        folds, lines = both(tr, caps), both(flat(tr), caps)
         for policy in folds:
             assert folds[policy].n_symbols == st.n_symbols
-            assert_sweeps_equal(folds[policy], events[policy])
+            assert_sweeps_equal(folds[policy], lines[policy])
+            assert_matches_oracle(folds[policy], tr, policy)
 
     def test_overlapping_footprints_fall_back(self):
         """c_touch_hint interleaves C lines into other tiles' chunks:
         footprints overlap, symbolize declines, and the dispatcher
-        still produces exact counters via the event path."""
+        still produces exact counters by folding one-line visits."""
         tr = matmul_trace(16, 16, 16, scheme="wa2", b3=8, b2=4, base=2,
                           line_size=4, c_touch_hint=True).finalize_trace()
         assert symbolize(tr.lines, tr.writes, tr.chunk_lens) is None
         caps = [4, 16, 64]
-        chunked, events = both(tr, caps), both(flat(tr), caps)
+        chunked, lines = both(tr, caps), both(flat(tr), caps)
         for policy in chunked:
             assert chunked[policy].n_symbols is None
-            assert_sweeps_equal(chunked[policy], events[policy])
+            assert_sweeps_equal(chunked[policy], lines[policy])
+            assert_matches_oracle(chunked[policy], tr, policy)
 
     def test_symbolize_rejects_mixed_write_chunks(self):
         lines = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -176,6 +192,17 @@ class TestSymbolFoldParity:
         assert st.compression == pytest.approx(4.0)  # events per visit
         np.testing.assert_array_equal(st.expand()[0], tr.lines)
         np.testing.assert_array_equal(st.expand()[1], tr.writes)
+
+    def test_line_symbols_are_one_line_visits(self):
+        lines = np.array([9, 2, 9, 5, 2, 9], dtype=np.int64)
+        writes = np.array([True, False, False, True, False, False])
+        st = line_symbols(lines, writes)
+        assert not st.tiles and st.n_visits == 6
+        assert st.sym_lines.tolist() == [2, 5, 9]
+        assert st.visits.tolist() == [2, 0, 2, 1, 0, 2]
+        assert st.sym_sizes.tolist() == [1, 1, 1]
+        np.testing.assert_array_equal(st.expand()[0], lines)
+        np.testing.assert_array_equal(st.expand()[1], writes)
 
 
 # --------------------------------------------------------------------- #
