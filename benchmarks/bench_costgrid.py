@@ -26,15 +26,18 @@ as one numpy pass per family instead.  Cases:
   ``ResultSet.from_report``, the rendered table and ``to_json``, with
   the JSON asserted byte-identical to ``json.dumps`` of the row dicts.
 
-Full-size runs refresh ``BENCH_costgrid.json`` at the repo root (the
-committed perf snapshot).  ``REPRO_BENCH_QUICK=1`` shrinks the geometry
-for CI and leaves the snapshot untouched.
+Each full-size run appends one entry to ``BENCH_costgrid.json`` at the
+repo root (the committed perf trajectory), with the environment
+``bench_paper.environment`` records.  ``REPRO_BENCH_QUICK=1`` shrinks
+the geometry for CI and leaves the snapshot untouched.
 """
 
 import json
 import os
 import time
 from pathlib import Path
+
+from bench_paper import run_recorder
 
 from repro.lab.executor import execute
 from repro.lab.registry import MACHINES
@@ -81,23 +84,19 @@ def table_points():
     ).points()
 
 
+#: appends this run's entry to the snapshot (full size only: quick
+#: runs never touch the committed numbers).
+_record = run_recorder(SNAPSHOT, {
+    "kernel": "cost-25d-mm-l3-ool2",
+    "n_axis": N_AXIS, "P_axis": P_AXIS, "c3_axis": C3_AXIS,
+    "points": len(N_AXIS) * len(P_AXIS) * len(C3_AXIS),
+    "quick": QUICK,
+})
+
+
 def record_snapshot(**numbers):
-    if QUICK:
-        return  # never clobber the committed full-size numbers
-    doc = {}
-    if SNAPSHOT.exists():
-        try:
-            doc = json.loads(SNAPSHOT.read_text())
-        except ValueError:
-            doc = {}
-    doc.setdefault("config", {}).update({
-        "kernel": "cost-25d-mm-l3-ool2",
-        "n_axis": N_AXIS, "P_axis": P_AXIS, "c3_axis": C3_AXIS,
-        "points": len(N_AXIS) * len(P_AXIS) * len(C3_AXIS),
-        "quick": QUICK,
-    })
-    doc.update(numbers)
-    SNAPSHOT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if not QUICK:
+        _record(**numbers)
 
 
 def _best_elapsed(points, rounds=3, **kw):

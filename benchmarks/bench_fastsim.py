@@ -26,18 +26,19 @@ Levels of comparison, mirroring how the stack is wired:
   which is why ``CacheSim`` replays every empty fully-associative LRU
   cache through the sweep.
 
-Full-size runs refresh ``BENCH_fastsim.json`` at the repo root (the
-committed perf snapshot).  ``REPRO_BENCH_QUICK=1`` shrinks the geometry
-for CI and leaves the snapshot untouched.
+Each full-size run appends one entry to ``BENCH_fastsim.json`` at the
+repo root (the committed perf trajectory), with the environment
+``bench_paper.environment`` records.  ``REPRO_BENCH_QUICK=1`` shrinks
+the geometry for CI and leaves the snapshot untouched.
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from bench_paper import run_recorder
 
 from repro.core.traces import matmul_trace
 from repro.lab.executor import execute
@@ -94,22 +95,18 @@ def capacities_lines():
     return [(blocks * B3 * B3 + LINE) // LINE for blocks in BLOCKS]
 
 
+#: appends this run's entry to the snapshot (full size only: quick
+#: runs never touch the committed numbers).
+_record = run_recorder(SNAPSHOT, {
+    "n": N, "middle": MIDDLE, "b3": B3, "b2": B2, "base": BASE,
+    "line_size": LINE, "scheme": "wa2", "cache_blocks": BLOCKS,
+    "capacities_lines": capacities_lines(), "quick": QUICK,
+})
+
+
 def record_snapshot(**numbers):
-    if QUICK:
-        return  # never clobber the committed full-size numbers
-    doc = {}
-    if SNAPSHOT.exists():
-        try:
-            doc = json.loads(SNAPSHOT.read_text())
-        except ValueError:
-            doc = {}
-    doc.setdefault("config", {}).update({
-        "n": N, "middle": MIDDLE, "b3": B3, "b2": B2, "base": BASE,
-        "line_size": LINE, "scheme": "wa2", "cache_blocks": BLOCKS,
-        "capacities_lines": capacities_lines(), "quick": QUICK,
-    })
-    doc.update(numbers)
-    SNAPSHOT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if not QUICK:
+        _record(**numbers)
 
 
 def test_multi_capacity_sweep_end_to_end(benchmark):

@@ -44,7 +44,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy
 
@@ -156,6 +156,50 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def environment(root: Path = ROOT) -> Dict[str, Any]:
+    """What a perf entry of checkout *root* is compared by: ``sha``,
+    ``src_tree``, the date, Python and numpy versions, CPU count and
+    model, and whether bytecode writing is disabled."""
+    return {
+        "sha": _git(root, "describe", "--always", "--dirty", "--abbrev=7"),
+        "src_tree": _src_tree(root),
+        "date": time.strftime("%Y-%m-%d"),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "dont_write_bytecode": bool(os.environ.get(
+            "PYTHONDONTWRITEBYTECODE")),
+    }
+
+
+def _history(out: Path) -> List[Dict[str, Any]]:
+    """The entries of the JSON list at *out*; a snapshot written before
+    the files became append-only (one dict) is its first entry."""
+    if not out.is_file():
+        return []
+    doc = json.loads(out.read_text())
+    return doc if isinstance(doc, list) else [doc]
+
+
+def run_recorder(out: Path, config: Dict[str, Any]
+                 ) -> Callable[..., None]:
+    """A ``record(**sections)`` for one benchmark run: its first call
+    appends an entry (:func:`environment` plus *config*) to the JSON
+    list at *out*, and every call merges *sections* into that entry."""
+    entry: Dict[str, Any] = {}
+    history: List[Dict[str, Any]] = []
+
+    def record(**sections: Any) -> None:
+        if not entry:
+            entry.update(environment(), config=config)
+            history.extend(_history(out) + [entry])
+        entry.update(sections)
+        out.write_text(json.dumps(history, indent=1) + "\n")
+
+    return record
+
+
 def _presets(root: Path) -> List[str]:
     out = subprocess.run(
         [sys.executable, "-c",
@@ -194,32 +238,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{r['wall_s']:7.3f} s  {r['peak_rss_mb']:6.1f} MB  "
                       f"{r['points']:4d} points  {r['tasks']:4d} tasks  "
                       f"{r['trace_builds']:3d} trace builds", flush=True)
-    ids = [{"sha": _git(root, "describe", "--always", "--dirty",
-                        "--abbrev=7"),
-            "src_tree": _src_tree(root)} for root in roots]
+    envs = [environment(root) for root in roots]
     entries = []
     for k, per_preset in enumerate(results):
         entry = {
-            **ids[k],
-            "date": time.strftime("%Y-%m-%d"),
+            **envs[k],
             "command": "repro-lab sweep --preset P --no-cache --jobs 1",
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "cpus": os.cpu_count(),
-            "cpu_model": _cpu_model(),
-            "dont_write_bytecode": bool(os.environ.get(
-                "PYTHONDONTWRITEBYTECODE")),
             "repeat": args.repeat,
             "total_wall_s": round(sum(r["wall_s"]
                                       for r in per_preset.values()), 3),
             "presets": per_preset,
         }
         if len(roots) > 1:
-            entry["paired_with"] = ids[1 - k]
+            other = envs[1 - k]
+            entry["paired_with"] = {"sha": other["sha"],
+                                    "src_tree": other["src_tree"]}
         entries.append(entry)
-    history = (json.loads(args.out.read_text()) if args.out.is_file()
-               else [])
-    history.extend(entries)
+    history = _history(args.out) + entries
     args.out.write_text(json.dumps(history, indent=1) + "\n")
     print(f"appended {len(entries)} entries to {args.out}")
     return 0

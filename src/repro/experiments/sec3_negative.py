@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
-from repro.util import canonical_int, format_table, require
+from repro.util import canonical_int, format_table
 
-__all__ = ["kernel_cdag_pebble", "format_sec3"]
+__all__ = ["kernel_cdag_pebble", "format_sec3", "LABELS"]
 
 #: display name of each ``algorithm`` parameter value.
-_LABELS = {
+LABELS = {
     "fft": "Cooley-Tukey FFT",
     "strassen": "Strassen",
     "matmul": "classical matmul (WA schedule)",
@@ -40,8 +40,7 @@ def _matmul_schedule(n: int) -> list:
 
 def kernel_cdag_pebble(machine: Any, params: Mapping[str, Any]
                        ) -> Dict[str, Any]:
-    """One CDAG red-blue pebbled with M fast-memory slots (Theorem 2).
-    Params: algorithm (fft, strassen or matmul), n, M."""
+    """One CDAG red-blue pebbled with M fast-memory slots (Theorem 2)."""
     from repro.cdag import (
         fft_cdag,
         matmul_cdag,
@@ -51,8 +50,6 @@ def kernel_cdag_pebble(machine: Any, params: Mapping[str, Any]
     )
 
     algorithm = params["algorithm"]
-    require(algorithm in _LABELS,
-            f"algorithm must be one of {sorted(_LABELS)}, got {algorithm!r}")
     n = canonical_int(params["n"], "n")
     M = canonical_int(params["M"], "M")
     if algorithm == "fft":
@@ -80,7 +77,7 @@ def format_sec3(rows: List[Dict]) -> str:
     headers = ["algorithm", "n", "d", "M", "loads", "stores",
                "Thm2 LB", "stores/traffic", "output"]
     body = [
-        [_LABELS[r["algorithm"]], r["n"],
+        [LABELS[r["algorithm"]], r["n"],
          "1 (DecC)" if r["algorithm"] == "matmul" else r["d"], r["M"],
          r["loads"], r["stores"], r["theorem2_lb"],
          round(r["store_fraction"], 3), r["output_size"]]

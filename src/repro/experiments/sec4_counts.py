@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.bounds import theorem1_holds
 from repro.core import (
+    LOOP_ORDERS,
     blocked_cholesky,
     blocked_matmul,
     blocked_trsm,
@@ -25,9 +26,9 @@ from repro.core import (
     nbody_k,
 )
 from repro.machine import TwoLevel
-from repro.util import canonical_int, format_table, require
+from repro.util import canonical_int, format_table
 
-__all__ = ["kernel_twolevel_counts", "format_sec4"]
+__all__ = ["kernel_twolevel_counts", "format_sec4", "VARIANTS"]
 
 #: display name of each ``algorithm`` parameter value.
 _LABELS = {
@@ -36,6 +37,17 @@ _LABELS = {
     "cholesky": "Cholesky (Alg.3)",
     "nbody2": "(N,2)-body (Alg.4)",
     "nbody3": "(N,3)-body",
+}
+
+#: the ``variant`` values each ``algorithm`` runs: a loop order for
+#: matmul, left-/right-looking for TRSM and Cholesky, blocked (or with
+#: the symmetry saving) for the N-body kernels.
+VARIANTS: Dict[str, Tuple[str, ...]] = {
+    "matmul": LOOP_ORDERS,
+    "trsm": ("left-looking", "right-looking"),
+    "cholesky": ("left-looking", "right-looking"),
+    "nbody2": ("blocked", "symmetry"),
+    "nbody3": ("blocked",),
 }
 
 
@@ -55,13 +67,8 @@ def _inputs(n: int, seed: int) -> Tuple[np.ndarray, ...]:
 
 def kernel_twolevel_counts(machine: Any, params: Mapping[str, Any]
                            ) -> Dict[str, Any]:
-    """One Section-4 kernel on an instrumented two-level memory.
-    Params: algorithm (matmul, trsm, cholesky, nbody2, nbody3), variant
-    (a loop order for matmul; left-/right-looking for trsm and
-    cholesky; blocked or symmetry for the N-body kernels), n, b, seed."""
+    """One Section-4 kernel on an instrumented two-level memory."""
     algorithm = params["algorithm"]
-    require(algorithm in _LABELS,
-            f"algorithm must be one of {sorted(_LABELS)}, got {algorithm!r}")
     variant = str(params["variant"])
     n = canonical_int(params["n"], "n")
     b = canonical_int(params["b"], "b")
@@ -79,15 +86,11 @@ def kernel_twolevel_counts(machine: Any, params: Mapping[str, Any]
         blocked_cholesky(SPD, b=b, hier=h, variant=variant)
         output = n * (n + b) // 2
     elif algorithm == "nbody2":
-        require(variant in ("blocked", "symmetry"),
-                f"variant must be 'blocked' or 'symmetry', got {variant!r}")
         symmetry = variant == "symmetry"
         h = TwoLevel(4 * b if symmetry else 3 * b)
         nbody2(P, b=b, hier=h, use_symmetry=symmetry)
         output = n
     else:
-        require(variant == "blocked",
-                f"variant must be 'blocked', got {variant!r}")
         h = TwoLevel(4 * b)
         nbody_k(P[: n // 2, :2], b=b, k=3, hier=h)
         output = n // 2

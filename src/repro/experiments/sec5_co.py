@@ -26,7 +26,7 @@ __all__ = ["kernel_co_vs_wa", "format_sec5"]
 def kernel_co_vs_wa(machine: Any, params: Mapping[str, Any]
                     ) -> Dict[str, Any]:
     """CO recursive matmul vs blocked WA matmul on an M-word fast memory
-    (Theorem 3 / Corollary 4).  Params: n, M, seed."""
+    (Theorem 3 / Corollary 4)."""
     n = canonical_int(params["n"], "n")
     M = canonical_int(params["M"], "M")
     rng = np.random.default_rng(canonical_int(params["seed"], "seed"))

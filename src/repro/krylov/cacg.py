@@ -174,6 +174,8 @@ def cacg(
             p_hat = r_hat + beta * p_hat
             d = d_new
             inner_total += 1
+            if d == 0:
+                break  # the residual vanished: recover the solution
 
         # ---- recovery ------------------------------------------------ #
         if not streaming:

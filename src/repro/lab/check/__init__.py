@@ -7,7 +7,7 @@ declarative contracts *before runtime*:
   a kernel's call graph must be covered by its ``MACHINE_FIELDS`` row,
   or the projected cache key can serve stale records;
 * **R2 registry completeness** — every kernel has explicit
-  ``MACHINE_FIELDS``/``METRIC_FIELDS`` rows, presets reference
+  ``MACHINE_FIELDS``/``METRIC_FIELDS``/``PARAMS`` rows, presets reference
   registered kernels/machines/policies, batch toggles map to real CLI
   flags;
 * **R3 determinism hazards** — no ``time``/``random``/``id()``/``hash()``

@@ -34,6 +34,7 @@ class RegistryView:
     kernels: Dict[str, Callable[..., Any]] = field(default_factory=dict)
     machine_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     metric_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    params: Dict[str, Any] = field(default_factory=dict)
     trace_kernels: Dict[str, Any] = field(default_factory=dict)
     batch_kernels: Dict[str, Any] = field(default_factory=dict)
     machines: Dict[str, Any] = field(default_factory=dict)
@@ -61,6 +62,7 @@ class RegistryView:
             kernels=table("KERNELS"),
             machine_fields=table("MACHINE_FIELDS"),
             metric_fields=table("METRIC_FIELDS"),
+            params=table("PARAMS"),
             trace_kernels=table("TRACE_KERNELS"),
             batch_kernels=table("BATCH_KERNELS"),
             machines=table("MACHINES"),
@@ -230,7 +232,7 @@ def rule_r2(cfg: Any, index: ProjectIndex, reg: RegistryView
             ) -> List[Finding]:
     findings: List[Finding] = []
     reg_mod = index.modules.get(cfg.registry_module)
-    for table in ("MACHINE_FIELDS", "METRIC_FIELDS"):
+    for table in ("MACHINE_FIELDS", "METRIC_FIELDS", "PARAMS"):
         declared = getattr(reg, table.lower())
         lines, fallback = _dict_entry_lines(reg_mod, table)
         for name in sorted(reg.kernels):

@@ -52,7 +52,7 @@ from repro.lab.cache import ResultCache, default_cache_root
 from repro.lab.executor import (MissingResultsError, PointExecutionError,
                                 execute)
 from repro.lab.faults import FAULTS_ENV, FaultPlan, plan_from_env
-from repro.lab.registry import KERNELS, MACHINES, POLICIES
+from repro.lab.registry import KERNELS, MACHINES, PARAMS, POLICIES
 from repro.lab.results import ResultSet
 from repro.lab.scenarios import SCENARIOS, Scenario, build_scenario
 from repro.lab.telemetry import RunTrace
@@ -80,9 +80,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
         quick=args.quick, kernel=getattr(args, "kernel", None),
         machine=getattr(args, "machine", "sim-l3"),
         sets=_parse_kv(args.set), hw=_parse_kv(args.hw),
-        grid=_parse_kv(getattr(args, "grid", None)),
-        note=lambda msg: print(f"[repro.lab] note: {msg}",
-                               file=sys.stderr))
+        grid=_parse_kv(getattr(args, "grid", None)))
 
 
 def _jobs(raw: str) -> int:
@@ -190,6 +188,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(KERNELS):
         doc = (KERNELS[name].__doc__ or "").strip().splitlines()[0]
         print(f"  {name:<18} {doc}")
+        print(f"  {'':<18} params: {PARAMS[name].describe()}")
     print("machines:")
     for name, spec in sorted(MACHINES.items()):
         geom = (f"levels={list(spec.levels)}" if spec.levels

@@ -40,6 +40,7 @@ so points cache and fan out like any other registry kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -81,6 +82,8 @@ from repro.distributed.costmodel import (
     table1_rows,
     table2_rows,
 )
+from repro.distributed.grid import square_grid_side
+from repro.distributed.mm25d import STORAGE_MODES
 from repro.krylov import (
     ca_gmres,
     cacg,
@@ -93,40 +96,24 @@ from repro.krylov import (
     streaming_basis_r,
     tsqr,
 )
+from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, Params, chain,
+                              multiples, opt)
 from repro.util import canonical_int, require
 
-__all__ = ["MODEL_KERNELS", "COST_KERNELS", "DISTRIBUTED_KERNELS",
-           "KRYLOV_KERNELS", "COST_BATCH_EVALUATORS", "run_cost_batch"]
+__all__ = ["MODEL_KERNELS", "MODEL_PARAMS", "COST_KERNELS",
+           "DISTRIBUTED_KERNELS", "KRYLOV_KERNELS", "COST_BATCH_EVALUATORS",
+           "run_cost_batch"]
 
 
 # --------------------------------------------------------------------- #
 # parameter plumbing
 # --------------------------------------------------------------------- #
-def _geti(params: Mapping, name: str, default: Any = None) -> int:
+def _geti(params: Mapping, name: str, default: Any) -> int:
     """An integer parameter (numpy grid scalars canonicalized)."""
     value = params.get(name, default)
     if type(value) is int:  # the hot path of a 10^4-point grid
         return value
-    require(value is not None,
-            f"missing required parameter {name!r} "
-            f"(pass it via --set or the scenario's fixed/grid)")
     return canonical_int(value, name)
-
-
-def _getf(params: Mapping, name: str, default: Any = None) -> float:
-    value = params.get(name, default)
-    require(value is not None,
-            f"missing required parameter {name!r} "
-            f"(pass it via --set or the scenario's fixed/grid)")
-    return float(value)
-
-
-def _hw(machine: Any) -> HwParams:
-    """The analytic machine of a cost point (validated up front so bad
-    ``--hw`` overrides fail loudly, not as 'infeasible' rows)."""
-    hw = machine.hw_params()
-    hw.validate()
-    return hw
 
 
 # --------------------------------------------------------------------- #
@@ -198,10 +185,9 @@ class CostFamily:
 
 def _family_point(family: CostFamily, machine, params: Mapping) -> Dict:
     """One point of *family*, evaluated by its checked scalar function."""
-    hw = _hw(machine)
     args = [_geti(params, name, default) for name, default in family.params]
     try:
-        return family.record(family.cost(*args, hw))
+        return family.record(family.cost(*args, machine.hw_params()))
     except ValueError as exc:
         return _infeasible(family.name, exc)
 
@@ -237,37 +223,35 @@ _C2, _C3 = ("c2", 1), ("c3", 4)
 _FAMILIES: Dict[str, CostFamily] = {
     "cost-2d-mm": CostFamily(
         "2DMML2",
-        "Analytic cost of 2DMML2 (Table 1, c=1).  Params: n, P.",
+        "Analytic cost of 2DMML2 (Table 1, c=1).",
         (_N, _P), cost_2dmml2, _cost_2dmml2, _cost_record),
     "cost-25d-mm-l2": CostFamily(
         "2.5DMML2",
-        "Analytic cost of 2.5DMML2 (Table 1).  Params: n, P, c2.",
+        "Analytic cost of 2.5DMML2 (Table 1).",
         (_N, _P, _C2), cost_25dmml2, _cost_25dmml2, _cost_record,
         lambda n, P, c2: _c_in_range(c2, P)),
     "cost-25d-mm-l3": CostFamily(
         "2.5DMML3",
-        "Analytic cost of 2.5DMML3 (Table 1, NVM-staged replicas).\n"
-        "    Params: n, P, c2, c3.",
+        "Analytic cost of 2.5DMML3 (Table 1, NVM-staged replicas).",
         (_N, _P, _C2, _C3), cost_25dmml3, _cost_25dmml3, _cost_record,
         lambda n, P, c2, c3: (c3 > c2) & (c2 >= 1) & _c_in_range(c3, P)),
     "cost-25d-mm-l3-ool2": CostFamily(
         "2.5DMML3ooL2",
-        "Analytic cost of 2.5DMML3ooL2 (Table 2, Model 2.2).\n"
-        "    Params: n, P, c3.",
+        "Analytic cost of 2.5DMML3ooL2 (Table 2, Model 2.2).",
         (_N, _P, _C3), cost_25dmml3_ool2, _cost_25dmml3_ool2, _cost_record,
         lambda n, P, c3: _c_in_range(c3, P)),
     "cost-summa-l3-ool2": CostFamily(
         "SUMMAL3ooL2",
         "Analytic cost of SUMMAL3ooL2 (Table 2, attains the W1 write\n"
-        "    floor).  Params: n, P.",
+        "    floor).",
         (_N, _P), cost_summal3_ool2, _cost_summal3_ool2, _cost_record),
     "cost-lu-ll": CostFamily(
         "LL-LUNP",
-        "LL-LUNP dominant β-costs (formulas (23)/(24)).  Params: n, P.",
+        "LL-LUNP dominant β-costs (formulas (23)/(24)).",
         (_N, _P), ll_lunp_beta_cost, _ll_lunp, _flat_record),
     "cost-lu-rl": CostFamily(
         "RL-LUNP",
-        "RL-LUNP dominant β-costs (formulas (25)/(26)).  Params: n, P.",
+        "RL-LUNP dominant β-costs (formulas (25)/(26)).",
         (_N, _P), rl_lunp_beta_cost, _rl_lunp, _flat_record),
 }
 
@@ -284,24 +268,30 @@ _DOMINANCE: Dict[str, CostFamily] = {
 }
 
 
-def _dominance_model(params: Mapping) -> str:
-    model = str(params.get("model", "2.1"))
-    require(model in _DOMINANCE,
-            f"model must be '2.1' or '2.2', got {model!r}")
-    return model
+def _int_params(family: CostFamily, **extra: Any) -> Params:
+    """A cost family's declaration: its ``(name, default)`` columns as
+    plain ints (an out-of-regime value gets a ``feasible: False``
+    record, not a refusal), plus *extra*."""
+    return Params.of(**{name: opt(INT, default)
+                        for name, default in family.params}, **extra)
+
+
+_DOMINANCE_PARAMS = _int_params(_DOMINANCE["2.1"],
+                                model=opt(tuple(_DOMINANCE), "2.1"))
 
 
 def kernel_cost_dominance(machine, params: Mapping) -> Dict:
     """Dominant-β-cost comparison: which algorithm the paper predicts
-    wins.  Params: model ("2.1" or "2.2"), n, P, c2 (2.1 only), c3."""
-    model = _dominance_model(params)
+    wins (``c2`` is read by model 2.1 only)."""
+    model = _DOMINANCE_PARAMS.resolve(params)["model"]
     return {"model": model,
             **_family_point(_DOMINANCE[model], machine, params)}
 
 
 def _dominance_batch(hw: HwParams, group) -> list:
     """``cost-dominance`` points batched per model."""
-    models = [_dominance_model(params) for _, params in group]
+    models = [_DOMINANCE_PARAMS.resolve(params)["model"]
+              for _, params in group]
     recs: list = [None] * len(group)
     for model, family in _DOMINANCE.items():
         idx = [i for i, m in enumerate(models) if m == model]
@@ -314,9 +304,9 @@ def _dominance_batch(hw: HwParams, group) -> list:
 
 def kernel_cost_break_even(machine, params: Mapping) -> Dict:
     """Replication break-even: smallest c3/c2 ratio at which NVM-staged
-    replication (2.5DMML3) beats 2.5DMML2.  No params — the ratio
-    depends only on the machine's β rates (sweep those via --hw)."""
-    hw = _hw(machine)
+    replication (2.5DMML3) beats 2.5DMML2.  It depends only on the
+    machine's β rates (sweep those via --hw)."""
+    hw = machine.hw_params()
     return {
         "c3_over_c2": replication_break_even(hw, 1),
         "beta_nw": hw.beta_nw,
@@ -331,78 +321,79 @@ def _break_even_batch(hw: HwParams, group) -> list:
     return [dict(rec) for _ in group]
 
 
-def _table_cell(params: Mapping, rows: list, table: str) -> Dict:
-    """One (row, algorithm) cell of an evaluated table-row list."""
-    row = _geti(params, "row")
-    require(0 <= row < len(rows),
-            f"row must be in 0..{len(rows) - 1}, got {row}")
-    require("algorithm" in params,
-            "missing required parameter 'algorithm' "
-            "(pass it via --set or the scenario's fixed/grid)")
-    algorithm = str(params["algorithm"])
-    r = rows[row]
-    require(algorithm in r and algorithm not in ("movement", "param",
-                                                 "common"),
-            f"unknown {table} algorithm {algorithm!r}")
-    return {"movement": r["movement"], "param": r["param"],
-            "common": r["common"], "algorithm": algorithm,
-            "feasible": True, "words": r[algorithm]}
+@dataclass(frozen=True)
+class CostTable:
+    """One of the paper's cost tables, cell by cell: its row builder,
+    the sizes it takes and its declared parameters (``row`` counts the
+    table's rows from 0, ``algorithm`` names one of its columns)."""
+
+    rows: Callable[..., list]
+    sizes: Tuple[str, ...]
+    params: Params
+
+    def cell(self, p: Mapping, rows: Any) -> Dict:
+        """The (row, algorithm) cell of resolved params *p* from an
+        evaluated row list (or the ``ValueError`` its sizes raised)."""
+        if isinstance(rows, ValueError):
+            return _infeasible(p["algorithm"], rows)
+        r = rows[int(p["row"])]
+        return {"movement": r["movement"], "param": r["param"],
+                "common": r["common"], "algorithm": p["algorithm"],
+                "feasible": True, "words": r[p["algorithm"]]}
+
+    def evaluate(self, p: Mapping, hw: HwParams) -> Any:
+        try:
+            return self.rows(*(p[name] for name in self.sizes), hw)
+        except ValueError as exc:
+            return exc
+
+    def point(self, machine, params: Mapping) -> Dict:
+        p = self.params.resolve(params)
+        return self.cell(p, self.evaluate(p, machine.hw_params()))
+
+    def batch(self, hw: HwParams, group) -> list:
+        """A group of cells, evaluating the scalar row list once per
+        unique size tuple (row/algorithm axes make uniques sparse;
+        reusing the scalar row code is the bit-identity argument)."""
+        rows_cache: Dict[Tuple[int, ...], Any] = {}
+        recs = []
+        for _, params in group:
+            p = self.params.resolve(params)
+            key = tuple(p[name] for name in self.sizes)
+            if key not in rows_cache:
+                rows_cache[key] = self.evaluate(p, hw)
+            recs.append(self.cell(p, rows_cache[key]))
+        return recs
+
+
+def _table(rows: Callable, n_rows: int, algorithms: Tuple[str, ...],
+           **sizes: int) -> CostTable:
+    return CostTable(rows, tuple(sizes), Params.of(
+        **{name: opt(INT, default) for name, default in sizes.items()},
+        row=tuple(map(str, range(n_rows))), algorithm=algorithms))
+
+
+#: the paper's Tables 1 and 2 (15 and 10 rows) as ``cost-table*`` cells.
+_TABLES: Dict[str, CostTable] = {
+    "cost-table1": _table(table1_rows, 15,
+                          ("2DMML2", "2.5DMML2", "2.5DMML3"),
+                          n=1 << 14, P=1 << 20, c2=4, c3=16),
+    "cost-table2": _table(table2_rows, 10,
+                          ("2.5DMML3ooL2", "SUMMAL3ooL2"),
+                          n=1 << 15, P=512, c3=4),
+}
 
 
 def kernel_cost_table1(machine, params: Mapping) -> Dict:
     """One (row, algorithm) cell of the paper's Table 1, numerically
-    evaluated.  Params: n, P, c2, c3, row (0-based), algorithm."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 14), _geti(params, "P", 1 << 20)
-    c2, c3 = _geti(params, "c2", 4), _geti(params, "c3", 16)
-    try:
-        rows = table1_rows(n, P, c2, c3, hw)
-    except ValueError as exc:
-        return _infeasible(str(params.get("algorithm", "Table-1")), exc)
-    return _table_cell(params, rows, "Table-1")
+    evaluated."""
+    return _TABLES["cost-table1"].point(machine, params)
 
 
 def kernel_cost_table2(machine, params: Mapping) -> Dict:
     """One (row, algorithm) cell of the paper's Table 2, numerically
-    evaluated.  Params: n, P, c3, row (0-based), algorithm."""
-    hw = _hw(machine)
-    n, P = _geti(params, "n", 1 << 15), _geti(params, "P", 512)
-    c3 = _geti(params, "c3", 4)
-    try:
-        rows = table2_rows(n, P, c3, hw)
-    except ValueError as exc:
-        return _infeasible(str(params.get("algorithm", "Table-2")), exc)
-    return _table_cell(params, rows, "Table-2")
-
-
-def _table_batch(rows_fn: Callable, sizes: Tuple[str, ...],
-                 defaults: Tuple[int, ...], table: str) -> Callable:
-    """A table-cell evaluator memoizing the scalar row list per unique
-    size tuple (row/algorithm axes make uniques sparse; reusing the
-    scalar row code is the bit-identity argument for the tables)."""
-
-    def evaluate(hw: HwParams, group) -> list:
-        rows_cache: Dict[Tuple[int, ...], Any] = {}
-        recs = []
-        for _, params in group:
-            key = tuple(_geti(params, name, default)
-                        for name, default in zip(sizes, defaults))
-            try:
-                rows = rows_cache[key]
-            except KeyError:
-                try:
-                    rows = rows_fn(*key, hw)
-                except ValueError as exc:
-                    rows = exc
-                rows_cache[key] = rows
-            if isinstance(rows, ValueError):
-                recs.append(_infeasible(
-                    str(params.get("algorithm", table)), rows))
-            else:
-                recs.append(_table_cell(params, rows, table))
-        return recs
-
-    return evaluate
+    evaluated."""
+    return _TABLES["cost-table2"].point(machine, params)
 
 
 def _family_kernel(family: CostFamily) -> Callable:
@@ -428,12 +419,15 @@ COST_BATCH_EVALUATORS: Dict[str, Callable] = {
        for name, family in _FAMILIES.items()},
     "cost-break-even": _break_even_batch,
     "cost-dominance": _dominance_batch,
-    "cost-table1": _table_batch(
-        table1_rows, ("n", "P", "c2", "c3"),
-        (1 << 14, 1 << 20, 4, 16), "Table-1"),
-    "cost-table2": _table_batch(
-        table2_rows, ("n", "P", "c3"),
-        (1 << 15, 512, 4), "Table-2"),
+    **{name: table.batch for name, table in _TABLES.items()},
+}
+
+#: every cost kernel's declared parameters.
+COST_PARAMS: Dict[str, Params] = {
+    **{name: _int_params(family) for name, family in _FAMILIES.items()},
+    "cost-break-even": Params.of(),
+    "cost-dominance": _DOMINANCE_PARAMS,
+    **{name: table.params for name, table in _TABLES.items()},
 }
 
 
@@ -454,7 +448,7 @@ def run_cost_batch(kernel: str, group) -> list:
             f"available: {sorted(COST_BATCH_EVALUATORS)}"
         ) from None
     machine0 = group[0][0]
-    hw = _hw(machine0)
+    hw = machine0.hw_params()
     checked = {id(machine0)}
     for machine, _ in group:
         if id(machine) in checked:  # grids share one spec object
@@ -487,44 +481,84 @@ def _random_matrices(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
+def _on_grid(p: Mapping) -> None:
+    """``P`` a perfect square whose side divides ``n``."""
+    q = square_grid_side(p["P"])
+    require(p["n"] % q == 0, f"n={p['n']} must be divisible by the grid "
+                             f"side {q} of P={p['P']}")
+
+
+def _at_least(name: str, low: float) -> Callable[[Mapping], None]:
+    """A relation: *name*, when given, is at least *low*."""
+    def relation(p: Mapping) -> None:
+        require(p[name] is None or p[name] >= low,
+                f"{name} must be >= {low:g}, got {p[name]}")
+    return relation
+
+
+_SUMMA_2D = Params.of(chain(_on_grid, _at_least("M1", 3)),
+                      n=opt(POS, 32), P=opt(POS, 16), hoard=opt(BOOL, False),
+                      M1=opt(FLOAT), seed=opt(NAT, 0))
+
+
 def kernel_summa_2d(machine, params: Mapping) -> Dict:
-    """Executed 2D SUMMA (Model 1) with per-rank traffic counters.
-    Params: n, P; optional hoard (the √P-L2 variant), M1, seed."""
-    n, P = _geti(params, "n", 32), _geti(params, "P", 16)
-    hoard = bool(params.get("hoard", False))
-    M1 = None if params.get("M1") is None else _getf(params, "M1")
-    A, B = _random_matrices(n, _geti(params, "seed", 0))
-    m = DistMachine(P)
-    C = summa_2d(A, B, m, hoard=hoard, M1=M1)
-    return {"correct": bool(np.allclose(C, A @ B)), "hoard": hoard,
+    """Executed 2D SUMMA (Model 1) with per-rank traffic counters;
+    ``hoard`` is the √P-L2 variant."""
+    p = _SUMMA_2D.resolve(params)
+    A, B = _random_matrices(p["n"], p["seed"])
+    m = DistMachine(p["P"])
+    C = summa_2d(A, B, m, hoard=p["hoard"], M1=p["M1"])
+    return {"correct": bool(np.allclose(C, A @ B)), "hoard": p["hoard"],
             **_dist_record(m)}
+
+
+_SUMMA_L3 = Params.of(chain(_on_grid, _at_least("M2", 3)),
+                      n=opt(POS, 32), P=opt(POS, 16), M2=FLOAT,
+                      seed=opt(NAT, 0))
 
 
 def kernel_summa_l3_ool2(machine, params: Mapping) -> Dict:
     """Executed SUMMAL3ooL2 (Model 2.2): attains the NVM write floor
-    W1 = n²/P.  Params: n, P, M2; optional seed."""
-    n, P = _geti(params, "n", 32), _geti(params, "P", 16)
-    M2 = _getf(params, "M2")
-    A, B = _random_matrices(n, _geti(params, "seed", 0))
+    W1 = n²/P."""
+    p = _SUMMA_L3.resolve(params)
+    n, P, M2 = p["n"], p["P"], p["M2"]
+    A, B = _random_matrices(n, p["seed"])
     m = DistMachine(P, M2=M2)
     C = summa_l3_ool2(A, B, m, M2=M2)
     return {"correct": bool(np.allclose(C, A @ B)),
             "w1_floor": n * n // P, **_dist_record(m)}
 
 
+def _replicas(p: Mapping) -> None:
+    """The 2.5D layout: ``P = c·q²`` with ``c <= q``, ``c | q`` (or
+    ``c = 1``) and ``q | n``; NVM staging needs ``M2``."""
+    P, c = p["P"], p["c"]
+    require(P % c == 0, f"P={P} must be a multiple of c={c}")
+    q = math.isqrt(P // c)
+    require(q * q == P // c, f"P/c = {P // c} must be a perfect square")
+    require(c <= q and (q % c == 0 or c == 1),
+            f"c={c} must divide q={q} = sqrt(P/c) (c <= P^(1/3))")
+    require(p["n"] % q == 0, f"n={p['n']} must be divisible by q={q} = "
+                             f"sqrt(P/c) (P={P}, c={c})")
+    require(p["storage"] == "L2" or p["M2"] is not None,
+            f"storage={p['storage']} needs M2 (DRAM size in words)")
+
+
+_MM_25D = Params.of(chain(_replicas, _at_least("M2", 1)),
+                    n=opt(POS, 16), P=opt(POS, 8), c=opt(POS, 2),
+                    storage=opt(STORAGE_MODES, "L2"), M2=opt(FLOAT),
+                    seed=opt(NAT, 0))
+
+
 def kernel_mm_25d(machine, params: Mapping) -> Dict:
     """Executed 2.5D matmul (replication factor c, optional NVM
-    staging).  Params: n, P, c; optional storage (L2|L3|L3-ooL2), M2,
-    seed."""
-    n, P = _geti(params, "n", 16), _geti(params, "P", 8)
-    c = _geti(params, "c", 2)
-    storage = str(params.get("storage", "L2"))
-    M2 = None if params.get("M2") is None else _getf(params, "M2")
-    A, B = _random_matrices(n, _geti(params, "seed", 0))
-    m = DistMachine(P, M2=M2)
-    C = mm_25d(A, B, m, c=c, storage=storage, M2=M2)
-    return {"correct": bool(np.allclose(C, A @ B)), "c": c,
-            "storage": storage, **_dist_record(m)}
+    staging)."""
+    p = _MM_25D.resolve(params)
+    A, B = _random_matrices(p["n"], p["seed"])
+    m = DistMachine(p["P"], M2=p["M2"])
+    C = mm_25d(A, B, m, c=p["c"], storage=p["storage"], M2=p["M2"])
+    return {"correct": bool(np.allclose(C, A @ B)), "c": p["c"],
+            "storage": p["storage"], **_dist_record(m)}
 
 
 def _lu_problem(n: int, seed: int) -> np.ndarray:
@@ -534,28 +568,34 @@ def _lu_problem(n: int, seed: int) -> np.ndarray:
     return A
 
 
-def kernel_lu_ll(machine, params: Mapping) -> Dict:
-    """Executed left-looking LU without pivoting (LL-LUNP, Alg. 5):
-    O(n²/P) NVM writes per rank.  Params: n, b, P; optional seed."""
-    n, b = _geti(params, "n", 32), _geti(params, "b", 4)
-    P = _geti(params, "P", 4)
-    A = _lu_problem(n, _geti(params, "seed", 0))
-    m = DistMachine(P)
-    L, U = lu_ll_nonpivot(A, m, b=b)
+def _lu_layout(p: Mapping) -> None:
+    square_grid_side(p["P"])
+    multiples("b", "n")(p)
+
+
+_LU = Params.of(_lu_layout, n=opt(POS, 32), b=opt(POS, 4), P=opt(POS, 4),
+                seed=opt(NAT, 0))
+
+
+def _run_lu(factor: Callable, params: Mapping) -> Dict:
+    p = _LU.resolve(params)
+    A = _lu_problem(p["n"], p["seed"])
+    m = DistMachine(p["P"])
+    L, U = factor(A, m, b=p["b"])
     return {"correct": bool(np.allclose(L @ U, A, atol=1e-8)),
             **_dist_record(m)}
+
+
+def kernel_lu_ll(machine, params: Mapping) -> Dict:
+    """Executed left-looking LU without pivoting (LL-LUNP, Alg. 5):
+    O(n²/P) NVM writes per rank."""
+    return _run_lu(lu_ll_nonpivot, params)
 
 
 def kernel_lu_rl(machine, params: Mapping) -> Dict:
     """Executed right-looking LU without pivoting (RL-LUNP): fewer
-    network words, more NVM writes.  Params: n, b, P; optional seed."""
-    n, b = _geti(params, "n", 32), _geti(params, "b", 4)
-    P = _geti(params, "P", 4)
-    A = _lu_problem(n, _geti(params, "seed", 0))
-    m = DistMachine(P)
-    L, U = lu_rl_nonpivot(A, m, b=b)
-    return {"correct": bool(np.allclose(L @ U, A, atol=1e-8)),
-            **_dist_record(m)}
+    network words, more NVM writes."""
+    return _run_lu(lu_rl_nonpivot, params)
 
 
 DISTRIBUTED_KERNELS: Dict[str, Callable] = {
@@ -566,15 +606,35 @@ DISTRIBUTED_KERNELS: Dict[str, Callable] = {
     "lu-rl-nonpivot": kernel_lu_rl,
 }
 
+DISTRIBUTED_PARAMS: Dict[str, Params] = {
+    "summa-2d": _SUMMA_2D,
+    "summa-l3-ool2": _SUMMA_L3,
+    "mm-25d": _MM_25D,
+    "lu-ll-nonpivot": _LU,
+    "lu-rl-nonpivot": _LU,
+}
+
 
 # --------------------------------------------------------------------- #
 # Krylov kernels
 # --------------------------------------------------------------------- #
-def _stencil_system(params: Mapping):
-    mesh = _geti(params, "mesh", 256)
-    d = _geti(params, "d", 1)
-    b = _geti(params, "b", 1)
-    return spd_stencil_system(mesh, d=d, b=b)
+def _stencil(p: Mapping) -> None:
+    """The stencil's mesh exceeds its radius; CG-type solvers need a
+    positive tolerance; a TSQR block holds the s+1 basis vectors."""
+    require(p["mesh"] > p["b"],
+            f"mesh ({p['mesh']}) must exceed stencil radius b ({p['b']})")
+    require(p.get("tol", 1) > 0, f"tol must be positive, got {p.get('tol')}")
+
+
+def _krylov(relation: Callable = _stencil, **params: Any) -> Params:
+    """A Krylov kernel's declaration: the stencil system (``mesh``,
+    ``d``, ``b``) plus *params*."""
+    return Params.of(relation, mesh=opt(POS, 256), d=opt(POS, 1),
+                     b=opt(POS, 1), **params)
+
+
+def _stencil_system(p: Mapping):
+    return spd_stencil_system(p["mesh"], d=p["d"], b=p["b"])
 
 
 def _traffic_record(traffic, steps: int) -> Dict:
@@ -586,98 +646,110 @@ def _traffic_record(traffic, steps: int) -> Dict:
     }
 
 
+_TOL = opt(FLOAT, 1e-8)
+_CG = _krylov(tol=_TOL)
+
+
 def kernel_krylov_cg(machine, params: Mapping) -> Dict:
-    """Conventional CG (Alg. 6): the Ω(N·n) write baseline.
-    Params: mesh; optional d, b, tol."""
-    A, rhs = _stencil_system(params)
-    res = cg(A, rhs, tol=_getf(params, "tol", 1e-8))
+    """Conventional CG (Alg. 6): the Ω(N·n) write baseline."""
+    p = _CG.resolve(params)
+    res = cg(*_stencil_system(p), tol=p["tol"])
     return {"method": "CG", "converged": res.converged,
             "steps": res.iterations,
             **_traffic_record(res.traffic, res.iterations)}
 
 
+_CACG = _krylov(s=POS, streaming=opt(BOOL, False), block=opt(POS), tol=_TOL)
+
+
 def kernel_krylov_cacg(machine, params: Mapping) -> Dict:
     """s-step CA-CG (Alg. 7); streaming=True is the WA variant that
-    cuts writes by Θ(s).  Params: mesh, s; optional streaming, block,
-    d, b, tol."""
-    A, rhs = _stencil_system(params)
-    s = _geti(params, "s")
-    streaming = bool(params.get("streaming", False))
-    block = params.get("block")
-    res = cacg(A, rhs, s=s, tol=_getf(params, "tol", 1e-8),
-               streaming=streaming,
-               block=None if block is None else _geti(params, "block"))
+    cuts writes by Θ(s)."""
+    p = _CACG.resolve(params)
+    s, streaming = p["s"], p["streaming"]
+    res = cacg(*_stencil_system(p), s=s, tol=p["tol"], streaming=streaming,
+               block=p["block"])
     return {"method": "CA-CG" + (" streaming" if streaming else ""),
             "s": s, "converged": res.converged, "steps": res.inner_steps,
             "outer_iterations": res.outer_iterations,
             **_traffic_record(res.traffic, res.inner_steps)}
 
 
+_GMRES = _krylov(s=POS, variant=opt(("restarted", "ca"), "restarted"),
+                 streaming=opt(BOOL, False), block=opt(POS), tol=_TOL)
+
+
 def kernel_krylov_gmres(machine, params: Mapping) -> Dict:
     """GMRES: variant='restarted' is GMRES(s); variant='ca' is s-step
-    CA-GMRES (optionally streaming).  Params: mesh, s; optional
-    variant, streaming, block, d, b, tol."""
-    A, rhs = _stencil_system(params)
-    s = _geti(params, "s")
-    variant = str(params.get("variant", "restarted"))
-    tol = _getf(params, "tol", 1e-8)
-    if variant == "restarted":
+    CA-GMRES (optionally streaming)."""
+    p = _GMRES.resolve(params)
+    A, rhs = _stencil_system(p)
+    s, tol = p["s"], p["tol"]
+    if p["variant"] == "restarted":
         res = gmres(A, rhs, restart=s, tol=tol)
         method = "GMRES"
     else:
-        require(variant == "ca",
-                f"variant must be 'restarted' or 'ca', got {variant!r}")
-        block = params.get("block")
-        streaming = bool(params.get("streaming", False))
-        res = ca_gmres(A, rhs, s=s, tol=tol, streaming=streaming,
-                       block=None if block is None else _geti(params,
-                                                              "block"))
-        method = "CA-GMRES" + (" streaming" if streaming else "")
+        res = ca_gmres(A, rhs, s=s, tol=tol, streaming=p["streaming"],
+                       block=p["block"])
+        method = "CA-GMRES" + (" streaming" if p["streaming"] else "")
     return {"method": method, "s": s, "converged": res.converged,
             "steps": res.inner_steps, "cycles": res.cycles,
             **_traffic_record(res.traffic, res.inner_steps)}
 
 
+_POWERS = _krylov(s=POS, variant=opt(("naive", "blocked", "streaming"),
+                                     "blocked"), block=opt(POS))
+
+
 def kernel_krylov_matrix_powers(machine, params: Mapping) -> Dict:
     """The matrix-powers kernel: variant in naive (s SpMVs), blocked
-    (CA), streaming (WA — zero basis writes).  Params: mesh, s;
-    optional variant, block, d, b."""
-    A, rhs = _stencil_system(params)
-    s = _geti(params, "s")
-    variant = str(params.get("variant", "blocked"))
-    block = _geti(params, "block", max(1, -(-A.shape[0] // 8)))
+    (CA), streaming (WA — zero basis writes); ``block`` defaults to an
+    eighth of the rows."""
+    p = _POWERS.resolve(params)
+    A, rhs = _stencil_system(p)
+    s, variant = p["s"], p["variant"]
+    block = p["block"] or max(1, -(-A.shape[0] // 8))
     if variant == "naive":
         _, t = matrix_powers(A, rhs, s)
     elif variant == "blocked":
         _, t = matrix_powers_blocked(A, rhs, s, block=block)
     else:
-        require(variant == "streaming",
-                "variant must be 'naive', 'blocked' or 'streaming', "
-                f"got {variant!r}")
         t = matrix_powers_streaming(A, rhs, s, lambda r0, r1, K: 0,
                                     block=block)
     return {"method": f"matrix-powers {variant}", "s": s,
             **_traffic_record(t, s)}
 
 
+def _qr_tree(p: Mapping) -> None:
+    _stencil(p)
+    s = p["s"]
+    require(p["block"] is None or p["block"] >= s + 1,
+            f"block ({p['block']}) must be >= s+1 ({s + 1}) for the QR tree")
+    # the mesh**d rows must stack the s+1 basis vectors (mesh >= 2)
+    require(p["mesh"] ** min(p["d"], 64) >= s + 1,
+            f"the mesh**d = {p['mesh']}**{p['d']} rows must be >= s+1 "
+            f"({s + 1}) for the QR")
+
+
+_TSQR = _krylov(_qr_tree, s=POS,
+                variant=opt(("stored", "streaming"), "stored"),
+                block=opt(POS))
+
+
 def kernel_krylov_tsqr(machine, params: Mapping) -> Dict:
     """TSQR of the Krylov basis: variant='stored' builds the basis then
     factors it (Θ(s·n) writes); variant='streaming' interleaves TSQR
-    with matrix powers (§8 — only R is written).  Params: mesh, s;
-    optional variant, block, d, b."""
-    A, rhs = _stencil_system(params)
-    s = _geti(params, "s")
-    variant = str(params.get("variant", "stored"))
-    block = _geti(params, "block", max(s + 1, -(-A.shape[0] // 8)))
-    require(block >= s + 1,
-            f"block ({block}) must be >= s+1 ({s + 1}) for the QR tree")
+    with matrix powers (§8 — only R is written); ``block`` defaults to
+    an eighth of the rows, at least s+1."""
+    p = _TSQR.resolve(params)
+    A, rhs = _stencil_system(p)
+    s, variant = p["s"], p["variant"]
+    block = p["block"] or max(s + 1, -(-A.shape[0] // 8))
     if variant == "stored":
         K, t = matrix_powers_blocked(A, rhs, s, block=block)
         _, R, t_qr = tsqr(K, block=block)
         t.add(t_qr)
     else:
-        require(variant == "streaming",
-                f"variant must be 'stored' or 'streaming', got {variant!r}")
         R, t = streaming_basis_r(A, rhs, s, block=block)
     return {"method": f"tsqr {variant}", "s": s,
             "r_norm": float(np.linalg.norm(R)),
@@ -693,9 +765,24 @@ KRYLOV_KERNELS: Dict[str, Callable] = {
 }
 
 
+KRYLOV_PARAMS: Dict[str, Params] = {
+    "krylov-cg": _CG,
+    "krylov-cacg": _CACG,
+    "krylov-gmres": _GMRES,
+    "krylov-matrix-powers": _POWERS,
+    "krylov-tsqr": _TSQR,
+}
+
 #: everything this module registers, by registry name.
 MODEL_KERNELS: Dict[str, Callable] = {
     **COST_KERNELS,
     **DISTRIBUTED_KERNELS,
     **KRYLOV_KERNELS,
+}
+
+#: the declared parameters of every kernel in :data:`MODEL_KERNELS`.
+MODEL_PARAMS: Dict[str, Params] = {
+    **COST_PARAMS,
+    **DISTRIBUTED_PARAMS,
+    **KRYLOV_PARAMS,
 }

@@ -15,7 +15,6 @@ scenario file (or a CLI invocation) is pure data:
 from __future__ import annotations
 
 import json
-import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
@@ -23,6 +22,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.traces import (
+    MATMUL_SCHEMES,
     cholesky_trace,
     matmul_order,
     matmul_order_trace,
@@ -30,7 +30,9 @@ from repro.core.traces import (
     trsm_trace,
 )
 from repro.distributed.costmodel import HwParams, hw_param_key
+from repro.experiments.sec3_negative import LABELS as SEC3_LABELS
 from repro.experiments.sec3_negative import kernel_cdag_pebble
+from repro.experiments.sec4_counts import VARIANTS as SEC4_VARIANTS
 from repro.experiments.sec4_counts import kernel_twolevel_counts
 from repro.experiments.sec5_co import kernel_co_vs_wa
 from repro.lab.modelkernels import (
@@ -39,8 +41,11 @@ from repro.lab.modelkernels import (
     DISTRIBUTED_KERNELS,
     KRYLOV_KERNELS,
     MODEL_KERNELS,
+    MODEL_PARAMS,
     run_cost_batch,
 )
+from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, Params, fits,
+                              multiples, opt)
 from repro.lab.telemetry import active_trace
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.energy import EnergyModel
@@ -49,7 +54,7 @@ from repro.machine.fastsim.profile import phase as fs_phase
 from repro.machine.multicache import CacheHierarchySim
 from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
-from repro.util import canonical_int, require
+from repro.util import canonical_int, is_power_of_two, require
 
 __all__ = [
     "MachineSpec",
@@ -65,6 +70,8 @@ __all__ = [
     "BATCHABLE_POLICIES",
     "MACHINE_FIELDS",
     "METRIC_FIELDS",
+    "PARAMS",
+    "kernel_params",
     "machine_fields",
     "project_machine",
     "resolve_machine",
@@ -118,18 +125,51 @@ class MachineSpec:
     hw: Optional[Tuple[Tuple[str, float], ...]] = None
 
     def __post_init__(self) -> None:
-        # Canonicalize the structured fields exactly as from_dict would,
-        # so a hand-built spec (list levels, int hw rates, dict hw) is
-        # indistinguishable from its payload round-trip — in-process
-        # execution and pool workers must produce identical records.
-        if self.levels is not None and type(self.levels) is not tuple:
+        # Every way to make a spec (construction, override, replace,
+        # from_dict) validates here, so a bad field fails where the
+        # request names it, not inside a kernel.
+        require(isinstance(self.name, str),
+                f"machine.name must be a string, got {self.name!r}")
+        for name in ("cache_words", "line_size", "associativity"):
+            value = getattr(self, name)
+            require((name == "associativity" and value is None)
+                    or fits(POS, value),
+                    f"machine.{name} must be a positive integer, "
+                    f"got {value!r}")
+        require(self.levels is None
+                or (isinstance(self.levels, (list, tuple)) and self.levels
+                    and all(fits(POS, v) for v in self.levels)),
+                f"machine.levels must be a list of positive integers, "
+                f"got {self.levels!r}")
+        require(isinstance(self.policy, str) and self.policy in POLICIES,
+                f"unknown machine.policy {self.policy!r}; "
+                f"available: {sorted(POLICIES)}")
+        require(self.seed is None or fits(INT, self.seed),
+                f"machine.seed must be an integer, got {self.seed!r}")
+        for name in ("read_fast", "write_fast", "read_slow", "write_slow"):
+            value = getattr(self, name)
+            require(fits(FLOAT, value),
+                    f"machine.{name} must be a finite number >= 0, "
+                    f"got {value!r}")
+        # Canonicalize the structured fields, so a hand-built spec (list
+        # levels, int hw rates, dict hw) is indistinguishable from its
+        # payload round-trip — in-process execution and pool workers
+        # must produce identical records.
+        if type(self.levels) is list:
             object.__setattr__(self, "levels", tuple(self.levels))
         if self.hw is not None:
-            items = (self.hw.items() if isinstance(self.hw, Mapping)
-                     else self.hw)
-            object.__setattr__(
-                self, "hw",
-                tuple(sorted((str(k), float(v)) for k, v in items)))
+            try:
+                items = (self.hw.items() if isinstance(self.hw, Mapping)
+                         else self.hw)
+                hw = tuple(sorted((str(k), float(v)) for k, v in items))
+            except (TypeError, ValueError):
+                raise ValueError(f"machine.hw must map HwParams fields to "
+                                 f"numbers, got {self.hw!r}") from None
+            object.__setattr__(self, "hw", hw)
+            bad = sorted(set(dict(hw)) - set(HwParams.__dataclass_fields__))
+            require(not bad, f"unknown hw parameter(s) {bad}; available: "
+                             f"{sorted(HwParams.__dataclass_fields__)}")
+            self.hw_params().validate()
 
     def as_dict(self) -> Dict[str, Any]:
         # A manual flat copy: every field is a scalar or tuple, and
@@ -144,13 +184,6 @@ class MachineSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "MachineSpec":
-        d = dict(d)
-        if d.get("levels") is not None:
-            d["levels"] = tuple(d["levels"])
-        if d.get("hw") is not None:
-            hw = d["hw"]
-            items = hw.items() if isinstance(hw, Mapping) else hw
-            d["hw"] = tuple(sorted((str(k), float(v)) for k, v in items))
         return cls(**d)
 
     def override(self, **changes: Any) -> "MachineSpec":
@@ -158,27 +191,11 @@ class MachineSpec:
                 "machine.hw cannot be overridden directly; adjust cost "
                 "model parameters with --hw KEY=VALUE "
                 "(MachineSpec.with_hw)")
-        try:
-            spec = replace(self, **changes)
-        except TypeError:
-            fields = sorted(self.as_dict())
-            bad = sorted(set(changes) - set(fields))
-            raise ValueError(
-                f"unknown machine field(s) {bad}; available: {fields}"
-            ) from None
-        # The simulated geometry is validated where a request's
-        # machine.<field> value enters, not first inside a kernel.
-        for name in ("line_size", "cache_words", "associativity"):
-            value = changes.get(name, 1)
-            require((name == "associativity" and value is None)
-                    or (isinstance(value, numbers.Integral)
-                        and not isinstance(value, bool) and value > 0),
-                    f"machine.{name} must be a positive integer, "
-                    f"got {value!r}")
-        require("policy" not in changes or changes["policy"] in POLICIES,
-                f"unknown machine.policy {changes.get('policy')!r}; "
-                f"available: {sorted(POLICIES)}")
-        return spec
+        fields = sorted(MachineSpec.__dataclass_fields__)
+        bad = sorted(set(changes) - set(fields))
+        require(not bad,
+                f"unknown machine field(s) {bad}; available: {fields}")
+        return replace(self, **changes)
 
     def hw_params(self) -> HwParams:
         """The analytic :class:`HwParams` this spec describes: the 2015
@@ -200,7 +217,6 @@ class MachineSpec:
                     f"unknown hw parameter {key!r}; available: "
                     f"{sorted(valid)}")
             merged[attr] = float(value)
-        HwParams(**merged).validate()
         return replace(self, hw=tuple(sorted(merged.items())))
 
     def energy_model(self) -> EnergyModel:
@@ -295,28 +311,9 @@ def resolve_machine(machine: Union[str, MachineSpec, Mapping[str, Any]],
 BATCHABLE_POLICIES = ("lru", "belady")
 
 
-def _require_params(params: Mapping[str, Any], names: Tuple[str, ...],
-                    kernel: str) -> None:
-    missing = sorted(set(names) - set(params))
-    require(not missing,
-            f"kernel {kernel!r} is missing required parameter(s) {missing} "
-            f"(pass them via --set or the scenario's fixed/grid)")
-
-
 # Trace-parameter canonicalization (np.int64 grid axes -> plain int, so
 # payloads stay JSON-able and CacheSim validation is satisfied).
 _as_int = canonical_int
-
-
-def _size(value: Any, name: str, b: int = 1) -> int:
-    """*value* as a plain positive int, a multiple of block size *b*: a
-    trace payload's sizes, checked when the payload is formed so a bad
-    one fails at request time."""
-    size = _as_int(value, name)
-    require(size > 0, f"{name} must be positive, got {size}")
-    require(size % b == 0,
-            f"{name}={size} must be a multiple of block size b={b}")
-    return size
 
 
 # --------------------------------------------------------------------- #
@@ -421,12 +418,10 @@ class TraceKernel:
     """
 
     name: str
-    #: parameters every point must carry.
-    required: Tuple[str, ...]
-    #: parameters the payload and capacity rules may read; :meth:`check`
-    #: refuses any other key, which would enter the record and the cache
-    #: key without shaping the simulation.
-    optional: Tuple[str, ...]
+    #: the parameters the payload and capacity rules read; the request
+    #: check refuses any other key, which would enter the record and
+    #: the cache key without shaping the simulation.
+    params: Params
     #: (machine, params) -> canonical JSON-able trace identity.
     payload: Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]
     #: trace identity -> finalized :class:`~repro.machine.trace.Trace`.
@@ -466,23 +461,13 @@ class TraceKernel:
         }
 
     def check(self, machine: MachineSpec, params: Mapping[str, Any]) -> int:
-        """Raise ``ValueError`` naming the field unless the point can
-        run: its required parameters are present, its trace payload
-        forms, its machine has one level and its capacity fills whole
-        lines and sets.  Returns the capacity in words."""
-        _require_params(params, self.required, self.name)
-        unknown = sorted(set(params) - set(self.required)
-                         - set(self.optional))
-        hint = (" (set the line size with machine.line_size)"
-                if "line_size" in unknown else "")
-        require(not unknown,
-                f"kernel {self.name!r} does not take parameter(s) "
-                f"{unknown}; it reads "
-                f"{sorted(self.required + self.optional)}{hint}")
+        """Raise ``ValueError`` naming the field unless the point's
+        machine fits it (the declaration's ``fit``): one level, whose
+        capacity fills whole lines and sets.  Returns the capacity in
+        words."""
         require(machine.levels is None,
                 f"{self.name} simulates a single cache level; "
                 f"machines with `levels` need a hierarchy kernel")
-        self.payload(machine, params)
         cap_words = int(self.capacity_words(machine, params))
         require(cap_words % machine.line_size == 0,
                 f"capacity_words={cap_words} must be a multiple of "
@@ -506,28 +491,33 @@ class TraceKernel:
 
 
 # ----------------------------- matmul ---------------------------------- #
+#: a matmul-cache point; ``l`` (the second outer dimension) defaults to
+#: ``n``, and ``cache_blocks`` (the capacity in b3-blocks, as Section 6
+#: counts it) overrides ``machine.cache_words``.
+_MATMUL = Params.of(n=POS, middle=POS, scheme=MATMUL_SCHEMES, l=opt(POS),
+                    b3=opt(POS, 64), b2=opt(POS, 16), base=opt(POS, 8),
+                    c_touch_hint=opt(BOOL, False), cache_blocks=opt(POS))
+
+
 def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
     """The trace-identity of a matmul-cache point: every parameter that
     shapes the generated access sequence — and nothing capacity-related,
     so all points of a capacity sweep share one trace.  The scheme enters as the task ``order`` it resolves to
     (:func:`repro.core.traces.matmul_order`), not as its name, so two
     schemes with one order (``wa2``, ``ab-multilevel``) share a trace."""
-    n = _size(params["n"], "n")
-    b3 = _as_int(params.get("b3", 64), "b3")
-    b2 = _as_int(params.get("b2", 16), "b2")
-    base = _as_int(params.get("base", 8), "base")
+    p = _MATMUL.resolve(params)
     return {
         "family": "matmul",
-        "n": n,
-        "middle": _size(params["middle"], "middle"),
-        "l": _size(params.get("l", n), "l"),
+        "n": p["n"],
+        "middle": p["middle"],
+        "l": p["l"] or p["n"],
         "order": [list(level) for level in
-                  matmul_order(str(params["scheme"]), b3, b2, base)],
-        "b3": b3,
-        "b2": b2,
-        "base": base,
+                  matmul_order(p["scheme"], p["b3"], p["b2"], p["base"])],
+        "b3": p["b3"],
+        "b2": p["b2"],
+        "base": p["base"],
         "line_size": machine.line_size,
-        "c_touch_hint": bool(params.get("c_touch_hint", False)),
+        "c_touch_hint": p["c_touch_hint"],
     }
 
 
@@ -542,62 +532,54 @@ def _build_matmul(spec: Mapping) -> Trace:
     return buf.finalize_trace()
 
 
-def _cache_blocks(params: Mapping[str, Any]) -> Optional[int]:
-    """The point's ``cache_blocks`` (``None``: the machine's
-    ``cache_words`` sizes the cache), which must be positive."""
-    if params.get("cache_blocks") is None:
-        return None
-    blocks = _as_int(params["cache_blocks"], "cache_blocks")
-    require(blocks > 0, f"cache_blocks must be positive, got {blocks}")
-    return blocks
-
-
 def matmul_capacity_words(machine: MachineSpec, params: Mapping[str, Any]) -> int:
     """Simulated capacity of a matmul-cache point, in words
     (``cache_blocks`` counts b3-blocks, as Section 6 sizes caches)."""
-    blocks = _cache_blocks(params)
-    if blocks is None:
+    p = _MATMUL.resolve(params)
+    if p["cache_blocks"] is None:
         return machine.cache_words
-    b3 = _as_int(params.get("b3", 64), "b3")
-    return blocks * b3 * b3 + machine.line_size
+    return p["cache_blocks"] * p["b3"] * p["b3"] + machine.line_size
 
 
 def _matmul_write_lb(machine: MachineSpec, params: Mapping[str, Any]) -> int:
-    n = _as_int(params["n"], "n")
-    l = _as_int(params.get("l", n), "l")
-    return n * l // machine.line_size
+    p = _MATMUL.resolve(params)
+    return p["n"] * (p["l"] or p["n"]) // machine.line_size
 
 
 # ------------------------ TRSM / Cholesky / N-body --------------------- #
 def trsm_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    b = _size(params["b"], "b")
     return {
         "family": "trsm",
-        "n": _size(params["n"], "n", b),
-        "m": _size(params["m"], "m", b),
-        "b": b,
+        "n": _as_int(params["n"], "n"),
+        "m": _as_int(params["m"], "m"),
+        "b": _as_int(params["b"], "b"),
         "line_size": machine.line_size,
     }
 
 
 def cholesky_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    b = _size(params["b"], "b")
     return {
         "family": "cholesky",
-        "n": _size(params["n"], "n", b),
-        "b": b,
+        "n": _as_int(params["n"], "n"),
+        "b": _as_int(params["b"], "b"),
         "line_size": machine.line_size,
     }
 
 
 def nbody_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    b = _size(params["b"], "b")
     return {
         "family": "nbody",
-        "n": _size(params["n"], "n", b),
-        "b": b,
+        "n": _as_int(params["n"], "n"),
+        "b": _as_int(params["b"], "b"),
         "line_size": machine.line_size,
     }
+
+
+def _cache_blocks(params: Mapping[str, Any]) -> Optional[int]:
+    """The point's ``cache_blocks`` (``None``: the machine's
+    ``cache_words`` sizes the cache)."""
+    blocks = params.get("cache_blocks")
+    return None if blocks is None else _as_int(blocks, "cache_blocks")
 
 
 def _block_squared_capacity(machine: MachineSpec, params: Mapping[str, Any]) -> int:
@@ -621,8 +603,7 @@ def _block_vector_capacity(machine: MachineSpec, params: Mapping[str, Any]) -> i
 TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     TraceKernel(
         name="matmul-cache",
-        required=("n", "middle", "scheme"),
-        optional=("l", "b3", "b2", "base", "c_touch_hint", "cache_blocks"),
+        params=_MATMUL,
         payload=matmul_trace_payload,
         build=_build_matmul,
         capacity_words=matmul_capacity_words,
@@ -630,8 +611,10 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     ),
     TraceKernel(
         name="trsm-cache",
-        required=("n", "m", "b"),
-        optional=("cache_blocks",),
+        # cache_blocks: the capacity in b×b blocks plus a spare line
+        # (Proposition 6.2 needs five).
+        params=Params.of(multiples("b", "n", "m"), n=POS, m=POS, b=POS,
+                         cache_blocks=opt(POS)),
         payload=trsm_trace_payload,
         build=lambda spec: trsm_trace(
             spec["n"], spec["m"], b=spec["b"],
@@ -644,8 +627,8 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     ),
     TraceKernel(
         name="cholesky-cache",
-        required=("n", "b"),
-        optional=("cache_blocks",),
+        params=Params.of(multiples("b", "n"), n=POS, b=POS,
+                         cache_blocks=opt(POS)),
         payload=cholesky_trace_payload,
         build=lambda spec: cholesky_trace(
             spec["n"], b=spec["b"],
@@ -659,8 +642,10 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
     ),
     TraceKernel(
         name="nbody-cache",
-        required=("n", "b"),
-        optional=("cache_blocks",),
+        # cache_blocks: b-particle blocks plus a spare line (three
+        # suffice: P(i), F(i) and the streamed P(j)).
+        params=Params.of(multiples("b", "n"), n=POS, b=POS,
+                         cache_blocks=opt(POS)),
         payload=nbody_trace_payload,
         build=lambda spec: nbody_trace(
             spec["n"], b=spec["b"],
@@ -680,42 +665,23 @@ def matmul_lines(machine: MachineSpec, params: Mapping[str, Any]
 
 
 def kernel_matmul_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One matmul instruction order through one simulated cache level.
-
-    Required params: ``n`` (outer dims), ``middle``, ``scheme``; optional
-    ``l`` (second outer dim, default ``n``), ``b3``, ``b2``, ``base``,
-    ``c_touch_hint`` and ``cache_blocks`` (capacity in units of b3-blocks,
-    as Section 6 counts it — overrides ``machine.cache_words``).
-    """
+    """One matmul instruction order through one simulated cache level."""
     return TRACE_KERNELS["matmul-cache"].run(machine, params)
 
 
 def kernel_trsm_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Two-level WA TRSM line trace (Algorithm 2) through one cache level.
-
-    Required params: ``n`` (triangular dim), ``m`` (right-hand sides),
-    ``b`` (block size); optional ``cache_blocks`` (capacity in b×b
-    blocks plus a spare line — Proposition 6.2 needs five).
-    """
+    """Two-level WA TRSM line trace (Algorithm 2) through one cache level
+    (``n`` the triangular dimension, ``m`` the right-hand sides)."""
     return TRACE_KERNELS["trsm-cache"].run(machine, params)
 
 
 def kernel_cholesky_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Left-looking WA Cholesky line trace (Alg. 3) through one cache level.
-
-    Required params: ``n``, ``b``; optional ``cache_blocks`` (capacity
-    in b×b blocks plus a spare line — Proposition 6.2 needs five).
-    """
+    """Left-looking WA Cholesky line trace (Alg. 3) through one cache level."""
     return TRACE_KERNELS["cholesky-cache"].run(machine, params)
 
 
 def kernel_nbody_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Blocked direct (N,2)-body line trace (Alg. 4) through one cache level.
-
-    Required params: ``n`` (particles), ``b`` (block size); optional
-    ``cache_blocks`` (capacity in b-particle blocks plus a spare line —
-    three suffice: P(i), F(i) and the streamed P(j)).
-    """
+    """Blocked direct (N,2)-body line trace (Alg. 4) through one cache level."""
     return TRACE_KERNELS["nbody-cache"].run(machine, params)
 
 
@@ -791,21 +757,17 @@ def run_capacity_batch(
     ]
 
 
-def _hierarchy_params(machine: MachineSpec, params: Mapping[str, Any]
-                      ) -> Dict[str, Any]:
-    """A matmul-hierarchy point's params with its blocking defaults
-    pinned, once its machine and trace payload are checked."""
+def _needs_levels(machine: MachineSpec, params: Mapping[str, Any]) -> None:
     require(machine.levels is not None,
             "matmul-hierarchy needs a machine with `levels`")
-    _require_params(params, ("n", "middle", "scheme"), "matmul-hierarchy")
-    # This kernel's blocking defaults differ from matmul-cache's, so pin
-    # them before the shared trace helper applies its own.
-    filled = dict(params)
-    filled.setdefault("b3", 16)
-    filled.setdefault("b2", 8)
-    filled.setdefault("base", 4)
-    matmul_trace_payload(machine, filled)
-    return filled
+
+
+#: matmul-cache's parameters with this kernel's own blocking defaults,
+#: and no ``cache_blocks`` (the machine's levels size the caches).
+_HIERARCHY = Params.of(fit=_needs_levels, n=POS, middle=POS,
+                       scheme=MATMUL_SCHEMES, l=opt(POS), b3=opt(POS, 16),
+                       b2=opt(POS, 8), base=opt(POS, 4),
+                       c_touch_hint=opt(BOOL, False))
 
 
 def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -814,10 +776,9 @@ def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> 
     Reports per-boundary fills/write-backs and the backing-store traffic,
     costed with the machine's (possibly asymmetric) slow-side energies.
     """
-    filled = _hierarchy_params(machine, params)
-    n = params["n"]
-    l = params.get("l", n)
-    lines, writes = matmul_lines(machine, filled)
+    _needs_levels(machine, params)
+    p = _HIERARCHY.resolve(params)
+    lines, writes = matmul_lines(machine, p)
     hier = machine.make()
     hier.run_lines(lines, writes)
     hier.flush()
@@ -828,7 +789,7 @@ def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> 
         rec[f"L{i + 1}_writebacks"] = st.writebacks
     rec["backing_reads"] = hier.backing_reads
     rec["backing_writes"] = hier.backing_writes
-    rec["write_lb"] = n * l // machine.line_size
+    rec["write_lb"] = p["n"] * (p["l"] or p["n"]) // machine.line_size
     rec["energy"] = machine.line_size * (
         hier.backing_reads * machine.read_slow
         + hier.backing_writes * machine.write_slow
@@ -850,6 +811,58 @@ KERNELS: Dict[str, Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]] =
 # Point-level cost-model, distributed-execution and Krylov kernels
 # (repro.lab.modelkernels) register alongside the trace kernels.
 KERNELS.update(MODEL_KERNELS)
+
+
+def _pebble_relation(p: Dict[str, Any]) -> None:
+    """FFT and Strassen CDAGs exist for ``n = 2^k`` (the FFT for k >= 1);
+    the pebbler needs room for an op's two operands and its result."""
+    n, algorithm = p["n"], p["algorithm"]
+    require(algorithm == "matmul"
+            or (is_power_of_two(n) and (n > 1 or algorithm != "fft")),
+            f"n={n} must be a power of two (>= 2 for fft) for "
+            f"algorithm={algorithm}")
+    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (two operands and "
+                         f"a result)")
+
+
+def _twolevel_relation(p: Dict[str, Any]) -> None:
+    """Each algorithm runs its own variants on blocks of size ``b``; the
+    (N,3)-body kernel takes the first ``n // 2`` particles."""
+    variants = SEC4_VARIANTS[p["algorithm"]]
+    require(p["variant"] in variants,
+            f"variant={p['variant']} is not one of {list(variants)} "
+            f"for algorithm={p['algorithm']}")
+    n = p["n"] // 2 if p["algorithm"] == "nbody3" else p["n"]
+    require(n > 0 and n % p["b"] == 0,
+            f"n={p['n']} must be a multiple of block size b={p['b']}"
+            + (" (twice over for nbody3)" if n != p["n"] else ""))
+
+
+def _co_vs_wa_relation(p: Dict[str, Any]) -> None:
+    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (the WA block "
+                         f"b = sqrt(M/3) must be >= 1)")
+
+
+#: Declared parameters per kernel (:class:`repro.lab.params.Params`):
+#: each parameter's type, whether it is required and its default, plus
+#: the kernel's cross-parameter relation and machine fit.  Every request
+#: check reads this table (:func:`check_point`,
+#: :meth:`repro.lab.scenarios.Scenario.points`), as does ``repro-lab
+#: list``; ``repro-lab check`` (R2) wants a row for every kernel.
+PARAMS: Dict[str, Params] = {
+    **{name: replace(tk.params, fit=tk.check)
+       for name, tk in TRACE_KERNELS.items()},
+    "matmul-hierarchy": _HIERARCHY,
+    "cdag-pebble": Params.of(_pebble_relation, algorithm=tuple(SEC3_LABELS),
+                             n=POS, M=POS),
+    "twolevel-counts": Params.of(
+        _twolevel_relation, algorithm=tuple(SEC4_VARIANTS),
+        variant=tuple(dict.fromkeys(v for vs in SEC4_VARIANTS.values()
+                                    for v in vs)),
+        n=POS, b=POS, seed=NAT),
+    "co-vs-wa": Params.of(_co_vs_wa_relation, n=POS, M=POS, seed=NAT),
+    **MODEL_PARAMS,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -1022,20 +1035,10 @@ def capacity_group_payload(tk: TraceKernel, machine: MachineSpec,
     keeps policy, associativity and seed and adds its effective
     capacity (``capacity_words``), so a group is exactly one
     :class:`~repro.machine.cache.CacheSim` replay."""
-    if machine.levels is not None:
-        return None
-    if not all(name in params for name in tk.required):
-        return None
     try:
-        cap_words = tk.capacity_words(machine, params)
+        cap_words = tk.check(machine, params)
         trace_id = tk.payload(machine, params)
     except (KeyError, TypeError, ValueError):
-        return None
-    # numpy integer capacities (np.int64 grids) batch like python ints;
-    # bools are excluded (True is Integral but never a capacity).
-    if (not isinstance(cap_words, numbers.Integral)
-            or isinstance(cap_words, bool) or cap_words <= 0
-            or cap_words % machine.line_size != 0):
         return None
     machine_d = project_machine(machine, tk.name)
     for name in ("read_fast", "write_fast", "read_slow", "write_slow",
@@ -1044,7 +1047,7 @@ def capacity_group_payload(tk: TraceKernel, machine: MachineSpec,
     if _is_stack_point(machine):
         machine_d.pop("policy")
     else:
-        machine_d["capacity_words"] = int(cap_words)
+        machine_d["capacity_words"] = cap_words
     return {"machine": machine_d, "trace": trace_id}
 
 
@@ -1079,32 +1082,33 @@ BATCH_KERNELS: Dict[str, BatchKernel] = {
 }
 
 
-#: The Section 3-5 table kernels' required parameters, and the sizes
-#: among them that must be positive.
-_TABLE_PARAMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "cdag-pebble": (("algorithm", "n", "M"), ("n", "M")),
-    "twolevel-counts": (("algorithm", "variant", "n", "b", "seed"),
-                        ("n", "b")),
-    "co-vs-wa": (("n", "M", "seed"), ("n", "M")),
-}
+def kernel_params(kernel: str) -> Optional[Params]:
+    """The declared parameters of *kernel* (:data:`PARAMS`).  ``None``
+    means a registered kernel carries no declaration, so its requests
+    go unchecked (``repro-lab check`` reports it, R2)."""
+    if kernel in PARAMS:
+        return PARAMS[kernel]
+    require(kernel in KERNELS,
+            f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}")
+    return None
+
+
+def takes(kernel: str, key: str) -> bool:
+    """Whether *kernel* declares parameter *key* (an undeclared kernel
+    takes any)."""
+    decl = kernel_params(kernel)
+    return decl is None or key in decl.params
 
 
 def check_point(kernel: str, machine: MachineSpec,
                 params: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` naming the field when a trace-kernel,
-    ``matmul-hierarchy`` or Section 3-5 table point cannot run
-    (:meth:`TraceKernel.check`) — at request time, not first inside the
-    run.  Other kernels pass."""
-    tk = TRACE_KERNELS.get(kernel)
-    if tk is not None:
-        tk.check(machine, params)
-    elif kernel == "matmul-hierarchy":
-        _hierarchy_params(machine, params)
-    elif kernel in _TABLE_PARAMS:
-        required, sizes = _TABLE_PARAMS[kernel]
-        _require_params(params, required, kernel)
-        for name in sizes:
-            _size(params[name], name)
+    """Raise ``ValueError`` naming the field unless the point can run:
+    its params fit the kernel's declaration (:data:`PARAMS`) and its
+    machine fits the kernel — at request time, not first inside the
+    run."""
+    decl = kernel_params(kernel)
+    if decl is not None:
+        decl.check(kernel, machine, params)
 
 
 def run_batch(kernel: str,

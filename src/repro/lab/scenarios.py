@@ -19,8 +19,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Set)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments import (
     Fig2Config,
@@ -42,9 +41,11 @@ from repro.lab.registry import (
     MACHINES,
     MachineSpec,
     check_point,
+    kernel_params,
     machine_fields,
     project_machine,
     resolve_machine,
+    takes,
 )
 from repro.lab.results import ResultSet, distinct
 from repro.util import format_table, require
@@ -149,13 +150,33 @@ class Scenario:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def points(self) -> List[ScenarioPoint]:
-        """The concrete points; a trace-kernel point that misses a
-        required parameter or whose cache is sized by a bad
-        ``cache_blocks`` raises ``ValueError`` here
-        (:func:`~repro.lab.registry.check_point`)."""
+        """The concrete points, each checked against its kernel's
+        declared parameters (:data:`repro.lab.registry.PARAMS`): a
+        point that cannot run raises ``ValueError`` naming the field.
+
+        A grid checks its key set once, each fixed value and axis value
+        once, and only the relation and machine fit per point (if the
+        kernel declares them); explicit points are checked one by one.
+        """
         pts = self._expand()
-        for pt in pts:
-            check_point(pt.kernel, pt.machine, pt.params)
+        if self.explicit is not None:
+            for pt in pts:
+                check_point(pt.kernel, pt.machine, pt.params)
+            return pts
+        decl = kernel_params(self.kernel)
+        if decl is None:
+            return pts
+        axes = {k: v for k, v in self.grid.items()
+                if not k.startswith("machine.")}
+        decl.check_keys(self.kernel, [*self.fixed, *axes])
+        for key, value in self.fixed.items():
+            decl.check_value(key, value)
+        for key, values in axes.items():
+            for value in values:
+                decl.check_value(key, value)
+        if decl.relation is not None or decl.fit is not None:
+            for pt in pts:
+                decl.check_fit(pt.machine, pt.params)
         return pts
 
     def _expand(self) -> List[ScenarioPoint]:
@@ -208,21 +229,6 @@ class Scenario:
             return self.report(self, results)
         return _default_report(self, results)
 
-    def known_param_keys(self) -> Set[str]:
-        """Every kernel-parameter name this scenario's points carry —
-        :func:`build_scenario` notes a ``set`` key that matches none of
-        them (a typo is silently inert otherwise, while still changing
-        cache keys).
-        Rebuild-backed presets don't consult this: their ``--set`` keys
-        are validated against the factory signature in
-        :meth:`with_overrides` instead."""
-        if self.explicit is not None:
-            keys: Set[str] = set()
-            for pt in self.explicit:
-                keys |= set(pt.params)
-            return keys
-        return set(self.fixed) | set(self.grid)
-
     def with_overrides(self, sets: Optional[Mapping[str, Any]] = None,
                        hw: Optional[Mapping[str, float]] = None,
                        ) -> "Scenario":
@@ -230,7 +236,8 @@ class Scenario:
 
         *sets* keys become fixed kernel parameters (``machine.<field>``
         keys override the machine spec instead); a key that names a grid
-        axis pins it, removing the axis.  *hw* merges
+        axis pins it, removing the axis.  Explicit points of several
+        kernels take a key only where their kernel declares it.  *hw* merges
         :class:`~repro.distributed.costmodel.HwParams` overrides into
         every machine (see :meth:`MachineSpec.with_hw`).
 
@@ -278,9 +285,16 @@ class Scenario:
             return spec
 
         if self.explicit is not None:
+            # A key goes to the points whose kernel takes it; a key no
+            # kernel takes goes to every point, whose check refuses it.
+            kernels = {pt.kernel for pt in self.explicit}
+            takers = {key: {k for k in kernels if takes(k, key)} or kernels
+                      for key in param_over}
             points = [
                 ScenarioPoint(pt.kernel, patch(pt.machine),
-                              {**pt.params, **param_over})
+                              {**pt.params,
+                               **{k: v for k, v in param_over.items()
+                                  if pt.kernel in takers[k]}})
                 for pt in self.explicit
             ]
             return replace(self, machine=patch(self.machine),
@@ -886,8 +900,7 @@ def _literal_axis(values: Any) -> List[Any]:
 
 def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
                    kernel: Optional[str] = None, machine: Any = "sim-l3",
-                   sets: Any = None, hw: Any = None, grid: Any = None,
-                   note: Optional[Callable[[str], None]] = None
+                   sets: Any = None, hw: Any = None, grid: Any = None
                    ) -> Scenario:
     """The scenario a request names — the one parser behind ``repro-lab
     run``/``sweep``/``report`` and ``POST /sweep``.
@@ -900,9 +913,9 @@ def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
     set is a fixed parameter (pinning a grid axis of that name), and
     *hw* merges into the machine.  Every value may be a string
     literal (:func:`parse_literal`), and a grid axis a comma-separated
-    string.  *note* is told about ``set`` keys that are no parameter of
-    any preset point (a typo there would be silently inert).  Raises
-    ``ValueError`` on anything malformed.
+    string.  Raises ``ValueError`` on anything malformed; a ``set`` key
+    the kernel does not declare is refused when the points are formed
+    (:meth:`Scenario.points`).
     """
     sets = _literal_map(sets, "set")
     hw = _literal_map(hw, "hw")
@@ -914,21 +927,10 @@ def build_scenario(preset: Optional[str] = None, *, quick: Any = False,
                              "(the preset defines the grid; pin axes "
                              "with set)")
         scenario = get_scenario(str(preset), quick=bool(parse_literal(quick)))
-        if note is not None and scenario.meta.get("rebuild") is None:
-            # Rebuild-backed presets reject unknown keys outright.
-            known = scenario.known_param_keys()
-            unknown = sorted(k for k in sets
-                             if not k.startswith("machine.")
-                             and k not in known)
-            if unknown:
-                note(f"set key(s) {unknown} are not parameters of any "
-                     f"{scenario.name!r} point; applying anyway")
         return scenario.with_overrides(sets, hw=hw)
     if kernel is None:
         raise ValueError("request must name a preset scenario or a kernel")
-    if str(kernel) not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; "
-                         f"available: {sorted(KERNELS)}")
+    kernel_params(str(kernel))  # an unknown kernel raises here
     return Scenario(
         name="adhoc",
         kernel=str(kernel),

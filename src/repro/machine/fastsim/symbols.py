@@ -413,11 +413,13 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     a symbol's last visit uses the never-again sentinel ``n + 1``) and
     strictly increasing within a visit.  Per-line state is indexed by
     the line's position in ``sym_lines``, so one heap entry
-    ``(-(base + hi - 1), line, symbol, lo, hi, seq, base)`` stands for
-    the run of positions ``[lo, hi)`` of a visit whose position ``g`` is
-    next used at ``base + g``: only the last position can be the global
-    Belady victim, and evicting it peels the run down to ``[lo, hi -
-    1)``.  Validity is a per-position sequence number (any access /
+    ``(key, line, lo, last, seq)`` stands for the run of positions
+    ``[lo, last]`` of a visit whose position ``g`` is next used at
+    ``base + g``; ``key = -(base + last)`` orders the heap and gives
+    ``base = -key - last`` back, ``line`` (the line at ``last``) breaks
+    ties, and the position names its symbol.  Only the last position can be the global
+    Belady victim, and evicting it peels the run down to ``[lo, last -
+    1]``.  Validity is a per-position sequence number (any access /
     eviction / level move bumps it), so stale entries lazily shrink or
     vanish.  A visit whose footprint is fully resident at level 0 (the
     common case on tiled traces) costs O(1): one histogram bump, one
@@ -446,6 +448,7 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     offs_l = st.sym_offsets.tolist()
     lines_l = st.sym_lines.tolist()
     L = len(lines_l)
+    sym_of = np.repeat(np.arange(S), st.sym_sizes).tolist()
 
     caps_l: List[int] = caps.tolist()
     # Per-position state, indexed by a line's place in ``sym_lines``
@@ -487,11 +490,10 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
                     mlev[off:end] = [0] * z
             if nb >= 0:
                 heappush(heaps[0], (-(base + end - 1), lines_l[end - 1],
-                                    loc, off, end, seq, base))
+                                    off, end - 1, seq))
             else:
                 for g in range(off, end):
-                    heappush(heaps[0], (-sentinel, lines_l[g], loc, g,
-                                        g + 1, seq, sentinel - g))
+                    heappush(heaps[0], (-sentinel, lines_l[g], g, g, seq))
             continue
 
         for g in range(off, end):
@@ -513,27 +515,28 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
                         h = heaps[lv]
                         while h:
                             e = h[0]
-                            if pseq[e[4] - 1] == e[5]:
+                            if pseq[e[3]] == e[4]:
                                 break
                             heappop(h)
                             # Shrink: the deepest position still owned
                             # by this push heads the remainder run.
-                            pp = e[4] - 2
-                            lo = e[3]
-                            while pp >= lo and pseq[pp] != e[5]:
+                            pp = e[3] - 1
+                            lo = e[2]
+                            while pp >= lo and pseq[pp] != e[4]:
                                 pp -= 1
                             if pp >= lo:
-                                heappush(h, (-(e[6] + pp), lines_l[pp],
-                                             e[2], lo, pp + 1, e[5], e[6]))
+                                # base + pp = -key - (last - pp)
+                                heappush(h, (e[0] + e[3] - pp, lines_l[pp],
+                                             lo, pp, e[4]))
                         if h and (best is None or h[0] < best):
                             best = h[0]
                             best_lv = lv
                     e = heappop(heaps[best_lv])
-                    vp = e[4] - 1
-                    if vp > e[3]:
+                    vp = e[3]
+                    if vp > e[2]:
                         heappush(heaps[best_lv],
-                                 (-(e[6] + vp - 1), lines_l[vp - 1],
-                                  e[2], e[3], vp, e[5], e[6]))
+                                 (e[0] + 1, lines_l[vp - 1], e[2], vp - 1,
+                                  e[4]))
                     cnt[best_lv] -= 1
                     if hws[vp] and mlev[vp] <= i:
                         victims_m[i] += 1
@@ -541,12 +544,11 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
                         victims_e[i] += 1
                     seq += 1
                     pseq[vp] = seq
-                    uniform0[e[2]] = False
+                    uniform0[sym_of[vp]] = False
                     if i + 1 < K:
                         lev[vp] = i + 1
                         cnt[i + 1] += 1
-                        heappush(heaps[i + 1],
-                                 (e[0], e[1], e[2], vp, vp + 1, seq, e[6]))
+                        heappush(heaps[i + 1], (e[0], e[1], vp, vp, seq))
                     else:
                         lev[vp] = K
             if j < K:
@@ -556,11 +558,9 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             seq += 1
             pseq[g] = seq
             if nb >= 0:
-                heappush(heaps[0], (-(base + g), lines_l[g], loc, g, g + 1,
-                                    seq, base))
+                heappush(heaps[0], (-(base + g), lines_l[g], g, g, seq))
             else:
-                heappush(heaps[0], (-sentinel, lines_l[g], loc, g, g + 1,
-                                    seq, sentinel - g))
+                heappush(heaps[0], (-sentinel, lines_l[g], g, g, seq))
             if w:
                 hws[g] = True
                 mlev[g] = 0

@@ -1,6 +1,7 @@
 """Fixture kernel registry: R1/R2 violations, one per kernel."""
 
 from labcheck_fixtures.machine import FixtureMachine
+from repro.lab.params import POS, Params
 
 
 def undeclared_read_kernel(machine, params):
@@ -34,6 +35,12 @@ METRIC_FIELDS = {
     "fx-undeclared-read": ("x",),
     "fx-overdeclared": ("x",),
     # "fx-missing-metrics" intentionally absent -> R2 error
+}
+
+PARAMS = {  # MARKER r2-params
+    "fx-undeclared-read": Params.of(n=POS),
+    # "fx-overdeclared" intentionally absent -> R2 error
+    "fx-missing-metrics": Params.of(),
 }
 
 MACHINES = {"fx": FixtureMachine()}

@@ -84,6 +84,14 @@ class TestFixtureViolations:
         assert "METRIC_FIELDS" in f.message
         assert f.line == marker_line("registry.py", "METRIC_FIELDS = {")
 
+    def test_r2_missing_params_row(self, fixture_report):
+        """A kernel without a parameter declaration is an error, as a
+        missing machine-relevance row is."""
+        f = one(fixture_report, rule="R2", kernel="fx-overdeclared")
+        assert f.severity == "error"
+        assert "PARAMS" in f.message
+        assert f.line == marker_line("registry.py", "MARKER r2-params")
+
     def test_r2_preset_with_unregistered_kernel(self, fixture_report):
         f = one(fixture_report, rule="R2", kernel="fx-unregistered")
         assert f.file.endswith("scenarios.py")

@@ -335,6 +335,48 @@ class TestSweepLifecycle:
         assert excinfo.value.code == 400
         assert error in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("body, field", [
+        ({"kernel": "twolevel-counts",
+          "set": {"algorithm": "matmul", "variant": "ijk", "n": 30,
+                  "b": 4, "seed": 0}}, "n=30"),
+        ({"kernel": "twolevel-counts",
+          "set": {"algorithm": "matmul", "variant": "xyz", "n": 32,
+                  "b": 4, "seed": 0}}, "variant"),
+        ({"kernel": "cdag-pebble",
+          "set": {"algorithm": "fft", "n": 6, "M": 4}}, "n=6"),
+        ({"kernel": "co-vs-wa", "set": {"n": 8, "M": 2, "seed": 0}}, "M=2"),
+        ({"kernel": "mm-25d", "set": {"n": 16, "P": 8, "c": 3}}, "c=3"),
+        ({"kernel": "krylov-cg", "set": {"mesh": 0}}, "mesh"),
+        ({"kernel": "krylov-gmres",
+          "set": {"variant": "zzz", "s": 2, "mesh": 32}}, "variant"),
+        ({"kernel": "cost-dominance", "set": {"model": 9}}, "model"),
+        ({"kernel": "cost-table1",
+          "set": {"row": 99, "algorithm": "2DMML2"}}, "row"),
+        ({"kernel": "cost-2d-mm", "set": {"n": "nan"}}, "n"),
+        ({"kernel": "matmul-cache",
+          "set": {**MATMUL_CO, "machine.write_slow": "nan"}},
+         "machine.write_slow"),
+        ({"kernel": "matmul-cache",
+          "set": {**MATMUL_CO, "machine.write_slow": "inf"}},
+         "machine.write_slow"),
+        ({"kernel": "cost-2d-mm", "set": {"bogus": 3}}, "bogus"),
+        ({"kernel": "summa-2d", "set": {"bogus": 1}}, "bogus"),
+        ({"kernel": "krylov-cg", "set": {"bogus": 2}}, "bogus"),
+        ({"kernel": "krylov-cacg",
+          "set": {"streaming": "no", "s": 2, "mesh": 32}}, "streaming"),
+        ({"kernel": "summa-2d", "set": {"hoard": "maybe"}}, "hoard"),
+        ({"kernel": "matmul-cache",
+          "set": {**MATMUL_CO, "c_touch_hint": "nope"}}, "c_touch_hint"),
+        ({"kernel": "summa-2d", "set": {"n": 0}}, "n"),
+    ])
+    def test_undeclared_value_or_key_is_a_400(self, daemon, body, field):
+        """Each of these jobs used to fail inside the run or finish with
+        a wrong record; the kernel's declaration refuses it up front."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url, "/sweep", body)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
+
     def test_adhoc_machine_set_overrides_the_machine(self):
         """``"set": {"machine.policy": "clock"}`` used to run LRU with
         ``machine.policy`` riding along as a kernel parameter."""
