@@ -1,41 +1,12 @@
 """Shared benchmark configuration.
 
-Benchmarks double as the regeneration harness for every table and figure
-of the paper: run with ``pytest benchmarks/ --benchmark-only -s`` to see
-the paper-style tables printed alongside the timings.  Each benchmark runs
-its harness once per round (``pedantic``) because the harnesses are
-deterministic and non-trivial in cost.
+The pytest benchmarks here time the engine (``bench_fastsim.py``,
+``bench_costgrid.py``) and the library studies no preset runs
+(``bench_sec9.py``, ``bench_ablation.py``, ``bench_bounds.py``);
+``bench_paper.py`` times every preset cold.
+The paper's tables print with ``repro-lab run PRESET``, and its claims
+live next to each preset (``Scenario.claims``): ``preset_digests.py``
+checks them on full-size records and rewrites
+``tests/golden/preset-digests.json``; the tier-1 suite checks them on
+quick records.
 """
-
-import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time *fn* with a single warm-up-free round and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
-
-
-@pytest.fixture
-def once():
-    return run_once
-
-
-def run_preset(benchmark, name):
-    """Time one cold run of the *name* preset (full geometry, no result
-    cache) through the ``repro.lab`` engine; returns the rendered table
-    and one flat row (point params + record) per point."""
-    from repro.lab.executor import execute
-    from repro.lab.scenarios import get_scenario
-
-    scenario = get_scenario(name)
-    report = benchmark.pedantic(execute, args=(scenario.points(),),
-                                kwargs={"cache": None},
-                                rounds=1, iterations=1)
-    rows = [{**r.point.params, **r.record} for r in report.results]
-    return scenario.render(report.results), rows
-
-
-@pytest.fixture
-def preset():
-    return run_preset

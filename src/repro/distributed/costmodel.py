@@ -91,7 +91,9 @@ class HwParams:
         for name in ("beta_nw", "beta_23", "beta_32", "beta_12", "beta_21",
                      "alpha_nw", "alpha_23", "alpha_32", "alpha_12",
                      "alpha_21", "M1", "M2", "M3"):
-            require(getattr(self, name) > 0, f"{name} must be positive")
+            value = getattr(self, name)
+            require(value > 0, f"{name} must be positive")
+            require(math.isfinite(value), f"{name} must be finite")
         require(self.M1 < self.M2 < self.M3,
                 "level sizes must satisfy M1 < M2 < M3")
 

@@ -73,7 +73,7 @@ def lu_scenario(quick: bool = False, *, n: Optional[int] = None,
     keyword parameters are the ``--set``-able knobs."""
     from functools import partial
 
-    from repro.lab.scenarios import Scenario
+    from repro.lab.scenarios import Scenario, claims_on
 
     n = n if n is not None else (16 if quick else 32)
     points = _lu_points(n, b, P, seed, model_n, model_P)
@@ -86,6 +86,21 @@ def lu_scenario(quick: bool = False, *, n: Optional[int] = None,
         explicit=points,
         report=lambda sc, res: format_lu(_assemble_lu(res)),
         meta={"rebuild": partial(lu_scenario, quick)},
+        claims=claims_on(lambda sc, res: _assemble_lu(res), {
+            "both-correct": lambda r: r["ll_correct"] and r["rl_correct"],
+            "ll-writes-less-nvm":
+                lambda r: (r["measured"]["LL-LUNP"]["nvm_writes"]
+                           < r["measured"]["RL-LUNP"]["nvm_writes"]),
+            "rl-communicates-less":
+                lambda r: (r["measured"]["RL-LUNP"]["network"]
+                           < r["measured"]["LL-LUNP"]["network"]),
+            "model-ll-writes-less-nvm":
+                lambda r: (r["model"]["LL-LUNP"]["beta_23_words"]
+                           < r["model"]["RL-LUNP"]["beta_23_words"]),
+            "model-rl-communicates-less":
+                lambda r: (r["model"]["RL-LUNP"]["beta_nw_words"]
+                           < r["model"]["LL-LUNP"]["beta_nw_words"]),
+        }),
     )
 
 

@@ -66,7 +66,7 @@ def sec7_scenario(quick: bool = False, *, n: Optional[int] = None,
     keyword parameters are the ``--set``-able knobs."""
     from functools import partial
 
-    from repro.lab.scenarios import Scenario
+    from repro.lab.scenarios import Scenario, claims_on
 
     n = n if n is not None else (16 if quick else 32)
     P = P if P is not None else (4 if quick else 16)
@@ -81,6 +81,24 @@ def sec7_scenario(quick: bool = False, *, n: Optional[int] = None,
         explicit=points,
         report=lambda sc, res: format_sec7_model1(_assemble_sec7(res)),
         meta={"rebuild": partial(sec7_scenario, quick)},
+        claims=claims_on(lambda sc, res: _assemble_sec7(res), {
+            "both-correct": lambda r: r["correct"],
+            "plain-local-writes-over-2x-w1":
+                lambda r: (r["plain"]["l1_to_l2_writes"]
+                           > 2 * r["bounds"]["W1"]),
+            "plain-local-writes-within-2x-w2":
+                lambda r: (r["plain"]["l1_to_l2_writes"]
+                           <= 2 * r["bounds"]["W2"]),
+            "hoard-local-writes-at-w1":
+                lambda r: r["hoard"]["l1_to_l2_writes"] == r["bounds"]["W1"],
+            "same-network-volume":
+                lambda r: r["plain"]["nw_recv"] == r["hoard"]["nw_recv"],
+            "plain-reads-over-writes":
+                lambda r: (r["plain"]["l2_to_l1_reads"]
+                           > r["plain"]["l1_to_l2_writes"]),
+        }),
+        # --quick's P=4 makes W2 = 2·W1, and plain writes sit at W2
+        full_only=frozenset({"plain-local-writes-over-2x-w1"}),
     )
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Sequence
 
-from repro.distributed.costmodel import TABLE1_ROW_COUNT
+from repro.distributed import HwParams
+from repro.distributed.costmodel import (TABLE1_ROW_COUNT,
+                                         dom_beta_cost_model21)
 from repro.util import canonical_int, format_table, require
 
 __all__ = ["format_table1", "table1_scenario"]
@@ -100,7 +102,7 @@ def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
     """
     from functools import partial
 
-    from repro.lab.scenarios import Scenario
+    from repro.lab.scenarios import Scenario, claims_on
 
     points = _table1_points(n, P, c2, c3, quick)
     return Scenario(
@@ -112,7 +114,39 @@ def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
         explicit=points,
         report=lambda sc, res: format_table1(_assemble_table1(res)),
         meta={"rebuild": partial(table1_scenario, quick)},
+        claims=claims_on(lambda sc, res: _assemble_table1(res), {
+            "l2-l1-rows-identical":
+                lambda t: all(r["2DMML2"] == r["2.5DMML2"] == r["2.5DMML3"]
+                              for r in t["rows"][:2]),
+            "network-words-fall-with-replication":
+                lambda t: (_row(t, "βNW")["2DMML2"]
+                           > _row(t, "βNW")["2.5DMML2"]
+                           > _row(t, "βNW")["2.5DMML3"]),
+            "l2-algorithms-never-touch-nvm":
+                lambda t: all(r["2DMML2"] is None and r["2.5DMML2"] is None
+                              for r in t["rows"]
+                              if r["movement"] in ("L3->L2", "L2->L3")),
+            "executed-2.5d-correct":
+                lambda t: t["validation"]["numerically_correct"],
+            "executed-network-within-4x-of-model":
+                lambda t: 0.5 < t["validation"]["within_factor"] < 4.0,
+            "cheap-nvm-writes-favour-2.5dmml3":
+                lambda t: _winner(t, HwParams(beta_23=0.1, beta_32=0.1))
+                == "2.5DMML3",
+            "dear-nvm-writes-favour-2.5dmml2":
+                lambda t: _winner(t, HwParams(beta_23=100.0)) == "2.5DMML2",
+        }),
     )
+
+
+def _row(table: Dict, param: str) -> Dict:
+    return next(r for r in table["rows"] if r["param"] == param)
+
+
+def _winner(table: Dict, hw: HwParams) -> str:
+    """The Model-2.1 winner at the table's sizes on hardware *hw*."""
+    return dom_beta_cost_model21(table["n"], table["P"], table["c2"],
+                                 table["c3"], hw)["winner"]
 
 
 def format_table1(result: Dict) -> str:

@@ -10,10 +10,12 @@ extra network; the simulated 2.5DMML3ooL2 does the opposite.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Sequence
 
 from repro.distributed import HwParams
-from repro.distributed.costmodel import TABLE2_ROW_COUNT
+from repro.distributed.costmodel import (TABLE2_ROW_COUNT,
+                                         dom_beta_cost_model22)
 from repro.util import canonical_int, format_table, require
 
 __all__ = ["format_table2", "table2_scenario"]
@@ -97,7 +99,7 @@ def table2_scenario(quick: bool = False, *, n: int = 1 << 15,
     cell/dominance/validation family consistent)."""
     from functools import partial
 
-    from repro.lab.scenarios import Scenario
+    from repro.lab.scenarios import Scenario, claims_on
 
     points = _table2_points(n, P, c3, quick)
     return Scenario(
@@ -110,7 +112,52 @@ def table2_scenario(quick: bool = False, *, n: int = 1 << 15,
         explicit=points,
         report=lambda sc, res: format_table2(_assemble_table2(res)),
         meta={"rebuild": partial(table2_scenario, quick)},
+        claims=claims_on(lambda sc, res: _assemble_table2(res), {
+            # Theorem 4: SUMMA attains the NVM-write floor, 2.5D the
+            # network bound, neither both.
+            "summa-nvm-writes-within-1.01x-of-w1":
+                lambda t: _cell(t, "β23", "SUMMAL3ooL2") <= 1.01 * _w1(t),
+            "2.5d-nvm-writes-over-3x-w1":
+                lambda t: _cell(t, "β23", "2.5DMML3ooL2") > 3 * _w1(t),
+            "2.5d-network-under-summa":
+                lambda t: (_cell(t, "βNW", "2.5DMML3ooL2")
+                           < _cell(t, "βNW", "SUMMAL3ooL2")),
+            "executed-both-correct":
+                lambda t: (t["validation"]["summa_correct"]
+                           and t["validation"]["mm25d_correct"]),
+            "executed-summa-nvm-writes-at-w1":
+                lambda t: (t["validation"]["summa_nvm_writes_per_rank"]
+                           == t["validation"]["w1_floor"]),
+            "executed-2.5d-nvm-writes-over-2x-w1":
+                lambda t: (t["validation"]["mm25d_nvm_writes_per_rank"]
+                           > 2 * t["validation"]["w1_floor"]),
+            "executed-2.5d-network-under-summa":
+                lambda t: (t["validation"]["mm25d_nw_recv"]
+                           < t["validation"]["summa_nw_recv"]),
+            "dear-nvm-writes-favour-summa":
+                lambda t: _winner(t, replace(_default_hw(), beta_23=1e4))
+                == "SUMMAL3ooL2",
+            "dear-network-favours-2.5d":
+                lambda t: _winner(t, replace(_default_hw(), beta_nw=1e4,
+                                             beta_23=1.0))
+                == "2.5DMML3ooL2",
+        }),
     )
+
+
+def _cell(table: Dict, param: str, algorithm: str) -> Any:
+    return next(r for r in table["rows"] if r["param"] == param)[algorithm]
+
+
+def _w1(table: Dict) -> float:
+    """The NVM-write floor W1 = n²/P at the table's sizes."""
+    return table["n"] * table["n"] / table["P"]
+
+
+def _winner(table: Dict, hw: HwParams) -> str:
+    """The Model-2.2 winner at the table's sizes on hardware *hw*."""
+    return dom_beta_cost_model22(table["n"], table["P"], table["c3"],
+                                 hw)["winner"]
 
 
 def format_table2(result: Dict) -> str:

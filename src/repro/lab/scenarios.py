@@ -19,7 +19,8 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping,
+                    Optional, Sequence)
 
 from repro.experiments import (
     Fig2Config,
@@ -69,6 +70,7 @@ __all__ = [
     "sec4_scenario",
     "sec5_scenario",
     "sec8_scenario",
+    "claims_on",
     "fig2_rows",
     "fig5_rows",
     "sec6_rows",
@@ -135,6 +137,12 @@ class Scenario:
     odometer order).  A key of the form ``machine.<field>`` overrides that
     field of the machine spec instead of becoming a kernel parameter.
     Presets with non-cartesian structure supply ``explicit`` points.
+
+    A preset names the paper's claims its records show in ``claims``:
+    each is a predicate over ``(scenario, results)``, the results in
+    point order.  ``benchmarks/preset_digests.py`` evaluates them on
+    full-size records and the tier-1 suite on ``--quick`` records,
+    except those named in ``full_only``.
     """
 
     name: str
@@ -148,6 +156,10 @@ class Scenario:
     report: Optional[Callable[["Scenario", List[Any]], str]] = None
     #: free-form context the report assembler needs (e.g. the middles axis).
     meta: Dict[str, Any] = field(default_factory=dict)
+    #: the paper's claims these records show: name -> predicate.
+    claims: Dict[str, "Claim"] = field(default_factory=dict)
+    #: claims that hold only at full size, not on ``--quick`` records.
+    full_only: FrozenSet[str] = frozenset()
 
     def points(self) -> List[ScenarioPoint]:
         """The concrete points, each checked against its kernel's
@@ -223,6 +235,14 @@ class Scenario:
                 f"kernel {self.kernel!r} does not read machine.{name}; "
                 f"sweeping it would produce identical points (relevant "
                 f"machine fields: {sorted(fields) or 'none'}{hint})")
+
+    def failed_claims(self, results: List[Any],
+                      quick: bool = False) -> List[str]:
+        """The names of the claims *results* break; on *quick* results
+        the :attr:`full_only` claims are not evaluated."""
+        return [name for name, holds in self.claims.items()
+                if not (quick and name in self.full_only)
+                and not holds(self, results)]
 
     def render(self, results: List[Any]) -> str:
         if self.report is not None:
@@ -305,6 +325,20 @@ class Scenario:
             fixed={**self.fixed, **param_over},
             grid={k: v for k, v in self.grid.items() if k not in sets},
         )
+
+
+#: a paper claim: does it hold on a preset's results (in point order)?
+Claim = Callable[[Scenario, List[Any]], bool]
+
+
+def claims_on(view: Callable[[Scenario, List[Any]], Any],
+              preds: Mapping[str, Callable[[Any], bool]]
+              ) -> Dict[str, Claim]:
+    """Claims that each test one assembled *view* of the results (the
+    rows a preset's report prints)."""
+    def bind(pred: Callable[[Any], bool]) -> Claim:
+        return lambda sc, res: bool(pred(view(sc, res)))
+    return {name: bind(pred) for name, pred in preds.items()}
 
 
 def _default_report(scenario: Scenario, results: List[Any]) -> str:
@@ -395,6 +429,11 @@ def _flat_rows(results: List[Any]) -> List[Dict[str, Any]]:
     return [{**res.point.params, **res.record} for res in results]
 
 
+def _last(row: Dict[str, Any], counter: str = "VICTIMS.M") -> Any:
+    """A panel row's counter at the largest middle dimension."""
+    return row[counter][-1]
+
+
 # --------------------------------------------------------------------- #
 # presets
 # --------------------------------------------------------------------- #
@@ -411,6 +450,7 @@ def fig2_scenario(quick: bool = False,
                   cfg: Optional[Fig2Config] = None) -> Scenario:
     """Figure 2 decomposed into one point per (variant, middle)."""
     cfg = cfg or fig2_config(quick)
+    floor = cfg.n_outer ** 2 // cfg.line_size
     machine = MachineSpec(name="fig2-l3", cache_words=cfg.cache(),
                           line_size=cfg.line_size, policy=cfg.policy)
     points = [
@@ -429,6 +469,21 @@ def fig2_scenario(quick: bool = False,
         explicit=points,
         report=lambda sc, res: format_fig2(fig2_rows(sc, res)),
         meta={"cfg": cfg},
+        claims=claims_on(fig2_rows, {
+            "co-writebacks-grow-4x":
+                lambda r: _last(r[0]) > 4 * r[0]["VICTIMS.M"][0],
+            "co-ends-4x-above-floor": lambda r: _last(r[0]) > 4 * floor,
+            "mkl-at-least-co": lambda r: _last(r[1]) >= _last(r[0]),
+            "wa-under-half-of-co":
+                lambda r: all(_last(w) < _last(r[0]) / 2 for w in r[2:]),
+            "smallest-blocking-fewest-writebacks":
+                lambda r: _last(r[2]) <= _last(r[-1]),
+            "smallest-blocking-most-e-fills":
+                lambda r: _last(r[2], "FILLS.E") >= _last(r[-1], "FILLS.E"),
+        }),
+        # at --quick size CO ends at exactly 4x its start and the floor
+        full_only=frozenset({"co-writebacks-grow-4x",
+                             "co-ends-4x-above-floor"}),
     )
 
 
@@ -436,6 +491,7 @@ def fig5_scenario(quick: bool = False,
                   cfg: Optional[Fig2Config] = None) -> Scenario:
     """Figure 5 decomposed into one point per (column, blocking, middle)."""
     cfg = cfg or fig2_config(quick)
+    floor = cfg.n_outer ** 2 // cfg.line_size
     machine = MachineSpec(name="fig5-l3", cache_words=cfg.cache(),
                           line_size=cfg.line_size, policy=cfg.policy)
     points = [
@@ -454,6 +510,19 @@ def fig5_scenario(quick: bool = False,
         explicit=points,
         report=lambda sc, res: format_fig5(fig5_rows(sc, res)),
         meta={"cfg": cfg},
+        claims=claims_on(fig5_rows, {
+            "wa-largest-blocking-over-2x-floor":
+                lambda c: _last(c["multilevel-wa"][-1]) > 2 * floor,
+            "ab-largest-blocking-under-1.5x-floor":
+                lambda c: _last(c["two-level-ab"][-1]) < 1.5 * floor,
+            "wa-smallest-blocking-under-2x-floor":
+                lambda c: _last(c["multilevel-wa"][0]) < 2 * floor,
+            "ab-smallest-blocking-under-1.5x-floor":
+                lambda c: _last(c["two-level-ab"][0]) < 1.5 * floor,
+            "ab-e-fills-within-1.2x-of-wa-smallest":
+                lambda c: (_last(c["two-level-ab"][-1], "FILLS.E")
+                           <= _last(c["multilevel-wa"][0], "FILLS.E") * 1.2),
+        }),
     )
 
 
@@ -487,7 +556,30 @@ def sec6_scenario(
         },
         report=lambda sc, res: format_sec6(sec6_rows(sc, res)),
         meta={"floor": n * n // line},
+        claims=claims_on(_sec6_view, {
+            "prop61-wa2-lru-5-blocks-at-floor":
+                lambda v: v["wa2", 5, "lru"]["writebacks"] == n * n // line,
+            "ab-lru-3-blocks-under-1.2x-floor":
+                lambda v: v["ab-multilevel", 3, "lru"]["ratio"] < 1.2,
+            "wa-multilevel-lru-3-blocks-over-1.5x-floor":
+                lambda v: v["wa-multilevel", 3, "lru"]["ratio"] > 1.5,
+            "belady-fills-at-most-lru":
+                lambda v: all(v[s, b, "belady"]["fills"]
+                              <= v[s, b, "lru"]["fills"]
+                              for s in ("wa2", "ab-multilevel")
+                              for b in (3, 5)),
+            "clock-wa2-5-blocks-within-3x-of-lru":
+                lambda v: (v["wa2", 5, "clock"]["writebacks"]
+                           <= 3 * v["wa2", 5, "lru"]["writebacks"]),
+        }),
     )
+
+
+def _sec6_view(scenario: Scenario, results: List[Any]
+               ) -> Dict[Any, Dict[str, Any]]:
+    """The sec6 rows by (scheme, capacity in blocks, policy)."""
+    return {(r["scheme"], r["capacity_blocks"], r["policy"]): r
+            for r in sec6_rows(scenario, results)}
 
 
 def nvm_matmul_scenario(quick: bool = False) -> Scenario:
@@ -576,7 +668,27 @@ def prop62_scenario(quick: bool = False) -> Scenario:
                     "vs the output floor across capacities and policies",
         explicit=points,
         report=_prop62_report,
+        claims=claims_on(_prop62_view, {
+            "writebacks-at-least-floor":
+                lambda v: all(rec["writebacks"] >= rec["write_lb"]
+                              for rec in v.values()),
+            "lru-at-floor-from-3-blocks":
+                lambda v: all(rec["writebacks"] == rec["write_lb"]
+                              for (_, blocks, policy), rec in v.items()
+                              if policy == "lru" and blocks >= 3),
+            "belady-fills-at-most-lru":
+                lambda v: all(rec["fills"] <= v[kernel, blocks, "lru"]["fills"]
+                              for (kernel, blocks, policy), rec in v.items()
+                              if policy == "belady"),
+        }),
     )
+
+
+def _prop62_view(scenario: Scenario, results: List[Any]
+                 ) -> Dict[Any, Dict[str, Any]]:
+    """Records by (kernel, capacity in blocks, policy)."""
+    return {(res.point.kernel, res.point.params["cache_blocks"],
+             res.point.machine.policy): res.record for res in results}
 
 
 def _prop62_report(scenario: Scenario, results: List[Any]) -> str:
@@ -756,7 +868,31 @@ def sec3_scenario(quick: bool = False) -> Scenario:
                                 {"algorithm": alg, "n": n, "M": M})
                   for alg, n, M in cases],
         report=lambda sc, res: format_sec3(_flat_rows(res)),
+        claims=claims_on(lambda sc, res: _flat_rows(res), {
+            "fft-strassen-stores-at-least-theorem2":
+                lambda r: all(x["stores"] >= x["theorem2_lb"]
+                              for x in _of(r, "fft", "strassen")),
+            "fft-strassen-stores-over-0.2-of-traffic":
+                lambda r: all(x["store_fraction"] > 0.2
+                              for x in _of(r, "fft", "strassen")),
+            "largest-fft-stores-over-3x-output":
+                lambda r: (_of(r, "fft")[-1]["stores"]
+                           > 3 * _of(r, "fft")[-1]["output_size"]),
+            "fft-stores-superlinear-in-n":
+                lambda r: (_of(r, "fft")[-1]["stores"]
+                           / _of(r, "fft")[0]["stores"]
+                           > _of(r, "fft")[-1]["n"] / _of(r, "fft")[0]["n"]),
+            "wa-matmul-stores-equal-output":
+                lambda r: all(x["stores"] == x["output_size"]
+                              for x in _of(r, "matmul")),
+        }),
     )
+
+
+def _of(rows: List[Dict[str, Any]], *algorithms: str
+        ) -> List[Dict[str, Any]]:
+    """The rows of the named algorithms, in point order."""
+    return [r for r in rows if r["algorithm"] in algorithms]
 
 
 def sec4_scenario(quick: bool = False) -> Scenario:
@@ -780,7 +916,36 @@ def sec4_scenario(quick: bool = False) -> Scenario:
                                  "n": 32, "b": 4, "seed": 0})
                   for alg, variant in cases],
         report=lambda sc, res: format_sec4(_flat_rows(res)),
+        claims=claims_on(_sec4_view, {
+            "k-innermost-matmul-writes-equal-output":
+                lambda v: all(v["matmul", o]["writes_to_slow"]
+                              == v["matmul", o]["output_size"]
+                              for o in ("ijk", "jik")),
+            "other-matmul-orders-write-over-2x-output":
+                lambda v: all(v["matmul", o]["writes_to_slow"]
+                              > 2 * v["matmul", o]["output_size"]
+                              for o in ("ikj", "kij", "jki", "kji")),
+            "trsm-left-looking-wa": lambda v: v["trsm", "left-looking"]["wa"],
+            "trsm-right-looking-not-wa":
+                lambda v: not v["trsm", "right-looking"]["wa"],
+            "cholesky-left-looking-wa":
+                lambda v: v["cholesky", "left-looking"]["wa"],
+            "cholesky-right-looking-not-wa":
+                lambda v: not v["cholesky", "right-looking"]["wa"],
+            "nbody2-blocked-wa": lambda v: v["nbody2", "blocked"]["wa"],
+            "nbody2-symmetry-not-wa":
+                lambda v: not v["nbody2", "symmetry"]["wa"],
+            "nbody3-blocked-wa": lambda v: v["nbody3", "blocked"]["wa"],
+            "theorem1-every-row": lambda v: all(r["theorem1"]
+                                                for r in v.values()),
+        }),
     )
+
+
+def _sec4_view(scenario: Scenario, results: List[Any]
+               ) -> Dict[Any, Dict[str, Any]]:
+    """Rows by (algorithm, variant)."""
+    return {(r["algorithm"], r["variant"]): r for r in _flat_rows(results)}
 
 
 def sec5_scenario(quick: bool = False) -> Scenario:
@@ -795,12 +960,23 @@ def sec5_scenario(quick: bool = False) -> Scenario:
         fixed={"n": 32, "seed": 0},
         grid={"M": [3 * 4, 3 * 16, 3 * 64]},
         report=lambda sc, res: format_sec5(_flat_rows(res)),
+        claims=claims_on(lambda sc, res: _flat_rows(res), {
+            "co-stores-shrink-with-M":
+                lambda r: r[0]["co_stores"] > r[-1]["co_stores"],
+            "co-over-4x-output-at-smallest-M":
+                lambda r: r[0]["co_over_output"] > 4,
+            "wa-stores-equal-output":
+                lambda r: all(x["wa_stores"] == x["output"] for x in r),
+            "co-stores-over-wa":
+                lambda r: all(x["co_stores"] > x["wa_stores"] for x in r),
+        }),
     )
 
 
 def sec8_scenario(quick: bool = False) -> Scenario:
     """Section 8: CG against plain and streaming CA-CG over s, on a 1-D
     stencil of ``mesh`` points."""
+    W = "writes_per_step"
     machine = MachineSpec(name="krylov-sim")
     mesh = 128 if quick else 256
     block = 32 if quick else 64
@@ -819,7 +995,29 @@ def sec8_scenario(quick: bool = False) -> Scenario:
         description="Section 8: CG vs (streaming) CA-CG writes per step",
         explicit=points,
         report=_sec8_report,
+        claims=claims_on(_sec8_view, {
+            "all-converge": lambda v: all(r["converged"] for r in v.values()),
+            "streaming-writes-fall-with-s":
+                lambda v: v["stream", 2][W] > v["stream", 4][W]
+                > v["stream", 8][W],
+            "streaming-s8-under-half-of-cg":
+                lambda v: v["stream", 8][W] < v["cg", 1][W] / 2,
+            "plain-cacg-s8-over-2x-streaming":
+                lambda v: v["plain", 8][W] > 2 * v["stream", 8][W],
+            "streaming-flops-within-2.1x-of-plain":
+                lambda v: all(v["stream", s]["flops"]
+                              <= 2.1 * v["plain", s]["flops"]
+                              for s in (2, 4, 8)),
+        }),
     )
+
+
+def _sec8_view(scenario: Scenario, results: List[Any]
+               ) -> Dict[Any, Dict[str, Any]]:
+    """Rows by (CG, plain or streaming CA-CG, s)."""
+    short = {"CG": "cg", "CA-CG": "plain", "CA-CG streaming": "stream"}
+    return {(short[r["method"]], r.get("s", 1)): r
+            for r in _flat_rows(results)}
 
 
 def _sec8_report(scenario: Scenario, results: List[Any]) -> str:

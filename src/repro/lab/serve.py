@@ -26,7 +26,10 @@ the rest of the lab.  Endpoints:
     compute.
 
 ``GET /jobs/<id>``
-    JSON status; with ``?sse=1`` (or ``Accept: text/event-stream``) a
+    JSON status (404 for an id never issued; 410 for a finished job the
+    daemon has forgotten: it keeps the last :data:`MAX_FINISHED_JOBS`
+    finished jobs, and a re-submitted request is served from cache);
+    with ``?sse=1`` (or ``Accept: text/event-stream``) a
     Server-Sent-Events stream of the job's :class:`RunTrace` events —
     spans, per-point paths, counters — live while the sweep runs,
     ending with the trace summary and an ``event: done`` terminator.
@@ -65,8 +68,10 @@ import queue
 import socket
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Deque, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 from urllib.parse import parse_qs, urlparse
 
 from repro.lab import telemetry
@@ -81,6 +86,10 @@ __all__ = ["Job", "JobManager", "ServeDaemon"]
 
 #: job states a subscriber can no longer observe progress from.
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: finished jobs the daemon keeps (their rows and traces); beyond it the
+#: oldest to finish is forgotten, and its id answers 410.
+MAX_FINISHED_JOBS = 256
 
 
 # --------------------------------------------------------------------- #
@@ -193,6 +202,9 @@ class JobManager:
       uncached grid share one execution.
     * All sweeps run on one runner thread with ``jobs`` workers: the
       worker budget is shared across jobs, never multiplied by them.
+    * At most :data:`MAX_FINISHED_JOBS` finished jobs are kept, the
+      oldest to finish forgotten first; a queued or running job is
+      never forgotten.  A forgotten job's metrics stay in ``/metrics``.
     """
 
     def __init__(self, cache: Optional[ResultCache],
@@ -202,6 +214,10 @@ class JobManager:
         self.executions = 0  #: sweeps actually run (cache-served excluded)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()
+        self._forgotten: Set[str] = set()
+        self._forgotten_metrics = MetricsRegistry()
+        self._forgotten_status: Dict[str, int] = {}
         self._inflight: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._seq = itertools.count(1)
@@ -230,9 +246,36 @@ class JobManager:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def forgot(self, job_id: str) -> bool:
+        with self._lock:
+            return job_id in self._forgotten
+
     def jobs_snapshot(self) -> List[Job]:
         with self._lock:
             return list(self._jobs.values())
+
+    def metrics_snapshot(self) -> Tuple[List[Job], MetricsRegistry,
+                                        Dict[str, int]]:
+        """The kept jobs, plus the merged metrics and status counts of
+        the forgotten ones, taken together."""
+        with self._lock:
+            return (list(self._jobs.values()),
+                    MetricsRegistry.from_dict(
+                        self._forgotten_metrics.as_dict()),
+                    dict(self._forgotten_status))
+
+    def _retire(self, job: Job) -> None:
+        """Count *job* as finished, and forget the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                old = self._jobs.pop(self._finished.popleft())
+                self._forgotten.add(old.id)
+                self._forgotten_metrics.merge(
+                    MetricsRegistry.from_events(old.trace.events))
+                self._forgotten_status[old.status] = (
+                    self._forgotten_status.get(old.status, 0) + 1)
 
     def _new_job(self, key: str, label: str,
                  points: Sequence[ScenarioPoint]) -> Job:
@@ -255,6 +298,7 @@ class JobManager:
             job = self._new_job(key, label, points)
             try:
                 self._run_cached(job)
+                self._retire(job)
                 return job, "cached"
             except MissingResultsError:
                 pass  # raced a gc between probe and read: run it cold
@@ -344,6 +388,7 @@ class JobManager:
                 del self._inflight[job.key]
         job.trace.finish(status=status)
         job._finish(status)
+        self._retire(job)
 
     # ------------------------------------------------------------------ #
     def stop(self, drain: bool = True) -> None:
@@ -482,21 +527,33 @@ class _Handler(BaseHTTPRequestHandler):
                       "results": f"/results/{job.id}"}})
         return code
 
+    def _lookup(self, job_id: str) -> Tuple[Optional[Job], int]:
+        """The job *job_id* names, or ``None`` after answering 410 (it
+        finished and was forgotten) or 404 (never issued)."""
+        manager = self.daemon.manager
+        job = manager.get(job_id)
+        if job is not None:
+            return job, 200
+        if manager.forgot(job_id):
+            self._send_json(410, {"error": f"job {job_id!r} finished and "
+                                           f"was forgotten; re-submit it"})
+            return None, 410
+        self._send_json(404, {"error": f"no such job {job_id!r}"})
+        return None, 404
+
     def _post_cancel(self, job_id: str) -> int:
-        job = self.daemon.manager.get(job_id)
+        job, code = self._lookup(job_id)
         if job is None:
-            self._send_json(404, {"error": f"no such job {job_id!r}"})
-            return 404
+            return code
         job.cancel_requested = True
         self._send_json(200, {"job": job.id, "status": job.status,
                               "cancel_requested": True})
         return 200
 
     def _get_job(self, job_id: str, query: str) -> int:
-        job = self.daemon.manager.get(job_id)
+        job, code = self._lookup(job_id)
         if job is None:
-            self._send_json(404, {"error": f"no such job {job_id!r}"})
-            return 404
+            return code
         wants_sse = (parse_qs(query).get("sse", ["0"])[0] not in
                      ("0", "", "false")) or \
             "text/event-stream" in (self.headers.get("Accept") or "")
@@ -541,10 +598,9 @@ class _Handler(BaseHTTPRequestHandler):
                          .encode("utf-8"))
 
     def _get_results(self, job_id: str, query: str) -> int:
-        job = self.daemon.manager.get(job_id)
+        job, code = self._lookup(job_id)
         if job is None:
-            self._send_json(404, {"error": f"no such job {job_id!r}"})
-            return 404
+            return code
         if job.rows is None:
             self._send_json(409, {**job.describe(),
                                   "error": f"job is {job.status}; "
@@ -659,11 +715,12 @@ class ServeDaemon:
         :class:`MetricsRegistry`."""
         with self._trace_lock:
             events: List[Dict[str, Any]] = list(self.trace.events)
-        by_status: Dict[str, int] = {}
-        for job in self.manager.jobs_snapshot():
+        jobs, forgotten, by_status = self.manager.metrics_snapshot()
+        for job in jobs:
             events.extend(list(job.trace.events))
             by_status[job.status] = by_status.get(job.status, 0) + 1
         registry = MetricsRegistry.from_events(events)
+        registry.merge(forgotten)
         return {"schema_version": telemetry.SCHEMA_VERSION,
                 "metrics": registry.as_dict(),
                 "jobs": by_status,

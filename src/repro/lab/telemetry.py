@@ -105,6 +105,21 @@ class MetricsRegistry:
             h["min"] = min(h["min"], value)
             h["max"] = max(h["max"], value)
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Add *other*'s counters and histograms into this registry, as
+        if its events had been aggregated here (its gauges win)."""
+        for name, value in other.counters.items():
+            self.count(name, value)
+        self.gauges.update(other.gauges)
+        for name, theirs in other.histograms.items():
+            h = self.histograms.setdefault(name, {"count": 0, "total": 0.0,
+                                                  "min": theirs["min"],
+                                                  "max": theirs["max"]})
+            h["count"] += theirs["count"]
+            h["total"] += theirs["total"]
+            h["min"] = min(h["min"], theirs["min"])
+            h["max"] = max(h["max"], theirs["max"])
+
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, Any]:
         return {"counters": dict(self.counters),

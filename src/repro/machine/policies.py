@@ -266,7 +266,10 @@ class ClockPolicy(ReplacementPolicy):
                dirty: dict[int, bool]) -> ReplayCounts:
         """Whole-trace clock, without the O(capacity) scans per miss.
 
-        * A fill takes the first empty slot from the hand.
+        * A fill takes the first empty slot from the hand.  Holes never
+          reappear in a replay and the hand moves only on an eviction,
+          which waits until no hole is left: so the fills take the
+          holes in cyclic order from the starting hand, listed once.
         * An eviction happens only in a full set, where every mark is
           at least the minimum mark ``m``: ``choose_victim``'s ``m``
           decrement sweeps lower every mark by exactly ``m`` and then
@@ -290,6 +293,8 @@ class ClockPolicy(ReplacementPolicy):
         off = 0
         hand = self._hand
         resident = len(where)
+        holes = iter([i for i in range(hand, cap) if slots[i] is None]
+                     + [i for i in range(hand) if slots[i] is None])
         hits = victims_m = victims_e = 0
         victim: Optional[int] = None
         victim_dirty = False
@@ -307,10 +312,7 @@ class ClockPolicy(ReplacementPolicy):
                     level[m + 1] += 1
                 continue
             if resident < cap:
-                try:
-                    i = slots.index(None, hand)
-                except ValueError:
-                    i = slots.index(None)
+                i = next(holes)
                 resident += 1
             else:
                 m = 0

@@ -1,9 +1,9 @@
 """Integration tests over the paper's table presets (small configs).
 
-The benchmarks assert the paper's shapes at benchmark scale; these tests
-check each table's structure, determinism, and formatting at the
-smallest viable scale so the whole table/figure pipeline is exercised in
-the unit suite too.
+Each preset's claims assert the paper's shapes on its records
+(``tests/test_preset_claims.py``); these tests check each table's
+structure, determinism, and formatting at the smallest viable scale so
+the whole table/figure pipeline is exercised in the unit suite too.
 """
 
 from repro.experiments import (

@@ -144,6 +144,8 @@ MEASURED = [
     ("summa-2d", ["n=0"], "n"),
     ("matmul-cache", MM_SETS + ["machine.write_slow=inf"],
      "machine.write_slow"),
+    ("cost-2d-mm", ["--hw=beta_nw=inf"], "beta_nw"),
+    ("cost-2d-mm", ["--hw=M3=inf"], "M3"),
 ]
 
 
@@ -156,7 +158,7 @@ def test_unrunnable_request_exits_2_naming_the_field(kernel, sets, field,
     all-zero or infinite-energy record)."""
     argv = ["sweep", "--kernel", kernel, "--no-cache"]
     for item in sets:
-        argv += ["--set", item]
+        argv += [item] if item.startswith("--") else ["--set", item]
     assert lab_main(argv) == 2
     err = capsys.readouterr().err
     assert field in err
@@ -182,6 +184,7 @@ def test_out_of_regime_cost_point_stays_a_record(capsys):
     ({"seed": "x"}, "machine.seed"),
     ({"hw": {"beta_99": 1.0}}, "beta_99"),
     ({"hw": {"M1": 1e12}}, "M1"),
+    ({"hw": {"beta_nw": math.inf}}, "beta_nw"),
 ])
 def test_machine_spec_validates_every_field(fields, named):
     """A spec built directly used to take any value; construction,

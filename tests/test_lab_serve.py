@@ -368,6 +368,8 @@ class TestSweepLifecycle:
         ({"kernel": "matmul-cache",
           "set": {**MATMUL_CO, "c_touch_hint": "nope"}}, "c_touch_hint"),
         ({"kernel": "summa-2d", "set": {"n": 0}}, "n"),
+        ({"kernel": "cost-2d-mm", "hw": {"beta_nw": "inf"}}, "beta_nw"),
+        ({"kernel": "cost-2d-mm", "hw": {"M3": "inf"}}, "M3"),
     ])
     def test_undeclared_value_or_key_is_a_400(self, daemon, body, field):
         """Each of these jobs used to fail inside the run or finish with
@@ -479,6 +481,55 @@ class TestMetrics:
         assert "span.http_request.seconds" in reg.histograms
         assert reg.counters["serve.request"] == 2
         assert reg.counters["serve.cache_hit"] == 1
+
+
+def _code(url, path):
+    try:
+        return _get(url, path)[0]
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
+class TestJobRetention:
+    """The daemon used to keep every job (rows and trace) for its whole
+    life: ~40 KB per cache-served request.  Now it keeps the last
+    ``MAX_FINISHED_JOBS`` finished ones."""
+
+    def test_oldest_finished_job_is_forgotten_never_a_running_one(
+            self, daemon, gated_execute, monkeypatch):
+        monkeypatch.setattr(serve_module, "MAX_FINISHED_JOBS", 1)
+        entered, release = gated_execute
+        release.set()
+        _, cold = _post(daemon.url, "/sweep", GRID_BODY)
+        TestSweepLifecycle()._wait_done(daemon.url, cold["job"])
+
+        release.clear()
+        running = {}
+        t = threading.Thread(target=lambda: running.update(_post(
+            daemon.url, "/sweep", {**GRID_BODY, "set": {"n": 2048}})[1]))
+        t.start()
+        _wait_for(lambda: "job" in running)
+        warm = [_post(daemon.url, "/sweep", GRID_BODY)[1]["job"]
+                for _ in range(2)]
+        for job_id in (cold["job"], warm[0]):
+            for path in (f"/jobs/{job_id}", f"/results/{job_id}"):
+                assert _code(daemon.url, path) == 410
+        assert _code(daemon.url, f"/jobs/{warm[1]}") == 200
+        assert _code(daemon.url, f"/jobs/{running['job']}") == 200
+
+        release.set()
+        t.join(10)
+        TestSweepLifecycle()._wait_done(daemon.url, running["job"])
+        assert _code(daemon.url, f"/results/{running['job']}") == 200
+        assert _code(daemon.url, f"/jobs/{warm[1]}") == 410
+        assert _code(daemon.url, "/jobs/job-9999-deadbeef") == 404
+        assert len(daemon.manager.jobs_snapshot()) == 1
+
+        # the forgotten jobs still count in /metrics
+        _, payload = _get(daemon.url, "/metrics")
+        assert payload["jobs"] == {"done": 4}
+        assert payload["metrics"]["histograms"][
+            "span.sweep.seconds"]["count"] == 4
 
 
 class TestListenBacklog:

@@ -119,6 +119,26 @@ def test_scalar_replay_equals_access_loop(start, policy, cap, prefix,
     """``run_lines`` resumes from any state the per-access loop could be
     in — empty, partly filled, or emptied by ``flush()`` with the clock
     hand left mid-set — and leaves one the loop can carry on from."""
+    _check_replay_against_loop(start, policy, cap, prefix, events, tail)
+
+
+@pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
+def test_scalar_replay_equals_access_loop_on_a_large_cold_fill(policy):
+    """The same parity where fill order shows: a 1000-line set flushed
+    with the clock hand a third of the way in, then filled cold (the
+    fills wrap past the hand) and driven into evictions."""
+    cap = 1000
+    rng = np.random.default_rng(0)
+    prefix = [(line, False) for line in range(cap + cap // 3)]
+    events = [(2 * cap + i, i % 3 == 0) for i in range(cap)]
+    events += [(int(line), bool(w)) for line, w in
+               zip(rng.integers(2 * cap, 4 * cap, 3000),
+                   rng.random(3000) < 0.3)]
+    _check_replay_against_loop("flushed", policy, cap, prefix, events,
+                               events[:50])
+
+
+def _check_replay_against_loop(start, policy, cap, prefix, events, tail):
     replayed = CacheSim(cap, line_size=1, policy=policy)
     looped = CacheSim(cap, line_size=1, policy=policy)
     if start != "empty":
