@@ -10,22 +10,21 @@ Subpackages
     paper's hardware counters.
 ``repro.core``
     The paper's sequential WA kernels (blocked matmul, TRSM, Cholesky,
-    N-body) and the non-WA comparators (cache-oblivious matmul, Strassen,
-    Cooley–Tukey FFT), all numerically executable and traffic-instrumented.
+    N-body) and the non-WA cache-oblivious matmul, all numerically
+    executable and traffic-instrumented.
 ``repro.cdag``
     Computation DAGs, Theorem-2 bounds, and a red-blue pebbler.
 ``repro.bounds``
     The lower-bound catalogue (Theorems 1, 3, 4; Corollaries 1, 4).
 ``repro.distributed``
     A simulated distributed machine with per-channel counters, SUMMA /
-    Cannon / 2.5D matmul, parallel LU, and the Table-1/Table-2 cost models.
+    2.5D matmul, parallel LU, and the Table-1/Table-2 cost models.
 ``repro.krylov``
     CG, s-step CA-CG, and the blocked/streaming matrix-powers kernels with
     write counting.
 ``repro.experiments``
-    The paper's table layouts and table-specific kernels;
-    ``python -m repro.experiments NAME`` regenerates a table under its
-    legacy name.
+    The paper's table layouts and table-specific kernels, which the
+    ``repro.lab`` presets print (``repro-lab run fig2``).
 ``repro.lab``
     The scenario-sweep engine: string-keyed registries of kernels, machine
     models (including NVM-style asymmetric read/write costs) and policies;
@@ -42,10 +41,8 @@ from repro.core import (
     blocked_matmul,
     blocked_trsm,
     co_matmul,
-    fft,
     nbody2,
     nbody_k,
-    strassen_matmul,
     wa_block_size,
     wa_matmul_multilevel,
 )
@@ -63,10 +60,8 @@ __all__ = [
     "blocked_matmul",
     "blocked_trsm",
     "co_matmul",
-    "fft",
     "nbody2",
     "nbody_k",
-    "strassen_matmul",
     "wa_block_size",
     "wa_matmul_multilevel",
     "parallel_mm_bounds",

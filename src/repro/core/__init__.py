@@ -22,18 +22,7 @@ from repro.core.nbody import (
     nbody_k,
     triple_phi3,
 )
-from repro.core.cache_oblivious import (
-    co_matmul,
-    co_task_order,
-    ideal_cache_misses,
-)
-from repro.core.strassen import (
-    OMEGA0,
-    strassen_lower_bound,
-    strassen_matmul,
-    strassen_traffic,
-)
-from repro.core.fft import dft_direct, fft, fft_traffic, four_step_fft
+from repro.core.cache_oblivious import co_matmul, ideal_cache_misses
 from repro.core.traces import (
     MATMUL_SCHEMES,
     cholesky_trace,
@@ -42,15 +31,7 @@ from repro.core.traces import (
     nbody_trace,
     trsm_trace,
 )
-from repro.core.lu import blocked_lu, lu_expected_counts, unpack_lu
 from repro.core.multilevel_factor import cholesky_multilevel, trsm_multilevel
-from repro.core.apsp import apsp_expected_writes, floyd_warshall_blocked
-from repro.core.qr import apply_q, blocked_qr, qr_expected_counts
-from repro.core.sorting import (
-    external_merge_sort,
-    selection_sort_wa,
-    sorting_traffic_lb,
-)
 
 __all__ = [
     "LOOP_ORDERS",
@@ -72,33 +53,13 @@ __all__ = [
     "nbody_k",
     "triple_phi3",
     "co_matmul",
-    "co_task_order",
     "ideal_cache_misses",
-    "OMEGA0",
-    "strassen_lower_bound",
-    "strassen_matmul",
-    "strassen_traffic",
-    "dft_direct",
-    "fft",
-    "fft_traffic",
-    "four_step_fft",
     "MATMUL_SCHEMES",
     "cholesky_trace",
     "hierarchical_task_order",
     "matmul_trace",
     "nbody_trace",
     "trsm_trace",
-    "blocked_lu",
-    "lu_expected_counts",
-    "unpack_lu",
     "cholesky_multilevel",
     "trsm_multilevel",
-    "external_merge_sort",
-    "selection_sort_wa",
-    "sorting_traffic_lb",
-    "apsp_expected_writes",
-    "floyd_warshall_blocked",
-    "apply_q",
-    "blocked_qr",
-    "qr_expected_counts",
 ]

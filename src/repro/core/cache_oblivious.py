@@ -11,23 +11,25 @@ Provided here:
   optionally charging traffic to a two-level hierarchy with the standard
   CO accounting (a subproblem that fits in fast memory is loaded once,
   computed, and its C output stored once — the ideal-cache execution).
-* :func:`co_task_order` — the sequence of base-case block tasks the
-  recursion generates (used by the trace generators for Figure 2a).
 * :func:`ideal_cache_misses` — the closed-form ideal-cache miss count from
   Figure 2a's caption (the black "Misses on Ideal Cache" line).
+
+The same recursion's task order, which the Figure-2a traces replay, is
+:func:`repro.core.traces.hierarchical_task_order` with one
+``("co", base)`` level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.machine.hierarchy import TwoLevel
 from repro.util import ceil_div, require
 
-__all__ = ["co_matmul", "co_task_order", "ideal_cache_misses"]
+__all__ = ["co_matmul", "ideal_cache_misses"]
 
 
 def co_matmul(
@@ -92,35 +94,6 @@ def co_matmul(
 
     rec(0, m, 0, l, 0, n, False)
     return C
-
-
-def co_task_order(
-    m: int, n: int, l: int, base: int
-) -> Iterator[Tuple[int, int, int, int, int, int]]:
-    """Yield the base-case tasks ``(i0, i1, j0, j1, k0, k1)`` of the CO
-    recursion, in execution order (the Z-order-like curve of Figure 2a)."""
-    require(base >= 1, f"base must be >= 1, got {base}")
-
-    def rec(i0, i1, j0, j1, k0, k1):
-        mi, li, ni = i1 - i0, j1 - j0, k1 - k0
-        if mi <= base and li <= base and ni <= base:
-            yield (i0, i1, j0, j1, k0, k1)
-            return
-        big = max(mi, ni, li)
-        if big == mi:
-            h = mi // 2
-            yield from rec(i0, i0 + h, j0, j1, k0, k1)
-            yield from rec(i0 + h, i1, j0, j1, k0, k1)
-        elif big == ni:
-            h = ni // 2
-            yield from rec(i0, i1, j0, j1, k0, k0 + h)
-            yield from rec(i0, i1, j0, j1, k0 + h, k1)
-        else:
-            h = li // 2
-            yield from rec(i0, i1, j0, j0 + h, k0, k1)
-            yield from rec(i0, i1, j0 + h, j1, k0, k1)
-
-    yield from rec(0, m, 0, l, 0, n)
 
 
 def ideal_cache_misses(

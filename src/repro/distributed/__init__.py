@@ -10,7 +10,6 @@ against the analytic cost models of :mod:`repro.distributed.costmodel`.
 
 from repro.distributed.machine import DistMachine, RankCounters
 from repro.distributed.summa import summa_2d, summa_l3_ool2
-from repro.distributed.cannon import cannon_2d
 from repro.distributed.mm25d import mm_25d
 from repro.distributed.lu import lu_ll_nonpivot, lu_rl_nonpivot
 from repro.distributed.costmodel import (
@@ -28,7 +27,6 @@ __all__ = [
     "RankCounters",
     "summa_2d",
     "summa_l3_ool2",
-    "cannon_2d",
     "mm_25d",
     "lu_ll_nonpivot",
     "lu_rl_nonpivot",

@@ -6,8 +6,7 @@ whatever is specific to that table: the Figure-2/5 geometry
 (:class:`Fig2Config`), the point kernels of Sections 3–5, or the
 ``*_scenario`` decompositions of Tables 1–2, Section 7 and the LU
 trade-off.  The numbers themselves come from the ``repro.lab`` presets
-(``repro-lab run fig2``); ``python -m repro.experiments NAME`` is an
-alias for them under the legacy names.
+(``repro-lab run fig2``).
 """
 
 from repro.experiments.fig2 import Fig2Config, format_fig2

@@ -499,6 +499,7 @@ def rule_r5(cfg: Any, index: ProjectIndex, reg: RegistryView
     method_vocab: Mapping[str, Tuple[str, frozenset]] = {
         "span": ("span", spans),
         "emit_span": ("span", spans),
+        "observe_span": ("span", spans),
         "counter": ("counter", counters),
         "phase": ("phase", phases),
     }

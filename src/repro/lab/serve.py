@@ -41,10 +41,11 @@ the rest of the lab.  Endpoints:
     calls the very same :func:`repro.lab.executor.execute`.
 
 ``GET /metrics``
-    The :class:`~repro.lab.telemetry.MetricsRegistry` aggregated from
-    the server's own trace plus every job trace — schema-v1 events in,
-    the standard counters/gauges/histograms dict out.  No second
-    metrics format is invented here.
+    The :class:`~repro.lab.telemetry.MetricsRegistry` of the server's
+    own counters and request spans, merged with the one aggregated from
+    every job trace — schema-v1 events in, the standard
+    counters/gauges/histograms dict out.  No second metrics format is
+    invented here.
 
 ``POST /jobs/<id>/cancel``
     Ask a queued/running job to stop at the next task boundary (the
@@ -462,106 +463,94 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         t0 = time.monotonic()
         path = urlparse(self.path).path
-        status = 500
         try:
             if path == "/sweep":
-                status = self._post_sweep()
+                self._post_sweep()
             elif path.startswith("/jobs/") and path.endswith("/cancel"):
-                status = self._post_cancel(path[len("/jobs/"):
-                                                -len("/cancel")])
+                self._post_cancel(path[len("/jobs/"):-len("/cancel")])
             else:
-                status = 404
                 self._send_json(404, {"error": f"no such route {path}"})
         except ValueError as exc:
-            status = 400
             self._send_json(400, {"error": str(exc)})
         except (BrokenPipeError, ConnectionResetError):
             return  # client went away; nothing to answer
         finally:
-            self.daemon.record_request("POST", path, status, t0)
+            self.daemon.record_request(t0)
 
     def do_GET(self) -> None:
         t0 = time.monotonic()
         parsed = urlparse(self.path)
         path = parsed.path
-        status = 500
         try:
             if path == "/metrics":
-                status = self._get_metrics()
+                self._send_json(200, self.daemon.metrics_payload())
             elif path == "/healthz":
-                status = 200
                 self._send_json(200, {"ok": True,
                                       "accepting": self.daemon.accepting})
             elif path.startswith("/jobs/"):
-                status = self._get_job(path[len("/jobs/"):], parsed.query)
+                self._get_job(path[len("/jobs/"):], parsed.query)
             elif path.startswith("/results/"):
-                status = self._get_results(path[len("/results/"):],
-                                           parsed.query)
+                self._get_results(path[len("/results/"):], parsed.query)
             else:
-                status = 404
                 self._send_json(404, {"error": f"no such route {path}"})
         except (BrokenPipeError, ConnectionResetError):
             return  # a disconnected SSE client is routine, not an error
         finally:
-            self.daemon.record_request("GET", path, status, t0)
+            self.daemon.record_request(t0)
 
     # ------------------------------------------------------------------ #
-    def _post_sweep(self) -> int:
+    def _post_sweep(self) -> None:
         daemon = self.daemon
         if not daemon.accepting:
             self._send_json(503, {"error": "shutting down"})
-            return 503
+            return
         body = self._read_body()
         label, points = points_from_request(body)
-        daemon.count("serve.request")
+        daemon.counter("serve.request")
         job, how = daemon.manager.submit(label, points)
         if how == "cached":
-            daemon.count("serve.cache_hit")
+            daemon.counter("serve.cache_hit")
         elif how == "dedup":
-            daemon.count("serve.dedup")
-        code = 202 if how == "queued" else 200
-        self._send_json(code, {
+            daemon.counter("serve.dedup")
+        self._send_json(202 if how == "queued" else 200, {
             **job.describe(), "source": how,
             "links": {"status": f"/jobs/{job.id}",
                       "events": f"/jobs/{job.id}?sse=1",
                       "results": f"/results/{job.id}"}})
-        return code
 
-    def _lookup(self, job_id: str) -> Tuple[Optional[Job], int]:
+    def _lookup(self, job_id: str) -> Optional[Job]:
         """The job *job_id* names, or ``None`` after answering 410 (it
         finished and was forgotten) or 404 (never issued)."""
         manager = self.daemon.manager
         job = manager.get(job_id)
         if job is not None:
-            return job, 200
+            return job
         if manager.forgot(job_id):
             self._send_json(410, {"error": f"job {job_id!r} finished and "
                                            f"was forgotten; re-submit it"})
-            return None, 410
-        self._send_json(404, {"error": f"no such job {job_id!r}"})
-        return None, 404
+        else:
+            self._send_json(404, {"error": f"no such job {job_id!r}"})
+        return None
 
-    def _post_cancel(self, job_id: str) -> int:
-        job, code = self._lookup(job_id)
+    def _post_cancel(self, job_id: str) -> None:
+        job = self._lookup(job_id)
         if job is None:
-            return code
+            return
         job.cancel_requested = True
         self._send_json(200, {"job": job.id, "status": job.status,
                               "cancel_requested": True})
-        return 200
 
-    def _get_job(self, job_id: str, query: str) -> int:
-        job, code = self._lookup(job_id)
+    def _get_job(self, job_id: str, query: str) -> None:
+        job = self._lookup(job_id)
         if job is None:
-            return code
+            return
         wants_sse = (parse_qs(query).get("sse", ["0"])[0] not in
                      ("0", "", "false")) or \
             "text/event-stream" in (self.headers.get("Accept") or "")
-        if not wants_sse:
+        if wants_sse:
+            self._stream_events(job)
+        else:
             self._send_json(200, job.describe())
-            return 200
-        self._stream_events(job)
-        return 200
 
     def _stream_events(self, job: Job) -> None:
         """SSE: replay the trace backlog, then relay live events until
@@ -597,15 +586,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(f"event: {kind}\ndata: {data}\n\n"
                          .encode("utf-8"))
 
-    def _get_results(self, job_id: str, query: str) -> int:
-        job, code = self._lookup(job_id)
+    def _get_results(self, job_id: str, query: str) -> None:
+        job = self._lookup(job_id)
         if job is None:
-            return code
+            return
         if job.rows is None:
             self._send_json(409, {**job.describe(),
                                   "error": f"job is {job.status}; "
                                            f"no results to fetch"})
-            return 409
+            return
         fmt = parse_qs(query).get("format", ["json"])[0]
         if fmt == "csv":
             self._send_text(200, job.rows.to_csv(), "text/csv")
@@ -614,19 +603,13 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(400, {"error": f"unknown format {fmt!r} "
                                            f"(json or csv)"})
-            return 400
-        return 200
-
-    def _get_metrics(self) -> int:
-        self._send_json(200, self.daemon.metrics_payload())
-        return 200
 
 
 # --------------------------------------------------------------------- #
 # daemon
 # --------------------------------------------------------------------- #
 class ServeDaemon:
-    """The serve front-end: HTTP server + job manager + server trace.
+    """The serve front-end: HTTP server + job manager + server metrics.
 
     ``port=0`` binds an ephemeral port (tests); :attr:`address` reports
     the bound ``(host, port)``.  :meth:`serve_forever` runs in the
@@ -640,8 +623,10 @@ class ServeDaemon:
                  jobs: int = 1,
                  cache: Optional[ResultCache] = None) -> None:
         self.cache = cache
-        self.trace = RunTrace(meta={"command": "serve"})
-        self._trace_lock = threading.Lock()
+        #: the server's own counters and request spans, folded as they
+        #: happen: the daemon keeps no per-request state.
+        self.metrics = MetricsRegistry()
+        self._metrics_lock = threading.Lock()
         self.manager = JobManager(cache, jobs=jobs)
         self.accepting = True
         self._closed = False
@@ -673,8 +658,8 @@ class ServeDaemon:
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting, settle the queue (*drain* runs queued jobs
         to completion; ``drain=False`` cancels at the next task
-        boundary), close the socket, finish the server trace, and
-        reclaim stale cache temporaries.  Idempotent."""
+        boundary), close the socket, and reclaim stale cache
+        temporaries.  Idempotent."""
         self.accepting = False
         self.manager.stop(drain=drain)
         if self._closed:
@@ -684,43 +669,35 @@ class ServeDaemon:
         if self._thread is not None:
             self._thread.join()
         self.httpd.server_close()
-        with self._trace_lock:
-            self.trace.finish(jobs=len(self.manager.jobs_snapshot()),
-                              executions=self.manager.executions)
         if self.cache is not None:
             self.cache.cleanup_tmp()
 
     # ------------------------------------------------------------------ #
-    # server-trace emission (handler threads share one trace; RunTrace
-    # itself is single-writer, so serialize).
+    # server metrics (handler threads share one registry, so serialize).
     # ------------------------------------------------------------------ #
-    def count(self, name: str) -> None:
-        with self._trace_lock:
-            self.trace.counter(name)
+    def counter(self, name: str) -> None:
+        with self._metrics_lock:
+            self.metrics.count(name)
 
-    def record_request(self, method: str, path: str, status: int,
-                       start_monotonic: float) -> None:
-        with self._trace_lock:
-            if self.trace.finished:
-                return
-            self.trace.emit_span(
-                "http_request",
-                start_monotonic=start_monotonic,
-                duration=time.monotonic() - start_monotonic,
-                method=method, path=path, status=status)
+    def record_request(self, start_monotonic: float) -> None:
+        """One ``http_request`` span, rounded as a trace event's."""
+        seconds = round(time.monotonic() - start_monotonic, 6)
+        with self._metrics_lock:
+            self.metrics.observe_span("http_request", seconds)
 
     def metrics_payload(self) -> Dict[str, Any]:
-        """``GET /metrics``: the schema-v1 events of the server trace
-        plus every job trace, aggregated through the one true
+        """``GET /metrics``: the server's own metrics plus every job
+        trace's events, aggregated through the one true
         :class:`MetricsRegistry`."""
-        with self._trace_lock:
-            events: List[Dict[str, Any]] = list(self.trace.events)
+        events: List[Dict[str, Any]] = []
         jobs, forgotten, by_status = self.manager.metrics_snapshot()
         for job in jobs:
             events.extend(list(job.trace.events))
             by_status[job.status] = by_status.get(job.status, 0) + 1
         registry = MetricsRegistry.from_events(events)
         registry.merge(forgotten)
+        with self._metrics_lock:
+            registry.merge(self.metrics)
         return {"schema_version": telemetry.SCHEMA_VERSION,
                 "metrics": registry.as_dict(),
                 "jobs": by_status,

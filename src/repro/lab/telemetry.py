@@ -105,6 +105,11 @@ class MetricsRegistry:
             h["min"] = min(h["min"], value)
             h["max"] = max(h["max"], value)
 
+    def observe_span(self, name: str, seconds: float) -> None:
+        """One *name* span of *seconds*, aggregated as its trace event
+        would be (into ``span.<name>.seconds``)."""
+        self.observe(f"span.{name}.seconds", seconds)
+
     def merge(self, other: "MetricsRegistry") -> None:
         """Add *other*'s counters and histograms into this registry, as
         if its events had been aggregated here (its gauges win)."""
@@ -157,7 +162,7 @@ class MetricsRegistry:
                 if reason is not None:
                     reg.count(f"{name}[{reason}]", ev.get("value", 1))
             elif kind == "span":
-                reg.observe(f"span.{ev['name']}.seconds", ev.get("dur", 0.0))
+                reg.observe_span(ev["name"], ev.get("dur", 0.0))
             elif kind == "phase":
                 reg.observe(f"phase.{ev['name']}.seconds",
                             ev.get("dur", 0.0))

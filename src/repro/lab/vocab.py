@@ -17,7 +17,8 @@ __all__ = ["SCHEMA_VERSION", "SPANS", "PHASES", "COUNTERS"]
 #: must match :data:`repro.lab.telemetry.SCHEMA_VERSION`.
 SCHEMA_VERSION = 1
 
-#: structured span names (``RunTrace.span`` / ``RunTrace.emit_span``).
+#: structured span names (``RunTrace.span`` / ``RunTrace.emit_span``, and
+#: ``MetricsRegistry.observe_span`` for spans aggregated without an event).
 SPANS: FrozenSet[str] = frozenset({
     "sweep",
     "task",
@@ -36,7 +37,7 @@ PHASES: FrozenSet[str] = frozenset({
     "opt_replay",
 })
 
-#: counter names (``RunTrace.counter``).
+#: counter names (``RunTrace.counter`` / ``ServeDaemon.counter``).
 COUNTERS: FrozenSet[str] = frozenset({
     "cache.hit",
     "cache.miss",

@@ -1,32 +1,19 @@
-"""Tests for the experiment-regeneration CLI."""
+"""Paper tables regenerated through ``repro-lab run PRESET``."""
 
-import pytest
-
-from repro.experiments.__main__ import main
+from repro.lab.cli import main
 
 
 class TestCLI:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("fig2", "fig5", "table1", "table2", "sec3", "sec4",
-                     "sec5", "sec6", "sec7", "sec8", "lu"):
-            assert name in out
-
     def test_single_experiment(self, capsys):
-        assert main(["sec5"]) == 0
+        assert main(["run", "sec5"]) == 0
         out = capsys.readouterr().out
         assert "Theorem 3" in out
 
     def test_quick_fig5(self, capsys):
-        assert main(["fig5", "--quick"]) == 0
+        assert main(["run", "fig5", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "multilevel-wa" in out
 
-    def test_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["figure-nine"])
-
     def test_table1_through_cli(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1"]) == 0
         assert "predicted winner" in capsys.readouterr().out

@@ -1,22 +1,11 @@
-"""Tests for the non-WA comparators: CO matmul, Strassen, FFT."""
+"""Tests for the non-WA comparator: cache-oblivious (CO) matmul."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    co_matmul,
-    co_task_order,
-    dft_direct,
-    fft,
-    fft_traffic,
-    four_step_fft,
-    ideal_cache_misses,
-    strassen_lower_bound,
-    strassen_matmul,
-    strassen_traffic,
-)
+from repro.core import co_matmul, hierarchical_task_order, ideal_cache_misses
 from repro.machine import TwoLevel
 
 
@@ -42,7 +31,8 @@ class TestCOMatmul:
     def test_task_order_covers_all_work(self):
         m = n = l = 8
         vol = np.zeros((m, l, n))
-        for (i0, i1, j0, j1, k0, k1) in co_task_order(m, n, l, 2):
+        for (i0, i1, j0, j1, k0, k1) in hierarchical_task_order(
+                m, n, l, [("co", 2)]):
             vol[i0:i1, j0:j1, k0:k1] += 1
         assert (vol == 1).all()  # every (i,j,k) exactly once
 
@@ -77,113 +67,6 @@ class TestCOMatmul:
             ideal_cache_misses(10, 10, 10, 0, 64)
         with pytest.raises(ValueError):
             ideal_cache_misses(10, 10, 10, 8, 64)  # cache smaller than 1 word
-
-
-class TestStrassen:
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_numerics(self, n):
-        A, B = rand(n, n, 10), rand(n, n, 11)
-        np.testing.assert_allclose(
-            strassen_matmul(A, B, cutoff=2), A @ B, rtol=1e-8, atol=1e-8
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            strassen_matmul(rand(6, 6), rand(6, 6))
-        with pytest.raises(ValueError):
-            strassen_matmul(rand(4, 4), rand(8, 8))
-
-    def test_store_fraction_is_constant(self):
-        """Corollary 3: stores stay a constant fraction of traffic."""
-        M = 3 * 16 * 16
-        fracs = [strassen_traffic(n, M).store_fraction
-                 for n in (64, 128, 256, 512)]
-        assert all(f > 0.15 for f in fracs)
-        # And the fraction does not decay with n (non-WA signature).
-        assert fracs[-1] >= fracs[0] * 0.8
-
-    def test_traffic_matches_lower_bound_growth(self):
-        """Measured traffic grows like n^log2(7) at fixed M."""
-        M = 3 * 8 * 8
-        t1 = strassen_traffic(128, M).total
-        t2 = strassen_traffic(256, M).total
-        assert 6.5 < t2 / t1 < 7.5  # doubling n multiplies work by ~7
-
-    def test_lower_bound_monotonic(self):
-        assert strassen_lower_bound(256, 64) > strassen_lower_bound(128, 64)
-        assert strassen_lower_bound(256, 64) > strassen_lower_bound(256, 256)
-
-    def test_fits_in_memory_base_case(self):
-        t = strassen_traffic(4, 1000)
-        assert t.loads == 32 and t.stores == 16
-
-
-class TestFFT:
-    @pytest.mark.parametrize("n", [2, 8, 64, 256])
-    def test_fft_matches_direct_dft(self, n):
-        x = (np.random.default_rng(n).standard_normal(n)
-             + 1j * np.random.default_rng(n + 1).standard_normal(n))
-        np.testing.assert_allclose(fft(x), dft_direct(x), rtol=1e-8,
-                                   atol=1e-8)
-
-    def test_fft_matches_numpy(self):
-        x = np.random.default_rng(12).standard_normal(128)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), rtol=1e-9,
-                                   atol=1e-9)
-
-    @pytest.mark.parametrize("n,n1", [(16, 4), (64, 8), (256, 16), (64, 4)])
-    def test_four_step_matches_fft(self, n, n1):
-        x = (np.random.default_rng(n).standard_normal(n)
-             + 1j * np.random.default_rng(2 * n).standard_normal(n))
-        np.testing.assert_allclose(
-            four_step_fft(x, n1=n1), fft(x), rtol=1e-8, atol=1e-8
-        )
-
-    def test_four_step_default_split(self):
-        x = np.random.default_rng(5).standard_normal(64)
-        np.testing.assert_allclose(four_step_fft(x), np.fft.fft(x),
-                                   rtol=1e-8, atol=1e-8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fft(np.zeros(12))
-        with pytest.raises(ValueError):
-            fft(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            four_step_fft(np.zeros(16), n1=16)
-
-    def test_instrumented_four_step_stores_are_constant_fraction(self):
-        """Corollary 2 empirically: stores ≈ half of traffic at any M."""
-        n = 256
-        x = np.random.default_rng(7).standard_normal(n)
-        for M in (8, 32, 128):
-            hier = TwoLevel(M)
-            X = four_step_fft(x, hier=hier)
-            np.testing.assert_allclose(X, np.fft.fft(x), rtol=1e-8, atol=1e-8)
-            frac = hier.stores / hier.loads_plus_stores
-            assert 0.3 < frac < 0.7
-
-    def test_fft_traffic_scaling(self):
-        """Traffic ~ n log n / log M: halves-ish when M is squared."""
-        t_small = fft_traffic(2**16, 2**4).total
-        t_big = fft_traffic(2**16, 2**8).total
-        assert t_small > 1.5 * t_big
-
-    def test_fft_traffic_store_fraction(self):
-        t = fft_traffic(2**14, 2**5)
-        assert abs(t.store_fraction - 0.5) < 1e-9
-
-
-@settings(max_examples=10, deadline=None)
-@given(exp=st.integers(min_value=2, max_value=7))
-def test_property_fft_parseval(exp):
-    """Parseval's identity holds for our FFT."""
-    n = 2**exp
-    x = np.random.default_rng(exp).standard_normal(n)
-    X = fft(x)
-    np.testing.assert_allclose(
-        np.sum(np.abs(x) ** 2), np.sum(np.abs(X) ** 2) / n, rtol=1e-9
-    )
 
 
 @settings(max_examples=10, deadline=None)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ab_matmul_multilevel,
+    blocked_matmul,
     multilevel_expected_writes,
+    naive_matmul,
     wa_matmul_multilevel,
 )
-from repro.machine import MemoryHierarchy
+from repro.machine import MemoryHierarchy, TwoLevel
 
 
 def rand(m, n, seed=0):
@@ -134,6 +136,33 @@ class TestMultilevelTraffic:
         ab_matmul_multilevel(rand(m, n, 1), rand(n, l, 2),
                              block_sizes=bs, hier=h_ab)
         assert h_ab.writes_at(2) > h_wa.writes_at(2)
+
+
+class TestAblation:
+    """What each ingredient of Figure 4a buys, at n=32 with blocks
+    (16, 4): blocking with the reduction innermost, not blocking or a
+    write-minimal order alone."""
+
+    n, bs = 32, [16, 4]
+
+    def test_naive_is_write_minimal_only_at_the_slowest_level(self):
+        """Dot products write each output word once to slow memory, but
+        write more into L1 than the multi-level WA order does."""
+        A, B = rand(self.n, self.n, 1), rand(self.n, self.n, 2)
+        h_wa = make_hier(self.bs)
+        wa_matmul_multilevel(A, B, block_sizes=self.bs, hier=h_wa)
+        h_naive = TwoLevel(3 * self.bs[-1] ** 2)
+        naive_matmul(A, B, hier=h_naive)
+        assert h_naive.writes_at(2) == self.n * self.n
+        assert h_naive.writes_at(1) > h_wa.writes_at(1)
+
+    def test_k_outermost_blocking_is_not_wa(self):
+        """Blocking alone, with the reduction outermost, stores each C
+        block once per k step: far more than the output."""
+        h = TwoLevel(3 * self.bs[-1] ** 2)
+        blocked_matmul(rand(self.n, self.n, 1), rand(self.n, self.n, 2),
+                       b=self.bs[-1], hier=h, loop_order="kij")
+        assert h.writes_at(2) > 4 * self.n * self.n
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for SUMMA, Cannon, 2.5D, and the Model-2.2 trade-off."""
+"""Tests for SUMMA, 2.5D, and the Model-2.2 trade-off."""
 
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from repro.distributed import (
     DistMachine,
-    cannon_2d,
     mm_25d,
     summa_2d,
     summa_l3_ool2,
@@ -64,30 +63,6 @@ class TestSumma2D:
         m = DistMachine(4)
         with pytest.raises(ValueError):
             summa_2d(rand(7), rand(7), m)
-
-
-class TestCannon:
-    @pytest.mark.parametrize("P,n", [(1, 8), (4, 16), (16, 32)])
-    def test_numerics(self, P, n):
-        A, B = rand(n, 3), rand(n, 4)
-        m = DistMachine(P)
-        C = cannon_2d(A, B, m)
-        np.testing.assert_allclose(C, A @ B, rtol=1e-10)
-
-    def test_same_word_volume_as_summa(self):
-        """Cannon moves the same Θ(n²/√P) words as SUMMA, in full-block
-        neighbour messages of exactly (n/√P)² words each."""
-        n, P = 32, 16
-        q = 4
-        mc, ms = DistMachine(P), DistMachine(P)
-        cannon_2d(rand(n, 1), rand(n, 2), mc)
-        summa_2d(rand(n, 1), rand(n, 2), ms)
-        words_c = mc.max_over_ranks("nw_recv")
-        words_s = ms.max_over_ranks("nw_recv")
-        assert abs(words_c - words_s) <= words_s  # same order
-        # Every Cannon message is one full block.
-        c0 = mc.counters[0]
-        assert c0.nw_recv == c0.nw_msgs_recv * (n // q) ** 2
 
 
 class TestMM25D:

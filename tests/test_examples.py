@@ -8,8 +8,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -47,10 +45,6 @@ class TestExamples:
         out = run_example("nbody_simulation.py")
         assert "write floor per step" in out
 
-    def test_sorting_frontier(self):
-        out = run_example("sorting_frontier.py")
-        assert "AV bound" in out
-
     def test_lab_sweep(self):
         out = run_example("lab_sweep.py")
         assert "NVM sweep" in out
@@ -62,6 +56,5 @@ class TestExamples:
         scripts = {p.name for p in EXAMPLES.glob("*.py")}
         covered = {"quickstart.py", "nvm_provisioning.py",
                    "krylov_poisson.py", "cache_policy_study.py",
-                   "nbody_simulation.py", "sorting_frontier.py",
-                   "lab_sweep.py"}
+                   "nbody_simulation.py", "lab_sweep.py"}
         assert scripts == covered

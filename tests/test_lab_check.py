@@ -125,6 +125,12 @@ class TestFixtureViolations:
         assert not any(g.rule == "R5" and g.line == f.line + 1
                        for g in fixture_report.findings)
 
+    def test_r5_rogue_span_aggregated_without_an_event(self,
+                                                      fixture_report):
+        f = one(fixture_report, rule="R5", line=marker_line(
+            "spans.py", "MARKER r5-rogue-observed"))
+        assert "bogus-request" in f.message
+
     def test_inline_suppression_swallows_the_hash_finding(
             self, fixture_report):
         assert fixture_report.suppressed == 1

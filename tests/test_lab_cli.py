@@ -1,5 +1,4 @@
-"""CLI tests for ``python -m repro.lab`` and the ``repro.experiments``
-alias.
+"""CLI tests for ``python -m repro.lab``.
 
 Includes the subsystem's acceptance criterion: the engine's ``run fig2``
 prints the pinned Figure-2 tables exactly, and a second invocation is
@@ -15,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import PRESETS
-from repro.experiments.__main__ import main as experiments_main
 from repro.lab.cache import ResultCache
 from repro.lab.cli import build_parser
 from repro.lab.cli import main as lab_main
@@ -86,54 +83,34 @@ class TestLabRun:
 
 
 class TestExperimentsCLIRewired:
-    """``python -m repro.experiments NAME`` is ``repro-lab run PRESET``."""
+    """A paper table under ``repro-lab run PRESET``: its golden text,
+    the persistent cache and the ``--no-cache`` and ``--jobs`` flags."""
 
-    def test_single_experiment_output_unchanged(self, capsys, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
-        assert experiments_main(["sec5"]) == 0
+    def test_single_experiment_output_unchanged(self, capsys):
+        assert lab_main(["run", "sec5"]) == 0
         out = capsys.readouterr().out
         assert GOLDEN.joinpath("sec5.txt").read_text() in out
         assert "[repro.lab]" in out  # the run's cache accounting line
 
-    def test_second_invocation_served_from_cache(self, capsys, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
-        assert experiments_main(["sec5"]) == 0
+    def test_second_invocation_served_from_cache(self, capsys):
+        assert lab_main(["run", "sec5"]) == 0
         first = capsys.readouterr().out
-        assert experiments_main(["sec5"]) == 0
+        assert lab_main(["run", "sec5"]) == 0
         second = capsys.readouterr().out
         table = first.split("[repro.lab]")[0]
         assert second.startswith(table)
         assert "3/3 points (100%)" in second
 
-    def test_no_cache_flag(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
-        assert experiments_main(["sec5", "--no-cache"]) == 0
-        assert experiments_main(["sec5", "--no-cache"]) == 0
+    def test_no_cache_flag(self, capsys):
+        assert lab_main(["run", "sec5", "--no-cache"]) == 0
+        assert lab_main(["run", "sec5", "--no-cache"]) == 0
         assert "cache disabled" in capsys.readouterr().out
 
-    def test_jobs_flag_parallelizes_all(self, capsys, tmp_path,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_LAB_CACHE", str(tmp_path))
-        assert experiments_main(["list"]) == 0
-        names = capsys.readouterr().out.split()
+    def test_jobs_flag_parallelizes_all(self, capsys):
         # The points run in two workers; output is printed in order.
-        assert experiments_main(["sec5", "--jobs", "2"]) == 0
-        assert "==== sec5 " in capsys.readouterr().out
-        assert len(names) == 11
-
-    def test_legacy_names_are_presets(self, capsys):
-        """Every legacy name maps to a preset ``repro-lab list`` shows."""
-        assert set(PRESETS) == {"fig2", "fig5", "table1", "table2", "sec3",
-                                "sec4", "sec5", "sec6", "sec7", "sec8", "lu"}
-        assert PRESETS["sec7"] == "sec7-nvm"
-        assert PRESETS["lu"] == "lu-tradeoff"
-        assert lab_main(["list"]) == 0
-        listed = {line.split()[0] for line in
-                  capsys.readouterr().out.split("\nkernels:")[0]
-                  .splitlines()[1:]}
-        assert set(PRESETS.values()) <= listed
+        assert lab_main(["run", "sec5", "--jobs", "2"]) == 0
+        assert GOLDEN.joinpath("sec5.txt").read_text() \
+            in capsys.readouterr().out
 
 
 def _fresh_modules(code: str, *prefixes: str) -> list:

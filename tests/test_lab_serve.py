@@ -2,9 +2,12 @@
 requests, SSE progress, /metrics round-trip, and graceful shutdown."""
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -466,12 +469,12 @@ class TestMetrics:
         reg = MetricsRegistry.from_dict(payload["metrics"])
         assert reg.as_dict() == payload["metrics"]
 
-        # and equals a fresh aggregation of the very events the server
-        # holds — no second format, no drift
-        events = list(daemon.trace.events)
-        for job in daemon.manager.jobs_snapshot():
-            events.extend(job.trace.events)
-        rebuilt = MetricsRegistry.from_events(events)
+        # and equals a fresh aggregation of the job traces' events plus
+        # the server's own running registry — no second format, no drift
+        rebuilt = MetricsRegistry.from_events(
+            [ev for job in daemon.manager.jobs_snapshot()
+             for ev in job.trace.events])
+        rebuilt.merge(daemon.metrics)
         # the /metrics fetches themselves add http_request spans after
         # the snapshot we compare against, so compare counters exactly
         # and histograms on the job-side names only.
@@ -481,6 +484,44 @@ class TestMetrics:
         assert "span.http_request.seconds" in reg.histograms
         assert reg.counters["serve.request"] == 2
         assert reg.counters["serve.cache_hit"] == 1
+
+    def test_requests_leave_no_per_request_state(self, daemon):
+        """The daemon used to keep one span event per request, forever.
+        Now 500 requests leave what one left, and /metrics still counts
+        every one of them, even when 8 clients race to be counted."""
+        _get(daemon.url, "/healthz")
+        held = _held_items(daemon)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                codes = list(pool.map(lambda _: _get(daemon.url,
+                                                     "/healthz")[0],
+                                      range(499), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [200] * 499
+        assert _held_items(daemon) == held
+        _, payload = _get(daemon.url, "/metrics")
+        spans = payload["metrics"]["histograms"]["span.http_request.seconds"]
+        assert spans["count"] == 500
+
+
+def _held_items(daemon, depth=4):
+    """How many items the containers the daemon reaches hold (its HTTP
+    server and thread aside)."""
+    def held(obj, depth):
+        if depth == 0:
+            return 0
+        if isinstance(obj, dict):
+            return len(obj) + sum(held(v, depth - 1) for v in obj.values())
+        if isinstance(obj, (list, tuple, set, frozenset, deque)):
+            return len(obj) + sum(held(v, depth - 1) for v in obj)
+        if hasattr(obj, "__dict__") and not isinstance(obj, type):
+            return held(vars(obj), depth)
+        return 0
+    return held({k: v for k, v in vars(daemon).items()
+                 if k not in ("httpd", "_thread")}, depth)
 
 
 def _code(url, path):
@@ -571,7 +612,8 @@ class TestShutdown:
             _post(url, "/sweep", GRID_BODY)
         assert excinfo.value.code == 503
         d.shutdown(drain=True)
-        assert d.trace.finished
+        with pytest.raises(urllib.error.URLError):  # the socket is closed
+            _get(url, "/healthz")
 
     def test_shutdown_sweeps_cache_temporaries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", code_version="tmp")
