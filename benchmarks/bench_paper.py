@@ -21,7 +21,10 @@ Per preset and checkout the entry records:
 * from one more launch with ``--trace-out``: ``points``, ``tasks``
   (executor task spans: one per simulation batch or scalar point),
   ``trace_builds`` and the engine's phase seconds (``phases_s``, the
-  fastsim phases the run trace records, ``trace_build`` included).
+  fastsim phases the run trace records, ``trace_build`` included);
+* from one more launch: ``loaded_modules`` and ``loaded_lines``, the
+  ``repro`` modules the run imported and their source lines — what an
+  interpreter without bytecode caches compiles at start-up.
 
 Each checkout's entry is appended to ``--out`` (a JSON list, oldest
 first) with its ``git describe`` (``sha``), the git tree id of the
@@ -78,6 +81,33 @@ def _launch(root: Path, argv: List[str], cache: Path
     return wall, usage.ru_maxrss / 1024  # Linux reports KiB
 
 
+#: runs ``repro-lab ARGV...`` and writes the ``repro`` modules it
+#: loaded, with their source line counts, to the JSON file ``OUT``
+#: (``python -c _LOADED OUT ARGV...``).
+_LOADED = """
+import json, sys
+from repro.lab.cli import main
+rc = main(sys.argv[2:])
+files = [getattr(sys.modules[m], "__file__", None) for m in list(sys.modules)
+         if m == "repro" or m.startswith("repro.")]
+lines = [open(f, "rb").read().count(b"\\n") for f in files if f]
+json.dump({"loaded_modules": len(files), "loaded_lines": sum(lines)},
+          open(sys.argv[1], "w"))
+sys.exit(rc)
+"""
+
+
+def _loaded(root: Path, argv: List[str], cache: Path, out: Path
+            ) -> Dict[str, int]:
+    """The ``repro`` modules one launch of *argv* loads, and their
+    source lines."""
+    subprocess.run([sys.executable, "-c", _LOADED, str(out), *argv],
+                   cwd=root, env=_env(root, cache), stdout=subprocess.DEVNULL,
+                   stdin=subprocess.DEVNULL, check=True)
+    loaded: Dict[str, int] = json.loads(out.read_text())
+    return loaded
+
+
 def _trace_counts(path: Path) -> Dict[str, Any]:
     """Points, tasks, trace builds and phase seconds of one run trace
     (schema-v1 JSONL, read without importing the checkout)."""
@@ -120,7 +150,8 @@ def bench_preset(roots: List[Path], preset: str, repeat: int,
             "wall_runs_s": [round(w, 3) for w in walls],
             "peak_rss_mb": round(statistics.median(
                 rss for _, rss in launches), 1),
-            **_trace_counts(trace)})
+            **_trace_counts(trace),
+            **_loaded(root, argv, cache, workdir / f"{preset}.json")})
     return results
 
 
@@ -237,7 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"{preset:<12} {roots[k].name:<10} "
                       f"{r['wall_s']:7.3f} s  {r['peak_rss_mb']:6.1f} MB  "
                       f"{r['points']:4d} points  {r['tasks']:4d} tasks  "
-                      f"{r['trace_builds']:3d} trace builds", flush=True)
+                      f"{r['trace_builds']:3d} trace builds  "
+                      f"{r['loaded_modules']:3d} modules "
+                      f"({r['loaded_lines']} lines)", flush=True)
     envs = [environment(root) for root in roots]
     entries = []
     for k, per_preset in enumerate(results):

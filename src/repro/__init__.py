@@ -23,8 +23,10 @@ Subpackages
     CG, s-step CA-CG, and the blocked/streaming matrix-powers kernels with
     write counting.
 ``repro.experiments``
-    The paper's table layouts and table-specific kernels, which the
+    The paper's table layouts and table decompositions, which the
     ``repro.lab`` presets print (``repro-lab run fig2``).
+``repro.names``
+    The names a request may pass a kernel, declared once.
 ``repro.lab``
     The scenario-sweep engine: string-keyed registries of kernels, machine
     models (including NVM-style asymmetric read/write costs) and policies;
@@ -35,43 +37,19 @@ Subpackages
     skip already-simulated points.  CLI: ``python -m repro.lab``.
 """
 
-from repro.machine import CacheSim, MemoryHierarchy, TwoLevel
-from repro.core import (
-    blocked_cholesky,
-    blocked_matmul,
-    blocked_trsm,
-    co_matmul,
-    nbody2,
-    nbody_k,
-    wa_block_size,
-    wa_matmul_multilevel,
-)
-from repro.bounds import parallel_mm_bounds, theorem1_holds
-from repro.distributed import DistMachine, HwParams, mm_25d, summa_2d
-from repro.krylov import cacg, cg, spd_stencil_system
+from repro.util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CacheSim",
-    "MemoryHierarchy",
-    "TwoLevel",
-    "blocked_cholesky",
-    "blocked_matmul",
-    "blocked_trsm",
-    "co_matmul",
-    "nbody2",
-    "nbody_k",
-    "wa_block_size",
-    "wa_matmul_multilevel",
-    "parallel_mm_bounds",
-    "theorem1_holds",
-    "DistMachine",
-    "HwParams",
-    "mm_25d",
-    "summa_2d",
-    "cacg",
-    "cg",
-    "spd_stencil_system",
-    "__version__",
-]
+# Each name loads its subpackage on first access, so ``import repro``
+# (which every ``repro.*`` import runs first) loads no kernel family.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "machine": ("CacheSim", "MemoryHierarchy", "TwoLevel"),
+    "core": ("blocked_cholesky", "blocked_matmul", "blocked_trsm",
+             "co_matmul", "nbody2", "nbody_k", "wa_block_size",
+             "wa_matmul_multilevel"),
+    "bounds": ("parallel_mm_bounds", "theorem1_holds"),
+    "distributed": ("DistMachine", "HwParams", "mm_25d", "summa_2d"),
+    "krylov": ("cacg", "cg", "spd_stencil_system"),
+})
+__all__.append("__version__")

@@ -8,26 +8,12 @@ and measures actual loads/stores, letting us observe the bound empirically
 for the FFT and Strassen and its *absence* for classical matmul.
 """
 
-from repro.cdag.graph import CDAG
-from repro.cdag.builders import (
-    fft_cdag,
-    linear_chain_cdag,
-    matmul_cdag,
-    reduction_tree_cdag,
-    strassen_cdag,
-)
-from repro.cdag.pebbler import PebbleStats, depth_first_schedule, pebble
-from repro.cdag.bounds import theorem2_write_lower_bound
+from repro.util import lazy_exports
 
-__all__ = [
-    "CDAG",
-    "fft_cdag",
-    "linear_chain_cdag",
-    "matmul_cdag",
-    "reduction_tree_cdag",
-    "strassen_cdag",
-    "PebbleStats",
-    "depth_first_schedule",
-    "pebble",
-    "theorem2_write_lower_bound",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "graph": ("CDAG",),
+    "builders": ("fft_cdag", "linear_chain_cdag", "matmul_cdag",
+                 "reduction_tree_cdag", "strassen_cdag"),
+    "pebbler": ("PebbleStats", "depth_first_schedule", "pebble"),
+    "bounds": ("theorem2_write_lower_bound",),
+})

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.blockio import BlockSlot
 from repro.machine.hierarchy import MemoryHierarchy, TwoLevel
+from repro.names import LOOP_ORDERS
 from repro.util import check_multiple, check_positive_int, require
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "matmul_expected_counts",
     "MatmulCounts",
 ]
-
-#: The six permutations of the block loops.  The string is outer→inner.
-LOOP_ORDERS = ("ijk", "jik", "ikj", "kij", "jki", "kji")
 
 
 def wa_block_size(M: float) -> int:

@@ -36,6 +36,7 @@ from repro.machine.arrays import (
     ragged_arange,
 )
 from repro.machine.trace import TraceBuffer
+from repro.names import MATMUL_SCHEMES
 from repro.util import check_multiple, check_positive_int, require
 
 __all__ = [
@@ -120,16 +121,12 @@ def hierarchical_task_order(
     yield from _dispatch(0, m, 0, l, 0, n, spec)
 
 
-#: Named instruction orders of Figures 2 and 5.  Each maps experiment knobs
-#: (L3/L2 blocking sizes, base tile) to a scheduler spec.
-MATMUL_SCHEMES = ("co", "mkl-like", "wa2", "wa-multilevel", "ab-multilevel")
-
-
 def matmul_order(scheme: str, b3: int, b2: int, base: int
                  ) -> List[LevelSpec]:
-    """The scheduler spec of the named instruction order *scheme*
-    (one of :data:`MATMUL_SCHEMES`) under blocking sizes *b3*, *b2* and
-    base tile *base*, which must be positive.
+    """The scheduler spec of the named instruction order *scheme* (one
+    of :data:`repro.names.MATMUL_SCHEMES`, the orders of Figures 2 and
+    5) under blocking sizes *b3*, *b2* and base tile *base*, which must
+    be positive.
 
     Two names may resolve to the same spec (``wa2`` and
     ``ab-multilevel`` do), and then they build the same trace: the

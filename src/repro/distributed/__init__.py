@@ -8,33 +8,14 @@ numerically checked — while their communication is *measured* and compared
 against the analytic cost models of :mod:`repro.distributed.costmodel`.
 """
 
-from repro.distributed.machine import DistMachine, RankCounters
-from repro.distributed.summa import summa_2d, summa_l3_ool2
-from repro.distributed.mm25d import mm_25d
-from repro.distributed.lu import lu_ll_nonpivot, lu_rl_nonpivot
-from repro.distributed.costmodel import (
-    HwParams,
-    dom_beta_cost_model21,
-    dom_beta_cost_model22,
-    ll_lunp_beta_cost,
-    rl_lunp_beta_cost,
-    table1_rows,
-    table2_rows,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "DistMachine",
-    "RankCounters",
-    "summa_2d",
-    "summa_l3_ool2",
-    "mm_25d",
-    "lu_ll_nonpivot",
-    "lu_rl_nonpivot",
-    "HwParams",
-    "dom_beta_cost_model21",
-    "dom_beta_cost_model22",
-    "ll_lunp_beta_cost",
-    "rl_lunp_beta_cost",
-    "table1_rows",
-    "table2_rows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "machine": ("DistMachine", "RankCounters"),
+    "summa": ("summa_2d", "summa_l3_ool2"),
+    "mm25d": ("mm_25d",),
+    "lu": ("lu_ll_nonpivot", "lu_rl_nonpivot"),
+    "costmodel": ("HwParams", "dom_beta_cost_model21",
+                  "dom_beta_cost_model22", "ll_lunp_beta_cost",
+                  "rl_lunp_beta_cost", "table1_rows", "table2_rows"),
+})

@@ -30,11 +30,10 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.distributed.machine import DistMachine
+from repro.names import STORAGE_MODES
 from repro.util import ceil_div, require
 
 __all__ = ["mm_25d"]
-
-STORAGE_MODES = ("L2", "L3", "L3-ooL2")
 
 
 def mm_25d(

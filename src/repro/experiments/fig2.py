@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.cache_oblivious import ideal_cache_misses
 from repro.util import format_table
 
 __all__ = ["Fig2Config", "format_fig2", "fig2_variants",
@@ -79,6 +78,8 @@ def fig2_variants(cfg: Fig2Config) -> List[tuple]:
 
 def fig2_ideal_misses(cfg: Fig2Config) -> List[float]:
     """The paper's "Misses on Ideal Cache" reference line for panel (a)."""
+    from repro.core.cache_oblivious import ideal_cache_misses
+
     wb = 8  # bytes per word in the formula
     return [
         ideal_cache_misses(cfg.n_outer, m, cfg.n_outer,

@@ -7,9 +7,10 @@ reassembles the point records into the table (the cells pivot back into
 rows via :meth:`repro.lab.results.ResultSet.pivot`) and
 :func:`format_table1` prints it.
 
-The lab imports happen lazily inside the functions: ``repro.lab``
-imports this module (for the preset), so top-level imports the other
-way would cycle.
+The lab imports happen inside the functions, as in the other preset
+builders here: ``repro.lab.scenarios`` imports this module when the
+preset is built, and a top-level import the other way would load the
+whole engine with the layout.
 """
 
 from __future__ import annotations

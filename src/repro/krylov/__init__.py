@@ -14,6 +14,11 @@ Contents:
   the streaming option that cuts writes to slow memory by Θ(s).
 """
 
+# Imported eagerly, unlike the other packages: five public names (cg,
+# cacg, gmres, tsqr, matrix_powers) are also submodule names, and
+# importing such a submodule rebinds the package attribute to the
+# module, which a lazy __getattr__ would never see.  Only the krylov-*
+# kernels import this package, and they need nearly all of it.
 from repro.krylov.stencil import stencil_matrix, spd_stencil_system
 from repro.krylov.basis import (
     ChebyshevBasis,

@@ -46,53 +46,16 @@ Quickstart::
     print(report.cache_line(None))
 """
 
-from repro.lab.cache import ResultCache, code_fingerprint, default_cache_root
-from repro.lab.executor import (
-    MissingResultsError,
-    PointExecutionError,
-    PointResult,
-    SweepReport,
-    execute,
-)
-from repro.lab.registry import (
-    KERNELS,
-    MACHINES,
-    POLICIES,
-    MachineSpec,
-    resolve_machine,
-)
-from repro.lab.results import ResultSet
-from repro.lab.scenarios import SCENARIOS, Scenario, ScenarioPoint, get_scenario
-from repro.lab.telemetry import (
-    MetricsRegistry,
-    RunTrace,
-    active_trace,
-    render_attribution,
-    tracing,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "ResultCache",
-    "code_fingerprint",
-    "default_cache_root",
-    "MissingResultsError",
-    "PointExecutionError",
-    "PointResult",
-    "SweepReport",
-    "execute",
-    "KERNELS",
-    "MACHINES",
-    "POLICIES",
-    "MachineSpec",
-    "resolve_machine",
-    "ResultSet",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioPoint",
-    "get_scenario",
-    "MetricsRegistry",
-    "RunTrace",
-    "active_trace",
-    "render_attribution",
-    "tracing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "code_fingerprint", "default_cache_root"),
+    "executor": ("MissingResultsError", "PointExecutionError", "PointResult",
+                 "SweepReport", "execute"),
+    "registry": ("KERNELS", "MACHINES", "POLICIES", "MachineSpec",
+                 "resolve_machine"),
+    "results": ("ResultSet",),
+    "scenarios": ("SCENARIOS", "Scenario", "ScenarioPoint", "get_scenario"),
+    "telemetry": ("MetricsRegistry", "RunTrace", "active_trace",
+                  "render_attribution", "tracing"),
+})

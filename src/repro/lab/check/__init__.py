@@ -23,32 +23,12 @@ oldest supported interpreter — so newer-only syntax cannot sneak past a
 newer CI runner.
 """
 
-from repro.lab.check.findings import ERROR, WARNING, Finding
-from repro.lab.check.project import FEATURE_VERSION, ProjectIndex
-from repro.lab.check.rules import RULES, RegistryView
-from repro.lab.check.runner import (
-    ALL_RULES,
-    CheckConfig,
-    CheckReport,
-    default_config,
-    render_table,
-    report_to_json,
-    run_check,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "ERROR",
-    "WARNING",
-    "Finding",
-    "FEATURE_VERSION",
-    "ProjectIndex",
-    "RULES",
-    "RegistryView",
-    "ALL_RULES",
-    "CheckConfig",
-    "CheckReport",
-    "default_config",
-    "render_table",
-    "report_to_json",
-    "run_check",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "findings": ("ERROR", "WARNING", "Finding"),
+    "project": ("FEATURE_VERSION", "ProjectIndex"),
+    "rules": ("RULES", "RegistryView"),
+    "runner": ("ALL_RULES", "CheckConfig", "CheckReport", "default_config",
+               "render_table", "report_to_json", "run_check"),
+})

@@ -82,13 +82,11 @@ from __future__ import annotations
 import errno
 import json
 import math
-import multiprocessing
 import time
 import traceback as tb
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -98,7 +96,6 @@ from repro.lab.faults import FaultPlan, deterministic_unit, fault_key
 from repro.lab.registry import (BATCH_KERNELS, METRIC_FIELDS, TRACE_KERNELS,
                                 payload_key, run_batch, run_memo)
 from repro.lab.scenarios import ScenarioPoint
-from repro.machine.fastsim import profile as fs_profile
 from repro.util import json_number_default
 
 __all__ = ["execute", "PointResult", "SweepReport", "MissingResultsError",
@@ -391,6 +388,8 @@ def _phase_capture(trace: Optional[telemetry.RunTrace]):
     if trace is None:
         yield
         return
+    from repro.machine.fastsim import profile as fs_profile
+
     previous = fs_profile.set_phase_hook(trace.phase)
     try:
         yield
@@ -429,6 +428,8 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     record carrying the worker-side traceback.  A fault plan riding the
     payload (``task["faults"]``) fires at this boundary, *before* any
     kernel runs."""
+    import multiprocessing
+
     pts = [ScenarioPoint.from_payload(p) for p in task["points"]]
     out: Dict[str, Any] = {
         "worker": multiprocessing.current_process().name,
@@ -732,6 +733,10 @@ class _Supervisor:
     # supervised pool execution
     # ------------------------------------------------------------------ #
     def _spawn(self) -> _Worker:
+        # multiprocessing loads with the first pool: an in-process
+        # (``--jobs 1``) run never imports it.
+        import multiprocessing
+
         self._worker_seq += 1
         parent_conn, child_conn = multiprocessing.Pipe()
         proc = multiprocessing.Process(
@@ -820,6 +825,8 @@ class _Supervisor:
         KeyboardInterrupt, respawn-cap breach) terminates and joins the
         whole pool before propagating — completed points are already
         cached at that moment."""
+        from multiprocessing import connection as mp_connection
+
         tracing = self.trace is not None
         workers = [self._spawn() for _ in range(min(jobs, len(tasks)))]
         pending: List[_Task] = list(tasks)

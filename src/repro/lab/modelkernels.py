@@ -1,9 +1,12 @@
 """Point-level kernels for the NVM cost-model, distributed and Krylov
-subsystems.
+subsystems and the Section 3-5 tables.
 
-Three families, all registered into :data:`repro.lab.registry.KERNELS`
+Four families, all registered into :data:`repro.lab.registry.KERNELS`
 (this module deliberately imports nothing from the registry, so the
-registry can import it without a cycle):
+registry can import it without a cycle).  Each kernel imports the
+package it runs inside its body, so declaring all of them loads none of
+:mod:`repro.distributed`'s executed algorithms, :mod:`repro.krylov`,
+:mod:`repro.core`, :mod:`repro.bounds` or :mod:`repro.cdag`:
 
 * ``cost-*`` — Section 7's analytic communication cost models
   (:mod:`repro.distributed.costmodel`), one algorithm evaluation per
@@ -34,6 +37,11 @@ registry can import it without a cycle):
 * ``krylov-*`` — the Section-8 Krylov methods (:mod:`repro.krylov`)
   with their slow-memory read/write/flop counters.
 
+* ``cdag-pebble`` / ``twolevel-counts`` / ``co-vs-wa`` — one pebbled
+  CDAG (Section 3, Theorem 2), one instrumented two-level kernel
+  (Section 4) or one cache-oblivious vs WA matmul pair (Section 5) per
+  point; :mod:`repro.experiments` lays their tables out.
+
 Every kernel is a deterministic pure function of ``(machine, params)``,
 so points cache and fan out like any other registry kernel.
 """
@@ -43,18 +51,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Tuple)
 
 import numpy as np
 
-from repro.distributed import (
-    DistMachine,
-    lu_ll_nonpivot,
-    lu_rl_nonpivot,
-    mm_25d,
-    summa_2d,
-    summa_l3_ool2,
-)
 from repro.distributed.costmodel import (
     HwParams,
     _cost_25dmml2,
@@ -82,26 +83,17 @@ from repro.distributed.costmodel import (
     table1_rows,
     table2_rows,
 )
-from repro.distributed.grid import square_grid_side
-from repro.distributed.mm25d import STORAGE_MODES
-from repro.krylov import (
-    ca_gmres,
-    cacg,
-    cg,
-    gmres,
-    matrix_powers,
-    matrix_powers_blocked,
-    matrix_powers_streaming,
-    spd_stencil_system,
-    streaming_basis_r,
-    tsqr,
-)
 from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, Params, chain,
                               multiples, opt)
-from repro.util import canonical_int, require
+from repro.names import LOOP_ORDERS, STORAGE_MODES
+from repro.util import canonical_int, is_power_of_two, require
+
+if TYPE_CHECKING:
+    from repro.distributed.machine import DistMachine
 
 __all__ = ["MODEL_KERNELS", "MODEL_PARAMS", "COST_KERNELS",
-           "DISTRIBUTED_KERNELS", "KRYLOV_KERNELS", "COST_BATCH_EVALUATORS",
+           "DISTRIBUTED_KERNELS", "KRYLOV_KERNELS", "SECTION_KERNELS",
+           "SECTION_PARAMS", "PEBBLE_LABELS", "COST_BATCH_EVALUATORS",
            "run_cost_batch"]
 
 
@@ -483,6 +475,8 @@ def _random_matrices(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _on_grid(p: Mapping) -> None:
     """``P`` a perfect square whose side divides ``n``."""
+    from repro.distributed.grid import square_grid_side
+
     q = square_grid_side(p["P"])
     require(p["n"] % q == 0, f"n={p['n']} must be divisible by the grid "
                              f"side {q} of P={p['P']}")
@@ -504,6 +498,9 @@ _SUMMA_2D = Params.of(chain(_on_grid, _at_least("M1", 3)),
 def kernel_summa_2d(machine, params: Mapping) -> Dict:
     """Executed 2D SUMMA (Model 1) with per-rank traffic counters;
     ``hoard`` is the √P-L2 variant."""
+    from repro.distributed.machine import DistMachine
+    from repro.distributed.summa import summa_2d
+
     p = _SUMMA_2D.resolve(params)
     A, B = _random_matrices(p["n"], p["seed"])
     m = DistMachine(p["P"])
@@ -520,6 +517,9 @@ _SUMMA_L3 = Params.of(chain(_on_grid, _at_least("M2", 3)),
 def kernel_summa_l3_ool2(machine, params: Mapping) -> Dict:
     """Executed SUMMAL3ooL2 (Model 2.2): attains the NVM write floor
     W1 = n²/P."""
+    from repro.distributed.machine import DistMachine
+    from repro.distributed.summa import summa_l3_ool2
+
     p = _SUMMA_L3.resolve(params)
     n, P, M2 = p["n"], p["P"], p["M2"]
     A, B = _random_matrices(n, p["seed"])
@@ -553,6 +553,9 @@ _MM_25D = Params.of(chain(_replicas, _at_least("M2", 1)),
 def kernel_mm_25d(machine, params: Mapping) -> Dict:
     """Executed 2.5D matmul (replication factor c, optional NVM
     staging)."""
+    from repro.distributed.machine import DistMachine
+    from repro.distributed.mm25d import mm_25d
+
     p = _MM_25D.resolve(params)
     A, B = _random_matrices(p["n"], p["seed"])
     m = DistMachine(p["P"], M2=p["M2"])
@@ -569,6 +572,8 @@ def _lu_problem(n: int, seed: int) -> np.ndarray:
 
 
 def _lu_layout(p: Mapping) -> None:
+    from repro.distributed.grid import square_grid_side
+
     square_grid_side(p["P"])
     multiples("b", "n")(p)
 
@@ -578,6 +583,8 @@ _LU = Params.of(_lu_layout, n=opt(POS, 32), b=opt(POS, 4), P=opt(POS, 4),
 
 
 def _run_lu(factor: Callable, params: Mapping) -> Dict:
+    from repro.distributed.machine import DistMachine
+
     p = _LU.resolve(params)
     A = _lu_problem(p["n"], p["seed"])
     m = DistMachine(p["P"])
@@ -589,12 +596,16 @@ def _run_lu(factor: Callable, params: Mapping) -> Dict:
 def kernel_lu_ll(machine, params: Mapping) -> Dict:
     """Executed left-looking LU without pivoting (LL-LUNP, Alg. 5):
     O(n²/P) NVM writes per rank."""
+    from repro.distributed.lu import lu_ll_nonpivot
+
     return _run_lu(lu_ll_nonpivot, params)
 
 
 def kernel_lu_rl(machine, params: Mapping) -> Dict:
     """Executed right-looking LU without pivoting (RL-LUNP): fewer
     network words, more NVM writes."""
+    from repro.distributed.lu import lu_rl_nonpivot
+
     return _run_lu(lu_rl_nonpivot, params)
 
 
@@ -634,6 +645,8 @@ def _krylov(relation: Callable = _stencil, **params: Any) -> Params:
 
 
 def _stencil_system(p: Mapping):
+    from repro.krylov.stencil import spd_stencil_system
+
     return spd_stencil_system(p["mesh"], d=p["d"], b=p["b"])
 
 
@@ -652,6 +665,8 @@ _CG = _krylov(tol=_TOL)
 
 def kernel_krylov_cg(machine, params: Mapping) -> Dict:
     """Conventional CG (Alg. 6): the Ω(N·n) write baseline."""
+    from repro.krylov import cg
+
     p = _CG.resolve(params)
     res = cg(*_stencil_system(p), tol=p["tol"])
     return {"method": "CG", "converged": res.converged,
@@ -665,6 +680,8 @@ _CACG = _krylov(s=POS, streaming=opt(BOOL, False), block=opt(POS), tol=_TOL)
 def kernel_krylov_cacg(machine, params: Mapping) -> Dict:
     """s-step CA-CG (Alg. 7); streaming=True is the WA variant that
     cuts writes by Θ(s)."""
+    from repro.krylov import cacg
+
     p = _CACG.resolve(params)
     s, streaming = p["s"], p["streaming"]
     res = cacg(*_stencil_system(p), s=s, tol=p["tol"], streaming=streaming,
@@ -682,6 +699,8 @@ _GMRES = _krylov(s=POS, variant=opt(("restarted", "ca"), "restarted"),
 def kernel_krylov_gmres(machine, params: Mapping) -> Dict:
     """GMRES: variant='restarted' is GMRES(s); variant='ca' is s-step
     CA-GMRES (optionally streaming)."""
+    from repro.krylov import ca_gmres, gmres
+
     p = _GMRES.resolve(params)
     A, rhs = _stencil_system(p)
     s, tol = p["s"], p["tol"]
@@ -705,6 +724,9 @@ def kernel_krylov_matrix_powers(machine, params: Mapping) -> Dict:
     """The matrix-powers kernel: variant in naive (s SpMVs), blocked
     (CA), streaming (WA — zero basis writes); ``block`` defaults to an
     eighth of the rows."""
+    from repro.krylov import (matrix_powers, matrix_powers_blocked,
+                              matrix_powers_streaming)
+
     p = _POWERS.resolve(params)
     A, rhs = _stencil_system(p)
     s, variant = p["s"], p["variant"]
@@ -741,6 +763,8 @@ def kernel_krylov_tsqr(machine, params: Mapping) -> Dict:
     factors it (Θ(s·n) writes); variant='streaming' interleaves TSQR
     with matrix powers (§8 — only R is written); ``block`` defaults to
     an eighth of the rows, at least s+1."""
+    from repro.krylov import matrix_powers_blocked, streaming_basis_r, tsqr
+
     p = _TSQR.resolve(params)
     A, rhs = _stencil_system(p)
     s, variant = p["s"], p["variant"]
@@ -771,6 +795,216 @@ KRYLOV_PARAMS: Dict[str, Params] = {
     "krylov-gmres": _GMRES,
     "krylov-matrix-powers": _POWERS,
     "krylov-tsqr": _TSQR,
+}
+
+# --------------------------------------------------------------------- #
+# Section 3-5 table kernels
+# --------------------------------------------------------------------- #
+def _matmul_schedule(n: int) -> list:
+    sched = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                sched.append(("m", i, j, k))
+                if k >= 1:
+                    sched.append(("c", i, j, k))
+    return sched
+
+
+#: the ``cdag-pebble`` ``algorithm`` values, each with the name the
+#: Section-3 table prints.
+PEBBLE_LABELS: Dict[str, str] = {
+    "fft": "Cooley-Tukey FFT",
+    "strassen": "Strassen",
+    "matmul": "classical matmul (WA schedule)",
+}
+
+
+def kernel_cdag_pebble(machine: Any, params: Mapping[str, Any]
+                       ) -> Dict[str, Any]:
+    """One CDAG red-blue pebbled with M fast-memory slots (Theorem 2)."""
+    from repro.cdag import (
+        fft_cdag,
+        matmul_cdag,
+        pebble,
+        strassen_cdag,
+        theorem2_write_lower_bound,
+    )
+
+    algorithm = params["algorithm"]
+    n = canonical_int(params["n"], "n")
+    M = canonical_int(params["M"], "M")
+    if algorithm == "fft":
+        st = pebble(fft_cdag(n), M=M)
+        d, lb, output = 2, theorem2_write_lower_bound(st.loads, n, d=2), n
+    elif algorithm == "strassen":
+        dag = strassen_cdag(n)
+        st = pebble(dag, M=M)
+        prods = [v for v in dag.g.nodes
+                 if isinstance(v, tuple) and v[0] == "p"]
+        dec_c = dag.induced_subgraph(dag.descendants_of(prods))
+        d = dec_c.max_out_degree(exclude_inputs=False)
+        lb = theorem2_write_lower_bound(st.loads, 0, d=max(d, 1))
+        output = n * n
+    else:
+        # Out-degree 1 within DecC: no Theorem-2 obstruction.
+        st = pebble(matmul_cdag(n), M=M, schedule=_matmul_schedule(n))
+        d, lb, output = 1, 0, n * n
+    return {"d": d, "loads": st.loads, "stores": st.stores,
+            "theorem2_lb": lb, "store_fraction": st.store_fraction,
+            "output_size": output}
+
+
+def _pebble_relation(p: Dict[str, Any]) -> None:
+    """FFT and Strassen CDAGs exist for ``n = 2^k`` (the FFT for k >= 1);
+    the pebbler needs room for an op's two operands and its result."""
+    n, algorithm = p["n"], p["algorithm"]
+    require(algorithm == "matmul"
+            or (is_power_of_two(n) and (n > 1 or algorithm != "fft")),
+            f"n={n} must be a power of two (>= 2 for fft) for "
+            f"algorithm={algorithm}")
+    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (two operands and "
+                         f"a result)")
+
+
+#: the ``variant`` values each ``twolevel-counts`` ``algorithm`` runs: a
+#: loop order for matmul, left-/right-looking for TRSM and Cholesky,
+#: blocked (or with the symmetry saving) for the N-body kernels.
+TWOLEVEL_VARIANTS: Dict[str, Tuple[str, ...]] = {
+    "matmul": LOOP_ORDERS,
+    "trsm": ("left-looking", "right-looking"),
+    "cholesky": ("left-looking", "right-looking"),
+    "nbody2": ("blocked", "symmetry"),
+    "nbody3": ("blocked",),
+}
+
+
+def _twolevel_inputs(n: int, seed: int) -> Tuple[np.ndarray, ...]:
+    """Every input of Section 4, drawn from one generator in a fixed
+    order, so a point sees the same data whichever other points run."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    T = np.triu(rng.standard_normal((n, n)))
+    T[np.diag_indices(n)] = n + rng.random(n)
+    rhs = rng.standard_normal((n, n))
+    G = rng.standard_normal((n, n))
+    P = rng.standard_normal((n, 3))
+    return A, B, T, rhs, G @ G.T + n * np.eye(n), P
+
+
+def kernel_twolevel_counts(machine: Any, params: Mapping[str, Any]
+                           ) -> Dict[str, Any]:
+    """One Section-4 kernel on an instrumented two-level memory."""
+    from repro.bounds.lower_bounds import theorem1_holds
+    from repro.core.cholesky import blocked_cholesky
+    from repro.core.matmul import blocked_matmul
+    from repro.core.nbody import nbody2, nbody_k
+    from repro.core.trsm import blocked_trsm
+    from repro.machine.hierarchy import TwoLevel
+
+    algorithm = params["algorithm"]
+    variant = str(params["variant"])
+    n = canonical_int(params["n"], "n")
+    b = canonical_int(params["b"], "b")
+    A, B, T, rhs, SPD, P = _twolevel_inputs(
+        n, canonical_int(params["seed"], "seed"))
+    if algorithm == "matmul":
+        h = TwoLevel(3 * b * b)
+        blocked_matmul(A, B, b=b, hier=h, loop_order=variant)
+        output = n * n
+    elif algorithm == "trsm":
+        h = TwoLevel(3 * b * b)
+        blocked_trsm(T, rhs, b=b, hier=h, variant=variant)
+        output = n * n
+    elif algorithm == "cholesky":
+        h = TwoLevel(3 * b * b)
+        blocked_cholesky(SPD, b=b, hier=h, variant=variant)
+        output = n * (n + b) // 2
+    elif algorithm == "nbody2":
+        symmetry = variant == "symmetry"
+        h = TwoLevel(4 * b if symmetry else 3 * b)
+        nbody2(P, b=b, hier=h, use_symmetry=symmetry)
+        output = n
+    else:
+        h = TwoLevel(4 * b)
+        nbody_k(P[: n // 2, :2], b=b, k=3, hier=h)
+        output = n // 2
+    return {
+        "writes_to_slow": h.writes_to_slow,
+        "output_size": output,
+        "wa": h.writes_to_slow <= 2 * output,
+        "writes_to_fast": h.writes_to_fast,
+        "loads+stores": h.loads_plus_stores,
+        "theorem1": theorem1_holds(h),
+    }
+
+
+def _twolevel_relation(p: Dict[str, Any]) -> None:
+    """Each algorithm runs its own variants on blocks of size ``b``; the
+    (N,3)-body kernel takes the first ``n // 2`` particles."""
+    variants = TWOLEVEL_VARIANTS[p["algorithm"]]
+    require(p["variant"] in variants,
+            f"variant={p['variant']} is not one of {list(variants)} "
+            f"for algorithm={p['algorithm']}")
+    n = p["n"] // 2 if p["algorithm"] == "nbody3" else p["n"]
+    require(n > 0 and n % p["b"] == 0,
+            f"n={p['n']} must be a multiple of block size b={p['b']}"
+            + (" (twice over for nbody3)" if n != p["n"] else ""))
+
+
+def kernel_co_vs_wa(machine: Any, params: Mapping[str, Any]
+                    ) -> Dict[str, Any]:
+    """CO recursive matmul vs blocked WA matmul on an M-word fast memory
+    (Theorem 3 / Corollary 4)."""
+    from repro.bounds.lower_bounds import co_write_lower_bound
+    from repro.core.cache_oblivious import co_matmul
+    from repro.core.matmul import blocked_matmul
+    from repro.machine.hierarchy import TwoLevel
+
+    n = canonical_int(params["n"], "n")
+    M = canonical_int(params["M"], "M")
+    rng = np.random.default_rng(canonical_int(params["seed"], "seed"))
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    h_co = TwoLevel(M)
+    co_matmul(A, B, base=2, hier=h_co)
+    b = int((M // 3) ** 0.5)
+    while b > 1 and n % b:
+        b -= 1
+    h_wa = TwoLevel(M)
+    blocked_matmul(A, B, b=b, hier=h_wa, loop_order="ijk")
+    return {
+        "co_stores": h_co.writes_to_slow,
+        "wa_stores": h_wa.writes_to_slow,
+        "output": n * n,
+        "corollary4_lb": co_write_lower_bound(n**3, M, c=1.0),
+        "co_over_output": h_co.writes_to_slow / (n * n),
+    }
+
+
+def _co_vs_wa_relation(p: Dict[str, Any]) -> None:
+    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (the WA block "
+                         f"b = sqrt(M/3) must be >= 1)")
+
+
+#: the kernels of the Section 3-5 tables (``repro-lab run sec3``).
+SECTION_KERNELS: Dict[str, Callable] = {
+    "cdag-pebble": kernel_cdag_pebble,
+    "twolevel-counts": kernel_twolevel_counts,
+    "co-vs-wa": kernel_co_vs_wa,
+}
+
+SECTION_PARAMS: Dict[str, Params] = {
+    "cdag-pebble": Params.of(_pebble_relation,
+                             algorithm=tuple(PEBBLE_LABELS),
+                             n=POS, M=POS),
+    "twolevel-counts": Params.of(
+        _twolevel_relation, algorithm=tuple(TWOLEVEL_VARIANTS),
+        variant=tuple(dict.fromkeys(v for vs in TWOLEVEL_VARIANTS.values()
+                                    for v in vs)),
+        n=POS, b=POS, seed=NAT),
+    "co-vs-wa": Params.of(_co_vs_wa_relation, n=POS, M=POS, seed=NAT),
 }
 
 #: everything this module registers, by registry name.

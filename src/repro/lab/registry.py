@@ -10,6 +10,11 @@ scenario file (or a CLI invocation) is pure data:
   one flat, JSON-serializable record per scenario point;
 * :data:`POLICIES` — re-exported replacement-policy classes
   (:mod:`repro.machine.policies`).
+
+Every table here is declared without importing a kernel's
+implementation: the trace builders, the cache hierarchy and the fastsim
+folds load when a point first runs, so a cost-grid sweep loads of the
+simulation stack only the single-cache simulator and the policies.
 """
 
 from __future__ import annotations
@@ -18,23 +23,10 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple, Union)
 
-from repro.core.traces import (
-    MATMUL_SCHEMES,
-    cholesky_trace,
-    matmul_order,
-    matmul_order_trace,
-    nbody_trace,
-    trsm_trace,
-)
 from repro.distributed.costmodel import HwParams, hw_param_key
-from repro.experiments.sec3_negative import LABELS as SEC3_LABELS
-from repro.experiments.sec3_negative import kernel_cdag_pebble
-from repro.experiments.sec4_counts import VARIANTS as SEC4_VARIANTS
-from repro.experiments.sec4_counts import kernel_twolevel_counts
-from repro.experiments.sec5_co import kernel_co_vs_wa
 from repro.lab.modelkernels import (
     COST_BATCH_EVALUATORS,
     COST_KERNELS,
@@ -42,19 +34,23 @@ from repro.lab.modelkernels import (
     KRYLOV_KERNELS,
     MODEL_KERNELS,
     MODEL_PARAMS,
+    SECTION_KERNELS,
+    SECTION_PARAMS,
     run_cost_batch,
 )
-from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, Params, fits,
+from repro.lab.params import (BOOL, FLOAT, INT, POS, Params, fits,
                               multiples, opt)
 from repro.lab.telemetry import active_trace
 from repro.machine.cache import CacheSim, CacheStats
-from repro.machine.energy import EnergyModel
-from repro.machine.fastsim import sweep
 from repro.machine.fastsim.profile import phase as fs_phase
-from repro.machine.multicache import CacheHierarchySim
 from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
-from repro.util import canonical_int, is_power_of_two, require
+from repro.names import MATMUL_SCHEMES
+from repro.util import canonical_int, require
+
+if TYPE_CHECKING:
+    from repro.machine.energy import EnergyModel
+    from repro.machine.multicache import CacheHierarchySim
 
 __all__ = [
     "MachineSpec",
@@ -220,6 +216,8 @@ class MachineSpec:
         return replace(self, hw=tuple(sorted(merged.items())))
 
     def energy_model(self) -> EnergyModel:
+        from repro.machine.energy import EnergyModel
+
         return EnergyModel(
             read_fast=self.read_fast,
             write_fast=self.write_fast,
@@ -230,6 +228,8 @@ class MachineSpec:
     def make(self) -> Union[CacheSim, CacheHierarchySim]:
         """Instantiate the simulator this spec describes."""
         if self.levels is not None:
+            from repro.machine.multicache import CacheHierarchySim
+
             return CacheHierarchySim(
                 self.levels,
                 line_size=self.line_size,
@@ -505,6 +505,8 @@ def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dic
     so all points of a capacity sweep share one trace.  The scheme enters as the task ``order`` it resolves to
     (:func:`repro.core.traces.matmul_order`), not as its name, so two
     schemes with one order (``wa2``, ``ab-multilevel``) share a trace."""
+    from repro.core.traces import matmul_order
+
     p = _MATMUL.resolve(params)
     return {
         "family": "matmul",
@@ -521,7 +523,9 @@ def matmul_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dic
     }
 
 
-def _build_matmul(spec: Mapping) -> Trace:
+def _build_matmul(spec: Mapping[str, Any]) -> Trace:
+    from repro.core.traces import matmul_order_trace
+
     buf = matmul_order_trace(
         spec["n"], spec["middle"], spec["l"], spec["order"],
         b3=spec["b3"],
@@ -547,6 +551,27 @@ def _matmul_write_lb(machine: MachineSpec, params: Mapping[str, Any]) -> int:
 
 
 # ------------------------ TRSM / Cholesky / N-body --------------------- #
+def _build_trsm(spec: Mapping[str, Any]) -> Trace:
+    from repro.core.traces import trsm_trace
+
+    return trsm_trace(spec["n"], spec["m"], b=spec["b"],
+                      line_size=spec["line_size"]).finalize_trace()
+
+
+def _build_cholesky(spec: Mapping[str, Any]) -> Trace:
+    from repro.core.traces import cholesky_trace
+
+    return cholesky_trace(spec["n"], b=spec["b"],
+                          line_size=spec["line_size"]).finalize_trace()
+
+
+def _build_nbody(spec: Mapping[str, Any]) -> Trace:
+    from repro.core.traces import nbody_trace
+
+    return nbody_trace(spec["n"], b=spec["b"],
+                       line_size=spec["line_size"]).finalize_trace()
+
+
 def trsm_trace_payload(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "family": "trsm",
@@ -616,9 +641,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
         params=Params.of(multiples("b", "n", "m"), n=POS, m=POS, b=POS,
                          cache_blocks=opt(POS)),
         payload=trsm_trace_payload,
-        build=lambda spec: trsm_trace(
-            spec["n"], spec["m"], b=spec["b"],
-            line_size=spec["line_size"]).finalize_trace(),
+        build=_build_trsm,
         capacity_words=_block_squared_capacity,
         # Proposition 6.2: write-backs = the n×m output.
         write_lb=lambda machine, params: (
@@ -630,9 +653,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
         params=Params.of(multiples("b", "n"), n=POS, b=POS,
                          cache_blocks=opt(POS)),
         payload=cholesky_trace_payload,
-        build=lambda spec: cholesky_trace(
-            spec["n"], b=spec["b"],
-            line_size=spec["line_size"]).finalize_trace(),
+        build=_build_cholesky,
         capacity_words=_block_squared_capacity,
         # Lower-triangle output, full diagonal blocks: n(n+b)/2 words.
         write_lb=lambda machine, params: (
@@ -647,9 +668,7 @@ TRACE_KERNELS: Dict[str, TraceKernel] = {tk.name: tk for tk in (
         params=Params.of(multiples("b", "n"), n=POS, b=POS,
                          cache_blocks=opt(POS)),
         payload=nbody_trace_payload,
-        build=lambda spec: nbody_trace(
-            spec["n"], b=spec["b"],
-            line_size=spec["line_size"]).finalize_trace(),
+        build=_build_nbody,
         capacity_words=_block_vector_capacity,
         # The N force words are the only obligatory writes.
         write_lb=lambda machine, params: (
@@ -745,6 +764,8 @@ def run_capacity_batch(
     for (machine, _), cap in zip(group, caps_words):
         caps_by_policy.setdefault(machine.policy, []).append(
             cap // machine.line_size)
+    from repro.machine.fastsim.dispatch import sweep
+
     sweeps = sweep(trace, caps_by_policy)
     if tel is not None:
         n_symbols = next(iter(sweeps.values())).n_symbols
@@ -803,44 +824,12 @@ KERNELS: Dict[str, Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]] =
     "cholesky-cache": kernel_cholesky_cache,
     "nbody-cache": kernel_nbody_cache,
     "matmul-hierarchy": kernel_matmul_hierarchy,
-    # The Section 3-5 table kernels (repro.experiments).
-    "cdag-pebble": kernel_cdag_pebble,
-    "twolevel-counts": kernel_twolevel_counts,
-    "co-vs-wa": kernel_co_vs_wa,
+    # The Section 3-5 table kernels (repro.lab.modelkernels).
+    **SECTION_KERNELS,
 }
 # Point-level cost-model, distributed-execution and Krylov kernels
 # (repro.lab.modelkernels) register alongside the trace kernels.
 KERNELS.update(MODEL_KERNELS)
-
-
-def _pebble_relation(p: Dict[str, Any]) -> None:
-    """FFT and Strassen CDAGs exist for ``n = 2^k`` (the FFT for k >= 1);
-    the pebbler needs room for an op's two operands and its result."""
-    n, algorithm = p["n"], p["algorithm"]
-    require(algorithm == "matmul"
-            or (is_power_of_two(n) and (n > 1 or algorithm != "fft")),
-            f"n={n} must be a power of two (>= 2 for fft) for "
-            f"algorithm={algorithm}")
-    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (two operands and "
-                         f"a result)")
-
-
-def _twolevel_relation(p: Dict[str, Any]) -> None:
-    """Each algorithm runs its own variants on blocks of size ``b``; the
-    (N,3)-body kernel takes the first ``n // 2`` particles."""
-    variants = SEC4_VARIANTS[p["algorithm"]]
-    require(p["variant"] in variants,
-            f"variant={p['variant']} is not one of {list(variants)} "
-            f"for algorithm={p['algorithm']}")
-    n = p["n"] // 2 if p["algorithm"] == "nbody3" else p["n"]
-    require(n > 0 and n % p["b"] == 0,
-            f"n={p['n']} must be a multiple of block size b={p['b']}"
-            + (" (twice over for nbody3)" if n != p["n"] else ""))
-
-
-def _co_vs_wa_relation(p: Dict[str, Any]) -> None:
-    require(p["M"] >= 3, f"M={p['M']} must be >= 3 (the WA block "
-                         f"b = sqrt(M/3) must be >= 1)")
 
 
 #: Declared parameters per kernel (:class:`repro.lab.params.Params`):
@@ -853,14 +842,7 @@ PARAMS: Dict[str, Params] = {
     **{name: replace(tk.params, fit=tk.check)
        for name, tk in TRACE_KERNELS.items()},
     "matmul-hierarchy": _HIERARCHY,
-    "cdag-pebble": Params.of(_pebble_relation, algorithm=tuple(SEC3_LABELS),
-                             n=POS, M=POS),
-    "twolevel-counts": Params.of(
-        _twolevel_relation, algorithm=tuple(SEC4_VARIANTS),
-        variant=tuple(dict.fromkeys(v for vs in SEC4_VARIANTS.values()
-                                    for v in vs)),
-        n=POS, b=POS, seed=NAT),
-    "co-vs-wa": Params.of(_co_vs_wa_relation, n=POS, M=POS, seed=NAT),
+    **SECTION_PARAMS,
     **MODEL_PARAMS,
 }
 
@@ -1123,3 +1105,4 @@ def run_batch(kernel: str,
             f"available: {sorted(BATCH_KERNELS)}"
         ) from None
     return bk.run(group)
+

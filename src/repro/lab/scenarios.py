@@ -10,8 +10,11 @@ NVM-style machine sweeps the paper never ran.
 Report helpers (:func:`fig2_rows`, :func:`fig5_rows`, :func:`sec6_rows`)
 reassemble point records into the row structures the ``format_*``
 layouts of :mod:`repro.experiments` print; ``tests/golden/`` pins each
-rendered table byte for byte.  :func:`build_scenario` turns a request
-(CLI arguments or a ``POST /sweep`` body) into a :class:`Scenario`.
+rendered table byte for byte.  A layout, and a preset builder that
+lives in :mod:`repro.experiments`, is imported when its preset is built
+or rendered, so a request loads only its own preset's code.
+:func:`build_scenario` turns a request (CLI arguments or a ``POST
+/sweep`` body) into a :class:`Scenario`.
 """
 
 from __future__ import annotations
@@ -19,24 +22,9 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, FrozenSet, List, Mapping,
-                    Optional, Sequence)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
+                    Mapping, Optional, Sequence)
 
-from repro.experiments import (
-    Fig2Config,
-    format_fig2,
-    format_fig5,
-    format_sec3,
-    format_sec4,
-    format_sec5,
-    format_sec6,
-    format_sec8,
-)
-from repro.experiments.fig2 import fig2_ideal_misses, fig2_variants
-from repro.experiments.lu_tradeoff import lu_scenario
-from repro.experiments.sec7_model1 import sec7_scenario
-from repro.experiments.table1 import table1_scenario
-from repro.experiments.table2 import table2_scenario
 from repro.lab.registry import (
     KERNELS,
     MACHINES,
@@ -50,6 +38,9 @@ from repro.lab.registry import (
 )
 from repro.lab.results import ResultSet, distinct
 from repro.util import format_table, require
+
+if TYPE_CHECKING:
+    from repro.experiments.fig2 import Fig2Config
 
 __all__ = [
     "Scenario",
@@ -387,6 +378,8 @@ def fig2_rows(scenario: Scenario, results: List[Any]
     cfg: Fig2Config = scenario.meta["cfg"]
     rows = [_counter_rows(c, cfg.middles)
             for c in _chunks(results, len(cfg.middles))]
+    from repro.experiments.fig2 import fig2_ideal_misses
+
     rows[0]["ideal_misses"] = fig2_ideal_misses(cfg)
     return rows
 
@@ -429,6 +422,43 @@ def _flat_rows(results: List[Any]) -> List[Dict[str, Any]]:
     return [{**res.point.params, **res.record} for res in results]
 
 
+# Each report imports its preset's layout when the table is rendered.
+def _fig2_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.fig2 import format_fig2
+
+    return format_fig2(fig2_rows(scenario, results))
+
+
+def _fig5_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.fig5 import format_fig5
+
+    return format_fig5(fig5_rows(scenario, results))
+
+
+def _sec6_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.sec6_lru import format_sec6
+
+    return format_sec6(sec6_rows(scenario, results))
+
+
+def _sec3_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.sec3_negative import format_sec3
+
+    return format_sec3(_flat_rows(results))
+
+
+def _sec4_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.sec4_counts import format_sec4
+
+    return format_sec4(_flat_rows(results))
+
+
+def _sec5_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.sec5_co import format_sec5
+
+    return format_sec5(_flat_rows(results))
+
+
 def _last(row: Dict[str, Any], counter: str = "VICTIMS.M") -> Any:
     """A panel row's counter at the largest middle dimension."""
     return row[counter][-1]
@@ -439,6 +469,8 @@ def _last(row: Dict[str, Any], counter: str = "VICTIMS.M") -> Any:
 # --------------------------------------------------------------------- #
 def fig2_config(quick: bool) -> Fig2Config:
     """The scaled-down Figure-2/5 geometry of the fig2 and fig5 presets."""
+    from repro.experiments.fig2 import Fig2Config
+
     if quick:
         return Fig2Config(n_outer=48, middles=(4, 16, 64), line_size=4,
                           b2=8, base=4)
@@ -449,6 +481,8 @@ def fig2_config(quick: bool) -> Fig2Config:
 def fig2_scenario(quick: bool = False,
                   cfg: Optional[Fig2Config] = None) -> Scenario:
     """Figure 2 decomposed into one point per (variant, middle)."""
+    from repro.experiments.fig2 import fig2_variants
+
     cfg = cfg or fig2_config(quick)
     floor = cfg.n_outer ** 2 // cfg.line_size
     machine = MachineSpec(name="fig2-l3", cache_words=cfg.cache(),
@@ -467,7 +501,7 @@ def fig2_scenario(quick: bool = False,
         description="Figure 2: L3 counters of six matmul orders vs the "
                     "middle dimension",
         explicit=points,
-        report=lambda sc, res: format_fig2(fig2_rows(sc, res)),
+        report=_fig2_report,
         meta={"cfg": cfg},
         claims=claims_on(fig2_rows, {
             "co-writebacks-grow-4x":
@@ -508,7 +542,7 @@ def fig5_scenario(quick: bool = False,
         machine=machine,
         description="Figure 5: multi-level WA vs slab order under LRU",
         explicit=points,
-        report=lambda sc, res: format_fig5(fig5_rows(sc, res)),
+        report=_fig5_report,
         meta={"cfg": cfg},
         claims=claims_on(fig5_rows, {
             "wa-largest-blocking-over-2x-floor":
@@ -554,7 +588,7 @@ def sec6_scenario(
             "cache_blocks": [3, 4, 5],
             "machine.policy": list(policies),
         },
-        report=lambda sc, res: format_sec6(sec6_rows(sc, res)),
+        report=_sec6_report,
         meta={"floor": n * n // line},
         claims=claims_on(_sec6_view, {
             "prop61-wa2-lru-5-blocks-at-floor":
@@ -867,7 +901,7 @@ def sec3_scenario(quick: bool = False) -> Scenario:
         explicit=[ScenarioPoint("cdag-pebble", machine,
                                 {"algorithm": alg, "n": n, "M": M})
                   for alg, n, M in cases],
-        report=lambda sc, res: format_sec3(_flat_rows(res)),
+        report=_sec3_report,
         claims=claims_on(lambda sc, res: _flat_rows(res), {
             "fft-strassen-stores-at-least-theorem2":
                 lambda r: all(x["stores"] >= x["theorem2_lb"]
@@ -915,7 +949,7 @@ def sec4_scenario(quick: bool = False) -> Scenario:
                                 {"algorithm": alg, "variant": variant,
                                  "n": 32, "b": 4, "seed": 0})
                   for alg, variant in cases],
-        report=lambda sc, res: format_sec4(_flat_rows(res)),
+        report=_sec4_report,
         claims=claims_on(_sec4_view, {
             "k-innermost-matmul-writes-equal-output":
                 lambda v: all(v["matmul", o]["writes_to_slow"]
@@ -945,7 +979,8 @@ def sec4_scenario(quick: bool = False) -> Scenario:
 def _sec4_view(scenario: Scenario, results: List[Any]
                ) -> Dict[Any, Dict[str, Any]]:
     """Rows by (algorithm, variant)."""
-    return {(r["algorithm"], r["variant"]): r for r in _flat_rows(results)}
+    return {(r["algorithm"], r["variant"]): r
+            for r in _flat_rows(results)}
 
 
 def sec5_scenario(quick: bool = False) -> Scenario:
@@ -959,7 +994,7 @@ def sec5_scenario(quick: bool = False) -> Scenario:
                     "n² as fast memory grows",
         fixed={"n": 32, "seed": 0},
         grid={"M": [3 * 4, 3 * 16, 3 * 64]},
-        report=lambda sc, res: format_sec5(_flat_rows(res)),
+        report=_sec5_report,
         claims=claims_on(lambda sc, res: _flat_rows(res), {
             "co-stores-shrink-with-M":
                 lambda r: r[0]["co_stores"] > r[-1]["co_stores"],
@@ -1021,10 +1056,38 @@ def _sec8_view(scenario: Scenario, results: List[Any]
 
 
 def _sec8_report(scenario: Scenario, results: List[Any]) -> str:
+    from repro.experiments.sec8_ksm import format_sec8
+
     p0 = results[0].point.params
     d = p0.get("d", 1)
     return format_sec8({"n": p0["mesh"] ** d, "d": d,
                         "rows": [{"s": 1, **r.record} for r in results]})
+
+
+# The presets whose decomposition lives beside its layout in
+# repro.experiments, imported when the preset is built.
+def _table1(quick: bool = False) -> Scenario:
+    from repro.experiments.table1 import table1_scenario
+
+    return table1_scenario(quick)
+
+
+def _table2(quick: bool = False) -> Scenario:
+    from repro.experiments.table2 import table2_scenario
+
+    return table2_scenario(quick)
+
+
+def _sec7(quick: bool = False) -> Scenario:
+    from repro.experiments.sec7_model1 import sec7_scenario
+
+    return sec7_scenario(quick)
+
+
+def _lu(quick: bool = False) -> Scenario:
+    from repro.experiments.lu_tradeoff import lu_scenario
+
+    return lu_scenario(quick)
 
 
 #: Named presets: factory(quick) -> Scenario.
@@ -1037,11 +1100,11 @@ SCENARIOS: Dict[str, Callable[[bool], Scenario]] = {
     "sec6": sec6_scenario,
     "nvm-matmul": nvm_matmul_scenario,
     "prop62": prop62_scenario,
-    "table1": table1_scenario,
-    "table2": table2_scenario,
-    "sec7-nvm": sec7_scenario,
+    "table1": _table1,
+    "table2": _table2,
+    "sec7-nvm": _sec7,
     "sec8": sec8_scenario,
-    "lu-tradeoff": lu_scenario,
+    "lu-tradeoff": _lu,
     "distributed": distributed_scenario,
     "krylov": krylov_scenario,
     "cost-map": costmap_scenario,

@@ -28,7 +28,9 @@ the rest of the lab.  Endpoints:
 ``GET /jobs/<id>``
     JSON status (404 for an id never issued; 410 for a finished job the
     daemon has forgotten: it keeps the last :data:`MAX_FINISHED_JOBS`
-    finished jobs, and a re-submitted request is served from cache);
+    finished jobs, and a re-submitted request is served from cache.
+    Only an id's sequence number tells the two apart, so a well-formed
+    id with an issued number but another key prefix also answers 410);
     with ``?sse=1`` (or ``Accept: text/event-stream``) a
     Server-Sent-Events stream of the job's :class:`RunTrace` events —
     spans, per-point paths, counters — live while the sweep runs,
@@ -63,16 +65,16 @@ SIGINT takes in the CLI.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import queue
+import re
 import socket
 import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (Any, Deque, Dict, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple)
 from urllib.parse import parse_qs, urlparse
 
 from repro.lab import telemetry
@@ -91,6 +93,9 @@ _TERMINAL = frozenset({"done", "failed", "cancelled"})
 #: finished jobs the daemon keeps (their rows and traces); beyond it the
 #: oldest to finish is forgotten, and its id answers 410.
 MAX_FINISHED_JOBS = 256
+
+#: a job id: ``job-<sequence number>-<grid key prefix>``.
+_JOB_ID = re.compile(r"job-(\d+)-([0-9a-f]{8})")
 
 
 # --------------------------------------------------------------------- #
@@ -205,7 +210,11 @@ class JobManager:
       worker budget is shared across jobs, never multiplied by them.
     * At most :data:`MAX_FINISHED_JOBS` finished jobs are kept, the
       oldest to finish forgotten first; a queued or running job is
-      never forgotten.  A forgotten job's metrics stay in ``/metrics``.
+      never forgotten.  Each job's events fold into one metrics
+      registry once, when it settles, so a forgotten job's metrics stay
+      in ``/metrics`` and a ``/metrics`` call never re-reads them.  Ids
+      carry an increasing sequence number, so telling a forgotten id
+      from a never-issued one keeps no per-job state.
     """
 
     def __init__(self, cache: Optional[ResultCache],
@@ -215,13 +224,12 @@ class JobManager:
         self.executions = 0  #: sweeps actually run (cache-served excluded)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
-        self._finished: Deque[str] = deque()
-        self._forgotten: Set[str] = set()
-        self._forgotten_metrics = MetricsRegistry()
+        self._finished: Deque[str] = deque()  #: kept settled job ids
+        self._settled_metrics = MetricsRegistry()
         self._forgotten_status: Dict[str, int] = {}
         self._inflight: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
-        self._seq = itertools.count(1)
+        self._issued = 0  #: the last job sequence number handed out
         self._cancel_all = False
         self._stopped = False
         self._runner = threading.Thread(target=self._run_loop,
@@ -248,8 +256,20 @@ class JobManager:
             return self._jobs.get(job_id)
 
     def forgot(self, job_id: str) -> bool:
+        """Whether *job_id* is an id this manager issued and no longer
+        keeps.  The manager keeps nothing of a forgotten job, so only
+        the sequence number is checked: a well-formed id whose number
+        was issued counts as forgotten whatever its key prefix.  (An id
+        issued to a request that then joined an identical running job
+        counts as forgotten too.)"""
+        match = _JOB_ID.fullmatch(job_id)
+        if match is None:
+            return False
+        seq = int(match[1])
         with self._lock:
-            return job_id in self._forgotten
+            return (job_id == f"job-{seq:04d}-{match[2]}"
+                    and 1 <= seq <= self._issued
+                    and job_id not in self._jobs)
 
     def jobs_snapshot(self) -> List[Job]:
         with self._lock:
@@ -257,31 +277,37 @@ class JobManager:
 
     def metrics_snapshot(self) -> Tuple[List[Job], MetricsRegistry,
                                         Dict[str, int]]:
-        """The kept jobs, plus the merged metrics and status counts of
-        the forgotten ones, taken together."""
+        """The unsettled (queued or running) jobs, the merged metrics
+        of every settled job and the status count of every job, taken
+        together."""
         with self._lock:
-            return (list(self._jobs.values()),
+            by_status = dict(self._forgotten_status)
+            for job in self._jobs.values():
+                by_status[job.status] = by_status.get(job.status, 0) + 1
+            settled = set(self._finished)
+            return ([job for job_id, job in self._jobs.items()
+                     if job_id not in settled],
                     MetricsRegistry.from_dict(
-                        self._forgotten_metrics.as_dict()),
-                    dict(self._forgotten_status))
+                        self._settled_metrics.as_dict()),
+                    by_status)
 
     def _retire(self, job: Job) -> None:
-        """Count *job* as finished, and forget the oldest finished jobs
-        beyond :data:`MAX_FINISHED_JOBS`."""
+        """Fold the settled *job*'s events into the metrics, and forget
+        the oldest finished jobs beyond :data:`MAX_FINISHED_JOBS`."""
+        metrics = MetricsRegistry.from_events(job.trace.events)
         with self._lock:
+            self._settled_metrics.merge(metrics)
             self._finished.append(job.id)
             while len(self._finished) > MAX_FINISHED_JOBS:
                 old = self._jobs.pop(self._finished.popleft())
-                self._forgotten.add(old.id)
-                self._forgotten_metrics.merge(
-                    MetricsRegistry.from_events(old.trace.events))
                 self._forgotten_status[old.status] = (
                     self._forgotten_status.get(old.status, 0) + 1)
 
     def _new_job(self, key: str, label: str,
                  points: Sequence[ScenarioPoint]) -> Job:
         with self._lock:
-            job = Job(f"job-{next(self._seq):04d}-{key[:8]}", key,
+            self._issued += 1
+            job = Job(f"job-{self._issued:04d}-{key[:8]}", key,
                       label, points)
             self._jobs[job.id] = job
             return job
@@ -688,14 +714,11 @@ class ServeDaemon:
     def metrics_payload(self) -> Dict[str, Any]:
         """``GET /metrics``: the server's own metrics plus every job
         trace's events, aggregated through the one true
-        :class:`MetricsRegistry`."""
-        events: List[Dict[str, Any]] = []
-        jobs, forgotten, by_status = self.manager.metrics_snapshot()
-        for job in jobs:
-            events.extend(list(job.trace.events))
-            by_status[job.status] = by_status.get(job.status, 0) + 1
-        registry = MetricsRegistry.from_events(events)
-        registry.merge(forgotten)
+        :class:`MetricsRegistry` (a settled job's events were folded
+        once, when it settled)."""
+        live, registry, by_status = self.manager.metrics_snapshot()
+        registry.merge(MetricsRegistry.from_events(
+            [ev for job in live for ev in list(job.trace.events)]))
         with self._metrics_lock:
             registry.merge(self.metrics)
         return {"schema_version": telemetry.SCHEMA_VERSION,

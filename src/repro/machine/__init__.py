@@ -16,44 +16,17 @@ Section 6 viewpoints:
   (``LLC_VICTIMS.M``, ``LLC_VICTIMS.E``, ``LLC_S_FILLS.E``).
 """
 
-from repro.machine.counters import ChannelCounters, LevelCounters, ResidencyClass
-from repro.machine.hierarchy import MemoryHierarchy, TwoLevel
-from repro.machine.cache import CacheSim, CacheStats
-from repro.machine.multicache import CacheHierarchySim
-from repro.machine.energy import EnergyModel
-from repro.machine.policies import (
-    POLICIES,
-    BeladyPolicy,
-    ClockPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    SegmentedLRUPolicy,
-    make_policy,
-)
-from repro.machine.trace import TraceBuffer
-from repro.machine.arrays import TracedMatrix, TracedVector, AddressSpace
+from repro.util import lazy_exports
 
-__all__ = [
-    "ChannelCounters",
-    "LevelCounters",
-    "ResidencyClass",
-    "MemoryHierarchy",
-    "TwoLevel",
-    "CacheSim",
-    "CacheStats",
-    "CacheHierarchySim",
-    "EnergyModel",
-    "POLICIES",
-    "BeladyPolicy",
-    "ClockPolicy",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "SegmentedLRUPolicy",
-    "make_policy",
-    "TraceBuffer",
-    "TracedMatrix",
-    "TracedVector",
-    "AddressSpace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "counters": ("ChannelCounters", "LevelCounters", "ResidencyClass"),
+    "hierarchy": ("MemoryHierarchy", "TwoLevel"),
+    "cache": ("CacheSim", "CacheStats"),
+    "multicache": ("CacheHierarchySim",),
+    "energy": ("EnergyModel",),
+    "policies": ("POLICIES", "BeladyPolicy", "ClockPolicy", "FIFOPolicy",
+                 "LRUPolicy", "RandomPolicy", "SegmentedLRUPolicy",
+                 "make_policy"),
+    "trace": ("TraceBuffer",),
+    "arrays": ("TracedMatrix", "TracedVector", "AddressSpace"),
+})

@@ -17,10 +17,13 @@ DRAM-class read/write vs PCM read ≈ 2× and PCM write ≈ 30× DRAM energy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.machine.cache import CacheStats
-from repro.machine.hierarchy import MemoryHierarchy, TwoLevel
 from repro.util import require
+
+if TYPE_CHECKING:
+    from repro.machine.cache import CacheStats
+    from repro.machine.hierarchy import MemoryHierarchy, TwoLevel
 
 __all__ = ["EnergyModel"]
 

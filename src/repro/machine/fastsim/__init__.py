@@ -34,25 +34,13 @@ of :class:`~repro.machine.cache.CacheSim` for LRU and the reference
 heap of :mod:`repro.machine.fastsim.belady` for Belady.
 """
 
-from repro.machine.fastsim.distances import (
-    count_earlier_greater,
-    next_occurrences,
-    prev_occurrences,
-)
-from repro.machine.fastsim.lru import SweepResult
-from repro.machine.fastsim.profile import phase, phase_hook, set_phase_hook
-from repro.machine.fastsim.symbols import SymbolTrace, symbolize
-from repro.machine.fastsim.dispatch import sweep
+from repro.util import lazy_exports
 
-__all__ = [
-    "count_earlier_greater",
-    "next_occurrences",
-    "prev_occurrences",
-    "SweepResult",
-    "SymbolTrace",
-    "symbolize",
-    "sweep",
-    "phase",
-    "phase_hook",
-    "set_phase_hook",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "distances": ("count_earlier_greater", "next_occurrences",
+                  "prev_occurrences"),
+    "lru": ("SweepResult",),
+    "symbols": ("SymbolTrace", "symbolize"),
+    "dispatch": ("sweep",),
+    "profile": ("phase", "phase_hook", "set_phase_hook"),
+})

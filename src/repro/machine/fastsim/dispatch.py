@@ -31,7 +31,7 @@ from repro.machine.fastsim.symbols import (
     line_symbols,
     symbolize,
 )
-from repro.machine.trace import Trace
+from repro.machine.trace import Trace, sorted_distinct
 
 __all__ = ["sweep"]
 
@@ -41,7 +41,7 @@ _FOLDS = {"lru": fold_lru_symbols, "belady": fold_opt_symbols}
 
 def _check_caps(capacities: Union[Sequence[int], np.ndarray]
                 ) -> np.ndarray:
-    caps = np.unique(np.asarray(capacities, dtype=np.int64))
+    caps = sorted_distinct(np.asarray(capacities, dtype=np.int64))
     if len(caps) == 0:
         raise ValueError("need at least one capacity")
     if caps[0] < 1:

@@ -60,6 +60,7 @@ import numpy as np
 from repro.machine.fastsim.distances import warm_distances
 from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.profile import phase
+from repro.machine.trace import sorted_distinct
 
 __all__ = [
     "SymbolTrace",
@@ -188,7 +189,7 @@ def symbolize(lines: np.ndarray, writes: np.ndarray,
                           - np.repeat(sym_offsets, sym_sizes)]
         # Exactness precondition: every line belongs to exactly one
         # symbol position (disjoint footprints, distinct within).
-        if len(np.unique(sym_lines)) != L:
+        if len(sorted_distinct(sym_lines)) != L:
             return None
 
     return SymbolTrace(

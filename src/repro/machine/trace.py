@@ -27,7 +27,16 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Trace", "TraceBuffer"]
+__all__ = ["Trace", "TraceBuffer", "sorted_distinct"]
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of *values*, ascending: ``np.unique`` by a
+    sort, since numpy 2's plain ``np.unique`` imports ``numpy.ma``."""
+    out = np.sort(np.asarray(values).ravel())
+    if out.size:
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    return out
 
 
 class Trace(NamedTuple):
@@ -165,7 +174,7 @@ class TraceBuffer:
     def n_unique_lines(self) -> int:
         """Distinct lines touched (the trace's working-set size in lines)."""
         lines, _ = self.finalize()
-        return int(len(np.unique(lines)))
+        return int(len(sorted_distinct(lines)))
 
     @property
     def n_write_events(self) -> int:

@@ -1,4 +1,5 @@
-"""Shared helpers: argument validation, integer geometry, table formatting.
+"""Shared helpers: argument validation, integer geometry, table formatting,
+and the lazy re-exports of the package ``__init__`` files.
 
 These utilities are deliberately dependency-light so every subpackage can use
 them without import cycles.
@@ -7,10 +8,13 @@ them without import cycles.
 from __future__ import annotations
 
 import bisect
+import importlib
 import math
 import numbers
 import operator
-from typing import Any, Iterable, Sequence, cast
+import sys
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple, cast)
 
 __all__ = [
     "require",
@@ -27,6 +31,7 @@ __all__ = [
     "format_columns",
     "format_si",
     "pairwise_ratios",
+    "lazy_exports",
 ]
 
 
@@ -256,3 +261,33 @@ def isqrt_exact(n: int) -> int:
     if r * r != n:
         raise ValueError(f"{n} is not a perfect square")
     return r
+
+
+def lazy_exports(package: str, exports: Mapping[str, Sequence[str]]
+                 ) -> Tuple[List[str], Callable[[str], Any],
+                            Callable[[], List[str]]]:
+    """``__all__``, ``__getattr__`` and ``__dir__`` for *package*, whose
+    public names load on first access (PEP 562).
+
+    *exports* maps each submodule (relative to *package*) to the names
+    it provides.  ``from repro.core import blocked_matmul`` then imports
+    ``repro.core.matmul`` and nothing else, and the name is kept on the
+    package, so later lookups never reach ``__getattr__``.
+    """
+    where: Dict[str, str] = {name: module for module, names in exports.items()
+                             for name in names}
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute "
+                                 f"{name!r}") from None
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*vars(sys.modules[package]), *where})
+
+    return list(where), __getattr__, __dir__

@@ -146,9 +146,10 @@ class TestStartup:
 
     def test_cli_import_skips_thread_pools(self):
         """The stack-distance pass is single-threaded, so no thread
-        pool module loads on CLI start-up."""
+        pool module loads on CLI start-up; multiprocessing loads only
+        when the executor starts a worker pool."""
         assert _fresh_modules("import repro.lab.cli",
-                              "concurrent.futures") == []
+                              "concurrent.futures", "multiprocessing") == []
 
     def test_cost_grid_sweep_runs_without_scipy(self):
         code = _cli("sweep", "--kernel", "cost-25d-mm-l3-ool2",
@@ -161,6 +162,64 @@ class TestStartup:
         code = _cli("sweep", "--preset", "sec6", "--quick",
                     "--cache-dir", str(tmp_path))
         assert _fresh_modules(code, "scipy") == []
+
+    def test_cost_grid_sweep_loads_only_the_cost_models(self):
+        """A cost grid runs no trace, executed or Section 3-5 kernel, so
+        none of their packages load; of repro.distributed only the
+        analytic cost models do.  Of fastsim only the super-symbol pass
+        the layer probe wraps loads, not the folds that run a sweep."""
+        code = _cli("sweep", "--kernel", "cost-25d-mm-l3-ool2",
+                    "--machine", "hw-2015", "--grid", "n=256,512",
+                    "--grid", "P=1024,2048", "--grid", "c3=1,2",
+                    "--no-cache")
+        loaded = _fresh_modules(code, "repro.machine.fastsim", "repro.core",
+                                "repro.krylov", "repro.bounds",
+                                "repro.experiments", "repro.distributed",
+                                "repro.machine.multicache")
+        assert loaded == ["repro.distributed",
+                          "repro.distributed.costmodel",
+                          "repro.machine.fastsim",
+                          "repro.machine.fastsim.distances",
+                          "repro.machine.fastsim.lru",
+                          "repro.machine.fastsim.profile",
+                          "repro.machine.fastsim.symbols"]
+
+    def test_sec6_sweep_loads_only_the_trace_stack(self, tmp_path):
+        """A sec6 sweep builds matmul traces and replays them: of
+        repro.core only the trace builders load, and neither the
+        executed distributed algorithms, Krylov, the bound catalogue
+        nor numpy.ma (numpy 2's plain np.unique imports it)."""
+        code = _cli("sweep", "--preset", "sec6", "--quick",
+                    "--cache-dir", str(tmp_path))
+        loaded = _fresh_modules(code, "repro.core", "repro.krylov",
+                                "repro.bounds", "numpy.ma",
+                                "repro.distributed.summa",
+                                "repro.distributed.mm25d",
+                                "repro.distributed.lu")
+        assert loaded == ["repro.core", "repro.core.traces"]
+
+    def test_every_public_name_resolves(self):
+        """The package __init__s resolve their names on first access;
+        every __all__ name of every module and package still does, and
+        dir() lists it."""
+        code = (
+            "import importlib, pkgutil\n"
+            "import repro\n"
+            "mods = [repro] + [importlib.import_module(m.name) for m in\n"
+            "    pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+            "for mod in mods:\n"
+            "    for name in getattr(mod, '__all__', ()):\n"
+            "        getattr(mod, name)\n"
+            "        assert name in dir(mod), (mod.__name__, name)\n"
+            "from repro import blocked_matmul, cg\n"
+            "from repro.krylov import cg as krylov_cg\n"
+            "assert cg is krylov_cg and callable(cg)\n"
+            "print(sum(len(getattr(mod, '__all__', ())) for mod in mods))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert int(out.strip().splitlines()[-1]) > 400
 
     def test_numeric_kernels_load_scipy_on_demand(self):
         lu = _cli("sweep", "--kernel", "lu-ll-nonpivot", "--set", "n=16",

@@ -489,7 +489,13 @@ class TestMetrics:
         """The daemon used to keep one span event per request, forever.
         Now 500 requests leave what one left, and /metrics still counts
         every one of them, even when 8 clients race to be counted."""
+        def recorded():
+            # a handler records its span after it has sent the response
+            h = daemon.metrics.histograms.get("span.http_request.seconds")
+            return h["count"] if h else 0
+
         _get(daemon.url, "/healthz")
+        _wait_for(lambda: recorded() == 1)
         held = _held_items(daemon)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -501,15 +507,49 @@ class TestMetrics:
         finally:
             sys.setswitchinterval(interval)
         assert codes == [200] * 499
+        _wait_for(lambda: recorded() == 500)
         assert _held_items(daemon) == held
         _, payload = _get(daemon.url, "/metrics")
         spans = payload["metrics"]["histograms"]["span.http_request.seconds"]
         assert spans["count"] == 500
 
+    def test_settled_jobs_are_folded_once(self, daemon, monkeypatch):
+        """/metrics used to re-aggregate every kept job's events on each
+        call; a settled job's events are now folded once, and the
+        payload still equals that aggregation."""
+        _, cold = _post(daemon.url, "/sweep", GRID_BODY)
+        TestSweepLifecycle()._wait_done(daemon.url, cold["job"])
+        for _ in range(3):
+            _post(daemon.url, "/sweep", GRID_BODY)
+        jobs = daemon.manager.jobs_snapshot()
+        assert len(jobs) == 4
+        want = MetricsRegistry.from_events(
+            [ev for job in jobs for ev in job.trace.events])
+        want.merge(daemon.metrics)
+
+        folded = []
+        real = MetricsRegistry.from_events.__func__
+
+        def counting(cls, events):
+            folded.append(len(events))
+            return real(cls, events)
+
+        monkeypatch.setattr(MetricsRegistry, "from_events",
+                            classmethod(counting))
+        got = daemon.metrics_payload()
+        assert sum(folded) == 0
+        assert got["jobs"] == {"done": 4}
+        metrics = got["metrics"]
+        assert metrics["counters"] == want.counters
+        assert metrics["gauges"] == want.gauges
+        assert metrics["histograms"].keys() == want.histograms.keys()
+        for name, hist in want.histograms.items():
+            assert metrics["histograms"][name] == pytest.approx(hist), name
+
 
 def _held_items(daemon, depth=4):
-    """How many items the containers the daemon reaches hold (its HTTP
-    server and thread aside)."""
+    """How many items the containers the daemon (or job manager)
+    reaches hold (its HTTP server and threads aside)."""
     def held(obj, depth):
         if depth == 0:
             return 0
@@ -521,7 +561,7 @@ def _held_items(daemon, depth=4):
             return held(vars(obj), depth)
         return 0
     return held({k: v for k, v in vars(daemon).items()
-                 if k not in ("httpd", "_thread")}, depth)
+                 if k not in ("httpd", "_thread", "_runner")}, depth)
 
 
 def _code(url, path):
@@ -564,6 +604,7 @@ class TestJobRetention:
         assert _code(daemon.url, f"/results/{running['job']}") == 200
         assert _code(daemon.url, f"/jobs/{warm[1]}") == 410
         assert _code(daemon.url, "/jobs/job-9999-deadbeef") == 404
+        assert _code(daemon.url, "/jobs/no-such-job") == 404
         assert len(daemon.manager.jobs_snapshot()) == 1
 
         # the forgotten jobs still count in /metrics
@@ -571,6 +612,31 @@ class TestJobRetention:
         assert payload["jobs"] == {"done": 4}
         assert payload["metrics"]["histograms"][
             "span.sweep.seconds"]["count"] == 4
+
+    def test_warm_requests_keep_bounded_state(self, daemon):
+        """Every cache-served request makes a job, and the 410 answer
+        used to remember each forgotten id: 600 warm requests left 345.
+        Now the manager holds as much after 600 requests as after 300."""
+        _, cold = _post(daemon.url, "/sweep", GRID_BODY)
+        TestSweepLifecycle()._wait_done(daemon.url, cold["job"])
+        manager = daemon.manager
+        ids = [_post(daemon.url, "/sweep", GRID_BODY)[1]["job"]
+               for _ in range(299)]
+        held = _held_items(manager)
+        ids += [_post(daemon.url, "/sweep", GRID_BODY)[1]["job"]
+                for _ in range(300)]
+        assert len(manager.jobs_snapshot()) == serve_module.MAX_FINISHED_JOBS
+        assert _held_items(manager) == held
+        assert _code(daemon.url, f"/jobs/{cold['job']}") == 410
+        assert _code(daemon.url, f"/jobs/{ids[0]}") == 410
+        assert _code(daemon.url, f"/jobs/{ids[-1]}") == 200
+        assert _code(daemon.url, "/jobs/job-9999-deadbeef") == 404
+        # an issued number written non-canonically, or number 0
+        seq, key8 = ids[0].split("-")[1:]
+        assert _code(daemon.url, f"/jobs/job-0{seq}-{key8}") == 404
+        assert _code(daemon.url, f"/jobs/job-0000-{key8}") == 404
+        _, payload = _get(daemon.url, "/metrics")
+        assert payload["jobs"] == {"done": 600}
 
 
 class TestListenBacklog:
