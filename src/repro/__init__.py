@@ -23,16 +23,17 @@ Subpackages
     CG, s-step CA-CG, and the blocked/streaming matrix-powers kernels with
     write counting.
 ``repro.experiments``
-    The paper's table layouts and table decompositions, which the
-    ``repro.lab`` presets print (``repro-lab run fig2``).
+    One module per table, figure or section of the paper: the
+    ``repro.lab`` preset that computes it (``repro-lab run fig2``), the
+    paper's claims on its records, and the layout that prints them.
 ``repro.names``
     The names a request may pass a kernel, declared once.
 ``repro.lab``
     The scenario-sweep engine: string-keyed registries of kernels, machine
     models (including NVM-style asymmetric read/write costs) and policies;
-    declarative parameter grids with a named preset per paper table and
-    figure; a
-    ``multiprocessing`` executor; and a content-addressed on-disk result
+    declarative parameter grids and the table of named presets (each
+    built in its ``repro.experiments`` module); a ``multiprocessing``
+    executor; and a content-addressed on-disk result
     cache keyed by scenario point + code fingerprint, so repeated sweeps
     skip already-simulated points.  CLI: ``python -m repro.lab``.
 """

@@ -1,13 +1,19 @@
-"""The paper's tables and figures: layouts and geometries.
+"""The paper's tables and figures, one module per artifact.
 
-Each module owns one table or figure of the paper.  It holds the
-``format_*`` function that prints rows in the paper's layout and
-whatever is specific to that table: the Figure-2/5 geometry
-(:class:`Fig2Config`) or the ``*_scenario`` decompositions of Tables
-1–2, Section 7 and the LU trade-off.  The numbers themselves come from
-the ``repro.lab`` presets (``repro-lab run fig2``), whose scenarios
-import a module here only when that preset is built or rendered.
+Each module holds everything about one table, figure or section of the
+paper: the ``repro-lab`` preset that computes it (a ``*_scenario``
+builder and the paper's claims its records show), the assembly of point
+records into rows, and the ``format_*`` function that prints those rows
+in the paper's layout.  Presets that extend a section without a paper
+layout of their own live in that section's module (``krylov`` in
+:mod:`~repro.experiments.sec8_ksm`, ``distributed`` and ``nvm-matmul``
+in :mod:`~repro.experiments.sec7_model1`, ``cost-map`` in
+:mod:`~repro.experiments.table2`).  :data:`repro.lab.scenarios.SCENARIOS`
+names each preset's module and builder and imports the module only when
+that preset is built, so a request compiles only its own preset's code.
 """
+
+from typing import Any, Dict, List
 
 from repro.util import lazy_exports
 
@@ -24,3 +30,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "sec8_ksm": ("format_sec8",),
     "lu_tradeoff": ("format_lu",),
 })
+__all__.append("point_rows")
+
+
+def point_rows(results: List[Any]) -> List[Dict[str, Any]]:
+    """Each point's params and record as one row."""
+    return [{**res.point.params, **res.record} for res in results]

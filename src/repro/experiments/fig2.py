@@ -3,22 +3,26 @@
 The paper fixes the outer dimensions at 4000, sweeps the middle dimension
 from 128 to 32K, and reads three Xeon-7560 uncore counters for six
 variants (CO, MKL, and two-level WA with four L3 blocking sizes).  The
-``fig2`` preset of :mod:`repro.lab.scenarios` runs the same experiment at a
+``fig2`` preset (:func:`fig2_scenario`) runs the same experiment at a
 scaled-down geometry through the cache simulator, one ``matmul-cache``
 point per (panel, middle), and reports the same rows: ``L3_VICTIMS.M``,
 ``L3_VICTIMS.E``, ``LLC_S_FILLS.E`` and the write lower bound (output
-lines).  This module holds the geometry and the table layout.
+lines).  This module holds the geometry, the preset with its claims, the
+row assembly and the table layout; Figure 5
+(:mod:`repro.experiments.fig5`) shares the geometry and the row assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.util import format_table
+from repro.lab.registry import MachineSpec
+from repro.lab.scenarios import Scenario, ScenarioPoint, claims_on
+from repro.util import format_table, require
 
-__all__ = ["Fig2Config", "format_fig2", "fig2_variants",
-           "fig2_ideal_misses"]
+__all__ = ["Fig2Config", "fig2_config", "fig2_scenario", "fig2_rows",
+           "format_fig2", "fig2_variants", "fig2_ideal_misses"]
 
 
 @dataclass
@@ -68,6 +72,15 @@ class Fig2Config:
         return 3 * b * b + self.line_size
 
 
+def fig2_config(quick: bool) -> Fig2Config:
+    """The scaled-down Figure-2/5 geometry of the fig2 and fig5 presets."""
+    if quick:
+        return Fig2Config(n_outer=48, middles=(4, 16, 64), line_size=4,
+                          b2=8, base=4)
+    return Fig2Config(n_outer=96, middles=(8, 32, 128, 256), line_size=4,
+                      b2=8, base=4)
+
+
 def fig2_variants(cfg: Fig2Config) -> List[tuple]:
     """The six panels as ``(scheme, b3)`` pairs, in the paper's order:
     CO (2a), MKL-like (2b), then two-level WA per blocking size (2c–2f)."""
@@ -86,6 +99,83 @@ def fig2_ideal_misses(cfg: Fig2Config) -> List[float]:
                            cfg.cache() * wb, cfg.line_size * wb)
         for m in cfg.middles
     ]
+
+
+def fig2_scenario(quick: bool = False,
+                  cfg: Optional[Fig2Config] = None) -> Scenario:
+    """Figure 2 decomposed into one point per (variant, middle)."""
+    cfg = cfg or fig2_config(quick)
+    floor = cfg.n_outer ** 2 // cfg.line_size
+    machine = MachineSpec(name="fig2-l3", cache_words=cfg.cache(),
+                          line_size=cfg.line_size, policy=cfg.policy)
+    points = [
+        ScenarioPoint("matmul-cache", machine,
+                      {"n": cfg.n_outer, "middle": m, "scheme": scheme,
+                       "b3": b3, "b2": cfg.b2, "base": cfg.base})
+        for scheme, b3 in fig2_variants(cfg)
+        for m in cfg.middles
+    ]
+    return Scenario(
+        name="fig2",
+        kernel="matmul-cache",
+        machine=machine,
+        description="Figure 2: L3 counters of six matmul orders vs the "
+                    "middle dimension",
+        explicit=points,
+        report=lambda sc, res: format_fig2(fig2_rows(sc, res)),
+        meta={"cfg": cfg},
+        claims=claims_on(fig2_rows, {
+            "co-writebacks-grow-4x":
+                lambda r: _last(r[0]) > 4 * r[0]["VICTIMS.M"][0],
+            "co-ends-4x-above-floor": lambda r: _last(r[0]) > 4 * floor,
+            "mkl-at-least-co": lambda r: _last(r[1]) >= _last(r[0]),
+            "wa-under-half-of-co":
+                lambda r: all(_last(w) < _last(r[0]) / 2 for w in r[2:]),
+            "smallest-blocking-fewest-writebacks":
+                lambda r: _last(r[2]) <= _last(r[-1]),
+            "smallest-blocking-most-e-fills":
+                lambda r: _last(r[2], "FILLS.E") >= _last(r[-1], "FILLS.E"),
+        }),
+        # at --quick size CO ends at exactly 4x its start and the floor
+        full_only=frozenset({"co-writebacks-grow-4x",
+                             "co-ends-4x-above-floor"}),
+    )
+
+
+def _counter_rows(chunk: List[Any], middles: Sequence[int]
+                  ) -> Dict[str, Any]:
+    """One panel's counters over the middle dimensions."""
+    p0 = chunk[0].point.params
+    return {
+        "scheme": p0["scheme"],
+        "b3": p0["b3"],
+        "middles": list(middles),
+        "VICTIMS.M": [r.record["writebacks"] for r in chunk],
+        "VICTIMS.E": [r.record["victims_e"] for r in chunk],
+        "FILLS.E": [r.record["fills"] for r in chunk],
+        "write_lb": [r.record["write_lb"] for r in chunk],
+    }
+
+
+def _chunks(items: List[Any], size: int) -> List[List[Any]]:
+    require(len(items) % size == 0, "result list does not tile the grid")
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _last(row: Dict[str, Any], counter: str = "VICTIMS.M") -> Any:
+    """A panel row's counter at the largest middle dimension."""
+    return row[counter][-1]
+
+
+def fig2_rows(scenario: Scenario, results: List[Any]
+              ) -> List[Dict[str, Any]]:
+    """Reassemble point records into the panels :func:`format_fig2`
+    prints."""
+    cfg: Fig2Config = scenario.meta["cfg"]
+    rows = [_counter_rows(c, cfg.middles)
+            for c in _chunks(results, len(cfg.middles))]
+    rows[0]["ideal_misses"] = fig2_ideal_misses(cfg)
+    return rows
 
 
 def format_fig2(results: List[Dict]) -> str:

@@ -9,8 +9,11 @@ and the paper's β-cost formulas (23)–(26) evaluate as ``cost-lu-ll`` /
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.lab.registry import MachineSpec
+from repro.lab.scenarios import Scenario, ScenarioPoint, claims_on
 from repro.util import format_table
 
 __all__ = ["format_lu", "lu_scenario"]
@@ -20,10 +23,7 @@ _EXEC_KERNELS = {"LL-LUNP": "lu-ll-nonpivot", "RL-LUNP": "lu-rl-nonpivot"}
 
 
 def _lu_points(n: int, b: int, P: int, seed: int, model_n: int,
-               model_P: int) -> List[Any]:
-    from repro.lab.registry import MachineSpec
-    from repro.lab.scenarios import ScenarioPoint
-
+               model_P: int) -> List[ScenarioPoint]:
     machine = MachineSpec(name="lu-hw")
     points = [
         ScenarioPoint(kernel, machine,
@@ -68,13 +68,9 @@ def _assemble_lu(results: Sequence[Any]) -> Dict:
 
 def lu_scenario(quick: bool = False, *, n: Optional[int] = None,
                 b: int = 4, P: int = 4, seed: int = 0,
-                model_n: int = 1 << 14, model_P: int = 256) -> Any:
+                model_n: int = 1 << 14, model_P: int = 256) -> Scenario:
     """Section 7.2 as a ``repro-lab`` preset (``lu-tradeoff``).  The
     keyword parameters are the ``--set``-able knobs."""
-    from functools import partial
-
-    from repro.lab.scenarios import Scenario, claims_on
-
     n = n if n is not None else (16 if quick else 32)
     points = _lu_points(n, b, P, seed, model_n, model_P)
     return Scenario(

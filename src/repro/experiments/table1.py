@@ -4,23 +4,22 @@
 ``cost-table1`` point per (row, algorithm) cell, one ``cost-dominance``
 point, and one *executed* ``mm-25d`` cross-check.  Its report
 reassembles the point records into the table (the cells pivot back into
-rows via :meth:`repro.lab.results.ResultSet.pivot`) and
-:func:`format_table1` prints it.
-
-The lab imports happen inside the functions, as in the other preset
-builders here: ``repro.lab.scenarios`` imports this module when the
-preset is built, and a top-level import the other way would load the
-whole engine with the layout.
+rows via :meth:`repro.lab.results.ResultSet.pivot`), checks the
+paper's claims on it, and :func:`format_table1` prints it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Dict, List, Sequence
 
 from repro.distributed import HwParams
 from repro.distributed.costmodel import (TABLE1_ROW_COUNT,
                                          dom_beta_cost_model21)
+from repro.lab.registry import MachineSpec
+from repro.lab.results import ResultSet
+from repro.lab.scenarios import Scenario, ScenarioPoint, claims_on
 from repro.util import canonical_int, format_table, require
 
 __all__ = ["format_table1", "table1_scenario"]
@@ -29,10 +28,7 @@ _ALGORITHMS = ("2DMML2", "2.5DMML2", "2.5DMML3")
 
 
 def _table1_points(n: int, P: int, c2: int, c3: int,
-                   quick: bool) -> List[Any]:
-    from repro.lab.registry import MachineSpec
-    from repro.lab.scenarios import ScenarioPoint
-
+                   quick: bool) -> List[ScenarioPoint]:
     machine = MachineSpec(name="table1-hw")
     # Fail fast on a broken size override: the per-cell kernels would
     # only emit feasible:False records the table assembler cannot
@@ -61,8 +57,6 @@ def _table1_points(n: int, P: int, c2: int, c3: int,
 
 def _assemble_table1(results: Sequence[Any]) -> Dict:
     """Point records (in point order) -> the legacy harness result."""
-    from repro.lab.results import ResultSet
-
     cells = [r.record for r in results if r.point.kernel == "cost-table1"]
     rows = ResultSet(cells).pivot(
         ("movement", "param", "common"), "algorithm", "words").rows
@@ -93,7 +87,8 @@ def _assemble_table1(results: Sequence[Any]) -> Dict:
 
 
 def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
-                    P: int = 1 << 20, c2: int = 4, c3: int = 16) -> Any:
+                    P: int = 1 << 20, c2: int = 4, c3: int = 16
+                    ) -> Scenario:
     """Table 1 as a ``repro-lab`` preset: one point per table cell, plus
     the dominance comparison and the executed 2.5D cross-check.
 
@@ -101,10 +96,6 @@ def table1_scenario(quick: bool = False, *, n: int = 1 << 14,
     ``rebuild`` hook regenerates the whole coupled point family from
     them, leaving the fixed validation geometry alone.
     """
-    from functools import partial
-
-    from repro.lab.scenarios import Scenario, claims_on
-
     points = _table1_points(n, P, c2, c3, quick)
     return Scenario(
         name="table1",

@@ -6,19 +6,26 @@ table cell, a Model-2.2 ``cost-dominance`` point, and two *executed*
 validation points exhibiting the Theorem-4 trade-off — the simulated
 SUMMAL3ooL2 attains the NVM-write floor W1 = n²/P exactly while paying
 extra network; the simulated 2.5DMML3ooL2 does the opposite.
+
+The ``cost-map`` preset (:func:`costmap_scenario`) extends the table
+to a provisioning map of the 2.5DMML3ooL2 cost over (P, c3).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Dict, List, Sequence
 
 from repro.distributed import HwParams
 from repro.distributed.costmodel import (TABLE2_ROW_COUNT,
                                          dom_beta_cost_model22)
+from repro.lab.registry import MACHINES, MachineSpec, hw_overrides
+from repro.lab.results import ResultSet
+from repro.lab.scenarios import Scenario, ScenarioPoint, claims_on
 from repro.util import canonical_int, format_table, require
 
-__all__ = ["format_table2", "table2_scenario"]
+__all__ = ["format_table2", "table2_scenario", "costmap_scenario"]
 
 _ALGORITHMS = ("2.5DMML3ooL2", "SUMMAL3ooL2")
 
@@ -28,10 +35,8 @@ def _default_hw() -> HwParams:
     return HwParams(M1=2**8, M2=2**14)
 
 
-def _table2_points(n: int, P: int, c3: int, quick: bool) -> List[Any]:
-    from repro.lab.registry import MachineSpec, hw_overrides
-    from repro.lab.scenarios import ScenarioPoint
-
+def _table2_points(n: int, P: int, c3: int, quick: bool
+                   ) -> List[ScenarioPoint]:
     machine = MachineSpec(name="table2-hw", hw=hw_overrides(_default_hw()))
     # Fail fast on a broken size override: the per-cell kernels would
     # only emit feasible:False records the table assembler cannot
@@ -63,8 +68,6 @@ def _table2_points(n: int, P: int, c3: int, quick: bool) -> List[Any]:
 
 
 def _assemble_table2(results: Sequence[Any]) -> Dict:
-    from repro.lab.results import ResultSet
-
     cells = [r.record for r in results if r.point.kernel == "cost-table2"]
     rows = ResultSet(cells).pivot(
         ("movement", "param", "common"), "algorithm", "words").rows
@@ -93,14 +96,10 @@ def _assemble_table2(results: Sequence[Any]) -> Dict:
 
 
 def table2_scenario(quick: bool = False, *, n: int = 1 << 15,
-                    P: int = 512, c3: int = 4) -> Any:
+                    P: int = 512, c3: int = 4) -> Scenario:
     """Table 2 as a ``repro-lab`` preset.  The keyword parameters are
     the ``--set``-able knobs (the ``rebuild`` hook keeps the coupled
     cell/dominance/validation family consistent)."""
-    from functools import partial
-
-    from repro.lab.scenarios import Scenario, claims_on
-
     points = _table2_points(n, P, c3, quick)
     return Scenario(
         name="table2",
@@ -158,6 +157,29 @@ def _winner(table: Dict, hw: HwParams) -> str:
     """The Model-2.2 winner at the table's sizes on hardware *hw*."""
     return dom_beta_cost_model22(table["n"], table["P"], table["c3"],
                                  hw)["winner"]
+
+
+def costmap_scenario(quick: bool = False) -> Scenario:
+    """NEW: an analytic provisioning map over (P, c3) for the Model-2.2
+    NVM-staged 2.5D matmul.
+
+    Pure closed-form arithmetic, so the executor evaluates the whole
+    grid as one vectorized ``cost-*`` batch (``--no-batch`` opts out);
+    the c3 axis deliberately runs past each P's ``c3 <= P^(1/3)`` edge,
+    where points report ``feasible: False`` — provisioning questions
+    are exactly about walking past those edges.
+    """
+    P_axis = [64, 256, 1024] if quick else [64, 256, 1024, 4096, 16384]
+    c3_axis = [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16, 32]
+    return Scenario(
+        name="cost-map",
+        kernel="cost-25d-mm-l3-ool2",
+        machine=MACHINES["hw-2015"],
+        description="Provisioning map: 2.5DMML3ooL2 analytic cost over "
+                    "(P, c3), one vectorized batch",
+        fixed={"n": 1 << 14},
+        grid={"P": P_axis, "c3": c3_axis},
+    )
 
 
 def format_table2(result: Dict) -> str:

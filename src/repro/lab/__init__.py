@@ -14,12 +14,13 @@ subpackage turns those grids into first-class objects:
   (``summa-2d``, ``mm-25d``, ``lu-*-nonpivot``) and the Section-8
   Krylov methods (``krylov-*``);
 * :mod:`repro.lab.scenarios` — declarative :class:`Scenario` grids with
-  cartesian expansion and presets for every figure and table of the
-  paper (``fig2``, ``fig5``, ``table1``, ``table2``, ``sec3``–``sec6``,
-  ``sec7-nvm``, ``sec8``, ``lu-tradeoff``) plus new sweeps
-  (``nvm-matmul``, ``prop62``, ``distributed``, ``krylov``,
-  ``cost-map``), and :func:`build_scenario`, the one request parser of
-  the CLI and the serve daemon;
+  cartesian expansion, the :data:`SCENARIOS` table of presets for every
+  figure and table of the paper (``fig2``, ``fig5``, ``table1``,
+  ``table2``, ``sec3``–``sec6``, ``sec7-nvm``, ``sec8``, ``prop62``,
+  ``lu-tradeoff``) plus new sweeps (``nvm-matmul``, ``distributed``,
+  ``krylov``, ``cost-map``), each built in its
+  :mod:`repro.experiments` module, and :func:`build_scenario`, the one
+  request parser of the CLI and the serve daemon;
 * :mod:`repro.lab.executor` — :func:`execute` fans points out over
   ``multiprocessing`` workers;
 * :mod:`repro.lab.cache` — :class:`ResultCache`, a content-addressed

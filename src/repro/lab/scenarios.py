@@ -1,4 +1,4 @@
-"""Declarative scenario specs, cartesian expansion, and named presets.
+"""Declarative scenario specs, cartesian expansion, and the preset table.
 
 A :class:`Scenario` is a parameter grid over a kernel and a machine; its
 :meth:`~Scenario.points` expand to concrete :class:`ScenarioPoint`\\ s, the
@@ -7,27 +7,27 @@ unit the executor runs and the result cache keys.  Presets in
 point (so sweeps parallelize and cache at the finest grain) and add
 NVM-style machine sweeps the paper never ran.
 
-Report helpers (:func:`fig2_rows`, :func:`fig5_rows`, :func:`sec6_rows`)
-reassemble point records into the row structures the ``format_*``
-layouts of :mod:`repro.experiments` print; ``tests/golden/`` pins each
-rendered table byte for byte.  A layout, and a preset builder that
-lives in :mod:`repro.experiments`, is imported when its preset is built
-or rendered, so a request loads only its own preset's code.
-:func:`build_scenario` turns a request (CLI arguments or a ``POST
-/sweep`` body) into a :class:`Scenario`.
+Each preset is built in the :mod:`repro.experiments` module of the
+artifact it reproduces, which also holds its claims, the assembly of
+its records into rows and the ``format_*`` layout that prints them
+(``tests/golden/`` pins each rendered table byte for byte).
+:data:`SCENARIOS` imports that module when the preset is built, so a
+request loads only its own preset's code.  :func:`build_scenario` turns
+a request (CLI arguments or a ``POST /sweep`` body) into a
+:class:`Scenario`.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
-                    Mapping, Optional, Sequence)
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence)
 
 from repro.lab.registry import (
     KERNELS,
-    MACHINES,
     MachineSpec,
     check_point,
     kernel_params,
@@ -37,10 +37,7 @@ from repro.lab.registry import (
     takes,
 )
 from repro.lab.results import ResultSet, distinct
-from repro.util import format_table, require
-
-if TYPE_CHECKING:
-    from repro.experiments.fig2 import Fig2Config
+from repro.util import require
 
 __all__ = [
     "Scenario",
@@ -48,23 +45,7 @@ __all__ = [
     "SCENARIOS",
     "get_scenario",
     "build_scenario",
-    "fig2_config",
-    "fig2_scenario",
-    "fig5_scenario",
-    "sec6_scenario",
-    "nvm_matmul_scenario",
-    "prop62_scenario",
-    "distributed_scenario",
-    "krylov_scenario",
-    "costmap_scenario",
-    "sec3_scenario",
-    "sec4_scenario",
-    "sec5_scenario",
-    "sec8_scenario",
     "claims_on",
-    "fig2_rows",
-    "fig5_rows",
-    "sec6_rows",
 ]
 
 
@@ -349,765 +330,36 @@ def _default_report(scenario: Scenario, results: List[Any]) -> str:
     return rows.format(title=f"scenario {scenario.name}")
 
 
-# --------------------------------------------------------------------- #
-# report assemblers (records -> the row structures format_* print)
-# --------------------------------------------------------------------- #
-def _counter_rows(chunk: List[Any], middles: Sequence[int]
-                  ) -> Dict[str, Any]:
-    p0 = chunk[0].point.params
-    return {
-        "scheme": p0["scheme"],
-        "b3": p0["b3"],
-        "middles": list(middles),
-        "VICTIMS.M": [r.record["writebacks"] for r in chunk],
-        "VICTIMS.E": [r.record["victims_e"] for r in chunk],
-        "FILLS.E": [r.record["fills"] for r in chunk],
-        "write_lb": [r.record["write_lb"] for r in chunk],
-    }
-
-
-def _chunks(items: List[Any], size: int) -> List[List[Any]]:
-    require(len(items) % size == 0, "result list does not tile the grid")
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def fig2_rows(scenario: Scenario, results: List[Any]
-              ) -> List[Dict[str, Any]]:
-    """Reassemble point records into the panels :func:`format_fig2`
-    prints."""
-    cfg: Fig2Config = scenario.meta["cfg"]
-    rows = [_counter_rows(c, cfg.middles)
-            for c in _chunks(results, len(cfg.middles))]
-    from repro.experiments.fig2 import fig2_ideal_misses
-
-    rows[0]["ideal_misses"] = fig2_ideal_misses(cfg)
-    return rows
-
-
-def fig5_rows(scenario: Scenario, results: List[Any]
-              ) -> Dict[str, List[Dict[str, Any]]]:
-    """Reassemble point records into the columns :func:`format_fig5`
-    prints."""
-    cfg: Fig2Config = scenario.meta["cfg"]
-    out: Dict[str, List[Dict[str, Any]]] = {"multilevel-wa": [],
-                                            "two-level-ab": []}
-    col_of = {"wa-multilevel": "multilevel-wa", "ab-multilevel": "two-level-ab"}
-    for chunk in _chunks(results, len(cfg.middles)):
-        row = _counter_rows(chunk, cfg.middles)
-        out[col_of[row["scheme"]]].append(row)
-    return out
-
-
-def sec6_rows(scenario: Scenario, results: List[Any]
-              ) -> List[Dict[str, Any]]:
-    """Reassemble point records into the rows :func:`format_sec6`
-    prints."""
-    floor = scenario.meta["floor"]
-    rows = []
-    for res in results:
-        rows.append({
-            "scheme": res.point.params["scheme"],
-            "capacity_blocks": res.point.params["cache_blocks"],
-            "policy": res.point.machine.policy,
-            "writebacks": res.record["writebacks"],
-            "floor": floor,
-            "ratio": res.record["writebacks"] / floor,
-            "fills": res.record["fills"],
-        })
-    return rows
-
-
-def _flat_rows(results: List[Any]) -> List[Dict[str, Any]]:
-    """Each point's params and record as one row."""
-    return [{**res.point.params, **res.record} for res in results]
-
-
-# Each report imports its preset's layout when the table is rendered.
-def _fig2_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.fig2 import format_fig2
-
-    return format_fig2(fig2_rows(scenario, results))
-
-
-def _fig5_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.fig5 import format_fig5
-
-    return format_fig5(fig5_rows(scenario, results))
-
-
-def _sec6_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.sec6_lru import format_sec6
-
-    return format_sec6(sec6_rows(scenario, results))
-
-
-def _sec3_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.sec3_negative import format_sec3
-
-    return format_sec3(_flat_rows(results))
-
-
-def _sec4_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.sec4_counts import format_sec4
-
-    return format_sec4(_flat_rows(results))
-
-
-def _sec5_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.sec5_co import format_sec5
-
-    return format_sec5(_flat_rows(results))
-
-
-def _last(row: Dict[str, Any], counter: str = "VICTIMS.M") -> Any:
-    """A panel row's counter at the largest middle dimension."""
-    return row[counter][-1]
-
-
-# --------------------------------------------------------------------- #
-# presets
-# --------------------------------------------------------------------- #
-def fig2_config(quick: bool) -> Fig2Config:
-    """The scaled-down Figure-2/5 geometry of the fig2 and fig5 presets."""
-    from repro.experiments.fig2 import Fig2Config
-
-    if quick:
-        return Fig2Config(n_outer=48, middles=(4, 16, 64), line_size=4,
-                          b2=8, base=4)
-    return Fig2Config(n_outer=96, middles=(8, 32, 128, 256), line_size=4,
-                      b2=8, base=4)
-
-
-def fig2_scenario(quick: bool = False,
-                  cfg: Optional[Fig2Config] = None) -> Scenario:
-    """Figure 2 decomposed into one point per (variant, middle)."""
-    from repro.experiments.fig2 import fig2_variants
-
-    cfg = cfg or fig2_config(quick)
-    floor = cfg.n_outer ** 2 // cfg.line_size
-    machine = MachineSpec(name="fig2-l3", cache_words=cfg.cache(),
-                          line_size=cfg.line_size, policy=cfg.policy)
-    points = [
-        ScenarioPoint("matmul-cache", machine,
-                      {"n": cfg.n_outer, "middle": m, "scheme": scheme,
-                       "b3": b3, "b2": cfg.b2, "base": cfg.base})
-        for scheme, b3 in fig2_variants(cfg)
-        for m in cfg.middles
-    ]
-    return Scenario(
-        name="fig2",
-        kernel="matmul-cache",
-        machine=machine,
-        description="Figure 2: L3 counters of six matmul orders vs the "
-                    "middle dimension",
-        explicit=points,
-        report=_fig2_report,
-        meta={"cfg": cfg},
-        claims=claims_on(fig2_rows, {
-            "co-writebacks-grow-4x":
-                lambda r: _last(r[0]) > 4 * r[0]["VICTIMS.M"][0],
-            "co-ends-4x-above-floor": lambda r: _last(r[0]) > 4 * floor,
-            "mkl-at-least-co": lambda r: _last(r[1]) >= _last(r[0]),
-            "wa-under-half-of-co":
-                lambda r: all(_last(w) < _last(r[0]) / 2 for w in r[2:]),
-            "smallest-blocking-fewest-writebacks":
-                lambda r: _last(r[2]) <= _last(r[-1]),
-            "smallest-blocking-most-e-fills":
-                lambda r: _last(r[2], "FILLS.E") >= _last(r[-1], "FILLS.E"),
-        }),
-        # at --quick size CO ends at exactly 4x its start and the floor
-        full_only=frozenset({"co-writebacks-grow-4x",
-                             "co-ends-4x-above-floor"}),
-    )
-
-
-def fig5_scenario(quick: bool = False,
-                  cfg: Optional[Fig2Config] = None) -> Scenario:
-    """Figure 5 decomposed into one point per (column, blocking, middle)."""
-    cfg = cfg or fig2_config(quick)
-    floor = cfg.n_outer ** 2 // cfg.line_size
-    machine = MachineSpec(name="fig5-l3", cache_words=cfg.cache(),
-                          line_size=cfg.line_size, policy=cfg.policy)
-    points = [
-        ScenarioPoint("matmul-cache", machine,
-                      {"n": cfg.n_outer, "middle": m, "scheme": scheme,
-                       "b3": b3, "b2": cfg.b2, "base": cfg.base})
-        for b3 in cfg.b3_sizes()
-        for scheme in ("wa-multilevel", "ab-multilevel")
-        for m in cfg.middles
-    ]
-    return Scenario(
-        name="fig5",
-        kernel="matmul-cache",
-        machine=machine,
-        description="Figure 5: multi-level WA vs slab order under LRU",
-        explicit=points,
-        report=_fig5_report,
-        meta={"cfg": cfg},
-        claims=claims_on(fig5_rows, {
-            "wa-largest-blocking-over-2x-floor":
-                lambda c: _last(c["multilevel-wa"][-1]) > 2 * floor,
-            "ab-largest-blocking-under-1.5x-floor":
-                lambda c: _last(c["two-level-ab"][-1]) < 1.5 * floor,
-            "wa-smallest-blocking-under-2x-floor":
-                lambda c: _last(c["multilevel-wa"][0]) < 2 * floor,
-            "ab-smallest-blocking-under-1.5x-floor":
-                lambda c: _last(c["two-level-ab"][0]) < 1.5 * floor,
-            "ab-e-fills-within-1.2x-of-wa-smallest":
-                lambda c: (_last(c["two-level-ab"][-1], "FILLS.E")
-                           <= _last(c["multilevel-wa"][0], "FILLS.E") * 1.2),
-        }),
-    )
-
-
-def sec6_scenario(
-    quick: bool = False,
-    *,
-    n: Optional[int] = None,
-    middle: Optional[int] = None,
-    b3: int = 16,
-    b2: int = 8,
-    base: int = 4,
-    line: int = 4,
-    policies: Sequence[str] = ("lru", "clock", "segmented-lru", "belady"),
-    schemes: Sequence[str] = ("wa2", "ab-multilevel", "wa-multilevel"),
-) -> Scenario:
-    """Section 6 policy study as a scheme x capacity x policy grid."""
-    n = n if n is not None else (32 if quick else 64)
-    middle = middle if middle is not None else (32 if quick else 128)
-    machine = MachineSpec(name="sec6-l3", line_size=line, policy="lru")
-    return Scenario(
-        name="sec6",
-        kernel="matmul-cache",
-        machine=machine,
-        description="Section 6: write-backs vs output floor across "
-                    "replacement policies and capacities",
-        fixed={"n": n, "middle": middle, "b3": b3, "b2": b2, "base": base},
-        grid={
-            "scheme": list(schemes),
-            "cache_blocks": [3, 4, 5],
-            "machine.policy": list(policies),
-        },
-        report=_sec6_report,
-        meta={"floor": n * n // line},
-        claims=claims_on(_sec6_view, {
-            "prop61-wa2-lru-5-blocks-at-floor":
-                lambda v: v["wa2", 5, "lru"]["writebacks"] == n * n // line,
-            "ab-lru-3-blocks-under-1.2x-floor":
-                lambda v: v["ab-multilevel", 3, "lru"]["ratio"] < 1.2,
-            "wa-multilevel-lru-3-blocks-over-1.5x-floor":
-                lambda v: v["wa-multilevel", 3, "lru"]["ratio"] > 1.5,
-            "belady-fills-at-most-lru":
-                lambda v: all(v[s, b, "belady"]["fills"]
-                              <= v[s, b, "lru"]["fills"]
-                              for s in ("wa2", "ab-multilevel")
-                              for b in (3, 5)),
-            "clock-wa2-5-blocks-within-3x-of-lru":
-                lambda v: (v["wa2", 5, "clock"]["writebacks"]
-                           <= 3 * v["wa2", 5, "lru"]["writebacks"]),
-        }),
-    )
-
-
-def _sec6_view(scenario: Scenario, results: List[Any]
-               ) -> Dict[Any, Dict[str, Any]]:
-    """The sec6 rows by (scheme, capacity in blocks, policy)."""
-    return {(r["scheme"], r["capacity_blocks"], r["policy"]): r
-            for r in sec6_rows(scenario, results)}
-
-
-def nvm_matmul_scenario(quick: bool = False) -> Scenario:
-    """NEW: matmul orders on NVM-style machines with asymmetric costs.
-
-    Sweeps the slow-side write energy from symmetric (battery-backed DRAM)
-    to PCM-like 30x, on a cache sized so that only ~3 blocks fit — the
-    regime where instruction order decides the write bill.
-    """
-    n = 32 if quick else 64
-    b3 = max(4, n // 4)
-    machine = MACHINES["nvm-pcm"].override(
-        name="nvm-sweep", cache_words=3 * b3 * b3 + 4, line_size=4)
-    return Scenario(
-        name="nvm-matmul",
-        kernel="matmul-cache",
-        machine=machine,
-        description="NVM provisioning: slow-memory energy of matmul orders "
-                    "as the write/read cost asymmetry grows",
-        fixed={"n": n, "middle": 2 * n, "b3": b3, "b2": max(4, b3 // 2),
-               "base": 4},
-        grid={
-            "scheme": ["co", "mkl-like", "wa2", "ab-multilevel"],
-            "machine.write_slow": [2.0, 8.0, 30.0],
-        },
-        report=_nvm_report,
-    )
-
-
-def _nvm_report(scenario: Scenario, results: List[Any]) -> str:
-    headers = ["scheme", "write_slow", "writebacks", "fills", "energy",
-               "energy/floor-energy"]
-    body = []
-    for res in results:
-        m = res.point.machine
-        floor_energy = m.line_size * (
-            res.record["fills"] * m.read_slow
-            + res.record["write_lb"] * m.write_slow
-        )
-        body.append([
-            res.point.params["scheme"],
-            m.write_slow,
-            res.record["writebacks"],
-            res.record["fills"],
-            res.record["energy"],
-            round(res.record["energy"] / floor_energy, 3),
-        ])
-    return format_table(
-        headers, body,
-        title="NVM sweep — slow-boundary energy by instruction order and "
-              "write-cost asymmetry (floor = same fills, write-floor "
-              "write-backs)")
-
-
-def prop62_scenario(quick: bool = False) -> Scenario:
-    """Proposition 6.2 across kernels: the TRSM, Cholesky and N-body
-    write floors vs capacity, under LRU and the offline optimum.
-
-    One point per (kernel, capacity, policy); every (kernel, policy)
-    column is a pure capacity sweep over one memoized line trace, so the
-    executor collapses the whole scenario into one batched replay per
-    kernel (LRU and Belady share it — both are stack algorithms).
-    """
-    line = 4
-    if quick:
-        geometries = (("trsm-cache", {"n": 16, "m": 8, "b": 4}),
-                      ("cholesky-cache", {"n": 16, "b": 4}),
-                      ("nbody-cache", {"n": 32, "b": 8}))
-    else:
-        geometries = (("trsm-cache", {"n": 32, "m": 16, "b": 8}),
-                      ("cholesky-cache", {"n": 32, "b": 8}),
-                      ("nbody-cache", {"n": 64, "b": 8}))
-    machine = MachineSpec(name="prop62-l3", line_size=line, policy="lru")
-    points = [
-        ScenarioPoint(kernel, machine.override(policy=policy),
-                      dict(params, cache_blocks=blocks))
-        for kernel, params in geometries
-        for blocks in (1, 2, 3, 4, 5, 6)
-        for policy in ("lru", "belady")
-    ]
-    return Scenario(
-        name="prop62",
-        kernel="trsm-cache",
-        machine=machine,
-        description="Proposition 6.2: TRSM/Cholesky/N-body write-backs "
-                    "vs the output floor across capacities and policies",
-        explicit=points,
-        report=_prop62_report,
-        claims=claims_on(_prop62_view, {
-            "writebacks-at-least-floor":
-                lambda v: all(rec["writebacks"] >= rec["write_lb"]
-                              for rec in v.values()),
-            "lru-at-floor-from-3-blocks":
-                lambda v: all(rec["writebacks"] == rec["write_lb"]
-                              for (_, blocks, policy), rec in v.items()
-                              if policy == "lru" and blocks >= 3),
-            "belady-fills-at-most-lru":
-                lambda v: all(rec["fills"] <= v[kernel, blocks, "lru"]["fills"]
-                              for (kernel, blocks, policy), rec in v.items()
-                              if policy == "belady"),
-        }),
-    )
-
-
-def _prop62_view(scenario: Scenario, results: List[Any]
-                 ) -> Dict[Any, Dict[str, Any]]:
-    """Records by (kernel, capacity in blocks, policy)."""
-    return {(res.point.kernel, res.point.params["cache_blocks"],
-             res.point.machine.policy): res.record for res in results}
-
-
-def _prop62_report(scenario: Scenario, results: List[Any]) -> str:
-    headers = ["kernel", "cache (blocks)", "policy", "write-backs",
-               "floor", "ratio", "fills"]
-    body = []
-    for res in results:
-        rec = res.record
-        body.append([
-            res.point.kernel,
-            res.point.params["cache_blocks"],
-            res.point.machine.policy,
-            rec["writebacks"],
-            rec["write_lb"],
-            round(rec["writebacks"] / rec["write_lb"], 2),
-            rec["fills"],
-        ])
-    return format_table(
-        headers, body,
-        title="Proposition 6.2 — write-backs vs output floor (five b-blocks "
-              "suffice for TRSM/Cholesky; three for N-body)")
-
-
-def distributed_scenario(quick: bool = False) -> Scenario:
-    """Every executed distributed algorithm as one verified, counted
-    point: both SUMMA flavours (Model 1), the Model-2.2 pair exhibiting
-    the Theorem-4 trade-off, 2.5D replication, and both LU variants."""
-    machine = MachineSpec(name="dist-sim")
-    if quick:
-        n, P, M1, M2 = 16, 4, 3 * 16, 3 * 2 * 2
-    else:
-        n, P, M1, M2 = 32, 16, 3 * 16, 3 * 4 * 4
-    points = [
-        ScenarioPoint("summa-2d", machine,
-                      {"n": n, "P": P, "M1": M1, "hoard": False, "seed": 0}),
-        ScenarioPoint("summa-2d", machine,
-                      {"n": n, "P": P, "M1": M1, "hoard": True, "seed": 0}),
-        ScenarioPoint("summa-l3-ool2", machine,
-                      {"n": n, "P": P, "M2": M2, "seed": 1}),
-        ScenarioPoint("mm-25d", machine,
-                      {"n": n, "P": P, "c": 1, "storage": "L3-ooL2",
-                       "M2": M2, "seed": 1}),
-        ScenarioPoint("mm-25d", machine,
-                      {"n": 8 if quick else 16, "P": 8, "c": 2, "seed": 0}),
-        ScenarioPoint("lu-ll-nonpivot", machine,
-                      {"n": n, "b": 4, "P": 4, "seed": 0}),
-        ScenarioPoint("lu-rl-nonpivot", machine,
-                      {"n": n, "b": 4, "P": 4, "seed": 0}),
-    ]
-    return Scenario(
-        name="distributed",
-        kernel="summa-2d",
-        machine=machine,
-        description="Executed distributed kernels: SUMMA / 2.5D / LU, "
-                    "verified, with per-rank channel counters",
-        explicit=points,
-        report=_distributed_report,
-    )
-
-
-def _distributed_report(scenario: Scenario, results: List[Any]) -> str:
-    headers = ["kernel", "n", "P", "correct", "net recv (max)",
-               "NVM writes (max)", "NVM reads (max)", "L1→L2 (max)"]
-    body = []
-    for res in results:
-        p, rec = res.point.params, res.record
-        body.append([
-            res.point.kernel, p["n"], p["P"], rec["correct"],
-            rec["nw_recv_max"], rec["l2_to_l3_max"], rec["l3_to_l2_max"],
-            rec["l1_to_l2_max"],
-        ])
-    return format_table(
-        headers, body,
-        title="Distributed kernels — executed and verified, per-rank "
-              "maxima on the paper's channels")
-
-
-def krylov_scenario(quick: bool = False) -> Scenario:
-    """Section 8 as a sweep: CG vs (streaming) CA-CG vs (CA-)GMRES plus
-    the matrix-powers and TSQR building blocks, one point per method
-    configuration with slow-memory read/write/flop counters."""
-    machine = MachineSpec(name="krylov-sim")
-    mesh = 128 if quick else 256
-    block = 32 if quick else 64
-    s_values = (2, 4) if quick else (2, 4, 8)
-    fixed = {"mesh": mesh, "block": block}
-    points = [ScenarioPoint("krylov-cg", machine, {"mesh": mesh})]
-    points += [
-        ScenarioPoint("krylov-cacg", machine,
-                      {**fixed, "s": s, "streaming": streaming})
-        for s in s_values
-        for streaming in (False, True)
-    ]
-    points += [
-        ScenarioPoint("krylov-gmres", machine,
-                      {**fixed, "s": 4, "variant": variant})
-        for variant in ("restarted", "ca")
-    ]
-    points += [
-        ScenarioPoint("krylov-matrix-powers", machine,
-                      {**fixed, "s": 4, "variant": variant})
-        for variant in ("naive", "blocked", "streaming")
-    ]
-    points += [
-        ScenarioPoint("krylov-tsqr", machine,
-                      {**fixed, "s": 4, "variant": variant})
-        for variant in ("stored", "streaming")
-    ]
-    return Scenario(
-        name="krylov",
-        kernel="krylov-cacg",
-        machine=machine,
-        description="Krylov methods: write traffic of CG / CA-CG / "
-                    "GMRES and the matrix-powers / TSQR kernels",
-        explicit=points,
-        report=_krylov_report,
-    )
-
-
-def _krylov_report(scenario: Scenario, results: List[Any]) -> str:
-    headers = ["method", "s", "steps", "reads", "writes", "writes/step",
-               "flops", "converged"]
-    body = []
-    for res in results:
-        rec = res.record
-        body.append([
-            rec["method"], rec.get("s", 1), rec.get("steps", ""),
-            rec["reads"], rec["writes"],
-            round(rec["writes_per_step"], 1), rec["flops"],
-            rec.get("converged", ""),
-        ])
-    return format_table(
-        headers, body,
-        title=f"Krylov sweep — slow-memory traffic "
-              f"(mesh={scenario.explicit[0].params['mesh']}); streaming "
-              f"variants cut writes by Θ(s)")
-
-
-def costmap_scenario(quick: bool = False) -> Scenario:
-    """NEW: an analytic provisioning map over (P, c3) for the Model-2.2
-    NVM-staged 2.5D matmul.
-
-    Pure closed-form arithmetic, so the executor evaluates the whole
-    grid as one vectorized ``cost-*`` batch (``--no-batch`` opts out);
-    the c3 axis deliberately runs past each P's ``c3 <= P^(1/3)`` edge,
-    where points report ``feasible: False`` — provisioning questions
-    are exactly about walking past those edges.
-    """
-    machine = MACHINES["hw-2015"]
-    P_axis = [64, 256, 1024] if quick else [64, 256, 1024, 4096, 16384]
-    c3_axis = [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16, 32]
-    return Scenario(
-        name="cost-map",
-        kernel="cost-25d-mm-l3-ool2",
-        machine=machine,
-        description="Provisioning map: 2.5DMML3ooL2 analytic cost over "
-                    "(P, c3), one vectorized batch",
-        fixed={"n": 1 << 14},
-        grid={"P": P_axis, "c3": c3_axis},
-    )
-
-
-def sec3_scenario(quick: bool = False) -> Scenario:
-    """Section 3: one ``cdag-pebble`` point per (algorithm, n).  The
-    CDAGs are small, so the quick geometry is the full one."""
-    machine = MachineSpec(name="pebble")
-    cases = ([("fft", n, 16) for n in (64, 256, 1024)]
-             + [("strassen", n, 16) for n in (4, 8)]
-             + [("matmul", n, 3 * n) for n in (4, 6, 8)])
-    return Scenario(
-        name="sec3",
-        kernel="cdag-pebble",
-        machine=machine,
-        description="Section 3: pebbled FFT/Strassen/matmul stores vs "
-                    "the Theorem-2 bound",
-        explicit=[ScenarioPoint("cdag-pebble", machine,
-                                {"algorithm": alg, "n": n, "M": M})
-                  for alg, n, M in cases],
-        report=_sec3_report,
-        claims=claims_on(lambda sc, res: _flat_rows(res), {
-            "fft-strassen-stores-at-least-theorem2":
-                lambda r: all(x["stores"] >= x["theorem2_lb"]
-                              for x in _of(r, "fft", "strassen")),
-            "fft-strassen-stores-over-0.2-of-traffic":
-                lambda r: all(x["store_fraction"] > 0.2
-                              for x in _of(r, "fft", "strassen")),
-            "largest-fft-stores-over-3x-output":
-                lambda r: (_of(r, "fft")[-1]["stores"]
-                           > 3 * _of(r, "fft")[-1]["output_size"]),
-            "fft-stores-superlinear-in-n":
-                lambda r: (_of(r, "fft")[-1]["stores"]
-                           / _of(r, "fft")[0]["stores"]
-                           > _of(r, "fft")[-1]["n"] / _of(r, "fft")[0]["n"]),
-            "wa-matmul-stores-equal-output":
-                lambda r: all(x["stores"] == x["output_size"]
-                              for x in _of(r, "matmul")),
-        }),
-    )
-
-
-def _of(rows: List[Dict[str, Any]], *algorithms: str
-        ) -> List[Dict[str, Any]]:
-    """The rows of the named algorithms, in point order."""
-    return [r for r in rows if r["algorithm"] in algorithms]
-
-
-def sec4_scenario(quick: bool = False) -> Scenario:
-    """Section 4: one ``twolevel-counts`` point per (algorithm, variant)
-    at n=32, b=4 (quick is the full geometry)."""
-    machine = MachineSpec(name="two-level")
-    cases = ([("matmul", order)
-              for order in ("ijk", "jik", "ikj", "kij", "jki", "kji")]
-             + [(alg, variant) for alg in ("trsm", "cholesky")
-                for variant in ("left-looking", "right-looking")]
-             + [("nbody2", "blocked"), ("nbody2", "symmetry"),
-                ("nbody3", "blocked")])
-    return Scenario(
-        name="sec4",
-        kernel="twolevel-counts",
-        machine=machine,
-        description="Section 4: writes of the WA kernels and their "
-                    "non-WA variants on a two-level memory",
-        explicit=[ScenarioPoint("twolevel-counts", machine,
-                                {"algorithm": alg, "variant": variant,
-                                 "n": 32, "b": 4, "seed": 0})
-                  for alg, variant in cases],
-        report=_sec4_report,
-        claims=claims_on(_sec4_view, {
-            "k-innermost-matmul-writes-equal-output":
-                lambda v: all(v["matmul", o]["writes_to_slow"]
-                              == v["matmul", o]["output_size"]
-                              for o in ("ijk", "jik")),
-            "other-matmul-orders-write-over-2x-output":
-                lambda v: all(v["matmul", o]["writes_to_slow"]
-                              > 2 * v["matmul", o]["output_size"]
-                              for o in ("ikj", "kij", "jki", "kji")),
-            "trsm-left-looking-wa": lambda v: v["trsm", "left-looking"]["wa"],
-            "trsm-right-looking-not-wa":
-                lambda v: not v["trsm", "right-looking"]["wa"],
-            "cholesky-left-looking-wa":
-                lambda v: v["cholesky", "left-looking"]["wa"],
-            "cholesky-right-looking-not-wa":
-                lambda v: not v["cholesky", "right-looking"]["wa"],
-            "nbody2-blocked-wa": lambda v: v["nbody2", "blocked"]["wa"],
-            "nbody2-symmetry-not-wa":
-                lambda v: not v["nbody2", "symmetry"]["wa"],
-            "nbody3-blocked-wa": lambda v: v["nbody3", "blocked"]["wa"],
-            "theorem1-every-row": lambda v: all(r["theorem1"]
-                                                for r in v.values()),
-        }),
-    )
-
-
-def _sec4_view(scenario: Scenario, results: List[Any]
-               ) -> Dict[Any, Dict[str, Any]]:
-    """Rows by (algorithm, variant)."""
-    return {(r["algorithm"], r["variant"]): r
-            for r in _flat_rows(results)}
-
-
-def sec5_scenario(quick: bool = False) -> Scenario:
-    """Section 5: CO vs WA matmul stores over the fast-memory size M
-    (quick is the full geometry)."""
-    return Scenario(
-        name="sec5",
-        kernel="co-vs-wa",
-        machine=MachineSpec(name="two-level"),
-        description="Section 5: cache-oblivious matmul stores vs WA's "
-                    "n² as fast memory grows",
-        fixed={"n": 32, "seed": 0},
-        grid={"M": [3 * 4, 3 * 16, 3 * 64]},
-        report=_sec5_report,
-        claims=claims_on(lambda sc, res: _flat_rows(res), {
-            "co-stores-shrink-with-M":
-                lambda r: r[0]["co_stores"] > r[-1]["co_stores"],
-            "co-over-4x-output-at-smallest-M":
-                lambda r: r[0]["co_over_output"] > 4,
-            "wa-stores-equal-output":
-                lambda r: all(x["wa_stores"] == x["output"] for x in r),
-            "co-stores-over-wa":
-                lambda r: all(x["co_stores"] > x["wa_stores"] for x in r),
-        }),
-    )
-
-
-def sec8_scenario(quick: bool = False) -> Scenario:
-    """Section 8: CG against plain and streaming CA-CG over s, on a 1-D
-    stencil of ``mesh`` points."""
-    W = "writes_per_step"
-    machine = MachineSpec(name="krylov-sim")
-    mesh = 128 if quick else 256
-    block = 32 if quick else 64
-    points = [ScenarioPoint("krylov-cg", machine, {"mesh": mesh})]
-    points += [
-        ScenarioPoint("krylov-cacg", machine,
-                      {"mesh": mesh, "block": block, "s": s,
-                       "streaming": streaming})
-        for s in (2, 4, 8)
-        for streaming in (False, True)
-    ]
-    return Scenario(
-        name="sec8",
-        kernel="krylov-cacg",
-        machine=machine,
-        description="Section 8: CG vs (streaming) CA-CG writes per step",
-        explicit=points,
-        report=_sec8_report,
-        claims=claims_on(_sec8_view, {
-            "all-converge": lambda v: all(r["converged"] for r in v.values()),
-            "streaming-writes-fall-with-s":
-                lambda v: v["stream", 2][W] > v["stream", 4][W]
-                > v["stream", 8][W],
-            "streaming-s8-under-half-of-cg":
-                lambda v: v["stream", 8][W] < v["cg", 1][W] / 2,
-            "plain-cacg-s8-over-2x-streaming":
-                lambda v: v["plain", 8][W] > 2 * v["stream", 8][W],
-            "streaming-flops-within-2.1x-of-plain":
-                lambda v: all(v["stream", s]["flops"]
-                              <= 2.1 * v["plain", s]["flops"]
-                              for s in (2, 4, 8)),
-        }),
-    )
-
-
-def _sec8_view(scenario: Scenario, results: List[Any]
-               ) -> Dict[Any, Dict[str, Any]]:
-    """Rows by (CG, plain or streaming CA-CG, s)."""
-    short = {"CG": "cg", "CA-CG": "plain", "CA-CG streaming": "stream"}
-    return {(short[r["method"]], r.get("s", 1)): r
-            for r in _flat_rows(results)}
-
-
-def _sec8_report(scenario: Scenario, results: List[Any]) -> str:
-    from repro.experiments.sec8_ksm import format_sec8
-
-    p0 = results[0].point.params
-    d = p0.get("d", 1)
-    return format_sec8({"n": p0["mesh"] ** d, "d": d,
-                        "rows": [{"s": 1, **r.record} for r in results]})
-
-
-# The presets whose decomposition lives beside its layout in
-# repro.experiments, imported when the preset is built.
-def _table1(quick: bool = False) -> Scenario:
-    from repro.experiments.table1 import table1_scenario
-
-    return table1_scenario(quick)
-
-
-def _table2(quick: bool = False) -> Scenario:
-    from repro.experiments.table2 import table2_scenario
-
-    return table2_scenario(quick)
-
-
-def _sec7(quick: bool = False) -> Scenario:
-    from repro.experiments.sec7_model1 import sec7_scenario
-
-    return sec7_scenario(quick)
-
-
-def _lu(quick: bool = False) -> Scenario:
-    from repro.experiments.lu_tradeoff import lu_scenario
-
-    return lu_scenario(quick)
-
-
-#: Named presets: factory(quick) -> Scenario.
+def _preset(module: str, builder: str) -> Callable[[bool], Scenario]:
+    """The factory of a preset whose *builder* lives in
+    ``repro.experiments.<module>``, which it imports when called."""
+    def factory(quick: bool = False) -> Scenario:
+        artifact = importlib.import_module(f"repro.experiments.{module}")
+        build: Callable[[bool], Scenario] = getattr(artifact, builder)
+        return build(quick)
+    return factory
+
+
+#: Named presets: factory(quick) -> Scenario.  Each builds its scenario
+#: in the module of the paper artifact it reproduces, next to the
+#: artifact's claims, rows and report.
 SCENARIOS: Dict[str, Callable[[bool], Scenario]] = {
-    "fig2": fig2_scenario,
-    "fig5": fig5_scenario,
-    "sec3": sec3_scenario,
-    "sec4": sec4_scenario,
-    "sec5": sec5_scenario,
-    "sec6": sec6_scenario,
-    "nvm-matmul": nvm_matmul_scenario,
-    "prop62": prop62_scenario,
-    "table1": _table1,
-    "table2": _table2,
-    "sec7-nvm": _sec7,
-    "sec8": sec8_scenario,
-    "lu-tradeoff": _lu,
-    "distributed": distributed_scenario,
-    "krylov": krylov_scenario,
-    "cost-map": costmap_scenario,
+    "fig2": _preset("fig2", "fig2_scenario"),
+    "fig5": _preset("fig5", "fig5_scenario"),
+    "sec3": _preset("sec3_negative", "sec3_scenario"),
+    "sec4": _preset("sec4_counts", "sec4_scenario"),
+    "sec5": _preset("sec5_co", "sec5_scenario"),
+    "sec6": _preset("sec6_lru", "sec6_scenario"),
+    "nvm-matmul": _preset("sec7_model1", "nvm_matmul_scenario"),
+    "prop62": _preset("prop62", "prop62_scenario"),
+    "table1": _preset("table1", "table1_scenario"),
+    "table2": _preset("table2", "table2_scenario"),
+    "sec7-nvm": _preset("sec7_model1", "sec7_scenario"),
+    "sec8": _preset("sec8_ksm", "sec8_scenario"),
+    "lu-tradeoff": _preset("lu_tradeoff", "lu_scenario"),
+    "distributed": _preset("sec7_model1", "distributed_scenario"),
+    "krylov": _preset("sec8_ksm", "krylov_scenario"),
+    "cost-map": _preset("table2", "costmap_scenario"),
 }
 
 

@@ -320,7 +320,6 @@ class JobManager:
         ``"dedup"`` (joined an identical queued/running job) or
         ``"queued"``."""
         key = self.grid_key(points)
-        job: Optional[Job] = None
         if self._probe_warm(points):
             job = self._new_job(key, label, points)
             try:
@@ -328,9 +327,12 @@ class JobManager:
                 self._retire(job)
                 return job, "cached"
             except MissingResultsError:
-                pass  # raced a gc between probe and read: run it cold
-        if job is None:
-            job = self._new_job(key, label, points)
+                # Raced a gc between probe and read.  The attempt's trace
+                # is finished, so drop it (its events never reach
+                # /metrics) and run the request cold on a fresh job.
+                with self._lock:
+                    del self._jobs[job.id]
+        job = self._new_job(key, label, points)
         with self._lock:
             existing = self._inflight.get(key)
             if existing is not None:

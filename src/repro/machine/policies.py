@@ -276,20 +276,18 @@ class ClockPolicy(ReplacementPolicy):
           stop at the first slot from the hand that held ``m``.
 
         So marks are kept as ``rel[i] - off`` with a running offset
-        ``off`` (one addition replaces a sweep) plus a count of
-        residents per mark level (the minimum is at most ``2**bits``
-        lookups away), and the victim slot comes from ``list.index``.
-        Holes hold ``rel == -1``, which no target ``off >= 0`` matches.
+        ``off`` (one assignment replaces the sweeps), and the victim
+        slot comes from ``list.index``: the first mark 0 from the hand,
+        else from slot 0; only when no slot holds mark 0 does ``off``
+        move up to ``min(rel)``, the minimum mark (a full set has no
+        holes).  Holes hold ``rel == -1``, which no target ``off >= 0``
+        matches.
         """
         cap = self.capacity
         top = self._max
         slots = self._slots
         where = self._where
         rel = [-1 if t is None else m for t, m in zip(slots, self._marks)]
-        level = [0] * (top + 1)
-        for r in rel:
-            if r >= 0:
-                level[r] += 1
         off = 0
         hand = self._hand
         resident = len(where)
@@ -305,27 +303,24 @@ class ClockPolicy(ReplacementPolicy):
                 hits += 1
                 if w:
                     dirty[line] = True
-                m = rel[i] - off
-                if m < top:
+                if rel[i] - off < top:
                     rel[i] += 1
-                    level[m] -= 1
-                    level[m + 1] += 1
                 continue
             if resident < cap:
                 i = next(holes)
                 resident += 1
             else:
-                m = 0
-                while not level[m]:
-                    m += 1
-                if m:
-                    off += m
-                    level = level[m:] + [0] * m
                 try:
                     i = rel.index(off, hand)
                 except ValueError:
-                    i = rel.index(off)
-                level[0] -= 1
+                    try:
+                        i = rel.index(off)
+                    except ValueError:
+                        off = min(rel)
+                        try:
+                            i = rel.index(off, hand)
+                        except ValueError:
+                            i = rel.index(off)
                 victim = slots[i]
                 del where[victim]
                 victim_dirty = dirty.pop(victim)
@@ -337,7 +332,6 @@ class ClockPolicy(ReplacementPolicy):
                 hand = i + 1 if i + 1 < cap else 0
             slots[i] = line
             rel[i] = off + 1
-            level[1] += 1
             where[line] = i
             dirty[line] = w
         self._marks[:] = [0 if r < 0 else r - off for r in rel]

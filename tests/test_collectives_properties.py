@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import DistMachine
@@ -38,18 +38,34 @@ def test_property_bcast_conservation(P, words, root):
     words=st.integers(min_value=1, max_value=50),
     seed=st.integers(min_value=0, max_value=100),
 )
+# np.sum's pairwise order missed the tree's sum by a few ulps here, a
+# relative error above 1e-12 where an element nearly cancels.
+@example(P=3, words=39, seed=3)
+@example(P=4, words=36, seed=28)
+@example(P=5, words=39, seed=95)
 def test_property_reduce_correct_and_conservative(P, words, seed):
-    """Reduction: result = sum of contributions; words sent == received."""
+    """Reduction: result = sum of contributions, added in the binomial
+    tree's order; words sent == received."""
     rng = np.random.default_rng(seed)
     m = DistMachine(P)
     parts = [rng.standard_normal(words) for _ in range(P)]
     for r in range(P):
         m.put(r, "y", parts[r])
     out = m.reduce(0, list(range(P)), "y")
-    np.testing.assert_allclose(out, np.sum(parts, axis=0), rtol=1e-12)
+    np.testing.assert_array_equal(out, _tree_sum(parts))
     assert m.total_over_ranks("nw_sent") == m.total_over_ranks("nw_recv")
     # A tree reduction moves (P-1) payloads in total.
     assert m.total_over_ranks("nw_recv") == (P - 1) * words
+
+
+def _tree_sum(parts):
+    """The sum of *parts* in the binomial tree's order: each round, the
+    second half of the live contributions adds into the first."""
+    while len(parts) > 1:
+        half = (len(parts) + 1) // 2
+        parts = [parts[i] + parts[i + half] if i + half < len(parts)
+                 else parts[i] for i in range(half)]
+    return parts[0]
 
 
 @settings(max_examples=20, deadline=None)

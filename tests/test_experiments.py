@@ -18,21 +18,15 @@ from repro.experiments import (
     format_table1,
     format_table2,
 )
+from repro.experiments.fig2 import fig2_rows, fig2_scenario
+from repro.experiments.fig5 import fig5_rows, fig5_scenario
 from repro.experiments.lu_tradeoff import _assemble_lu, lu_scenario
+from repro.experiments.sec6_lru import sec6_rows, sec6_scenario
 from repro.experiments.table1 import _assemble_table1, table1_scenario
 from repro.experiments.table2 import _assemble_table2, table2_scenario
 from repro.lab.executor import execute
 from repro.lab.registry import MachineSpec
-from repro.lab.scenarios import (
-    ScenarioPoint,
-    fig2_rows,
-    fig2_scenario,
-    fig5_rows,
-    fig5_scenario,
-    get_scenario,
-    sec6_rows,
-    sec6_scenario,
-)
+from repro.lab.scenarios import ScenarioPoint, get_scenario
 
 
 def tiny_cfg():

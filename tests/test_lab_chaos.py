@@ -11,6 +11,7 @@ budget — records bit-identical to a fault-free run.
 
 import pytest
 
+from repro.experiments.sec6_lru import sec6_scenario
 from repro.lab.cache import ResultCache
 from repro.lab.executor import (
     PointExecutionError,
@@ -18,7 +19,6 @@ from repro.lab.executor import (
     execute,
 )
 from repro.lab.faults import FaultPlan, fault_key
-from repro.lab.scenarios import sec6_scenario
 from repro.lab.telemetry import RunTrace, render_attribution, summarize
 
 ERROR_RECORD_KEYS = {"failed", "error", "exc_type", "remote_traceback",

@@ -198,6 +198,27 @@ class TestStartup:
                                 "repro.distributed.lu")
         assert loaded == ["repro.core", "repro.core.traces"]
 
+    def test_sec6_sweep_compiles_only_its_own_preset(self, tmp_path):
+        """Each preset is built in its artifact's module, which loads
+        when the preset is built: after a sec6 sweep no loaded module
+        defines another preset's builder."""
+        code = _cli("sweep", "--preset", "sec6", "--quick",
+                    "--cache-dir", str(tmp_path)) + (
+            "\nimport inspect, sys\n"
+            "print(sorted(f'{name}.{attr}'\n"
+            "    for name, mod in list(sys.modules.items())\n"
+            "    if name.startswith('repro')\n"
+            "    for attr, obj in vars(mod).items()\n"
+            "    if inspect.isfunction(obj) and obj.__module__ == name\n"
+            "    and attr.endswith('_scenario') and attr[0] != '_'\n"
+            "    and attr not in ('build_scenario', 'get_scenario')))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip().splitlines()[-1] == \
+            "['repro.experiments.sec6_lru.sec6_scenario']"
+
     def test_every_public_name_resolves(self):
         """The package __init__s resolve their names on first access;
         every __all__ name of every module and package still does, and

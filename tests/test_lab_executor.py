@@ -5,10 +5,10 @@ import json
 
 import pytest
 
+from repro.experiments.sec6_lru import sec6_scenario
 from repro.lab.cache import ResultCache
 from repro.lab.executor import MissingResultsError, execute
 from repro.lab.results import ResultSet
-from repro.lab.scenarios import sec6_scenario
 
 
 @pytest.fixture(scope="module")

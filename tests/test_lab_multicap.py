@@ -195,7 +195,7 @@ class TestProtocolBatching:
         assert looped.records() == batched.records()
 
     def test_prop62_scenario_batches_per_kernel(self):
-        from repro.lab.scenarios import prop62_scenario
+        from repro.experiments.prop62 import prop62_scenario
 
         pts = prop62_scenario(quick=True).points()
         batched = execute(pts, cache=None, multi_capacity=True)

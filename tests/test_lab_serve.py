@@ -189,6 +189,26 @@ class TestSweepLifecycle:
         assert counters["serve.cache_hit"] == 1
         assert "serve.dedup" not in counters
 
+    def test_warm_probe_racing_a_gc_runs_cold_on_a_fresh_job(
+            self, daemon, monkeypatch):
+        """Records that vanish between the warm probe and the read (a
+        racing ``cache gc``) used to queue the request on the job the
+        failed read had already finished: its trace got the cold run's
+        events after a summary footer that read ``failed``."""
+        monkeypatch.setattr(daemon.manager, "_probe_warm",
+                            lambda points: True)
+        status, body = _post(daemon.url, "/sweep", GRID_BODY)
+        assert status == 202 and body["source"] == "queued"
+        assert self._wait_done(daemon.url, body["job"])["status"] == "done"
+        events = daemon.manager.get(body["job"]).trace.events
+        assert [ev["type"] for ev in events].count("summary") == 1
+        assert events[-1]["type"] == "summary"
+        assert events[-1]["tags"] == {"status": "done"}
+        # the dropped attempt's four misses are not counted
+        _, metrics = _get(daemon.url, "/metrics")
+        assert metrics["jobs"] == {"done": 1}
+        assert metrics["metrics"]["counters"]["cache.miss"] == 4
+
     def test_concurrent_cold_requests_single_flight(self, daemon,
                                                     gated_execute):
         entered, release = gated_execute

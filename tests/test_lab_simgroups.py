@@ -14,10 +14,11 @@ import itertools
 import json
 
 from repro.core.traces import MATMUL_SCHEMES, matmul_trace
+from repro.experiments.sec6_lru import sec6_scenario
 from repro.lab import registry
 from repro.lab.executor import _plan, execute
 from repro.lab.registry import MachineSpec, matmul_trace_payload
-from repro.lab.scenarios import ScenarioPoint, sec6_scenario
+from repro.lab.scenarios import ScenarioPoint
 from repro.lab.telemetry import RunTrace, summarize
 from repro.machine.fastsim import profile as fs_profile
 

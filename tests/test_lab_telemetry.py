@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+from repro.experiments.sec6_lru import sec6_scenario
 from repro.lab.cache import ResultCache
 from repro.lab.cli import main
 from repro.lab.executor import PointExecutionError, execute
 from repro.lab.results import ResultSet
-from repro.lab.scenarios import ScenarioPoint, sec6_scenario
+from repro.lab.scenarios import ScenarioPoint
 from repro.lab.telemetry import (
     MetricsRegistry,
     RunTrace,
