@@ -102,7 +102,7 @@ def default_config() -> CheckConfig:
             ("repro.lab.scenarios", "ScenarioPoint.cache_payload"),
             ("repro.lab.faults", "fault_key"),
             ("repro.lab.executor", "_batch_key"),
-            ("repro.lab.registry", "capacity_group_payload"),
+            ("repro.lab.registry", "trace_group_payload"),
         ),
         r1_exempt=(("repro.lab.registry", "project_machine"),),
         extra_evaluator_attrs=(

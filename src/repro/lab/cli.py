@@ -343,9 +343,11 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "falls back to per-point execution first)")
     p.add_argument("--timeout", type=_timeout, default=None,
                    metavar="SECONDS",
-                   help="per-task wall-clock limit; an overdue worker "
-                        "is killed and the task retried (--jobs > 1 "
-                        "only — in-process tasks cannot be preempted)")
+                   help="per-task wall-clock limit (a trace kernel's "
+                        "task runs every simulation of one trace); an "
+                        "overdue worker is killed and the task retried "
+                        "(--jobs > 1 only — in-process tasks cannot be "
+                        "preempted)")
     p.add_argument("--keep-going", action="store_true",
                    help="degrade instead of aborting: points that "
                         "exhaust their retries become structured error "

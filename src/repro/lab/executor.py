@@ -5,10 +5,8 @@ the remaining points out over a supervised pool of worker processes — so a
 warm sweep costs one JSON read per point regardless of ``jobs``, and a
 cold sweep scales with cores.  All *result-cache* I/O happens in the
 parent process; workers are deterministic functions from point payloads to
-records, each building the traces its own tasks need.  An in-process run
-builds each distinct trace once: it keeps a built trace in memory while a
-later task of its plan still fetches it
-(:func:`~repro.lab.registry.run_memo`).
+records.  A trace kernel's task holds every point of one trace, so each
+distinct trace is built once per run, in-process or on a pool worker.
 
 **Batching** (on by default): uncached points whose kernel registers a
 :class:`~repro.lab.registry.BatchKernel` entry and that share the
@@ -18,15 +16,15 @@ back out into the result cache under each point's own key.  Batching is
 purely an execution strategy: reports, caching and record contents stay
 bit-identical to the per-point path.  Two batch families exist today:
 
-* **simulation batches** — points of one line-trace kernel
-  (:data:`repro.lab.registry.TRACE_KERNELS`) that run the same
-  simulation share one task: fully-associative LRU/Belady points of one
-  trace replay it once through the single-pass fastsim sweeps whatever
-  their capacities, and any other points that share trace, policy,
-  capacity, associativity and seed replay it once through ``CacheSim``.
-  Energy-only variants and schemes that resolve to one task order
-  (``wa2``/``ab-multilevel``) ride along
-  (:func:`~repro.lab.registry.capacity_group_payload`;
+* **trace batches** — points of one line-trace kernel
+  (:data:`repro.lab.registry.TRACE_KERNELS`) that replay the same trace
+  share one task, which builds the trace once: its fully-associative
+  LRU/Belady points replay it through one single-pass fastsim sweep
+  whatever their capacities, and its other points replay it once per
+  distinct policy, capacity, associativity and seed through
+  ``CacheSim``.  Energy-only variants and schemes that resolve to one
+  task order (``wa2``/``ab-multilevel``) ride along
+  (:func:`~repro.lab.registry.trace_group_payload`;
   ``multi_capacity=False`` / ``--no-multi-capacity`` opts out);
 * **cost-grid batches** — points of one analytic ``cost-*`` family
   under the same ``HwParams`` evaluate as a single numpy-vectorized
@@ -93,8 +91,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
 from repro.lab import telemetry
 from repro.lab.cache import ResultCache
 from repro.lab.faults import FaultPlan, deterministic_unit, fault_key
-from repro.lab.registry import (BATCH_KERNELS, METRIC_FIELDS, TRACE_KERNELS,
-                                payload_key, run_batch, run_memo)
+from repro.lab.registry import BATCH_KERNELS, METRIC_FIELDS, run_batch
 from repro.lab.scenarios import ScenarioPoint
 from repro.util import json_number_default
 
@@ -283,7 +280,7 @@ def _batch_key(point: ScenarioPoint, *, multi_capacity: bool,
 
     Grouping is driven by the batch-kernel protocol
     (:data:`repro.lab.registry.BATCH_KERNELS`); each entry's gate flag
-    (``multi_capacity`` for trace-capacity batches, ``batch`` for grid
+    (``multi_capacity`` for trace batches, ``batch`` for grid
     batches) must be on.  The group identity is serialized with
     numpy-canonical JSON, so ``np.int64``/``np.float64`` grid values
     neither split nor duplicate batch groups.  Entries whose identity
@@ -345,28 +342,6 @@ def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
             tasks.append((group, BATCH_KERNELS[points[i].kernel].toggle))
     return [(group, kind if len(group) > 1 else None)
             for group, kind in tasks]
-
-
-def _trace_uses(points: Sequence[ScenarioPoint],
-                plan: Sequence[Tuple[List[int], Optional[str]]]
-                ) -> Dict[str, int]:
-    """How many tasks of *plan* fetch each trace, by
-    :func:`~repro.lab.registry.payload_key`: what the in-run memo
-    (:func:`~repro.lab.registry.run_memo`) keeps a trace for.  The
-    points of a task share one trace; a point whose trace identity
-    cannot be formed is left out (its task reports the error)."""
-    uses: Dict[str, int] = {}
-    for task, _kind in plan:
-        pt = points[task[0]]
-        tk = TRACE_KERNELS.get(pt.kernel)
-        if tk is None:
-            continue
-        try:
-            key = payload_key(tk.payload(pt.machine, pt.params))
-        except (KeyError, TypeError, ValueError):
-            continue
-        uses[key] = uses.get(key, 0) + 1
-    return uses
 
 
 def _run_points(pts: Sequence[ScenarioPoint]) -> List[Dict[str, Any]]:
@@ -1007,15 +982,12 @@ def execute(
         Report-only mode: raise :class:`MissingResultsError` instead of
         computing anything.
     multi_capacity:
-        Collapse trace-kernel points that run the same simulation into
-        single-replay batches (see the module docstring).  Purely an
-        execution strategy: records and cache contents are identical
-        either way.  An in-process run keeps a built trace in memory
-        while a later task still fetches it
-        (:func:`~repro.lab.registry.run_memo`), so each distinct
-        trace is built once; pool workers build the traces their own
-        tasks need.  ``False`` runs every point on its own, each
-        building its own trace: the per-point reference path.
+        Collapse the trace-kernel points of one trace into one task
+        that builds the trace once and replays each distinct simulation
+        once (see the module docstring).  Purely an execution strategy:
+        records and cache contents are identical either way.  ``False``
+        runs every point on its own, each building its own trace: the
+        per-point reference path.
     batch:
         Collapse same-machine analytic grids (the ``cost-*`` families)
         into vectorized batch evaluations — the grid analogue of
@@ -1122,9 +1094,7 @@ def _execute(
             if jobs > 1 and len(plan) > 1:
                 supervisor.run_pool(tasks, jobs)
             else:
-                with run_memo(_trace_uses(points, plan)
-                              if multi_capacity else {}):
-                    supervisor.run_inline(tasks)
+                supervisor.run_inline(tasks)
 
         if trace is not None:
             sweep_span.tag(hits=len(points) - len(pending),

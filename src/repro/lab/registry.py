@@ -19,12 +19,9 @@ simulation stack only the single-cache simulator and the policies.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple, Union)
+from dataclasses import asdict, dataclass, replace
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.distributed.costmodel import HwParams, hw_param_key
 from repro.lab.modelkernels import (
@@ -74,14 +71,10 @@ __all__ = [
     "matmul_trace_payload",
     "matmul_lines",
     "matmul_capacity_words",
-    "capacity_group_payload",
+    "trace_group_payload",
     "check_point",
     "run_batch",
     "run_capacity_batch",
-    "run_memo",
-    "memo_trace",
-    "payload_key",
-    "MEMO_BUDGET_BYTES",
 ]
 
 
@@ -304,92 +297,16 @@ def resolve_machine(machine: Union[str, MachineSpec, Mapping[str, Any]],
 #: policies whose fully-associative points of one trace ride one
 #: multi-capacity replay whatever their capacities: the stack algorithms
 #: with a single-pass fastsim kernel (LRU by Mattson inclusion,
-#: Belady/MIN because OPT is a stack algorithm too).  Points under any
-#: other policy, or set-associative ones, group only with points that
-#: share their whole simulation (policy, capacity, associativity, seed)
-#: and ride one :class:`~repro.machine.cache.CacheSim` replay.
+#: Belady/MIN because OPT is a stack algorithm too).  The trace's points
+#: under any other policy, or set-associative ones, get one
+#: :class:`~repro.machine.cache.CacheSim` replay per distinct (policy,
+#: capacity, associativity, seed).
 BATCHABLE_POLICIES = ("lru", "belady")
 
 
 # Trace-parameter canonicalization (np.int64 grid axes -> plain int, so
 # payloads stay JSON-able and CacheSim validation is satisfied).
 _as_int = canonical_int
-
-
-# --------------------------------------------------------------------- #
-# in-run trace memo
-# --------------------------------------------------------------------- #
-#: bytes of finalized traces one run keeps in memory; a trace that would
-#: overflow it is built and not kept.
-MEMO_BUDGET_BYTES = 128 << 20
-
-
-def payload_key(payload: Mapping[str, Any]) -> str:
-    """The in-run memo's key for the trace identity *payload*."""
-    return json.dumps(payload, sort_keys=True)
-
-
-class _Memo:
-    __slots__ = ("uses", "traces", "nbytes")
-
-    def __init__(self, uses: Mapping[str, int]) -> None:
-        self.uses = dict(uses)
-        self.traces: Dict[str, Trace] = {}
-        self.nbytes = 0
-
-
-# A context variable, not a module global: the serve daemon runs sweeps
-# on its own thread, and each run must see only the memo it scoped.
-_memo: ContextVar[Optional[_Memo]] = ContextVar("repro_trace_memo",
-                                                default=None)
-
-
-def _nbytes(trace: Trace) -> int:
-    return sum(arr.nbytes for arr in trace if arr is not None)
-
-
-@contextmanager
-def run_memo(uses: Mapping[str, int]) -> Iterator[None]:
-    """Scope an in-run trace memo for the ``with`` body.  *uses* counts
-    the fetches the run will make of each trace (by
-    :func:`payload_key`); a built trace is kept only while another
-    fetch of it is due, and whatever is left is dropped on exit."""
-    token = _memo.set(_Memo(uses))
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def memo_trace(payload: Mapping[str, Any],
-               builder: Callable[[], Trace]) -> Trace:
-    """The trace *payload* names: from the active :func:`run_memo`, or
-    built (and kept while a later fetch is due and the byte budget
-    allows).  Outside a memo scope every call builds."""
-    memo = _memo.get()
-    if memo is None:
-        with fs_phase("trace_build"):
-            return builder()
-    key = payload_key(payload)
-    left = memo.uses.get(key, 1) - 1
-    memo.uses[key] = left
-    built = memo.traces.get(key)
-    if built is not None:
-        if left <= 0:
-            del memo.traces[key]
-            memo.nbytes -= _nbytes(built)
-        return built
-    with fs_phase("trace_build"):
-        built = builder()
-    size = _nbytes(built)
-    if left > 0 and memo.nbytes + size <= MEMO_BUDGET_BYTES:
-        # Shared from now on, so read-only.
-        for arr in built:
-            if arr is not None:
-                arr.flags.writeable = False
-        memo.traces[key] = built
-        memo.nbytes += size
-    return built
 
 
 @dataclass(frozen=True)
@@ -402,19 +319,15 @@ class TraceKernel:
     fully-associative cache level.  Declaring the ingredients — trace
     identity, trace builder, capacity, write floor — instead of
     hard-coding them per kernel lets the engine share work mechanically:
-
-    * :meth:`trace` serves ``payload`` → ``build`` results from the
-      run's in-memory memo (:func:`memo_trace`), which keeps a trace
-      while a later task of an in-process run still fetches it, so
-      each distinct trace is built once per run;
-    * the executor groups points by simulation
-      (:func:`capacity_group_payload`): fully-associative LRU/Belady
-      points of one trace replay through one single-pass
-      :func:`repro.machine.fastsim.sweep`, which folds at super-symbol
-      granularity when the trace's tile chunks symbolize; other points
-      sharing trace, policy, capacity, associativity and seed replay
-      once.  Energy fields and other non-trace params never split a
-      group: :meth:`record` costs the counters per point.
+    the executor makes one task of every point of one trace
+    (:func:`trace_group_payload`), and :func:`run_capacity_batch` builds
+    the trace once for all of them.  Fully-associative LRU/Belady points
+    replay it through one single-pass
+    :func:`repro.machine.fastsim.sweep`, which folds at super-symbol
+    granularity when the trace's tile chunks symbolize; the others
+    replay it once per distinct simulation.  Energy fields and other
+    non-trace params never split a simulation: :meth:`record` costs the
+    counters per point.
     """
 
     name: str
@@ -433,10 +346,16 @@ class TraceKernel:
 
     def trace(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Trace:
-        """Finalized :class:`~repro.machine.trace.Trace`, served from the
-        run's in-memory memo (:func:`memo_trace`)."""
+        """Finalized :class:`~repro.machine.trace.Trace`, built from the
+        point's trace identity.  Its arrays are read-only: the
+        simulations of one task share them."""
         spec = self.payload(machine, params)
-        return memo_trace(spec, lambda: self.build(spec))
+        with fs_phase("trace_build"):
+            trace = self.build(spec)
+        for arr in trace:
+            if arr is not None:
+                arr.flags.writeable = False
+        return trace
 
     def lines(self, machine: MachineSpec, params: Mapping[str, Any]
               ) -> Tuple[Any, Any]:
@@ -715,16 +634,15 @@ def run_capacity_batch(
     kernel: str,
     group: Sequence[Tuple[MachineSpec, Mapping[str, Any]]],
 ) -> List[Dict[str, Any]]:
-    """Every point of one simulation group from a *single* replay.
+    """Every point of one trace from a *single* trace build.
 
     Every ``(machine, params)`` pair must share the trace identity
     (``TRACE_KERNELS[kernel].payload``) and simulate one cache level.
-    Either every point is a fully-associative LRU or Belady point —
-    capacities and those two policies may then differ, and one
-    :func:`repro.machine.fastsim.sweep` call covers them all — or every
-    point shares policy, capacity, associativity and seed, and one
-    :class:`~repro.machine.cache.CacheSim` replay plus flush serves
-    them.  Each point then gets its record from its own machine and
+    The fully-associative LRU and Belady points, whatever their
+    capacities, ride one :func:`repro.machine.fastsim.sweep` call; every
+    other point shares one :class:`~repro.machine.cache.CacheSim` replay
+    plus flush with the points of its policy, capacity, associativity
+    and seed.  Each point then gets its record from its own machine and
     params (energy, write floor): the same record the per-point kernel
     would have computed, bit-identical, enforced by the equivalence
     tests.
@@ -742,40 +660,42 @@ def run_capacity_batch(
     require(all(tk.payload(machine, params) == spec0
                 for machine, params in group[1:]),
             "capacity batch mixes different trace configurations")
-    stack = all(_is_stack_point(machine) for machine, _ in group)
-    if not stack:
-        sim_id = (machine0.policy, caps_words[0], machine0.associativity,
-                  machine0.seed)
-        require(all((m.policy, cap, m.associativity, m.seed) == sim_id
-                    for (m, _), cap in zip(group, caps_words)),
-                "a replay batch must share policy, capacity, "
-                "associativity and seed (only fully-associative LRU or "
-                "Belady points may mix capacities)")
+    caps_by_policy: Dict[str, List[int]] = {}
+    replays: Dict[Tuple[Any, ...], List[int]] = {}
+    for i, ((machine, _), cap) in enumerate(zip(group, caps_words)):
+        if _is_stack_point(machine):
+            caps_by_policy.setdefault(machine.policy, []).append(
+                cap // machine.line_size)
+        else:
+            replays.setdefault((machine.policy, cap, machine.associativity,
+                                machine.seed), []).append(i)
     trace = tk.trace(machine0, params0)
     tel = active_trace()
     if tel is not None:
         tel.counter("trace.events", trace.n_events, kernel=tk.name)
-    if not stack:
-        sim = machine0.override(cache_words=caps_words[0]).make()
+    stats: Dict[int, CacheStats] = {}
+    for indices in replays.values():
+        machine, _ = group[indices[0]]
+        sim = machine.override(cache_words=caps_words[indices[0]]).make()
+        assert isinstance(sim, CacheSim)
         sim.run_trace(trace)
         st = sim.flush()
-        return [tk.record(machine, params, st) for machine, params in group]
-    caps_by_policy: Dict[str, List[int]] = {}
-    for (machine, _), cap in zip(group, caps_words):
-        caps_by_policy.setdefault(machine.policy, []).append(
-            cap // machine.line_size)
-    from repro.machine.fastsim.dispatch import sweep
+        for i in indices:
+            stats[i] = st
+    if caps_by_policy:
+        from repro.machine.fastsim.dispatch import sweep
 
-    sweeps = sweep(trace, caps_by_policy)
-    if tel is not None:
-        n_symbols = next(iter(sweeps.values())).n_symbols
-        if n_symbols is not None:
-            tel.counter("trace.symbols", n_symbols, kernel=tk.name)
-    return [
-        tk.record(machine, params, sweeps[machine.policy].stats(
-            cap // machine.line_size, include_flush=True))
-        for (machine, params), cap in zip(group, caps_words)
-    ]
+        sweeps = sweep(trace, caps_by_policy)
+        if tel is not None:
+            n_symbols = next(iter(sweeps.values())).n_symbols
+            if n_symbols is not None:
+                tel.counter("trace.symbols", n_symbols, kernel=tk.name)
+        for i, ((machine, _), cap) in enumerate(zip(group, caps_words)):
+            if _is_stack_point(machine):
+                stats[i] = sweeps[machine.policy].stats(
+                    cap // machine.line_size, include_flush=True)
+    return [tk.record(machine, params, stats[i])
+            for i, (machine, params) in enumerate(group)]
 
 
 def _needs_levels(machine: MachineSpec, params: Mapping[str, Any]) -> None:
@@ -976,16 +896,16 @@ class BatchKernel:
     execution strategy (records and cache contents are bit-identical to
     the per-point path).
 
-    Two families register today: every trace kernel's simulation
-    groups (one replay per distinct simulation —
-    :func:`capacity_group_payload` — gated by the executor's
+    Two families register today: every trace kernel (one task per
+    distinct trace — :func:`trace_group_payload` — that builds it once
+    and replays each of its simulations once, gated by the executor's
     ``multi_capacity`` flag) and every analytic ``cost-*`` family (one
     numpy-vectorized grid evaluation, gated by ``batch``).
     """
 
     name: str
     #: which executor flag gates this entry: ``"multi_capacity"`` for
-    #: the trace-kernel simulation batches, ``"batch"`` for grid batches.
+    #: the trace-kernel batches, ``"batch"`` for grid batches.
     toggle: str
     #: ``(machine, params) -> identity dict`` — ``None`` means the
     #: point cannot batch and must run on its own.
@@ -1001,43 +921,27 @@ class BatchKernel:
     machine_only: bool = False
 
 
-def capacity_group_payload(tk: TraceKernel, machine: MachineSpec,
-                           params: Mapping[str, Any]
-                           ) -> Optional[Dict[str, Any]]:
-    """The identity shared by trace-kernel points that may ride one
-    replay — the simulation they run (``None`` marks a point the
-    batcher cannot take).
-
-    It is the trace identity plus the projected machine without the
-    four energy fields, which :meth:`TraceKernel.record` applies per
-    point afterwards; non-trace params never enter it.  A
-    fully-associative LRU/Belady point also drops ``cache_words`` and
-    ``policy``, so its whole capacity/policy sweep rides one
-    :func:`repro.machine.fastsim.sweep`.  Any other single-level point
-    keeps policy, associativity and seed and adds its effective
-    capacity (``capacity_words``), so a group is exactly one
-    :class:`~repro.machine.cache.CacheSim` replay."""
+def trace_group_payload(tk: TraceKernel, machine: MachineSpec,
+                        params: Mapping[str, Any]
+                        ) -> Optional[Dict[str, Any]]:
+    """The identity shared by trace-kernel points that ride one task:
+    the trace they replay (``tk.payload``).  Capacity, policy,
+    associativity, seed and energy never split a task; the task splits
+    its points into simulations itself (:func:`run_capacity_batch`).
+    ``None`` marks a point that fails :meth:`TraceKernel.check`, so it
+    runs, and fails, on its own."""
     try:
-        cap_words = tk.check(machine, params)
-        trace_id = tk.payload(machine, params)
+        tk.check(machine, params)
+        return tk.payload(machine, params)
     except (KeyError, TypeError, ValueError):
         return None
-    machine_d = project_machine(machine, tk.name)
-    for name in ("read_fast", "write_fast", "read_slow", "write_slow",
-                 "cache_words"):
-        machine_d.pop(name)
-    if _is_stack_point(machine):
-        machine_d.pop("policy")
-    else:
-        machine_d["capacity_words"] = cap_words
-    return {"machine": machine_d, "trace": trace_id}
 
 
 def _trace_batch_entry(tk: TraceKernel) -> BatchKernel:
     return BatchKernel(
         name=tk.name,
         toggle="multi_capacity",
-        group_key=lambda machine, params, _tk=tk: capacity_group_payload(
+        group_key=lambda machine, params, _tk=tk: trace_group_payload(
             _tk, machine, params),
         run=lambda group, _name=tk.name: run_capacity_batch(_name, group),
     )

@@ -11,7 +11,8 @@ the simulators stay bit-identical and effectively free when untraced.
 Phases emitted by the simulators:
 
 ``trace_build``
-    materializing a kernel's line trace (``repro.lab.registry.memo_trace``)
+    materializing a kernel's line trace
+    (``repro.lab.registry.TraceKernel.trace``)
 ``radix_partition``
     the MSB radix partition passes inside ``count_earlier_greater``
 ``supersymbol_fold``

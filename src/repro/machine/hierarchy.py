@@ -18,7 +18,6 @@ choices (e.g. ``b = sqrt(M/3)`` so that three blocks fit) are honest.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 

@@ -2,8 +2,7 @@
 
 CLI and executor tests exercise the persistent result cache; without
 isolation a test that omits ``--cache-dir`` would write into
-``~/.cache/repro-lab``.  Every test gets a fresh cache root and starts
-outside any in-run trace memo instead.
+``~/.cache/repro-lab``.  Every test gets a fresh cache root instead.
 
 Hypothesis runs under a slim ``ci`` profile by default so ``pytest -q``
 stays inside the tier-1 runtime budget; set ``HYPOTHESIS_PROFILE=dev``
@@ -13,8 +12,6 @@ stays inside the tier-1 runtime budget; set ``HYPOTHESIS_PROFILE=dev``
 import os
 
 import pytest
-
-from repro.lab import registry
 
 try:
     from hypothesis import HealthCheck, settings
@@ -40,6 +37,3 @@ except ImportError:  # property tests skip themselves without hypothesis
 def isolated_cache_roots(monkeypatch, tmp_path_factory):
     root = tmp_path_factory.mktemp("lab-cache")
     monkeypatch.setenv("REPRO_LAB_CACHE", str(root))
-    token = registry._memo.set(None)
-    yield
-    registry._memo.reset(token)

@@ -6,7 +6,6 @@ The simulator lets us isolate exactly that variable: same trace, same
 capacity, same LRU policy, varying associativity.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import matmul_trace

@@ -1,7 +1,5 @@
 """Unit tests for the block-slot residency model."""
 
-import pytest
-
 from repro.core.blockio import BlockSlot
 from repro.machine import MemoryHierarchy, TwoLevel
 

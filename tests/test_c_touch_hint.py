@@ -2,8 +2,6 @@
 between block multiplications rescues the multi-level WA order under a
 tight LRU cache."""
 
-import pytest
-
 from repro.core import matmul_trace
 from repro.machine import CacheSim
 

@@ -1,7 +1,6 @@
 """Property-based tests for the distributed collectives' conservation laws."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

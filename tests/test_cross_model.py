@@ -9,7 +9,6 @@ when LRU has the residency the propositions require).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

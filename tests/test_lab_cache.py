@@ -1,7 +1,5 @@
 """The content-addressed result cache: hits, misses, and invalidation."""
 
-import json
-
 import pytest
 
 from repro.lab.cache import ResultCache, code_fingerprint, point_key

@@ -256,11 +256,14 @@ class TestRobustnessCLI:
     aborted sweep, 2 = bad spec, 130 = interrupted."""
 
     ARGV = ["run", "sec6", "--quick"]
+    #: every point faults twice: in its trace's batch and in the
+    #: per-point fallback that batch failure grants it.
+    ALL_FAIL = "rate=1.0,times=2"
 
     def test_keep_going_exits_3_with_failure_table(self, capsys,
                                                    tmp_path):
         rc = lab_main(self.ARGV + ["--cache-dir", str(tmp_path),
-                                   "--fault-plan", "rate=1.0",
+                                   "--fault-plan", self.ALL_FAIL,
                                    "--keep-going"])
         assert rc == 3
         out = capsys.readouterr().out
@@ -272,7 +275,7 @@ class TestRobustnessCLI:
     def test_terminal_failure_exits_1_with_resume_hint(self, capsys,
                                                        tmp_path):
         rc = lab_main(self.ARGV + ["--cache-dir", str(tmp_path),
-                                   "--fault-plan", "rate=1.0"])
+                                   "--fault-plan", self.ALL_FAIL])
         assert rc == 1
         err = capsys.readouterr().err
         assert "sweep aborted" in err
@@ -369,7 +372,7 @@ class TestRobustnessCLI:
 
     def test_no_cache_partial_results_promise_no_cache(self, capsys):
         rc = lab_main(self.ARGV + ["--no-cache", "--fault-plan",
-                                   "rate=1.0", "--keep-going"])
+                                   self.ALL_FAIL, "--keep-going"])
         assert rc == 3
         out = capsys.readouterr().out
         assert "nothing was kept (caching is off)" in out
@@ -377,7 +380,7 @@ class TestRobustnessCLI:
 
     def test_no_cache_abort_hint_promises_no_cache(self, capsys):
         rc = lab_main(self.ARGV + ["--no-cache", "--fault-plan",
-                                   "rate=1.0"])
+                                   self.ALL_FAIL])
         assert rc == 1
         err = capsys.readouterr().err
         assert "nothing was kept (--no-cache)" in err

@@ -20,7 +20,6 @@ from repro.lab.registry import (
     MACHINE_FIELDS,
     MACHINES,
     MachineSpec,
-    machine_fields,
     project_machine,
     run_batch,
 )

@@ -9,7 +9,6 @@ from repro.lab.cli import main
 from repro.lab.executor import _batch_key, _plan, execute
 from repro.lab.registry import (
     MachineSpec,
-    kernel_matmul_cache,
     matmul_trace_payload,
     run_capacity_batch,
 )
@@ -50,11 +49,11 @@ class TestGrouping:
         keys = {_capacity_key(p) for p in pts}
         assert len(keys) == 1 and None not in keys
 
-    def test_non_stack_points_group_per_simulation(self):
-        """Clock and set-associative points group only with points
-        running the same replay: same policy, capacity, associativity
-        and seed.  Energy fields never split a group; hierarchies and
-        other kernels stay single."""
+    def test_points_group_per_trace(self):
+        """Points of one trace share a task whatever their policy,
+        capacity, associativity, seed or energy; another trace is
+        another task.  Hierarchies, points whose associativity does not
+        divide their capacity and other kernels stay single."""
         machine = MachineSpec(name="t", line_size=4, policy="clock")
         params = {"n": 16, "middle": 32, "scheme": "wa2", "b3": 8,
                   "cache_blocks": 3}
@@ -65,17 +64,18 @@ class TestGrouping:
 
         clock = key(machine)
         assert clock is not None
-        assert key(machine.override(write_slow=30.0, read_fast=0.5)) \
-            == clock
-        assert key(machine, scheme="ab-multilevel") == clock
-        for other in (key(machine, cache_blocks=4),
-                      key(machine.override(seed=1)),
-                      key(machine.override(policy="segmented-lru")),
-                      key(machine.override(associativity=7)),
-                      key(machine, scheme="wa-multilevel")):
-            assert other is not None and other != clock
-        set_assoc = key(machine.override(policy="lru", associativity=7))
-        assert set_assoc not in (None, key(machine.override(policy="lru")))
+        for same in (key(machine.override(write_slow=30.0, read_fast=0.5)),
+                     key(machine, scheme="ab-multilevel"),
+                     key(machine, cache_blocks=4),
+                     key(machine.override(seed=1)),
+                     key(machine.override(policy="segmented-lru")),
+                     key(machine.override(associativity=7)),
+                     key(machine.override(policy="lru")),
+                     key(machine.override(policy="lru", associativity=7))):
+            assert same == clock
+        other = key(machine, scheme="wa-multilevel")
+        assert other is not None and other != clock
+        assert key(machine.override(associativity=5)) is None
         assert key(machine.override(levels=(64, 256))) is None
         assert _capacity_key(
             ScenarioPoint("krylov-cg", MachineSpec(), {"mesh": 16})
@@ -103,9 +103,9 @@ class TestMultiCapacityExecution:
                            policies=("lru", "clock"))
         looped = execute(pts, cache=None, multi_capacity=False)
         batched = execute(pts, cache=None, multi_capacity=True)
-        # wa2 and ab-multilevel share one task order: one LRU sweep of
-        # all six points, and one clock replay per capacity for both.
-        assert batched.batches == 4 and batched.batched_points == 12
+        # wa2 and ab-multilevel share one task order, so one task: one
+        # LRU sweep of six points and one clock replay per capacity.
+        assert batched.batches == 1 and batched.batched_points == 12
         for a, b in zip(looped.results, batched.results):
             assert a.record == b.record
 
@@ -128,13 +128,17 @@ class TestMultiCapacityExecution:
     def test_batch_runner_validates_group(self):
         pts = sweep_points(blocks=(3, 4))
         clock = pts[0].machine.override(policy="clock")
+        # One trace, several simulations: each point gets the record of
+        # its own per-point run.
+        group = [(pts[0].machine, pts[0].params), (clock, pts[0].params),
+                 (clock, pts[1].params)]
+        assert run_capacity_batch("matmul-cache", group) == [
+            ScenarioPoint("matmul-cache", m, p).run() for m, p in group]
         with pytest.raises(ValueError):
-            run_capacity_batch("matmul-cache", [(pts[0].machine,
-                                                 pts[0].params),
-                                                (clock, pts[0].params)])
-        with pytest.raises(ValueError):
-            run_capacity_batch("matmul-cache", [(clock, pts[0].params),
-                                                (clock, pts[1].params)])
+            run_capacity_batch("matmul-cache", [
+                (pts[0].machine, pts[0].params),
+                (clock.override(associativity=5), pts[0].params),
+            ])
         other = dict(pts[0].params, middle=64)
         with pytest.raises(ValueError):
             run_capacity_batch("matmul-cache", [
@@ -234,15 +238,12 @@ class TestProtocolBatching:
         assert _capacity_key(pt) is None
 
     def test_mixed_policy_batch_runner_validates(self):
-        from repro.lab.registry import run_capacity_batch
-
         pts = sweep_points(blocks=(3,))
         clock = pts[0].machine.override(policy="clock")
-        with pytest.raises(ValueError):
-            run_capacity_batch("matmul-cache",
-                               [(clock, pts[0].params),
-                                (clock.override(policy="segmented-lru"),
-                                 pts[0].params)])
+        group = [(clock, pts[0].params),
+                 (clock.override(policy="segmented-lru"), pts[0].params)]
+        assert run_capacity_batch("matmul-cache", group) == [
+            ScenarioPoint("matmul-cache", m, p).run() for m, p in group]
         with pytest.raises(ValueError):
             run_capacity_batch("krylov-cg",
                                [(pts[0].machine, pts[0].params)])
@@ -252,7 +253,7 @@ class TestProtocolBatching:
 # trace identity
 # --------------------------------------------------------------------- #
 class TestTraceStore:
-    """The trace identity the in-run memo keys traces by."""
+    """The trace identity the planner groups points by."""
 
     def test_trace_payload_excludes_capacity(self):
         machine = MachineSpec(name="t", line_size=4, policy="lru")
@@ -310,9 +311,9 @@ class TestCacheCLI:
 
     def test_runs_build_each_trace_once_and_write_no_traces(
             self, tmp_path, capsys):
-        """A cached in-process ``run``/``sweep`` keeps traces in the
-        run's memory only: nothing lands under ``<cache dir>/traces``,
-        and each distinct trace is built once per run."""
+        """A cached in-process ``run``/``sweep`` keeps traces in its
+        tasks only: nothing lands under ``<cache dir>/traces``, and
+        each distinct trace is built once per run."""
         builds = []
         previous = fs_profile.set_phase_hook(
             lambda name, seconds: builds.append(name))

@@ -1,12 +1,13 @@
-"""One task per distinct simulation: the executor's trace-kernel plan.
+"""One task per distinct trace: the executor's trace-kernel plan.
 
-Points are grouped by the simulation they run, not by scheme name or
-machine energy: fully-associative LRU/Belady points of one trace share
-one multi-capacity sweep, any other point shares a replay with the
-points that have its trace, policy, capacity, associativity and seed.
-Two scheme names with one task order (``wa2``, ``ab-multilevel``) are
-one trace.  Records stay bit-identical to the per-point path, and the
-in-run memo builds each distinct trace once per run.
+Points are grouped by the trace they replay, not by scheme name,
+policy, capacity or machine energy.  Inside its task the trace is built
+once: fully-associative LRU/Belady points share one multi-capacity
+sweep, and any other point shares one replay with the points that have
+its policy, capacity, associativity and seed.  Two scheme names with
+one task order (``wa2``, ``ab-multilevel``) are one trace.  Records
+stay bit-identical to the per-point path, and each distinct trace is
+built once per run, in-process or on pool workers.
 """
 
 import hashlib
@@ -15,11 +16,12 @@ import json
 
 from repro.core.traces import MATMUL_SCHEMES, matmul_trace
 from repro.experiments.sec6_lru import sec6_scenario
-from repro.lab import registry
 from repro.lab.executor import _plan, execute
 from repro.lab.registry import MachineSpec, matmul_trace_payload
 from repro.lab.scenarios import ScenarioPoint
 from repro.lab.telemetry import RunTrace, summarize
+from repro.machine.cache import CacheSim
+from repro.machine.fastsim import dispatch
 from repro.machine.fastsim import profile as fs_profile
 
 PARAMS = {"n": 16, "middle": 32, "b3": 8, "b2": 4, "base": 4}
@@ -50,17 +52,21 @@ def mixed_grid():
     return points
 
 
+def contents(trace):
+    """A content hash of a finalized trace."""
+    h = hashlib.sha256()
+    for arr in trace:
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def trace_digest(scheme, c_touch_hint=False, **blocking):
     """A content hash of the trace a scheme builds by name."""
     shape = dict(PARAMS, **blocking)
-    tr = matmul_trace(shape["n"], shape["middle"], shape["n"],
-                      scheme=scheme, b3=shape["b3"], b2=shape["b2"],
-                      base=shape["base"], line_size=LINE,
-                      c_touch_hint=c_touch_hint).finalize_trace()
-    h = hashlib.sha256()
-    for arr in tr:
-        h.update(arr.tobytes())
-    return h.hexdigest()
+    return contents(matmul_trace(
+        shape["n"], shape["middle"], shape["n"], scheme=scheme,
+        b3=shape["b3"], b2=shape["b2"], base=shape["base"],
+        line_size=LINE, c_touch_hint=c_touch_hint).finalize_trace())
 
 
 def simulation_of(point):
@@ -80,28 +86,69 @@ def canonical(records):
 
 
 class TestPlan:
-    def test_one_task_per_distinct_simulation(self):
+    def test_one_task_per_distinct_trace(self, monkeypatch):
         points = mixed_grid()
         tasks = _plan(points, range(len(points)), multi_capacity=True)
-        sims = [{simulation_of(points[i]) for i in task}
-                for task, _ in tasks]
-        assert all(len(s) == 1 for s in sims)
+        traces = [{simulation_of(points[i])[0] for i in task}
+                  for task, _ in tasks]
+        assert all(len(t) == 1 for t in traces)
+        assert len(tasks) == len({trace_digest(p.params["scheme"])
+                                  for p in points}) == 2
+        assert [kind for _, kind in tasks] == ["multi_capacity"] * 2
+
+        sweeps, replays = [], []
+        sweep, run_trace = dispatch.sweep, CacheSim.run_trace
+
+        def counted_sweep(trace, caps_by_policy):
+            sweeps.append(contents(trace))
+            return sweep(trace, caps_by_policy)
+
+        def counted_run_trace(sim, trace):
+            replays.append((contents(trace), sim.policy_name,
+                            sim.capacity_lines, sim.associativity,
+                            sim.seed))
+            return run_trace(sim, trace)
+
+        monkeypatch.setattr(dispatch, "sweep", counted_sweep)
+        monkeypatch.setattr(CacheSim, "run_trace", counted_run_trace)
+        execute(points, cache=None, multi_capacity=True)
+        # Per trace: 1 stack sweep + 2 capacities x 4 non-stack
+        # policies + 1 set-associative replay, each exactly once.
         distinct = {simulation_of(p) for p in points}
-        # 2 traces x (1 stack sweep + 2 capacities x 4 non-stack
-        # policies + 1 set-associative replay).
         assert len(distinct) == 2 * (1 + 2 * 4 + 1)
-        assert len(tasks) == len(distinct)
-        assert [kind for _, kind in tasks] == ["multi_capacity"] * len(tasks)
+        assert len(sweeps) == len(set(sweeps)) == 2
+        assert len(replays) == len(set(replays)) == len(distinct) - 2
 
     def test_batched_records_equal_per_point_records(self):
         points = mixed_grid()
         looped = execute(points, cache=None, multi_capacity=False)
         batched = execute(points, cache=None, multi_capacity=True)
-        assert batched.batches == 20
+        assert batched.batches == 2
         assert batched.batched_points == len(points)
         assert canonical(looped.records()) == canonical(batched.records())
         pooled = execute(points, cache=None, multi_capacity=True, jobs=2)
         assert canonical(pooled.records()) == canonical(batched.records())
+
+    def test_bad_point_does_not_sink_its_trace(self):
+        """A point whose associativity does not divide its capacity
+        (49 lines, 5-way) shares its trace with the grid but not its
+        task: it fails on its own, and its siblings keep the batch."""
+        points = mixed_grid()
+        bad = ScenarioPoint(
+            "matmul-cache",
+            MachineSpec(name="t", line_size=LINE, associativity=5),
+            dict(PARAMS, scheme="wa2", cache_blocks=3))
+        points.insert(7, bad)
+        report = execute(points, cache=None, keep_going=True)
+        assert report.failed == 1 and report.retries == 0
+        assert report.batches == 2
+        failed = report.results[7]
+        assert failed.failed and failed.record["exc_type"] == "ValueError"
+        assert "associativity (5)" in failed.record["error"]
+        good = points[:7] + points[8:]
+        looped = execute(good, cache=None, multi_capacity=False)
+        assert canonical(report.records()[:7] + report.records()[8:]) \
+            == canonical(looped.records())
 
     def test_energy_variants_keep_their_own_energy(self):
         points = mixed_grid()
@@ -160,6 +207,9 @@ class TestTraceIdentity:
 
 
 class TestRunMemo:
+    """How many traces a run builds: one per distinct trace, whatever
+    the venue, with nothing kept between tasks."""
+
     def build_count(self, fn):
         seen = []
         previous = fs_profile.set_phase_hook(
@@ -173,7 +223,15 @@ class TestRunMemo:
     def test_each_trace_is_built_once_per_run(self):
         points = sec6_scenario(quick=True).points()
         assert self.build_count(lambda: execute(points, cache=None)) == 2
-        assert registry._memo.get() is None  # dropped with the run
+
+    def test_pool_workers_build_each_trace_once(self):
+        points = sec6_scenario(quick=True).points()
+        trace = RunTrace()
+        report = execute(points, cache=None, jobs=2, trace=trace)
+        builds = [e for e in trace.events
+                  if e["type"] == "phase" and e["name"] == "trace_build"]
+        assert len(builds) == 2
+        assert report.batches == 2 and report.batched_points == len(points)
 
     def test_per_point_path_builds_per_point(self):
         # multi_capacity=False is the per-point reference: every point
@@ -181,30 +239,3 @@ class TestRunMemo:
         points = sec6_scenario(quick=True).points()
         assert self.build_count(lambda: execute(
             points, cache=None, multi_capacity=False)) == len(points)
-
-    def test_budget_bounds_the_memo(self, monkeypatch):
-        monkeypatch.setattr(registry, "MEMO_BUDGET_BYTES", 0)
-        points = sec6_scenario(quick=True).points()
-        report = execute(points, cache=None)
-        assert self.build_count(lambda: execute(points, cache=None)) \
-            == report.batches + (len(points) - report.batched_points)
-
-    def test_trace_is_kept_only_while_a_fetch_is_due(self):
-        built = []
-
-        def build():
-            built.append(matmul_trace(8, 8, 8, scheme="co", b3=4, b2=4,
-                                      base=4).finalize_trace())
-            return built[-1]
-
-        once, twice = {"family": "once"}, {"family": "twice"}
-        with registry.run_memo({registry.payload_key(twice): 2}):
-            memo = registry._memo.get()
-            registry.memo_trace(once, build)
-            assert memo.traces == {} and memo.nbytes == 0
-            tr = registry.memo_trace(twice, build)
-            assert not tr.lines.flags.writeable  # shared: read-only
-            assert memo.nbytes > 0
-            assert registry.memo_trace(twice, build) is tr
-            assert memo.traces == {} and memo.nbytes == 0
-        assert len(built) == 2

@@ -27,8 +27,8 @@ from repro.machine.fastsim import profile as fs_profile
 
 @pytest.fixture(scope="module")
 def tiny_scenario():
-    # 2 schemes x 2 capacities x 2 policies = 8 cheap points, half of
-    # them batchable (lru capacity pairs), half scalar (fifo).
+    # 2 schemes x 2 capacities x 2 policies = 8 cheap points: one task
+    # per scheme's trace, each an lru sweep plus two fifo replays.
     return sec6_scenario(n=16, middle=16, b3=8, b2=4,
                         policies=("lru", "fifo"),
                         schemes=("wa2", "co"))
@@ -163,10 +163,9 @@ class TestTracedExecution:
         assert s["cache"]["misses"] == len(pts)
         assert s["cache"]["writes"] == len(pts)
         assert s["batch_coverage"] == 1.0
-        # lru points batch per (scheme, capacity-group); fifo is scalar
-        assert cold.batched_points > 0
-        assert s["paths"]["multi_capacity"] == cold.batched_points
-        assert s["paths"]["scalar"] == len(pts) - cold.batched_points
+        # every point rides its trace's task: one per scheme
+        assert cold.batches == 2 and cold.batched_points == len(pts)
+        assert s["paths"] == {"multi_capacity": len(pts)}
 
         warm_tr = RunTrace()
         warm = execute(pts, jobs=1, cache=ResultCache(tmp_path),

@@ -7,7 +7,6 @@ cacheable point-by-point.
 """
 
 import numpy as np
-import pytest
 
 from repro.machine.cache import CacheSim
 from repro.machine.multicache import CacheHierarchySim
