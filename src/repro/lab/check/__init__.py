@@ -4,12 +4,12 @@
 declarative contracts *before runtime*:
 
 * **R1 machine-projection soundness** — every ``machine.<attr>`` read in
-  a kernel's call graph must be covered by its ``MACHINE_FIELDS`` row,
-  or the projected cache key can serve stale records;
-* **R2 registry completeness** — every kernel has explicit
-  ``MACHINE_FIELDS``/``METRIC_FIELDS``/``PARAMS`` rows, presets reference
-  registered kernels/machines/policies, batch toggles map to real CLI
-  flags;
+  a kernel's call graph (its body and its batch entry) must be covered
+  by its record's ``machine_fields``, or the projected cache key can
+  serve stale records;
+* **R2 registry references** — presets reference registered kernels and
+  policies, and batch toggles map to real CLI flags (every other
+  declaration is a required field of the kernel's record);
 * **R3 determinism hazards** — no ``time``/``random``/``id()``/``hash()``
   or unsorted-set serialization in the cache-key call graphs;
 * **R4 worker-boundary picklability** — functions dispatched to pool

@@ -5,8 +5,8 @@ graph tracking every value known to *be* the machine spec — the
 parameter named ``machine``, reassignments, ``override``/``with_hw``
 copies, ``(machine, params)`` pairs destructured out of a batch
 ``group`` — and collect each ``machine.<attr>`` read with its source
-location.  The union of reads is then compared against the kernel's
-``MACHINE_FIELDS`` declaration: an undeclared read means the result
+location.  The union of reads is then compared against the
+``machine_fields`` of the kernel's record: an undeclared read means the result
 cache can serve stale records (the field changes, the projected key
 does not), a declared-but-never-read field means cache entries split
 for no reason.
@@ -17,7 +17,8 @@ Deliberate blind spots, documented so findings stay explainable:
   record, so its reads cannot leak into one;
 * calls that cannot be resolved statically (callables fetched from
   dicts, protocol fields like ``tk.payload``) are skipped — the rule
-  driver seeds those concrete callables as additional entries instead;
+  driver seeds the concrete callables a kernel's record and trace
+  protocol name (body, batch entry, payload) as entries instead;
 * the projection function itself (``project_machine``) is exempt: it
   reads the full spec *by design* in order to build the projection.
 """

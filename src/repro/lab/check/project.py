@@ -1,6 +1,6 @@
 """AST project index for the static contract analyzer.
 
-The analyzer is hybrid: registries (``KERNELS``, ``MACHINE_FIELDS``,
+The analyzer is hybrid: registries (``KERNELS``, ``TRACE_KERNELS``,
 ``SCENARIOS``…) are imported and read as runtime ground truth, but every
 rule *walks source*, so each callable must be locatable as an AST node.
 This module parses every ``.py`` file under the configured roots —

@@ -2,8 +2,8 @@
 
 Each rule is a function ``(config, index, registry) -> [Finding]`` over
 the parsed project (:class:`~repro.lab.check.project.ProjectIndex`) and
-the imported registries (:class:`RegistryView` — dict contents are the
-runtime ground truth; the AST is how reads, calls and literals are
+the imported registries (:class:`RegistryView` — the kernel records are
+the runtime ground truth; the AST is how reads, calls and literals are
 located and attributed).
 """
 
@@ -29,19 +29,14 @@ __all__ = ["RegistryView", "rule_r1", "rule_r2", "rule_r3", "rule_r4",
 # --------------------------------------------------------------------- #
 @dataclass
 class RegistryView:
-    """The imported registries the rules validate against."""
+    """The imported registries the rules validate against: ``kernels``
+    maps each name to its :class:`~repro.lab.params.Kernel` record."""
 
-    kernels: Dict[str, Callable[..., Any]] = field(default_factory=dict)
-    machine_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    metric_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    params: Dict[str, Any] = field(default_factory=dict)
+    kernels: Dict[str, Any] = field(default_factory=dict)
     trace_kernels: Dict[str, Any] = field(default_factory=dict)
-    batch_kernels: Dict[str, Any] = field(default_factory=dict)
     machines: Dict[str, Any] = field(default_factory=dict)
     policies: Dict[str, Any] = field(default_factory=dict)
     scenarios: Dict[str, Callable[..., Any]] = field(default_factory=dict)
-    extra_evaluators: Dict[str, Callable[..., Any]] = \
-        field(default_factory=dict)
 
     @classmethod
     def load(cls, cfg: Any) -> "RegistryView":
@@ -54,21 +49,12 @@ class RegistryView:
         if cfg.scenarios_module:
             scn = importlib.import_module(cfg.scenarios_module)
             scenarios = dict(getattr(scn, "SCENARIOS", None) or {})
-        extra: Dict[str, Callable[..., Any]] = {}
-        for mod_name, attr in cfg.extra_evaluator_attrs:
-            mod = importlib.import_module(mod_name)
-            extra.update(getattr(mod, attr, None) or {})
         return cls(
             kernels=table("KERNELS"),
-            machine_fields=table("MACHINE_FIELDS"),
-            metric_fields=table("METRIC_FIELDS"),
-            params=table("PARAMS"),
             trace_kernels=table("TRACE_KERNELS"),
-            batch_kernels=table("BATCH_KERNELS"),
             machines=table("MACHINES"),
             policies=table("POLICIES"),
             scenarios=scenarios,
-            extra_evaluators=extra,
         )
 
 
@@ -155,7 +141,8 @@ def _kernel_entries(cfg: Any, index: ProjectIndex, reg: RegistryView,
         if callable(fn):
             add_info(index.locate_callable(fn))
 
-    add(reg.kernels.get(name))
+    kernel = reg.kernels[name]
+    add(kernel.run)
     tk = reg.trace_kernels.get(name)
     if tk is not None:
         for attr in ("payload", "capacity_words", "write_lb"):
@@ -165,11 +152,9 @@ def _kernel_entries(cfg: Any, index: ProjectIndex, reg: RegistryView,
             if mod is not None:
                 for meth in ("run", "record", "lines"):
                     add_info(mod.method(cfg.trace_kernel_class[1], meth))
-    bk = reg.batch_kernels.get(name)
-    if bk is not None:
-        add(getattr(bk, "run", None))
-        add(getattr(bk, "group_key", None))
-    add(reg.extra_evaluators.get(name))
+    if kernel.batch is not None:
+        add(kernel.batch.run)
+        add(kernel.batch.group_key)
     return entries
 
 
@@ -180,12 +165,10 @@ def rule_r1(cfg: Any, index: ProjectIndex, reg: RegistryView
         model = MachineModel.from_class(index, *cfg.machine_class)
     walker = MachineReadWalker(index, model, cfg.r1_exempt)
     reg_mod = index.modules.get(cfg.registry_module)
-    decl_lines, decl_fallback = _dict_entry_lines(reg_mod, "MACHINE_FIELDS")
+    decl_lines, decl_fallback = _dict_entry_lines(reg_mod, "KERNELS")
     findings: List[Finding] = []
     for name in sorted(reg.kernels):
-        declared = reg.machine_fields.get(name)
-        if declared is None:
-            continue   # keyed on the full spec; R2 reports the absence
+        declared = reg.kernels[name].machine_fields
         entries = _kernel_entries(cfg, index, reg, name)
         if not entries:
             continue
@@ -198,7 +181,7 @@ def rule_r1(cfg: Any, index: ProjectIndex, reg: RegistryView
             findings.append(Finding(
                 "R1", ERROR, site.file, site.line, kernel=name,
                 message=(f"kernel {name!r} reads machine.{fname} but its "
-                         f"MACHINE_FIELDS row omits it — the projected "
+                         f"machine_fields omit it — the projected "
                          f"cache key cannot see {fname!r} changing, so "
                          f"stale records would be served"),
             ))
@@ -210,7 +193,7 @@ def rule_r1(cfg: Any, index: ProjectIndex, reg: RegistryView
                 findings.append(Finding(
                     "R1", ERROR, site.file, site.line, kernel=name,
                     message=(f"kernel {name!r} reads the whole machine "
-                             f"spec but MACHINE_FIELDS omits {missing}"),
+                             f"spec but its machine_fields omit {missing}"),
                 ))
         else:
             unread = sorted(declared_set - set(reads.fields))
@@ -226,34 +209,12 @@ def rule_r1(cfg: Any, index: ProjectIndex, reg: RegistryView
 
 
 # --------------------------------------------------------------------- #
-# R2 — registry completeness
+# R2 — registry references
 # --------------------------------------------------------------------- #
 def rule_r2(cfg: Any, index: ProjectIndex, reg: RegistryView
             ) -> List[Finding]:
-    findings: List[Finding] = []
-    reg_mod = index.modules.get(cfg.registry_module)
-    for table in ("MACHINE_FIELDS", "METRIC_FIELDS", "PARAMS"):
-        declared = getattr(reg, table.lower())
-        lines, fallback = _dict_entry_lines(reg_mod, table)
-        for name in sorted(reg.kernels):
-            if name not in declared:
-                findings.append(Finding(
-                    "R2", ERROR, fallback[0], fallback[1], kernel=name,
-                    message=(f"kernel {name!r} has no {table} row — "
-                             f"declare one (an empty tuple is fine; "
-                             f"absence is not)"),
-                ))
-        for name in sorted(declared):
-            if name not in reg.kernels:
-                file, line = _anchor(lines, fallback, name)
-                findings.append(Finding(
-                    "R2", WARNING, file, line, kernel=name,
-                    message=(f"{table} declares {name!r}, which is not a "
-                             f"registered kernel"),
-                ))
-    findings.extend(_check_batch_toggles(cfg, index, reg))
-    findings.extend(_check_scenarios(cfg, index, reg))
-    return findings
+    return [*_check_batch_toggles(cfg, index, reg),
+            *_check_scenarios(cfg, index, reg)]
 
 
 def _cli_flags(index: ProjectIndex, cli_module: Optional[str]
@@ -277,20 +238,17 @@ def _check_batch_toggles(cfg: Any, index: ProjectIndex, reg: RegistryView
                          ) -> List[Finding]:
     findings: List[Finding] = []
     reg_mod = index.modules.get(cfg.registry_module)
-    _, fallback = _dict_entry_lines(reg_mod, "BATCH_KERNELS")
+    lines, fallback = _dict_entry_lines(reg_mod, "KERNELS")
     flags = _cli_flags(index, cfg.cli_module)
-    for name in sorted(reg.batch_kernels):
-        bk = reg.batch_kernels[name]
-        if name not in reg.kernels:
-            findings.append(Finding(
-                "R2", WARNING, fallback[0], fallback[1], kernel=name,
-                message=(f"BATCH_KERNELS declares {name!r}, which is not "
-                         f"a registered kernel"),
-            ))
-        toggle = getattr(bk, "toggle", None)
+    for name in sorted(reg.kernels):
+        bk = reg.kernels[name].batch
+        if bk is None:
+            continue
+        file, line = _anchor(lines, fallback, name)
+        toggle = bk.toggle
         if not isinstance(toggle, str) or not toggle:
             findings.append(Finding(
-                "R2", ERROR, fallback[0], fallback[1], kernel=name,
+                "R2", ERROR, file, line, kernel=name,
                 message=f"batch kernel {name!r} has no gate toggle",
             ))
             continue
@@ -298,7 +256,7 @@ def _check_batch_toggles(cfg: Any, index: ProjectIndex, reg: RegistryView
             flag = "--no-" + toggle.replace("_", "-")
             if flag not in flags:
                 findings.append(Finding(
-                    "R2", ERROR, fallback[0], fallback[1], kernel=name,
+                    "R2", ERROR, file, line, kernel=name,
                     message=(f"batch kernel {name!r} is gated by toggle "
                              f"{toggle!r}, but the CLI defines no "
                              f"{flag!r} flag"),
@@ -360,9 +318,9 @@ def _key_roots(cfg: Any, index: ProjectIndex, reg: RegistryView
         info = index.get(mod_name, qualname)
         if info is not None:
             roots.append((info, qualname))
-    for name in sorted(reg.batch_kernels):
-        info = index.locate_callable(
-            getattr(reg.batch_kernels[name], "group_key", None))
+    for name in sorted(reg.kernels):
+        bk = reg.kernels[name].batch
+        info = None if bk is None else index.locate_callable(bk.group_key)
         if info is not None:
             roots.append((info, f"{name}.group_key"))
     for name in sorted(reg.trace_kernels):

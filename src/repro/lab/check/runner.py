@@ -25,14 +25,16 @@ class CheckConfig:
 
     The default configuration (:func:`default_config`) targets
     ``src/repro``; tests point a config at fixture packages with
-    deliberately broken registrations instead.
+    deliberately broken registrations instead.  Each kernel's
+    :class:`~repro.lab.params.Kernel` record names every callable R1
+    walks and R3 keys on, so no other kernel table is configured.
     """
 
     #: package directories to parse (module names derive from each
     #: directory's name, so pass e.g. ``src/repro``).
     package_roots: Tuple[Path, ...]
-    #: module exposing ``KERNELS`` / ``MACHINE_FIELDS`` / ``METRIC_FIELDS``
-    #: / ``TRACE_KERNELS`` / ``BATCH_KERNELS`` / ``MACHINES`` / ``POLICIES``.
+    #: module exposing ``KERNELS`` (name -> ``Kernel`` record) /
+    #: ``TRACE_KERNELS`` / ``MACHINES`` / ``POLICIES``.
     registry_module: str
     #: module exposing ``SCENARIOS`` (optional).
     scenarios_module: Optional[str] = None
@@ -50,10 +52,6 @@ class CheckConfig:
     key_roots: Tuple[Tuple[str, str], ...] = ()
     #: functions R1 must not descend into (the projection itself).
     r1_exempt: Tuple[Tuple[str, str], ...] = ()
-    #: ``(module, attr)`` of extra ``{kernel: callable}`` evaluator
-    #: tables whose entries join R1's walk (dynamic dict dispatch the
-    #: static walker cannot follow).
-    extra_evaluator_attrs: Tuple[Tuple[str, str], ...] = ()
     #: modules R5 skips (the telemetry machinery itself).
     r5_exclude_modules: Tuple[str, ...] = ()
     #: ``(module, qualname)`` of free functions that emit phase timings.
@@ -105,9 +103,6 @@ def default_config() -> CheckConfig:
             ("repro.lab.registry", "trace_group_payload"),
         ),
         r1_exempt=(("repro.lab.registry", "project_machine"),),
-        extra_evaluator_attrs=(
-            ("repro.lab.modelkernels", "COST_BATCH_EVALUATORS"),
-        ),
         r5_exclude_modules=("repro.lab.telemetry",),
         phase_functions=(("repro.machine.fastsim.profile", "phase"),),
         display_base=package_root.parent.parent,

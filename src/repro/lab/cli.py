@@ -52,7 +52,7 @@ from repro.lab.cache import ResultCache, default_cache_root
 from repro.lab.executor import (MissingResultsError, PointExecutionError,
                                 execute)
 from repro.lab.faults import FAULTS_ENV, FaultPlan, plan_from_env
-from repro.lab.registry import KERNELS, MACHINES, PARAMS, POLICIES
+from repro.lab.registry import KERNELS, MACHINES, POLICIES
 from repro.lab.results import ResultSet
 from repro.lab.scenarios import SCENARIOS, Scenario, build_scenario
 from repro.lab.telemetry import RunTrace
@@ -190,10 +190,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(SCENARIOS):
         print(f"  {name:<14} {SCENARIOS[name](False).description}")
     print("kernels:")
-    for name in sorted(KERNELS):
-        doc = (KERNELS[name].__doc__ or "").strip().splitlines()[0]
+    for name, kernel in sorted(KERNELS.items()):
+        doc = (kernel.run.__doc__ or "").strip().splitlines()[0]
         print(f"  {name:<18} {doc}")
-        print(f"  {'':<18} params: {PARAMS[name].describe()}")
+        print(f"  {'':<18} params: {kernel.params.describe()}")
     print("machines:")
     for name, spec in sorted(MACHINES.items()):
         geom = (f"levels={list(spec.levels)}" if spec.levels

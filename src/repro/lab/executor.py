@@ -8,8 +8,8 @@ parent process; workers are deterministic functions from point payloads to
 records.  A trace kernel's task holds every point of one trace, so each
 distinct trace is built once per run, in-process or on a pool worker.
 
-**Batching** (on by default): uncached points whose kernel registers a
-:class:`~repro.lab.registry.BatchKernel` entry and that share the
+**Batching** (on by default): uncached points whose kernel declares a
+:class:`~repro.lab.params.BatchKernel` entry and that share the
 entry's group key are collapsed into one task that evaluates the whole
 group at once and emits exact per-point records, which are then fanned
 back out into the result cache under each point's own key.  Batching is
@@ -55,7 +55,7 @@ testable.
 **Cache identity**: records are keyed on
 :meth:`~repro.lab.scenarios.ScenarioPoint.cache_payload` — the machine
 spec projected to the fields the kernel declares it reads
-(:data:`repro.lab.registry.MACHINE_FIELDS`) — so same-params points
+(:attr:`repro.lab.params.Kernel.machine_fields`) — so same-params points
 under differently named (or irrelevantly differing) machines share one
 cache entry.  Error records are **never** cached.
 
@@ -69,9 +69,9 @@ its execution path (``cache``/``batch``/``multi_capacity``/``scalar``/
 ``failed``), and ``task.retry`` / ``task.timeout`` /
 ``worker.respawn`` / ``point.failed`` counters for every recovery
 action.  Pool workers capture their own events (fastsim phases)
-into an in-memory subtrace that the parent splices back in; kernels
-listed in :data:`~repro.lab.registry.METRIC_FIELDS` additionally fold
-the named record fields into trace metrics.  Tracing never changes records —
+into an in-memory subtrace that the parent splices back in; each
+kernel's declared :attr:`~repro.lab.params.Kernel.metric_fields` fold
+into trace metrics.  Tracing never changes records —
 the untraced path pays one ``None`` check per site.
 """
 
@@ -91,7 +91,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
 from repro.lab import telemetry
 from repro.lab.cache import ResultCache
 from repro.lab.faults import FaultPlan, deterministic_unit, fault_key
-from repro.lab.registry import BATCH_KERNELS, METRIC_FIELDS, run_batch
+from repro.lab.registry import KERNELS, run_batch
 from repro.lab.scenarios import ScenarioPoint
 from repro.util import json_number_default
 
@@ -278,8 +278,8 @@ def _batch_key(point: ScenarioPoint, *, multi_capacity: bool,
     """A key shared exactly by points that may ride one batched task
     (``None`` marks a point that must run on its own).
 
-    Grouping is driven by the batch-kernel protocol
-    (:data:`repro.lab.registry.BATCH_KERNELS`); each entry's gate flag
+    Grouping is driven by the kernel's batch entry
+    (:attr:`repro.lab.params.Kernel.batch`); each entry's gate flag
     (``multi_capacity`` for trace batches, ``batch`` for grid
     batches) must be on.  The group identity is serialized with
     numpy-canonical JSON, so ``np.int64``/``np.float64`` grid values
@@ -287,7 +287,8 @@ def _batch_key(point: ScenarioPoint, *, multi_capacity: bool,
     ignores params (``machine_only``) are memoized per (kernel,
     machine) in *memo* — a 10^4-point grid derives its key once.
     """
-    bk = BATCH_KERNELS.get(point.kernel)
+    kernel = KERNELS.get(point.kernel)
+    bk = None if kernel is None else kernel.batch
     if bk is None:
         return None
     if not (multi_capacity if bk.toggle == "multi_capacity" else batch):
@@ -339,7 +340,9 @@ def _plan(points: Sequence[ScenarioPoint], pending: Sequence[int],
         else:
             group = [i]
             groups[key] = group
-            tasks.append((group, BATCH_KERNELS[points[i].kernel].toggle))
+            bk = KERNELS[points[i].kernel].batch
+            assert bk is not None  # a keyed point has a batch entry
+            tasks.append((group, bk.toggle))
     return [(group, kind if len(group) > 1 else None)
             for group, kind in tasks]
 
@@ -380,9 +383,10 @@ def _worker_venue(name: str) -> str:
 
 def _fold_metrics(trace: telemetry.RunTrace, kernel: str,
                   record: Dict[str, Any]) -> None:
-    """Fold the record fields *kernel* declared in
-    :data:`~repro.lab.registry.METRIC_FIELDS` into trace metrics."""
-    for field in METRIC_FIELDS.get(kernel, ()):
+    """Fold the record fields *kernel* declares
+    (:attr:`~repro.lab.params.Kernel.metric_fields`) into trace
+    metrics."""
+    for field in KERNELS[kernel].metric_fields:
         value = record.get(field)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue

@@ -1,9 +1,10 @@
 """Point-level kernels for the NVM cost-model, distributed and Krylov
 subsystems and the Section 3-5 tables.
 
-Four families, all registered into :data:`repro.lab.registry.KERNELS`
-(this module deliberately imports nothing from the registry, so the
-registry can import it without a cycle).  Each kernel imports the
+Four families, one :class:`~repro.lab.params.Kernel` record each in
+:data:`MODEL_KERNELS`, which :data:`repro.lab.registry.KERNELS` takes
+in whole (this module deliberately imports nothing from the registry,
+so the registry can import it without a cycle).  Each kernel imports the
 package it runs inside its body, so declaring all of them loads none of
 :mod:`repro.distributed`'s executed algorithms, :mod:`repro.krylov`,
 :mod:`repro.core`, :mod:`repro.bounds` or :mod:`repro.cdag`:
@@ -25,7 +26,8 @@ package it runs inside its body, so declaring all of them loads none of
   sends the points its mask rejects (infeasible, or outside the exact
   float64 domain) to the point kernel, so both paths emit identical
   records.  The Table 1/2 cells memoize the scalar row lists per size
-  tuple instead.
+  tuple instead.  Any two points of one cost kernel under one
+  ``HwParams`` set ride one batch.
 
 * ``summa-2d`` / ``summa-l3-ool2`` / ``mm-25d`` / ``lu-ll-nonpivot`` /
   ``lu-rl-nonpivot`` — the *executed* distributed algorithms
@@ -83,18 +85,15 @@ from repro.distributed.costmodel import (
     table1_rows,
     table2_rows,
 )
-from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, Params, chain,
-                              multiples, opt)
+from repro.lab.params import (BOOL, FLOAT, INT, NAT, POS, BatchKernel,
+                              Kernel, Params, chain, multiples, opt)
 from repro.names import LOOP_ORDERS, STORAGE_MODES
 from repro.util import canonical_int, is_power_of_two, require
 
 if TYPE_CHECKING:
     from repro.distributed.machine import DistMachine
 
-__all__ = ["MODEL_KERNELS", "MODEL_PARAMS", "COST_KERNELS",
-           "DISTRIBUTED_KERNELS", "KRYLOV_KERNELS", "SECTION_KERNELS",
-           "SECTION_PARAMS", "PEBBLE_LABELS", "COST_BATCH_EVALUATORS",
-           "run_cost_batch"]
+__all__ = ["MODEL_KERNELS", "PEBBLE_LABELS"]
 
 
 # --------------------------------------------------------------------- #
@@ -172,6 +171,7 @@ class CostFamily:
     cost: Callable[..., Dict]
     body: Callable[..., Dict]
     record: Callable[[Dict], Dict]         # cost result -> record
+    metric: str                            # the record's headline field
     mask: Optional[Callable[..., np.ndarray]] = None
 
 
@@ -184,9 +184,46 @@ def _family_point(family: CostFamily, machine, params: Mapping) -> Dict:
         return _infeasible(family.name, exc)
 
 
-def _family_batch(family: CostFamily, hw: HwParams, group) -> list:
+def _group_hw(group) -> HwParams:
+    """The :class:`HwParams` every point of a cost batch resolves to.
+
+    The executor groups cost points on their ``hw`` overrides, so one
+    set holds by construction; a group mixing sets raises."""
+    machine0 = group[0][0]
+    hw = machine0.hw_params()
+    checked = {id(machine0)}
+    for machine, _ in group:
+        if id(machine) in checked:  # grids share one spec object
+            continue
+        require(machine.hw_params() == hw,
+                "cost batch mixes different hw parameter sets")
+        checked.add(id(machine))
+    return hw
+
+
+def _hw_group_key(machine, params: Mapping) -> Dict:
+    """A cost point's batch identity: its ``hw`` overrides (``None`` and
+    the empty set both mean the defaults)."""
+    return {"hw": dict(machine.hw or ())}
+
+
+def _cost_kernel(run: Callable, params: Params, metric: str,
+                 batch: Callable) -> Kernel:
+    """A ``cost-*`` record: it reads only the machine's ``hw``
+    overrides, and *batch* evaluates a group under one set of them."""
+    return Kernel(run, params, machine_fields=("hw",),
+                  metric_fields=(metric,),
+                  batch=BatchKernel("batch", _hw_group_key, batch,
+                                    machine_only=True))
+
+
+def _family_batch(family: CostFamily, group,
+                  hw: Optional[HwParams] = None) -> list:
     """A group of *family* points: the formula body once over float64
-    columns, the scalar kernel for points outside the mask."""
+    columns, the scalar kernel for points outside the mask.  *hw* is
+    the group's :func:`_group_hw` unless given."""
+    if hw is None:
+        hw = _group_hw(group)
     cols = np.array([[_geti(p, name, default) for _, p in group]
                      for name, default in family.params], dtype=np.float64)
     n, P, cs = cols[0], cols[1], cols[2:]
@@ -216,46 +253,49 @@ _FAMILIES: Dict[str, CostFamily] = {
     "cost-2d-mm": CostFamily(
         "2DMML2",
         "Analytic cost of 2DMML2 (Table 1, c=1).",
-        (_N, _P), cost_2dmml2, _cost_2dmml2, _cost_record),
+        (_N, _P), cost_2dmml2, _cost_2dmml2, _cost_record,
+        "total_seconds"),
     "cost-25d-mm-l2": CostFamily(
         "2.5DMML2",
         "Analytic cost of 2.5DMML2 (Table 1).",
         (_N, _P, _C2), cost_25dmml2, _cost_25dmml2, _cost_record,
-        lambda n, P, c2: _c_in_range(c2, P)),
+        "total_seconds", lambda n, P, c2: _c_in_range(c2, P)),
     "cost-25d-mm-l3": CostFamily(
         "2.5DMML3",
         "Analytic cost of 2.5DMML3 (Table 1, NVM-staged replicas).",
         (_N, _P, _C2, _C3), cost_25dmml3, _cost_25dmml3, _cost_record,
+        "total_seconds",
         lambda n, P, c2, c3: (c3 > c2) & (c2 >= 1) & _c_in_range(c3, P)),
     "cost-25d-mm-l3-ool2": CostFamily(
         "2.5DMML3ooL2",
         "Analytic cost of 2.5DMML3ooL2 (Table 2, Model 2.2).",
         (_N, _P, _C3), cost_25dmml3_ool2, _cost_25dmml3_ool2, _cost_record,
-        lambda n, P, c3: _c_in_range(c3, P)),
+        "total_seconds", lambda n, P, c3: _c_in_range(c3, P)),
     "cost-summa-l3-ool2": CostFamily(
         "SUMMAL3ooL2",
         "Analytic cost of SUMMAL3ooL2 (Table 2, attains the W1 write\n"
         "    floor).",
-        (_N, _P), cost_summal3_ool2, _cost_summal3_ool2, _cost_record),
+        (_N, _P), cost_summal3_ool2, _cost_summal3_ool2, _cost_record,
+        "total_seconds"),
     "cost-lu-ll": CostFamily(
         "LL-LUNP",
         "LL-LUNP dominant β-costs (formulas (23)/(24)).",
-        (_N, _P), ll_lunp_beta_cost, _ll_lunp, _flat_record),
+        (_N, _P), ll_lunp_beta_cost, _ll_lunp, _flat_record, "total"),
     "cost-lu-rl": CostFamily(
         "RL-LUNP",
         "RL-LUNP dominant β-costs (formulas (25)/(26)).",
-        (_N, _P), rl_lunp_beta_cost, _rl_lunp, _flat_record),
+        (_N, _P), rl_lunp_beta_cost, _rl_lunp, _flat_record, "total"),
 }
 
 #: The dominant-β-cost comparisons behind ``cost-dominance``, by model.
 _DOMINANCE: Dict[str, CostFamily] = {
     "2.1": CostFamily(
         "2.5DMML2 vs 2.5DMML3", "", (_N, _P, _C2, _C3),
-        dom_beta_cost_model21, _dom_model21, dict,
+        dom_beta_cost_model21, _dom_model21, dict, "ratio",
         lambda n, P, c2, c3: (c2 >= 1) & (c3 >= 1)),
     "2.2": CostFamily(
         "2.5DMML3ooL2 vs SUMMAL3ooL2", "", (_N, _P, _C3),
-        dom_beta_cost_model22, _dom_model22, dict,
+        dom_beta_cost_model22, _dom_model22, dict, "ratio",
         lambda n, P, c3: c3 >= 1),
 }
 
@@ -280,15 +320,16 @@ def kernel_cost_dominance(machine, params: Mapping) -> Dict:
             **_family_point(_DOMINANCE[model], machine, params)}
 
 
-def _dominance_batch(hw: HwParams, group) -> list:
+def _dominance_batch(group) -> list:
     """``cost-dominance`` points batched per model."""
+    hw = _group_hw(group)
     models = [_DOMINANCE_PARAMS.resolve(params)["model"]
               for _, params in group]
     recs: list = [None] * len(group)
     for model, family in _DOMINANCE.items():
         idx = [i for i, m in enumerate(models) if m == model]
         if idx:
-            sub = _family_batch(family, hw, [group[i] for i in idx])
+            sub = _family_batch(family, [group[i] for i in idx], hw)
             for i, rec in zip(idx, sub):
                 recs[i] = {"model": model, **rec}
     return recs
@@ -307,8 +348,9 @@ def kernel_cost_break_even(machine, params: Mapping) -> Dict:
     }
 
 
-def _break_even_batch(hw: HwParams, group) -> list:
+def _break_even_batch(group) -> list:
     """One break-even record, copied to every point of the group."""
+    _group_hw(group)
     rec = kernel_cost_break_even(*group[0])
     return [dict(rec) for _ in group]
 
@@ -343,10 +385,11 @@ class CostTable:
         p = self.params.resolve(params)
         return self.cell(p, self.evaluate(p, machine.hw_params()))
 
-    def batch(self, hw: HwParams, group) -> list:
+    def batch(self, group) -> list:
         """A group of cells, evaluating the scalar row list once per
         unique size tuple (row/algorithm axes make uniques sparse;
         reusing the scalar row code is the bit-identity argument)."""
+        hw = _group_hw(group)
         rows_cache: Dict[Tuple[int, ...], Any] = {}
         recs = []
         for _, params in group:
@@ -388,67 +431,13 @@ def kernel_cost_table2(machine, params: Mapping) -> Dict:
     return _TABLES["cost-table2"].point(machine, params)
 
 
-def _family_kernel(family: CostFamily) -> Callable:
+def _family_kernel(family: CostFamily) -> Kernel:
     def kernel(machine, params: Mapping) -> Dict:
         return _family_point(family, machine, params)
 
     kernel.__doc__ = family.doc
-    return kernel
-
-
-COST_KERNELS: Dict[str, Callable] = {
-    **{name: _family_kernel(family)
-       for name, family in _FAMILIES.items()},
-    "cost-break-even": kernel_cost_break_even,
-    "cost-dominance": kernel_cost_dominance,
-    "cost-table1": kernel_cost_table1,
-    "cost-table2": kernel_cost_table2,
-}
-
-#: kernel name -> ``(hw, group) -> records`` batch evaluator.
-COST_BATCH_EVALUATORS: Dict[str, Callable] = {
-    **{name: partial(_family_batch, family)
-       for name, family in _FAMILIES.items()},
-    "cost-break-even": _break_even_batch,
-    "cost-dominance": _dominance_batch,
-    **{name: table.batch for name, table in _TABLES.items()},
-}
-
-#: every cost kernel's declared parameters.
-COST_PARAMS: Dict[str, Params] = {
-    **{name: _int_params(family) for name, family in _FAMILIES.items()},
-    "cost-break-even": Params.of(),
-    "cost-dominance": _DOMINANCE_PARAMS,
-    **{name: table.params for name, table in _TABLES.items()},
-}
-
-
-def run_cost_batch(kernel: str, group) -> list:
-    """A whole grid of one ``cost-*`` family in one vectorized pass.
-
-    Every ``(machine, params)`` pair must resolve to the same
-    :class:`HwParams` (the executor groups on the projected machine, so
-    this holds by construction); records are bit-identical to running
-    the scalar kernel per point, including the ``feasible: False``
-    payloads of out-of-regime grid points.
-    """
-    try:
-        evaluate = COST_BATCH_EVALUATORS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"kernel {kernel!r} is not a batched cost kernel; "
-            f"available: {sorted(COST_BATCH_EVALUATORS)}"
-        ) from None
-    machine0 = group[0][0]
-    hw = machine0.hw_params()
-    checked = {id(machine0)}
-    for machine, _ in group:
-        if id(machine) in checked:  # grids share one spec object
-            continue
-        require(machine.hw_params() == hw,
-                "cost batch mixes different hw parameter sets")
-        checked.add(id(machine))
-    return evaluate(hw, group)
+    return _cost_kernel(kernel, _int_params(family), family.metric,
+                        partial(_family_batch, family))
 
 
 # --------------------------------------------------------------------- #
@@ -458,6 +447,9 @@ def run_cost_batch(kernel: str, group) -> list:
 _RANK_CHANNELS = ("nw_sent", "nw_recv", "nw_msgs_sent", "nw_msgs_recv",
                   "l2_to_l3", "l3_to_l2", "l2_to_l3_msgs", "l3_to_l2_msgs",
                   "l2_to_l1", "l1_to_l2")
+
+#: an execution record's headline fields: the per-level traffic maxima.
+_DIST_METRICS = ("nw_recv_max", "l3_to_l2_max", "l2_to_l3_max")
 
 
 def _dist_record(m: DistMachine) -> Dict:
@@ -609,22 +601,6 @@ def kernel_lu_rl(machine, params: Mapping) -> Dict:
     return _run_lu(lu_rl_nonpivot, params)
 
 
-DISTRIBUTED_KERNELS: Dict[str, Callable] = {
-    "summa-2d": kernel_summa_2d,
-    "summa-l3-ool2": kernel_summa_l3_ool2,
-    "mm-25d": kernel_mm_25d,
-    "lu-ll-nonpivot": kernel_lu_ll,
-    "lu-rl-nonpivot": kernel_lu_rl,
-}
-
-DISTRIBUTED_PARAMS: Dict[str, Params] = {
-    "summa-2d": _SUMMA_2D,
-    "summa-l3-ool2": _SUMMA_L3,
-    "mm-25d": _MM_25D,
-    "lu-ll-nonpivot": _LU,
-    "lu-rl-nonpivot": _LU,
-}
-
 
 # --------------------------------------------------------------------- #
 # Krylov kernels
@@ -648,6 +624,10 @@ def _stencil_system(p: Mapping):
     from repro.krylov.stencil import spd_stencil_system
 
     return spd_stencil_system(p["mesh"], d=p["d"], b=p["b"])
+
+
+#: a Krylov record's headline fields: the paper's read/write/flop counts.
+_TRAFFIC_METRICS = ("reads", "writes", "flops")
 
 
 def _traffic_record(traffic, steps: int) -> Dict:
@@ -780,22 +760,6 @@ def kernel_krylov_tsqr(machine, params: Mapping) -> Dict:
             **_traffic_record(t, s)}
 
 
-KRYLOV_KERNELS: Dict[str, Callable] = {
-    "krylov-cg": kernel_krylov_cg,
-    "krylov-cacg": kernel_krylov_cacg,
-    "krylov-gmres": kernel_krylov_gmres,
-    "krylov-matrix-powers": kernel_krylov_matrix_powers,
-    "krylov-tsqr": kernel_krylov_tsqr,
-}
-
-
-KRYLOV_PARAMS: Dict[str, Params] = {
-    "krylov-cg": _CG,
-    "krylov-cacg": _CACG,
-    "krylov-gmres": _GMRES,
-    "krylov-matrix-powers": _POWERS,
-    "krylov-tsqr": _TSQR,
-}
 
 # --------------------------------------------------------------------- #
 # Section 3-5 table kernels
@@ -988,35 +952,54 @@ def _co_vs_wa_relation(p: Dict[str, Any]) -> None:
                          f"b = sqrt(M/3) must be >= 1)")
 
 
-#: the kernels of the Section 3-5 tables (``repro-lab run sec3``).
-SECTION_KERNELS: Dict[str, Callable] = {
-    "cdag-pebble": kernel_cdag_pebble,
-    "twolevel-counts": kernel_twolevel_counts,
-    "co-vs-wa": kernel_co_vs_wa,
-}
-
-SECTION_PARAMS: Dict[str, Params] = {
-    "cdag-pebble": Params.of(_pebble_relation,
-                             algorithm=tuple(PEBBLE_LABELS),
-                             n=POS, M=POS),
-    "twolevel-counts": Params.of(
-        _twolevel_relation, algorithm=tuple(TWOLEVEL_VARIANTS),
-        variant=tuple(dict.fromkeys(v for vs in TWOLEVEL_VARIANTS.values()
-                                    for v in vs)),
-        n=POS, b=POS, seed=NAT),
-    "co-vs-wa": Params.of(_co_vs_wa_relation, n=POS, M=POS, seed=NAT),
-}
-
-#: everything this module registers, by registry name.
-MODEL_KERNELS: Dict[str, Callable] = {
-    **COST_KERNELS,
-    **DISTRIBUTED_KERNELS,
-    **KRYLOV_KERNELS,
-}
-
-#: the declared parameters of every kernel in :data:`MODEL_KERNELS`.
-MODEL_PARAMS: Dict[str, Params] = {
-    **COST_PARAMS,
-    **DISTRIBUTED_PARAMS,
-    **KRYLOV_PARAMS,
+#: every kernel this module declares, by registry name.  The executed
+#: distributed and Krylov kernels simulate their own machine, and the
+#: Section 3-5 kernels model their own memory (a pebbled CDAG, an
+#: instrumented two-level hierarchy): none reads a spec field.
+MODEL_KERNELS: Dict[str, Kernel] = {
+    # Section 7's analytic cost models.
+    **{name: _family_kernel(family) for name, family in _FAMILIES.items()},
+    "cost-break-even": _cost_kernel(kernel_cost_break_even, Params.of(),
+                                    "c3_over_c2", _break_even_batch),
+    "cost-dominance": _cost_kernel(kernel_cost_dominance, _DOMINANCE_PARAMS,
+                                   "ratio", _dominance_batch),
+    "cost-table1": _cost_kernel(kernel_cost_table1,
+                                _TABLES["cost-table1"].params, "words",
+                                _TABLES["cost-table1"].batch),
+    "cost-table2": _cost_kernel(kernel_cost_table2,
+                                _TABLES["cost-table2"].params, "words",
+                                _TABLES["cost-table2"].batch),
+    # The executed distributed algorithms.
+    "summa-2d": Kernel(kernel_summa_2d, _SUMMA_2D, (), _DIST_METRICS),
+    "summa-l3-ool2": Kernel(kernel_summa_l3_ool2, _SUMMA_L3, (),
+                            _DIST_METRICS),
+    "mm-25d": Kernel(kernel_mm_25d, _MM_25D, (), _DIST_METRICS),
+    "lu-ll-nonpivot": Kernel(kernel_lu_ll, _LU, (), _DIST_METRICS),
+    "lu-rl-nonpivot": Kernel(kernel_lu_rl, _LU, (), _DIST_METRICS),
+    # The Section-8 Krylov methods.
+    "krylov-cg": Kernel(kernel_krylov_cg, _CG, (), _TRAFFIC_METRICS),
+    "krylov-cacg": Kernel(kernel_krylov_cacg, _CACG, (), _TRAFFIC_METRICS),
+    "krylov-gmres": Kernel(kernel_krylov_gmres, _GMRES, (),
+                           _TRAFFIC_METRICS),
+    "krylov-matrix-powers": Kernel(kernel_krylov_matrix_powers, _POWERS, (),
+                                   _TRAFFIC_METRICS),
+    "krylov-tsqr": Kernel(kernel_krylov_tsqr, _TSQR, (), _TRAFFIC_METRICS),
+    # The Section 3-5 tables (``repro-lab run sec3``): the store and
+    # traffic counts they compare.
+    "cdag-pebble": Kernel(
+        kernel_cdag_pebble,
+        Params.of(_pebble_relation, algorithm=tuple(PEBBLE_LABELS),
+                  n=POS, M=POS),
+        (), ("loads", "stores")),
+    "twolevel-counts": Kernel(
+        kernel_twolevel_counts,
+        Params.of(_twolevel_relation, algorithm=tuple(TWOLEVEL_VARIANTS),
+                  variant=tuple(dict.fromkeys(
+                      v for vs in TWOLEVEL_VARIANTS.values() for v in vs)),
+                  n=POS, b=POS, seed=NAT),
+        (), ("writes_to_slow", "writes_to_fast")),
+    "co-vs-wa": Kernel(
+        kernel_co_vs_wa,
+        Params.of(_co_vs_wa_relation, n=POS, M=POS, seed=NAT),
+        (), ("co_stores", "wa_stores")),
 }

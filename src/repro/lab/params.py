@@ -1,13 +1,21 @@
-"""Declared kernel parameters: one :class:`Params` per registered kernel.
+"""Kernel declarations: one :class:`Kernel` record per registered kernel.
 
-A declaration names every parameter a kernel takes, its type, whether
-it is required and its default, plus an optional cross-parameter
-``relation`` (``n`` a multiple of ``b``, ``P`` a perfect square) and,
-for kernels that simulate the request's machine, a ``fit`` of machine
-and parameters.  Every request check reads it: unknown and missing
-keys, each value's type, ``repro-lab list`` and the kernels' own
-defaults (:meth:`Params.resolve`).  Checks never change a point: its
-params stay as requested, so records and cache keys do too.
+A record holds everything the engine knows about a kernel: its body,
+its parameters (:class:`Params`), the machine fields its records depend
+on, the record fields worth folding into run-trace metrics and, for a
+kernel that evaluates many points at once, its :class:`BatchKernel`.
+
+A :class:`Params` names every parameter a kernel takes, its type,
+whether it is required and its default, plus an optional
+cross-parameter ``relation`` (``n`` a multiple of ``b``, ``P`` a
+perfect square) and, for kernels that simulate the request's machine, a
+``fit`` of machine and parameters.  Every request check reads it:
+unknown and missing keys, each value's type, ``repro-lab list`` and the
+kernels' own defaults (:meth:`Params.resolve`).  Checks never change a
+point: its params stay as requested, so records and cache keys do too.
+
+This module imports no kernel, so :mod:`repro.lab.registry` and
+:mod:`repro.lab.modelkernels` both declare their records with it.
 """
 
 from __future__ import annotations
@@ -16,14 +24,16 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.util import require
 
-__all__ = ["Params", "Param", "opt", "fits", "multiples", "chain", "POS",
-           "NAT", "INT", "FLOAT", "BOOL", "REQUIRED"]
+__all__ = ["Kernel", "BatchKernel", "Params", "Param", "opt", "fits",
+           "multiples", "chain", "POS", "NAT", "INT", "FLOAT", "BOOL",
+           "REQUIRED"]
 
 #: value types (a tuple of strings instead is a one-of)
 POS = "positive int"
@@ -194,3 +204,61 @@ def chain(*relations: Callable[[Dict[str, Any]], None]
             rel(p)
     return relation
 
+
+
+@dataclass(frozen=True)
+class BatchKernel:
+    """How the executor collapses many uncached points of one kernel
+    into a single task.
+
+    ``group_key`` yields the JSON-able identity points must share to
+    ride one evaluation; ``run`` evaluates a whole group and returns one
+    record per point in group order.  The executor fans the records back
+    out into per-point result-cache entries, so batching stays a pure
+    execution strategy: records and cache contents are bit-identical to
+    the per-point path.
+
+    Two families declare one: every trace kernel (one task per distinct
+    trace, which builds it once and replays each of its simulations
+    once; gated by the executor's ``multi_capacity`` flag) and every
+    analytic ``cost-*`` kernel (one numpy-vectorized grid evaluation,
+    gated by ``batch``).
+    """
+
+    #: which executor flag gates this entry: ``"multi_capacity"`` for
+    #: the trace-kernel batches, ``"batch"`` for grid batches.
+    toggle: str
+    #: ``(machine, params) -> identity dict``; ``None`` means the point
+    #: cannot batch and must run on its own.
+    group_key: Callable[[Any, Mapping[str, Any]], Optional[Dict[str, Any]]]
+    #: ``group -> [record, ...]`` in group order, *group* a sequence of
+    #: ``(machine, params)`` pairs.
+    run: Callable[[Sequence[Tuple[Any, Mapping[str, Any]]]],
+                  List[Dict[str, Any]]]
+    #: ``group_key`` ignores ``params`` entirely (true for the cost
+    #: grids: any two same-machine points batch), so the planner
+    #: memoizes the serialized key per (kernel, machine) instead of
+    #: recomputing it for every one of 10^4+ grid points.
+    machine_only: bool = False
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """One registered kernel, declared once.
+
+    Every field but ``batch`` is required: a kernel that reads no
+    machine field declares ``()``, so no kernel is ever undeclared.
+    """
+
+    #: ``(machine, params) -> record``: one flat, JSON-serializable
+    #: record per point; its docstring's first line is the kernel's
+    #: ``repro-lab list`` entry.
+    run: Callable[[Any, Mapping[str, Any]], Dict[str, Any]]
+    params: Params
+    #: the ``MachineSpec`` fields the records depend on.  The result
+    #: cache keys each point on its machine projected to these fields,
+    #: and a scenario refuses a grid axis over any other field.
+    machine_fields: Tuple[str, ...]
+    #: the record fields a traced run folds into its metrics.
+    metric_fields: Tuple[str, ...]
+    batch: Optional[BatchKernel] = None

@@ -6,8 +6,13 @@ scenario file (or a CLI invocation) is pure data:
 * :data:`MACHINES` — named :class:`MachineSpec` presets, including
   NVM-style machines with asymmetric read/write energy costs (the
   Section-7 hardware the paper provisions for);
-* :data:`KERNELS` — functions ``f(machine, params) -> record`` producing
-  one flat, JSON-serializable record per scenario point;
+* :data:`KERNELS` — one :class:`~repro.lab.params.Kernel` record per
+  kernel: its body ``run(machine, params) -> record`` (one flat,
+  JSON-serializable record per scenario point), its declared
+  parameters, the machine fields its records depend on, its metric
+  fields and its optional batch entry.  It is the only name-keyed
+  kernel table; :data:`TRACE_KERNELS` adds the trace protocol of the
+  line-trace kernels;
 * :data:`POLICIES` — re-exported replacement-policy classes
   (:mod:`repro.machine.policies`).
 
@@ -20,23 +25,14 @@ simulation stack only the single-cache simulator and the policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from repro.distributed.costmodel import HwParams, hw_param_key
-from repro.lab.modelkernels import (
-    COST_BATCH_EVALUATORS,
-    COST_KERNELS,
-    DISTRIBUTED_KERNELS,
-    KRYLOV_KERNELS,
-    MODEL_KERNELS,
-    MODEL_PARAMS,
-    SECTION_KERNELS,
-    SECTION_PARAMS,
-    run_cost_batch,
-)
-from repro.lab.params import (BOOL, FLOAT, INT, POS, Params, fits,
-                              multiples, opt)
+from repro.lab.modelkernels import MODEL_KERNELS
+from repro.lab.params import (BOOL, FLOAT, INT, POS, BatchKernel, Kernel,
+                              Params, fits, multiples, opt)
 from repro.lab.telemetry import active_trace
 from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.fastsim.profile import phase as fs_phase
@@ -58,12 +54,7 @@ __all__ = [
     "hw_overrides",
     "TraceKernel",
     "TRACE_KERNELS",
-    "BatchKernel",
-    "BATCH_KERNELS",
     "BATCHABLE_POLICIES",
-    "MACHINE_FIELDS",
-    "METRIC_FIELDS",
-    "PARAMS",
     "kernel_params",
     "machine_fields",
     "project_machine",
@@ -698,6 +689,48 @@ def run_capacity_batch(
             for i, (machine, params) in enumerate(group)]
 
 
+def trace_group_payload(tk: TraceKernel, machine: MachineSpec,
+                        params: Mapping[str, Any]
+                        ) -> Optional[Dict[str, Any]]:
+    """The identity shared by trace-kernel points that ride one task:
+    the trace they replay (``tk.payload``).  Capacity, policy,
+    associativity, seed and energy never split a task; the task splits
+    its points into simulations itself (:func:`run_capacity_batch`).
+    ``None`` marks a point that fails :meth:`TraceKernel.check`, so it
+    runs, and fails, on its own."""
+    try:
+        tk.check(machine, params)
+        return tk.payload(machine, params)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+#: every spec field a single-level trace kernel consumes: the simulated
+#: geometry and policy plus the four boundary energies of its record
+#: (``levels`` is read to *reject* hierarchies, so it stays relevant).
+_TRACE_MACHINE_FIELDS: Tuple[str, ...] = (
+    "associativity", "cache_words", "levels", "line_size", "policy",
+    "read_fast", "read_slow", "seed", "write_fast", "write_slow",
+)
+
+#: the headline counters of a single-level trace-kernel record.
+_TRACE_METRIC_FIELDS: Tuple[str, ...] = ("misses", "writebacks", "fills",
+                                         "energy")
+
+
+def _trace_kernel(name: str, run: Callable[[MachineSpec, Mapping[str, Any]],
+                                           Dict[str, Any]]) -> Kernel:
+    """The record of trace kernel *name*: its parameters checked against
+    the machine by :meth:`TraceKernel.check`, and one batched task per
+    distinct trace."""
+    tk = TRACE_KERNELS[name]
+    return Kernel(run, replace(tk.params, fit=tk.check),
+                  _TRACE_MACHINE_FIELDS, _TRACE_METRIC_FIELDS,
+                  batch=BatchKernel("multi_capacity",
+                                    partial(trace_group_payload, tk),
+                                    partial(run_capacity_batch, name)))
+
+
 def _needs_levels(machine: MachineSpec, params: Mapping[str, Any]) -> None:
     require(machine.levels is not None,
             "matmul-hierarchy needs a machine with `levels`")
@@ -738,275 +771,89 @@ def kernel_matmul_hierarchy(machine: MachineSpec, params: Mapping[str, Any]) -> 
     return rec
 
 
-KERNELS: Dict[str, Callable[[MachineSpec, Mapping[str, Any]], Dict[str, Any]]] = {
-    "matmul-cache": kernel_matmul_cache,
-    "trsm-cache": kernel_trsm_cache,
-    "cholesky-cache": kernel_cholesky_cache,
-    "nbody-cache": kernel_nbody_cache,
-    "matmul-hierarchy": kernel_matmul_hierarchy,
-    # The Section 3-5 table kernels (repro.lab.modelkernels).
-    **SECTION_KERNELS,
-}
-# Point-level cost-model, distributed-execution and Krylov kernels
-# (repro.lab.modelkernels) register alongside the trace kernels.
-KERNELS.update(MODEL_KERNELS)
-
-
-#: Declared parameters per kernel (:class:`repro.lab.params.Params`):
-#: each parameter's type, whether it is required and its default, plus
-#: the kernel's cross-parameter relation and machine fit.  Every request
-#: check reads this table (:func:`check_point`,
-#: :meth:`repro.lab.scenarios.Scenario.points`), as does ``repro-lab
-#: list``; ``repro-lab check`` (R2) wants a row for every kernel.
-PARAMS: Dict[str, Params] = {
-    **{name: replace(tk.params, fit=tk.check)
-       for name, tk in TRACE_KERNELS.items()},
-    "matmul-hierarchy": _HIERARCHY,
-    **SECTION_PARAMS,
-    **MODEL_PARAMS,
-}
-
-
-# --------------------------------------------------------------------- #
-# machine relevance: which MachineSpec fields a kernel reads
-# --------------------------------------------------------------------- #
-#: every spec field a single-level trace kernel consumes: the simulated
-#: geometry and policy plus the four boundary energies of its record
-#: (``levels`` is read to *reject* hierarchies, so it stays relevant).
-_TRACE_MACHINE_FIELDS: Tuple[str, ...] = (
-    "associativity", "cache_words", "levels", "line_size", "policy",
-    "read_fast", "read_slow", "seed", "write_fast", "write_slow",
-)
-
-#: Declared machine relevance per kernel: the ``MachineSpec`` fields the
-#: kernel's record actually depends on.  The result cache keys each
-#: point on the machine *projected* to these fields
+#: Every kernel the engine can run, by name.  Each record's
+#: ``machine_fields`` is the machine half of a point's cache identity
 #: (:func:`project_machine`), so same-params points under differently
-#: named — or differing only in irrelevant fields — machines share one
-#: cache entry, and scenario validation rejects grid axes over fields a
-#: kernel never reads.  A kernel absent from this registry is keyed on
-#: the full spec (the conservative legacy behaviour).
-MACHINE_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "matmul-cache": _TRACE_MACHINE_FIELDS,
-    "trsm-cache": _TRACE_MACHINE_FIELDS,
-    "cholesky-cache": _TRACE_MACHINE_FIELDS,
-    "nbody-cache": _TRACE_MACHINE_FIELDS,
+#: named machines, or machines differing only in fields the kernel
+#: never reads, share one cache entry; ``repro-lab check`` (R1) holds
+#: each declaration to the fields the kernel's call graph reads.
+KERNELS: Dict[str, Kernel] = {
+    "matmul-cache": _trace_kernel("matmul-cache", kernel_matmul_cache),
+    "trsm-cache": _trace_kernel("trsm-cache", kernel_trsm_cache),
+    "cholesky-cache": _trace_kernel("cholesky-cache", kernel_cholesky_cache),
+    "nbody-cache": _trace_kernel("nbody-cache", kernel_nbody_cache),
     # `associativity` and `cache_words` are statically reachable through
     # MachineSpec.make's single-level branch (`levels` is required, so
     # that branch never runs for this kernel) — declared anyway: extra
     # projection fields only split cache entries, never serve stale ones.
-    "matmul-hierarchy": ("associativity", "cache_words", "levels",
-                         "line_size", "policy", "read_slow", "seed",
-                         "write_slow"),
-    # The Section 3-5 kernels model their own memory (a pebbled CDAG,
-    # an instrumented two-level hierarchy) and read no spec field.
-    "cdag-pebble": (),
-    "twolevel-counts": (),
-    "co-vs-wa": (),
-    # Analytic cost kernels read only the HwParams override set.
-    **{name: ("hw",) for name in COST_KERNELS},
-    # Executed distributed / krylov kernels simulate their own machine
-    # (DistMachine / traffic counters) and read no spec field at all.
-    **{name: () for name in DISTRIBUTED_KERNELS},
-    **{name: () for name in KRYLOV_KERNELS},
+    "matmul-hierarchy": Kernel(
+        kernel_matmul_hierarchy, _HIERARCHY,
+        machine_fields=("associativity", "cache_words", "levels",
+                        "line_size", "policy", "read_slow", "seed",
+                        "write_slow"),
+        metric_fields=("backing_reads", "backing_writes", "energy")),
+    # The cost-model, distributed, Krylov and Section 3-5 kernels
+    # (repro.lab.modelkernels).
+    **MODEL_KERNELS,
 }
 
 
-def machine_fields(kernel: str) -> Optional[Tuple[str, ...]]:
-    """The declared machine relevance of *kernel*.
-
-    ``None`` means a *registered* kernel carries no declaration, so the
-    full spec is assumed relevant.  A kernel known to neither
-    :data:`KERNELS` nor :data:`MACHINE_FIELDS` raises ``KeyError``
-    instead — a typo'd name must not silently key on the full spec.
-    """
+def machine_fields(kernel: str) -> Tuple[str, ...]:
+    """The machine fields *kernel* declares it reads.  An unknown
+    kernel raises ``KeyError`` naming the registered ones: a typo'd
+    name must not key on some other kernel's fields."""
     try:
-        return MACHINE_FIELDS[kernel]
+        return KERNELS[kernel].machine_fields
     except KeyError:
-        if kernel in KERNELS:
-            return None
         raise KeyError(
             f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}"
         ) from None
-
-
-#: the headline counters of a single-level trace-kernel record.
-_TRACE_METRIC_FIELDS: Tuple[str, ...] = ("misses", "writebacks", "fills",
-                                         "energy")
-
-#: Declared telemetry relevance per kernel: the *record* fields worth
-#: folding into run-trace metrics (:meth:`repro.lab.telemetry.RunTrace
-#: .metric`) when a sweep runs traced — the headline numbers a digest
-#: or regression diff should histogram, as opposed to every column of
-#: the record.  Kernels absent here simply contribute no metrics; the
-#: executor skips fields a record happens not to carry (e.g. the
-#: ``feasible: False`` cost records have no ``total_seconds``).
-METRIC_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "matmul-cache": _TRACE_METRIC_FIELDS,
-    "trsm-cache": _TRACE_METRIC_FIELDS,
-    "cholesky-cache": _TRACE_METRIC_FIELDS,
-    "nbody-cache": _TRACE_METRIC_FIELDS,
-    "matmul-hierarchy": _TRACE_METRIC_FIELDS,
-    # Section 3-5: the store and traffic counts the tables compare.
-    "cdag-pebble": ("loads", "stores"),
-    "twolevel-counts": ("writes_to_slow", "writes_to_fast"),
-    "co-vs-wa": ("co_stores", "wa_stores"),
-    # Analytic cost models: the modeled runtime.
-    **{name: ("total_seconds",) for name in COST_KERNELS},
-    # Executed distributed algorithms: the per-level traffic maxima.
-    **{name: ("nw_recv_max", "l3_to_l2_max", "l2_to_l3_max")
-       for name in DISTRIBUTED_KERNELS},
-    # Krylov methods: the paper's read/write/flop accounting.
-    **{name: ("reads", "writes", "flops") for name in KRYLOV_KERNELS},
-}
 
 
 def project_machine(spec: MachineSpec, kernel: str) -> Dict[str, Any]:
     """*spec* reduced to the fields *kernel* reads, as a JSON-able dict.
 
     This is the machine half of a point's cache identity: fields the
-    kernel never reads (always including ``name``, for every declared
-    kernel) drop out, and an ``hw`` of ``None`` canonicalizes to the
-    empty override set — :meth:`MachineSpec.hw_params` treats the two
-    identically, so they must key identically too.
+    kernel never reads (always including ``name``) drop out, and an
+    ``hw`` of ``None`` canonicalizes to the empty override set —
+    :meth:`MachineSpec.hw_params` treats the two identically, so they
+    must key identically too.
     """
     d = spec.as_dict()
-    fields = machine_fields(kernel)
-    if fields is None:
-        return d
-    proj = {name: d[name] for name in sorted(fields)}
+    proj = {name: d[name] for name in sorted(machine_fields(kernel))}
     if "hw" in proj and proj["hw"] is None:
         proj["hw"] = {}
     return proj
 
 
-# --------------------------------------------------------------------- #
-# batch-kernel protocol
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BatchKernel:
-    """Declarative entry for executor-level point batching.
-
-    A batch kernel tells the executor how to collapse many uncached
-    points of one registry kernel into a single task: ``group_key``
-    yields the JSON-able identity points must share to ride one
-    evaluation, ``run`` evaluates a whole group and returns one record
-    per point in group order — the executor then fans the records back
-    out into per-point result-cache entries, so batching stays a pure
-    execution strategy (records and cache contents are bit-identical to
-    the per-point path).
-
-    Two families register today: every trace kernel (one task per
-    distinct trace — :func:`trace_group_payload` — that builds it once
-    and replays each of its simulations once, gated by the executor's
-    ``multi_capacity`` flag) and every analytic ``cost-*`` family (one
-    numpy-vectorized grid evaluation, gated by ``batch``).
-    """
-
-    name: str
-    #: which executor flag gates this entry: ``"multi_capacity"`` for
-    #: the trace-kernel batches, ``"batch"`` for grid batches.
-    toggle: str
-    #: ``(machine, params) -> identity dict`` — ``None`` means the
-    #: point cannot batch and must run on its own.
-    group_key: Callable[[MachineSpec, Mapping[str, Any]],
-                        Optional[Dict[str, Any]]]
-    #: ``group -> [record, ...]`` in group order.
-    run: Callable[[Sequence[Tuple[MachineSpec, Mapping[str, Any]]]],
-                  List[Dict[str, Any]]]
-    #: ``group_key`` ignores ``params`` entirely (true for the cost
-    #: grids: any two same-machine points batch) — lets the planner
-    #: memoize the serialized key per (kernel, machine) instead of
-    #: recomputing it for every one of 10^4+ grid points.
-    machine_only: bool = False
-
-
-def trace_group_payload(tk: TraceKernel, machine: MachineSpec,
-                        params: Mapping[str, Any]
-                        ) -> Optional[Dict[str, Any]]:
-    """The identity shared by trace-kernel points that ride one task:
-    the trace they replay (``tk.payload``).  Capacity, policy,
-    associativity, seed and energy never split a task; the task splits
-    its points into simulations itself (:func:`run_capacity_batch`).
-    ``None`` marks a point that fails :meth:`TraceKernel.check`, so it
-    runs, and fails, on its own."""
-    try:
-        tk.check(machine, params)
-        return tk.payload(machine, params)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _trace_batch_entry(tk: TraceKernel) -> BatchKernel:
-    return BatchKernel(
-        name=tk.name,
-        toggle="multi_capacity",
-        group_key=lambda machine, params, _tk=tk: trace_group_payload(
-            _tk, machine, params),
-        run=lambda group, _name=tk.name: run_capacity_batch(_name, group),
-    )
-
-
-def _cost_batch_entry(name: str) -> BatchKernel:
-    # Any two points of one cost family batch as soon as their machines
-    # project identically (same HwParams override set) — the grid
-    # params are the batch's free dimensions.
-    return BatchKernel(
-        name=name,
-        toggle="batch",
-        group_key=lambda machine, params, _name=name: {
-            "machine": project_machine(machine, _name)},
-        run=lambda group, _name=name: run_cost_batch(_name, group),
-        machine_only=True,
-    )
-
-
-#: Every kernel the executor can batch, by registry name.
-BATCH_KERNELS: Dict[str, BatchKernel] = {
-    **{name: _trace_batch_entry(tk) for name, tk in TRACE_KERNELS.items()},
-    **{name: _cost_batch_entry(name) for name in COST_BATCH_EVALUATORS},
-}
-
-
-def kernel_params(kernel: str) -> Optional[Params]:
-    """The declared parameters of *kernel* (:data:`PARAMS`).  ``None``
-    means a registered kernel carries no declaration, so its requests
-    go unchecked (``repro-lab check`` reports it, R2)."""
-    if kernel in PARAMS:
-        return PARAMS[kernel]
+def kernel_params(kernel: str) -> Params:
+    """The declared parameters of *kernel*; an unknown kernel raises
+    ``ValueError`` naming the registered ones."""
     require(kernel in KERNELS,
             f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}")
-    return None
+    return KERNELS[kernel].params
 
 
 def takes(kernel: str, key: str) -> bool:
-    """Whether *kernel* declares parameter *key* (an undeclared kernel
-    takes any)."""
-    decl = kernel_params(kernel)
-    return decl is None or key in decl.params
+    """Whether *kernel* declares parameter *key*."""
+    return key in kernel_params(kernel).params
 
 
 def check_point(kernel: str, machine: MachineSpec,
                 params: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` naming the field unless the point can run:
-    its params fit the kernel's declaration (:data:`PARAMS`) and its
-    machine fits the kernel — at request time, not first inside the
-    run."""
-    decl = kernel_params(kernel)
-    if decl is not None:
-        decl.check(kernel, machine, params)
+    its params fit the kernel's declaration and its machine fits the
+    kernel — at request time, not first inside the run."""
+    kernel_params(kernel).check(kernel, machine, params)
 
 
 def run_batch(kernel: str,
               group: Sequence[Tuple[MachineSpec, Mapping[str, Any]]]
               ) -> List[Dict[str, Any]]:
-    """Evaluate one planned batch through its registered protocol entry."""
-    try:
-        bk = BATCH_KERNELS[kernel]
-    except KeyError:
+    """Evaluate one planned batch through its kernel's batch entry."""
+    batch = KERNELS[kernel].batch
+    if batch is None:
         raise ValueError(
-            f"kernel {kernel!r} has no batch evaluator; "
-            f"available: {sorted(BATCH_KERNELS)}"
-        ) from None
-    return bk.run(group)
-
+            f"kernel {kernel!r} has no batch evaluator; available: "
+            f"{sorted(name for name, k in KERNELS.items() if k.batch)}")
+    return batch.run(group)

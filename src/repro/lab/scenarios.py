@@ -72,7 +72,8 @@ class ScenarioPoint:
     def cache_payload(self) -> Dict[str, Any]:
         """The result-cache identity of this point: the payload with the
         machine projected to the fields this point's kernel declares it
-        reads (:data:`repro.lab.registry.MACHINE_FIELDS`), so renaming a
+        reads (its :attr:`~repro.lab.params.Kernel.machine_fields`), so
+        renaming a
         machine — or changing a field the kernel never looks at — does
         not cold-start the cache."""
         return {
@@ -91,13 +92,13 @@ class ScenarioPoint:
 
     def run(self) -> Dict[str, Any]:
         try:
-            fn = KERNELS[self.kernel]
+            kernel = KERNELS[self.kernel]
         except KeyError:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; "
                 f"available: {sorted(KERNELS)}"
             ) from None
-        return fn(self.machine, self.params)
+        return kernel.run(self.machine, self.params)
 
 
 @dataclass
@@ -135,7 +136,7 @@ class Scenario:
 
     def points(self) -> List[ScenarioPoint]:
         """The concrete points, each checked against its kernel's
-        declared parameters (:data:`repro.lab.registry.PARAMS`): a
+        declared parameters (:attr:`repro.lab.params.Kernel.params`): a
         point that cannot run raises ``ValueError`` naming the field.
 
         A grid checks its key set once, each fixed value and axis value
@@ -148,8 +149,6 @@ class Scenario:
                 check_point(pt.kernel, pt.machine, pt.params)
             return pts
         decl = kernel_params(self.kernel)
-        if decl is None:
-            return pts
         axes = {k: v for k, v in self.grid.items()
                 if not k.startswith("machine.")}
         decl.check_keys(self.kernel, [*self.fixed, *axes])
@@ -186,16 +185,14 @@ class Scenario:
     def _check_machine_axes(self) -> None:
         """Reject grid axes over machine fields the kernel never reads.
 
-        A kernel with declared machine relevance
-        (:data:`repro.lab.registry.MACHINE_FIELDS`) produces the same
-        record for every value of an unread field, so such an axis
+        A kernel produces the same record for every value of a field
+        its record does not declare
+        (:attr:`repro.lab.params.Kernel.machine_fields`), so such an axis
         would sweep identical points (and, under projected cache keys,
         collapse onto one cache entry) — a silent no-op grid.  Failing
         at scenario validation keeps the mistake loud.
         """
         fields = machine_fields(self.kernel)
-        if fields is None:
-            return
         for key in self.grid:
             if not key.startswith("machine."):
                 continue

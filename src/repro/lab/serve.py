@@ -94,6 +94,13 @@ _TERMINAL = frozenset({"done", "failed", "cancelled"})
 #: oldest to finish is forgotten, and its id answers 410.
 MAX_FINISHED_JOBS = 256
 
+#: the largest POST body the daemon reads, in bytes; a larger declared
+#: ``Content-Length`` is answered 413 before any of it is read.  A
+#: request is a preset or kernel name plus a few overrides (the test
+#: suite's largest is 117 bytes); 64 KiB still holds a grid axis of
+#: thousands of values.
+MAX_BODY_BYTES = 1 << 16
+
 #: a job id: ``job-<sequence number>-<grid key prefix>``.
 _JOB_ID = re.compile(r"job-(\d+)-([0-9a-f]{8})")
 
@@ -437,6 +444,10 @@ class JobManager:
 # --------------------------------------------------------------------- #
 # HTTP layer
 # --------------------------------------------------------------------- #
+class _BodyTooLarge(ValueError):
+    """A declared request body over :data:`MAX_BODY_BYTES` (413)."""
+
+
 class _ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -478,7 +489,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Checked before reading: a negative length would read to EOF
+        # (a client holding its socket open hangs the handler) and a
+        # huge one would be read into memory whole.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ValueError(f"Content-Length must be a non-negative "
+                             f"integer, got {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -498,6 +519,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._post_cancel(path[len("/jobs/"):-len("/cancel")])
             else:
                 self._send_json(404, {"error": f"no such route {path}"})
+        except _BodyTooLarge as exc:
+            self._send_json(413, {"error": str(exc)})
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
         except (BrokenPipeError, ConnectionResetError):

@@ -13,8 +13,8 @@ flight recorder:
   ``in_process`` or ``pool-worker-N``), *counters* (cache hits/misses
   with the miss reason, retries, respawns), *phases*
   (fastsim's trace build, radix partition, distance pass, per-capacity
-  fold) and *metrics* (record fields kernels declare in
-  :data:`repro.lab.registry.METRIC_FIELDS`);
+  fold) and *metrics* (the record fields each kernel declares,
+  :attr:`repro.lab.params.Kernel.metric_fields`);
 * events stream to a JSONL file beside the result cache (one JSON
   object per line, a ``meta`` header first and a ``summary`` footer
   last) and aggregate into a :class:`MetricsRegistry`

@@ -1,7 +1,7 @@
 """The names a request may pass a kernel, declared once.
 
 The kernels check their own arguments against these tuples, and the
-lab's parameter declarations (:data:`repro.lab.registry.PARAMS`) offer
+lab's parameter declarations (:attr:`repro.lab.params.Kernel.params`) offer
 them as one-of values.  They live in this dependency-free module so the
 lab can declare every kernel without importing its implementation.
 """

@@ -1,7 +1,7 @@
-"""Fixture kernel registry: R1/R2 violations, one per kernel."""
+"""Fixture kernel records: one R1 violation per kernel."""
 
 from labcheck_fixtures.machine import FixtureMachine
-from repro.lab.params import POS, Params
+from repro.lab.params import POS, BatchKernel, Kernel, Params
 
 
 def undeclared_read_kernel(machine, params):
@@ -13,34 +13,29 @@ def overdeclared_kernel(machine, params):
     return {"x": machine.seed}
 
 
-def missing_metrics_kernel(machine, params):
-    return {"x": 1}
+def batch_read_kernel(machine, params):
+    return {"x": machine.line_size}
+
+
+def batch_read_group(group):
+    return [{"x": machine.write_slow}  # MARKER r1-batch-read
+            for machine, _ in group]
 
 
 KERNELS = {
-    "fx-undeclared-read": undeclared_read_kernel,
-    "fx-overdeclared": overdeclared_kernel,
-    "fx-missing-metrics": missing_metrics_kernel,
-}
-
-MACHINE_FIELDS = {
-    # omits write_slow, which the kernel reads -> R1 error at the read
-    "fx-undeclared-read": ("line_size",),
+    # machine_fields omit write_slow, which the kernel reads -> R1 error
+    # at the read
+    "fx-undeclared-read": Kernel(undeclared_read_kernel, Params.of(n=POS),
+                                 ("line_size",), ("x",)),
     # declares policy, which the kernel never reads -> R1 warning here
-    "fx-overdeclared": ("policy", "seed"),  # MARKER r1-overdeclared
-    "fx-missing-metrics": (),
-}
-
-METRIC_FIELDS = {
-    "fx-undeclared-read": ("x",),
-    "fx-overdeclared": ("x",),
-    # "fx-missing-metrics" intentionally absent -> R2 error
-}
-
-PARAMS = {  # MARKER r2-params
-    "fx-undeclared-read": Params.of(n=POS),
-    # "fx-overdeclared" intentionally absent -> R2 error
-    "fx-missing-metrics": Params.of(),
+    "fx-overdeclared": Kernel(  # MARKER r1-overdeclared
+        overdeclared_kernel, Params.of(), ("policy", "seed"), ("x",)),
+    # the body reads only line_size, but the batch evaluator reads
+    # write_slow -> R1 error at the evaluator's read
+    "fx-batch-read": Kernel(
+        batch_read_kernel, Params.of(), ("line_size",), ("x",),
+        batch=BatchKernel("batch", lambda machine, params: {},
+                          batch_read_group)),
 }
 
 MACHINES = {"fx": FixtureMachine()}

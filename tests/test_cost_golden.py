@@ -20,14 +20,12 @@ import numpy as np
 import pytest
 
 from repro.lab.cli import main as lab_main
-from repro.lab.modelkernels import (
-    COST_BATCH_EVALUATORS,
-    COST_KERNELS,
-    run_cost_batch,
-)
-from repro.lab.registry import MACHINES, MachineSpec
+from repro.lab.registry import KERNELS, MACHINES, MachineSpec, run_batch
 
 GOLDEN = Path(__file__).parent / "golden" / "cost-families.json"
+
+#: the Section-7 cost-model kernels.
+COST = sorted(name for name in KERNELS if name.startswith("cost-"))
 
 
 def render(doc):
@@ -51,12 +49,13 @@ def golden():
 def test_golden_covers_every_cost_kernel(golden):
     _, doc, _ = golden
     kernels = {case["kernel"] for case in doc["cases"]}
-    assert kernels == set(COST_KERNELS) == set(COST_BATCH_EVALUATORS)
+    assert kernels == set(COST)
+    assert all(KERNELS[name].batch is not None for name in COST)
 
 
 def test_scalar_kernels_reproduce_golden(golden):
     text, doc, machines = golden
-    cases = [dict(case, record=COST_KERNELS[case["kernel"]](
+    cases = [dict(case, record=KERNELS[case["kernel"]].run(
         machines[case["hw"]], case["params"])) for case in doc["cases"]]
     assert render({"hw": doc["hw"], "cases": cases}) == text
 
@@ -69,7 +68,7 @@ def test_batch_evaluators_reproduce_golden(golden):
     cases = list(doc["cases"])
     for (kernel, hw), idx in groups.items():
         group = [(machines[hw], cases[i]["params"]) for i in idx]
-        for i, rec in zip(idx, run_cost_batch(kernel, group)):
+        for i, rec in zip(idx, run_batch(kernel, group)):
             cases[i] = dict(cases[i], record=rec)
     assert render({"hw": doc["hw"], "cases": cases}) == text
 
@@ -88,7 +87,7 @@ def test_integer_powers_of_domain_axes_are_exact():
 # --------------------------------------------------------------------- #
 # non-positive n / P
 # --------------------------------------------------------------------- #
-_SIZED = sorted(k for k in COST_KERNELS if k != "cost-break-even")
+_SIZED = [k for k in COST if k != "cost-break-even"]
 _CELL = {"cost-table1": {"row": 0, "algorithm": "2DMML2"},
          "cost-table2": {"row": 0, "algorithm": "SUMMAL3ooL2"}}
 
@@ -101,8 +100,8 @@ def test_non_positive_size_is_infeasible_on_both_paths(kernel, name,
     machine = MACHINES["hw-2015"]
     base = {"n": 64, "P": 64, "c2": 1, "c3": 2, **_CELL.get(kernel, {})}
     group = [(machine, dict(base, **{name: value})), (machine, base)]
-    scalar = [COST_KERNELS[kernel](m, p) for m, p in group]
-    assert run_cost_batch(kernel, group) == scalar
+    scalar = [KERNELS[kernel].run(m, p) for m, p in group]
+    assert run_batch(kernel, group) == scalar
     bad, good = scalar
     assert bad["feasible"] is False
     assert bad["reason"] == f"{name} must be >= 1, got {value}"
@@ -142,6 +141,6 @@ def test_non_positive_replication_is_infeasible(kernel, params, reason):
     and c < 0 failed inside math.sqrt."""
     machine = MACHINES["hw-2015"]
     group = [(machine, params)]
-    rec = COST_KERNELS[kernel](machine, params)
-    assert run_cost_batch(kernel, group) == [rec]
+    rec = KERNELS[kernel].run(machine, params)
+    assert run_batch(kernel, group) == [rec]
     assert rec["feasible"] is False and rec["reason"] == reason

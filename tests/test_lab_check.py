@@ -78,19 +78,15 @@ class TestFixtureViolations:
         assert f.line == marker_line("registry.py", "MARKER r1-overdeclared")
         assert "policy" in f.message
 
-    def test_r2_missing_metric_fields_row(self, fixture_report):
-        f = one(fixture_report, rule="R2", kernel="fx-missing-metrics")
-        assert f.severity == "error"
-        assert "METRIC_FIELDS" in f.message
-        assert f.line == marker_line("registry.py", "METRIC_FIELDS = {")
-
-    def test_r2_missing_params_row(self, fixture_report):
-        """A kernel without a parameter declaration is an error, as a
-        missing machine-relevance row is."""
-        f = one(fixture_report, rule="R2", kernel="fx-overdeclared")
-        assert f.severity == "error"
-        assert "PARAMS" in f.message
-        assert f.line == marker_line("registry.py", "MARKER r2-params")
+    def test_r1_batch_evaluator_read_fires_at_the_read(self,
+                                                      fixture_report):
+        """R1 walks a kernel's batch entry as well as its body: a field
+        only the batch evaluator reads still splits the records."""
+        f = one(fixture_report, rule="R1", severity="error",
+                kernel="fx-batch-read")
+        assert f.file.endswith("registry.py")
+        assert f.line == marker_line("registry.py", "MARKER r1-batch-read")
+        assert "write_slow" in f.message
 
     def test_r2_preset_with_unregistered_kernel(self, fixture_report):
         f = one(fixture_report, rule="R2", kernel="fx-unregistered")
@@ -158,15 +154,18 @@ class TestR1EndToEnd:
         undeclared machine field produces *different records* under the
         *same projected cache key* — a stale-serve — and declaring the
         field splits the keys."""
-        from labcheck_fixtures.registry import undeclared_read_kernel
+        from dataclasses import replace
+
+        from labcheck_fixtures.registry import (KERNELS,
+                                                undeclared_read_kernel)
         from repro.lab import registry
         from repro.lab.cache import point_key
         from repro.lab.scenarios import ScenarioPoint
 
+        declared = KERNELS["fx-undeclared-read"]
+        assert declared.machine_fields == ("line_size",)
         monkeypatch.setitem(registry.KERNELS, "fx-undeclared-read",
-                            undeclared_read_kernel)
-        monkeypatch.setitem(registry.MACHINE_FIELDS, "fx-undeclared-read",
-                            ("line_size",))
+                            declared)
         fast = registry.MachineSpec(write_slow=2.0)
         slow = registry.MachineSpec(write_slow=30.0)
         params = {"n": 4}
@@ -185,8 +184,9 @@ class TestR1EndToEnd:
         assert "write_slow" in f.message
 
         # ...and the fix it demands repairs the key
-        monkeypatch.setitem(registry.MACHINE_FIELDS, "fx-undeclared-read",
-                            ("line_size", "write_slow"))
+        monkeypatch.setitem(registry.KERNELS, "fx-undeclared-read",
+                            replace(declared, machine_fields=(
+                                "line_size", "write_slow")))
         assert key(fast) != key(slow)
 
 
@@ -229,10 +229,3 @@ class TestMachineFields:
             machine_fields("no-such-kernel")
         except KeyError as exc:
             assert "matmul-cache" in str(exc)   # lists registered kernels
-
-    def test_registered_but_undeclared_returns_none(self, monkeypatch):
-        from repro.lab import registry
-
-        monkeypatch.setitem(registry.KERNELS, "fx-bare",
-                            lambda machine, params: {})
-        assert registry.machine_fields("fx-bare") is None

@@ -15,9 +15,7 @@ from repro.lab.cache import ResultCache, point_key
 from repro.lab.cli import main
 from repro.lab.executor import _batch_key, execute
 from repro.lab.registry import (
-    BATCH_KERNELS,
     KERNELS,
-    MACHINE_FIELDS,
     MACHINES,
     MachineSpec,
     project_machine,
@@ -125,15 +123,17 @@ class TestCostGridBatching:
     def test_short_batch_result_fails_loudly(self):
         """A batch evaluator returning too few records must abort the
         sweep attributably, not silently drop points."""
-        from repro.lab.registry import BatchKernel
+        from dataclasses import replace
+
+        from repro.lab.params import BatchKernel
 
         broken = BatchKernel(
-            name="cost-2d-mm", toggle="batch",
+            toggle="batch",
             group_key=lambda machine, params: {"machine": {}},
             run=lambda group: [{"x": 1}],  # one record, whatever the size
             machine_only=True)
-        original = BATCH_KERNELS["cost-2d-mm"]
-        BATCH_KERNELS["cost-2d-mm"] = broken
+        original = KERNELS["cost-2d-mm"]
+        KERNELS["cost-2d-mm"] = replace(original, batch=broken)
         try:
             pts = [ScenarioPoint("cost-2d-mm", MACHINES["hw-2015"],
                                  {"n": 64, "P": P}) for P in (4, 16)]
@@ -141,7 +141,7 @@ class TestCostGridBatching:
                                match="returned 1 record.s. for 2"):
                 execute(pts, cache=None)
         finally:
-            BATCH_KERNELS["cost-2d-mm"] = original
+            KERNELS["cost-2d-mm"] = original
 
     def test_run_batch_rejects_unregistered_kernels(self):
         machine = MACHINES["sim-l3"]
@@ -176,10 +176,9 @@ class TestCostGridBatching:
             (64, 256)
 
     def test_every_cost_kernel_registers_a_batch_entry(self):
-        cost = {name for name in KERNELS if name.startswith("cost-")}
-        assert cost <= set(BATCH_KERNELS)
-        assert all(BATCH_KERNELS[name].toggle == "batch"
-                   for name in cost)
+        cost = [KERNELS[name] for name in KERNELS if name.startswith("cost-")]
+        assert all(k.batch is not None and k.batch.toggle == "batch"
+                   for k in cost)
 
 
 # --------------------------------------------------------------------- #
@@ -246,9 +245,9 @@ class TestNumpyGridCanonicalization:
 # --------------------------------------------------------------------- #
 class TestMachineRelevanceKeys:
     def test_every_registered_kernel_declares_machine_fields(self):
-        assert sorted(MACHINE_FIELDS) == sorted(KERNELS)
         spec_fields = set(MachineSpec().as_dict())
-        for kernel, fields in MACHINE_FIELDS.items():
+        for kernel in KERNELS.values():
+            fields = kernel.machine_fields
             assert set(fields) <= spec_fields
             assert "name" not in fields  # names never shape a record
 
@@ -354,16 +353,6 @@ class TestMachineAxisValidation:
         assert code == 2
         assert "does not read machine.write_slow" in \
             capsys.readouterr().err
-
-    def test_undeclared_kernels_are_not_validated(self):
-        KERNELS["test-undeclared"] = lambda machine, params: {"x": 1}
-        try:
-            sc = Scenario(name="t", kernel="test-undeclared",
-                          machine=MACHINES["sim-l3"],
-                          grid={"machine.write_slow": [1.0, 2.0]})
-            assert len(sc.points()) == 2
-        finally:
-            del KERNELS["test-undeclared"]
 
 
 # --------------------------------------------------------------------- #

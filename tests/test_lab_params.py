@@ -1,4 +1,5 @@
-"""Declared kernel parameters (``repro.lab.registry.PARAMS``).
+"""Declared kernel parameters (``Kernel.params`` of each record in
+``repro.lab.registry.KERNELS``).
 
 Every request goes through one declaration per kernel.  These tests pin
 the bugs it closed (each used to exit 1 with a remote traceback, or to
@@ -22,7 +23,7 @@ import pytest
 
 from repro.lab.cli import main as lab_main
 from repro.lab.params import FLOAT, INT, POS, REQUIRED, fits
-from repro.lab.registry import KERNELS, PARAMS, POLICIES, MachineSpec
+from repro.lab.registry import KERNELS, POLICIES, MachineSpec
 from repro.lab.scenarios import build_scenario
 
 try:
@@ -111,7 +112,7 @@ def names_field(message, field):
 
 
 def in_domain(kernel, name, value):
-    p = PARAMS[kernel].params[name]
+    p = KERNELS[kernel].params.params[name]
     return fits(p.kind, value) or (value is None and p.default is None)
 
 
@@ -199,7 +200,6 @@ def test_machine_spec_validates_every_field(fields, named):
 
 
 def test_every_kernel_has_a_valid_base_request():
-    assert set(PARAMS) == set(KERNELS)
     for kernel in KERNELS:
         machine, params = base(kernel)
         assert len(request(kernel, machine, params)) == 1, kernel
@@ -209,9 +209,9 @@ def test_table_row_counts_match_the_tables():
     from repro.distributed.costmodel import HwParams, table1_rows, \
         table2_rows
     hw = HwParams()
-    assert len(PARAMS["cost-table1"].params["row"].kind) == \
+    assert len(KERNELS["cost-table1"].params.params["row"].kind) == \
         len(table1_rows(1 << 14, 1 << 20, 4, 16, hw))
-    assert len(PARAMS["cost-table2"].params["row"].kind) == \
+    assert len(KERNELS["cost-table2"].params.params["row"].kind) == \
         len(table2_rows(1 << 15, 512, 4, hw))
 
 
@@ -223,7 +223,7 @@ needs_hypothesis = pytest.mark.skipif(given is None,
 
 
 def _hostile_targets(kernel):
-    params = [("param", name) for name in PARAMS[kernel].params]
+    params = [("param", name) for name in KERNELS[kernel].params.params]
     return params + [("machine", name) for name in MACHINE_DOMAIN]
 
 
@@ -280,7 +280,7 @@ def _in_domain_value(kernel, name, p):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_in_domain_values_run_or_are_refused(kernel):
     machine, params = base(kernel)
-    decl = PARAMS[kernel]
+    decl = KERNELS[kernel].params
 
     @given(st.data())
     def check(data):

@@ -63,13 +63,46 @@ class TestMachines:
         assert MACHINES["sim-l3"].policy == "lru"  # frozen original
 
 
+#: an in-domain point for the kernels no preset runs and whose defaults
+#: cannot run either (required parameters, a machine with levels).
+_NO_PRESET = {
+    "matmul-hierarchy": ScenarioPoint(
+        "matmul-hierarchy", MACHINES["three-level"],
+        {"n": 16, "middle": 16, "scheme": "wa2"}),
+}
+
+
+@pytest.fixture(scope="module")
+def sample_points():
+    """One point per kernel: the first quick-preset point that runs it,
+    else :data:`_NO_PRESET`, else the kernel's defaults."""
+    points = dict(_NO_PRESET)
+    for name in sorted(SCENARIOS):
+        for pt in SCENARIOS[name](True).points():
+            points.setdefault(pt.kernel, pt)
+    for name in KERNELS:
+        points.setdefault(name, ScenarioPoint(name, MACHINES["hw-2015"], {}))
+    return points
+
+
 class TestKernels:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_record_carries_every_declared_metric_field(self, name,
+                                                        sample_points):
+        """A traced run folds only the declared fields a record carries,
+        so a declared field the records lack is a metric that silently
+        never appears."""
+        record = sample_points[name].run()
+        assert record.get("feasible", True) is True
+        missing = [f for f in KERNELS[name].metric_fields if f not in record]
+        assert not missing, (name, missing, sorted(record))
+
     def test_every_kernel_resolvable_and_callable(self):
-        for name, fn in KERNELS.items():
-            assert callable(fn), name
+        for name, kernel in KERNELS.items():
+            assert callable(kernel.run), name
 
     def test_matmul_cache_runs(self):
-        rec = KERNELS["matmul-cache"](
+        rec = KERNELS["matmul-cache"].run(
             MachineSpec(cache_words=3 * 8 * 8 + 4, line_size=4),
             {"n": 16, "middle": 16, "scheme": "wa2", "b3": 8, "b2": 4,
              "base": 4},
@@ -78,7 +111,7 @@ class TestKernels:
         assert rec["energy"] > 0
 
     def test_matmul_hierarchy_runs(self):
-        rec = KERNELS["matmul-hierarchy"](
+        rec = KERNELS["matmul-hierarchy"].run(
             MACHINES["three-level"],
             {"n": 16, "middle": 16, "scheme": "wa2", "b3": 8, "b2": 4,
              "base": 4},
@@ -88,7 +121,7 @@ class TestKernels:
 
     def test_matmul_hierarchy_needs_levels(self):
         with pytest.raises(ValueError):
-            KERNELS["matmul-hierarchy"](
+            KERNELS["matmul-hierarchy"].run(
                 MachineSpec(), {"n": 8, "middle": 8, "scheme": "co"})
 
     def test_unknown_kernel_rejected(self):

@@ -2,12 +2,14 @@
 requests, SSE progress, /metrics round-trip, and graceful shutdown."""
 
 import json
+import socket
 import sys
 import threading
 import urllib.error
 import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlparse
 
 import pytest
 
@@ -35,6 +37,25 @@ def _get(url, path, raw=False):
     with urllib.request.urlopen(url + path) as r:
         blob = r.read()
         return r.status, (blob if raw else json.loads(blob))
+
+
+def _post_declaring(url, content_length, body=b""):
+    """POST /sweep declaring *content_length* and sending *body*, the
+    socket held open: the answer's status and body, or a
+    ``socket.timeout`` when the daemon waits for more body instead of
+    answering."""
+    where = urlparse(url)
+    with socket.create_connection((where.hostname, where.port),
+                                  timeout=3.0) as sock:
+        sock.sendall(f"POST /sweep HTTP/1.1\r\nHost: {where.hostname}\r\n"
+                     f"Content-Type: application/json\r\n"
+                     f"Content-Length: {content_length}\r\n\r\n".encode()
+                     + body)
+        reply = b""
+        while chunk := sock.recv(4096):  # the daemon closes after answering
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)["error"]
 
 
 def _wait_for(pred, timeout=10.0):
@@ -284,6 +305,25 @@ class TestSweepLifecycle:
             _post(daemon.url, "/sweep", {"kernel": "nope"})
         assert excinfo.value.code == 400
         assert "unknown kernel" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("declared", ["-1", "abc", "1.5", "+5"])
+    def test_negative_or_non_integer_length_is_a_400(self, daemon,
+                                                     declared):
+        """A negative Content-Length used to read to EOF, so a client
+        holding its socket open never got an answer."""
+        status, error = _post_declaring(daemon.url, declared)
+        assert status == 400
+        assert "Content-Length must be a non-negative integer" in error
+
+    def test_oversized_body_is_a_413_before_it_is_read(self, daemon):
+        limit = serve_module.MAX_BODY_BYTES
+        status, error = _post_declaring(daemon.url, limit + 1)
+        assert status == 413
+        assert f"{limit + 1} bytes exceeds" in error
+        # a body of exactly the limit is read and parsed
+        body = b"{}" + b" " * (limit - 2)
+        assert _post_declaring(daemon.url, limit, body) == (
+            400, "request must name a preset scenario or a kernel")
 
     def test_bad_hw_value_is_a_400(self, daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

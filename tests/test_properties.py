@@ -42,12 +42,7 @@ from repro.distributed.costmodel import (  # noqa: E402
     table1_rows,
     table2_rows,
 )
-from repro.lab.modelkernels import (  # noqa: E402
-    COST_BATCH_EVALUATORS,
-    COST_KERNELS,
-    run_cost_batch,
-)
-from repro.lab.registry import MachineSpec  # noqa: E402
+from repro.lab.registry import KERNELS, MachineSpec, run_batch  # noqa: E402
 from repro.machine.cache import CacheSim  # noqa: E402
 from repro.machine.fastsim import sweep  # noqa: E402
 from repro.machine.fastsim.belady import belady_reference  # noqa: E402
@@ -227,7 +222,11 @@ _FAMILY_PARAMS = {
                         ["2.5DMML3ooL2", "SUMMAL3ooL2"])},
 }
 
-assert sorted(_FAMILY_PARAMS) == sorted(COST_BATCH_EVALUATORS)
+#: every kernel with a grid batch entry: the cost-model kernels.
+_GRID_BATCHED = sorted(name for name, kernel in KERNELS.items()
+                       if kernel.batch and kernel.batch.toggle == "batch")
+
+assert sorted(_FAMILY_PARAMS) == _GRID_BATCHED
 
 
 def test_table_row_count_constants_match_the_tables():
@@ -253,14 +252,14 @@ def _canon(records):
     return json.dumps(records, sort_keys=True)
 
 
-@pytest.mark.parametrize("kernel", sorted(COST_BATCH_EVALUATORS))
+@pytest.mark.parametrize("kernel", _GRID_BATCHED)
 @given(data=st.data())
 def test_vectorized_cost_rows_equal_scalar(kernel, data):
     machine = data.draw(hw_machines())
     params_list = data.draw(_family_points(kernel))
     group = [(machine, params) for params in params_list]
-    batched = run_cost_batch(kernel, group)
-    scalar = [COST_KERNELS[kernel](machine, params)
+    batched = run_batch(kernel, group)
+    scalar = [KERNELS[kernel].run(machine, params)
               for params in params_list]
     assert _canon(batched) == _canon(scalar)
 
@@ -274,9 +273,9 @@ def test_vectorized_cost_rows_survive_mixed_feasibility(data):
     P = data.draw(st.integers(-4096, 4096))
     c3s = data.draw(st.lists(st.integers(0, 64), min_size=2, max_size=6))
     group = [(machine, {"n": 4096, "P": P, "c3": c3}) for c3 in c3s]
-    scalar = [COST_KERNELS["cost-25d-mm-l3-ool2"](machine, p)
+    scalar = [KERNELS["cost-25d-mm-l3-ool2"].run(machine, p)
               for _, p in group]
-    batched = run_cost_batch("cost-25d-mm-l3-ool2", group)
+    batched = run_batch("cost-25d-mm-l3-ool2", group)
     assert _canon(batched) == _canon(scalar)
     for rec, c3 in zip(batched, c3s):
         if P <= 0:
