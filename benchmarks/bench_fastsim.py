@@ -14,9 +14,10 @@ Levels of comparison, mirroring how the stack is wired:
 * **kernel-only** — each policy's oracle replayed K times against one
   :func:`~repro.machine.fastsim.sweep` call on a pre-built trace: the
   per-access LRU policy loop for LRU, the reference heap for Belady.
-  Clock and segmented LRU have no multi-capacity pass: their row is the
-  policy's whole-trace replay (``CacheSim.run_lines``) against the
-  per-access ``access()`` loop, K capacities each.
+  Clock and segmented LRU have no multi-capacity pass: their row is
+  ``CacheSim.run_lines`` on an empty cache (the sweep's fold over
+  one-line visits, one capacity per call) against the per-access
+  ``access()`` loop, K capacities each.
 * **trace build** — ``matmul_trace(...).finalize_trace()`` for each
   Section-6 scheme at the bench geometry, against the per-visit emission
   it replaced (a fixed committed number, not a slow path in the tree).
@@ -409,8 +410,9 @@ def test_single_capacity_footnote(benchmark):
 
 @pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
 def test_kernel_only_scalar_replay(benchmark, policy):
-    """Per-access loop x K capacities vs the policy's whole-trace replay
-    x K capacities, trace generation excluded on both sides."""
+    """Per-access loop x K capacities vs ``run_lines`` x K capacities
+    (the sweep's fold over one-line visits), trace generation excluded
+    on both sides."""
     trace = built_trace()
     lines, writes = trace.pair()
     caps = capacities_lines()
@@ -434,7 +436,7 @@ def test_kernel_only_scalar_replay(benchmark, policy):
     speedup = loop_s / replay_s
     print(f"\n[bench_fastsim] kernel-only {policy} ({len(lines)} events, "
           f"{len(caps)} capacities): per-access loop {loop_s:.3f}s, "
-          f"whole-trace replay {replay_s:.3f}s -> {speedup:.1f}x")
+          f"one-line fold {replay_s:.3f}s -> {speedup:.1f}x")
     record_snapshot(**{f"kernel_only_{policy.replace('-', '_')}": {
         "trace_events": int(len(lines)),
         "per_access_loop_s": round(loop_s, 4),

@@ -24,7 +24,7 @@ is the tile structure :mod:`repro.machine.fastsim.symbols` folds.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,75 +50,82 @@ __all__ = [
     "MATMUL_SCHEMES",
 ]
 
-Task = Tuple[int, int, int, int, int, int]
 LevelSpec = Union[Tuple[str, int, str], Tuple[str, int]]
 Traced = Union[TracedMatrix, TracedVector]
 
 
-def _co_tasks(i0, i1, j0, j1, k0, k1, base) -> Iterator[Task]:
-    mi, li, ni = i1 - i0, j1 - j0, k1 - k0
-    if mi <= base and li <= base and ni <= base:
-        yield (i0, i1, j0, j1, k0, k1)
-        return
-    big = max(mi, ni, li)
-    if big == mi:
-        h = mi // 2
-        yield from _co_tasks(i0, i0 + h, j0, j1, k0, k1, base)
-        yield from _co_tasks(i0 + h, i1, j0, j1, k0, k1, base)
-    elif big == ni:
-        h = ni // 2
-        yield from _co_tasks(i0, i1, j0, j1, k0, k0 + h, base)
-        yield from _co_tasks(i0, i1, j0, j1, k0 + h, k1, base)
-    else:
-        h = li // 2
-        yield from _co_tasks(i0, i1, j0, j0 + h, k0, k1, base)
-        yield from _co_tasks(i0, i1, j0 + h, j1, k0, k1, base)
+def _blocked_level(boxes: np.ndarray, b: int, order: str) -> np.ndarray:
+    """Replace every box by its b-bricks, visited in loop order *order*
+    (outermost first) and clipped at the box."""
+    require(set(order) == {"i", "j", "k"} and len(order) == 3,
+            f"bad loop order {order!r}")
+    check_positive_int(b, "b")
+    lo = boxes[:, 0::2]
+    counts = -(-(boxes[:, 1::2] - lo) // b)  # bricks per axis (i, j, k)
+    col = {"i": 0, "j": 1, "k": 2}
+    c_mid = counts[:, col[order[1]]]
+    c_in = counts[:, col[order[2]]]
+    per_box = counts.prod(axis=1)
+    parent = np.repeat(np.arange(len(boxes)), per_box)
+    t = ragged_arange(np.zeros(len(boxes), dtype=np.int64), per_box)
+    inner = c_in[parent]
+    idx = {order[2]: t % inner,
+           order[1]: (t // inner) % c_mid[parent],
+           order[0]: t // (inner * c_mid[parent])}
+    out = np.empty((len(t), 6), dtype=np.int64)
+    for axis, a in col.items():
+        start = lo[parent, a] + idx[axis] * b
+        out[:, 2 * a] = start
+        out[:, 2 * a + 1] = np.minimum(start + b, boxes[parent, 2 * a + 1])
+    return out
 
 
-def _blocked_tasks(
-    i0, i1, j0, j1, k0, k1, b: int, order: str, rest: Sequence[LevelSpec]
-) -> Iterator[Task]:
-    require(set(order) == {"i", "j", "k"}, f"bad loop order {order!r}")
-    ris = range(i0, i1, b)
-    rjs = range(j0, j1, b)
-    rks = range(k0, k1, b)
-    axes = {"i": ris, "j": rjs, "k": rks}
-    lo, mid, hi = order
-    for x in axes[lo]:
-        for y in axes[mid]:
-            for z in axes[hi]:
-                v = {lo: x, mid: y, hi: z}
-                i, j, k = v["i"], v["j"], v["k"]
-                yield from _dispatch(
-                    i, min(i + b, i1), j, min(j + b, j1),
-                    k, min(k + b, k1), rest,
-                )
-
-
-def _dispatch(
-    i0, i1, j0, j1, k0, k1, spec: Sequence[LevelSpec]
-) -> Iterator[Task]:
-    if not spec:
-        yield (i0, i1, j0, j1, k0, k1)
-        return
-    head, rest = spec[0], spec[1:]
-    kind = head[0]
-    if kind == "co":
-        require(not rest, "'co' must be the last level of a spec")
-        yield from _co_tasks(i0, i1, j0, j1, k0, k1, head[1])
-    elif kind == "blocked":
-        _, b, order = head  # type: ignore[misc]
-        yield from _blocked_tasks(i0, i1, j0, j1, k0, k1, b, order, rest)
-    else:
-        raise ValueError(f"unknown level kind {kind!r}")
+def _co_level(boxes: np.ndarray, base: int) -> np.ndarray:
+    """Recursive halving down to *base*, one depth level per pass: every
+    box with an extent above *base* splits at half its largest extent
+    (ties split i, then k, then j) into two adjacent boxes, so the
+    depth-first order of the recursion holds."""
+    check_positive_int(base, "base")
+    while True:
+        ext = boxes[:, 1::2] - boxes[:, 0::2]  # extents (i, j, k)
+        split = (ext > base).any(axis=1)
+        if not split.any():
+            return boxes
+        big = ext.max(axis=1)
+        axis = np.where(ext[:, 0] == big, 0, np.where(ext[:, 2] == big, 2, 1))
+        reps = 1 + split
+        out = np.repeat(boxes, reps, axis=0)
+        first = (np.cumsum(reps) - reps)[split]
+        col = 2 * axis[split]
+        mid = boxes[split, col] + big[split] // 2
+        out[first, col + 1] = mid
+        out[first + 1, col] = mid
+        boxes = out
 
 
 def hierarchical_task_order(
     m: int, n: int, l: int, spec: Sequence[LevelSpec]
-) -> Iterator[Task]:
-    """Yield base tasks of C(m×l) += A(m×n)·B(n×l) under *spec*."""
+) -> np.ndarray:
+    """The base tasks of C(m×l) += A(m×n)·B(n×l) under *spec*, in order:
+    an ``(N, 6)`` int64 array of ``(i0, i1, j0, j1, k0, k1)`` boxes.
+
+    One array pass per level: a ``blocked`` level expands every box
+    into its bricks in loop order, a ``co`` level halves boxes down to
+    its base one recursion depth at a time."""
     require(m > 0 and n > 0 and l > 0, "dimensions must be positive")
-    yield from _dispatch(0, m, 0, l, 0, n, spec)
+    boxes = np.array([[0, m, 0, l, 0, n]], dtype=np.int64)
+    for depth, level in enumerate(spec):
+        kind = level[0]
+        if kind == "co":
+            require(depth == len(spec) - 1,
+                    "'co' must be the last level of a spec")
+            boxes = _co_level(boxes, level[1])
+        elif kind == "blocked":
+            _, b, order = level  # type: ignore[misc]
+            boxes = _blocked_level(boxes, b, order)
+        else:
+            raise ValueError(f"unknown level kind {kind!r}")
+    return boxes
 
 
 def matmul_order(scheme: str, b3: int, b2: int, base: int
@@ -224,15 +231,14 @@ def matmul_order_trace(
     rescuing the multi-level WA order when fewer than five blocks fit.
     *b3* and *b2* size those blocks; without the hint they are unused.
 
-    The task order is collected once into an int array; the A, B and C
-    visits (and the hint's C-block visits) are interleaved from it as
-    one visit table and emitted in one batch.
+    The task order is one int array; the A, B and C visits (and the
+    hint's C-block visits) are interleaved from it as one visit table
+    and emitted in one batch.
     """
     check_positive_int(b3, "b3")
     check_positive_int(b2, "b2")
     C, A, B, _space = matrix_trio(None, m, n, l, line_size)
-    tasks = np.array(list(hierarchical_task_order(m, n, l, order)),
-                     dtype=np.int64)
+    tasks = hierarchical_task_order(m, n, l, order)
     i0, i1, j0, j1, k0, k1 = tasks.T
     # The hint re-touches the C block of b3-block (ci, cj) before the
     # first task of every b2-level block but the first.

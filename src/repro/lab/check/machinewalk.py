@@ -4,10 +4,11 @@ Given a kernel's entry callables, walk their statically-resolvable call
 graph tracking every value known to *be* the machine spec — the
 parameter named ``machine``, reassignments, ``override``/``with_hw``
 copies, ``(machine, params)`` pairs destructured out of a batch
-``group`` — and collect each ``machine.<attr>`` read with its source
-location.  The union of reads is then compared against the
-``machine_fields`` of the kernel's record: an undeclared read means the result
-cache can serve stale records (the field changes, the projected key
+``group`` or out of a sub-group a comprehension picks from it — and
+collect each ``machine.<attr>`` read with its source location.  The
+union of reads is then compared against the ``machine_fields`` of the
+kernel's record: an undeclared read means the result cache can serve
+stale records (the field changes, the projected key
 does not), a declared-but-never-read field means cache entries split
 for no reason.
 
@@ -175,6 +176,16 @@ class _FnVisitor(ast.NodeVisitor):
                     and self.walker.model is not None
                     and func.attr in self.walker.model.copy_methods):
                 return _MACHINE
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+            # A sub-group (``[group[i] for i in idx]``): its element is
+            # a pair under the comprehension's own bindings.
+            saved = dict(self.env)
+            for comp in expr.generators:
+                self._bind_iter(comp.target, comp.iter)
+            elt = self._role(expr.elt)
+            self.env.clear()
+            self.env.update(saved)
+            return _GROUP if elt == _PAIR else None
         return None
 
     def _site(self, node: ast.AST) -> ReadSite:

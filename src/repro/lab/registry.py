@@ -34,7 +34,7 @@ from repro.lab.modelkernels import MODEL_KERNELS
 from repro.lab.params import (BOOL, FLOAT, INT, POS, BatchKernel, Kernel,
                               Params, fits, multiples, opt)
 from repro.lab.telemetry import active_trace
-from repro.machine.cache import CacheSim, CacheStats
+from repro.machine.cache import SWEPT_POLICIES, CacheSim, CacheStats
 from repro.machine.fastsim.profile import phase as fs_phase
 from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
@@ -54,7 +54,6 @@ __all__ = [
     "hw_overrides",
     "TraceKernel",
     "TRACE_KERNELS",
-    "BATCHABLE_POLICIES",
     "kernel_params",
     "machine_fields",
     "project_machine",
@@ -285,16 +284,6 @@ def resolve_machine(machine: Union[str, MachineSpec, Mapping[str, Any]],
 # --------------------------------------------------------------------- #
 # trace-kernel protocol
 # --------------------------------------------------------------------- #
-#: policies whose fully-associative points of one trace ride one
-#: multi-capacity replay whatever their capacities: the stack algorithms
-#: with a single-pass fastsim kernel (LRU by Mattson inclusion,
-#: Belady/MIN because OPT is a stack algorithm too).  The trace's points
-#: under any other policy, or set-associative ones, get one
-#: :class:`~repro.machine.cache.CacheSim` replay per distinct (policy,
-#: capacity, associativity, seed).
-BATCHABLE_POLICIES = ("lru", "belady")
-
-
 # Trace-parameter canonicalization (np.int64 grid axes -> plain int, so
 # payloads stay JSON-able and CacheSim validation is satisfied).
 _as_int = canonical_int
@@ -312,8 +301,8 @@ class TraceKernel:
     hard-coding them per kernel lets the engine share work mechanically:
     the executor makes one task of every point of one trace
     (:func:`trace_group_payload`), and :func:`run_capacity_batch` builds
-    the trace once for all of them.  Fully-associative LRU/Belady points
-    replay it through one single-pass
+    the trace once for all of them.  Its fully-associative LRU,
+    Belady, clock and segmented-LRU points replay it through one
     :func:`repro.machine.fastsim.sweep`, which folds at super-symbol
     granularity when the trace's tile chunks symbolize; the others
     replay it once per distinct simulation.  Energy fields and other
@@ -614,10 +603,13 @@ def kernel_nbody_cache(machine: MachineSpec, params: Mapping[str, Any]) -> Dict[
     return TRACE_KERNELS["nbody-cache"].run(machine, params)
 
 
-def _is_stack_point(machine: MachineSpec) -> bool:
-    """Whether *machine* simulates a fully-associative stack-policy
-    cache, which a multi-capacity sweep replays at any capacity."""
-    return (machine.policy in BATCHABLE_POLICIES
+def _is_swept(machine: MachineSpec) -> bool:
+    """Whether *machine* simulates a fully-associative cache with a
+    :func:`repro.machine.fastsim.sweep` fold.  A trace's points under
+    any other policy (FIFO, random), or set-associative ones, get one
+    :class:`~repro.machine.cache.CacheSim` replay per distinct (policy,
+    capacity, associativity, seed)."""
+    return (machine.policy in SWEPT_POLICIES
             and machine.associativity is None)
 
 
@@ -629,14 +621,15 @@ def run_capacity_batch(
 
     Every ``(machine, params)`` pair must share the trace identity
     (``TRACE_KERNELS[kernel].payload``) and simulate one cache level.
-    The fully-associative LRU and Belady points, whatever their
-    capacities, ride one :func:`repro.machine.fastsim.sweep` call; every
-    other point shares one :class:`~repro.machine.cache.CacheSim` replay
-    plus flush with the points of its policy, capacity, associativity
-    and seed.  Each point then gets its record from its own machine and
-    params (energy, write floor): the same record the per-point kernel
-    would have computed, bit-identical, enforced by the equivalence
-    tests.
+    The fully-associative points under a policy in
+    :data:`~repro.machine.cache.SWEPT_POLICIES`, whatever their
+    capacities, ride one :func:`repro.machine.fastsim.sweep` call;
+    every other point (FIFO, random, set-associative) shares one
+    :class:`~repro.machine.cache.CacheSim` replay plus flush with the
+    points of its policy, capacity, associativity and seed.  Each point
+    then gets its record from its own machine and params (energy,
+    write floor): the same record the per-point kernel would have
+    computed, bit-identical, enforced by the equivalence tests.
     """
     try:
         tk = TRACE_KERNELS[kernel]
@@ -654,7 +647,7 @@ def run_capacity_batch(
     caps_by_policy: Dict[str, List[int]] = {}
     replays: Dict[Tuple[Any, ...], List[int]] = {}
     for i, ((machine, _), cap) in enumerate(zip(group, caps_words)):
-        if _is_stack_point(machine):
+        if _is_swept(machine):
             caps_by_policy.setdefault(machine.policy, []).append(
                 cap // machine.line_size)
         else:
@@ -682,7 +675,7 @@ def run_capacity_batch(
             if n_symbols is not None:
                 tel.counter("trace.symbols", n_symbols, kernel=tk.name)
         for i, ((machine, _), cap) in enumerate(zip(group, caps_words)):
-            if _is_stack_point(machine):
+            if _is_swept(machine):
                 stats[i] = sweeps[machine.policy].stats(
                     cap // machine.line_size, include_flush=True)
     return [tk.record(machine, params, stats[i])

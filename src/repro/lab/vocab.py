@@ -35,6 +35,7 @@ PHASES: FrozenSet[str] = frozenset({
     "capacity_fold",
     "next_use",
     "opt_replay",
+    "scalar_replay",
 })
 
 #: counter names (``RunTrace.counter`` / ``ServeDaemon.counter``).

@@ -25,14 +25,18 @@ import numpy as np
 
 from repro.machine.policies import (
     BeladyPolicy,
-    LRUPolicy,
     ReplacementPolicy,
     make_policy,
 )
 from repro.machine.trace import Trace
 from repro.util import check_positive_int
 
-__all__ = ["CacheSim", "CacheStats"]
+__all__ = ["CacheSim", "CacheStats", "SWEPT_POLICIES"]
+
+#: the policies :func:`repro.machine.fastsim.sweep` folds: a whole trace
+#: through a fully-associative cache under one of them goes through the
+#: sweep (under an online one, from a cache that holds no line).
+SWEPT_POLICIES = ("lru", "belady", "clock", "segmented-lru")
 
 
 @dataclass
@@ -97,19 +101,18 @@ class CacheSim:
     is the single-step form.  Traces may also be supplied pre-translated to
     line ids via ``run_lines``.
 
-    Whole-trace replays of the two stack policies go through
-    :func:`repro.machine.fastsim.sweep`: every Belady run, and every
-    fully-associative LRU run that starts from an empty cache (the
-    resumable LRU order and dirty bits are rebuilt from the sweep's
-    end-of-trace stack).  The sweep folds a tile-chunked trace
-    (``run_trace``) at super-symbol granularity and any other trace as
-    one-line visits.  A fully-associative clock or segmented-LRU
-    cache replays the whole trace in one loop of the policy's own
-    (:meth:`~repro.machine.policies.ReplacementPolicy.replay`), from
-    any state.  Everything else — set-associative caches, FIFO and
-    random, an LRU cache that already holds lines — takes the
-    per-access policy loop, which is also the oracle the test suite
-    holds the sweep and the replays to.
+    Whole-trace replays go through :func:`repro.machine.fastsim.sweep`
+    whenever it has a fold for the cache: every Belady run, and every
+    fully-associative LRU, clock or segmented-LRU run that starts with
+    no line resident.  The policy state (LRU order, clock slots, marks
+    and hand, segmented-LRU halves), the dirty bits and the last
+    victim are rebuilt from the fold's end state, so ``flush()`` and
+    further accesses carry on exactly as after the per-access loop.
+    The sweep folds a tile-chunked trace (``run_trace``) at
+    super-symbol granularity and any other trace as one-line visits.
+    Everything else — set-associative caches, FIFO and random, a cache
+    that already holds lines — takes the per-access policy loop, which
+    is also the oracle the test suite holds the folds to.
     """
 
     def __init__(
@@ -208,23 +211,8 @@ class CacheSim:
         policy = self._sweep_policy()
         if policy is not None:
             return self._run_sweep(policy, Trace(lines, writes, None))
-        line_list, write_list = lines.tolist(), writes.tolist()
-        if self.num_sets == 1 and line_list:
-            counts = self._sets[0].replay(line_list, write_list, self._dirty)
-            if counts is not None:
-                st = self.stats
-                misses = len(line_list) - counts.hits
-                st.accesses += len(line_list)
-                st.hits += counts.hits
-                st.misses += misses
-                st.fills += misses
-                st.victims_m += counts.victims_m
-                st.victims_e += counts.victims_e
-                self._last_victim = counts.last_victim
-                self._last_victim_dirty = counts.last_victim_dirty
-                return st
         acc = self._access_line
-        for line, w in zip(line_list, write_list):
+        for line, w in zip(lines.tolist(), writes.tolist()):
             acc(line, w)
         return self.stats
 
@@ -270,7 +258,7 @@ class CacheSim:
         return len(self._dirty)
 
     # ------------------------------------------------------------------ #
-    # sweep path: the stack policies through fastsim
+    # sweep path: whole traces through fastsim
     # ------------------------------------------------------------------ #
     def _sweep_policy(self) -> Optional[str]:
         """The :func:`~repro.machine.fastsim.sweep` policy a whole-trace
@@ -278,15 +266,16 @@ class CacheSim:
         per-access loop."""
         if self._offline:
             return "belady"
-        if (self.num_sets == 1 and isinstance(self._sets[0], LRUPolicy)
-                and not self._dirty):
-            return "lru"
+        if (self.num_sets == 1 and not self._dirty
+                and self.policy_name in SWEPT_POLICIES):
+            return self.policy_name
         return None
 
     def _run_sweep(self, policy: str, trace: Trace) -> CacheStats:
         """Replay *trace* through :func:`repro.machine.fastsim.sweep` at
-        this capacity under *policy*.  Offline runs fold their end-of-trace flush in;
-        LRU runs rebuild the resumable LRU order and dirty bits, so
+        this capacity under *policy*.  Offline runs fold their
+        end-of-trace flush in; online runs rebuild their policy state,
+        dirty bits and last victim from the fold's end state, so
         ``flush()`` and further accesses behave exactly as if the
         per-access loop had run."""
         from repro.machine.fastsim import sweep
@@ -302,10 +291,21 @@ class CacheSim:
         mine.victims_m += st.victims_m
         mine.victims_e += st.victims_e
         mine.flush_writebacks += st.flush_writebacks
-        if not self._offline:
+        pol = self._sets[0]
+        if policy == "lru":
             resident, dirty = res.end_state(cap)
-            order = self._sets[0]._order  # type: ignore[attr-defined]
-            for line in resident.tolist():
-                order[line] = None
+            pol.restore(resident.tolist())  # type: ignore[attr-defined]
             self._dirty = dict(zip(resident.tolist(), dirty.tolist()))
+        elif res.ends is not None:
+            end = res.ends[0]
+            if policy == "clock":
+                pol.restore(  # type: ignore[attr-defined]
+                    end.slots, end.marks, end.hand)
+                self._dirty = end.dirty
+            else:
+                pol.restore(end.read, end.write)  # type: ignore[attr-defined]
+                self._dirty = dict.fromkeys(end.read, False)
+                self._dirty.update(dict.fromkeys(end.write, True))
+            self._last_victim = end.last_victim
+            self._last_victim_dirty = end.last_victim_dirty
         return mine

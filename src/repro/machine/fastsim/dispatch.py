@@ -1,20 +1,27 @@
-"""The one simulation entry point for stack replacement policies.
+"""The one whole-trace simulation entry point of fully-associative caches.
 
-:func:`sweep` computes exact write-aware counters for LRU and Belady
-over whole capacity grids, every policy from one pass.  Both policies
-are stack algorithms (Mattson et al. 1970): the cache of capacity ``C``
-holds a subset of what the cache of capacity ``C' > C`` holds at every
-step, so one replay serves a single capacity and a grid alike.
+:func:`sweep` computes exact write-aware counters for LRU, Belady, the
+3-bit clock and segmented LRU over whole capacity grids, every policy
+from one visit stream.  LRU and Belady are stack algorithms (Mattson et
+al. 1970): the cache of capacity ``C`` holds a subset of what the cache
+of capacity ``C' > C`` holds at every step, so one replay serves a
+single capacity and a grid alike.  Clock and segmented LRU are not, so
+their folds replay the stream once per capacity
+(:mod:`repro.machine.fastsim.scalar`, imported only when a sweep asks
+for them).
 
 Each policy has one fold, run over a visit stream
 (:mod:`repro.machine.fastsim.symbols`): :func:`~repro.machine.fastsim.
-symbols.fold_lru_symbols` and :func:`~repro.machine.fastsim.symbols.
-fold_opt_symbols`.  A trace whose tile chunks symbolize
-(``trace.chunk_lens`` present and :func:`~repro.machine.fastsim.
-symbols.symbolize` accepts it) folds at super-symbol granularity; any
-other trace folds as one-line visits (:func:`~repro.machine.fastsim.
-symbols.line_symbols`).  Both streams give bit-identical counters, so
-the choice is speed only.
+symbols.fold_lru_symbols`, :func:`~repro.machine.fastsim.symbols.
+fold_opt_symbols`, :func:`~repro.machine.fastsim.scalar.fold_clock` and
+:func:`~repro.machine.fastsim.scalar.fold_segmented_lru`.  A trace
+whose tile chunks symbolize (``trace.chunk_lens`` present and
+:func:`~repro.machine.fastsim.symbols.symbolize` accepts it) folds at
+super-symbol granularity; any other trace folds as one-line visits
+(:func:`~repro.machine.fastsim.symbols.line_symbols`).  Both streams
+give bit-identical counters, so the choice is speed only.
+Set-associative caches, FIFO and random replacement take
+:class:`~repro.machine.cache.CacheSim`'s per-access loop instead.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.machine.cache import SWEPT_POLICIES
 from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.symbols import (
     SymbolTrace,
@@ -35,8 +43,8 @@ from repro.machine.trace import Trace, sorted_distinct
 
 __all__ = ["sweep"]
 
-#: policy -> its visit-granular fold.
-_FOLDS = {"lru": fold_lru_symbols, "belady": fold_opt_symbols}
+#: the policies whose folds live in :mod:`repro.machine.fastsim.scalar`.
+_SCALAR = ("clock", "segmented-lru")
 
 
 def _check_caps(capacities: Union[Sequence[int], np.ndarray]
@@ -67,9 +75,9 @@ def _empty(policy: str, caps: np.ndarray) -> SweepResult:
 def sweep(trace: Trace,
           capacities: Mapping[str, Union[Sequence[int], np.ndarray]]
           ) -> Dict[str, SweepResult]:
-    """Exact fully-associative counters of ``trace`` for every
-    ``{policy: capacities}`` entry (capacities in lines), keyed by
-    policy.
+    """Exact fully-associative counters of ``trace``, from an empty
+    cache, for every ``{policy: capacities}`` entry (capacities in
+    lines), keyed by policy.
 
     The trace is symbolized at most once, however many policies are
     asked for; each result's ``n_symbols`` counts the tile super-symbols
@@ -79,8 +87,8 @@ def sweep(trace: Trace,
     """
     caps: Dict[str, np.ndarray] = {}
     for policy, cs in capacities.items():
-        if policy not in _FOLDS:
-            raise ValueError(f"sweep simulates {sorted(_FOLDS)}, "
+        if policy not in SWEPT_POLICIES:
+            raise ValueError(f"sweep simulates {sorted(SWEPT_POLICIES)}, "
                              f"not {policy!r}")
         caps[policy] = _check_caps(cs)
     if not caps:
@@ -96,4 +104,13 @@ def sweep(trace: Trace,
         st = symbolize(lines, writes, trace.chunk_lens)
     if st is None:
         st = line_symbols(lines, writes)
-    return {policy: _FOLDS[policy](st, c) for policy, c in caps.items()}
+    folds = {"lru": fold_lru_symbols, "belady": fold_opt_symbols}
+    if any(policy in _SCALAR for policy in caps):
+        from repro.machine.fastsim.scalar import (
+            fold_clock,
+            fold_segmented_lru,
+        )
+
+        folds.update({"clock": fold_clock,
+                      "segmented-lru": fold_segmented_lru})
+    return {policy: folds[policy](st, c) for policy, c in caps.items()}

@@ -56,8 +56,9 @@ class SweepResult:
     arrays indexed by the position of the capacity in ``capacities``,
     which is sorted ascending and in units of cache lines).
 
-    Both folds of :func:`repro.machine.fastsim.sweep` return this
-    type.  LRU results also carry the end-of-trace stack that
+    Every fold of :func:`repro.machine.fastsim.sweep` returns this
+    type.  LRU results also carry the end-of-trace stack and clock and
+    segmented-LRU results their per-capacity ``ends``, which
     :class:`CacheSim` rebuilds its resumable state from; Belady runs
     hold no resumable state, so theirs stay ``None``.
     """
@@ -77,6 +78,10 @@ class SweepResult:
     stack_lines: Optional[np.ndarray] = None
     stack_has_write: Optional[np.ndarray] = None
     stack_m: Optional[np.ndarray] = None
+    #: per-capacity end state of the clock and segmented-LRU folds
+    #: (:mod:`repro.machine.fastsim.scalar`), which :class:`CacheSim`
+    #: rebuilds its policy from.
+    ends: Optional[list] = None
     #: tile super-symbols the fold ran over; ``None`` for one-line
     #: visits.
     n_symbols: Optional[int] = None

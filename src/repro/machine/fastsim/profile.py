@@ -25,6 +25,9 @@ Phases emitted by the simulators:
     the Belady fold's next-visit preprocessing
 ``opt_replay``
     the OPT stack-inclusion replay loop
+``scalar_replay``
+    the clock and segmented-LRU folds, one replay per capacity
+    (:mod:`repro.machine.fastsim.scalar`)
 """
 
 from __future__ import annotations

@@ -117,13 +117,19 @@ class SymbolTrace:
         """Event→symbol compression ratio (events per visit)."""
         return self.n_events / max(self.n_visits, 1)
 
+    def positions(self) -> np.ndarray:
+        """Each event's position in ``sym_lines``, in trace order."""
+        if not self.tiles:
+            return self.visits
+        z = self.sym_sizes[self.visits]
+        return (np.repeat(self.sym_offsets[self.visits]
+                          - self.visit_starts, z)
+                + np.arange(self.n_events, dtype=np.int64))
+
     def expand(self) -> Tuple[np.ndarray, np.ndarray]:
         """Reconstruct the flat ``(lines, writes)`` event arrays."""
-        z = self.sym_sizes[self.visits]
-        idx = (np.repeat(self.sym_offsets[self.visits], z)
-               + np.arange(self.n_events, dtype=np.int64)
-               - np.repeat(self.visit_starts, z))
-        return self.sym_lines[idx], np.repeat(self.visit_writes, z)
+        return (self.sym_lines[self.positions()],
+                np.repeat(self.visit_writes, self.sym_sizes[self.visits]))
 
 
 def symbolize(lines: np.ndarray, writes: np.ndarray,
@@ -210,7 +216,12 @@ def line_symbols(lines: np.ndarray, writes: np.ndarray) -> SymbolTrace:
     yields both the symbols and the visit grouping the folds reuse."""
     n = len(lines)
     with phase("supersymbol_fold"):
-        order = np.argsort(lines, kind="stable")
+        lo = int(lines.min())
+        key = lines
+        if int(lines.max()) - lo < 1 << 16:
+            # Same order, but numpy sorts 16-bit keys by radix.
+            key = (lines - lo).astype(np.uint16)
+        order = np.argsort(key, kind="stable")
         sorted_lines = lines[order]
         first = np.empty(n, dtype=bool)
         first[0] = True
@@ -403,7 +414,9 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
     smallest swept capacity that holds it.  An access at level ``j``
     hits capacities ``j..K-1`` and misses (and fills) ``0..j-1``; the
     victim at capacity ``i`` is the worst entry of the lazy max-heaps
-    of levels ``0..i`` and moves down to level ``i + 1``.  A line is
+    of levels ``0..i`` and moves down to level ``i + 1``, so the victim
+    at capacity ``i + 1`` is the worse of it and the top of heap
+    ``i + 1``: a miss peeks each level's heap once.  A line is
     dirty at capacity ``i`` iff it was written and every access since
     the write hit at a level ``<= i`` (a miss refills it clean), so
     each eviction or flush splits the capacity axis at ``max(level,
@@ -501,57 +514,68 @@ def fold_opt_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             j = lev[g]
             hist[j] += 1
             if j:
-                sizes = []
+                # One running worst climbs the cascade (see above): a
+                # line evicted at consecutive capacities stays in
+                # flight until a heap top beats it or the cascade
+                # ends, and only then lands at its level.
                 s = 0
+                best = None
+                fly = -1   # the in-flight victim's position, or -1
+                fly_lv = 0
                 for i in range(j):
                     s += cnt[i]
-                    sizes.append(s)
-                for i in range(j):
-                    if sizes[i] < caps_l[i]:
+                    h = heaps[i]
+                    while h:
+                        e = h[0]
+                        if pseq[e[3]] == e[4]:
+                            break
+                        heappop(h)
+                        # Shrink: the deepest position still owned by
+                        # this push heads the remainder run.
+                        pp = e[3] - 1
+                        lo = e[2]
+                        while pp >= lo and pseq[pp] != e[4]:
+                            pp -= 1
+                        if pp >= lo:
+                            # base + pp = -key - (last - pp)
+                            heappush(h, (e[0] + e[3] - pp, lines_l[pp],
+                                         lo, pp, e[4]))
+                    if h and (best is None or h[0] < best):
+                        if fly >= 0:
+                            # Beaten: the in-flight line lands.
+                            lev[fly] = fly_lv
+                            cnt[fly_lv] += 1
+                            heappush(heaps[fly_lv], (best[0], best[1], fly,
+                                                     fly, pseq[fly]))
+                            fly = -1
+                        best = h[0]
+                        best_lv = i
+                    if s < caps_l[i]:
                         continue
-                    # Victim = worst valid entry across levels 0..i.
-                    best = None
-                    best_lv = -1
-                    for lv in range(i + 1):
-                        h = heaps[lv]
-                        while h:
-                            e = h[0]
-                            if pseq[e[3]] == e[4]:
-                                break
-                            heappop(h)
-                            # Shrink: the deepest position still owned
-                            # by this push heads the remainder run.
-                            pp = e[3] - 1
-                            lo = e[2]
-                            while pp >= lo and pseq[pp] != e[4]:
-                                pp -= 1
-                            if pp >= lo:
-                                # base + pp = -key - (last - pp)
-                                heappush(h, (e[0] + e[3] - pp, lines_l[pp],
-                                             lo, pp, e[4]))
-                        if h and (best is None or h[0] < best):
-                            best = h[0]
-                            best_lv = lv
-                    e = heappop(heaps[best_lv])
-                    vp = e[3]
-                    if vp > e[2]:
-                        heappush(heaps[best_lv],
-                                 (e[0] + 1, lines_l[vp - 1], e[2], vp - 1,
-                                  e[4]))
-                    cnt[best_lv] -= 1
-                    if hws[vp] and mlev[vp] <= i:
+                    if fly < 0:
+                        # Take the victim out of its heap, peeling its
+                        # run down to the positions before it.
+                        e = heappop(heaps[best_lv])
+                        fly = e[3]
+                        if fly > e[2]:
+                            heappush(heaps[best_lv],
+                                     (e[0] + 1, lines_l[fly - 1], e[2],
+                                      fly - 1, e[4]))
+                        cnt[best_lv] -= 1
+                        seq += 1
+                        pseq[fly] = seq
+                        uniform0[sym_of[fly]] = False
+                    if hws[fly] and mlev[fly] <= i:
                         victims_m[i] += 1
                     else:
                         victims_e[i] += 1
-                    seq += 1
-                    pseq[vp] = seq
-                    uniform0[sym_of[vp]] = False
-                    if i + 1 < K:
-                        lev[vp] = i + 1
-                        cnt[i + 1] += 1
-                        heappush(heaps[i + 1], (e[0], e[1], vp, vp, seq))
-                    else:
-                        lev[vp] = K
+                    fly_lv = i + 1
+                if fly >= 0:
+                    lev[fly] = fly_lv
+                    if fly_lv < K:
+                        cnt[fly_lv] += 1
+                        heappush(heaps[fly_lv], (best[0], best[1], fly, fly,
+                                                 pseq[fly]))
             if j < K:
                 cnt[j] -= 1
             cnt[0] += 1

@@ -11,9 +11,13 @@ The contract is:
 * ``remove(tag)`` — line was evicted or flushed;
 * ``tags`` — iterable of resident tags.
 
-A policy may also offer ``replay(lines, writes, dirty)``: the same
-per-access semantics folded into one loop over a whole trace of a
-fully-associative cache (see :meth:`ReplacementPolicy.replay`).
+The per-access loop over these methods is the one online simulation
+path of set-associative caches, FIFO and random replacement, and of any
+cache that already holds lines.  A whole trace through an empty
+fully-associative LRU, clock or segmented-LRU cache folds in
+:func:`repro.machine.fastsim.sweep` instead, exact to this loop; the
+cache then sets the policy's state from the fold's end
+(``restore``).
 
 Policies implemented:
 
@@ -34,7 +38,7 @@ Policies implemented:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from repro.util import check_positive_int
 
 __all__ = [
     "ReplacementPolicy",
-    "ReplayCounts",
     "LRUPolicy",
     "FIFOPolicy",
     "RandomPolicy",
@@ -52,18 +55,6 @@ __all__ = [
     "POLICIES",
     "make_policy",
 ]
-
-
-class ReplayCounts(NamedTuple):
-    """What a whole-trace :meth:`ReplacementPolicy.replay` reports: the
-    counters it added and the eviction made by the trace's last access
-    (``None``/``False`` when that access did not evict)."""
-
-    hits: int
-    victims_m: int
-    victims_e: int
-    last_victim: Optional[int]
-    last_victim_dirty: bool
 
 
 class ReplacementPolicy:
@@ -98,19 +89,6 @@ class ReplacementPolicy:
     def full(self) -> bool:
         return len(self) >= self.capacity
 
-    def replay(self, lines: list[int], writes: list[bool],
-               dirty: dict[int, bool]) -> Optional[ReplayCounts]:
-        """Replay a whole trace through this policy as the only set of
-        a cache whose per-line dirty bits are *dirty*.
-
-        Afterwards the policy state and *dirty* are exactly what the
-        per-access ``touch``/``add``/``choose_victim``/``remove`` calls
-        of :meth:`repro.machine.cache.CacheSim.access` leave behind,
-        from whatever state the policy was in.  Policies without a
-        whole-trace replay return ``None`` and change nothing.
-        """
-        return None
-
 
 class LRUPolicy(ReplacementPolicy):
     """True least-recently-used, via insertion-ordered dict."""
@@ -134,6 +112,11 @@ class LRUPolicy(ReplacementPolicy):
 
     def remove(self, tag: int) -> None:
         del self._order[tag]
+
+    def restore(self, order: List[int]) -> None:
+        """Take the least- to most-recently used lines of a whole-trace
+        fold."""
+        self._order = dict.fromkeys(order)
 
     @property
     def tags(self) -> Iterable[int]:
@@ -222,10 +205,11 @@ class ClockPolicy(ReplacementPolicy):
 
     name = "clock"
 
-    def __init__(self, capacity: int, bits: int = 3):
+    #: the largest mark a 3-bit marker holds.
+    MAX_MARK = 7
+
+    def __init__(self, capacity: int):
         super().__init__(capacity)
-        check_positive_int(bits, "bits")
-        self._max = (1 << bits) - 1
         self._slots: list[Optional[int]] = [None] * capacity
         self._marks: list[int] = [0] * capacity
         self._where: dict[int, int] = {}
@@ -233,7 +217,7 @@ class ClockPolicy(ReplacementPolicy):
 
     def touch(self, tag: int, write: bool) -> None:
         i = self._where[tag]
-        if self._marks[i] < self._max:
+        if self._marks[i] < self.MAX_MARK:
             self._marks[i] += 1
 
     def add(self, tag: int, write: bool) -> None:
@@ -262,86 +246,20 @@ class ClockPolicy(ReplacementPolicy):
         self._slots[i] = None
         self._marks[i] = 0
 
-    def replay(self, lines: list[int], writes: list[bool],
-               dirty: dict[int, bool]) -> ReplayCounts:
-        """Whole-trace clock, without the O(capacity) scans per miss.
+    def restore(self, slots: List[Optional[int]], marks: List[int],
+                hand: int) -> None:
+        """Take the slots, marks and hand a whole-trace fold ended with.
 
-        * A fill takes the first empty slot from the hand.  Holes never
-          reappear in a replay and the hand moves only on an eviction,
-          which waits until no hole is left: so the fills take the
-          holes in cyclic order from the starting hand, listed once.
-        * An eviction happens only in a full set, where every mark is
-          at least the minimum mark ``m``: ``choose_victim``'s ``m``
-          decrement sweeps lower every mark by exactly ``m`` and then
-          stop at the first slot from the hand that held ``m``.
-
-        So marks are kept as ``rel[i] - off`` with a running offset
-        ``off`` (one assignment replaces the sweeps), and the victim
-        slot comes from ``list.index``: the first mark 0 from the hand,
-        else from slot 0; only when no slot holds mark 0 does ``off``
-        move up to ``min(rel)``, the minimum mark (a full set has no
-        holes).  Holes hold ``rel == -1``, which no target ``off >= 0``
-        matches.
-        """
-        cap = self.capacity
-        top = self._max
-        slots = self._slots
-        where = self._where
-        rel = [-1 if t is None else m for t, m in zip(slots, self._marks)]
-        off = 0
-        hand = self._hand
-        resident = len(where)
-        holes = iter([i for i in range(hand, cap) if slots[i] is None]
-                     + [i for i in range(hand) if slots[i] is None])
-        hits = victims_m = victims_e = 0
-        victim: Optional[int] = None
-        victim_dirty = False
-        hits_at_victim = -1
-        for line, w in zip(lines, writes):
-            i = where.get(line)
-            if i is not None:
-                hits += 1
-                if w:
-                    dirty[line] = True
-                if rel[i] - off < top:
-                    rel[i] += 1
-                continue
-            if resident < cap:
-                i = next(holes)
-                resident += 1
-            else:
-                try:
-                    i = rel.index(off, hand)
-                except ValueError:
-                    try:
-                        i = rel.index(off)
-                    except ValueError:
-                        off = min(rel)
-                        try:
-                            i = rel.index(off, hand)
-                        except ValueError:
-                            i = rel.index(off)
-                victim = slots[i]
-                del where[victim]
-                victim_dirty = dirty.pop(victim)
-                if victim_dirty:
-                    victims_m += 1
-                else:
-                    victims_e += 1
-                hits_at_victim = hits
-                hand = i + 1 if i + 1 < cap else 0
-            slots[i] = line
-            rel[i] = off + 1
-            where[line] = i
-            dirty[line] = w
-        self._marks[:] = [0 if r < 0 else r - off for r in rel]
-        self._hand = hand
-        if hits != hits_at_victim:
-            # Once a replay evicts, the set stays full and every later
-            # miss evicts too; a hit since then means the last access
-            # evicted nothing.
-            victim, victim_dirty = None, False
-        return ReplayCounts(hits, victims_m, victims_e, victim, victim_dirty)
+        The fold ran from an empty set with its hand at slot 0, and
+        this set is empty with its hand at ``h``.  Fills start from the
+        hand and every search is cyclic from it, so this set ends as
+        the fold did, turned by ``h`` slots."""
+        h = self._hand
+        self._slots = slots[-h:] + slots[:-h] if h else list(slots)
+        self._marks = marks[-h:] + marks[:-h] if h else list(marks)
+        self._where = {t: i for i, t in enumerate(self._slots)
+                       if t is not None}
+        self._hand = (hand + h) % self.capacity
 
     @property
     def tags(self) -> Iterable[int]:
@@ -405,61 +323,11 @@ class SegmentedLRUPolicy(ReplacementPolicy):
         else:
             del self._write[tag]
 
-    def replay(self, lines: list[int], writes: list[bool],
-               dirty: dict[int, bool]) -> ReplayCounts:
-        """Whole-trace segmented LRU.  A line enters the write half
-        exactly when it turns dirty and never leaves it while resident,
-        so a write-half hit needs no dirty-bit update; *dirty* changes
-        only on misses and on promotions."""
-        cap = self.capacity
-        read_cap, write_cap = self._read_cap, self._write_cap
-        read, write = self._read, self._write
-        resident = len(read) + len(write)
-        hits = victims_m = victims_e = 0
-        victim: Optional[int] = None
-        victim_dirty = False
-        hits_at_victim = -1
-        for line, w in zip(lines, writes):
-            if line in write:
-                hits += 1
-                del write[line]
-                write[line] = None
-                continue
-            if line in read:
-                hits += 1
-                del read[line]
-                if w:
-                    write[line] = None
-                    dirty[line] = True
-                else:
-                    read[line] = None
-                continue
-            if resident < cap:
-                resident += 1
-            else:
-                # choose_victim's rule for a full set.
-                if not read or (len(read) <= read_cap
-                                and len(write) > write_cap):
-                    victim = next(iter(write))
-                    del write[victim]
-                else:
-                    victim = next(iter(read))
-                    del read[victim]
-                victim_dirty = dirty.pop(victim)
-                if victim_dirty:
-                    victims_m += 1
-                else:
-                    victims_e += 1
-                hits_at_victim = hits
-            if w:
-                write[line] = None
-            else:
-                read[line] = None
-            dirty[line] = w
-        if hits != hits_at_victim:
-            # See ClockPolicy.replay: the last access evicted nothing.
-            victim, victim_dirty = None, False
-        return ReplayCounts(hits, victims_m, victims_e, victim, victim_dirty)
+    def restore(self, read: List[int], write: List[int]) -> None:
+        """Take both halves, least to most recently used, from a
+        whole-trace fold."""
+        self._read = dict.fromkeys(read)
+        self._write = dict.fromkeys(write)
 
     @property
     def tags(self) -> Iterable[int]:

@@ -197,7 +197,7 @@ class TestSweepEquivalence:
         with pytest.raises(ValueError):
             sweep(trace, {"belady": [0]})
         with pytest.raises(ValueError):
-            sweep(trace, {"clock": [4]})
+            sweep(trace, {"fifo": [4]})
         with pytest.raises(ValueError):
             sweep(Trace(np.array([1, 2]), np.array([True]), None),
                   {"lru": [4]})

@@ -229,3 +229,40 @@ class TestMachineFields:
             machine_fields("no-such-kernel")
         except KeyError as exc:
             assert "matmul-cache" in str(exc)   # lists registered kernels
+
+
+class TestR1SubGroups:
+    def test_read_through_a_comprehension_sub_group_names_the_kernel(
+            self, tmp_path):
+        """``cost-dominance`` hands ``_family_batch`` a sub-group picked
+        by a comprehension (``[group[i] for i in idx]``).  A machine
+        read planted in ``_family_batch`` of a copy of the tree must
+        reach R1 through it, as it does through the formula-family
+        kernels that pass their whole group."""
+        import os
+        import shutil
+        import subprocess
+
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).resolve().parent,
+                        src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "repro" / "lab" / "modelkernels.py"
+        text = path.read_text()
+        anchor = "    if hw is None:\n        hw = _group_hw(group)\n"
+        assert text.count(anchor) == 1
+        path.write_text(text.replace(
+            anchor, "    group[0][0].write_slow\n" + anchor))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.lab", "check", "--rules", "R1",
+             "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        findings = json.loads(proc.stdout)["findings"]
+        flagged = {f["kernel"] for f in findings
+                   if "write_slow" in f["message"]}
+        assert "cost-dominance" in flagged
+        assert "cost-2d-mm" in flagged

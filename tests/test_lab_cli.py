@@ -184,6 +184,17 @@ class TestStartup:
                           "repro.machine.fastsim.profile",
                           "repro.machine.fastsim.symbols"]
 
+    def test_list_loads_no_fastsim_fold(self):
+        """``repro-lab list`` names every kernel and runs none, so no
+        fold module loads; the clock and segmented-LRU folds load only
+        when a sweep asks for those policies."""
+        loaded = _fresh_modules(_cli("list"), "repro.machine.fastsim")
+        assert loaded == ["repro.machine.fastsim",
+                          "repro.machine.fastsim.distances",
+                          "repro.machine.fastsim.lru",
+                          "repro.machine.fastsim.profile",
+                          "repro.machine.fastsim.symbols"]
+
     def test_sec6_sweep_loads_only_the_trace_stack(self, tmp_path):
         """A sec6 sweep builds matmul traces and replays them: of
         repro.core only the trace builders load, and neither the

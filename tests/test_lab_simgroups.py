@@ -2,9 +2,9 @@
 
 Points are grouped by the trace they replay, not by scheme name,
 policy, capacity or machine energy.  Inside its task the trace is built
-once: fully-associative LRU/Belady points share one multi-capacity
-sweep, and any other point shares one replay with the points that have
-its policy, capacity, associativity and seed.  Two scheme names with
+once: its fully-associative LRU, Belady, clock and segmented-LRU
+points share one sweep, and any other point shares one replay with the
+points that have its policy, capacity, associativity and seed.  Two scheme names with
 one task order (``wa2``, ``ab-multilevel``) are one trace.  Records
 stay bit-identical to the per-point path, and each distinct trace is
 built once per run, in-process or on pool workers.
@@ -70,13 +70,15 @@ def trace_digest(scheme, c_touch_hint=False, **blocking):
 
 
 def simulation_of(point):
-    """What a point simulates, derived from trace *contents*: a stack
-    point needs only its trace (one sweep serves every capacity and
-    both policies); any other point needs its whole cache."""
+    """What a point simulates, derived from trace *contents*: a
+    fully-associative LRU, Belady, clock or segmented-LRU point needs
+    only its trace (one sweep serves every capacity and those four
+    policies); any other point needs its whole cache."""
     m = point.machine
     trace = trace_digest(point.params["scheme"])
-    if m.policy in ("lru", "belady") and m.associativity is None:
-        return (trace, "stack")
+    if (m.policy in ("lru", "belady", "clock", "segmented-lru")
+            and m.associativity is None):
+        return (trace, "sweep")
     return (trace, m.policy, point.params["cache_blocks"],
             m.associativity, m.seed)
 
@@ -96,11 +98,13 @@ class TestPlan:
                                   for p in points}) == 2
         assert [kind for _, kind in tasks] == ["multi_capacity"] * 2
 
-        sweeps, replays = [], []
+        sweeps, swept, replays = [], [], []
         sweep, run_trace = dispatch.sweep, CacheSim.run_trace
 
         def counted_sweep(trace, caps_by_policy):
             sweeps.append(contents(trace))
+            swept.append({p: sorted(set(c))
+                          for p, c in caps_by_policy.items()})
             return sweep(trace, caps_by_policy)
 
         def counted_run_trace(sim, trace):
@@ -112,12 +116,18 @@ class TestPlan:
         monkeypatch.setattr(dispatch, "sweep", counted_sweep)
         monkeypatch.setattr(CacheSim, "run_trace", counted_run_trace)
         execute(points, cache=None, multi_capacity=True)
-        # Per trace: 1 stack sweep + 2 capacities x 4 non-stack
-        # policies + 1 set-associative replay, each exactly once.
+        # Per trace: 1 sweep + 2 capacities x 2 unswept policies
+        # (FIFO, random) + 1 set-associative replay, each exactly once.
         distinct = {simulation_of(p) for p in points}
-        assert len(distinct) == 2 * (1 + 2 * 4 + 1)
+        assert len(distinct) == 2 * (1 + 2 * 2 + 1)
         assert len(sweeps) == len(set(sweeps)) == 2
+        assert swept == [{p: [49, 65] for p in ("lru", "belady", "clock",
+                                                 "segmented-lru")}] * 2
         assert len(replays) == len(set(replays)) == len(distinct) - 2
+        assert {policy for _, policy, _, _, _ in replays} == {
+            "fifo", "random", "lru"}
+        assert all(assoc != capacity or policy in ("fifo", "random")
+                   for _, policy, capacity, assoc, _ in replays)
 
     def test_batched_records_equal_per_point_records(self):
         points = mixed_grid()

@@ -7,11 +7,11 @@ random inputs instead of hand-picked geometries:
   and random capacity grids, ``fastsim.sweep`` reports exactly the
   counters of each policy's per-capacity oracle — CacheSim's per-access
   LRU loop plus ``flush()``, and the reference Belady heap.
-* **replay == access loop**: ``CacheSim.run_lines`` on a
-  fully-associative clock or segmented-LRU cache (the policy's
-  whole-trace replay) leaves the counters, dirty bits and last victim
-  of the per-access loop, from an empty, partly filled or flushed
-  cache.
+* **fold == access loop**: ``CacheSim.run_lines`` on a
+  fully-associative clock or segmented-LRU cache that holds no line
+  (new, or emptied by ``flush()``) goes through the sweep's fold and
+  leaves the counters, dirty bits, last victim and policy state of the
+  per-access loop.
 * **vectorized == scalar**: for random ``HwParams`` machines and random
   (including infeasible) grid points, every ``cost-*`` family's
   vectorized batch evaluator emits records bit-identical — compared as
@@ -99,21 +99,21 @@ def test_opt_sweep_counters_equal_cachesim(events, caps):
 
 
 # --------------------------------------------------------------------- #
-# whole-trace clock / segmented-LRU replay vs the per-access loop
+# clock / segmented-LRU folds vs the per-access loop
 # --------------------------------------------------------------------- #
 def _accesses(sim, events):
     for line, w in events:
         sim.access(line, w)
 
 
-@pytest.mark.parametrize("start", ["empty", "partial", "flushed"])
+@pytest.mark.parametrize("start", ["empty", "flushed"])
 @given(policy=st.sampled_from(["clock", "segmented-lru"]),
        cap=st.integers(1, 16), prefix=traces, events=traces, tail=traces)
 def test_scalar_replay_equals_access_loop(start, policy, cap, prefix,
                                           events, tail):
-    """``run_lines`` resumes from any state the per-access loop could be
-    in — empty, partly filled, or emptied by ``flush()`` with the clock
-    hand left mid-set — and leaves one the loop can carry on from."""
+    """``run_lines`` on a cache that holds no line — new, or emptied by
+    ``flush()`` with the clock hand left mid-set — runs the sweep's
+    fold and leaves a state the loop can carry on from."""
     _check_replay_against_loop(start, policy, cap, prefix, events, tail)
 
 
@@ -133,19 +133,27 @@ def test_scalar_replay_equals_access_loop_on_a_large_cold_fill(policy):
                                events[:50])
 
 
+def _policy_state(sim):
+    pol = sim._sets[0]
+    if sim.policy_name == "clock":
+        return pol._slots, pol._marks, pol._hand, pol._where
+    return list(pol._read), list(pol._write)
+
+
 def _check_replay_against_loop(start, policy, cap, prefix, events, tail):
     replayed = CacheSim(cap, line_size=1, policy=policy)
     looped = CacheSim(cap, line_size=1, policy=policy)
-    if start != "empty":
+    if start == "flushed":
         replayed.run_lines(*_arrays(prefix))
         _accesses(looped, prefix)
-        if start == "flushed":
-            replayed.flush()
-            looped.flush()
+        replayed.flush()
+        looped.flush()
+    assert replayed._sweep_policy() == policy
     replayed.run_lines(*_arrays(events))
     _accesses(looped, events)
     assert replayed.stats == looped.stats
     assert replayed._dirty == looped._dirty
+    assert _policy_state(replayed) == _policy_state(looped)
     assert ((replayed._last_victim, replayed._last_victim_dirty)
             == (looped._last_victim, looped._last_victim_dirty))
     _accesses(replayed, tail)

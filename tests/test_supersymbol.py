@@ -3,8 +3,8 @@
 The contract is bit-identity: :func:`sweep` on a tile-structured trace
 (the super-symbol fold) equals the same events swept flat (the fold of
 one-line visits) and each policy's oracle — CacheSim's per-access loop
-for LRU, the reference heap for Belady — on random and paper-kernel
-traces.
+for LRU, clock and segmented LRU, the reference heap for Belady — on
+random and paper-kernel traces.
 """
 
 import dataclasses
@@ -43,6 +43,9 @@ def assert_sweeps_equal(a, b):
         if f.name == "n_symbols":
             continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "ends":
+            assert va == vb
+            continue
         assert np.array_equal(np.asarray(va), np.asarray(vb)), f.name
 
 
@@ -76,9 +79,14 @@ def flat(trace):
     return Trace(trace.lines, trace.writes, None)
 
 
+POLICIES = ("lru", "belady", "clock", "segmented-lru")
+
+
 def both(trace, caps):
-    """Both policies of one sweep."""
-    return sweep(trace, {"lru": caps, "belady": caps})
+    """Every policy of one sweep, the tile fold's and the one-line
+    fold's (flat events)."""
+    return (sweep(trace, dict.fromkeys(POLICIES, caps)),
+            sweep(flat(trace), dict.fromkeys(POLICIES, caps)))
 
 
 def loop_counters(trace, capacity_lines, policy="lru"):
@@ -125,6 +133,18 @@ class TestSymbolFoldParity:
             assert_sweeps_equal(fold, line)
             assert_matches_oracle(fold, tr, "belady")
 
+    @pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
+    def test_scalar_fold_matches_line_fold_random_tiles(self, policy):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            tr = random_tile_trace(rng)
+            fold = sweep(tr, {policy: CAPS})[policy]
+            assert fold.n_symbols is not None
+            line = sweep(flat(tr), {policy: CAPS})[policy]
+            assert line.n_symbols is None
+            assert_sweeps_equal(fold, line)
+            assert_matches_oracle(fold, tr, policy)
+
     @pytest.mark.parametrize("policy,cap", [("lru", 4), ("lru", 9),
                                             ("belady", 4), ("belady", 9)])
     def test_fold_matches_cachesim_loop(self, policy, cap):
@@ -153,7 +173,7 @@ class TestSymbolFoldParity:
         assert st is not None
         assert st.n_symbols < st.n_visits  # tiles actually revisit
         caps = [4, 16, 64, 256]
-        folds, lines = both(tr, caps), both(flat(tr), caps)
+        folds, lines = both(tr, caps)
         for policy in folds:
             assert folds[policy].n_symbols == st.n_symbols
             assert_sweeps_equal(folds[policy], lines[policy])
@@ -167,7 +187,7 @@ class TestSymbolFoldParity:
                           line_size=4, c_touch_hint=True).finalize_trace()
         assert symbolize(tr.lines, tr.writes, tr.chunk_lens) is None
         caps = [4, 16, 64]
-        chunked, lines = both(tr, caps), both(flat(tr), caps)
+        chunked, lines = both(tr, caps)
         for policy in chunked:
             assert chunked[policy].n_symbols is None
             assert_sweeps_equal(chunked[policy], lines[policy])
@@ -220,7 +240,43 @@ if HAVE_HYPOTHESIS:
                                  max_size=len(visits)))
         return tile_trace(sizes, visits, vwrites)
 
+    def assert_fold_resumes_like_loop(tr, policy, cap, tail):
+        """A fold's counters equal the loop's, and a cache rebuilt from
+        its end state runs *tail* and ``flush()`` as the loop does."""
+        fold = sweep(tr, {policy: [cap]})[policy]
+        assert fold.n_symbols is not None
+        assert fold.stats(cap) == loop_counters(tr, cap, policy)
+        swept = CacheSim(cap, line_size=1, policy=policy)
+        swept.run_trace(tr)
+        looped = CacheSim(cap, line_size=1, policy=policy)
+        for ln, w in zip(tr.lines.tolist(), tr.writes.tolist()):
+            looped.access(ln, w)
+        for sim in (swept, looped):
+            for ln, w in tail:
+                sim.access(ln, w)
+            sim.flush()
+        assert swept.stats == looped.stats
+
     class TestSymbolProperties:
+        @given(tile_traces(), hst.sampled_from(["clock", "segmented-lru"]),
+               hst.data())
+        def test_symbol_scalar_folds_equal_access_loop(self, tr, policy,
+                                                       data):
+            """Clock and segmented LRU at visit granularity, at one
+            capacity below the largest footprint (a visit then evicts
+            its own lines) and one drawn freely.  The draws follow the
+            active hypothesis profile; CI runs it once more under
+            ``thorough``."""
+            zmax = int(tr.chunk_lens.max())
+            small = data.draw(hst.integers(1, max(1, zmax - 1)))
+            cap = data.draw(hst.integers(1, 30))
+            top = int(tr.lines.max()) + 2
+            tail = data.draw(hst.lists(hst.tuples(hst.integers(0, top),
+                                                  hst.booleans()),
+                                       max_size=20))
+            for c in {small, cap}:
+                assert_fold_resumes_like_loop(tr, policy, c, tail)
+
         @settings(max_examples=25)
         @given(tile_traces(), hst.integers(1, 30))
         def test_symbol_lru_equals_cachesim(self, tr, cap):
@@ -267,7 +323,8 @@ class TestRunTraceDispatch:
         sim = CacheSim(8, line_size=1)
         assert "supersymbol_fold" in self._phases_of(sim, tr)
 
-    @pytest.mark.parametrize("policy", ["lru", "belady"])
+    @pytest.mark.parametrize("policy", ["lru", "belady", "clock",
+                                        "segmented-lru"])
     def test_run_trace_counters_match_loop(self, policy):
         rng = np.random.default_rng(41)
         for _ in range(15):

@@ -8,11 +8,15 @@ touches, row by row, the distinct lines its elements fall in, in
 ascending order; a segment visit touches its distinct lines in
 ascending order.  ``lines``, ``writes`` and ``chunk_lens`` must agree
 exactly, on shapes that are not multiples of the blocks and line sizes
-that do not divide the rows.
+that do not divide the rows.  The matmul task order, one array pass
+per level in the builder, is held to the recursion it implements, box
+for box and by whole-trace sha256.
 
 The draws follow the active hypothesis profile (``HYPOTHESIS_PROFILE``);
 CI runs this module once more under ``thorough``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -33,8 +37,54 @@ from repro.machine.trace import TraceBuffer
 
 
 # --------------------------------------------------------------------- #
-# the oracle
+# the oracles
 # --------------------------------------------------------------------- #
+def oracle_task_order(m, n, l, spec):
+    """The task order as the recursion it is, one box at a time."""
+
+    def co(i0, i1, j0, j1, k0, k1, base):
+        mi, li, ni = i1 - i0, j1 - j0, k1 - k0
+        if mi <= base and li <= base and ni <= base:
+            yield (i0, i1, j0, j1, k0, k1)
+            return
+        big = max(mi, ni, li)
+        if big == mi:
+            h = mi // 2
+            yield from co(i0, i0 + h, j0, j1, k0, k1, base)
+            yield from co(i0 + h, i1, j0, j1, k0, k1, base)
+        elif big == ni:
+            h = ni // 2
+            yield from co(i0, i1, j0, j1, k0, k0 + h, base)
+            yield from co(i0, i1, j0, j1, k0 + h, k1, base)
+        else:
+            h = li // 2
+            yield from co(i0, i1, j0, j0 + h, k0, k1, base)
+            yield from co(i0, i1, j0 + h, j1, k0, k1, base)
+
+    def dispatch(i0, i1, j0, j1, k0, k1, spec):
+        if not spec:
+            yield (i0, i1, j0, j1, k0, k1)
+            return
+        head, rest = spec[0], spec[1:]
+        if head[0] == "co":
+            yield from co(i0, i1, j0, j1, k0, k1, head[1])
+            return
+        _, b, order = head
+        axes = {"i": range(i0, i1, b), "j": range(j0, j1, b),
+                "k": range(k0, k1, b)}
+        lo, mid, hi = order
+        for x in axes[lo]:
+            for y in axes[mid]:
+                for z in axes[hi]:
+                    v = {lo: x, mid: y, hi: z}
+                    i, j, k = v["i"], v["j"], v["k"]
+                    yield from dispatch(i, min(i + b, i1), j,
+                                        min(j + b, j1), k, min(k + b, k1),
+                                        rest)
+
+    yield from dispatch(0, m, 0, l, 0, n, spec)
+
+
 class Oracle:
     """Collects visits element by element into the three trace arrays."""
 
@@ -76,7 +126,7 @@ def oracle_matmul(m, n, l, scheme, b3, b2, base, line_size, c_touch_hint):
     out = Oracle()
     last_b2 = None
     spec = traces.matmul_order(scheme, b3, b2, base)
-    for (i0, i1, j0, j1, k0, k1) in hierarchical_task_order(m, n, l, spec):
+    for (i0, i1, j0, j1, k0, k1) in oracle_task_order(m, n, l, spec):
         if c_touch_hint:
             cur_b2 = (i0 // b2, j0 // b2, k0 // b2)
             if last_b2 is not None and cur_b2 != last_b2:
@@ -198,6 +248,50 @@ def test_matmul_ragged_shape_matches_oracle(scheme, hint):
                          line_size=5, c_touch_hint=hint).finalize_trace()
     assert_trace_equals(trace, oracle_matmul(19, 13, 11, scheme, 8, 4, 3, 5,
                                              hint))
+
+
+@given(scheme=st.sampled_from(MATMUL_SCHEMES), m=dims, n=dims, l=dims,
+       b3=blocks, b2=blocks, base=st.integers(min_value=1, max_value=6))
+def test_task_order_matches_recursion(scheme, m, n, l, b3, b2, base):
+    spec = traces.matmul_order(scheme, b3, b2, base)
+    tasks = hierarchical_task_order(m, n, l, spec)
+    assert tasks.dtype == np.int64 and tasks.shape[1:] == (6,)
+    assert tasks.tolist() == [list(t) for t in
+                              oracle_task_order(m, n, l, spec)]
+
+
+def _trace_sha(m, n, l, scheme, line_size, hint):
+    trace = matmul_trace(m, n, l, scheme=scheme, b3=16, b2=8, base=4,
+                         line_size=line_size,
+                         c_touch_hint=hint).finalize_trace()
+    h = hashlib.sha256()
+    for arr in trace:
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("scheme", MATMUL_SCHEMES)
+@pytest.mark.parametrize("shape", [(100, 37, 61), (96, 256, 96),
+                                   (64, 64, 64), (33, 17, 5)])
+@pytest.mark.parametrize("line_size", [1, 4, 7])
+def test_trace_sha_matches_recursion(scheme, shape, line_size,
+                                     monkeypatch):
+    """Whole traces, odd and paper shapes, several line sizes: the
+    array task order builds the trace the recursion's order does."""
+    args = (*shape, scheme, line_size, scheme == "wa2")
+    got = _trace_sha(*args)
+    order = np.array(list(oracle_task_order(
+        *shape, traces.matmul_order(scheme, 16, 8, 4))), dtype=np.int64)
+    monkeypatch.setattr(traces, "hierarchical_task_order",
+                        lambda *_: order)
+    assert got == _trace_sha(*args)
+
+
+def test_task_order_refuses_bad_specs():
+    for spec in ([("blocked", 4, "iij")], [("co", 2), ("blocked", 4, "ijk")],
+                 [("tiled", 4)], [("blocked", 0, "ijk")], [("co", 0)]):
+        with pytest.raises(ValueError):
+            hierarchical_task_order(8, 8, 8, spec)
 
 
 # --------------------------------------------------------------------- #
