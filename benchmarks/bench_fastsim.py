@@ -14,18 +14,18 @@ Levels of comparison, mirroring how the stack is wired:
 * **kernel-only** — each policy's oracle replayed K times against one
   :func:`~repro.machine.fastsim.sweep` call on a pre-built trace: the
   per-access LRU policy loop for LRU, the reference heap for Belady.
-  Clock and segmented LRU have no multi-capacity pass: their row is
-  ``CacheSim.run_lines`` on an empty cache (the sweep's fold over
-  one-line visits, one capacity per call) against the per-access
-  ``access()`` loop, K capacities each.
+  Clock and segmented LRU are no stack algorithms: their row is one
+  sweep of the trace as one-line visits, whose folds replay the visit
+  stream once per capacity, against the per-access ``access()`` loop,
+  K capacities each.
 * **trace build** — ``matmul_trace(...).finalize_trace()`` for each
   Section-6 scheme at the bench geometry, against the per-visit emission
   it replaced (a fixed committed number, not a slow path in the tree).
 * **single capacity** — K=1: the per-access loop against the sweep of
   the trace without and with its tile chunks (the fold of one-line
   visits and the super-symbol fold).  Both win even there,
-  which is why ``CacheSim`` replays every empty fully-associative LRU
-  cache through the sweep.
+  which is why the lab sends even a lone fully-associative LRU point
+  through the sweep.
 
 Each full-size run appends one entry to ``BENCH_fastsim.json`` at the
 repo root (the committed perf trajectory), with the environment
@@ -300,8 +300,7 @@ def test_supersymbol_kernel_only(benchmark):
     benchmark.pedantic(run, rounds=1, iterations=1)
     assert res.n_symbols == st.n_symbols
     for name in ("accesses", "hits", "misses", "fills", "victims_m",
-                 "victims_e", "flush_writebacks", "flush_victims_e",
-                 "stack_lines", "stack_has_write", "stack_m"):
+                 "victims_e", "flush_writebacks", "flush_victims_e"):
         assert np.array_equal(np.asarray(getattr(res, name)),
                               np.asarray(getattr(ref, name))), name
     speedup = line_s / sym_s
@@ -364,8 +363,8 @@ def test_trace_build(benchmark):
 def test_single_capacity_footnote(benchmark):
     """K=1: the per-access LRU loop vs the one-line fold vs the
     super-symbol fold.  Both folds beat the loop even at one
-    capacity, which is why ``CacheSim`` replays every empty
-    fully-associative LRU cache through :func:`sweep`."""
+    capacity, which is why the lab sends even a lone fully-associative
+    LRU point through :func:`sweep`."""
     trace = built_trace_tiled()
     lines, writes = trace.pair()
     flat = Trace(lines, writes, None)
@@ -381,15 +380,12 @@ def test_single_capacity_footnote(benchmark):
     assert res.stats(cap) == ref
 
     def run():
-        fold = CacheSim(cap, line_size=1, policy="lru")
-        fold.run_trace(trace)
-        fold.flush()
-        return fold
+        return sweep(trace, {"lru": [cap]})["lru"].stats(cap)
 
     t0 = time.perf_counter()
     fold = benchmark.pedantic(run, rounds=1, iterations=1)
     sym_s = time.perf_counter() - t0
-    assert fold.stats == ref
+    assert fold == ref
     print(f"\n[bench_fastsim] single capacity: per-access loop "
           f"{loop_s:.3f}s, one-line fold {line_single_s:.3f}s "
           f"(ratio {line_single_s / loop_s:.2f}), super-symbol "
@@ -410,9 +406,9 @@ def test_single_capacity_footnote(benchmark):
 
 @pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
 def test_kernel_only_scalar_replay(benchmark, policy):
-    """Per-access loop x K capacities vs ``run_lines`` x K capacities
-    (the sweep's fold over one-line visits), trace generation excluded
-    on both sides."""
+    """Per-access loop x K capacities vs one sweep of K capacities (the
+    fold over one-line visits), trace generation excluded on both
+    sides."""
     trace = built_trace()
     lines, writes = trace.pair()
     caps = capacities_lines()
@@ -422,13 +418,8 @@ def test_kernel_only_scalar_replay(benchmark, policy):
     loop_s = time.perf_counter() - t0
 
     def run():
-        out = []
-        for cap in caps:
-            sim = CacheSim(cap, line_size=1, policy=policy)
-            sim.run_lines(lines, writes)
-            sim.flush()
-            out.append(sim.stats)
-        return out
+        res = sweep(trace, {policy: caps})[policy]
+        return [res.stats(cap) for cap in caps]
 
     replay_stats, replay_s = _best_of(run)
     benchmark.pedantic(run, rounds=1, iterations=1)

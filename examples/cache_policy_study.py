@@ -16,29 +16,30 @@ Run:  python examples/cache_policy_study.py
 """
 
 from repro.core import matmul_trace
-from repro.machine import CacheSim
+from repro.machine.fastsim import sweep
 from repro.util import format_table
 
 N, MID = 64, 128
 B3, B2, BASE, LINE = 16, 8, 4, 4
 FLOOR = N * N // LINE
+POLICIES = ("lru", "clock", "belady")
+BLOCKS = (3, 4, 5, 6)
 
 rows = []
 for scheme in ("wa2", "wa-multilevel", "co"):
     trace = matmul_trace(N, MID, N, scheme=scheme, b3=B3, b2=B2,
                          base=BASE, line_size=LINE)
-    # The finalized trace keeps its tile chunks, so the LRU and Belady
-    # replays fold repeated tile visits at super-symbol granularity.
-    trace = trace.finalize_trace()
-    for policy in ("lru", "clock", "belady"):
+    # The finalized trace keeps its tile chunks, so one sweep folds
+    # repeated tile visits at super-symbol granularity, every policy and
+    # capacity from one visit stream (capacities in lines).
+    caps = {blocks: (blocks * B3 * B3 + LINE) // LINE for blocks in BLOCKS}
+    results = sweep(trace.finalize_trace(),
+                    dict.fromkeys(POLICIES, list(caps.values())))
+    for policy in POLICIES:
         row = [scheme, policy]
         reached = None
-        for blocks in (3, 4, 5, 6):
-            sim = CacheSim(blocks * B3 * B3 + LINE, line_size=LINE,
-                           policy=policy)
-            sim.run_trace(trace)
-            sim.flush()
-            wb = sim.stats.writebacks
+        for blocks in BLOCKS:
+            wb = results[policy].stats(caps[blocks]).writebacks
             row.append(f"{wb / FLOOR:.2f}x")
             if reached is None and wb <= 1.05 * FLOOR:
                 reached = blocks

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import TwoLevel, blocked_matmul, wa_block_size
 from repro.core import matmul_trace
-from repro.machine import CacheSim
+from repro.machine.fastsim import sweep
 
 # ------------------------------------------------------------------ #
 # 1. Explicit data movement (paper Section 4)
@@ -51,12 +51,10 @@ for scheme, label in [("wa2", "two-level WA blocking"),
     trace = matmul_trace(n, n, n, scheme=scheme, b3=16, b2=8, base=4,
                          line_size=line)
     # Proposition 6.1: five blocks resident keep the WA property under LRU.
-    cache = CacheSim(5 * 16 * 16 + line, line_size=line, policy="lru")
-    lines, writes = trace.finalize()
-    cache.run_lines(lines, writes)
-    cache.flush()
+    cap = (5 * 16 * 16 + line) // line  # in lines
+    stats = sweep(trace.finalize_trace(), {"lru": [cap]})["lru"].stats(cap)
     floor = n * n // line
-    print(f"{label:28s}: LLC_VICTIMS.M = {cache.stats.writebacks:>6}"
+    print(f"{label:28s}: LLC_VICTIMS.M = {stats.writebacks:>6}"
           f"   (write floor = {floor} lines)")
 
 print("\nThe WA order writes back exactly the output; the CO order's "

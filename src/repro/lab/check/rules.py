@@ -35,7 +35,7 @@ class RegistryView:
     kernels: Dict[str, Any] = field(default_factory=dict)
     trace_kernels: Dict[str, Any] = field(default_factory=dict)
     machines: Dict[str, Any] = field(default_factory=dict)
-    policies: Dict[str, Any] = field(default_factory=dict)
+    policies: Tuple[str, ...] = ()
     scenarios: Dict[str, Callable[..., Any]] = field(default_factory=dict)
 
     @classmethod
@@ -53,7 +53,7 @@ class RegistryView:
             kernels=table("KERNELS"),
             trace_kernels=table("TRACE_KERNELS"),
             machines=table("MACHINES"),
-            policies=table("POLICIES"),
+            policies=tuple(getattr(reg, "POLICIES", None) or ()),
             scenarios=scenarios,
         )
 

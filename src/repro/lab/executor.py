@@ -19,9 +19,9 @@ bit-identical to the per-point path.  Two batch families exist today:
 * **trace batches** — points of one line-trace kernel
   (:data:`repro.lab.registry.TRACE_KERNELS`) that replay the same trace
   share one task, which builds the trace once: its fully-associative
-  LRU/Belady points replay it through one single-pass fastsim sweep
-  whatever their capacities, and its other points replay it once per
-  distinct policy, capacity, associativity and seed through
+  LRU, Belady, clock and segmented-LRU points replay it through one
+  fastsim sweep whatever their capacities, and its other points replay
+  it once per distinct policy, capacity, associativity and seed through
   ``CacheSim``.  Energy-only variants and schemes that resolve to one
   task order (``wa2``/``ab-multilevel``) ride along
   (:func:`~repro.lab.registry.trace_group_payload`;

@@ -13,8 +13,8 @@ scenario file (or a CLI invocation) is pure data:
   fields and its optional batch entry.  It is the only name-keyed
   kernel table; :data:`TRACE_KERNELS` adds the trace protocol of the
   line-trace kernels;
-* :data:`POLICIES` — re-exported replacement-policy classes
-  (:mod:`repro.machine.policies`).
+* :data:`POLICIES` — the replacement-policy names a machine may use
+  (:data:`repro.names.POLICIES`).
 
 Every table here is declared without importing a kernel's
 implementation: the trace builders, the cache hierarchy and the fastsim
@@ -34,11 +34,10 @@ from repro.lab.modelkernels import MODEL_KERNELS
 from repro.lab.params import (BOOL, FLOAT, INT, POS, BatchKernel, Kernel,
                               Params, fits, multiples, opt)
 from repro.lab.telemetry import active_trace
-from repro.machine.cache import SWEPT_POLICIES, CacheSim, CacheStats
+from repro.machine.cache import CacheSim, CacheStats
 from repro.machine.fastsim.profile import phase as fs_phase
-from repro.machine.policies import POLICIES
 from repro.machine.trace import Trace
-from repro.names import MATMUL_SCHEMES
+from repro.names import MATMUL_SCHEMES, POLICIES, SWEPT_POLICIES
 from repro.util import canonical_int, require
 
 if TYPE_CHECKING:
@@ -305,9 +304,10 @@ class TraceKernel:
     Belady, clock and segmented-LRU points replay it through one
     :func:`repro.machine.fastsim.sweep`, which folds at super-symbol
     granularity when the trace's tile chunks symbolize; the others
-    replay it once per distinct simulation.  Energy fields and other
-    non-trace params never split a simulation: :meth:`record` costs the
-    counters per point.
+    replay it once per distinct simulation.  A point run on its own
+    (:meth:`run`) is a batch of one, so it takes the same path.  Energy
+    fields and other non-trace params never split a simulation:
+    :meth:`record` costs the counters per point.
     """
 
     name: str
@@ -362,11 +362,15 @@ class TraceKernel:
     def check(self, machine: MachineSpec, params: Mapping[str, Any]) -> int:
         """Raise ``ValueError`` naming the field unless the point's
         machine fits it (the declaration's ``fit``): one level, whose
-        capacity fills whole lines and sets.  Returns the capacity in
-        words."""
+        capacity fills whole lines and sets, fully associative under
+        Belady.  Returns the capacity in words."""
         require(machine.levels is None,
                 f"{self.name} simulates a single cache level; "
                 f"machines with `levels` need a hierarchy kernel")
+        require(machine.policy != "belady" or machine.associativity is None,
+                f"machine.associativity={machine.associativity}: belady "
+                f"simulates the fully-associative ideal cache; leave "
+                f"machine.associativity unset")
         cap_words = int(self.capacity_words(machine, params))
         require(cap_words % machine.line_size == 0,
                 f"capacity_words={cap_words} must be a multiple of "
@@ -379,14 +383,10 @@ class TraceKernel:
         return cap_words
 
     def run(self, machine: MachineSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The per-point path: replay the trace through ``machine``."""
-        machine = machine.override(cache_words=self.check(machine, params))
-        trace = self.trace(machine, params)
-        sim = machine.make()
-        assert isinstance(sim, CacheSim)
-        sim.run_trace(trace)
-        sim.flush()
-        return self.record(machine, params, sim.stats)
+        """The per-point path: a batch of one point
+        (:func:`run_capacity_batch`), so a point runs the same
+        simulation batched or not."""
+        return run_capacity_batch(self.name, [(machine, params)])[0]
 
 
 # ----------------------------- matmul ---------------------------------- #
@@ -727,6 +727,10 @@ def _trace_kernel(name: str, run: Callable[[MachineSpec, Mapping[str, Any]],
 def _needs_levels(machine: MachineSpec, params: Mapping[str, Any]) -> None:
     require(machine.levels is not None,
             "matmul-hierarchy needs a machine with `levels`")
+    require(machine.policy != "belady",
+            "machine.policy=belady: a hierarchy simulates its levels "
+            "access by access, and belady is offline; pick an online "
+            "policy")
 
 
 #: matmul-cache's parameters with this kernel's own blocking defaults,

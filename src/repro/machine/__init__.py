@@ -13,7 +13,10 @@ Section 6 viewpoints:
   Kernels emit address traces (:mod:`repro.machine.trace`), and a write-back
   write-allocate cache with a pluggable replacement policy
   (:mod:`repro.machine.policies`) produces Nehalem-style counters
-  (``LLC_VICTIMS.M``, ``LLC_VICTIMS.E``, ``LLC_S_FILLS.E``).
+  (``LLC_VICTIMS.M``, ``LLC_VICTIMS.E``, ``LLC_S_FILLS.E``) one access
+  at a time; :func:`repro.machine.fastsim.sweep` computes the same
+  counters for whole traces through fully-associative LRU, Belady,
+  clock and segmented-LRU caches, every capacity at once.
 """
 
 from repro.util import lazy_exports
@@ -24,9 +27,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": ("CacheSim", "CacheStats"),
     "multicache": ("CacheHierarchySim",),
     "energy": ("EnergyModel",),
-    "policies": ("POLICIES", "BeladyPolicy", "ClockPolicy", "FIFOPolicy",
-                 "LRUPolicy", "RandomPolicy", "SegmentedLRUPolicy",
-                 "make_policy"),
+    "policies": ("POLICIES", "ClockPolicy", "FIFOPolicy", "LRUPolicy",
+                 "RandomPolicy", "SegmentedLRUPolicy", "make_policy"),
     "trace": ("TraceBuffer",),
     "arrays": ("TracedMatrix", "TracedVector", "AddressSpace"),
 })

@@ -23,20 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.machine.policies import (
-    BeladyPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.machine.policies import ReplacementPolicy, make_policy
 from repro.machine.trace import Trace
 from repro.util import check_positive_int
 
-__all__ = ["CacheSim", "CacheStats", "SWEPT_POLICIES"]
-
-#: the policies :func:`repro.machine.fastsim.sweep` folds: a whole trace
-#: through a fully-associative cache under one of them goes through the
-#: sweep (under an online one, from a cache that holds no line).
-SWEPT_POLICIES = ("lru", "belady", "clock", "segmented-lru")
+__all__ = ["CacheSim", "CacheStats"]
 
 
 @dataclass
@@ -73,7 +64,8 @@ class CacheStats:
 
 
 class CacheSim:
-    """A single cache level fed by word-address traces.
+    """A single cache level fed by word-address traces, one access at a
+    time.
 
     Parameters
     ----------
@@ -82,9 +74,10 @@ class CacheSim:
     line_size:
         Words per cache line (default 8 ≈ 64-byte lines of float64).
     policy:
-        Replacement policy name (see :data:`repro.machine.policies.POLICIES`)
-        or a policy *class*.  ``"belady"`` selects the offline ideal-cache
-        simulation.
+        Online replacement policy name (see
+        :data:`repro.machine.policies.POLICIES`).  ``"belady"`` raises
+        ``ValueError``: the offline ideal cache needs the whole trace,
+        and :func:`repro.machine.fastsim.sweep` simulates it.
     associativity:
         Lines per set; ``None`` (default) means fully associative.
     rng:
@@ -97,22 +90,17 @@ class CacheSim:
     Notes
     -----
     Addresses are **word** addresses; the simulator maps them to lines.
-    ``run(addrs, writes)`` replays a whole trace; ``access(addr, write)``
-    is the single-step form.  Traces may also be supplied pre-translated to
-    line ids via ``run_lines``.
+    ``access(addr, write)`` is the single step; ``run(addrs, writes)``,
+    ``run_lines`` (pre-translated line ids) and ``run_trace`` loop it
+    over a whole trace, and the cache stays resumable after each.
 
-    Whole-trace replays go through :func:`repro.machine.fastsim.sweep`
-    whenever it has a fold for the cache: every Belady run, and every
-    fully-associative LRU, clock or segmented-LRU run that starts with
-    no line resident.  The policy state (LRU order, clock slots, marks
-    and hand, segmented-LRU halves), the dirty bits and the last
-    victim are rebuilt from the fold's end state, so ``flush()`` and
-    further accesses carry on exactly as after the per-access loop.
-    The sweep folds a tile-chunked trace (``run_trace``) at
-    super-symbol granularity and any other trace as one-line visits.
-    Everything else — set-associative caches, FIFO and random, a cache
-    that already holds lines — takes the per-access policy loop, which
-    is also the oracle the test suite holds the folds to.
+    This per-access loop simulates set-associative caches, FIFO and
+    random replacement and the levels of
+    :class:`~repro.machine.multicache.CacheHierarchySim`, and it is the
+    oracle the test suite holds the folds of
+    :func:`repro.machine.fastsim.sweep` to.  The sweep is the one
+    whole-trace simulation of fully-associative LRU, Belady, clock and
+    segmented LRU: the lab's trace kernels send those points there.
     """
 
     def __init__(
@@ -132,6 +120,10 @@ class CacheSim:
                 f"capacity_words={capacity_words} must be a multiple of "
                 f"line_size={line_size}"
             )
+        if policy == "belady":
+            raise ValueError(
+                "belady is an offline policy: simulate whole traces with "
+                "repro.machine.fastsim.sweep")
         self.capacity_lines = capacity_words // line_size
         self.line_size = line_size
         self.policy_name = policy
@@ -155,24 +147,16 @@ class CacheSim:
         ]
         self._dirty: dict[int, bool] = {}
         self.stats = CacheStats()
-        self._offline = isinstance(self._sets[0], BeladyPolicy)
         #: line id evicted by the most recent access (None if no eviction);
         #: used by CacheHierarchySim to propagate write-backs downward.
         self._last_victim: Optional[int] = None
         self._last_victim_dirty: bool = False
 
-    # ------------------------------------------------------------------ #
-    # online path
-    # ------------------------------------------------------------------ #
     def _set_of(self, line: int) -> ReplacementPolicy:
         return self._sets[line % self.num_sets]
 
     def access(self, addr: int, write: bool = False) -> None:
-        """Access one word address (online policies only)."""
-        if self._offline:
-            raise RuntimeError(
-                "Belady policy is offline; collect a trace and call run()"
-            )
+        """Access one word address."""
         self._access_line(addr // self.line_size, write)
 
     def _access_line(self, line: int, write: bool) -> None:
@@ -208,9 +192,6 @@ class CacheSim:
         writes = np.asarray(writes, dtype=bool)
         if lines.shape != writes.shape:
             raise ValueError("lines and writes must have matching shapes")
-        policy = self._sweep_policy()
-        if policy is not None:
-            return self._run_sweep(policy, Trace(lines, writes, None))
         acc = self._access_line
         for line, w in zip(lines.tolist(), writes.tolist()):
             acc(line, w)
@@ -222,15 +203,8 @@ class CacheSim:
         return self.run_lines(addrs // self.line_size, writes)
 
     def run_trace(self, trace: Trace) -> CacheStats:
-        """Replay a finalized :class:`~repro.machine.trace.Trace`.
-
-        Identical counters to ``run_lines(trace.lines, trace.writes)``;
-        the difference is speed: a sweep replay (see the class notes)
-        folds a tile-chunked trace at super-symbol granularity.
-        """
-        policy = self._sweep_policy()
-        if policy is not None:
-            return self._run_sweep(policy, trace)
+        """Replay a finalized :class:`~repro.machine.trace.Trace`:
+        ``run_lines(trace.lines, trace.writes)``."""
         return self.run_lines(trace.lines, trace.writes)
 
     def flush(self) -> CacheStats:
@@ -241,9 +215,6 @@ class CacheSim:
         flush write-backs are reported separately but included in
         ``writebacks``.
         """
-        if self._offline:
-            # Offline runs flush internally at the end of run().
-            return self.stats
         for pol in self._sets:
             for tag in list(pol.tags):
                 pol.remove(tag)
@@ -256,56 +227,3 @@ class CacheSim:
     @property
     def resident_lines(self) -> int:
         return len(self._dirty)
-
-    # ------------------------------------------------------------------ #
-    # sweep path: whole traces through fastsim
-    # ------------------------------------------------------------------ #
-    def _sweep_policy(self) -> Optional[str]:
-        """The :func:`~repro.machine.fastsim.sweep` policy a whole-trace
-        replay of this cache goes through, or ``None`` for the
-        per-access loop."""
-        if self._offline:
-            return "belady"
-        if (self.num_sets == 1 and not self._dirty
-                and self.policy_name in SWEPT_POLICIES):
-            return self.policy_name
-        return None
-
-    def _run_sweep(self, policy: str, trace: Trace) -> CacheStats:
-        """Replay *trace* through :func:`repro.machine.fastsim.sweep` at
-        this capacity under *policy*.  Offline runs fold their
-        end-of-trace flush in; online runs rebuild their policy state,
-        dirty bits and last victim from the fold's end state, so
-        ``flush()`` and further accesses behave exactly as if the
-        per-access loop had run."""
-        from repro.machine.fastsim import sweep
-
-        cap = self.capacity_lines
-        res = sweep(trace, {policy: [cap]})[policy]
-        st = res.stats(cap, include_flush=self._offline)
-        mine = self.stats
-        mine.accesses += st.accesses
-        mine.hits += st.hits
-        mine.misses += st.misses
-        mine.fills += st.fills
-        mine.victims_m += st.victims_m
-        mine.victims_e += st.victims_e
-        mine.flush_writebacks += st.flush_writebacks
-        pol = self._sets[0]
-        if policy == "lru":
-            resident, dirty = res.end_state(cap)
-            pol.restore(resident.tolist())  # type: ignore[attr-defined]
-            self._dirty = dict(zip(resident.tolist(), dirty.tolist()))
-        elif res.ends is not None:
-            end = res.ends[0]
-            if policy == "clock":
-                pol.restore(  # type: ignore[attr-defined]
-                    end.slots, end.marks, end.hand)
-                self._dirty = end.dirty
-            else:
-                pol.restore(end.read, end.write)  # type: ignore[attr-defined]
-                self._dirty = dict.fromkeys(end.read, False)
-                self._dirty.update(dict.fromkeys(end.write, True))
-            self._last_victim = end.last_victim
-            self._last_victim_dirty = end.last_victim_dirty
-        return mine

@@ -21,7 +21,8 @@ super-symbol granularity; any other trace folds as one-line visits
 (:func:`~repro.machine.fastsim.symbols.line_symbols`).  Both streams
 give bit-identical counters, so the choice is speed only.
 Set-associative caches, FIFO and random replacement take
-:class:`~repro.machine.cache.CacheSim`'s per-access loop instead.
+:class:`~repro.machine.cache.CacheSim`'s per-access loop instead, and
+Belady runs nowhere else: the ideal cache is fully associative.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.machine.cache import SWEPT_POLICIES
 from repro.machine.fastsim.lru import SweepResult
 from repro.machine.fastsim.symbols import (
     SymbolTrace,
@@ -40,6 +40,7 @@ from repro.machine.fastsim.symbols import (
     symbolize,
 )
 from repro.machine.trace import Trace, sorted_distinct
+from repro.names import SWEPT_POLICIES
 
 __all__ = ["sweep"]
 
@@ -57,19 +58,10 @@ def _check_caps(capacities: Union[Sequence[int], np.ndarray]
     return caps
 
 
-def _empty(policy: str, caps: np.ndarray) -> SweepResult:
-    """Zero counters of the empty trace (an LRU result keeps an empty
-    end-of-trace stack, so the cache stays resumable)."""
-    def zeros() -> np.ndarray:
-        return np.zeros(len(caps), dtype=np.int64)
-
-    res = SweepResult(0, caps, zeros(), zeros(), zeros(), zeros(),
-                      zeros(), zeros(), zeros())
-    if policy == "lru":
-        res.stack_lines = np.empty(0, dtype=np.int64)
-        res.stack_has_write = np.empty(0, dtype=bool)
-        res.stack_m = np.empty(0, dtype=np.int64)
-    return res
+def _empty(caps: np.ndarray) -> SweepResult:
+    """Zero counters of the empty trace."""
+    zeros = [np.zeros(len(caps), dtype=np.int64) for _ in range(7)]
+    return SweepResult(0, caps, *zeros)
 
 
 def sweep(trace: Trace,
@@ -98,7 +90,7 @@ def sweep(trace: Trace,
     if lines.shape != writes.shape or lines.ndim != 1:
         raise ValueError("lines and writes must be matching 1-d arrays")
     if len(lines) == 0:
-        return {policy: _empty(policy, c) for policy, c in caps.items()}
+        return {policy: _empty(c) for policy, c in caps.items()}
     st: Optional[SymbolTrace] = None
     if trace.chunk_lens is not None:
         st = symbolize(lines, writes, trace.chunk_lens)

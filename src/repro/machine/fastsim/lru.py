@@ -41,7 +41,7 @@ no approximation anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -57,10 +57,8 @@ class SweepResult:
     which is sorted ascending and in units of cache lines).
 
     Every fold of :func:`repro.machine.fastsim.sweep` returns this
-    type.  LRU results also carry the end-of-trace stack and clock and
-    segmented-LRU results their per-capacity ``ends``, which
-    :class:`CacheSim` rebuilds its resumable state from; Belady runs
-    hold no resumable state, so theirs stay ``None``.
+    type: counters only, from an empty cache through the end-of-trace
+    flush.
     """
 
     accesses: int
@@ -72,16 +70,6 @@ class SweepResult:
     victims_e: np.ndarray
     flush_writebacks: np.ndarray
     flush_victims_e: np.ndarray
-    #: end-of-trace LRU stack, least- to most-recently used: line ids,
-    #: whether the line was ever written, and its max post-write fill
-    #: distance (the dirty threshold M above).
-    stack_lines: Optional[np.ndarray] = None
-    stack_has_write: Optional[np.ndarray] = None
-    stack_m: Optional[np.ndarray] = None
-    #: per-capacity end state of the clock and segmented-LRU folds
-    #: (:mod:`repro.machine.fastsim.scalar`), which :class:`CacheSim`
-    #: rebuilds its policy from.
-    ends: Optional[list] = None
     #: tile super-symbols the fold ran over; ``None`` for one-line
     #: visits.
     n_symbols: Optional[int] = None
@@ -104,9 +92,8 @@ class SweepResult:
 
         With ``include_flush`` the numbers equal a ``CacheSim`` replay
         *plus* ``flush()`` (clean flushes folded into ``victims_e``,
-        exactly as :meth:`CacheSim.flush` counts them; an offline Belady
-        run always flushes this way); without it they cover the
-        evictions alone.
+        exactly as :meth:`CacheSim.flush` and the Belady reference heap
+        count them); without it they cover the evictions alone.
         """
         k = self.index_of(capacity_lines)
         victims_e = int(self.victims_e[k])
@@ -123,19 +110,3 @@ class SweepResult:
             victims_e=victims_e,
             flush_writebacks=flush_wb,
         )
-
-    def end_state(self, capacity_lines: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Resident lines in LRU→MRU order and their dirty bits, as the
-        cache of this capacity would hold them after the trace (used by
-        :class:`CacheSim` to stay a resumable online simulator after a
-        batched replay).  LRU results only."""
-        c = int(capacity_lines)
-        self.index_of(c)  # validate membership
-        if (self.stack_lines is None or self.stack_has_write is None
-                or self.stack_m is None):
-            raise ValueError("this sweep carries no end-of-trace stack")
-        resident = self.stack_lines[-c:] if c else self.stack_lines[:0]
-        hw = self.stack_has_write[len(self.stack_lines) - len(resident):]
-        m = self.stack_m[len(self.stack_lines) - len(resident):]
-        return resident, hw & (m < c)

@@ -6,11 +6,9 @@ the visit stream (:mod:`repro.machine.fastsim.symbols`), built once per
 :func:`repro.machine.fastsim.sweep` call whatever the number of
 capacities and policies.  Each fold starts from an empty cache and
 leaves, per capacity, the counters of :class:`repro.machine.cache.
-CacheSim`'s per-access loop plus the end state that loop would leave
-(:class:`ClockEnd`, :class:`SegmentedEnd`), which ``CacheSim`` rebuilds
-its policy from.  Lines are named by their position in ``sym_lines``
-(footprints are disjoint, so a position is a line) until the end state
-translates them back.
+CacheSim`'s per-access loop plus ``flush()``.  Lines are named by their
+position in ``sym_lines`` (footprints are disjoint, so a position is a
+line); only the counters leave the fold.
 
 * **Clock** (:func:`fold_clock`) — the 3-bit clock of
   :class:`~repro.machine.policies.ClockPolicy` over the per-event
@@ -47,8 +45,7 @@ translates them back.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,40 +54,11 @@ from repro.machine.fastsim.profile import phase
 from repro.machine.fastsim.symbols import SymbolTrace
 from repro.machine.policies import ClockPolicy
 
-__all__ = ["ClockEnd", "SegmentedEnd", "fold_clock", "fold_segmented_lru"]
-
-
-class ClockEnd(NamedTuple):
-    """A clock cache after the trace, as the per-access loop leaves it
-    from an empty set with the hand at slot 0."""
-
-    #: resident line per slot, ``None`` for an empty slot.
-    slots: List[Optional[int]]
-    #: mark per slot (0 for an empty slot).
-    marks: List[int]
-    hand: int
-    #: dirty bit per resident line.
-    dirty: Dict[int, bool]
-    #: the line the last access evicted and whether it was dirty
-    #: (``None``/``False`` when it evicted nothing).
-    last_victim: Optional[int]
-    last_victim_dirty: bool
-
-
-class SegmentedEnd(NamedTuple):
-    """A segmented-LRU cache after the trace: each half's lines, least
-    to most recently used.  Read-half lines are clean, write-half lines
-    dirty."""
-
-    read: List[int]
-    write: List[int]
-    last_victim: Optional[int]
-    last_victim_dirty: bool
+__all__ = ["fold_clock", "fold_segmented_lru"]
 
 
 def _result(st: SymbolTrace, caps: np.ndarray,
-            per_cap: List[Tuple[int, int, int, int]],
-            ends: list) -> SweepResult:
+            per_cap: List[Tuple[int, int, int, int]]) -> SweepResult:
     """A :class:`SweepResult` from per-capacity ``(victims_m,
     victims_e, resident, dirty residents)`` at the end of the trace.
     Every miss fills, and each fill is still resident or was evicted,
@@ -102,28 +70,19 @@ def _result(st: SymbolTrace, caps: np.ndarray,
         accesses=st.n_events, capacities=caps, hits=st.n_events - misses,
         misses=misses, fills=misses.copy(), victims_m=vm, victims_e=ve,
         flush_writebacks=dirty, flush_victims_e=resident - dirty,
-        ends=ends, n_symbols=st.n_symbols if st.tiles else None)
-
-
-def _parts(ids: List[int], writes: List[bool]) -> tuple:
-    """The events as two parts, all but the last and the last, so a
-    loop learns whether the last access evicted (it counts no hits:
-    hits are the accesses less the fills)."""
-    return (zip(islice(ids, len(ids) - 1), writes),
-            ((ids[-1], writes[-1]),))
+        n_symbols=st.n_symbols if st.tiles else None)
 
 
 def fold_clock(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
-    """Exact clock counters and end states at every capacity in *caps*
-    (sorted, unique), each from an empty cache."""
+    """Exact clock counters at every capacity in *caps* (sorted,
+    unique), each from an empty cache."""
     with phase("scalar_replay"):
         pos_l = st.positions().tolist()
         w_l = np.repeat(st.visit_writes,
                         st.sym_sizes[st.visits]).tolist()
-        lines_l = st.sym_lines.tolist()
-        L = len(lines_l)
+        L = len(st.sym_lines)
         top = ClockPolicy.MAX_MARK
-        per_cap, ends = [], []
+        per_cap = []
         for cap in caps.tolist():
             where = [-1] * L
             dirty = [False] * L
@@ -131,60 +90,48 @@ def fold_clock(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             rel = [-1] * cap
             off = hand = resident = 0
             victims_m = victims_e = 0
-            victim = -1
-            for events in _parts(pos_l, w_l):
-                before = victims_m + victims_e
-                for g, w in events:
-                    i = where[g]
-                    if i >= 0:
-                        if w:
-                            dirty[g] = True
-                        if rel[i] - off < top:
-                            rel[i] += 1
-                        continue
-                    if resident < cap:
-                        i = resident
-                        resident += 1
-                    else:
+            for g, w in zip(pos_l, w_l):
+                i = where[g]
+                if i >= 0:
+                    if w:
+                        dirty[g] = True
+                    if rel[i] - off < top:
+                        rel[i] += 1
+                    continue
+                if resident < cap:
+                    i = resident
+                    resident += 1
+                else:
+                    try:
+                        i = rel.index(off, hand)
+                    except ValueError:
                         try:
-                            i = rel.index(off, hand)
+                            i = rel.index(off)
                         except ValueError:
+                            off = min(rel)
                             try:
-                                i = rel.index(off)
+                                i = rel.index(off, hand)
                             except ValueError:
-                                off = min(rel)
-                                try:
-                                    i = rel.index(off, hand)
-                                except ValueError:
-                                    i = rel.index(off)
-                        victim = slots[i]
-                        where[victim] = -1
-                        if dirty[victim]:
-                            victims_m += 1
-                        else:
-                            victims_e += 1
-                        hand = i + 1 if i + 1 < cap else 0
-                    slots[i] = g
-                    rel[i] = off + 1
-                    where[g] = i
-                    dirty[g] = w
-            held = slots[:resident]
-            n_dirty = sum(dirty[g] for g in held)
+                                i = rel.index(off)
+                    victim = slots[i]
+                    where[victim] = -1
+                    if dirty[victim]:
+                        victims_m += 1
+                    else:
+                        victims_e += 1
+                    hand = i + 1 if i + 1 < cap else 0
+                slots[i] = g
+                rel[i] = off + 1
+                where[g] = i
+                dirty[g] = w
+            n_dirty = sum(dirty[g] for g in slots[:resident])
             per_cap.append((victims_m, victims_e, resident, n_dirty))
-            last = victims_m + victims_e > before
-            ends.append(ClockEnd(
-                slots=[lines_l[g] for g in held] + [None] * (cap - resident),
-                marks=[0 if r < 0 else r - off for r in rel],
-                hand=hand,
-                dirty={lines_l[g]: dirty[g] for g in held},
-                last_victim=lines_l[victim] if last else None,
-                last_victim_dirty=last and dirty[victim]))
-    return _result(st, caps, per_cap, ends)
+    return _result(st, caps, per_cap)
 
 
 def fold_segmented_lru(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
-    """Exact segmented-LRU counters and end states at every capacity in
-    *caps* (sorted, unique), each from an empty cache."""
+    """Exact segmented-LRU counters at every capacity in *caps*
+    (sorted, unique), each from an empty cache."""
     with phase("scalar_replay"):
         args = (st.visits.tolist(), st.visit_writes.tolist())
         if st.tiles:
@@ -192,69 +139,50 @@ def fold_segmented_lru(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             args += (st.sym_sizes.tolist(), st.sym_offsets.tolist())
         else:
             replay = _segmented_lines
-        lines_l = st.sym_lines.tolist()
-        per_cap, ends = [], []
-        for cap in caps.tolist():
-            (victims_m, victims_e, read, write, victim, victim_dirty,
-             last) = replay(cap, *args)
-            per_cap.append((victims_m, victims_e, len(read) + len(write),
-                            len(write)))
-            ends.append(SegmentedEnd(
-                read=[lines_l[g] for g in read],
-                write=[lines_l[g] for g in write],
-                last_victim=lines_l[victim] if last else None,
-                last_victim_dirty=last and victim_dirty))
-    return _result(st, caps, per_cap, ends)
+        per_cap = [replay(cap, *args) for cap in caps.tolist()]
+    return _result(st, caps, per_cap)
 
 
-def _segmented_lines(cap: int, visits_l: List[int], w_l: List[bool]):
+def _segmented_lines(cap: int, visits_l: List[int], w_l: List[bool]
+                     ) -> Tuple[int, int, int, int]:
     """Segmented LRU over one-line visits: each half a dict of
     positions, least recently used first.  Returns the victim counts,
-    both halves' positions, the last victim, whether it was dirty and
-    whether the last access evicted it."""
+    the lines resident at the end and the dirty ones among them."""
     read_cap = max(1, cap // 2)
     read: dict = {}
     write: dict = {}
     resident = 0
     victims_m = victims_e = 0
-    victim = -1
-    victim_dirty = False
-    for events in _parts(visits_l, w_l):
-        before = victims_m + victims_e
-        for g, w in events:
-            if g in write:
-                del write[g]
-                write[g] = None
-                continue
-            if g in read:
-                del read[g]
-                if w:
-                    write[g] = None
-                else:
-                    read[g] = None
-                continue
-            if resident < cap:
-                resident += 1
-            else:
-                victim_dirty = len(read) < read_cap
-                if victim_dirty:
-                    victim = next(iter(write))
-                    del write[victim]
-                    victims_m += 1
-                else:
-                    victim = next(iter(read))
-                    del read[victim]
-                    victims_e += 1
+    for g, w in zip(visits_l, w_l):
+        if g in write:
+            del write[g]
+            write[g] = None
+            continue
+        if g in read:
+            del read[g]
             if w:
                 write[g] = None
             else:
                 read[g] = None
-    return (victims_m, victims_e, list(read), list(write), victim,
-            victim_dirty, victims_m + victims_e > before)
+            continue
+        if resident < cap:
+            resident += 1
+        elif len(read) < read_cap:
+            del write[next(iter(write))]
+            victims_m += 1
+        else:
+            del read[next(iter(read))]
+            victims_e += 1
+        if w:
+            write[g] = None
+        else:
+            read[g] = None
+    return victims_m, victims_e, resident, len(write)
 
 
 def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
-                      sizes_l: List[int], offs_l: List[int]):
+                      sizes_l: List[int], offs_l: List[int]
+                      ) -> Tuple[int, int, int, int]:
     """Segmented LRU over tile visits, one block of positions per
     symbol and half (module notes); returns what
     :func:`_segmented_lines` does."""
@@ -263,9 +191,6 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
     write: dict = {}
     n_read = n_write = 0
     victims_m = victims_e = 0
-    victim = -1
-    victim_dirty = False
-    evicted = False  # whether the latest access evicted
     for s, w in zip(visits_l, w_l):
         z = sizes_l[s]
         wb = write.get(s)
@@ -273,12 +198,10 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
         if rb is None:
             if wb is not None and len(wb) == z:
                 # Every line dirty and resident: all hits.
-                evicted = False
                 del write[s]
                 write[s] = wb
                 continue
         elif len(rb) + (len(wb) if wb else 0) == z:
-            evicted = False
             del read[s]
             if w:
                 # The read block joins the write half.
@@ -298,7 +221,6 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
         # under key ~s until its old ones are used up.
         ns = ~s
         for g in range(offs_l[s], offs_l[s] + z):
-            evicted = False
             if wb and wb[0] == g:
                 del wb[0]
                 if not wb:
@@ -316,9 +238,7 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
                     half = read
             else:
                 if n_read + n_write >= cap:
-                    evicted = True
-                    victim_dirty = n_read < read_cap
-                    if victim_dirty:
+                    if n_read < read_cap:
                         victim_half = write
                         n_write -= 1
                         victims_m += 1
@@ -328,7 +248,6 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
                         victims_e += 1
                     k = next(iter(victim_half))
                     blk = victim_half[k]
-                    victim = blk[0]
                     del blk[0]
                     if not blk:
                         del victim_half[k]
@@ -351,7 +270,4 @@ def _segmented_blocks(cap: int, visits_l: List[int], w_l: List[bool],
         blk = read.pop(ns, None)
         if blk is not None:
             read[s] = blk
-    return (victims_m, victims_e,
-            [g for blk in read.values() for g in blk],
-            [g for blk in write.values() for g in blk], victim,
-            victim_dirty, evicted)
+    return victims_m, victims_e, n_read + n_write, n_write

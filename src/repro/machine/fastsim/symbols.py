@@ -374,14 +374,6 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
         add_ranges("flush_writebacks", flush_lo, top)
         clean_flush_hi = np.where(hw_l, np.maximum(ub(m_l), ub_e), top)
         add_ranges("flush_victims_e", ub_e, clean_flush_hi)
-
-        # LRU -> MRU stack: ascending last-visit start, positions
-        # ascending within a footprint.
-        ord_asc = ord_desc[::-1]
-        za = st.sym_sizes[ord_asc]
-        blk_a = np.repeat(np.cumsum(za) - za, za)
-        idx = (np.repeat(st.sym_offsets[ord_asc], za)
-               + np.arange(L, dtype=np.int64) - blk_a)
     return SweepResult(
         accesses=n,
         capacities=caps,
@@ -394,9 +386,6 @@ def fold_lru_symbols(st: SymbolTrace, caps: np.ndarray) -> SweepResult:
             acc["flush_writebacks"])[:K].astype(np.int64),
         flush_victims_e=np.cumsum(
             acc["flush_victims_e"])[:K].astype(np.int64),
-        stack_lines=st.sym_lines[idx],
-        stack_has_write=np.repeat(hw_s[ord_asc], za),
-        stack_m=np.repeat(m_s[ord_asc], za),
         n_symbols=st.n_symbols if st.tiles else None,
     )
 

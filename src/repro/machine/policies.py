@@ -11,13 +11,9 @@ The contract is:
 * ``remove(tag)`` — line was evicted or flushed;
 * ``tags`` — iterable of resident tags.
 
-The per-access loop over these methods is the one online simulation
-path of set-associative caches, FIFO and random replacement, and of any
-cache that already holds lines.  A whole trace through an empty
-fully-associative LRU, clock or segmented-LRU cache folds in
-:func:`repro.machine.fastsim.sweep` instead, exact to this loop; the
-cache then sets the policy's state from the fold's end
-(``restore``).
+The per-access loop over these methods is the online simulator, and
+the oracle the whole-trace folds of :func:`repro.machine.fastsim.sweep`
+are held to for fully-associative LRU, clock and segmented LRU.
 
 Policies implemented:
 
@@ -30,15 +26,14 @@ Policies implemented:
 * :class:`SegmentedLRUPolicy` — the read-half/write-half reservation LRU of
   Blelloch et al. [12, Lemma 2.1], included for comparison in the Section 6
   experiments.
-* :class:`BeladyPolicy` — marker class;
-  :class:`~repro.machine.cache.CacheSim` detects it and runs the offline
-  optimal (ideal-cache) simulation through
-  :func:`repro.machine.fastsim.sweep`.
+
+Belady's offline MIN has no policy object: it needs the whole trace, so
+only :func:`repro.machine.fastsim.sweep` simulates it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -51,7 +46,6 @@ __all__ = [
     "RandomPolicy",
     "ClockPolicy",
     "SegmentedLRUPolicy",
-    "BeladyPolicy",
     "POLICIES",
     "make_policy",
 ]
@@ -112,11 +106,6 @@ class LRUPolicy(ReplacementPolicy):
 
     def remove(self, tag: int) -> None:
         del self._order[tag]
-
-    def restore(self, order: List[int]) -> None:
-        """Take the least- to most-recently used lines of a whole-trace
-        fold."""
-        self._order = dict.fromkeys(order)
 
     @property
     def tags(self) -> Iterable[int]:
@@ -246,21 +235,6 @@ class ClockPolicy(ReplacementPolicy):
         self._slots[i] = None
         self._marks[i] = 0
 
-    def restore(self, slots: List[Optional[int]], marks: List[int],
-                hand: int) -> None:
-        """Take the slots, marks and hand a whole-trace fold ended with.
-
-        The fold ran from an empty set with its hand at slot 0, and
-        this set is empty with its hand at ``h``.  Fills start from the
-        hand and every search is cyclic from it, so this set ends as
-        the fold did, turned by ``h`` slots."""
-        h = self._hand
-        self._slots = slots[-h:] + slots[:-h] if h else list(slots)
-        self._marks = marks[-h:] + marks[:-h] if h else list(marks)
-        self._where = {t: i for i, t in enumerate(self._slots)
-                       if t is not None}
-        self._hand = (hand + h) % self.capacity
-
     @property
     def tags(self) -> Iterable[int]:
         return list(self._where.keys())
@@ -323,12 +297,6 @@ class SegmentedLRUPolicy(ReplacementPolicy):
         else:
             del self._write[tag]
 
-    def restore(self, read: List[int], write: List[int]) -> None:
-        """Take both halves, least to most recently used, from a
-        whole-trace fold."""
-        self._read = dict.fromkeys(read)
-        self._write = dict.fromkeys(write)
-
     @property
     def tags(self) -> Iterable[int]:
         return list(self._read.keys()) + list(self._write.keys())
@@ -337,47 +305,12 @@ class SegmentedLRUPolicy(ReplacementPolicy):
         return len(self._read) + len(self._write)
 
 
-class BeladyPolicy(ReplacementPolicy):
-    """Marker for the offline optimal (ideal-cache) policy.
-
-    :class:`~repro.machine.cache.CacheSim` detects this policy and runs the
-    farthest-next-use (Belady/MIN) simulation over the whole trace instead
-    of the online per-access loop.  The online methods below are therefore
-    never exercised during a normal run.
-    """
-
-    name = "belady"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-
-    def touch(self, tag: int, write: bool) -> None:  # pragma: no cover
-        raise RuntimeError("Belady is an offline policy; use CacheSim.run")
-
-    def add(self, tag: int, write: bool) -> None:  # pragma: no cover
-        raise RuntimeError("Belady is an offline policy; use CacheSim.run")
-
-    def choose_victim(self) -> int:  # pragma: no cover
-        raise RuntimeError("Belady is an offline policy; use CacheSim.run")
-
-    def remove(self, tag: int) -> None:  # pragma: no cover
-        raise RuntimeError("Belady is an offline policy; use CacheSim.run")
-
-    @property
-    def tags(self) -> Iterable[int]:  # pragma: no cover
-        return ()
-
-    def __len__(self) -> int:  # pragma: no cover
-        return 0
-
-
 POLICIES = {
     "lru": LRUPolicy,
     "fifo": FIFOPolicy,
     "random": RandomPolicy,
     "clock": ClockPolicy,
     "segmented-lru": SegmentedLRUPolicy,
-    "belady": BeladyPolicy,
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import MATMUL_SCHEMES, hierarchical_task_order, matmul_trace
 from repro.machine import CacheSim
+from repro.machine.fastsim import sweep
 
 
 def run_scheme(scheme, m, n, l, cap_words, *, b3=16, b2=8, base=4,
@@ -141,9 +142,10 @@ class TestProposition61:
 
     def test_writeback_floor_is_exact_output(self):
         """No policy can write back fewer than the output lines."""
-        cap = 5 * self.B3 * self.B3 + self.LINE
-        for policy in ("lru", "clock", "belady"):
-            sim = run_scheme("wa2", self.M, self.N, self.L, cap,
+        cap = (5 * self.B3 * self.B3 + self.LINE) // self.LINE
+        trace = matmul_trace(self.M, self.N, self.L, scheme="wa2",
                              b3=self.B3, b2=self.B2, base=self.BASE,
-                             line=self.LINE, policy=policy)
-            assert sim.stats.writebacks >= self.c_lines()
+                             line_size=self.LINE).finalize_trace()
+        policies = ("lru", "clock", "belady")
+        for res in sweep(trace, dict.fromkeys(policies, [cap])).values():
+            assert res.stats(cap).writebacks >= self.c_lines()

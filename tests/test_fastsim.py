@@ -178,17 +178,13 @@ class TestSweepEquivalence:
         self.check(lines, writes, [49])  # 3 * 8^2 / 4 + 1
 
     def test_empty_trace(self):
+        policies = ("lru", "belady", "clock", "segmented-lru")
         for trace in shapes([], []):
-            res = sweep(trace, {"lru": [4, 8], "belady": [4, 8]})
+            res = sweep(trace, dict.fromkeys(policies, [4, 8]))
+            assert sorted(res) == sorted(policies)
             for r in res.values():
                 assert r.accesses == 0
-                assert r.stats(4) == CacheStats()
-            assert res["lru"].end_state(8)[0].tolist() == []
-            for policy in ("lru", "belady"):
-                sim = CacheSim(4, line_size=1, policy=policy)
-                sim.run_trace(trace)
-                sim.flush()
-                assert sim.stats == CacheStats()
+                assert r.stats(4) == r.stats(8) == CacheStats()
 
     def test_capacity_validation(self):
         trace = Trace(np.array([1]), np.array([True]), None)
@@ -207,61 +203,34 @@ class TestSweepEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# CacheSim's LRU replays: per-access loop vs one-line vs symbol fold
+# LRU: per-access loop vs one-line vs symbol fold, before the flush
 # --------------------------------------------------------------------- #
 class TestThreeWayLRUParity:
-    def as_tuple(self, st):
-        return (st.accesses, st.hits, st.misses, st.fills, st.victims_m,
-                st.victims_e, st.flush_writebacks)
-
     def test_three_implementations_agree(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             lines, writes = random_trace(rng)
             flat, chunked = shapes(lines, writes)
-            for cap in sorted({1, 3, int(rng.integers(1, 60)),
-                               int(lines.max()) + 2}):
-                # generic per-access path (the policy-object loop)
+            caps = sorted({1, 3, int(rng.integers(1, 60)),
+                           int(lines.max()) + 2})
+            # one-line visits from a sort of the lines, and the same
+            # visits through symbolize
+            lines_fold = sweep(flat, {"lru": caps})["lru"]
+            folded = sweep(chunked, {"lru": caps})["lru"]
+            for cap in caps:
+                # the per-access path (the policy-object loop)
                 generic = CacheSim(cap, line_size=1, policy="lru")
                 assert generic.num_sets == 1
                 for ln, w in zip(lines.tolist(), writes.tolist()):
                     generic.access(ln, w)
-                # one-line visits from a sort of the lines
-                lines_fold = CacheSim(cap, line_size=1, policy="lru")
-                lines_fold.run_trace(flat)
-                # the same visits through symbolize
-                folded = CacheSim(cap, line_size=1, policy="lru")
-                folded.run_trace(chunked)
-                assert (self.as_tuple(generic.stats)
-                        == self.as_tuple(lines_fold.stats)
-                        == self.as_tuple(folded.stats))
-                # identical LRU order and dirty bits too
-                assert (list(generic._sets[0]._order)
-                        == list(lines_fold._sets[0]._order)
-                        == list(folded._sets[0]._order))
-                assert generic._dirty == lines_fold._dirty == folded._dirty
-
-    def test_batched_cache_stays_resumable(self):
-        """After a sweep replay, flush() and further accesses behave
-        exactly like the per-access simulator."""
-        rng = np.random.default_rng(5)
-        lines, writes = random_trace(rng, n_events=300, n_lines=30)
-        more_lines, more_writes = random_trace(rng, n_events=100, n_lines=30)
-        for cap in (2, 7, 19, 40):
-            loop = CacheSim(cap, line_size=1, policy="lru")
-            for ln, w in zip(lines.tolist(), writes.tolist()):
-                loop.access(ln, w)
-            swept = CacheSim(cap, line_size=1, policy="lru")
-            swept.run_lines(lines, writes)
-            for sim in (loop, swept):
-                sim.run_lines(more_lines, more_writes)  # warm: the loop
-                sim.flush()
-            assert self.as_tuple(loop.stats) == self.as_tuple(swept.stats)
+                assert (generic.stats
+                        == lines_fold.stats(cap, include_flush=False)
+                        == folded.stats(cap, include_flush=False))
 
     def test_dispatch_requires_empty_cache(self):
+        """``run_lines`` carries on from the lines a cache holds."""
         sim = CacheSim(4, line_size=1, policy="lru")
         sim.access(1, write=True)
-        # warm cache: run_lines must keep exact state, so it falls back
         sim.run_lines(np.array([1, 2, 3]), np.array([False] * 3))
         assert sim.stats.accesses == 4
         assert sim.stats.hits == 1
@@ -334,21 +303,21 @@ class TestOPTSweepEquivalence:
         res = sweep(Trace(np.empty(0, np.int64), np.empty(0, bool), None),
                     {"belady": [4, 8]})["belady"]
         assert res.stats(4) == CacheStats()
-        assert res.stack_lines is None  # Belady holds no resumable stack
-        with pytest.raises(ValueError):
-            res.end_state(4)
 
     def test_cachesim_batched_belady_dispatch(self):
-        """CacheSim routes every offline run through the sweep, with the
-        reference heap's counters."""
+        """Belady's one whole-trace path is the sweep: ``CacheSim``
+        refuses the offline policy, naming the sweep, and a sweep of one
+        capacity has the reference heap's counters."""
+        with pytest.raises(ValueError, match="repro.machine.fastsim.sweep"):
+            CacheSim(4, line_size=1, policy="belady")
         rng = np.random.default_rng(10)
         for _ in range(10):
             lines, writes = random_trace(rng)
             for cap in sorted({1, 5, int(lines.max()) + 2}):
-                sim = CacheSim(cap, line_size=1, policy="belady")
-                sim.run_lines(lines, writes)
-                sim.flush()  # no-op for offline policies
-                assert sim.stats == belady_reference(lines, writes, cap)
+                for trace in shapes(lines, writes):
+                    res = sweep(trace, {"belady": [cap]})["belady"]
+                    assert res.stats(cap) == belady_reference(lines, writes,
+                                                              cap)
 
 
 # --------------------------------------------------------------------- #
@@ -375,9 +344,9 @@ class TestBeladyPreprocessor:
         lru = CacheSim(cap, line_size=4, policy="lru")
         lru.run_lines(lines, writes)
         lru.flush()
-        opt = CacheSim(cap, line_size=4, policy="belady")
-        opt.run_lines(lines, writes)
-        assert opt.stats.fills <= lru.stats.fills
+        opt = sweep(Trace(lines, writes, None),
+                    {"belady": [cap // 4]})["belady"].stats(cap // 4)
+        assert opt.fills <= lru.stats.fills
 
 
 # --------------------------------------------------------------------- #

@@ -475,13 +475,21 @@ class TestRobustnessCLI:
          "matmul-hierarchy needs a machine with `levels`"),
         (HIERARCHY + ["--machine", "three-level", "--set", "middle=0"],
          "middle must be positive, got 0"),
+        (MATMUL_CO + ["--set", "machine.policy=belady",
+                      "--grid", "machine.associativity=1"],
+         "machine.associativity=1"),
+        (HIERARCHY + ["--machine", "three-level",
+                      "--set", "machine.policy=belady"],
+         "machine.policy=belady"),
     ], ids=["b3=0", "middle=0", "l=0", "n=-4", "three-level",
             "associativity=3", "trsm-n=0", "trsm-n=30", "nbody-b=0",
-            "hierarchy-sim-l3", "hierarchy-middle=0"])
+            "hierarchy-sim-l3", "hierarchy-middle=0",
+            "belady-associativity=1", "hierarchy-belady"])
     def test_unrunnable_trace_point_exits_2_naming_the_field(
             self, argv, named, capsys):
         """Each of these points used to be accepted and then fail inside
-        the run, with a remote traceback."""
+        the run, with a remote traceback; a set-associative Belady point
+        exited 0 with the counters of a fully-associative cache."""
         assert lab_main(argv) == 2
         err = capsys.readouterr().err
         assert named in err

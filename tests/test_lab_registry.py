@@ -33,17 +33,28 @@ class TestMachines:
             assert isinstance(sim, (CacheSim, CacheHierarchySim)), name
 
     def test_every_policy_reachable_through_spec(self):
+        """Every online policy builds a per-access simulator, and every
+        policy, Belady included, runs a trace kernel's point."""
         lines = np.arange(64, dtype=np.int64) % 16
         writes = np.zeros(64, dtype=bool)
+        params = {"n": 8, "middle": 8, "scheme": "wa2", "b3": 4, "b2": 2,
+                  "base": 2}
         for policy in POLICIES:
             spec = MachineSpec(cache_words=8 * 4, line_size=4,
                                policy=policy, seed=3)
-            sim = spec.make()
-            sim.run_lines(lines, writes)
-            assert sim.stats.accesses == 64, policy
+            if policy in MACHINE_POLICIES:
+                sim = spec.make()
+                sim.run_lines(lines, writes)
+                assert sim.stats.accesses == 64, policy
+            else:
+                with pytest.raises(ValueError, match="fastsim.sweep"):
+                    spec.make()
+            rec = KERNELS["matmul-cache"].run(spec, params)
+            assert rec["accesses"] > 0 and rec["writebacks"] > 0, policy
 
     def test_policies_are_the_machine_registry(self):
-        assert POLICIES is MACHINE_POLICIES
+        """A machine may name every online policy class, and Belady."""
+        assert set(POLICIES) == set(MACHINE_POLICIES) | {"belady"}
 
     def test_spec_roundtrips_through_dict(self):
         for spec in MACHINES.values():

@@ -369,8 +369,17 @@ class TestSweepLifecycle:
         ({"kernel": "matmul-hierarchy", "set": MATMUL_CO,
           "machine": "sim-l3"},
          "matmul-hierarchy needs a machine with `levels`"),
+        ({"kernel": "matmul-cache", "set": MATMUL_CO,
+          "grid": {"machine.policy": ["belady"],
+                   "machine.associativity": [1]}},
+         "machine.associativity=1"),
+        ({"kernel": "matmul-hierarchy", "set": MATMUL_CO,
+          "machine": "three-level",
+          "grid": {"machine.policy": ["belady"]}},
+         "machine.policy=belady"),
     ], ids=["b3=0", "three-level", "associativity=3", "trsm-n=0",
-            "hierarchy-sim-l3"])
+            "hierarchy-sim-l3", "belady-associativity=1",
+            "hierarchy-belady"])
     def test_unrunnable_trace_point_is_a_400(self, daemon, body, error):
         """These jobs used to be accepted and then fail inside the run."""
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.machine import CacheSim
 from repro.machine.cache import CacheStats
+from repro.machine.fastsim import sweep
 from repro.machine.policies import POLICIES, make_policy
+from repro.machine.trace import Trace
 
 
 def run_trace(policy, capacity_words, lines, writes, line_size=1, **kw):
@@ -16,6 +18,14 @@ def run_trace(policy, capacity_words, lines, writes, line_size=1, **kw):
     )
     sim.run_lines(np.asarray(lines), np.asarray(writes, dtype=bool))
     return sim
+
+
+def belady(capacity_lines, lines, writes):
+    """Belady's counters, flush included: its one simulation, the sweep."""
+    trace = Trace(np.asarray(lines, dtype=np.int64),
+                  np.asarray(writes, dtype=bool), None)
+    return sweep(trace, {"belady": [capacity_lines]})["belady"].stats(
+        capacity_lines)
 
 
 class TestBasicBehaviour:
@@ -87,17 +97,17 @@ class TestLRUSemantics:
         assert sim.stats.misses == 4
 
     def test_fast_path_matches_generic(self):
-        """The sweep replay of a fully-associative LRU must equal a
-        per-access run."""
+        """The sweep of a fully-associative LRU must equal a per-access
+        run, before and after the flush."""
         rng = np.random.default_rng(42)
         lines = rng.integers(0, 50, size=3000)
         writes = rng.random(3000) < 0.3
-        fast = CacheSim(16, line_size=1, policy="lru")
-        fast.run_lines(lines, writes)
+        fast = sweep(Trace(lines, writes, None), {"lru": [16]})["lru"]
         slow = CacheSim(16, line_size=1, policy="lru")
         for ln, w in zip(lines.tolist(), writes.tolist()):
             slow._access_line(ln, w)  # generic path
-        assert fast.stats.as_dict() == slow.stats.as_dict()
+        assert fast.stats(16, include_flush=False) == slow.stats
+        assert fast.stats(16) == slow.flush()
 
 
 class TestSetAssociativity:
@@ -147,14 +157,16 @@ class TestPolicies:
             make_policy("nope", 4)
 
     def test_policy_registry_complete(self):
+        """Every online policy has a class; offline Belady has none."""
         assert set(POLICIES) == {
-            "lru", "fifo", "random", "clock", "segmented-lru", "belady",
+            "lru", "fifo", "random", "clock", "segmented-lru",
         }
 
     def test_online_access_on_belady_raises(self):
-        sim = CacheSim(4, line_size=1, policy="belady")
-        with pytest.raises(RuntimeError):
-            sim.access(0)
+        with pytest.raises(ValueError, match="repro.machine.fastsim.sweep"):
+            CacheSim(4, line_size=1, policy="belady")
+        with pytest.raises(ValueError, match="unknown policy 'belady'"):
+            make_policy("belady", 4)
 
 
 def _feed(sim, via, events):
@@ -173,10 +185,20 @@ def _replay_via(via, policy, capacity, events):
     return _feed(CacheSim(capacity, line_size=1, policy=policy), via, events)
 
 
+def _swept(policy, capacity, events):
+    """The sweep's counters of *events* from an empty cache, before the
+    flush."""
+    trace = Trace(np.array([line for line, _ in events], dtype=np.int64),
+                  np.array([w for _, w in events], dtype=bool), None)
+    return sweep(trace, {policy: [capacity]})[policy].stats(
+        capacity, include_flush=False)
+
+
 @pytest.mark.parametrize("via", ["access", "run_lines"])
 class TestKnownAnswers:
-    """Hand-derived end states, held by the per-access loop and by the
-    whole-trace replay alike."""
+    """Hand-derived end states of the per-access loop, fed one access
+    at a time or as one trace; the sweep's folds give the same
+    counters."""
 
     def test_clock_saturation_sweeps_and_hand(self, via):
         events = (
@@ -200,6 +222,7 @@ class TestKnownAnswers:
         assert (sim._last_victim, sim._last_victim_dirty) == (3, True)
         assert sim.stats == CacheStats(accesses=16, hits=10, misses=6,
                                        fills=6, victims_m=2, victims_e=1)
+        assert _swept("clock", 3, events) == sim.stats
         sim.flush()
         assert sim.stats.flush_writebacks == 1
         assert sim.stats.victims_e == 3
@@ -222,12 +245,13 @@ class TestKnownAnswers:
     def test_segmented_lru_tie_evicts_the_read_half(self, via):
         # Capacity 2: both halves at their reservation of 1 when line 2
         # misses, so the clean read-half line goes, not the dirty one.
-        sim = _replay_via(via, "segmented-lru", 2,
-                          [(0, False), (1, True), (2, False)])
+        events = [(0, False), (1, True), (2, False)]
+        sim = _replay_via(via, "segmented-lru", 2, events)
         assert (sim._last_victim, sim._last_victim_dirty) == (0, False)
         assert sim._dirty == {1: True, 2: False}
         assert sim.stats == CacheStats(accesses=3, misses=3, fills=3,
                                        victims_e=1)
+        assert _swept("segmented-lru", 2, events) == sim.stats
 
     def test_segmented_lru_capacity_one(self, via):
         # read_cap == write_cap == 1: a miss evicts whichever half holds
@@ -246,6 +270,7 @@ class TestKnownAnswers:
         assert (sim._last_victim, sim._last_victim_dirty) == (2, True)
         assert sim.stats == CacheStats(accesses=6, hits=2, misses=4,
                                        fills=4, victims_m=2, victims_e=1)
+        assert _swept("segmented-lru", 1, events) == sim.stats
         sim.flush()
         assert sim.stats.writebacks == 3
 
@@ -255,20 +280,18 @@ class TestBelady:
         rng = np.random.default_rng(11)
         lines = rng.integers(0, 40, size=4000)
         writes = rng.random(4000) < 0.3
-        opt = run_trace("belady", 10, lines, writes)
+        opt = belady(10, lines, writes)
         lru = run_trace("lru", 10, lines, writes)
-        assert opt.stats.misses <= lru.stats.misses
+        assert opt.misses <= lru.stats.misses
 
     def test_belady_classic_example(self):
         # OPT on [0,1,2,0,1,3,0,1] with cap 3: misses = 4 (0,1,2,3).
         lines = np.array([0, 1, 2, 0, 1, 3, 0, 1])
-        sim = run_trace("belady", 3, lines, np.zeros(8, dtype=bool))
-        assert sim.stats.misses == 4
+        assert belady(3, lines, np.zeros(8, dtype=bool)).misses == 4
 
     def test_belady_flushes_dirty_at_end(self):
         lines = np.array([0, 1])
-        sim = run_trace("belady", 4, lines, np.array([True, True]))
-        assert sim.stats.writebacks == 2
+        assert belady(4, lines, np.array([True, True])).writebacks == 2
 
     def test_sleator_tarjan_competitiveness(self):
         """LRU at capacity 2M misses at most ~2x OPT at capacity M.
@@ -279,9 +302,9 @@ class TestBelady:
         lines = rng.integers(0, 60, size=5000)
         writes = np.zeros(5000, dtype=bool)
         M = 12
-        opt = run_trace("belady", M, lines, writes)
+        opt = belady(M, lines, writes)
         lru = run_trace("lru", 2 * M, lines, writes)
-        bound = (2 * M) / (2 * M - M + 1) * opt.stats.misses + 2 * M
+        bound = (2 * M) / (2 * M - M + 1) * opt.misses + 2 * M
         assert lru.stats.misses <= bound
 
 
@@ -314,12 +337,11 @@ def test_property_belady_optimality_vs_online(lines, cap):
     """Belady's MIN never has more misses than any online policy."""
     arr = np.asarray(lines)
     writes = np.zeros(len(lines), dtype=bool)
-    opt = CacheSim(cap, line_size=1, policy="belady")
-    opt.run_lines(arr, writes)
+    opt = belady(cap, arr, writes)
     for name in ["lru", "fifo", "clock"]:
         online = CacheSim(cap, line_size=1, policy=name)
         online.run_lines(arr, writes)
-        assert opt.stats.misses <= online.stats.misses
+        assert opt.misses <= online.stats.misses
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 
 from repro.core import cholesky_trace, nbody_trace, trsm_trace
 from repro.machine import CacheSim
+from repro.machine.fastsim import sweep
 
 
 def replay(buf, cap_words, line, policy="lru"):
+    """Counters plus flush: the per-access loop, or Belady's sweep."""
+    if policy == "belady":
+        cap = cap_words // line
+        return sweep(buf.finalize_trace(), {policy: [cap]})[policy].stats(cap)
     sim = CacheSim(cap_words, line_size=line, policy=policy)
     lines, writes = buf.finalize()
     sim.run_lines(lines, writes)

